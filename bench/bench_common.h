@@ -102,7 +102,6 @@ struct Row {
   uint64_t sim_ns = 0;   // max simulated core time
   uint64_t p50_ns = 0;
   uint64_t p99_ns = 0;
-  double avg_batch = 0;
 };
 
 // Machine-readable results: every bench binary drops BENCH_<name>.json
@@ -273,8 +272,7 @@ class Table {
           .Int("ops", r.ops)
           .Int("sim_ns", r.sim_ns)
           .Int("p50_ns", r.p50_ns)
-          .Int("p99_ns", r.p99_ns)
-          .Num("avg_batch", r.avg_batch);
+          .Int("p99_ns", r.p99_ns);
     }
     j.Write();
   }
@@ -289,8 +287,7 @@ class Table {
 // counters.
 inline void RunPoint(benchmark::State& state, core::EngineAdapter* adapter,
                      const core::ServerConfig& config, Table* table,
-                     const std::string& system, const std::string& label,
-                     double avg_batch = 0) {
+                     const std::string& system, const std::string& label) {
   core::ServerResult result;
   for (auto _ : state) {
     result = core::RunServer(adapter, config);
@@ -308,7 +305,6 @@ inline void RunPoint(benchmark::State& state, core::EngineAdapter* adapter,
   row.sim_ns = result.sim_ns;
   row.p50_ns = result.latency.Percentile(50);
   row.p99_ns = result.latency.Percentile(99);
-  row.avg_batch = avg_batch != 0 ? avg_batch : result.avg_batch;
   table->Add(row);
 }
 

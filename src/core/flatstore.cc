@@ -1399,79 +1399,99 @@ uint64_t FlatStore::ScanFullIteration(
   return produced;
 }
 
-// Hash-index scan (DESIGN.md §11): keys come in order from a windowed
-// k-way merge of the tier's L0 list and the per-core delta sets; values
-// are read authoritatively back through the volatile index, so a stale
-// tier node or a racy delta membership costs one wasted probe, never
-// correctness.
+// Hash-index scan (DESIGN.md §11.4): keys come in order from a lazy
+// k-way merge of the tier's L0 cursor with windowed gathers of the
+// per-core delta sets, stopping the moment `count` pairs are produced.
+// Values are read authoritatively back through the volatile index, so a
+// stale tier node or a racy delta membership costs one wasted probe,
+// never correctness.
 uint64_t FlatStore::ScanMerged(
     uint64_t start_key, uint64_t count,
     std::vector<std::pair<uint64_t, std::string>>* out) {
   // A single guest pin holds reclamation off store-wide for the scan's
-  // duration (entries may live in any group's logs). Tier nodes need no
-  // pin: arena chunks are never freed.
+  // duration (entries may live in any group's logs). The tier cursor
+  // holds a node across index probes, so the pin must also keep tier
+  // nodes dereferenceable; today arena chunks are never freed.
   common::EpochManager::GuestGuard guard(epochs_.get());
   vt::Charge(vt::kEpochPinCost);
+  vt::Clock* clock = vt::CurrentClock();
   uint64_t produced = 0;
-  uint64_t cursor = start_key;
-  std::vector<uint64_t> keys;
-  while (produced < count) {
+
+  // Tier cursor, software-pipelined at depth 1: a node's read is issued
+  // as soon as its address is known (when its predecessor is consumed)
+  // and waited for only when the merge needs its key, so it overlaps the
+  // predecessor's index probe and value copy. Every consumed node costs
+  // one read; at most one read is issued past the last.
+  tier::PersistentTier::Iterator tier_it;
+  uint64_t tier_ready = 0;  // vt completion of the cursor node's read
+  auto issue_tier_read = [&] {
+    if (!tier_it.Valid() || clock == nullptr) return;
+    vt::Charge(vt::kPrefetchIssueCost);
+    tier_ready = tier_it.IssueRead(clock->now());
+  };
+  if (tier_ != nullptr) {
+    tier_it = tier_->Seek(start_key);
+    issue_tier_read();
+  }
+
+  // Delta window: every delta key in [delta_from, bound], sorted and
+  // deduplicated. A core that filled its quota may still hold keys below
+  // another core's last gathered key, so only keys up to the smallest
+  // truncated core's last key are completely gathered; the next window
+  // resumes past that bound.
+  std::vector<uint64_t> window;
+  size_t wi = 0;
+  uint64_t delta_from = start_key;
+  bool deltas_done = false;
+  auto refill_window = [&] {
     const uint64_t want = count - produced + 16;  // slack for tombstones
-    keys.clear();
-    // Window bound: a source that filled its quota may still hold keys
-    // below another source's last emitted key, so only keys up to the
-    // smallest truncated source's last key are completely merged.
     uint64_t bound = UINT64_MAX;
-    bool truncated = false;
-    if (tier_ != nullptr) {
-      uint64_t taken = 0;
-      tier::PersistentTier::Iterator it = tier_->Seek(cursor);
-      while (it.Valid() && taken < want) {
-        keys.push_back(it.key());
-        taken++;
-        it.Next();
-      }
-      if (taken == want && it.Valid()) {
-        truncated = true;
-        bound = std::min(bound, keys.back());
-      }
-    }
+    window.clear();
+    wi = 0;
     for (auto& csp : cores_) {
       LockGuard<SpinLock> dg(csp->delta_lock);
-      auto it = csp->delta.lower_bound(cursor);
-      uint64_t taken = 0;
-      uint64_t last = 0;
-      while (it != csp->delta.end() && taken < want) {
-        last = *it;
-        keys.push_back(last);
-        taken++;
-        ++it;
+      auto it = csp->delta.lower_bound(delta_from);
+      for (uint64_t taken = 0; it != csp->delta.end() && taken < want;
+           ++it, ++taken) {
+        window.push_back(*it);
       }
-      if (taken == want && it != csp->delta.end()) {
-        truncated = true;
-        bound = std::min(bound, last);
-      }
+      if (it != csp->delta.end()) bound = std::min(bound, window.back());
     }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    for (uint64_t k : keys) {
-      if (produced >= count) break;
-      if (truncated && k > bound) break;
-      uint64_t packed = 0;
-      if (!IndexForCore(CoreForKey(k))->Get(k, &packed)) continue;
-      log::DecodedEntry e;
-      const bool ok = log::DecodeEntry(
-          static_cast<const uint8_t*>(pool_->At(log::UnpackOffset(packed))),
-          log::kMaxEntrySize, &e);
-      FLATSTORE_CHECK(ok);
-      if (e.op == log::OpType::kDelete) continue;  // tombstone
-      std::string v;
-      ReadValue(e, &v);
-      out->emplace_back(k, std::move(v));
-      produced++;
+    std::sort(window.begin(), window.end());
+    window.erase(std::unique(window.begin(), window.end()), window.end());
+    window.erase(std::upper_bound(window.begin(), window.end(), bound),
+                 window.end());
+    deltas_done = bound == UINT64_MAX;
+    delta_from = bound + 1;
+  };
+
+  while (produced < count) {
+    if (wi == window.size() && !deltas_done) refill_window();
+    const bool delta_live = wi < window.size();
+    if (tier_it.Valid() && clock != nullptr) clock->AdvanceTo(tier_ready);
+    uint64_t k;
+    if (tier_it.Valid() && (!delta_live || tier_it.key() <= window[wi])) {
+      k = tier_it.key();
+      if (delta_live && window[wi] == k) wi++;
+      tier_it.Next();
+      issue_tier_read();
+    } else if (delta_live) {
+      k = window[wi++];
+    } else {
+      break;  // both sources exhausted
     }
-    if (!truncated || bound == UINT64_MAX) break;  // sources exhausted
-    cursor = bound + 1;
+    uint64_t packed = 0;
+    if (!IndexForCore(CoreForKey(k))->Get(k, &packed)) continue;
+    log::DecodedEntry e;
+    const bool ok = log::DecodeEntry(
+        static_cast<const uint8_t*>(pool_->At(log::UnpackOffset(packed))),
+        log::kMaxEntrySize, &e);
+    FLATSTORE_CHECK(ok);
+    if (e.op == log::OpType::kDelete) continue;  // tombstone
+    std::string v;
+    ReadValue(e, &v);
+    out->emplace_back(k, std::move(v));
+    produced++;
   }
   return produced;
 }

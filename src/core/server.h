@@ -314,7 +314,6 @@ struct ServerResult {
   uint64_t sim_ns = 0;    // max simulated core time
   double mops = 0;        // ops / sim time
   Histogram latency;      // client-observed, simulated ns
-  double avg_batch = 0;   // mean HB batch size (FlatStore engines only)
   std::vector<uint64_t> core_ns;  // per-core simulated time
 };
 

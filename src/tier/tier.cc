@@ -352,9 +352,14 @@ uint64_t PersistentTier::Iterator::packed() const {
 
 void PersistentTier::Iterator::Next() {
   FLATSTORE_DCHECK(Valid());
+  node_ = LoadLink(&tier_->NodeAt(node_)->next[0]);
+}
+
+uint64_t PersistentTier::Iterator::IssueRead(uint64_t issue_time) const {
+  FLATSTORE_DCHECK(Valid());
   const TierNode* n = tier_->NodeAt(node_);
-  tier_->pool_->ChargeRead(n, 24);
-  node_ = LoadLink(&n->next[0]);
+  __builtin_prefetch(n, 0, 3);
+  return tier_->pool_->ChargeReadAt(n, 24, issue_time);
 }
 
 PersistentTier::Iterator PersistentTier::Seek(uint64_t start_key,

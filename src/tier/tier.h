@@ -165,20 +165,28 @@ class PersistentTier {
   // ride (any value is correct; the key's home socket is fastest).
   bool Get(uint64_t key, uint64_t* packed, int socket_hint = 0) const;
 
-  // Ordered L0 cursor. Reads charge the vt PM-read cost like any other
-  // media access.
+  // Ordered L0 cursor. Stepping charges nothing: the caller issues each
+  // node's header read with IssueRead and waits for its completion before
+  // using key()/packed(), so a walk can overlap the read of the next node
+  // with work on the current one (ScanMerged's depth-1 pipeline). A
+  // default-constructed cursor is invalid.
   class Iterator {
    public:
+    Iterator() = default;
     bool Valid() const { return node_ != 0; }
     uint64_t key() const;
     uint64_t packed() const;
+    // Steps to the L0 successor (the current node's read must be done).
     void Next();
+    // Prefetches the current node and issues its header read at
+    // `issue_time`; returns the read's vt completion.
+    uint64_t IssueRead(uint64_t issue_time) const;
 
    private:
     friend class PersistentTier;
     Iterator(const PersistentTier* t, uint64_t node) : tier_(t), node_(node) {}
-    const PersistentTier* tier_;
-    uint64_t node_;  // pool offset of the current node
+    const PersistentTier* tier_ = nullptr;
+    uint64_t node_ = 0;  // pool offset of the current node
   };
 
   // Positions a cursor at the first node with key >= start_key.

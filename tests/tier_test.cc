@@ -1,7 +1,8 @@
 // Persistent ordered tier (DESIGN.md §11): log-to-tier conversion,
 // merged hash-store scans, scan equivalence against the full-iteration
-// baseline under puts/deletes/GC churn, tombstone handling, and
-// incremental (bounded) recovery that skips tiered chunks.
+// baseline under puts/deletes/GC churn, tombstone handling, the vt cost
+// of the pipelined tier walk, and incremental (bounded) recovery that
+// skips tiered chunks.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,10 @@
 
 #include "core/fsck.h"
 #include "core/flatstore.h"
+#include "pm/pm_device.h"
 #include "tier/tier.h"
+#include "vt/clock.h"
+#include "vt/costs.h"
 
 namespace flatstore {
 namespace core {
@@ -36,10 +40,37 @@ FlatStoreOptions TierOptions(int cores = 2) {
   return fo;
 }
 
-std::unique_ptr<pm::PmPool> MakePool(uint64_t mb = 128) {
+std::unique_ptr<pm::PmPool> MakePool(uint64_t mb = 128,
+                                     pm::PmDevice* device = nullptr) {
   pm::PmPool::Options o;
   o.size = mb << 20;
+  o.device = device;
   return std::make_unique<pm::PmPool>(o);
+}
+
+// Keys and values of the merged scan must equal the full-iteration
+// baseline's.
+void ExpectScanMatchesFullIteration(FlatStore* store, uint64_t start,
+                                    uint64_t count) {
+  ScanRows merged, full;
+  const uint64_t a = store->Scan(start, count, &merged);
+  const uint64_t b = store->ScanFullIteration(start, count, &full);
+  ASSERT_EQ(a, b) << "start=" << start << " count=" << count;
+  ASSERT_EQ(merged, full) << "start=" << start << " count=" << count;
+}
+
+// Puts keys [0, keys), seals, writes a few keys far above the range so
+// every core's durable tail moves into a fresh chunk (the tail chunk
+// never tiers), then tiers until nothing is left to convert: every key
+// in [0, keys) is then served by the tier alone.
+void FillAndTierAll(FlatStore* store, uint64_t keys) {
+  for (uint64_t k = 0; k < keys; k++) store->Put(k, ValueFor(k, 1, 40));
+  store->SealActiveLogChunks();
+  for (uint64_t k = 0; k < 8; k++) {
+    store->Put((1ull << 32) + k, ValueFor(k, 1, 40));
+  }
+  while (store->RunTieringOnce() > 0) {
+  }
 }
 
 TEST(Tier, ConvertAndServe) {
@@ -114,11 +145,7 @@ TEST(Tier, ScanEquivalentToFullIterationUnderChurn) {
     store->Put(k, ValueFor(k, 0, 50));
   }
   auto compare = [&](uint64_t start, uint64_t count) {
-    ScanRows merged, full;
-    const uint64_t a = store->Scan(start, count, &merged);
-    const uint64_t b = store->ScanFullIteration(start, count, &full);
-    ASSERT_EQ(a, b) << "start=" << start << " count=" << count;
-    ASSERT_EQ(merged, full) << "start=" << start << " count=" << count;
+    ExpectScanMatchesFullIteration(store.get(), start, count);
   };
   for (int round = 1; round <= 4; round++) {
     // Churn: overwrites, deletes, re-puts — then GC and tiering passes.
@@ -138,6 +165,90 @@ TEST(Tier, ScanEquivalentToFullIterationUnderChurn) {
     compare(kKeys + 1000, 10);  // empty range
   }
   EXPECT_GT(store->ChunksTiered(), 0u);
+
+  // A dense run of tombstones in the delta sets, with a live key every
+  // 50th. A delta window holds at most count + 16 keys per core, so a
+  // 100-key scan from the run's start exhausts and refills its window at
+  // least twice before it can emit enough pairs, and sweeping the start
+  // key moves the window bounds across tombstones and live keys alike.
+  constexpr uint64_t kRunBegin = 300, kRunEnd = 1200;
+  for (uint64_t k = kRunBegin; k < kRunEnd; k++) store->Delete(k);
+  for (uint64_t k = kRunBegin; k < kRunEnd; k += 50) {
+    store->Put(k, ValueFor(k, 9, 45));
+  }
+  for (int pass = 0; pass < 2; pass++) {
+    compare(0, kKeys);
+    for (uint64_t start = kRunBegin - 5; start < kRunBegin + 40; start += 3) {
+      compare(start, 1);
+      compare(start, 17);
+      compare(start, 100);
+    }
+    compare(kRunEnd - 1, 50);
+    compare(kKeys - 1, 10);    // the last key only
+    compare(kKeys, 10);        // just past the last key
+    compare(UINT64_MAX, 10);  // the very end of the key space
+    // Second pass: the same tombstones after they convert into tier
+    // nodes, so the tier cursor steps over them too.
+    store->SealActiveLogChunks();
+    store->RunTieringOnce();
+  }
+}
+
+// Stores whose keys sit on one side of the merge only: every scanned key
+// in a tier node, or every key still in the delta sets.
+TEST(Tier, ScanEquivalentOnSingleSourceStores) {
+  constexpr uint64_t kKeys = 1024;
+  auto tier_pool = MakePool();
+  auto tier_only = FlatStore::Create(tier_pool.get(), TierOptions());
+  FillAndTierAll(tier_only.get(), kKeys);
+  auto delta_pool = MakePool();
+  auto delta_only = FlatStore::Create(delta_pool.get(), TierOptions());
+  for (uint64_t k = 0; k < kKeys; k++) {
+    delta_only->Put(k, ValueFor(k, 1, 40));
+  }
+  for (FlatStore* store : {tier_only.get(), delta_only.get()}) {
+    ExpectScanMatchesFullIteration(store, 0, kKeys);
+    ExpectScanMatchesFullIteration(store, 0, 3 * kKeys);
+    ExpectScanMatchesFullIteration(store, 511, 100);
+    ExpectScanMatchesFullIteration(store, kKeys - 1, 5);
+    ExpectScanMatchesFullIteration(store, kKeys, 5);
+    ExpectScanMatchesFullIteration(store, UINT64_MAX, 5);
+  }
+}
+
+// vt cost of a scan served by the tier alone. The tier walk is a chain
+// of dependent PM reads (a node's successor is known only once its read
+// completes), so one kPmReadLatency per emitted key is a floor. The
+// depth-1 pipeline hides each key's index probe and value copy behind the
+// next node's read, so the scan must also beat the serial sum of read +
+// probe + copy per item. Probe + copy is measured on a twin store holding
+// the same keys in its delta sets only; its scan reads no PM, because
+// 40-byte values ride in the log entry the index points at.
+TEST(Tier, PipelinedScanCostsOneOverlappedReadPerItem) {
+  constexpr uint64_t kKeys = 1024, kStart = 200, kItems = 100;
+  pm::PmDevice device;
+  auto tier_pool = MakePool(128, &device);
+  auto tiered = FlatStore::Create(tier_pool.get(), TierOptions());
+  FillAndTierAll(tiered.get(), kKeys);
+  ASSERT_GE(tiered->tier()->node_count(), kKeys);
+  auto twin_pool = MakePool();
+  auto twin = FlatStore::Create(twin_pool.get(), TierOptions());
+  for (uint64_t k = 0; k < kKeys; k++) twin->Put(k, ValueFor(k, 1, 40));
+
+  auto scan_ns = [&](FlatStore* store, ScanRows* rows) {
+    vt::Clock clock;
+    vt::ScopedClock bind(&clock);
+    EXPECT_EQ(store->Scan(kStart, kItems, rows), kItems);
+    return clock.now();
+  };
+  ScanRows tier_rows, twin_rows;
+  const uint64_t pipelined = scan_ns(tiered.get(), &tier_rows);
+  const uint64_t probe_and_copy = scan_ns(twin.get(), &twin_rows);
+  EXPECT_EQ(tier_rows, twin_rows);
+  const uint64_t read_chain = kItems * vt::kPmReadLatency;
+  EXPECT_GE(pipelined, read_chain);
+  EXPECT_LT(pipelined, read_chain + probe_and_copy)
+      << "probe + copy alone cost " << probe_and_copy << " ns";
 }
 
 // Scans racing live writers must stay well-formed: strictly ascending
