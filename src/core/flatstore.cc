@@ -563,6 +563,7 @@ bool FlatStore::GetOnCore(int core, uint64_t key, std::string* value) {
 
 size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
                                  ReadResult* results) {
+  static_assert(kMaxReadBatch <= UINT8_MAX, "batch positions fit uint8_t");
   FLATSTORE_CHECK_LE(n, kMaxReadBatch);
   if (n == 0) return 0;
   // One pin covers every entry dereference in the batch.
@@ -571,34 +572,58 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
   index::KvIndex* idx = IndexForCore(core);
   CoreState& cs = *cores_[core];
 
+  // Coalescing: only a key's first occurrence (its leader) checks for
+  // conflicts, probes and reads; repeats copy the leader's outcome at the
+  // end. A stack-resident open-addressing table, at most half full, maps
+  // each key to its leader: one hash and about one slot probe per key.
+  constexpr size_t kSlots = 2 * kMaxReadBatch;
+  uint8_t slots[kSlots] = {};        // leader position + 1; 0 = empty
+  uint8_t leader_of[kMaxReadBatch];  // batch position -> leader position
+  size_t probes = 0;  // leaders without an in-flight write
+  for (size_t i = 0; i < n; i++) {
+    vt::Charge(vt::kCpuHash + vt::kCpuSlotProbe);
+    results[i].value.clear();
+    size_t s = HashKey(keys[i]) % kSlots;
+    while (slots[s] != 0 && keys[slots[s] - 1] != keys[i]) {
+      s = (s + 1) % kSlots;
+    }
+    if (slots[s] != 0) {
+      leader_of[i] = static_cast<uint8_t>(slots[s] - 1);
+      continue;
+    }
+    slots[s] = static_cast<uint8_t>(i + 1);
+    leader_of[i] = static_cast<uint8_t>(i);
+    if (cs.inflight_keys.Contains(keys[i])) {
+      results[i].status = GetResult::kDeferred;
+    } else {
+      results[i].status = GetResult::kAbsent;  // provisional until phase B
+      probes++;
+    }
+  }
+
   index::LookupHint hints[kMaxReadBatch];
   uint64_t packed[kMaxReadBatch];
   uint64_t ready[kMaxReadBatch];  // read-completion times (phases C/D)
-  const int ways =
-      n > static_cast<size_t>(vt::kMemParallelism)
-          ? vt::kMemParallelism
-          : static_cast<int>(n);
-
-  size_t served = 0;
+  // Only the probes overlap: deferred keys and repeats issue no miss.
+  const int ways = static_cast<int>(std::clamp<size_t>(
+      probes, 1, static_cast<size_t>(vt::kMemParallelism)));
   {
     vt::ScopedOverlap overlap(ways);
-    // Phase A: conflict check + locate/prefetch every key.
+    // Phase A: locate/prefetch every probing leader.
     for (size_t i = 0; i < n; i++) {
-      results[i].value.clear();
-      if (cs.inflight_keys.Contains(keys[i])) {
-        results[i].status = GetResult::kDeferred;
+      if (leader_of[i] != i || results[i].status == GetResult::kDeferred) {
         continue;
       }
-      results[i].status = GetResult::kAbsent;  // provisional until phase B
       idx->PrefetchGet(keys[i], &hints[i]);
     }
     // Phase B: finish the probes on (mostly) warm lines.
     for (size_t i = 0; i < n; i++) {
-      if (results[i].status == GetResult::kDeferred) continue;
+      if (leader_of[i] != i || results[i].status == GetResult::kDeferred) {
+        continue;
+      }
       results[i].status = idx->GetWithHint(keys[i], hints[i], &packed[i])
                               ? GetResult::kFound
                               : GetResult::kAbsent;
-      served++;
     }
   }
 
@@ -608,7 +633,7 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
   vt::Clock* clock = vt::CurrentClock();
   const uint64_t issue = clock != nullptr ? clock->now() : 0;
   for (size_t i = 0; i < n; i++) {
-    if (results[i].status != GetResult::kFound) continue;
+    if (leader_of[i] != i || results[i].status != GetResult::kFound) continue;
     const void* entry = pool_->At(log::UnpackOffset(packed[i]));
     __builtin_prefetch(entry, 0, 3);
     if (clock != nullptr) {
@@ -621,7 +646,7 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
   // issued as a second overlapped read wave (phase D) and consumed below.
   log::DecodedEntry entries[kMaxReadBatch];
   for (size_t i = 0; i < n; i++) {
-    if (results[i].status != GetResult::kFound) continue;
+    if (leader_of[i] != i || results[i].status != GetResult::kFound) continue;
     if (clock != nullptr) clock->AdvanceTo(ready[i]);
     const uint64_t off = log::UnpackOffset(packed[i]);
     log::DecodedEntry& e = entries[i];
@@ -648,7 +673,7 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
 
   // Phase D: consume the out-of-log value blocks.
   for (size_t i = 0; i < n; i++) {
-    if (results[i].status != GetResult::kFound) continue;
+    if (leader_of[i] != i || results[i].status != GetResult::kFound) continue;
     const log::DecodedEntry& e = entries[i];
     if (e.embedded || e.ptr == 0) continue;
     if (clock != nullptr) clock->AdvanceTo(ready[i]);
@@ -657,6 +682,21 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
     std::memcpy(&len, block, 8);
     vt::Charge(vt::CostMemcpy(len));
     results[i].value.assign(block + 8, len);
+  }
+
+  // Repeats take their leader's outcome. Every copy is served at this one
+  // instant with no write to the key in between (a deferral defers all).
+  size_t served = 0;
+  for (size_t i = 0; i < n; i++) {
+    const ReadResult& lead = results[leader_of[i]];
+    if (leader_of[i] != i) {
+      results[i].status = lead.status;
+      if (lead.status == GetResult::kFound) {
+        vt::Charge(vt::CostMemcpy(lead.value.size()));
+        results[i].value.assign(lead.value);
+      }
+    }
+    if (results[i].status != GetResult::kDeferred) served++;
   }
   return served;
 }

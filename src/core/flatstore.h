@@ -281,12 +281,14 @@ class FlatStore {
   // issues software prefetches (index::KvIndex::PrefetchGet), phase B
   // completes the probes on warm lines, phase C issues all log-entry
   // header reads back-to-back and consumes them in order, phase D does
-  // the same for out-of-log value blocks. Independent misses are
-  // amortized by min(n, vt::kMemParallelism). Keys with in-flight writes
-  // come back kDeferred (the same conflict rule GetOnCore's callers
-  // enforce via KeyBusy) and must be retried after a drain. Requires
-  // n <= kMaxReadBatch. Returns the number of keys served (i.e. with
-  // status != kDeferred).
+  // the same for out-of-log value blocks. Duplicate keys are coalesced:
+  // only a key's first occurrence runs the pipeline, and each repeat
+  // copies its status and value. Independent misses are amortized by
+  // min(probing keys, vt::kMemParallelism). Keys with in-flight writes
+  // come back kDeferred in every copy (the same conflict rule GetOnCore's
+  // callers enforce via KeyBusy) and must be retried after a drain.
+  // Requires n <= kMaxReadBatch. Returns the number of keys served (i.e.
+  // with status != kDeferred), counting every copy.
   size_t MultiGetOnCore(int core, const uint64_t* keys, size_t n,
                         ReadResult* results);
   // Batched write admission on the owning core (the write-side analogue

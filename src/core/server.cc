@@ -149,23 +149,20 @@ struct CoreLoop {
     net::Request req;
   };
   std::deque<PendingWrite> pending;
-  // Read batch for the MultiGet path: Gets admitted this quantum plus
-  // deferred leftovers (keys whose writes were in flight) carried over.
-  struct ReadSlot {
+  // A polled request held in one of the quantum's batches.
+  struct Slot {
     int conn;
     net::Request req;
   };
-  std::vector<ReadSlot> reads;
+  // Read batch for the MultiGet path: Gets admitted this quantum plus
+  // deferred leftovers (keys whose writes were in flight) carried over.
+  std::vector<Slot> reads;
   std::vector<uint64_t> read_keys;       // scratch, sized kMaxReadBatch
   std::vector<ReadResult> read_results;  // scratch, sized kMaxReadBatch
   // Write batch for the fused MultiPut path: Puts/Deletes admitted this
   // quantum plus backpressured leftovers (fused staging is all-or-
   // nothing) carried over.
-  struct WriteSlot {
-    int conn;
-    net::Request req;
-  };
-  std::vector<WriteSlot> writes;
+  std::vector<Slot> writes;
   std::vector<EngineAdapter::WriteReq> write_reqs;     // scratch
   std::vector<EngineAdapter::Submit> write_status;     // scratch
   uint64_t next_tag = 1;
@@ -181,9 +178,11 @@ struct CoreLoop {
   }
 };
 
-// Posts the response for an already-served read.
-void PostReadResponse(net::FlatRpc& rpc, int core, int conn,
-                      const net::Request& req, const ReadResult& r) {
+// Posts a Get's response from its read result. `chained` appends the verb
+// to the doorbell chain an earlier response of this quantum opened.
+void PostGetResponse(net::FlatRpc& rpc, int core, int conn,
+                     const net::Request& req, const ReadResult& r,
+                     bool chained) {
   net::Response resp;
   resp.type = req.type;
   resp.seq = req.seq;
@@ -196,9 +195,10 @@ void PostReadResponse(net::FlatRpc& rpc, int core, int conn,
   } else {
     resp.status = net::MsgStatus::kNotFound;
   }
-  rpc.PostResponse(core, conn, &resp, 0);
+  rpc.PostResponse(core, conn, &resp, 0, chained);
 }
 
+// Posts the response of a completed write or a Scan (served here).
 void RespondNow(net::FlatRpc& rpc, int core, int conn,
                 const net::Request& req, EngineAdapter* engine,
                 uint64_t not_before = 0, bool chained = false) {
@@ -207,16 +207,7 @@ void RespondNow(net::FlatRpc& rpc, int core, int conn,
   resp.seq = req.seq;
   resp.value_len = 0;
   resp.status = net::MsgStatus::kOk;
-  if (req.type == net::MsgType::kGet) {
-    std::string value;
-    if (engine->Get(core, req.key, &value)) {
-      resp.value_len = static_cast<uint32_t>(
-          std::min<size_t>(value.size(), net::kMaxMsgValue));
-      std::memcpy(resp.value, value.data(), resp.value_len);
-    } else {
-      resp.status = net::MsgStatus::kNotFound;
-    }
-  } else if (req.type == net::MsgType::kScan) {
+  if (req.type == net::MsgType::kScan) {
     // Range read: the request's value_len carries the scan length; the
     // response carries only the hit count (the per-item read work is
     // charged on this core's clock inside Scan).
@@ -275,7 +266,9 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       // Batch full: the Get stays at its ring head for the next quantum.
       break;
     }
-    if (wbatched && req->type != net::MsgType::kGet &&
+    if (wbatched &&
+        (req->type == net::MsgType::kPut ||
+         req->type == net::MsgType::kDelete) &&
         state.writes.size() >= static_cast<size_t>(write_batch)) {
       // Write batch full: the op stays at its ring head likewise.
       break;
@@ -294,7 +287,10 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
         continue;
       }
       if (engine->KeyBusy(core, req->key)) continue;  // conflict queue
-      RespondNow(rpc, core, conn, *req, engine);
+      ReadResult& r = state.read_results[0];
+      r.status = engine->Get(core, req->key, &r.value) ? GetResult::kFound
+                                                      : GetResult::kAbsent;
+      PostGetResponse(rpc, core, conn, *req, r, /*chained=*/false);
       rpc.PopRequest(core, conn);
       state.completed++;
       progress = true;
@@ -474,13 +470,15 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
     }
     engine->MultiGet(core, state.read_keys.data(), n,
                      state.read_results.data());
+    // The quantum's read responses go out as one doorbell chain: the
+    // first verb pays the MMIO/handoff, the rest ride it.
+    bool chain_open = false;
     size_t kept = 0;
     for (size_t i = 0; i < n; i++) {
       // A carried-over (backpressured, not yet staged) write on this key
       // is invisible to the engine's in-flight table; defer the read so
       // it cannot overtake that write.
-      if (state.read_results[i].status != GetResult::kDeferred &&
-          !state.writes.empty()) {
+      if (state.read_results[i].status != GetResult::kDeferred) {
         for (const auto& w : state.writes) {
           if (w.req.key == state.reads[i].req.key) {
             state.read_results[i].status = GetResult::kDeferred;
@@ -492,8 +490,9 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
         state.reads[kept++] = state.reads[i];
         continue;
       }
-      PostReadResponse(rpc, core, state.reads[i].conn, state.reads[i].req,
-                       state.read_results[i]);
+      PostGetResponse(rpc, core, state.reads[i].conn, state.reads[i].req,
+                      state.read_results[i], chain_open);
+      chain_open = true;
       state.completed++;
       progress = true;
     }

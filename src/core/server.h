@@ -275,8 +275,9 @@ struct ServerConfig {
   int client_window = 8;      // async requests in flight per connection
   uint64_t ops_per_conn = 10000;
   // Gets polled by a core in one quantum are served as a single MultiGet
-  // batch of (up to) this size; <= 1 selects the legacy per-request read
-  // path. Clamped to kMaxReadBatch.
+  // batch of (up to) this size and their responses are posted as one
+  // doorbell chain; <= 1 selects the legacy per-request read path.
+  // Clamped to kMaxReadBatch.
   int read_batch = 16;
   // Puts/Deletes polled by a core in one quantum are admitted as one
   // fused write batch of (up to) this size (EngineAdapter::

@@ -137,6 +137,42 @@ TEST(HotPathAlloc, MultiGetBatchIsAllocationFree) {
       << " times across 100 warm batches";
 }
 
+// Coalesced repeats: a warm batch in which inline and out-of-log keys
+// repeat (the dedup table, the leader list and the copies into each
+// repeat's result string) stays off the heap too.
+TEST(HotPathAlloc, MultiGetWithRepeatedKeysIsAllocationFree) {
+  pm::PmPool::Options o;
+  o.size = 128ull << 20;
+  pm::PmPool pool(o);
+  FlatStoreOptions fo;
+  fo.num_cores = 1;
+  fo.group_size = 1;
+  fo.hash_initial_depth = 4;
+  auto store = FlatStore::Create(&pool, fo);
+
+  store->Put(1, std::string(64, 'i'));    // inline
+  store->Put(2, std::string(1024, 'b'));  // out-of-log block
+  constexpr size_t kBatch = 16;
+  uint64_t keys[kBatch];
+  for (size_t i = 0; i < kBatch; i++) keys[i] = 1 + (i * 7 % 3);  // 1, 2, 3
+  std::vector<ReadResult> results(kBatch);
+
+  // Warm-up: result strings grow to their steady capacity.
+  for (int i = 0; i < 10; i++) {
+    store->MultiGetOnCore(0, keys, kBatch, results.data());
+  }
+
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; i++) {
+    store->MultiGetOnCore(0, keys, kBatch, results.data());
+  }
+  const uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u)
+      << "MultiGet with repeats heap-allocated " << (after - before)
+      << " times across 100 warm batches";
+}
+
 // The batched write pipeline: a warm MultiPutOnCore batch (version
 // resolution with prefetch hints, batch encode, fused StageBatch, pump,
 // batched drain) must not touch the heap — all per-batch state lives in

@@ -6,8 +6,10 @@
 //    splits/resizes between the two phases.
 //  * Engine: MultiGetOnCore must match GetOnCore key-for-key across all
 //    three index kinds (mixed inline/out-of-log values, absent keys,
-//    tombstones), defer keys with in-flight writes, and serve them after
-//    the drain with the post-drain value (linearizability).
+//    tombstones, repeated keys), defer keys with in-flight writes in every
+//    copy, and serve them after the drain with the post-drain value
+//    (linearizability). Repeated keys are coalesced: a batch of copies of
+//    one key costs one lookup plus a dedup probe and a copy per repeat.
 //  * Server: the batched read path must complete the identical workload
 //    as the legacy per-request path (read_batch=1).
 
@@ -24,6 +26,9 @@
 #include "index/kv_index.h"
 #include "index/level_hashing.h"
 #include "index/masstree.h"
+#include "pm/pm_device.h"
+#include "vt/clock.h"
+#include "vt/costs.h"
 
 namespace flatstore {
 namespace {
@@ -125,9 +130,11 @@ using core::GetResult;
 using core::ReadResult;
 
 struct Store {
-  explicit Store(core::IndexKind kind, int cores = 2) {
+  explicit Store(core::IndexKind kind, int cores = 2,
+                 pm::PmDevice* device = nullptr) {
     pm::PmPool::Options o;
     o.size = 512ull << 20;
+    o.device = device;
     pool = std::make_unique<pm::PmPool>(o);
     core::FlatStoreOptions fo;
     fo.num_cores = cores;
@@ -223,6 +230,122 @@ TEST_P(MultiGetTest, ReusedResultsArrayDoesNotLeakStatuses) {
   EXPECT_EQ(results[0].value, "five");
   EXPECT_EQ(results[1].status, GetResult::kAbsent);
   EXPECT_TRUE(results[1].value.empty());
+}
+
+// Every copy of a repeated key gets the same answer a per-key Get gives:
+// inline and out-of-log values, tombstones and never-written keys alike.
+TEST_P(MultiGetTest, RepeatedKeysMatchSingleGets) {
+  Store s(GetParam(), /*cores=*/1);
+  const uint64_t kInline = 1, kBlock = 3, kDead = 4, kAbsent = 99;
+  ASSERT_LE(ValueFor(kInline).size(), 256u);
+  ASSERT_GT(ValueFor(kBlock).size(), 256u);
+  for (uint64_t k : {kInline, kBlock, kDead}) s.store->Put(k, ValueFor(k));
+  ASSERT_TRUE(s.store->Delete(kDead));
+
+  const uint64_t keys[] = {kInline, kBlock, kInline, kDead, kAbsent,
+                           kBlock,  kDead,  kAbsent, kInline, kBlock,
+                           kInline, kInline};
+  constexpr size_t kN = sizeof(keys) / sizeof(keys[0]);
+  ReadResult results[kN];
+  EXPECT_EQ(s.store->MultiGetOnCore(0, keys, kN, results), kN);
+  for (size_t i = 0; i < kN; i++) {
+    std::string single;
+    if (s.store->GetOnCore(0, keys[i], &single)) {
+      ASSERT_EQ(results[i].status, GetResult::kFound) << "position " << i;
+      EXPECT_EQ(results[i].value, single) << "position " << i;
+    } else {
+      EXPECT_EQ(results[i].status, GetResult::kAbsent) << "position " << i;
+      EXPECT_TRUE(results[i].value.empty()) << "position " << i;
+    }
+  }
+}
+
+// A key with a write in flight is deferred in every copy; `served` counts
+// every served copy, and after the drain every copy sees the new value.
+TEST_P(MultiGetTest, InFlightWriteDefersEveryCopy) {
+  Store s(GetParam(), /*cores=*/1);
+  s.store->Put(1, "old-one");
+  s.store->Put(2, "two");
+  FlatStore::OpHandle h;
+  ASSERT_EQ(s.store->BeginPut(0, 1, "new-one", 7, &h), core::OpStatus::kOk);
+
+  const uint64_t keys[] = {1, 2, 1, 3, 2, 1};
+  ReadResult results[6];
+  EXPECT_EQ(s.store->MultiGetOnCore(0, keys, 6, results), 3u);
+  for (size_t i : {0, 2, 5}) {
+    EXPECT_EQ(results[i].status, GetResult::kDeferred) << "position " << i;
+  }
+  for (size_t i : {1, 4}) {
+    ASSERT_EQ(results[i].status, GetResult::kFound) << "position " << i;
+    EXPECT_EQ(results[i].value, "two") << "position " << i;
+  }
+  EXPECT_EQ(results[3].status, GetResult::kAbsent);
+
+  s.store->Pump(0);
+  s.store->Drain(0, SIZE_MAX, nullptr);
+  EXPECT_EQ(s.store->MultiGetOnCore(0, keys, 6, results), 6u);
+  for (size_t i : {0, 2, 5}) {
+    ASSERT_EQ(results[i].status, GetResult::kFound) << "position " << i;
+    EXPECT_EQ(results[i].value, "new-one") << "position " << i;
+  }
+}
+
+// Coalescing on the vt clock: 16 copies of one key cost at most one
+// 1-key batch plus, per repeat, the dedup probe and the value copy — no
+// extra index probe, prefetch or PM read. Each batch starts long after the
+// previous one so the PM device is idle for both.
+TEST_P(MultiGetTest, RepeatsCostADedupProbeAndACopy) {
+  pm::PmDevice device;
+  Store s(GetParam(), /*cores=*/1, &device);
+  vt::Clock clock;
+  vt::ScopedClock bind(&clock);
+  for (uint64_t key : {uint64_t{1}, uint64_t{3}}) {  // inline, out-of-log
+    const std::string value = ValueFor(key);
+    s.store->Put(key, value);
+    auto batch_ns = [&](size_t n) {
+      uint64_t keys[16];
+      ReadResult results[16];
+      for (size_t i = 0; i < n; i++) keys[i] = key;
+      clock.AdvanceTo(clock.now() + 1000000);
+      const uint64_t start = clock.now();
+      EXPECT_EQ(s.store->MultiGetOnCore(0, keys, n, results), n);
+      for (size_t i = 0; i < n; i++) EXPECT_EQ(results[i].value, value);
+      return clock.now() - start;
+    };
+    const uint64_t one = batch_ns(1);
+    const uint64_t sixteen = batch_ns(16);
+    const uint64_t per_repeat = vt::kCpuHash + vt::kCpuSlotProbe +
+                                vt::CostMemcpy(value.size());
+    EXPECT_LE(sixteen, one + 15 * per_repeat)
+        << value.size() << " B value: 1 copy " << one << " ns";
+  }
+}
+
+// Only keys that probe overlap their misses: a batch of one probing key
+// and 15 deferred ones charges that probe like a 1-key batch does, plus a
+// dedup probe per deferred key.
+TEST_P(MultiGetTest, DeferredKeysDoNotWidenTheOverlap) {
+  pm::PmDevice device;
+  Store s(GetParam(), /*cores=*/1, &device);
+  vt::Clock clock;
+  vt::ScopedClock bind(&clock);
+  for (uint64_t k = 0; k < 16; k++) s.store->Put(k, ValueFor(k));
+  for (uint64_t k = 1; k < 16; k++) {
+    FlatStore::OpHandle h;
+    ASSERT_EQ(s.store->BeginPut(0, k, "busy", 4, &h), core::OpStatus::kOk);
+  }
+  auto batch_ns = [&](size_t n) {
+    uint64_t keys[16];
+    ReadResult results[16];
+    for (size_t i = 0; i < n; i++) keys[i] = i;
+    clock.AdvanceTo(clock.now() + 1000000);
+    const uint64_t start = clock.now();
+    EXPECT_EQ(s.store->MultiGetOnCore(0, keys, n, results), 1u);
+    EXPECT_EQ(results[0].value, ValueFor(0));
+    return clock.now() - start;
+  };
+  const uint64_t one = batch_ns(1);
+  EXPECT_EQ(batch_ns(16), one + 15 * (vt::kCpuHash + vt::kCpuSlotProbe));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,19 +1,27 @@
 // End-to-end tests of the server runtime: simulated clients drive engines
 // over FlatRPC; completion counts, data integrity, latency sanity, mixed
-// workloads, and engine interchangeability under the identical setup.
+// workloads, engine interchangeability under the identical setup, and the
+// serving loop's per-quantum rules (chained read responses, which ops a
+// full write batch holds back).
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "core/server.h"
+#include "vt/clock.h"
+#include "vt/costs.h"
 
 namespace flatstore {
 namespace core {
 namespace {
 
 struct Harness {
-  explicit Harness(IndexKind kind = IndexKind::kHash, int cores = 4) {
+  explicit Harness(IndexKind kind = IndexKind::kHash, int cores = 4,
+                   size_t pool_mb = 512) {
     pm::PmPool::Options o;
-    o.size = 512ull << 20;
+    o.size = pool_mb << 20;
     pool = std::make_unique<pm::PmPool>(o);
     FlatStoreOptions fo;
     fo.num_cores = cores;
@@ -179,6 +187,150 @@ TEST(Server, DeterministicAcrossRuns) {
   ServerResult b = run();
   EXPECT_EQ(a.sim_ns, b.sim_ns);
   EXPECT_EQ(a.latency.Percentile(99), b.latency.Percentile(99));
+}
+
+// Forwards every call to a FlatStoreAdapter and logs, in call order, the
+// serving core's vt instant at the calls the per-quantum tests inspect.
+class RecordingAdapter final : public EngineAdapter {
+ public:
+  enum class Call { kMultiGet, kScan, kWriteBatch, kPump };
+  struct Event {
+    Call call;
+    int core;
+    uint64_t at;   // core clock at the call (MultiGet, WriteBatch: return)
+    size_t count;  // MultiGet: keys served; WriteBatch: ops submitted
+  };
+
+  explicit RecordingAdapter(FlatStoreAdapter* inner) : inner_(inner) {}
+
+  int num_cores() const override { return inner_->num_cores(); }
+  int CoreForKey(uint64_t key) const override {
+    return inner_->CoreForKey(key);
+  }
+  const char* Name() const override { return inner_->Name(); }
+  Submit SubmitPut(int core, uint64_t key, const void* value, uint32_t len,
+                   uint64_t tag) override {
+    return inner_->SubmitPut(core, key, value, len, tag);
+  }
+  Submit SubmitDelete(int core, uint64_t key, uint64_t tag) override {
+    return inner_->SubmitDelete(core, key, tag);
+  }
+  bool Get(int core, uint64_t key, std::string* value) override {
+    return inner_->Get(core, key, value);
+  }
+  bool KeyBusy(int core, uint64_t key) const override {
+    return inner_->KeyBusy(core, key);
+  }
+  bool Scan(int core, uint64_t start_key, uint64_t count,
+            uint64_t* found) override {
+    events.push_back({Call::kScan, core, vt::Now(), 0});
+    return inner_->Scan(core, start_key, count, found);
+  }
+  size_t MultiGet(int core, const uint64_t* keys, size_t n,
+                  ReadResult* results) override {
+    const size_t served = inner_->MultiGet(core, keys, n, results);
+    events.push_back({Call::kMultiGet, core, vt::Now(), served});
+    return served;
+  }
+  size_t SubmitWriteBatch(int core, const WriteReq* reqs, size_t n,
+                          Submit* out) override {
+    const size_t pending = inner_->SubmitWriteBatch(core, reqs, n, out);
+    events.push_back({Call::kWriteBatch, core, vt::Now(), n});
+    return pending;
+  }
+  size_t Pump(int core) override {
+    events.push_back({Call::kPump, core, vt::Now(), 0});
+    return inner_->Pump(core);
+  }
+  size_t Drain(int core, std::vector<Done>* done) override {
+    return inner_->Drain(core, done);
+  }
+
+  std::vector<Event> events;
+
+ private:
+  FlatStoreAdapter* inner_;
+};
+
+// A quantum's read-batch responses ride one doorbell chain: the head pays
+// the agent core's MMIO (core 0) or the delegation handoff (other cores),
+// each later response only the chained WQE build. The serving loop goes
+// straight from posting them to the persist step's Pump, so the core's
+// clock between MultiGet returning and that Pump is exactly the posting
+// cost.
+TEST(Server, ReadBatchResponsesRideOneDoorbellChain) {
+  Harness h(IndexKind::kHash, /*cores=*/2);
+  RecordingAdapter rec(h.adapter.get());
+  ServerConfig cfg;
+  cfg.num_conns = 4;
+  cfg.ops_per_conn = 400;
+  cfg.workload.key_space = 1024;
+  cfg.workload.value_len = 64;
+  cfg.workload.get_ratio = 1.0;
+  Preload(&rec, cfg.workload, cfg.workload.key_space);
+  ServerResult r = RunServer(&rec, cfg);
+  ASSERT_EQ(r.ops, 1600u);
+
+  size_t chained_batches = 0;
+  std::vector<const RecordingAdapter::Event*> last_get(2, nullptr);
+  for (const auto& e : rec.events) {
+    if (e.call == RecordingAdapter::Call::kMultiGet) {
+      last_get[e.core] = &e;
+      continue;
+    }
+    const RecordingAdapter::Event* get = last_get[e.core];
+    last_get[e.core] = nullptr;
+    if (get == nullptr) continue;
+    ASSERT_EQ(e.call, RecordingAdapter::Call::kPump)
+        << "a MultiGet must be followed by its core's persist step";
+    ASSERT_GT(get->count, 0u) << "Get-only: nothing is ever deferred";
+    const uint64_t head =
+        e.core == 0 ? vt::kMmioPostCost : vt::kDelegateHandoffCost;
+    EXPECT_EQ(e.at - get->at, head + (get->count - 1) * vt::kDoorbellChainCost)
+        << "core " << e.core << ", " << get->count << " responses";
+    if (get->count > 1) chained_batches++;
+  }
+  EXPECT_GT(chained_batches, 0u) << "no batch had more than one response";
+}
+
+// Only Puts and Deletes join the write batch, so only they wait when it is
+// full: a Scan polled behind a full batch is served in the same quantum,
+// before the batch is submitted. One connection posts three ops into one
+// core's ring; across seeds the Scan lands at every ring position, and
+// the instant it is served (its arrival plus parsing) tells which.
+TEST(Server, FullWriteBatchDoesNotHoldBackScans) {
+  std::set<uint64_t> scan_positions;
+  for (uint64_t seed = 1; seed <= 64 && scan_positions.size() < 3; seed++) {
+    Harness h(IndexKind::kMasstree, /*cores=*/1, /*pool_mb=*/64);
+    RecordingAdapter rec(h.adapter.get());
+    ServerConfig cfg;
+    cfg.num_conns = 1;
+    cfg.ops_per_conn = 3;
+    cfg.write_batch = 2;
+    cfg.seed = seed;
+    cfg.workload.key_space = 256;
+    cfg.workload.scan_ratio = 0.5;
+    cfg.workload.scan_len_max = 4;
+    ASSERT_EQ(RunServer(&rec, cfg).ops, 3u);
+    const RecordingAdapter::Event* first_scan = nullptr;
+    const RecordingAdapter::Event* batch = nullptr;
+    size_t scans = 0;
+    for (const auto& e : rec.events) {
+      if (e.call == RecordingAdapter::Call::kScan) {
+        if (first_scan == nullptr) first_scan = &e;
+        scans++;
+      } else if (e.call == RecordingAdapter::Call::kWriteBatch &&
+                 batch == nullptr) {
+        batch = &e;
+      }
+    }
+    if (scans != 1 || batch == nullptr || batch->count != 2) continue;
+    scan_positions.insert(first_scan->at);
+    EXPECT_LT(first_scan - rec.events.data(), batch - rec.events.data())
+        << "seed " << seed << ": the Scan waited for the full write batch";
+  }
+  EXPECT_EQ(scan_positions.size(), 3u)
+      << "the Scan did not take every ring position behind two Puts";
 }
 
 TEST(Server, PreloadPopulatesKeys) {
