@@ -309,7 +309,7 @@ OpStatus FlatStore::BeginPut(int core, uint64_t key,
     if (block != 0) alloc_->Free(block);
     return OpStatus::kBackpressure;
   }
-  cs.Push({*handle, key, version, false, 0});
+  cs.Push({*handle, key, version});
   InflightKey& fly = cs.inflight_keys.GetOrInsert(key);
   fly.count++;
   fly.last_version = version;
@@ -357,7 +357,7 @@ OpStatus FlatStore::BeginDelete(int core, uint64_t key,
   uint8_t buf[log::kPtrEntrySize];
   uint32_t elen = log::EncodeDelete(buf, key, version, covered_seq);
   if (!hb_->Stage(core, buf, elen, handle)) return OpStatus::kBackpressure;
-  cs.Push({*handle, key, version, true, covered_seq});
+  cs.Push({*handle, key, version});
   InflightKey& fly = cs.inflight_keys.GetOrInsert(key);
   fly.count++;
   fly.last_version = version;
@@ -402,10 +402,12 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
     uint64_t dones[batch::HbEngine::kMaxBatch];
     const size_t cap = std::min(max - n, batch::HbEngine::kMaxBatch);
     size_t round = 0;
+    size_t inserts = 0;  // commit records and absorbed ops index nothing
     while (round < cap && round < cs.pend_count) {
       const PendingOp& op =
           cs.pending[(cs.pend_head + round) % batch::HbEngine::kPoolSlots];
       if (!hb_->IsDone(core, op.handle, &offs[round], &dones[round])) break;
+      if (!op.txn_commit && !op.absorbed) inserts++;
       round++;
     }
     if (round == 0) break;
@@ -431,12 +433,10 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
       index::LookupHint hints[batch::HbEngine::kMaxBatch];
       uint64_t olds[batch::HbEngine::kMaxBatch];
       bool retire[batch::HbEngine::kMaxBatch];
-      const int ways =
-          round > static_cast<size_t>(vt::kMemParallelism)
-              ? vt::kMemParallelism
-              : static_cast<int>(round);
       {
-        vt::ScopedOverlap overlap(ways);
+        // Only the inserting ops overlap their misses.
+        vt::ScopedOverlap overlap(static_cast<int>(std::clamp<size_t>(
+            inserts, 1, static_cast<size_t>(vt::kMemParallelism))));
         // Phase A: locate + prefetch every op's insert position. FIFO
         // order is preserved below, so a duplicate key in the round is
         // applied oldest-first; its later hints may go stale as earlier
@@ -445,7 +445,7 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
         for (size_t r = 0; r < round; r++) {
           const PendingOp& op =
               cs.pending[(cs.pend_head + r) % batch::HbEngine::kPoolSlots];
-          if (op.txn_commit) continue;  // commit records index nothing
+          if (op.txn_commit || op.absorbed) continue;
           idx->PrefetchInsert(op.key, &hints[r]);
         }
         // Phase B: complete the inserts on warm lines.
@@ -453,7 +453,7 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
           const PendingOp& op =
               cs.pending[(cs.pend_head + r) % batch::HbEngine::kPoolSlots];
           olds[r] = 0;
-          if (op.txn_commit) {
+          if (op.txn_commit || op.absorbed) {
             retire[r] = false;
             continue;
           }
@@ -483,7 +483,8 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
       for (size_t r = 0; r < round; r++) {
         const PendingOp& op =
             cs.pending[(cs.pend_head + r) % batch::HbEngine::kPoolSlots];
-        if (!op.txn_commit) cs.delta.insert(op.key);
+        // An absorbed op's key is recorded by its absorber.
+        if (!op.txn_commit && !op.absorbed) cs.delta.insert(op.key);
       }
     }
     for (size_t r = 0; r < round; r++) {
@@ -493,7 +494,9 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
       if (out != nullptr && !op.txn_member) {
         out->push_back({op.handle, op.key, dones[r]});
       }
-      hb_->Release(core, op.handle);
+      // An absorbed op shares its absorber's slot, which the absorber
+      // (later in the FIFO) releases.
+      if (!op.absorbed) hb_->Release(core, op.handle);
       if (!op.txn_commit) {
         InflightKey* fly = cs.inflight_keys.Find(op.key);
         FLATSTORE_DCHECK(fly != nullptr);
@@ -705,10 +708,20 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
                                   OpHandle* handles, OpStatus* statuses) {
   static_assert(kMaxWriteBatch <= batch::HbEngine::kMaxBatch,
                 "a client batch must fit in one fused HB group");
+  static_assert(kMaxWriteBatch < UINT8_MAX, "batch positions fit uint8_t");
   FLATSTORE_CHECK_LE(n, kMaxWriteBatch);
   if (n == 0) return 0;
   CoreState& cs = *cores_[core];
   index::KvIndex* idx = IndexForCore(core);
+
+  // Every accepted op takes a pending-ring entry (and a server tag-ring
+  // entry), but absorbed ops take no HB slot, so the HB pool's own
+  // backpressure cannot bound the rings: admit the batch only if all of
+  // its ops fit.
+  if (cs.pend_count + n > batch::HbEngine::kPoolSlots) {
+    for (size_t i = 0; i < n; i++) statuses[i] = OpStatus::kBackpressure;
+    return 0;
+  }
 
   // All per-batch state is stack-resident (the serving path stays
   // allocation-free).
@@ -716,11 +729,43 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
   log::OpLog::EntryRef refs[kMaxWriteBatch];
   uint64_t blocks[kMaxWriteBatch];  // out-of-log value blocks (0 = none)
   uint32_t versions[kMaxWriteBatch];
-  uint32_t covered[kMaxWriteBatch];
   size_t slot_of[kMaxWriteBatch];  // op index -> fused-group position
   index::LookupHint hints[kMaxWriteBatch];
   uint64_t packed[kMaxWriteBatch];
   bool indexed[kMaxWriteBatch];
+
+  // Absorption (DESIGN.md §5.2): a stack-resident open-addressing table,
+  // at most half full, maps each key to its first occurrence. Only first
+  // occurrences probe the index; the per-key state below lives at the
+  // first occurrence's position. An op followed later in the batch by a
+  // Put of its key is absorbed: that Put supersedes it at the same
+  // instant, so it encodes, allocates, persists and stages nothing.
+  constexpr int kSlotBits = 6;
+  constexpr size_t kSlots = size_t{1} << kSlotBits;
+  static_assert(kSlots >= 2 * kMaxWriteBatch, "table stays half empty");
+  uint8_t slots[kSlots] = {};        // first position + 1; 0 = empty
+  uint8_t first_of[kMaxWriteBatch];  // op index -> first occurrence
+  uint8_t last_put[kMaxWriteBatch];  // first occurrence -> last Put + 1
+  bool chained[kMaxWriteBatch];  // first occurrence -> earlier write exists
+  uint32_t tail[kMaxWriteBatch];  // first occurrence -> newest version
+  size_t probes = 0;
+  for (size_t i = 0; i < n; i++) {
+    vt::Charge(vt::kCpuSlotProbe);
+    statuses[i] = OpStatus::kOk;
+    blocks[i] = 0;
+    size_t s = static_cast<size_t>((ops[i].key * 0x9E3779B97F4A7C15ull) >>
+                                   (64 - kSlotBits));
+    while (slots[s] != 0 && ops[slots[s] - 1].key != ops[i].key) {
+      s = (s + 1) % kSlots;
+    }
+    if (slots[s] == 0) {
+      slots[s] = static_cast<uint8_t>(i + 1);
+      last_put[i] = 0;
+      probes++;
+    }
+    first_of[i] = static_cast<uint8_t>(slots[s] - 1);
+    if (!ops[i].tombstone) last_put[first_of[i]] = static_cast<uint8_t>(i + 1);
+  }
 
   // The tombstone-liveness probe below dereferences log entries; one pin
   // covers the whole batch.
@@ -728,21 +773,18 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
   vt::Charge(vt::kEpochPinCost);
 
   {
-    const int ways =
-        n > static_cast<size_t>(vt::kMemParallelism)
-            ? vt::kMemParallelism
-            : static_cast<int>(n);
-    vt::ScopedOverlap overlap(ways);
+    // Only first occurrences probe, so only they overlap their misses.
+    vt::ScopedOverlap overlap(static_cast<int>(std::clamp<size_t>(
+        probes, 1, static_cast<size_t>(vt::kMemParallelism))));
     // Phase A: issue every version-resolution probe with prefetches.
     // Keys with in-flight writes chain off the in-flight table instead,
-    // but still need the probe when they are tombstones (covered_seq).
+    // but still need the probe when they are tombstones (covered chunk).
     for (size_t i = 0; i < n; i++) {
-      statuses[i] = OpStatus::kOk;
-      blocks[i] = 0;
-      idx->PrefetchGet(ops[i].key, &hints[i]);
+      if (first_of[i] == i) idx->PrefetchGet(ops[i].key, &hints[i]);
     }
     // Phase B: complete the probes on warm lines.
     for (size_t i = 0; i < n; i++) {
+      if (first_of[i] != i) continue;
       packed[i] = 0;
       indexed[i] = idx->GetWithHint(ops[i].key, hints[i], &packed[i]);
     }
@@ -756,58 +798,51 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
   bool nospace = false;
   for (size_t i = 0; i < n; i++) {
     const WriteOp& op = ops[i];
-    // Version chaining, newest first: an earlier op of this batch on the
-    // same key, else the newest in-flight write, else the indexed entry.
-    uint32_t version = 0;
-    bool chained = false;
-    for (size_t j = i; j-- > 0;) {
-      if (ops[j].key == op.key && statuses[j] == OpStatus::kOk) {
-        version = (versions[j] + 1) & log::kVersionMask;
-        chained = true;
-        break;
-      }
-    }
-    if (!chained) {
+    const size_t f = first_of[i];
+    // Version chaining, newest first: an earlier accepted op of this
+    // batch on the same key, else the newest in-flight write, else the
+    // indexed entry.
+    if (f == i) {
       if (const InflightKey* fly = cs.inflight_keys.Find(op.key)) {
-        version = (fly->last_version + 1) & log::kVersionMask;
-        chained = true;
+        chained[f] = true;
+        tail[f] = fly->last_version;
+      } else {
+        chained[f] = false;
+        tail[f] = indexed[f] ? log::UnpackVersion(packed[f]) : 0;
       }
     }
+    if (op.tombstone && !chained[f]) {
+      if (!indexed[f]) {
+        statuses[i] = OpStatus::kNotFound;
+        continue;
+      }
+      log::DecodedEntry e;
+      if (log::DecodeEntry(static_cast<const uint8_t*>(
+                               pool_->At(log::UnpackOffset(packed[f]))),
+                           log::kMaxEntrySize, &e) &&
+          e.op == log::OpType::kDelete) {
+        statuses[i] = OpStatus::kNotFound;  // already a tombstone
+        continue;
+      }
+    }
+    chained[f] = true;
+    if (last_put[f] > i + 1) continue;  // absorbed: consumes no version
+    const uint32_t version = (tail[f] + 1) & log::kVersionMask;
+    tail[f] = version;
     uint32_t elen;
     if (op.tombstone) {
-      if (!chained) {
-        if (!indexed[i]) {
-          statuses[i] = OpStatus::kNotFound;
-          continue;
-        }
-        log::DecodedEntry e;
-        if (log::DecodeEntry(static_cast<const uint8_t*>(
-                                 pool_->At(log::UnpackOffset(packed[i]))),
-                             log::kMaxEntrySize, &e) &&
-            e.op == log::OpType::kDelete) {
-          statuses[i] = OpStatus::kNotFound;  // already a tombstone
-          continue;
-        }
-        version = (log::UnpackVersion(packed[i]) + 1) & log::kVersionMask;
-      }
       // Best-effort covered-chunk hint for tombstone GC (§3.4), as in
       // BeginDelete.
-      covered[i] = 0;
-      if (indexed[i]) {
+      uint32_t covered = 0;
+      if (indexed[f]) {
         const uint64_t old_chunk =
-            AlignDown(log::UnpackOffset(packed[i]), alloc::kChunkSize);
+            AlignDown(log::UnpackOffset(packed[f]), alloc::kChunkSize);
         int owner;
-        root_->ChunkInfo(old_chunk, &owner, &covered[i]);
+        root_->ChunkInfo(old_chunk, &owner, &covered);
       }
-      elen = log::EncodeDelete(bufs[i], op.key, version, covered[i]);
+      elen = log::EncodeDelete(bufs[i], op.key, version, covered);
     } else {
       FLATSTORE_DCHECK(op.len >= 1);
-      if (!chained) {
-        version =
-            indexed[i] ? (log::UnpackVersion(packed[i]) + 1) & log::kVersionMask
-                       : 1;
-      }
-      covered[i] = 0;
       if (op.len <= log::kMaxInlineValue) {
         elen = log::EncodePutValue(bufs[i], op.key, version, op.value, op.len);
       } else {
@@ -846,7 +881,9 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
     }
     return 0;
   }
-  if (staged == 0) return 0;  // every op was a not-found delete
+  // Every accepted op is staged or absorbed by a staged Put, so nothing
+  // staged means every op was a not-found delete.
+  if (staged == 0) return 0;
 
   // Phase D: stage the batch as ONE fused group — all-or-nothing.
   uint64_t fused_handles[kMaxWriteBatch];
@@ -857,25 +894,33 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
     }
     return 0;
   }
+  size_t accepted = 0;
   for (size_t i = 0; i < n; i++) {
     if (statuses[i] != OpStatus::kOk) continue;
-    const OpHandle h = fused_handles[slot_of[i]];
+    // An absorbed op rides the handle of its key's last Put, which sits
+    // later in the same fused group and completes at the same instant.
+    const size_t last = last_put[first_of[i]];
+    const bool absorbed = last > i + 1;
+    const size_t owner = absorbed ? last - 1 : i;
+    const OpHandle h = fused_handles[slot_of[owner]];
     handles[i] = h;
-    cs.Push({h, ops[i].key, versions[i], ops[i].tombstone, covered[i]});
+    cs.Push({h, ops[i].key, versions[owner], /*txn_member=*/false,
+             /*txn_commit=*/false, absorbed});
     InflightKey& fly = cs.inflight_keys.GetOrInsert(ops[i].key);
     fly.count++;
-    fly.last_version = versions[i];
+    fly.last_version = versions[owner];
+    accepted++;
   }
-  return staged;
+  return accepted;
 }
 
 size_t FlatStore::MultiPutOnCore(int core, const WriteOp* ops, size_t n,
                                  OpStatus* statuses) {
   OpHandle handles[kMaxWriteBatch];
-  size_t staged;
+  size_t accepted;
   while (true) {
-    staged = BeginWriteBatch(core, ops, n, handles, statuses);
-    if (staged > 0) break;
+    accepted = BeginWriteBatch(core, ops, n, handles, statuses);
+    if (accepted > 0) break;
     bool backpressure = false;
     for (size_t i = 0; i < n; i++) {
       backpressure |= statuses[i] == OpStatus::kBackpressure;
@@ -890,7 +935,7 @@ size_t FlatStore::MultiPutOnCore(int core, const WriteOp* ops, size_t n,
     Pump(core);
     Drain(core, SIZE_MAX, nullptr);
   }
-  return staged;
+  return accepted;
 }
 
 // ---- transactions (§5.3) -------------------------------------------------
@@ -948,9 +993,7 @@ TxnStatus FlatStore::BeginTxn(int core, const TxnOp* ops, size_t n,
   uint32_t member_len[kMaxTxnOps];
   uint64_t blocks[kMaxTxnOps];  // out-of-log value blocks (0 = none)
   uint32_t versions[kMaxTxnOps];
-  uint32_t covered[kMaxTxnOps];
   bool staged_member[kMaxTxnOps];
-  bool tombstone[kMaxTxnOps];
   // Post-op logical state, for in-txn read-your-writes: value pointers
   // alias the chain (inline) or the fresh value block (out-of-log).
   bool present_after[kMaxTxnOps];
@@ -972,7 +1015,6 @@ TxnStatus FlatStore::BeginTxn(int core, const TxnOp* ops, size_t n,
     const TxnOp& op = ops[i];
     blocks[i] = 0;
     staged_member[i] = false;
-    tombstone[i] = false;
 
     // Resolve the key's pre-op state with in-txn visibility: the newest
     // earlier op on this key wins, else the committed index entry.
@@ -1084,17 +1126,16 @@ TxnStatus FlatStore::BeginTxn(int core, const TxnOp* ops, size_t n,
 
     uint8_t* dst = chain + chain_len;
     uint32_t elen;
-    covered[i] = 0;
     if (is_tomb) {
       // Best-effort covered-chunk hint for tombstone GC (§3.4).
+      uint32_t covered = 0;
       if (indexed[i]) {
         const uint64_t old_chunk =
             AlignDown(log::UnpackOffset(packed[i]), alloc::kChunkSize);
         int owner;
-        root_->ChunkInfo(old_chunk, &owner, &covered[i]);
+        root_->ChunkInfo(old_chunk, &owner, &covered);
       }
-      elen = log::EncodeDelete(dst, op.key, version, covered[i]);
-      tombstone[i] = true;
+      elen = log::EncodeDelete(dst, op.key, version, covered);
       present_after[i] = false;
       val_after[i] = nullptr;
       len_after[i] = 0;
@@ -1165,16 +1206,15 @@ TxnStatus FlatStore::BeginTxn(int core, const TxnOp* ops, size_t n,
   slot = 0;
   for (size_t i = 0; i < n; i++) {
     if (!staged_member[i]) continue;
-    cs.Push({fused_handles[slot], ops[i].key, versions[i], tombstone[i],
-             covered[i], /*txn_member=*/true, /*txn_commit=*/false});
+    cs.Push({fused_handles[slot], ops[i].key, versions[i],
+             /*txn_member=*/true});
     InflightKey& fly = cs.inflight_keys.GetOrInsert(ops[i].key);
     fly.count++;
     fly.last_version = versions[i];
     slot++;
   }
   cs.Push({fused_handles[members], /*key=*/0, /*version=*/0,
-           /*tombstone=*/false, /*covered_seq=*/0, /*txn_member=*/false,
-           /*txn_commit=*/true});
+           /*txn_member=*/false, /*txn_commit=*/true});
   *commit_handle = fused_handles[members];
   return TxnStatus::kCommitted;
 }

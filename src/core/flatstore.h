@@ -298,18 +298,23 @@ class FlatStore {
   // encodes all entries and l-persists every out-of-log value with a
   // SINGLE trailing fence, phase D stages the whole batch as ONE fused HB
   // group (batch::HbEngine::StageBatch) so the leader persists it through
-  // one log reservation and one fence pair. Same-key writes chain
-  // versions within the batch (last write wins after all are applied) and
-  // behind any in-flight ops. Per-op `statuses[i]`: kOk (staged,
-  // `handles[i]` valid), kNotFound (tombstone for an absent key; not
-  // staged), kBackpressure (pool lacked room for the whole group — fused
-  // staging is all-or-nothing), or kNoSpace (PM exhausted; batch
-  // aborted). Requires n <= kMaxWriteBatch. Returns the number staged.
+  // one log reservation and one fence pair. Duplicate keys are absorbed:
+  // only a key's first occurrence probes the index, and an op followed
+  // later in the batch by a Put of its key stages nothing — it completes
+  // with that Put, whose handle it carries (DESIGN.md §5.2). Same-key
+  // writes that do stage chain versions within the batch and behind any
+  // in-flight ops. Per-op `statuses[i]`: kOk (accepted — staged or
+  // absorbed; `handles[i]` valid), kNotFound (tombstone for an absent
+  // key; nothing staged), kBackpressure (the pending ring or the HB pool
+  // lacked room for the whole batch — admission is all-or-nothing), or
+  // kNoSpace (PM exhausted; batch aborted). Requires n <= kMaxWriteBatch.
+  // Returns the number accepted (ops with status kOk), absorbed ones
+  // included — not the number of staged log entries.
   size_t BeginWriteBatch(int core, const WriteOp* ops, size_t n,
                          OpHandle* handles, OpStatus* statuses);
   // Synchronous batched write: BeginWriteBatch + Pump/Drain to
   // completion, retrying on backpressure. Returns the number applied
-  // (ops with status kOk).
+  // (ops with status kOk, absorbed ones included).
   size_t MultiPutOnCore(int core, const WriteOp* ops, size_t n,
                         OpStatus* statuses);
 
@@ -450,14 +455,16 @@ class FlatStore {
     OpHandle handle;
     uint64_t key;
     uint32_t version;
-    bool tombstone;
-    uint64_t covered_seq;  // tombstone: seq of the chunk it supersedes
     // Transaction roles: a member drains like a normal op but emits no
     // Completion (the txn completes as a unit); the commit record does
     // no index/in-flight work, retires itself (born dead), and emits the
     // txn's single Completion.
     bool txn_member = false;
     bool txn_commit = false;
+    // Superseded within its write batch by a later Put of the same key
+    // (DESIGN.md §5.2): `handle` is that Put's, so the op completes with
+    // it; it does no index insert, retire or slot release of its own.
+    bool absorbed = false;
   };
 
   // In-flight same-key write chain: count of pending ops and the version

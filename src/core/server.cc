@@ -74,8 +74,8 @@ size_t FlatStoreAdapter::SubmitWriteBatch(int core, const WriteReq* reqs,
   for (size_t i = 0; i < n; i++) {
     switch (statuses[i]) {
       case OpStatus::kOk:
-        // Staging order == op order among kOk ops, so the tag ring stays
-        // aligned with the engine's FIFO drains.
+        // Every kOk op, staged or absorbed, is one pending engine op in
+        // op order, so the tag ring stays aligned with the FIFO drains.
         pending_[core].Push({handles[i], reqs[i].tag});
         out[i] = Submit::kPending;
         pending++;

@@ -100,39 +100,67 @@ void CheckpointWorkload(WorkloadCtx& ctx) {
   ctx.Put(13, Val('n', 300));
 }
 
+// One op of a scripted MultiPutOnCore batch.
+struct BatchOp {
+  uint64_t key;
+  std::string value;  // empty + tombstone set => delete
+  bool tombstone;
+};
+
+// Issues `batch` as one fused MultiPutOnCore batch and keeps the oracle in
+// sync. Each key's boundary is its LAST op in the batch, so the oracle
+// accepts only the pre-batch or the final value of a repeated key: an
+// absorbed intermediate value must never become durable.
+void RunBatch(WorkloadCtx& ctx, const std::vector<BatchOp>& batch) {
+  if (ctx.PowerLost()) return;
+  core::WriteOp ops[core::kMaxWriteBatch];
+  core::OpStatus statuses[core::kMaxWriteBatch];
+  for (size_t i = 0; i < batch.size(); i++) {
+    const BatchOp& op = batch[i];
+    ops[i] = {op.key, op.value.data(), static_cast<uint32_t>(op.value.size()),
+              op.tombstone};
+    if (op.tombstone) {
+      ctx.oracle->WillDelete(op.key);
+    } else {
+      ctx.oracle->WillPut(op.key, op.value);
+    }
+  }
+  ctx.store->MultiPutOnCore(0, ops, batch.size(), statuses);
+  if (ctx.PowerLost()) return;
+  for (const BatchOp& op : batch) ctx.oracle->Acked(op.key);
+}
+
+// A batch in which every repeated key ends with a Put, so each earlier op
+// on it is absorbed: put->put (inline and out-of-log), put->delete->put,
+// delete->put of a present and of an absent key, and one key repeated 16
+// times.
+std::vector<BatchOp> DuplicateKeyBatch() {
+  std::vector<BatchOp> b;
+  b.push_back({1, Val('a', 30), false});
+  b.push_back({2, std::string(), true});
+  b.push_back({1, Val('b', 500), false});  // out-of-log, absorbed
+  b.push_back({3, Val('c', 40), false});
+  b.push_back({2, Val('d', 70), false});   // delete->put: present key
+  b.push_back({3, std::string(), true});
+  b.push_back({40, std::string(), true});  // absent: kNotFound
+  b.push_back({40, Val('e', 300), false});  // then an out-of-log put
+  b.push_back({1, Val('f', 52), false});   // final value of key 1
+  b.push_back({3, Val('g', 36), false});   // put->delete->put
+  for (int i = 0; i < 16; i++) {
+    b.push_back({5, Val(static_cast<char>('h' + i), 20 + 17 * i), false});
+  }
+  return b;
+}
+
 // Fused batched writes (MultiPutOnCore): every flush inside the batch —
 // the out-of-log l-persists sharing one trailing fence, the single fused
 // AppendBatch (one reservation, one persist sweep, one tail record), and
 // the batched drain's retirements — becomes a crash point. A torn fused
 // persist may durably apply any prefix of the batch; the oracle accepts
-// old-or-new independently per key, which the prefix satisfies. Keys are
-// distinct within each batch (the oracle's boundary tracks one pending
-// value per key; intra-batch chains are covered by multiput_test).
+// old-or-new independently per key, which the prefix satisfies. Repeated
+// keys (batch 4) end with a Put, so their earlier ops are absorbed and
+// never persist: old-or-final still holds for them.
 void MultiPutWorkload(WorkloadCtx& ctx) {
-  struct Op {
-    uint64_t key;
-    std::string value;  // empty + tombstone set => delete
-    bool tombstone;
-  };
-  auto run_batch = [&ctx](const std::vector<Op>& batch) {
-    if (ctx.PowerLost()) return;
-    core::WriteOp ops[core::kMaxWriteBatch];
-    core::OpStatus statuses[core::kMaxWriteBatch];
-    for (size_t i = 0; i < batch.size(); i++) {
-      const Op& op = batch[i];
-      ops[i] = {op.key, op.value.data(),
-                static_cast<uint32_t>(op.value.size()), op.tombstone};
-      if (op.tombstone) {
-        ctx.oracle->WillDelete(op.key);
-      } else {
-        ctx.oracle->WillPut(op.key, op.value);
-      }
-    }
-    ctx.store->MultiPutOnCore(0, ops, batch.size(), statuses);
-    if (ctx.PowerLost()) return;
-    for (const Op& op : batch) ctx.oracle->Acked(op.key);
-  };
-
   // Durable base: overwrite and delete targets for the batches below.
   for (uint64_t k = 1; k <= 8; k++) {
     ctx.Put(k, Val('m', 24 + 9 * k));
@@ -140,16 +168,16 @@ void MultiPutWorkload(WorkloadCtx& ctx) {
 
   // Batch 1: fresh inserts, inline sizes plus one out-of-log value (the
   // l-persist + deferred-fence path ahead of the fused append).
-  std::vector<Op> b1;
+  std::vector<BatchOp> b1;
   for (uint64_t k = 10; k <= 17; k++) {
     b1.push_back({k, Val('f', 16 + 11 * (k - 10)), false});
   }
   b1.push_back({18, Val('F', 300), false});
-  run_batch(b1);
+  RunBatch(ctx, b1);
 
   // Batch 2: overwrites, deletes of present and absent keys, and an
   // out-of-log overwrite — mixed kinds in one fused group.
-  std::vector<Op> b2;
+  std::vector<BatchOp> b2;
   for (uint64_t k = 1; k <= 5; k++) {
     b2.push_back({k, Val('o', 40 + 5 * k), false});
   }
@@ -157,12 +185,15 @@ void MultiPutWorkload(WorkloadCtx& ctx) {
   b2.push_back({8, std::string(), true});
   b2.push_back({999, std::string(), true});  // absent: kNotFound, unstaged
   b2.push_back({18, Val('O', 600), false});
-  run_batch(b2);
+  RunBatch(ctx, b2);
 
   // Batch 3: cross-batch version chains onto batch 1's keys.
-  run_batch({{10, Val('t', 52), false},
-             {11, std::string(), true},
-             {21, Val('t', 28), false}});
+  RunBatch(ctx, {{10, Val('t', 52), false},
+                 {11, std::string(), true},
+                 {21, Val('t', 28), false}});
+
+  // Batch 4: absorbed duplicates chaining onto batch 2's versions.
+  RunBatch(ctx, DuplicateKeyBatch());
 }
 
 // Transactions (§5.3): committed, aborted (CAS-fail), and CAS-success
@@ -397,6 +428,25 @@ TEST(MultiPutCrash, FusedCommitIsPrefixAtomic) {
     }
   }
   EXPECT_GT(points, 0u);
+}
+
+// Absorption under power loss: one duplicate-key batch (DuplicateKeyBatch)
+// on a durable base, cut at every flush in all four crash modes. Each key
+// must recover to its pre-batch value or its final value — never to a
+// value an absorbed op carried, which no log entry holds.
+TEST(MultiPutCrash, DuplicateKeyBatchRecoversOldOrFinal) {
+  ExplorerOptions opts;
+  opts.store = SmallStore(1);
+  opts.seeds = CrashSeedsFromEnv({1, 7});
+  Workload w = [](WorkloadCtx& ctx) {
+    for (uint64_t k = 1; k <= 5; k++) ctx.Put(k, Val('p', 20 + 11 * k));
+    ctx.Arm();
+    RunBatch(ctx, DuplicateKeyBatch());
+  };
+  CrashExplorer explorer("multiput-dup", opts);
+  ExplorerResult res = explorer.Explore(w);
+  EXPECT_GT(res.points_run, 0u);
+  EXPECT_TRUE(res.ok()) << res.Summary();
 }
 
 // Crash between the cleaner's chunk unlink and the registry journal

@@ -216,6 +216,49 @@ TEST(HotPathAlloc, MultiPutBatchIsAllocationFree) {
       << " times across 100 warm batches";
 }
 
+// Absorbed duplicates: a warm batch that repeats keys (the dedup table,
+// absorbed pending ops riding their absorber's handle, deletes absorbed
+// by a later Put) stays off the heap too.
+TEST(HotPathAlloc, MultiPutWithDuplicateKeysIsAllocationFree) {
+  pm::PmPool::Options o;
+  o.size = 128ull << 20;
+  pm::PmPool pool(o);
+  FlatStoreOptions fo;
+  fo.num_cores = 1;
+  fo.group_size = 1;
+  fo.hash_initial_depth = 4;
+  auto store = FlatStore::Create(&pool, fo);
+
+  constexpr size_t kBatch = kMaxWriteBatch;
+  constexpr uint32_t kValueLen = 48;  // inline: no out-of-log block alloc
+  uint8_t value[kValueLen];
+  std::memset(value, 0x5a, sizeof(value));
+
+  // Keys 0..3 repeat eight times each; every fourth op on key 0 is a
+  // delete that a later Put of key 0 absorbs.
+  WriteOp ops[kBatch];
+  OpStatus statuses[kBatch];
+  for (size_t i = 0; i < kBatch; i++) {
+    const bool tombstone = i % 8 == 4;
+    ops[i] = {static_cast<uint64_t>(i % 4), tombstone ? nullptr : value,
+              tombstone ? 0 : kValueLen, tombstone};
+  }
+
+  for (int i = 0; i < 10; i++) {
+    ASSERT_EQ(store->MultiPutOnCore(0, ops, kBatch, statuses), kBatch);
+  }
+
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; i++) {
+    ASSERT_EQ(store->MultiPutOnCore(0, ops, kBatch, statuses), kBatch);
+  }
+  const uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u)
+      << "MultiPut with duplicates heap-allocated " << (after - before)
+      << " times across 100 warm batches";
+}
+
 // The transaction commit path: a warm BeginTxn (conflict scan, prefetched
 // index probes, chain encode into a stack buffer, fused StageBatch, pump,
 // drain) must not touch the heap — the chain buffer, member slices, and

@@ -8,7 +8,9 @@
 //    the equivalent sequence of single Put/Delete calls (overwrites,
 //    deletes-in-batch, duplicate keys resolving last-write-wins), stage
 //    the whole batch as one fused HB group, and spend strictly fewer
-//    fences than the per-op path.
+//    fences than the per-op path. Duplicate keys are absorbed: 16 copies
+//    of one Put stage one entry and one value block, and batches of one
+//    hot key backpressure at the pending ring's capacity.
 //  * Server: the fused write path (write_batch=16, doorbell-chained
 //    responses) must complete the identical workload as the legacy
 //    per-request path (write_batch=1).
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/server.h"
 #include "index/cceh.h"
 #include "index/fast_fair.h"
@@ -26,6 +29,9 @@
 #include "index/kv_index.h"
 #include "index/level_hashing.h"
 #include "index/masstree.h"
+#include "pm/pm_device.h"
+#include "vt/clock.h"
+#include "vt/costs.h"
 
 namespace flatstore {
 namespace {
@@ -162,19 +168,28 @@ namespace core_tests {
 using core::FlatStore;
 using core::OpStatus;
 using core::WriteOp;
+using OpHandle = FlatStore::OpHandle;
 
 struct Store {
-  explicit Store(core::IndexKind kind, int cores = 1) {
+  explicit Store(core::IndexKind kind, int cores = 1,
+                 pm::PmDevice* device = nullptr) {
     pm::PmPool::Options o;
     o.size = 512ull << 20;
+    o.device = device;
     pool = std::make_unique<pm::PmPool>(o);
-    core::FlatStoreOptions fo;
     fo.num_cores = cores;
     fo.group_size = cores;
     fo.index = kind;
     fo.hash_initial_depth = 4;
     store = FlatStore::Create(pool.get(), fo);
   }
+  // Drops the store without Shutdown and reopens it: the index is
+  // rebuilt by replaying the log, resolving each key by version.
+  void Reopen() {
+    store.reset();
+    store = FlatStore::Open(pool.get(), fo);
+  }
+  core::FlatStoreOptions fo;
   std::unique_ptr<pm::PmPool> pool;
   std::unique_ptr<FlatStore> store;
 };
@@ -323,6 +338,208 @@ TEST_P(MultiPutTest, FusedBatchSpendsFewerFencesThanSingles) {
       << single_fences << " for the same ops one-by-one";
   // All values are inline: the batch is one AppendBatch (two fences).
   EXPECT_LE(batch_fences, 2u + 1u);
+}
+
+// Applies `ops` one by one through the synchronous API, checking each
+// op's batched status against the single call's outcome. A delete that
+// chains behind an earlier accepted op of its key in the same batch is
+// accepted even when that op was a delete (a redundant tombstone), where
+// a single Delete reports kNotFound. Returns the number of ops the batch
+// should have accepted.
+size_t ApplySingly(FlatStore* store, const WriteOp* ops, size_t n,
+                   const OpStatus* batched) {
+  size_t applied = 0;
+  for (size_t i = 0; i < n; i++) {
+    const WriteOp& op = ops[i];
+    bool ok = true;
+    if (op.tombstone) {
+      ok = store->Delete(op.key);
+      for (size_t j = 0; j < i && !ok; j++) {
+        ok = ops[j].key == op.key && batched[j] == OpStatus::kOk;
+      }
+    } else {
+      store->Put(op.key,
+                 std::string_view(static_cast<const char*>(op.value), op.len));
+    }
+    EXPECT_EQ(batched[i], ok ? OpStatus::kOk : OpStatus::kNotFound)
+        << "op " << i << " key " << op.key;
+    applied += ok;
+  }
+  return applied;
+}
+
+void ExpectSameContents(FlatStore* a, FlatStore* b, uint64_t keys) {
+  for (uint64_t k = 0; k < keys; k++) {
+    std::string va, vb;
+    const bool fa = a->Get(k, &va);
+    const bool fb = b->Get(k, &vb);
+    ASSERT_EQ(fa, fb) << "key " << k;
+    if (fa) EXPECT_EQ(va, vb) << "key " << k;
+  }
+}
+
+// Absorbed duplicates: batches that repeat keys heavily — put->put,
+// put->delete, delete->put, deletes of absent keys, one key repeated 16
+// times, inline and out-of-log values — leave the store exactly as the
+// same ops applied one by one do, with the same per-op statuses, and the
+// log they leave replays to the same state.
+TEST_P(MultiPutTest, DuplicateHeavyBatchesMatchSingles) {
+  Store batched(GetParam());
+  Store single(GetParam());
+  constexpr uint64_t kKeys = 12;  // keys 6.. start absent
+  for (uint64_t k = 0; k < 6; k++) {
+    batched.store->Put(k, ValueFor(k));
+    single.store->Put(k, ValueFor(k));
+  }
+
+  Rng rng(42);
+  std::vector<std::string> vals(core::kMaxWriteBatch);
+  for (uint64_t b = 0; b < 48; b++) {
+    WriteOp ops[core::kMaxWriteBatch];
+    const size_t n = 1 + rng.Uniform(core::kMaxWriteBatch);
+    for (size_t i = 0; i < n; i++) {
+      // Every fourth batch opens with 16 ops on key 3 (out-of-log).
+      const uint64_t key = b % 4 == 0 && i < 16 ? 3 : rng.Uniform(kKeys);
+      if (rng.Uniform(10) < 3) {
+        ops[i] = {key, nullptr, 0, true};
+      } else {
+        vals[i] = ValueFor(key, b * core::kMaxWriteBatch + i);
+        ops[i] = {key, vals[i].data(), static_cast<uint32_t>(vals[i].size()),
+                  false};
+      }
+    }
+    OpStatus statuses[core::kMaxWriteBatch];
+    const size_t applied =
+        batched.store->MultiPutOnCore(0, ops, n, statuses);
+    EXPECT_EQ(applied, ApplySingly(single.store.get(), ops, n, statuses))
+        << "batch " << b;
+    ExpectSameContents(batched.store.get(), single.store.get(), kKeys);
+  }
+  batched.Reopen();
+  ExpectSameContents(batched.store.get(), single.store.get(), kKeys);
+}
+
+// Absorption on the vt clock and in PM: 16 copies of one out-of-log Put
+// stage ONE fused log entry and allocate ONE value block, and cost at
+// most a 1-op batch plus the dedup probe per repeat. Each batch starts
+// long after the previous one so the PM device is idle for both.
+TEST_P(MultiPutTest, AbsorbedCopiesStageOneEntryAndOneBlock) {
+  pm::PmDevice device;
+  Store s(GetParam(), /*cores=*/1, &device);
+  vt::Clock clock;
+  vt::ScopedClock bind(&clock);
+  const std::string value(1024, 'v');
+  s.store->Put(3, value);
+  struct Cost {
+    uint64_t ns, entries, block_bytes;
+  };
+  auto batch = [&](size_t n) {
+    WriteOp ops[16];
+    OpHandle handles[16];
+    OpStatus statuses[16];
+    for (size_t i = 0; i < n; i++) {
+      ops[i] = {3, value.data(), static_cast<uint32_t>(value.size()), false};
+    }
+    clock.AdvanceTo(clock.now() + 1000000);
+    const uint64_t start = clock.now();
+    const uint64_t entries0 = s.store->hb()->fused_entries();
+    const uint64_t bytes0 = s.store->allocator()->allocated_bytes();
+    EXPECT_EQ(s.store->BeginWriteBatch(0, ops, n, handles, statuses), n);
+    Cost c{0, s.store->hb()->fused_entries() - entries0,
+           s.store->allocator()->allocated_bytes() - bytes0};
+    while (s.store->Inflight(0) > 0) {
+      s.store->Pump(0);
+      s.store->Drain(0, SIZE_MAX, nullptr);
+    }
+    c.ns = clock.now() - start;
+    return c;
+  };
+  const Cost one = batch(1);
+  const Cost sixteen = batch(16);
+  EXPECT_EQ(one.entries, 1u);
+  EXPECT_EQ(sixteen.entries, 1u) << "absorbed copies stage nothing";
+  EXPECT_GT(one.block_bytes, 0u);
+  EXPECT_EQ(sixteen.block_bytes, one.block_bytes)
+      << "absorbed copies allocate no value block";
+  EXPECT_LE(sixteen.ns, one.ns + 15 * vt::kCpuSlotProbe)
+      << "1 copy " << one.ns << " ns";
+  std::string got;
+  ASSERT_TRUE(s.store->Get(3, &got));
+  EXPECT_EQ(got, value);
+}
+
+// Drain overlaps only the misses of ops that insert into the index: a
+// txn's commit record inserts nothing, so a 1-member txn drains its one
+// insert like a lone Put does (plus the commit record's own retirement),
+// never at a discount.
+TEST_P(MultiPutTest, CommitRecordsDoNotWidenTheDrainOverlap) {
+  auto drain_ns = [&](bool txn) {
+    pm::PmDevice device;
+    Store s(GetParam(), /*cores=*/1, &device);
+    vt::Clock clock;
+    vt::ScopedClock bind(&clock);
+    const std::string value(48, 'd');
+    OpHandle h;
+    if (txn) {
+      core::TxnOp op;
+      op.key = 7;
+      op.value = value.data();
+      op.len = static_cast<uint32_t>(value.size());
+      EXPECT_EQ(s.store->BeginTxn(0, &op, 1, &h), core::TxnStatus::kCommitted);
+    } else {
+      EXPECT_EQ(s.store->BeginPut(0, 7, value.data(),
+                                  static_cast<uint32_t>(value.size()), &h),
+                OpStatus::kOk);
+    }
+    s.store->Pump(0);
+    clock.AdvanceTo(clock.now() + 1000000);
+    const uint64_t start = clock.now();
+    EXPECT_EQ(s.store->Drain(0, SIZE_MAX, nullptr), txn ? 2u : 1u);
+    return clock.now() - start;
+  };
+  EXPECT_GE(drain_ns(/*txn=*/true), drain_ns(/*txn=*/false));
+}
+
+// Capacity guard: absorbed ops take pending-ring entries but no HB slot,
+// so batches of one hot key must backpressure once the ring is full
+// rather than overflow it.
+TEST_P(MultiPutTest, DuplicateBatchesBackpressureAtRingCapacity) {
+  Store s(GetParam());
+  const std::string value(32, 'c');
+  WriteOp ops[core::kMaxWriteBatch];
+  for (size_t i = 0; i < core::kMaxWriteBatch; i++) {
+    ops[i] = {5, value.data(), static_cast<uint32_t>(value.size()), false};
+  }
+  OpHandle handles[core::kMaxWriteBatch];
+  OpStatus statuses[core::kMaxWriteBatch];
+  constexpr size_t kFull =
+      batch::HbEngine::kPoolSlots / core::kMaxWriteBatch;
+  for (int round = 0; round < 3; round++) {
+    for (size_t b = 0; b < kFull; b++) {
+      ASSERT_EQ(s.store->BeginWriteBatch(0, ops, core::kMaxWriteBatch,
+                                         handles, statuses),
+                core::kMaxWriteBatch)
+          << "round " << round << " batch " << b;
+    }
+    ASSERT_EQ(s.store->Inflight(0), batch::HbEngine::kPoolSlots);
+    EXPECT_EQ(s.store->BeginWriteBatch(0, ops, core::kMaxWriteBatch, handles,
+                                       statuses),
+              0u);
+    for (size_t i = 0; i < core::kMaxWriteBatch; i++) {
+      EXPECT_EQ(statuses[i], OpStatus::kBackpressure) << "op " << i;
+    }
+    EXPECT_EQ(s.store->Inflight(0), batch::HbEngine::kPoolSlots)
+        << "a refused batch stages nothing";
+    std::vector<FlatStore::Completion> done;
+    while (s.store->Inflight(0) > 0) {
+      s.store->Pump(0);
+      s.store->Drain(0, SIZE_MAX, &done);
+    }
+    EXPECT_EQ(done.size(), batch::HbEngine::kPoolSlots);
+  }
+  std::string got;
+  ASSERT_TRUE(s.store->Get(5, &got));
+  EXPECT_EQ(got, value);
 }
 
 INSTANTIATE_TEST_SUITE_P(
