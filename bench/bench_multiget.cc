@@ -1,15 +1,16 @@
 // Batched read pipeline — MultiGet batch-size sweep. Read-heavy ETC
 // (5 % Put / 95 % Get) under uniform and zipfian key draws, sweeping the
 // server's read batch over 1, 2, 4, 8, 16, 32 for FlatStore-H and
-// FlatStore-M. Batch 1 is the legacy per-request read path (the control);
-// larger batches amortize one epoch pin across the batch, overlap the
-// index-probe cache misses behind prefetches, and issue the log/block
-// value reads back-to-back so the PM device services them concurrently.
+// FlatStore-M. Batch 1 is the per-request schedule (the control): each
+// Get is a one-key MultiGet served as it is polled. Larger batches
+// amortize one epoch pin across the batch, overlap the index-probe cache
+// misses behind prefetches, and issue the log/block value reads
+// back-to-back so the PM device services them concurrently.
 //
 // Expected shape: throughput rises with the batch until the memory-level
 // parallelism model saturates (vt::kMemParallelism ways), with batch >= 8
-// clearly above batch 1 and batch 1 within noise of the pre-batching
-// numbers (it is byte-for-byte the same code path).
+// clearly above batch 1. A one-key read skips the dedup probe and the
+// prefetch, so batch 1 costs what a dedicated single-key read would.
 
 #include "bench_common.h"
 

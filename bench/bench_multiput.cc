@@ -3,17 +3,19 @@
 // FlatStore-H and FlatStore-M, at two levels:
 //
 //  * core sweep (the headline rows): one serving core driven directly —
-//    batch 1 is the legacy synchronous single-op put path (one
-//    AppendBatch, i.e. one persist sweep + two fences, per op); batch
-//    b > 1 admits b writes per MultiPutOnCore call, which resolves
-//    versions behind prefetch-interleaved index probes, l-persists all
-//    out-of-log values under one trailing fence, and stages the batch
-//    as ONE fused HB group (one log reservation, one persist sweep, one
-//    fence pair for the whole batch). Expected shape: Mops >= 1.5x the
-//    single-op path by batch 16, and fences per op strictly decreasing
-//    with the batch (~2/b plus the out-of-log l-persists).
+//    batch 1 is the synchronous Put, a one-op MultiPutOnCore completed
+//    before the next op (one AppendBatch, i.e. one persist sweep + two
+//    fences, per op); batch b > 1 admits b writes per MultiPutOnCore
+//    call, which resolves versions behind prefetch-interleaved index
+//    probes, l-persists all out-of-log values under one trailing fence,
+//    and stages the batch as ONE fused HB group (one log reservation, one
+//    persist sweep, one fence pair for the whole batch). Expected shape:
+//    Mops >= 1.5x the single-op path by batch 16, and fences per op
+//    strictly decreasing with the batch (~2/b plus the out-of-log
+//    l-persists).
 //  * server sweep (end-to-end context): the full client/server
 //    co-simulation sweeping ServerConfig::write_batch. Here batch 1 is
+//    the per-request schedule — each write staged as it is polled — and
 //    already fence-amortized across cores by pipelined-HB leader
 //    batching, so the win is admission-side only (prefetch overlap,
 //    fused staging, doorbell-chained responses) and is smaller.
@@ -81,11 +83,11 @@ void RunCorePoint(benchmark::State& state, Rig& rig, const char* name) {
     while (done < ops_total) {
       const workload::Op op = gen.Next();
       if (op.type == workload::OpType::kGet) {
-        store->GetOnCore(0, op.key, &got);
+        store->Get(op.key, &got);
         done++;
         continue;
       }
-      if (batch <= 1) {  // the legacy synchronous single-op put path
+      if (batch <= 1) {  // one op per call, completed before the next
         store->Put(op.key, std::string_view(buf.data(), op.value_len));
         done++;
         continue;

@@ -94,39 +94,37 @@ ModeResult RunMode(int threads, bool emulate_lock) {
   auto serve = [&](int core) {
     const auto& mine = keys[static_cast<size_t>(core)];
     uint64_t rng = 0x9E3779B97F4A7C15ull * (static_cast<uint64_t>(core) + 1);
-    std::string v;
-    v.reserve(512);
+    core::ReadResult read;
+    read.value.reserve(512);
+    // One op as a batch of one: a Put, or a Get (a read of a key with a
+    // write in flight comes back deferred and is not retried). False on
+    // backpressure, after a pump/drain.
+    auto serve_one = [&](uint64_t key, bool is_put) {
+      if (!is_put) {
+        store->MultiGetOnCore(core, &key, 1, &read);
+        return true;
+      }
+      const core::WriteOp w{key, value, kValueLen};
+      core::FlatStore::OpHandle h;
+      core::OpStatus st;
+      if (store->BeginWriteBatch(core, &w, 1, &h, &st) == 1) return true;
+      store->Pump(core);
+      store->Drain(core, SIZE_MAX, nullptr);
+      return false;
+    };
     uint64_t ops = 0;
     for (uint64_t i = 0; i < kOpsPerThread; i++) {
       rng = rng * 6364136223846793005ull + 1442695040888963407ull;
       const uint64_t key = mine[(rng >> 33) % mine.size()];
       const bool is_put = (rng >> 60) < 2;  // ~10 %
+      bool admitted;
       if (emulate_lock) {
         std::shared_lock<std::shared_mutex> g(retire);
-        if (is_put) {
-          core::FlatStore::OpHandle h;
-          if (store->BeginPut(core, key, value, kValueLen, &h) !=
-              core::OpStatus::kOk) {
-            store->Pump(core);
-            store->Drain(core, SIZE_MAX, nullptr);
-            continue;
-          }
-        } else {
-          store->GetOnCore(core, key, &v);
-        }
+        admitted = serve_one(key, is_put);
       } else {
-        if (is_put) {
-          core::FlatStore::OpHandle h;
-          if (store->BeginPut(core, key, value, kValueLen, &h) !=
-              core::OpStatus::kOk) {
-            store->Pump(core);
-            store->Drain(core, SIZE_MAX, nullptr);
-            continue;
-          }
-        } else {
-          store->GetOnCore(core, key, &v);
-        }
+        admitted = serve_one(key, is_put);
       }
+      if (!admitted) continue;
       ops++;
       if ((i & 31) == 0) {
         store->Pump(core);

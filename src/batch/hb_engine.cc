@@ -38,25 +38,6 @@ HbEngine::HbEngine(std::vector<log::OpLog*> logs, int group_size,
   }
 }
 
-FS_HOT bool HbEngine::Stage(int core, const uint8_t* entry, uint32_t len,
-                            uint64_t* handle) {
-  FLATSTORE_DCHECK(len <= log::kMaxEntrySize);
-  CorePool& pool = pools_[core];
-  // relaxed: head has a single writer — this core's serving thread.
-  const uint64_t h = pool.head.load(std::memory_order_relaxed);
-  Slot& slot = pool.slots[h % kPoolSlots];
-  if (slot.state.load(std::memory_order_acquire) != kFree) return false;
-  std::memcpy(slot.buf, entry, len);
-  slot.len = len;
-  slot.fuse = 1;  // slot reuse: clear a stale fused-group length
-  slot.stage_time = vt::Now();
-  slot.state.store(kStaged, std::memory_order_release);
-  pool.head.store(h + 1, std::memory_order_release);
-  vt::Charge(vt::kPoolOpCost);
-  *handle = h;
-  return true;
-}
-
 FS_HOT bool HbEngine::StageBatch(int core, const log::OpLog::EntryRef* entries,
                                  size_t n, uint64_t* handles) {
   FLATSTORE_DCHECK(n >= 1 && n <= kMaxBatch);

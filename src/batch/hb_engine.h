@@ -61,19 +61,16 @@ class HbEngine {
   HbEngine(const HbEngine&) = delete;
   HbEngine& operator=(const HbEngine&) = delete;
 
-  // Stages an encoded log entry for `core`. Returns false when the core's
-  // pool is full (caller must TryPersist + drain completions first).
-  // On success `*handle` identifies the staged request.
-  bool Stage(int core, const uint8_t* entry, uint32_t len, uint64_t* handle);
-
-  // Stages `n` encoded entries (n <= kMaxBatch) as ONE fused group in
-  // consecutive slots of `core`'s pool. The collector never splits a
-  // fused group across leader batches, so the whole group flows through a
-  // single OpLog::AppendBatch — one reservation, one contiguous record
-  // chain, one persist sweep, one fence pair — and a torn crash can only
-  // surface an entry-prefix of the group, never an interleaving.
-  // All-or-nothing: returns false (staging nothing) when fewer than `n`
-  // slots are free. `handles[i]` receives the i-th entry's handle.
+  // Stages `n` encoded entries (1 <= n <= kMaxBatch) as ONE fused group
+  // in consecutive slots of `core`'s pool; a single entry is a group of
+  // one. The collector never splits a fused group across leader batches,
+  // so the whole group flows through a single OpLog::AppendBatch — one
+  // reservation, one contiguous record chain, one persist sweep, one
+  // fence pair — and a torn crash can only surface an entry-prefix of the
+  // group, never an interleaving. All-or-nothing: returns false (staging
+  // nothing) when fewer than `n` slots are free (the caller must
+  // TryPersist + drain completions first). `handles[i]` receives the
+  // i-th entry's handle.
   bool StageBatch(int core, const log::OpLog::EntryRef* entries, size_t n,
                   uint64_t* handles);
 
@@ -137,7 +134,7 @@ class HbEngine {
     // only meaningful on a group's first slot). The collector refuses to
     // take a group it cannot take whole.
     uint32_t fuse = 1;
-    uint64_t stage_time = 0;  // owner's simulated clock at Stage()
+    uint64_t stage_time = 0;  // owner's simulated clock at StageBatch()
     uint64_t entry_off = 0;
     uint64_t done_time = 0;
     std::atomic<uint32_t> state{kFree};

@@ -23,6 +23,13 @@ namespace {
 // structures so routing does not correlate with bucket choice.
 constexpr uint64_t kRoutingSeed = 0xC04E;
 
+// Tiering pass limits (DESIGN.md §11.2): chunks with a live-entry ratio
+// below kTierMinLiveRatio are better freed by the cleaner than leaked into
+// the tier (tiered chunks are never freed), and each pass converts at most
+// kTierMaxChunks chunks per core.
+constexpr double kTierMinLiveRatio = 0.25;
+constexpr size_t kTierMaxChunks = 4;
+
 // Wrap-aware 20-bit version comparison: `a` strictly newer than `b`.
 bool VersionNewer(uint32_t a, uint32_t b) {
   const uint32_t d = (a - b) & log::kVersionMask;
@@ -267,103 +274,6 @@ std::unique_ptr<FlatStore> FlatStore::Open(pm::PmPool* pool,
 
 // ---- asynchronous protocol ---------------------------------------------
 
-OpStatus FlatStore::BeginPut(int core, uint64_t key,
-                                        const void* value, uint32_t len,
-                                        OpHandle* handle) {
-  FLATSTORE_DCHECK(core == CoreForKey(key));
-  FLATSTORE_DCHECK(len >= 1);
-  CoreState& cs = *cores_[core];
-
-  // Version chaining: continue from the newest in-flight write on this
-  // key, else from the index.
-  uint32_t version;
-  if (const InflightKey* inflight = cs.inflight_keys.Find(key)) {
-    version = (inflight->last_version + 1) & log::kVersionMask;
-  } else {
-    uint64_t cur = 0;
-    version = IndexForCore(core)->Get(key, &cur)
-                  ? (log::UnpackVersion(cur) + 1) & log::kVersionMask
-                  : 1;
-  }
-
-  uint8_t buf[log::kMaxEntrySize];
-  uint32_t elen;
-  uint64_t block = 0;
-  if (len <= log::kMaxInlineValue) {
-    elen = log::EncodePutValue(buf, key, version, value, len);
-  } else {
-    // l-persist: store the record out of log as (v_len, value), persist.
-    block = alloc_->Alloc(core, len + 8);
-    if (block == 0) return OpStatus::kNoSpace;
-    char* dst = static_cast<char*>(pool_->At(block));
-    uint64_t len64 = len;
-    std::memcpy(dst, &len64, 8);
-    std::memcpy(dst + 8, value, len);
-    vt::Charge(vt::CostMemcpy(len));
-    pool_->Persist(dst, len + 8);
-    pool_->Fence();
-    elen = log::EncodePutPtr(buf, key, version, block);
-  }
-
-  if (!hb_->Stage(core, buf, elen, handle)) {
-    if (block != 0) alloc_->Free(block);
-    return OpStatus::kBackpressure;
-  }
-  cs.Push({*handle, key, version});
-  InflightKey& fly = cs.inflight_keys.GetOrInsert(key);
-  fly.count++;
-  fly.last_version = version;
-  return OpStatus::kOk;
-}
-
-OpStatus FlatStore::BeginDelete(int core, uint64_t key,
-                                           OpHandle* handle) {
-  FLATSTORE_DCHECK(core == CoreForKey(key));
-  CoreState& cs = *cores_[core];
-
-  uint32_t version;
-  const InflightKey* inflight = cs.inflight_keys.Find(key);
-  uint64_t cur = 0;
-  const bool indexed = IndexForCore(core)->Get(key, &cur);
-  if (inflight != nullptr) {
-    // Chain behind the in-flight writes. (A delete behind a pending
-    // delete is rare and resolves as a redundant tombstone.)
-    version = (inflight->last_version + 1) & log::kVersionMask;
-  } else {
-    if (!indexed) return OpStatus::kNotFound;
-    common::EpochManager::Guard g(epochs_.get(), core);
-    vt::Charge(vt::kEpochPinCost);
-    log::DecodedEntry e;
-    if (log::DecodeEntry(static_cast<const uint8_t*>(
-                             pool_->At(log::UnpackOffset(cur))),
-                         log::kMaxEntrySize, &e) &&
-        e.op == log::OpType::kDelete) {
-      return OpStatus::kNotFound;  // already deleted (tombstone)
-    }
-    version = (log::UnpackVersion(cur) + 1) & log::kVersionMask;
-  }
-
-  // The tombstone remembers which chunk held the overwritten version so
-  // the cleaner knows when the tombstone itself may die (§3.4). With
-  // in-flight chained writes this is best effort (a GC heuristic).
-  uint32_t covered_seq = 0;
-  if (indexed) {
-    const uint64_t old_chunk =
-        AlignDown(log::UnpackOffset(cur), alloc::kChunkSize);
-    int owner;
-    root_->ChunkInfo(old_chunk, &owner, &covered_seq);
-  }
-
-  uint8_t buf[log::kPtrEntrySize];
-  uint32_t elen = log::EncodeDelete(buf, key, version, covered_seq);
-  if (!hb_->Stage(core, buf, elen, handle)) return OpStatus::kBackpressure;
-  cs.Push({*handle, key, version});
-  InflightKey& fly = cs.inflight_keys.GetOrInsert(key);
-  fly.count++;
-  fly.last_version = version;
-  return OpStatus::kOk;
-}
-
 size_t FlatStore::Pump(int core) { return hb_->TryPersist(core); }
 
 // fs-lint: epoch-held(called from Drain under the per-round epoch guard)
@@ -520,7 +430,7 @@ bool FlatStore::KeyBusy(int core, uint64_t key) const {
 void FlatStore::ReadValue(const log::DecodedEntry& e,
                           std::string* value) const {
   if (e.embedded) {
-    // The value rides in the log entry, which GetOnCore already fetched.
+    // The value rides in the log entry, which the caller already fetched.
     vt::Charge(vt::CostMemcpy(e.value_len));
     value->assign(reinterpret_cast<const char*>(e.value), e.value_len);
     return;
@@ -533,68 +443,37 @@ void FlatStore::ReadValue(const log::DecodedEntry& e,
   value->assign(block + 8, len);
 }
 
-bool FlatStore::GetOnCore(int core, uint64_t key, std::string* value) {
-  // Pin before the index lookup: the entry pointer read from the index
-  // stays dereferenceable until Unpin even if the cleaner unlinks its
-  // chunk concurrently (the physical free waits a grace period).
-  common::EpochManager::Guard g(epochs_.get(), core);
-  vt::Charge(vt::kEpochPinCost);
-  index::KvIndex* idx = IndexForCore(core);
-  uint64_t packed;
-  if (!idx->Get(key, &packed)) return false;
-  const uint64_t off = log::UnpackOffset(packed);
-  pool_->ChargeRead(pool_->At(off), log::kPtrEntrySize);  // entry fetch
-  log::DecodedEntry e;
-  bool ok = log::DecodeEntry(static_cast<const uint8_t*>(pool_->At(off)),
-                             log::kMaxEntrySize, &e);
-  if (!ok) {
-    int owner = -1;
-    uint32_t seq = 0;
-    bool reg = root_->ChunkInfo(AlignDown(off, alloc::kChunkSize), &owner,
-                                &seq);
-    FLATSTORE_CHECK(ok) << "index pointed at an invalid entry: key=" << key
-                        << " off=" << off
-                        << " ver=" << log::UnpackVersion(packed)
-                        << " chunk_registered=" << reg << " owner=" << owner
-                        << " seq=" << seq << " byte0="
-                        << int(*static_cast<const uint8_t*>(pool_->At(off)));
-  }
-  if (e.op == log::OpType::kDelete) return false;  // tombstone
-  ReadValue(e, value);
-  return true;
-}
-
 size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
                                  ReadResult* results) {
   static_assert(kMaxReadBatch <= UINT8_MAX, "batch positions fit uint8_t");
   FLATSTORE_CHECK_LE(n, kMaxReadBatch);
   if (n == 0) return 0;
-  // One pin covers every entry dereference in the batch.
-  common::EpochManager::Guard g(epochs_.get(), core);
-  vt::Charge(vt::kEpochPinCost);
   index::KvIndex* idx = IndexForCore(core);
   CoreState& cs = *cores_[core];
 
   // Coalescing: only a key's first occurrence (its leader) checks for
   // conflicts, probes and reads; repeats copy the leader's outcome at the
   // end. A stack-resident open-addressing table, at most half full, maps
-  // each key to its leader: one hash and about one slot probe per key.
+  // each key to its leader: one hash and about one slot probe per key. A
+  // one-key read has nothing to coalesce and skips the table.
   constexpr size_t kSlots = 2 * kMaxReadBatch;
   uint8_t slots[kSlots] = {};        // leader position + 1; 0 = empty
   uint8_t leader_of[kMaxReadBatch];  // batch position -> leader position
   size_t probes = 0;  // leaders without an in-flight write
   for (size_t i = 0; i < n; i++) {
-    vt::Charge(vt::kCpuHash + vt::kCpuSlotProbe);
     results[i].value.clear();
-    size_t s = HashKey(keys[i]) % kSlots;
-    while (slots[s] != 0 && keys[slots[s] - 1] != keys[i]) {
-      s = (s + 1) % kSlots;
+    if (n > 1) {
+      vt::Charge(vt::kCpuHash + vt::kCpuSlotProbe);
+      size_t s = HashKey(keys[i]) % kSlots;
+      while (slots[s] != 0 && keys[slots[s] - 1] != keys[i]) {
+        s = (s + 1) % kSlots;
+      }
+      if (slots[s] != 0) {
+        leader_of[i] = static_cast<uint8_t>(slots[s] - 1);
+        continue;
+      }
+      slots[s] = static_cast<uint8_t>(i + 1);
     }
-    if (slots[s] != 0) {
-      leader_of[i] = static_cast<uint8_t>(slots[s] - 1);
-      continue;
-    }
-    slots[s] = static_cast<uint8_t>(i + 1);
     leader_of[i] = static_cast<uint8_t>(i);
     if (cs.inflight_keys.Contains(keys[i])) {
       results[i].status = GetResult::kDeferred;
@@ -603,7 +482,16 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
       probes++;
     }
   }
+  if (probes == 0) {
+    // Every key has a write in flight: nothing is read, so nothing pins.
+    for (size_t i = 0; i < n; i++) results[i].status = GetResult::kDeferred;
+    return 0;
+  }
 
+  // Pin before probing: one pin covers every entry dereference in the
+  // batch.
+  common::EpochManager::Guard g(epochs_.get(), core);
+  vt::Charge(vt::kEpochPinCost);
   index::LookupHint hints[kMaxReadBatch];
   uint64_t packed[kMaxReadBatch];
   uint64_t ready[kMaxReadBatch];  // read-completion times (phases C/D)
@@ -612,8 +500,9 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
       probes, 1, static_cast<size_t>(vt::kMemParallelism)));
   {
     vt::ScopedOverlap overlap(ways);
-    // Phase A: locate/prefetch every probing leader.
-    for (size_t i = 0; i < n; i++) {
+    // Phase A: locate/prefetch every probing leader. A lone probe has
+    // nothing to overlap with: its un-hinted GetWithHint is a plain Get.
+    for (size_t i = 0; i < n && probes > 1; i++) {
       if (leader_of[i] != i || results[i].status == GetResult::kDeferred) {
         continue;
       }
@@ -632,7 +521,8 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
 
   // Phase C: issue every log-entry header read at one instant; advance to
   // each completion only when that entry is decoded, so independent PM/
-  // DRAM fetches overlap instead of serializing as in GetOnCore.
+  // DRAM fetches overlap instead of serializing. A lone read's issue cost
+  // hides under its own latency, so it costs one plain ChargeRead.
   vt::Clock* clock = vt::CurrentClock();
   const uint64_t issue = clock != nullptr ? clock->now() : 0;
   for (size_t i = 0; i < n; i++) {
@@ -739,54 +629,98 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
   // occurrences probe the index; the per-key state below lives at the
   // first occurrence's position. An op followed later in the batch by a
   // Put of its key is absorbed: that Put supersedes it at the same
-  // instant, so it encodes, allocates, persists and stages nothing.
+  // instant, so it encodes, allocates, persists and stages nothing. A
+  // batch of one has nothing to deduplicate and skips the table.
   constexpr int kSlotBits = 6;
   constexpr size_t kSlots = size_t{1} << kSlotBits;
   static_assert(kSlots >= 2 * kMaxWriteBatch, "table stays half empty");
   uint8_t slots[kSlots] = {};        // first position + 1; 0 = empty
   uint8_t first_of[kMaxWriteBatch];  // op index -> first occurrence
   uint8_t last_put[kMaxWriteBatch];  // first occurrence -> last Put + 1
+  bool has_tomb[kMaxWriteBatch];  // first occurrence -> key has a tombstone
   bool chained[kMaxWriteBatch];  // first occurrence -> earlier write exists
   uint32_t tail[kMaxWriteBatch];  // first occurrence -> newest version
-  size_t probes = 0;
+  size_t tombstones = 0;
   for (size_t i = 0; i < n; i++) {
-    vt::Charge(vt::kCpuSlotProbe);
+    FLATSTORE_DCHECK(core == CoreForKey(ops[i].key));
     statuses[i] = OpStatus::kOk;
     blocks[i] = 0;
-    size_t s = static_cast<size_t>((ops[i].key * 0x9E3779B97F4A7C15ull) >>
-                                   (64 - kSlotBits));
-    while (slots[s] != 0 && ops[slots[s] - 1].key != ops[i].key) {
-      s = (s + 1) % kSlots;
+    size_t f = i;
+    if (n > 1) {
+      vt::Charge(vt::kCpuSlotProbe);
+      size_t s = static_cast<size_t>((ops[i].key * 0x9E3779B97F4A7C15ull) >>
+                                     (64 - kSlotBits));
+      while (slots[s] != 0 && ops[slots[s] - 1].key != ops[i].key) {
+        s = (s + 1) % kSlots;
+      }
+      if (slots[s] == 0) slots[s] = static_cast<uint8_t>(i + 1);
+      f = slots[s] - 1;
     }
-    if (slots[s] == 0) {
-      slots[s] = static_cast<uint8_t>(i + 1);
+    first_of[i] = static_cast<uint8_t>(f);
+    if (f == i) {
       last_put[i] = 0;
-      probes++;
+      has_tomb[i] = false;
+      // Version chaining continues from the newest in-flight write on the
+      // key, else from the indexed entry (probed below).
+      const InflightKey* fly = cs.inflight_keys.Find(ops[i].key);
+      chained[i] = fly != nullptr;
+      tail[i] = chained[i] ? fly->last_version : 0;
     }
-    first_of[i] = static_cast<uint8_t>(slots[s] - 1);
-    if (!ops[i].tombstone) last_put[first_of[i]] = static_cast<uint8_t>(i + 1);
+    if (ops[i].tombstone) {
+      has_tomb[f] = true;
+      tombstones++;
+    } else {
+      last_put[f] = static_cast<uint8_t>(i + 1);
+    }
   }
 
-  // The tombstone-liveness probe below dereferences log entries; one pin
-  // covers the whole batch.
-  common::EpochManager::Guard g(epochs_.get(), core);
-  vt::Charge(vt::kEpochPinCost);
-
-  {
-    // Only first occurrences probe, so only they overlap their misses.
+  // A key probes the index only when it has no write in flight (its
+  // version comes from the index) or when it has a tombstone, which needs
+  // the indexed entry for its covered-chunk hint and liveness check.
+  bool probe[kMaxWriteBatch];
+  bool dead[kMaxWriteBatch];  // first occurrence -> indexed tombstone
+  size_t probes = 0;
+  for (size_t i = 0; i < n; i++) {
+    probe[i] = first_of[i] == i && (!chained[i] || has_tomb[i]);
+    packed[i] = 0;
+    indexed[i] = false;
+    dead[i] = false;
+    if (probe[i]) probes++;
+  }
+  auto probe_index = [&] {
+    // Only probing keys overlap their misses.
     vt::ScopedOverlap overlap(static_cast<int>(std::clamp<size_t>(
         probes, 1, static_cast<size_t>(vt::kMemParallelism))));
-    // Phase A: issue every version-resolution probe with prefetches.
-    // Keys with in-flight writes chain off the in-flight table instead,
-    // but still need the probe when they are tombstones (covered chunk).
-    for (size_t i = 0; i < n; i++) {
-      if (first_of[i] == i) idx->PrefetchGet(ops[i].key, &hints[i]);
+    // Phase A: issue every probe with prefetches. A lone probe has nothing
+    // to overlap with: its un-hinted GetWithHint is a plain Get.
+    for (size_t i = 0; i < n && probes > 1; i++) {
+      if (probe[i]) idx->PrefetchGet(ops[i].key, &hints[i]);
     }
     // Phase B: complete the probes on warm lines.
     for (size_t i = 0; i < n; i++) {
-      if (first_of[i] != i) continue;
-      packed[i] = 0;
-      indexed[i] = idx->GetWithHint(ops[i].key, hints[i], &packed[i]);
+      if (probe[i]) {
+        indexed[i] = idx->GetWithHint(ops[i].key, hints[i], &packed[i]);
+      }
+    }
+  };
+  if (tombstones == 0) {
+    // A put-only batch dereferences no log entry, so it takes no pin.
+    probe_index();
+  } else {
+    // Pin before probing: an entry the index points at stays
+    // dereferenceable until the unpin, even if the cleaner unlinks its
+    // chunk concurrently.
+    common::EpochManager::Guard g(epochs_.get(), core);
+    vt::Charge(vt::kEpochPinCost);
+    probe_index();
+    for (size_t i = 0; i < n; i++) {
+      // indexed[i] implies a probing first occurrence.
+      if (!indexed[i] || !has_tomb[i] || chained[i]) continue;
+      log::DecodedEntry e;
+      dead[i] = log::DecodeEntry(static_cast<const uint8_t*>(pool_->At(
+                                     log::UnpackOffset(packed[i]))),
+                                 log::kMaxEntrySize, &e) &&
+                e.op == log::OpType::kDelete;
     }
   }
 
@@ -802,28 +736,12 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
     // Version chaining, newest first: an earlier accepted op of this
     // batch on the same key, else the newest in-flight write, else the
     // indexed entry.
-    if (f == i) {
-      if (const InflightKey* fly = cs.inflight_keys.Find(op.key)) {
-        chained[f] = true;
-        tail[f] = fly->last_version;
-      } else {
-        chained[f] = false;
-        tail[f] = indexed[f] ? log::UnpackVersion(packed[f]) : 0;
-      }
+    if (f == i && !chained[f] && indexed[f]) {
+      tail[f] = log::UnpackVersion(packed[f]);
     }
-    if (op.tombstone && !chained[f]) {
-      if (!indexed[f]) {
-        statuses[i] = OpStatus::kNotFound;
-        continue;
-      }
-      log::DecodedEntry e;
-      if (log::DecodeEntry(static_cast<const uint8_t*>(
-                               pool_->At(log::UnpackOffset(packed[f]))),
-                           log::kMaxEntrySize, &e) &&
-          e.op == log::OpType::kDelete) {
-        statuses[i] = OpStatus::kNotFound;  // already a tombstone
-        continue;
-      }
+    if (op.tombstone && !chained[f] && (!indexed[f] || dead[f])) {
+      statuses[i] = OpStatus::kNotFound;  // absent, or already a tombstone
+      continue;
     }
     chained[f] = true;
     if (last_put[f] > i + 1) continue;  // absorbed: consumes no version
@@ -831,8 +749,7 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
     tail[f] = version;
     uint32_t elen;
     if (op.tombstone) {
-      // Best-effort covered-chunk hint for tombstone GC (§3.4), as in
-      // BeginDelete.
+      // Best-effort covered-chunk hint for tombstone GC (§3.4).
       uint32_t covered = 0;
       if (indexed[f]) {
         const uint64_t old_chunk =
@@ -1284,7 +1201,7 @@ FlatStore::Txn& FlatStore::Txn::Rmw(
 
 bool FlatStore::Txn::Get(uint64_t key, std::string* value) {
   std::string cur;
-  bool present = store_->GetOnCore(store_->CoreForKey(key), key, &cur);
+  bool present = store_->Get(key, &cur);
   for (const Staged& s : ops_) {
     if (s.key != key) continue;
     switch (s.kind) {
@@ -1361,43 +1278,31 @@ TxnStatus FlatStore::Txn::Commit(size_t* failed_op) {
 // ---- synchronous wrappers ------------------------------------------------
 
 void FlatStore::Put(uint64_t key, std::string_view value) {
-  const int core = CoreForKey(key);
-  OpHandle h;
-  while (true) {
-    OpStatus st =
-        BeginPut(core, key, value.data(),
-                 static_cast<uint32_t>(value.size()), &h);
-    if (st == OpStatus::kOk) break;
-    FLATSTORE_CHECK(st == OpStatus::kBusy || st == OpStatus::kBackpressure)
-        << "Put failed (PM exhausted?)";
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  while (Inflight(core) > 0) {
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
+  const WriteOp op{key, value.data(), static_cast<uint32_t>(value.size())};
+  OpStatus st;
+  MultiPutOnCore(CoreForKey(key), &op, 1, &st);
+  FLATSTORE_CHECK(st == OpStatus::kOk) << "Put failed (PM exhausted?)";
 }
 
 bool FlatStore::Get(uint64_t key, std::string* value) {
-  return GetOnCore(CoreForKey(key), key, value);
+  const int core = CoreForKey(key);
+  // The read fills the caller's string in place (swapped in and back), so
+  // a caller that reuses its string does not allocate.
+  ReadResult r;
+  r.value.swap(*value);
+  while (MultiGetOnCore(core, &key, 1, &r) == 0) {
+    // A write on the key is in flight: complete it, then read again.
+    Pump(core);
+    Drain(core, SIZE_MAX, nullptr);
+  }
+  value->swap(r.value);
+  return r.status == GetResult::kFound;
 }
 
 bool FlatStore::Delete(uint64_t key) {
-  const int core = CoreForKey(key);
-  OpHandle h;
-  while (true) {
-    OpStatus st = BeginDelete(core, key, &h);
-    if (st == OpStatus::kNotFound) return false;
-    if (st == OpStatus::kOk) break;
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  while (Inflight(core) > 0) {
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  return true;
+  const WriteOp op{key, nullptr, 0, /*tombstone=*/true};
+  OpStatus st;
+  return MultiPutOnCore(CoreForKey(key), &op, 1, &st) == 1;
 }
 
 uint64_t FlatStore::Scan(uint64_t start_key, uint64_t count,
@@ -1627,7 +1532,6 @@ void FlatStore::EnsureCleaners() {
   log::LogCleaner::Options opts;
   opts.policy = options_.gc_policy;
   opts.live_ratio = options_.gc_live_ratio;
-  opts.free_chunk_watermark = options_.gc_free_chunk_watermark;
   opts.quantum_bytes = options_.gc_quantum_bytes;
   opts.max_victims = options_.gc_max_victims;
   opts.segregate = options_.gc_segregate;
@@ -1705,9 +1609,7 @@ size_t FlatStore::RunTieringOnce() {
   size_t converted = 0;
   for (int c = 0; c < options_.num_cores; c++) {
     const std::vector<log::OpLog::TierCandidate> cands =
-        logs_[c]->PickTierCandidates(options_.tier_age,
-                                     options_.tier_min_live_ratio,
-                                     options_.tier_max_chunks);
+        logs_[c]->PickTierCandidates(kTierMinLiveRatio, kTierMaxChunks);
     for (size_t i = 0; i < cands.size(); i++) {
       if (ConvertChunk(c, cands[i])) {
         converted++;

@@ -10,24 +10,27 @@
 // Two API levels:
 //
 //  * Synchronous convenience (Put/Get/Delete/Scan): runs the asynchronous
-//    protocol inline on the calling thread. Used by examples, tests, and
-//    single-threaded tools.
+//    protocol inline on the calling thread as batches of one. Used by
+//    examples, tests, and single-threaded tools.
 //
 //  * Asynchronous per-core protocol, used by the server runtime
-//    (core/server.h) to reproduce the paper's pipelined processing:
+//    (core/server.h) to reproduce the paper's pipelined processing. Every
+//    call takes a batch; a single op is a batch of one, which skips the
+//    batch-only work (deduplication, prefetching) and so costs what a
+//    dedicated single-op path would:
 //
-//      BeginPut/BeginDelete  -> l-persist + stage in the request pool
-//      Pump                  -> one g-persist attempt (leader election)
-//      Drain                 -> completed ops: volatile-index update,
-//                               old-entry retirement, conflict release
-//      GetOnCore             -> immediate read through the volatile index
+//      BeginWriteBatch  -> l-persist + stage in the request pool
+//      Pump             -> one g-persist attempt (leader election)
+//      Drain            -> completed ops: volatile-index update,
+//                          old-entry retirement, conflict release
+//      MultiGetOnCore   -> immediate reads through the volatile index
 //
 //    Keys are partitioned across cores by key hash (CoreForKey). The
 //    per-core conflict queue (paper §3.3 Discussion) prevents pipelined-HB
 //    *reordering*: same-key writes pipeline freely (FIFO drains keep them
-//    ordered; versions chain through the in-flight table), but a Get on a
-//    key with in-flight writes must wait (KeyBusy) so it cannot miss a
-//    preceding Put.
+//    ordered; versions chain through the in-flight table), but a read of
+//    a key with in-flight writes is deferred (GetResult::kDeferred) so it
+//    cannot miss a preceding Put.
 
 #ifndef FLATSTORE_CORE_FLATSTORE_H_
 #define FLATSTORE_CORE_FLATSTORE_H_
@@ -77,7 +80,6 @@ struct FlatStoreOptions {
   // Log cleaning (§3.4). See log::LogCleaner::Options for semantics.
   log::VictimQuery::Policy gc_policy = log::VictimQuery::Policy::kCostBenefit;
   double gc_live_ratio = 0.6;
-  uint64_t gc_free_chunk_watermark = 0;  // 0 = clean whenever possible
   uint64_t gc_quantum_bytes = 0;         // 0 = unbounded passes
   size_t gc_max_victims = 4;             // in-flight cleaning jobs per core
   bool gc_segregate = true;              // hot/cold survivor lanes
@@ -106,19 +108,11 @@ struct FlatStoreOptions {
   // loads and honours it on Open regardless of this flag (stale tier
   // nodes must keep duelling or recovery would lose updates).
   bool tier_enabled = false;
-  // Minimum write-clock age before a sealed chunk may tier (0 = any).
-  uint64_t tier_age = 0;
-  // Chunks with a live-entry ratio below this are better freed by the
-  // cleaner than leaked into the tier (tiered chunks are never freed).
-  double tier_min_live_ratio = 0.25;
-  // Per-core conversion cap per RunTieringOnce pass.
-  size_t tier_max_chunks = 4;
 };
 
-// Result of Begin* calls.
+// Per-op result of BeginWriteBatch / MultiPutOnCore.
 enum class OpStatus {
-  kOk,            // staged
-  kBusy,          // same-key op in flight (conflict queue) — retry later
+  kOk,            // staged (or absorbed by a later Put of its batch)
   kBackpressure,  // request pool full — Pump + Drain, then retry
   kNotFound,      // delete of an absent key (completed immediately)
   kNoSpace,       // PM exhausted
@@ -232,11 +226,14 @@ class FlatStore {
 
   // ---- synchronous convenience API ----
 
-  // Inserts/updates. `value` must be non-empty and at most 4 MB - 4 KB.
+  // Inserts/updates (a one-op MultiPutOnCore). `value` must be non-empty
+  // and at most 4 MB - 4 KB.
   void Put(uint64_t key, std::string_view value);
-  // Reads into `*value`; false if absent.
+  // Reads into `*value` (a one-key MultiGetOnCore; a write in flight on
+  // the key is pumped and drained first); false, with `*value` cleared,
+  // if absent.
   bool Get(uint64_t key, std::string* value);
-  // Removes; false if absent.
+  // Removes (a one-op MultiPutOnCore); false if absent.
   bool Delete(uint64_t key);
   // Ordered scan: up to `count` pairs with key >= start_key. Served by
   // the ordered index (kMasstree / kFastFairVolatile), or — for kHash
@@ -256,12 +253,6 @@ class FlatStore {
 
   // ---- asynchronous per-core protocol ----
 
-  // l-persist + stage. `core` must equal CoreForKey(key). Same-key writes
-  // pipeline (never kBusy); drains apply them in order.
-  OpStatus BeginPut(int core, uint64_t key, const void* value, uint32_t len,
-                    OpHandle* handle);
-  // Stages a tombstone; kNotFound if the key is absent (nothing staged).
-  OpStatus BeginDelete(int core, uint64_t key, OpHandle* handle);
   // One g-persist attempt (leader election / self-batch). Returns the
   // number of entries persisted by this call.
   size_t Pump(int core);
@@ -271,22 +262,22 @@ class FlatStore {
   size_t Drain(int core, size_t max, std::vector<Completion>* out);
   // Number of staged-but-incomplete ops on `core`.
   size_t Inflight(int core) const;
-  // True while a write on `key` is in flight on its core. Gets on busy
-  // keys must be deferred (conflict queue, §3.3 Discussion).
+  // True while a write on `key` is in flight on its core. Reads of busy
+  // keys are deferred (conflict queue, §3.3 Discussion).
   bool KeyBusy(int core, uint64_t key) const;
-  // Read on the owning core (immediate; volatile index + log/block read).
-  bool GetOnCore(int core, uint64_t key, std::string* value);
-  // Batched read on the owning core: one epoch pin per batch, then a
-  // prefetch-interleaved pipeline — phase A hashes/routes every key and
-  // issues software prefetches (index::KvIndex::PrefetchGet), phase B
-  // completes the probes on warm lines, phase C issues all log-entry
-  // header reads back-to-back and consumes them in order, phase D does
-  // the same for out-of-log value blocks. Duplicate keys are coalesced:
+  // Batched read on the owning core: one epoch pin per batch (none when
+  // every key is deferred), then a prefetch-interleaved pipeline — phase
+  // A hashes/routes every key and issues software prefetches
+  // (index::KvIndex::PrefetchGet), phase B completes the probes on warm
+  // lines, phase C issues all log-entry header reads back-to-back and
+  // consumes them in order, phase D does the same for out-of-log value
+  // blocks. Duplicate keys are coalesced:
   // only a key's first occurrence runs the pipeline, and each repeat
   // copies its status and value. Independent misses are amortized by
-  // min(probing keys, vt::kMemParallelism). Keys with in-flight writes
-  // come back kDeferred in every copy (the same conflict rule GetOnCore's
-  // callers enforce via KeyBusy) and must be retried after a drain.
+  // min(probing keys, vt::kMemParallelism). A one-key read pays no dedup
+  // probe and a lone probe no prefetch, so it costs one plain index
+  // probe plus one entry read. Keys with in-flight writes come back
+  // kDeferred in every copy and must be retried after a drain.
   // Requires n <= kMaxReadBatch. Returns the number of keys served (i.e.
   // with status != kDeferred), counting every copy.
   size_t MultiGetOnCore(int core, const uint64_t* keys, size_t n,
@@ -303,11 +294,16 @@ class FlatStore {
   // later in the batch by a Put of its key stages nothing — it completes
   // with that Put, whose handle it carries (DESIGN.md §5.2). Same-key
   // writes that do stage chain versions within the batch and behind any
-  // in-flight ops. Per-op `statuses[i]`: kOk (accepted — staged or
-  // absorbed; `handles[i]` valid), kNotFound (tombstone for an absent
-  // key; nothing staged), kBackpressure (the pending ring or the HB pool
-  // lacked room for the whole batch — admission is all-or-nothing), or
-  // kNoSpace (PM exhausted; batch aborted). Requires n <= kMaxWriteBatch.
+  // in-flight ops; a key with a write in flight skips the index probe
+  // unless the batch holds a tombstone for it. Only batches holding a
+  // tombstone take an epoch pin (before probing). A batch of one pays no
+  // dedup probe and a lone probe no prefetch (DESIGN.md §5.1). `core`
+  // must equal CoreForKey of every key. Per-op `statuses[i]`: kOk
+  // (accepted — staged or absorbed; `handles[i]` valid), kNotFound
+  // (tombstone for an absent key; nothing staged), kBackpressure (the
+  // pending ring or the HB pool lacked room for the whole batch —
+  // admission is all-or-nothing), or kNoSpace (PM exhausted; batch
+  // aborted). Requires n <= kMaxWriteBatch.
   // Returns the number accepted (ops with status kOk), absorbed ones
   // included — not the number of staged log entries.
   size_t BeginWriteBatch(int core, const WriteOp* ops, size_t n,
@@ -366,7 +362,7 @@ class FlatStore {
   // ---- ordered persistent tier (DESIGN.md §11) ----
 
   // One synchronous tiering pass: per core, converts up to
-  // tier_max_chunks eligible sealed chunks (cold cleaner chunks first)
+  // kTierMaxChunks eligible sealed chunks (cold cleaner chunks first)
   // into the persistent skiplist and detaches them from the log. Creates
   // the tier lazily on first use. Returns the number of chunks converted.
   // Serialized internally; safe to call concurrently with serving.
@@ -475,8 +471,8 @@ class FlatStore {
   };
 
   // Per-core serving state. All containers are allocation-free in steady
-  // state: `pending` is a fixed FIFO ring (its population is bounded by
-  // the HB request pool, which backpressures Stage before overflow) and
+  // state: `pending` is a fixed FIFO ring (BeginWriteBatch admits a batch
+  // only if all its ops fit, since absorbed ops take no HB pool slot) and
   // `inflight_keys` is an open-addressed table pre-sized for that same
   // bound.
   struct alignas(64) CoreState {

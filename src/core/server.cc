@@ -16,41 +16,6 @@ namespace core {
 
 // ---- FlatStoreAdapter -----------------------------------------------------
 
-EngineAdapter::Submit FlatStoreAdapter::SubmitPut(int core, uint64_t key,
-                                                  const void* value,
-                                                  uint32_t len,
-                                                  uint64_t tag) {
-  FlatStore::OpHandle h;
-  switch (store_->BeginPut(core, key, value, len, &h)) {
-    case OpStatus::kOk:
-      pending_[core].Push({h, tag});
-      return Submit::kPending;
-    case OpStatus::kBusy:
-      return Submit::kBusy;
-    case OpStatus::kBackpressure:
-      return Submit::kBackpressure;
-    default:
-      FLATSTORE_CHECK(false) << "PM exhausted during benchmark";
-      return Submit::kBackpressure;
-  }
-}
-
-EngineAdapter::Submit FlatStoreAdapter::SubmitDelete(int core, uint64_t key,
-                                                     uint64_t tag) {
-  FlatStore::OpHandle h;
-  switch (store_->BeginDelete(core, key, &h)) {
-    case OpStatus::kOk:
-      pending_[core].Push({h, tag});
-      return Submit::kPending;
-    case OpStatus::kNotFound:
-      return Submit::kNotFound;
-    case OpStatus::kBusy:
-      return Submit::kBusy;
-    default:
-      return Submit::kBackpressure;
-  }
-}
-
 bool FlatStoreAdapter::Scan(int core, uint64_t start_key, uint64_t count,
                             uint64_t* found) {
   (void)core;  // the merge spans all cores; any core may serve it
@@ -286,10 +251,11 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
         progress = true;
         continue;
       }
-      if (engine->KeyBusy(core, req->key)) continue;  // conflict queue
+      // Per-request schedule: a one-key read. A key with a write in
+      // flight is deferred and the Get stays at its ring head (conflict
+      // queue), retried after a future drain.
       ReadResult& r = state.read_results[0];
-      r.status = engine->Get(core, req->key, &r.value) ? GetResult::kFound
-                                                      : GetResult::kAbsent;
+      if (engine->MultiGet(core, &req->key, 1, &r) == 0) continue;
       PostGetResponse(rpc, core, conn, *req, r, /*chained=*/false);
       rpc.PopRequest(core, conn);
       state.completed++;
@@ -380,17 +346,17 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       continue;
     }
 
-    const uint64_t tag = state.next_tag++;
+    // Per-request schedule: stage the write as a one-op batch right away,
+    // so an HB leader on another core can steal it while this core keeps
+    // polling.
+    const EngineAdapter::WriteReq wreq{
+        req->key, req->value, req->value_len,
+        req->type == net::MsgType::kDelete, state.next_tag++};
     EngineAdapter::Submit st;
-    if (req->type == net::MsgType::kPut) {
-      st = engine->SubmitPut(core, req->key, req->value, req->value_len,
-                             tag);
-    } else {
-      st = engine->SubmitDelete(core, req->key, tag);
-    }
+    engine->SubmitWriteBatch(core, &wreq, 1, &st);
     switch (st) {
       case EngineAdapter::Submit::kPending:
-        state.pending.push_back({tag, conn, *req});
+        state.pending.push_back({wreq.tag, conn, *req});
         rpc.PopRequest(core, conn);
         progress = true;
         break;
@@ -401,29 +367,20 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
         state.completed++;
         progress = true;
         break;
-      case EngineAdapter::Submit::kBusy:
-        // Conflict queue: this request stays at its ring's head and is
-        // retried after a future drain (paper 3.3 Discussion) — but the
-        // core keeps serving the *other* connections' buffers, otherwise
-        // one hot key would head-of-line-block the whole core under skew.
-        break;
-      case EngineAdapter::Submit::kBackpressure:
-        // Request pool full: stop admitting until a pump/drain cycle.
+      default:
+        // Request pool full: the write stays at its ring head; stop
+        // admitting until a pump/drain cycle.
         burst = 16;
-        break;
-      case EngineAdapter::Submit::kCasMismatch:
-      case EngineAdapter::Submit::kUnsupported:
-        // Txn-only statuses; single Put/Delete never produces them.
-        FLATSTORE_DCHECK(false);
         break;
     }
   }
 
   // Stage the accumulated writes as ONE fused batch before any read is
   // served: a same-quantum Put→Get pair on one key then defers the Get
-  // through the in-flight table, preserving the legacy path's ordering.
-  // Backpressured ops (fused staging is all-or-nothing) stay in `writes`
-  // and retry next quantum, after a pump/drain cycle freed pool slots.
+  // through the in-flight table, preserving the per-request schedule's
+  // ordering. Backpressured ops (fused staging is all-or-nothing) stay in
+  // `writes` and retry next quantum, after a pump/drain cycle freed pool
+  // slots.
   if (wbatched && !state.writes.empty()) {
     const size_t n = state.writes.size();
     for (size_t i = 0; i < n; i++) {
@@ -916,23 +873,25 @@ ClusterResult RunCluster(const std::vector<EngineAdapter*>& engines,
 void Preload(EngineAdapter* engine, const workload::Config& workload,
              uint64_t keys) {
   std::vector<uint8_t> value(net::kMaxMsgValue, 0x5A);
+  std::vector<EngineAdapter::Done> done;
   for (uint64_t k = 0; k < keys; k++) {
     const uint32_t len =
         workload.etc_values
             ? workload::Generator::EtcValueLen(k, workload.key_space)
             : workload.value_len;
     const int core = engine->CoreForKey(k);
-    uint64_t tag = k + 1;
+    const EngineAdapter::WriteReq req{k, value.data(), len,
+                                      /*tombstone=*/false, k + 1};
     while (true) {
-      auto st = engine->SubmitPut(core, k, value.data(), len, tag);
+      EngineAdapter::Submit st;
+      engine->SubmitWriteBatch(core, &req, 1, &st);
       if (st == EngineAdapter::Submit::kDoneNow) break;
+      done.clear();
       if (st == EngineAdapter::Submit::kPending) {
-        std::vector<EngineAdapter::Done> done;
         while (engine->Drain(core, &done) == 0) engine->Pump(core);
         break;
       }
       engine->Pump(core);
-      std::vector<EngineAdapter::Done> done;
       engine->Drain(core, &done);
     }
   }

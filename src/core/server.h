@@ -55,14 +55,62 @@ class EngineAdapter {
   }
   virtual const char* Name() const = 0;
 
-  // Submits a Put/Delete on `core`. kPending completions surface through
-  // Drain with the same `tag`.
-  virtual Submit SubmitPut(int core, uint64_t key, const void* value,
-                           uint32_t len, uint64_t tag) = 0;
-  virtual Submit SubmitDelete(int core, uint64_t key, uint64_t tag) = 0;
+  // Batched write admission: fills `out[i]` with each op's Submit status
+  // (kPending, kDoneNow, kNotFound or kBackpressure). kPending ops
+  // complete through Drain with their `tag`. Engines with a fused write
+  // pipeline stage the whole batch as one group (one log reservation, one
+  // fence pair); synchronous engines apply the ops one by one. Requires
+  // n <= kMaxWriteBatch. Returns the number admitted as kPending.
+  struct WriteReq {
+    uint64_t key;
+    const void* value;
+    uint32_t len;
+    bool tombstone;
+    uint64_t tag;
+  };
+  virtual size_t SubmitWriteBatch(int core, const WriteReq* reqs, size_t n,
+                                  Submit* out) = 0;
 
-  // Immediate read.
-  virtual bool Get(int core, uint64_t key, std::string* value) = 0;
+  // Batched immediate read: fills results[i] for keys[i]; keys with an
+  // in-flight write come back GetResult::kDeferred and must be retried
+  // after a drain. Returns the number of keys served (non-deferred).
+  // Requires n <= kMaxReadBatch.
+  virtual size_t MultiGet(int core, const uint64_t* keys, size_t n,
+                          ReadResult* results) = 0;
+
+  // Single-op forms: a one-op SubmitWriteBatch and a one-key MultiGet.
+  // The server calls only the batched entry points; these stay virtual so
+  // wrapping adapters can forward them.
+  virtual Submit SubmitPut(int core, uint64_t key, const void* value,
+                           uint32_t len, uint64_t tag) {
+    const WriteReq req{key, value, len, /*tombstone=*/false, tag};
+    Submit st;
+    SubmitWriteBatch(core, &req, 1, &st);
+    return st;
+  }
+  virtual Submit SubmitDelete(int core, uint64_t key, uint64_t tag) {
+    const WriteReq req{key, nullptr, 0, /*tombstone=*/true, tag};
+    Submit st;
+    SubmitWriteBatch(core, &req, 1, &st);
+    return st;
+  }
+  // False when the key is absent or deferred (a write is in flight).
+  virtual bool Get(int core, uint64_t key, std::string* value) {
+    ReadResult r;
+    r.value.swap(*value);
+    MultiGet(core, &key, 1, &r);
+    value->swap(r.value);
+    return r.status == GetResult::kFound;
+  }
+
+  // True while a write on `key` is still in flight on `core` (a read of
+  // it is deferred — the conflict queue). Default: engines that complete
+  // writes synchronously never have one in flight.
+  virtual bool KeyBusy(int core, uint64_t key) const {
+    (void)core;
+    (void)key;
+    return false;
+  }
 
   // Immediate range read: up to `count` live pairs with key >= start_key,
   // served on `core`. Returns false if the engine has no ordered access
@@ -74,65 +122,6 @@ class EngineAdapter {
     (void)count;
     (void)found;
     return false;
-  }
-
-  // True while a write on `key` is still in flight on `core` (a Get must
-  // wait — the conflict queue).
-  virtual bool KeyBusy(int core, uint64_t key) const {
-    (void)core;
-    (void)key;
-    return false;
-  }
-
-  // Batched immediate read: fills results[i] for keys[i]; keys with an
-  // in-flight write come back GetResult::kDeferred and must be retried
-  // after a drain. Returns the number of keys served (non-deferred).
-  // Default: per-key KeyBusy + Get — engines without a batched pipeline
-  // stay correct (and measurably serial). Requires n <= kMaxReadBatch.
-  virtual size_t MultiGet(int core, const uint64_t* keys, size_t n,
-                          ReadResult* results) {
-    size_t served = 0;
-    for (size_t i = 0; i < n; i++) {
-      results[i].value.clear();
-      if (KeyBusy(core, keys[i])) {
-        results[i].status = GetResult::kDeferred;
-        continue;
-      }
-      results[i].status = Get(core, keys[i], &results[i].value)
-                              ? GetResult::kFound
-                              : GetResult::kAbsent;
-      served++;
-    }
-    return served;
-  }
-
-  // One write of a batched submission (the tag plays the same role as in
-  // SubmitPut/SubmitDelete).
-  struct WriteReq {
-    uint64_t key;
-    const void* value;
-    uint32_t len;
-    bool tombstone;
-    uint64_t tag;
-  };
-
-  // Batched write admission: fills `out[i]` with each op's Submit status.
-  // Engines with a fused write pipeline override this to stage the whole
-  // batch as one group (one log reservation, one fence pair); the default
-  // degrades to per-op submission so every engine stays correct under the
-  // batched server loop. Requires n <= kMaxWriteBatch. Returns the number
-  // admitted as kPending.
-  virtual size_t SubmitWriteBatch(int core, const WriteReq* reqs, size_t n,
-                                  Submit* out) {
-    size_t pending = 0;
-    for (size_t i = 0; i < n; i++) {
-      out[i] = reqs[i].tombstone
-                   ? SubmitDelete(core, reqs[i].key, reqs[i].tag)
-                   : SubmitPut(core, reqs[i].key, reqs[i].value,
-                               reqs[i].len, reqs[i].tag);
-      if (out[i] == Submit::kPending) pending++;
-    }
-    return pending;
   }
 
   // Submits an atomic multi-op transaction (§5.3) on `core`. A kPending
@@ -178,14 +167,8 @@ class FlatStoreAdapter final : public EngineAdapter {
   const char* Name() const override {
     return IndexKindName(store_->options().index);
   }
-  Submit SubmitPut(int core, uint64_t key, const void* value, uint32_t len,
-                   uint64_t tag) override;
-  Submit SubmitDelete(int core, uint64_t key, uint64_t tag) override;
-  bool Get(int core, uint64_t key, std::string* value) override {
-    return store_->GetOnCore(core, key, value);
-  }
-  bool Scan(int core, uint64_t start_key, uint64_t count,
-            uint64_t* found) override;
+  size_t SubmitWriteBatch(int core, const WriteReq* reqs, size_t n,
+                          Submit* out) override;
   size_t MultiGet(int core, const uint64_t* keys, size_t n,
                   ReadResult* results) override {
     return store_->MultiGetOnCore(core, keys, n, results);
@@ -193,8 +176,8 @@ class FlatStoreAdapter final : public EngineAdapter {
   bool KeyBusy(int core, uint64_t key) const override {
     return store_->KeyBusy(core, key);
   }
-  size_t SubmitWriteBatch(int core, const WriteReq* reqs, size_t n,
-                          Submit* out) override;
+  bool Scan(int core, uint64_t start_key, uint64_t count,
+            uint64_t* found) override;
   Submit SubmitTxn(int core, const TxnOp* ops, size_t n,
                    uint64_t tag) override;
   size_t Pump(int core) override { return store_->Pump(core); }
@@ -205,9 +188,9 @@ class FlatStoreAdapter final : public EngineAdapter {
     FlatStore::OpHandle handle;
     uint64_t tag;
   };
-  // FIFO ring of in-flight tags per core. Population is bounded by the
-  // HB request pool (Stage backpressures before overflow), so a fixed
-  // ring replaces the old vector whose front-erase was O(n) per drain.
+  // FIFO ring of in-flight tags per core. Population is bounded like the
+  // engine's pending ring (BeginWriteBatch admits a batch only if all its
+  // ops fit), so a fixed ring replaces a vector with O(n) front-erase.
   struct TagRing {
     std::unique_ptr<PendingTag[]> slots{
         new PendingTag[batch::HbEngine::kPoolSlots]};
@@ -247,19 +230,31 @@ class BaselineAdapter final : public EngineAdapter {
     return store_->CoreForKey(key);
   }
   const char* Name() const override { return store_->Name(); }
-  Submit SubmitPut(int core, uint64_t key, const void* value, uint32_t len,
-                   uint64_t tag) override {
-    (void)tag;
-    store_->PutOnCore(core, key, value, len);
-    return Submit::kDoneNow;
+  // Per-op loops: a synchronous engine has no batched pipeline, so it
+  // stays correct (and measurably serial) under the batched server loop.
+  // Every write completes at once and no read is ever deferred.
+  size_t SubmitWriteBatch(int core, const WriteReq* reqs, size_t n,
+                          Submit* out) override {
+    for (size_t i = 0; i < n; i++) {
+      if (reqs[i].tombstone) {
+        out[i] = store_->DeleteOnCore(core, reqs[i].key) ? Submit::kDoneNow
+                                                         : Submit::kNotFound;
+      } else {
+        store_->PutOnCore(core, reqs[i].key, reqs[i].value, reqs[i].len);
+        out[i] = Submit::kDoneNow;
+      }
+    }
+    return 0;
   }
-  Submit SubmitDelete(int core, uint64_t key, uint64_t tag) override {
-    (void)tag;
-    return store_->DeleteOnCore(core, key) ? Submit::kDoneNow
-                                           : Submit::kNotFound;
-  }
-  bool Get(int core, uint64_t key, std::string* value) override {
-    return store_->GetOnCore(core, key, value);
+  size_t MultiGet(int core, const uint64_t* keys, size_t n,
+                  ReadResult* results) override {
+    for (size_t i = 0; i < n; i++) {
+      results[i].value.clear();
+      results[i].status = store_->GetOnCore(core, keys[i], &results[i].value)
+                              ? GetResult::kFound
+                              : GetResult::kAbsent;
+    }
+    return n;
   }
   size_t Pump(int) override { return 0; }
   size_t Drain(int, std::vector<Done>*) override { return 0; }
@@ -276,14 +271,16 @@ struct ServerConfig {
   uint64_t ops_per_conn = 10000;
   // Gets polled by a core in one quantum are served as a single MultiGet
   // batch of (up to) this size and their responses are posted as one
-  // doorbell chain; <= 1 selects the legacy per-request read path.
-  // Clamped to kMaxReadBatch.
+  // doorbell chain. <= 1 selects the paper's per-request schedule: each
+  // Get is served as a one-key MultiGet as it is polled. Clamped to
+  // kMaxReadBatch.
   int read_batch = 16;
   // Puts/Deletes polled by a core in one quantum are admitted as one
   // fused write batch of (up to) this size (EngineAdapter::
   // SubmitWriteBatch) and their responses are posted as one doorbell
-  // chain; <= 1 selects the legacy per-request write path. Clamped to
-  // kMaxWriteBatch.
+  // chain. <= 1 selects the paper's per-request schedule: each write is
+  // staged as a one-op batch as it is polled, so HB leaders can steal it
+  // while the core keeps polling. Clamped to kMaxWriteBatch.
   int write_batch = 16;
   // When > 0, every txn_every-th write a connection issues goes out as a
   // kTxn request instead: an atomic batch of txn_size puts on same-core
@@ -353,9 +350,9 @@ struct ClusterResult {
 ClusterResult RunCluster(const std::vector<EngineAdapter*>& shards,
                          const ClusterConfig& config);
 
-// Convenience: bulk-load `keys` sequential keys through the engine's
-// synchronous path before a measured run (the paper preloads the key
-// range). Values use the workload's sizing rule.
+// Convenience: bulk-load `keys` sequential keys, one write at a time and
+// each completed before the next, before a measured run (the paper
+// preloads the key range). Values use the workload's sizing rule.
 void Preload(EngineAdapter* engine, const workload::Config& workload,
              uint64_t keys);
 

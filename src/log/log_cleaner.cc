@@ -67,13 +67,6 @@ size_t LogCleaner::jobs_in_flight() const {
 size_t LogCleaner::RunOnce() {
   LockGuard<SpinLock> g(run_lock_);
   const int pressure = alloc_->MemoryPressure();
-  if (jobs_.empty() && pressure == 0 &&
-      options_.free_chunk_watermark != 0 &&
-      alloc_->free_chunks() >= options_.free_chunk_watermark) {
-    // Nothing to clean yet. Still reclaim what earlier passes deferred —
-    // readers may have advanced since.
-    return hooks_.epochs->ReclaimDeferred();
-  }
 
   // Backpressure: the byte budget grows with allocator pressure — boost
   // below the watermark, unbounded when the pool is nearly dry (level 2:

@@ -106,10 +106,6 @@ class LogCleaner {
     // are never worth relocating.
     double live_ratio = 0.6;
     size_t max_victims = 4;    // in-flight cleaning jobs per core
-    // Only start new cleaning work while the allocator has fewer free
-    // chunks than this (0 = always clean when victims exist). In-flight
-    // jobs always run to completion.
-    uint64_t free_chunk_watermark = 0;
     // Per-RunOnce byte budget over scanned + relocated bytes (0 =
     // unbounded, the synchronous-test default). Under allocator pressure
     // level 1 the budget is multiplied by `pressure_boost`; at level 2 it

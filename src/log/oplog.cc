@@ -423,7 +423,7 @@ void OpLog::UnclaimChunk(uint64_t chunk_off) {
 }
 
 std::vector<OpLog::TierCandidate> OpLog::PickTierCandidates(
-    uint64_t min_age, double min_live_ratio, size_t max) {
+    double min_live_ratio, size_t max) {
   struct Candidate {
     bool cold;
     uint32_t seq;
@@ -436,8 +436,6 @@ std::vector<OpLog::TierCandidate> OpLog::PickTierCandidates(
     active_cleaner[t] = cleaner_chunk_[t].load(std::memory_order_acquire);
   }
   const uint64_t tail = tail_.load(std::memory_order_acquire);
-  // relaxed: logical clock snapshot, same contract as PickVictims.
-  const uint64_t now = write_clock_.load(std::memory_order_relaxed);
   {
     LockGuard<SpinLock> g(usage_lock_);
     for (const auto& [off, u] : usage_) {
@@ -452,9 +450,6 @@ std::vector<OpLog::TierCandidate> OpLog::PickTierCandidates(
       if (u.total == 0 || u.live == 0) continue;
       const double ratio = static_cast<double>(u.live) / u.total;
       if (ratio < min_live_ratio) continue;
-      const uint64_t age =
-          now > u.last_write_clock ? now - u.last_write_clock : 0;
-      if (age < min_age) continue;
       Candidate c;
       c.cold = u.cleaner && u.temp == Temp::kCold;
       c.seq = u.seq;

@@ -225,15 +225,13 @@ class OpLog {
     uint64_t registry_slot = 0;
   };
 
-  // Chooses sealed chunks ready for tier conversion: at least `min_age`
-  // write-clock ticks idle, live-entry ratio at or above
-  // `min_live_ratio` (mostly-dead chunks are better freed by the
-  // cleaner than leaked into the tier), never the serving/tail/cleaner
-  // chunks. Cold cleaner chunks come first (the PR 5 cold lane drains
-  // into the tier), then oldest sequence. Every returned chunk is
-  // claimed; the caller must DetachForTier or UnclaimChunk it.
-  std::vector<TierCandidate> PickTierCandidates(uint64_t min_age,
-                                                double min_live_ratio,
+  // Chooses up to `max` sealed chunks ready for tier conversion:
+  // live-entry ratio at or above `min_live_ratio` (mostly-dead chunks are
+  // better freed by the cleaner than leaked into the tier), never the
+  // serving/tail/cleaner chunks. Cold cleaner chunks come first (the cold
+  // lane drains into the tier), then oldest sequence. Every returned
+  // chunk is claimed; the caller must DetachForTier or UnclaimChunk it.
+  std::vector<TierCandidate> PickTierCandidates(double min_live_ratio,
                                                 size_t max);
 
   // Forgets a chunk converted into the tier: erased from the usage map

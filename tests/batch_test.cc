@@ -15,6 +15,13 @@ namespace flatstore {
 namespace batch {
 namespace {
 
+// Stages one encoded entry as a group of one.
+bool StageOne(HbEngine& eng, int core, const std::vector<uint8_t>& e,
+              uint64_t* handle) {
+  const log::OpLog::EntryRef ref{e.data(), static_cast<uint32_t>(e.size())};
+  return eng.StageBatch(core, &ref, 1, handle);
+}
+
 class HbEngineTest : public ::testing::Test {
  protected:
   static constexpr int kCores = 4;
@@ -56,7 +63,7 @@ TEST_F(HbEngineTest, StageAndWaitRoundTrip) {
   auto eng = MakeEngine(BatchMode::kPipelinedHB);
   auto e = Entry(42);
   uint64_t h;
-  ASSERT_TRUE(eng->Stage(0, e.data(), e.size(), &h));
+  ASSERT_TRUE(StageOne(*eng, 0, e, &h));
   auto [off, done] = eng->Wait(0, h);
   EXPECT_NE(off, 0u);
   // The entry is really in core 0's log.
@@ -75,7 +82,7 @@ TEST_F(HbEngineTest, LeaderStealsFollowerEntries) {
   std::vector<uint64_t> handles(kCores);
   for (int c = 1; c < kCores; c++) {
     auto e = Entry(100 + static_cast<uint64_t>(c));
-    ASSERT_TRUE(eng->Stage(c, e.data(), e.size(), &handles[c]));
+    ASSERT_TRUE(StageOne(*eng, c, e, &handles[c]));
   }
   EXPECT_EQ(eng->TryPersist(0), 0u);  // core 0 has nothing staged: defers
   EXPECT_EQ(eng->TryPersist(1), 3u);  // designated pending core leads
@@ -91,8 +98,8 @@ TEST_F(HbEngineTest, VerticalBatchingOnlySelf) {
   auto eng = MakeEngine(BatchMode::kVertical);
   uint64_t h1, h3;
   auto e = Entry(7);
-  ASSERT_TRUE(eng->Stage(1, e.data(), e.size(), &h1));
-  ASSERT_TRUE(eng->Stage(3, e.data(), e.size(), &h3));
+  ASSERT_TRUE(StageOne(*eng, 1, e, &h1));
+  ASSERT_TRUE(StageOne(*eng, 3, e, &h3));
   EXPECT_EQ(eng->TryPersist(1), 1u);  // only its own
   uint64_t off, t;
   EXPECT_TRUE(eng->IsDone(1, h1, &off, &t));
@@ -105,8 +112,8 @@ TEST_F(HbEngineTest, GroupingLimitsStealScope) {
   // Cores {0,1} and {2,3} form separate groups.
   uint64_t h1, h2;
   auto e = Entry(7);
-  ASSERT_TRUE(eng->Stage(1, e.data(), e.size(), &h1));
-  ASSERT_TRUE(eng->Stage(2, e.data(), e.size(), &h2));
+  ASSERT_TRUE(StageOne(*eng, 1, e, &h1));
+  ASSERT_TRUE(StageOne(*eng, 2, e, &h2));
   EXPECT_EQ(eng->TryPersist(1), 1u);  // persists core 1's group only
   uint64_t off, t;
   EXPECT_TRUE(eng->IsDone(1, h1, &off, &t));
@@ -119,7 +126,7 @@ TEST_F(HbEngineTest, BatchingAmortizesLineFlushes) {
   auto e = Entry(1);
   for (int c = 0; c < kCores; c++) {
     uint64_t h;
-    ASSERT_TRUE(eng->Stage(c, e.data(), e.size(), &h));
+    ASSERT_TRUE(StageOne(*eng, c, e, &h));
     uint8_t dummy[log::kPtrEntrySize];
     log::EncodePutPtr(dummy, 1, 1, 0x100u * 256);
     log::OpLog::EntryRef ref{dummy, log::kPtrEntrySize};
@@ -134,7 +141,7 @@ TEST_F(HbEngineTest, BatchingAmortizesLineFlushes) {
   for (int c = 0; c < kCores; c++) {
     for (int i = 0; i < 4; i++) {  // 16 entries total
       uint64_t hh;
-      ASSERT_TRUE(eng->Stage(c, e.data(), e.size(), &hh));
+      ASSERT_TRUE(StageOne(*eng, c, e, &hh));
       handles.push_back(hh);
     }
   }
@@ -171,7 +178,7 @@ TEST_F(HbEngineTest, PipelinedReleasesLockBeforePersistInSimTime) {
     vt::ScopedClock bind(&clock);
     auto e = Entry(9);
     uint64_t h;
-    EXPECT_TRUE(eng.Stage(0, e.data(), e.size(), &h));
+    EXPECT_TRUE(StageOne(eng, 0, e, &h));
     eng.TryPersist(0);
     return clock.now();
   };
@@ -186,14 +193,14 @@ TEST_F(HbEngineTest, PoolFullReportsBackpressure) {
   auto e = Entry(5);
   uint64_t h;
   size_t staged = 0;
-  while (eng->Stage(0, e.data(), e.size(), &h)) staged++;
+  while (StageOne(*eng, 0, e, &h)) staged++;
   EXPECT_EQ(staged, HbEngine::kPoolSlots);
   // Draining makes room again.
   EXPECT_GT(eng->TryPersist(0), 0u);
   uint64_t off, t;
   ASSERT_TRUE(eng->IsDone(0, 0, &off, &t));
   eng->Release(0, 0);
-  EXPECT_TRUE(eng->Stage(0, e.data(), e.size(), &h));
+  EXPECT_TRUE(StageOne(*eng, 0, e, &h));
 }
 
 TEST_F(HbEngineTest, ConcurrentCoresAllComplete) {
@@ -215,7 +222,7 @@ TEST_F(HbEngineTest, ConcurrentCoresAllComplete) {
         while (staged < kOpsPerCore && outstanding.size() < 64) {
           auto e = Entry(next_key++);
           uint64_t h;
-          if (!eng->Stage(c, e.data(), e.size(), &h)) break;
+          if (!StageOne(*eng, c, e, &h)) break;
           outstanding.push_back(h);
           staged++;
         }

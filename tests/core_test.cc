@@ -13,10 +13,15 @@
 
 #include "core/baseline.h"
 #include "core/flatstore.h"
+#include "one_op.h"
 
 namespace flatstore {
 namespace core {
 namespace {
+
+using one_op::ReadOne;
+using one_op::StageDelete;
+using one_op::StagePut;
 
 std::string ValueFor(uint64_t key, size_t len) {
   std::string v(len, char('a' + key % 26));
@@ -132,26 +137,26 @@ TEST_P(FlatStoreTest, OverwritesFreeOldLargeBlocks) {
 TEST_P(FlatStoreTest, ConflictQueueOrdersSameKeyWrites) {
   const uint64_t key = 42;
   const int core = store_->CoreForKey(key);
-  FlatStore::OpHandle h1, h2, h3;
-  // Same-key writes pipeline (versions chain); Gets must observe KeyBusy
+  // Same-key writes pipeline (versions chain); reads must be deferred
   // until the chain drains — that is the paper's reordering protection.
-  ASSERT_EQ(store_->BeginPut(core, key, "aa", 2, &h1), OpStatus::kOk);
-  ASSERT_EQ(store_->BeginPut(core, key, "bb", 2, &h2), OpStatus::kOk);
-  ASSERT_EQ(store_->BeginPut(core, key, "cc", 2, &h3), OpStatus::kOk);
+  ASSERT_EQ(StagePut(store_.get(), core, key, "aa"), OpStatus::kOk);
+  ASSERT_EQ(StagePut(store_.get(), core, key, "bb"), OpStatus::kOk);
+  ASSERT_EQ(StagePut(store_.get(), core, key, "cc"), OpStatus::kOk);
   EXPECT_TRUE(store_->KeyBusy(core, key));
+  std::string v;
+  EXPECT_EQ(ReadOne(store_.get(), core, key, &v), GetResult::kDeferred);
   store_->Pump(core);
   EXPECT_EQ(store_->Drain(core, SIZE_MAX, nullptr), 3u);
   EXPECT_FALSE(store_->KeyBusy(core, key));
   // FIFO drains applied the chain in order: the last write wins.
-  std::string v;
-  ASSERT_TRUE(store_->GetOnCore(core, key, &v));
+  ASSERT_EQ(ReadOne(store_.get(), core, key, &v), GetResult::kFound);
   EXPECT_EQ(v, "cc");
   // Delete chained behind a put, then re-put: still coherent.
-  ASSERT_EQ(store_->BeginPut(core, key, "dd", 2, &h1), OpStatus::kOk);
-  ASSERT_EQ(store_->BeginDelete(core, key, &h2), OpStatus::kOk);
+  ASSERT_EQ(StagePut(store_.get(), core, key, "dd"), OpStatus::kOk);
+  ASSERT_EQ(StageDelete(store_.get(), core, key), OpStatus::kOk);
   store_->Pump(core);
   store_->Drain(core, SIZE_MAX, nullptr);
-  EXPECT_FALSE(store_->GetOnCore(core, key, &v));
+  EXPECT_EQ(ReadOne(store_.get(), core, key, &v), GetResult::kAbsent);
 }
 
 TEST_P(FlatStoreTest, AsyncProtocolMultiThreaded) {
@@ -170,11 +175,10 @@ TEST_P(FlatStoreTest, AsyncProtocolMultiThreaded) {
           do {
             key = key_cursor++;
           } while (store_->CoreForKey(key) != c);
-          std::string v = ValueFor(key, 16);
-          FlatStore::OpHandle h;
-          OpStatus st = store_->BeginPut(c, key, v.data(),
-                                         static_cast<uint32_t>(v.size()), &h);
-          if (st != OpStatus::kOk) break;
+          if (StagePut(store_.get(), c, key, ValueFor(key, 16)) !=
+              OpStatus::kOk) {
+            break;
+          }
           issued++;
         }
         store_->Pump(c);
@@ -249,10 +253,7 @@ TEST(FlatStoreFlushes, HorizontalBatchCostsNPlus2ForLargeValues) {
   for (int c = 0; c < 4; c++) {
     for (int i = 0; i < 4; i++) {
       while (store->CoreForKey(key) != c) key++;
-      FlatStore::OpHandle h;
-      ASSERT_EQ(store->BeginPut(c, key, val.data(),
-                                static_cast<uint32_t>(val.size()), &h),
-                OpStatus::kOk);
+      ASSERT_EQ(StagePut(store.get(), c, key, val), OpStatus::kOk);
       key++;
     }
   }

@@ -12,6 +12,7 @@
 
 #include "common/epoch.h"
 #include "core/flatstore.h"
+#include "one_op.h"
 #include "pm/pm_pool.h"
 
 namespace flatstore {
@@ -256,24 +257,21 @@ TEST(EpochReclamation, ServingThreadsRaceBackgroundCleaners) {
         const uint64_t k = mine[i];
         const std::string v =
             ValueFor(k, static_cast<uint64_t>(round), kValueLen);
-        FlatStore::OpHandle h;
-        while (store->BeginPut(core, k, v.data(),
-                               static_cast<uint32_t>(v.size()),
-                               &h) != OpStatus::kOk) {
+        while (one_op::StagePut(store.get(), core, k, v) != OpStatus::kOk) {
           store->Pump(core);
           store->Drain(core, SIZE_MAX, nullptr);
         }
         if ((i & 7) == 0) {
-          // Read a key with no write in flight: any committed round's
-          // value carries the key in its first 8 bytes and kValueLen size.
+          // Read a key; one with a write in flight is deferred. Any
+          // committed round's value carries the key in its first 8 bytes
+          // and kValueLen size.
           const uint64_t rk = mine[(i * 31 + 7) % mine.size()];
-          if (!store->KeyBusy(core, rk)) {
-            std::string rv;
-            if (!store->GetOnCore(core, rk, &rv) ||
-                rv.size() != kValueLen ||
-                std::memcmp(rv.data(), &rk, 8) != 0) {
-              read_errors.fetch_add(1, std::memory_order_relaxed);
-            }
+          std::string rv;
+          const GetResult r = one_op::ReadOne(store.get(), core, rk, &rv);
+          if (r != GetResult::kDeferred &&
+              (r != GetResult::kFound || rv.size() != kValueLen ||
+               std::memcmp(rv.data(), &rk, 8) != 0)) {
+            read_errors.fetch_add(1, std::memory_order_relaxed);
           }
         }
       }

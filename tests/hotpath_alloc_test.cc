@@ -1,6 +1,6 @@
 // Steady-state allocation test for the serving hot paths.
 //
-// The asynchronous protocol (BeginPut -> Pump -> Drain -> GetOnCore) must
+// The asynchronous protocol (BeginWriteBatch -> Pump -> Drain -> Get) must
 // not touch the heap once warm: the HB engine batches through fixed
 // per-core scratch arrays, the pending-op queue is a fixed ring, and the
 // in-flight key table is a pre-sized open-addressed table. This binary
@@ -70,15 +70,17 @@ TEST(HotPathAlloc, PutGetDrainCycleIsAllocationFree) {
 
   auto cycle = [&] {
     for (uint64_t k = 0; k < kKeys; k++) {
+      const WriteOp op{k, value, kValueLen};
       FlatStore::OpHandle h;
-      ASSERT_EQ(store->BeginPut(0, k, value, kValueLen, &h), OpStatus::kOk);
+      OpStatus st;
+      ASSERT_EQ(store->BeginWriteBatch(0, &op, 1, &h, &st), 1u);
     }
     store->Pump(0);
     done.clear();
     store->Drain(0, SIZE_MAX, &done);
     ASSERT_EQ(done.size(), kKeys);
     for (uint64_t k = 0; k < kKeys; k++) {
-      ASSERT_TRUE(store->GetOnCore(0, k, &read_value));
+      ASSERT_TRUE(store->Get(k, &read_value));
       ASSERT_EQ(read_value.size(), kValueLen);
     }
   };

@@ -4,14 +4,15 @@
 //    every index, including absent keys, a default (invalid) hint —
 //    which takes the base-class fallback — and a hint made stale by
 //    splits/resizes between the two phases.
-//  * Engine: MultiGetOnCore must match GetOnCore key-for-key across all
-//    three index kinds (mixed inline/out-of-log values, absent keys,
+//  * Engine: a MultiGetOnCore batch must match one-key reads key-for-key
+//    across all three index kinds (mixed inline/out-of-log values, absent keys,
 //    tombstones, repeated keys), defer keys with in-flight writes in every
 //    copy, and serve them after the drain with the post-drain value
 //    (linearizability). Repeated keys are coalesced: a batch of copies of
-//    one key costs one lookup plus a dedup probe and a copy per repeat.
+//    one key costs one lookup plus a dedup probe per copy and a copy per
+//    repeat (a one-key read pays no dedup probe).
 //  * Server: the batched read path must complete the identical workload
-//    as the legacy per-request path (read_batch=1).
+//    as the per-request schedule (read_batch=1).
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 #include "index/kv_index.h"
 #include "index/level_hashing.h"
 #include "index/masstree.h"
+#include "one_op.h"
 #include "pm/pm_device.h"
 #include "vt/clock.h"
 #include "vt/costs.h"
@@ -177,7 +179,8 @@ TEST_P(MultiGetTest, MatchesSingleGetsWithAbsentAndTombstones) {
     EXPECT_EQ(served, keys.size()) << "nothing in flight: no deferrals";
     for (size_t i = 0; i < keys.size(); i++) {
       std::string single;
-      const bool found = s.store->GetOnCore(core, keys[i], &single);
+      const bool found = one_op::ReadOne(s.store.get(), core, keys[i],
+                                         &single) == GetResult::kFound;
       if (found) {
         ASSERT_EQ(results[i].status, GetResult::kFound) << "key " << keys[i];
         EXPECT_EQ(results[i].value, single) << "key " << keys[i];
@@ -195,8 +198,8 @@ TEST_P(MultiGetTest, InFlightWritesDeferThenServePostDrainValue) {
   s.store->Put(3, "three");
 
   // Stage (l-persist) a write on key 1 without draining it.
-  FlatStore::OpHandle h;
-  ASSERT_EQ(s.store->BeginPut(0, 1, "new-one", 7, &h), core::OpStatus::kOk);
+  ASSERT_EQ(one_op::StagePut(s.store.get(), 0, 1, "new-one"),
+            core::OpStatus::kOk);
   ASSERT_TRUE(s.store->KeyBusy(0, 1));
 
   uint64_t keys[3] = {1, 2, 3};
@@ -232,6 +235,22 @@ TEST_P(MultiGetTest, ReusedResultsArrayDoesNotLeakStatuses) {
   EXPECT_TRUE(results[1].value.empty());
 }
 
+// A one-key read of a key with a write in flight dereferences nothing, so
+// it takes no pin and costs no simulated time, like a bare conflict check.
+TEST_P(MultiGetTest, DeferredOneKeyReadCostsNothing) {
+  Store s(GetParam(), /*cores=*/1);
+  s.store->Put(1, "old-one");
+  ASSERT_EQ(one_op::StagePut(s.store.get(), 0, 1, "new-one"),
+            core::OpStatus::kOk);
+  vt::Clock clock;
+  vt::ScopedClock bind(&clock);
+  const uint64_t key = 1;
+  ReadResult result;
+  EXPECT_EQ(s.store->MultiGetOnCore(0, &key, 1, &result), 0u);
+  EXPECT_EQ(result.status, GetResult::kDeferred);
+  EXPECT_EQ(clock.now(), 0u);
+}
+
 // Every copy of a repeated key gets the same answer a per-key Get gives:
 // inline and out-of-log values, tombstones and never-written keys alike.
 TEST_P(MultiGetTest, RepeatedKeysMatchSingleGets) {
@@ -250,7 +269,8 @@ TEST_P(MultiGetTest, RepeatedKeysMatchSingleGets) {
   EXPECT_EQ(s.store->MultiGetOnCore(0, keys, kN, results), kN);
   for (size_t i = 0; i < kN; i++) {
     std::string single;
-    if (s.store->GetOnCore(0, keys[i], &single)) {
+    if (one_op::ReadOne(s.store.get(), 0, keys[i], &single) ==
+        GetResult::kFound) {
       ASSERT_EQ(results[i].status, GetResult::kFound) << "position " << i;
       EXPECT_EQ(results[i].value, single) << "position " << i;
     } else {
@@ -266,8 +286,8 @@ TEST_P(MultiGetTest, InFlightWriteDefersEveryCopy) {
   Store s(GetParam(), /*cores=*/1);
   s.store->Put(1, "old-one");
   s.store->Put(2, "two");
-  FlatStore::OpHandle h;
-  ASSERT_EQ(s.store->BeginPut(0, 1, "new-one", 7, &h), core::OpStatus::kOk);
+  ASSERT_EQ(one_op::StagePut(s.store.get(), 0, 1, "new-one"),
+            core::OpStatus::kOk);
 
   const uint64_t keys[] = {1, 2, 1, 3, 2, 1};
   ReadResult results[6];
@@ -291,9 +311,10 @@ TEST_P(MultiGetTest, InFlightWriteDefersEveryCopy) {
 }
 
 // Coalescing on the vt clock: 16 copies of one key cost at most one
-// 1-key batch plus, per repeat, the dedup probe and the value copy — no
-// extra index probe, prefetch or PM read. Each batch starts long after the
-// previous one so the PM device is idle for both.
+// 1-key batch (which has nothing to deduplicate) plus a dedup probe per
+// copy and a value copy per repeat — no extra index probe, prefetch or PM
+// read. Each batch starts long after the previous one so the PM device is
+// idle for both.
 TEST_P(MultiGetTest, RepeatsCostADedupProbeAndACopy) {
   pm::PmDevice device;
   Store s(GetParam(), /*cores=*/1, &device);
@@ -314,16 +335,15 @@ TEST_P(MultiGetTest, RepeatsCostADedupProbeAndACopy) {
     };
     const uint64_t one = batch_ns(1);
     const uint64_t sixteen = batch_ns(16);
-    const uint64_t per_repeat = vt::kCpuHash + vt::kCpuSlotProbe +
-                                vt::CostMemcpy(value.size());
-    EXPECT_LE(sixteen, one + 15 * per_repeat)
+    const uint64_t dedup = vt::kCpuHash + vt::kCpuSlotProbe;
+    EXPECT_LE(sixteen, one + 16 * dedup + 15 * vt::CostMemcpy(value.size()))
         << value.size() << " B value: 1 copy " << one << " ns";
   }
 }
 
 // Only keys that probe overlap their misses: a batch of one probing key
 // and 15 deferred ones charges that probe like a 1-key batch does, plus a
-// dedup probe per deferred key.
+// dedup probe per key (a 1-key batch has nothing to deduplicate).
 TEST_P(MultiGetTest, DeferredKeysDoNotWidenTheOverlap) {
   pm::PmDevice device;
   Store s(GetParam(), /*cores=*/1, &device);
@@ -331,8 +351,8 @@ TEST_P(MultiGetTest, DeferredKeysDoNotWidenTheOverlap) {
   vt::ScopedClock bind(&clock);
   for (uint64_t k = 0; k < 16; k++) s.store->Put(k, ValueFor(k));
   for (uint64_t k = 1; k < 16; k++) {
-    FlatStore::OpHandle h;
-    ASSERT_EQ(s.store->BeginPut(0, k, "busy", 4, &h), core::OpStatus::kOk);
+    ASSERT_EQ(one_op::StagePut(s.store.get(), 0, k, "busy"),
+              core::OpStatus::kOk);
   }
   auto batch_ns = [&](size_t n) {
     uint64_t keys[16];
@@ -345,7 +365,7 @@ TEST_P(MultiGetTest, DeferredKeysDoNotWidenTheOverlap) {
     return clock.now() - start;
   };
   const uint64_t one = batch_ns(1);
-  EXPECT_EQ(batch_ns(16), one + 15 * (vt::kCpuHash + vt::kCpuSlotProbe));
+  EXPECT_EQ(batch_ns(16), one + 16 * (vt::kCpuHash + vt::kCpuSlotProbe));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -361,9 +381,9 @@ INSTANTIATE_TEST_SUITE_P(
       return "Unknown";
     });
 
-// ---- server-level: batched vs legacy read path -----------------------------
+// ---- server-level: read batch 1 vs 16 --------------------------------------
 
-TEST(MultiGetServer, BatchedPathCompletesSameWorkloadAsLegacy) {
+TEST(MultiGetServer, ReadBatch1And16CompleteSameWorkload) {
   core::ServerResult results[2];
   for (int i = 0; i < 2; i++) {
     pm::PmPool::Options o;

@@ -12,11 +12,12 @@
 //    of one Put stage one entry and one value block, and batches of one
 //    hot key backpressure at the pending ring's capacity.
 //  * Server: the fused write path (write_batch=16, doorbell-chained
-//    responses) must complete the identical workload as the legacy
-//    per-request path (write_batch=1).
+//    responses) must complete the identical workload as the per-request
+//    schedule (write_batch=1), which stages one-op groups.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "index/kv_index.h"
 #include "index/level_hashing.h"
 #include "index/masstree.h"
+#include "one_op.h"
 #include "pm/pm_device.h"
 #include "vt/clock.h"
 #include "vt/costs.h"
@@ -421,8 +423,9 @@ TEST_P(MultiPutTest, DuplicateHeavyBatchesMatchSingles) {
 
 // Absorption on the vt clock and in PM: 16 copies of one out-of-log Put
 // stage ONE fused log entry and allocate ONE value block, and cost at
-// most a 1-op batch plus the dedup probe per repeat. Each batch starts
-// long after the previous one so the PM device is idle for both.
+// most a 1-op batch (which has nothing to deduplicate) plus the dedup
+// probe per copy. Each batch starts long after the previous one so the
+// PM device is idle for both.
 TEST_P(MultiPutTest, AbsorbedCopiesStageOneEntryAndOneBlock) {
   pm::PmDevice device;
   Store s(GetParam(), /*cores=*/1, &device);
@@ -461,7 +464,7 @@ TEST_P(MultiPutTest, AbsorbedCopiesStageOneEntryAndOneBlock) {
   EXPECT_GT(one.block_bytes, 0u);
   EXPECT_EQ(sixteen.block_bytes, one.block_bytes)
       << "absorbed copies allocate no value block";
-  EXPECT_LE(sixteen.ns, one.ns + 15 * vt::kCpuSlotProbe)
+  EXPECT_LE(sixteen.ns, one.ns + 16 * vt::kCpuSlotProbe)
       << "1 copy " << one.ns << " ns";
   std::string got;
   ASSERT_TRUE(s.store->Get(3, &got));
@@ -487,8 +490,7 @@ TEST_P(MultiPutTest, CommitRecordsDoNotWidenTheDrainOverlap) {
       op.len = static_cast<uint32_t>(value.size());
       EXPECT_EQ(s.store->BeginTxn(0, &op, 1, &h), core::TxnStatus::kCommitted);
     } else {
-      EXPECT_EQ(s.store->BeginPut(0, 7, value.data(),
-                                  static_cast<uint32_t>(value.size()), &h),
+      EXPECT_EQ(one_op::StagePut(s.store.get(), 0, 7, value, &h),
                 OpStatus::kOk);
     }
     s.store->Pump(0);
@@ -555,9 +557,39 @@ INSTANTIATE_TEST_SUITE_P(
       return "Unknown";
     });
 
-// ---- server-level: fused write path vs legacy ------------------------------
+// A write to a key that already has one in flight chains its version off
+// the in-flight table and never probes the index, so a one-op Put of such
+// a key costs the same on a FlatStore-M holding one key as on one holding
+// 10^5 keys (a much deeper tree).
+TEST(MultiPutCost, InFlightKeySkipsTheIndexProbe) {
+  auto put_ns = [](uint64_t keys) {
+    Store s(core::IndexKind::kMasstree);
+    const std::string value(48, 'p');
+    WriteOp ops[core::kMaxWriteBatch];
+    OpStatus statuses[core::kMaxWriteBatch];
+    for (uint64_t k = 0; k < keys; k += core::kMaxWriteBatch) {
+      const size_t n =
+          static_cast<size_t>(std::min<uint64_t>(core::kMaxWriteBatch,
+                                                 keys - k));
+      for (size_t i = 0; i < n; i++) {
+        ops[i] = {k + i, value.data(), static_cast<uint32_t>(value.size())};
+      }
+      EXPECT_EQ(s.store->MultiPutOnCore(0, ops, n, statuses), n);
+    }
+    vt::Clock clock;
+    vt::ScopedClock bind(&clock);
+    // Key 0 gets a write in flight; the measured Put chains behind it.
+    EXPECT_EQ(one_op::StagePut(s.store.get(), 0, 0, value), OpStatus::kOk);
+    const uint64_t start = clock.now();
+    EXPECT_EQ(one_op::StagePut(s.store.get(), 0, 0, value), OpStatus::kOk);
+    return clock.now() - start;
+  };
+  EXPECT_EQ(put_ns(1), put_ns(100000));
+}
 
-TEST(MultiPutServer, BatchedPathCompletesSameWorkloadAsLegacy) {
+// ---- server-level: write batch 1 vs 16 -------------------------------------
+
+TEST(MultiPutServer, WriteBatch1And16CompleteSameWorkload) {
   core::ServerResult results[2];
   for (int i = 0; i < 2; i++) {
     pm::PmPool::Options o;
@@ -580,9 +612,14 @@ TEST(MultiPutServer, BatchedPathCompletesSameWorkloadAsLegacy) {
     cfg.workload.delete_ratio = 0.05;
     core::Preload(&adapter, cfg.workload, cfg.workload.key_space);
     results[i] = core::RunServer(&adapter, cfg);
-    if (i == 1) {
+    if (i == 0) {
+      EXPECT_EQ(store->hb()->fused_entries(), store->hb()->fused_groups())
+          << "the per-request schedule stages one-op groups";
+    } else {
       EXPECT_GT(store->hb()->fused_groups(), 0u)
           << "batched run must actually take the fused path";
+      EXPECT_GT(store->hb()->fused_entries(), store->hb()->fused_groups())
+          << "batched run must stage multi-op groups";
     }
   }
   EXPECT_EQ(results[0].ops, results[1].ops);

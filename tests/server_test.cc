@@ -191,6 +191,8 @@ TEST(Server, DeterministicAcrossRuns) {
 
 // Forwards every call to a FlatStoreAdapter and logs, in call order, the
 // serving core's vt instant at the calls the per-quantum tests inspect.
+// Calls of the single-op forms (SubmitPut, SubmitDelete, Get, KeyBusy)
+// are only counted: the serving loop must never make them.
 class RecordingAdapter final : public EngineAdapter {
  public:
   enum class Call { kMultiGet, kScan, kWriteBatch, kPump };
@@ -210,15 +212,19 @@ class RecordingAdapter final : public EngineAdapter {
   const char* Name() const override { return inner_->Name(); }
   Submit SubmitPut(int core, uint64_t key, const void* value, uint32_t len,
                    uint64_t tag) override {
+    single_op_calls++;
     return inner_->SubmitPut(core, key, value, len, tag);
   }
   Submit SubmitDelete(int core, uint64_t key, uint64_t tag) override {
+    single_op_calls++;
     return inner_->SubmitDelete(core, key, tag);
   }
   bool Get(int core, uint64_t key, std::string* value) override {
+    single_op_calls++;
     return inner_->Get(core, key, value);
   }
   bool KeyBusy(int core, uint64_t key) const override {
+    single_op_calls++;
     return inner_->KeyBusy(core, key);
   }
   bool Scan(int core, uint64_t start_key, uint64_t count,
@@ -247,10 +253,49 @@ class RecordingAdapter final : public EngineAdapter {
   }
 
   std::vector<Event> events;
+  mutable uint64_t single_op_calls = 0;
 
  private:
   FlatStoreAdapter* inner_;
 };
+
+// The serving loop and Preload call only the batched entry points, at
+// every batch size. At batch 1 (the per-request schedule) each write goes
+// out as a one-op SubmitWriteBatch and each Get as a one-key MultiGet; a
+// Get of a key with a write in flight comes back deferred and is retried.
+TEST(Server, CallsOnlyBatchedEntryPoints) {
+  for (int batch : {1, 16}) {
+    Harness h(IndexKind::kHash, /*cores=*/2);
+    RecordingAdapter rec(h.adapter.get());
+    ServerConfig cfg;
+    cfg.num_conns = 4;
+    cfg.ops_per_conn = 500;
+    cfg.read_batch = batch;
+    cfg.write_batch = batch;
+    cfg.workload.key_space = 256;
+    cfg.workload.value_len = 64;
+    cfg.workload.get_ratio = 0.5;
+    cfg.workload.delete_ratio = 0.05;
+    cfg.workload.dist = workload::KeyDist::kZipfian;
+    Preload(&rec, cfg.workload, cfg.workload.key_space);
+    ASSERT_EQ(RunServer(&rec, cfg).ops, 2000u) << "batch " << batch;
+    EXPECT_EQ(rec.single_op_calls, 0u) << "batch " << batch;
+    size_t write_batches = 0, deferred_reads = 0;
+    for (const auto& e : rec.events) {
+      if (e.call == RecordingAdapter::Call::kWriteBatch) {
+        write_batches++;
+        if (batch == 1) EXPECT_EQ(e.count, 1u);
+      } else if (e.call == RecordingAdapter::Call::kMultiGet &&
+                 e.count == 0) {
+        deferred_reads++;
+      }
+    }
+    EXPECT_GT(write_batches, cfg.workload.key_space) << "batch " << batch;
+    if (batch == 1) {
+      EXPECT_GT(deferred_reads, 0u) << "no Get met a write in flight";
+    }
+  }
+}
 
 // A quantum's read-batch responses ride one doorbell chain: the head pays
 // the agent core's MMIO (core 0) or the delegation handoff (other cores),

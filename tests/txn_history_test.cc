@@ -310,7 +310,7 @@ std::vector<HistoryOp> RunConcurrentHistory(uint64_t seed, int ops_per_thread) {
             op.kind = HistoryOp::kRead;
             op.key = key;
             std::string got;
-            if (store->GetOnCore(core, key, &got)) {
+            if (store->Get(key, &got)) {
               op.observed = got;
             }
             last_seen[key] = op.observed;

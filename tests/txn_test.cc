@@ -10,6 +10,7 @@
 #include "core/flatstore.h"
 #include "core/server.h"
 #include "core/txn_wire.h"
+#include "one_op.h"
 
 namespace flatstore {
 namespace core {
@@ -253,9 +254,7 @@ TEST(Txn, InflightKeyFailsWholeTxnWithBusy) {
   auto pool = MakePool();
   auto store = FlatStore::Create(pool.get(), Opts());
   const std::string v = V(1);
-  FlatStore::OpHandle h;
-  ASSERT_EQ(store->BeginPut(0, 9, v.data(),
-                            static_cast<uint32_t>(v.size()), &h),
+  ASSERT_EQ(one_op::StagePut(store.get(), 0, 9, v),
             OpStatus::kOk);  // staged, not drained: key 9 is in flight
 
   TxnOp ops[2];
@@ -271,7 +270,7 @@ TEST(Txn, InflightKeyFailsWholeTxnWithBusy) {
   size_t failed = 99;
   EXPECT_EQ(store->BeginTxn(0, ops, 2, &commit, &failed), TxnStatus::kBusy);
   EXPECT_EQ(failed, 1u);
-  EXPECT_EQ(store->Inflight(0), 1u);  // only the BeginPut
+  EXPECT_EQ(store->Inflight(0), 1u);  // only the staged Put
 
   store->Pump(0);
   store->Drain(0, SIZE_MAX, nullptr);
@@ -290,9 +289,7 @@ TEST(Txn, BackpressureAbortsWholeTxn) {
   // Fill the request pool without pumping.
   uint64_t k = 1000;
   while (true) {
-    FlatStore::OpHandle h;
-    const OpStatus st =
-        store->BeginPut(0, k, v.data(), static_cast<uint32_t>(v.size()), &h);
+    const OpStatus st = one_op::StagePut(store.get(), 0, k, v);
     if (st == OpStatus::kBackpressure) break;
     ASSERT_EQ(st, OpStatus::kOk);
     k++;
