@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "common/hash.h"
@@ -427,20 +428,82 @@ bool FlatStore::KeyBusy(int core, uint64_t key) const {
   return cores_[core]->inflight_keys.Contains(key);
 }
 
-void FlatStore::ReadValue(const log::DecodedEntry& e,
-                          std::string* value) const {
-  if (e.embedded) {
-    // The value rides in the log entry, which the caller already fetched.
-    vt::Charge(vt::CostMemcpy(e.value_len));
-    value->assign(reinterpret_cast<const char*>(e.value), e.value_len);
-    return;
+void FlatStore::ProbeBatch(index::KvIndex* const* idx, const uint64_t* keys,
+                           size_t n, bool* found, uint64_t* packed) const {
+  index::LookupHint hints[kMaxReadBatch];
+  vt::ScopedOverlap overlap(static_cast<int>(
+      std::clamp<size_t>(n, 1, static_cast<size_t>(vt::kMemParallelism))));
+  // Phase A: locate/prefetch every probe. A lone probe has nothing to
+  // overlap with: its un-hinted GetWithHint is a plain Get.
+  for (size_t i = 0; i < n && n > 1; i++) {
+    idx[i]->PrefetchGet(keys[i], &hints[i]);
   }
-  const char* block = static_cast<const char*>(pool_->At(e.ptr));
-  uint64_t len;
-  std::memcpy(&len, block, 8);
-  pool_->ChargeRead(block, len + 8);
-  vt::Charge(vt::CostMemcpy(len));
-  value->assign(block + 8, len);
+  // Phase B: finish the probes on (mostly) warm lines.
+  for (size_t i = 0; i < n; i++) {
+    found[i] = idx[i]->GetWithHint(keys[i], hints[i], &packed[i]);
+  }
+}
+
+// fs-lint: epoch-held(MultiGetOnCore and every scan pin before fetching)
+void FlatStore::FetchBatch(const uint64_t* packed, size_t n,
+                           ReadResult* const* results) const {
+  // Phase C: issue every log-entry header read at one instant; advance to
+  // each completion only when that entry is decoded, so independent PM/
+  // DRAM fetches overlap instead of serializing. A lone read's issue cost
+  // hides under its own latency, so it costs one plain ChargeRead.
+  uint64_t ready[kMaxReadBatch];  // read-completion times (phases C/D)
+  vt::Clock* clock = vt::CurrentClock();
+  const uint64_t issue = clock != nullptr ? clock->now() : 0;
+  for (size_t i = 0; i < n; i++) {
+    if (results[i]->status != GetResult::kFound) continue;
+    const void* entry = pool_->At(log::UnpackOffset(packed[i]));
+    __builtin_prefetch(entry, 0, 3);
+    if (clock != nullptr) {
+      vt::Charge(vt::kPrefetchIssueCost);
+      ready[i] = pool_->ChargeReadAt(entry, log::kPtrEntrySize, issue);
+    }
+  }
+
+  // Decode in order; embedded values complete here, out-of-log blocks are
+  // issued as a second overlapped read wave (phase D) and consumed below.
+  log::DecodedEntry entries[kMaxReadBatch];
+  for (size_t i = 0; i < n; i++) {
+    ReadResult& r = *results[i];
+    if (r.status != GetResult::kFound) continue;
+    if (clock != nullptr) clock->AdvanceTo(ready[i]);
+    const uint64_t off = log::UnpackOffset(packed[i]);
+    log::DecodedEntry& e = entries[i];
+    bool ok = log::DecodeEntry(static_cast<const uint8_t*>(pool_->At(off)),
+                               log::kMaxEntrySize, &e);
+    FLATSTORE_CHECK(ok) << "index pointed at an invalid entry: off=" << off;
+    if (e.op == log::OpType::kDelete) {
+      r.status = GetResult::kAbsent;  // tombstone
+      continue;
+    }
+    if (e.embedded) {
+      vt::Charge(vt::CostMemcpy(e.value_len));
+      r.value.assign(reinterpret_cast<const char*>(e.value), e.value_len);
+      e.ptr = 0;  // no phase-D read
+    } else if (clock != nullptr) {
+      const char* block = static_cast<const char*>(pool_->At(e.ptr));
+      uint64_t len;
+      std::memcpy(&len, block, 8);
+      ready[i] = pool_->ChargeReadAt(block, len + 8, clock->now());
+    }
+  }
+
+  // Phase D: consume the out-of-log value blocks.
+  for (size_t i = 0; i < n; i++) {
+    if (results[i]->status != GetResult::kFound) continue;
+    const log::DecodedEntry& e = entries[i];
+    if (e.embedded || e.ptr == 0) continue;
+    if (clock != nullptr) clock->AdvanceTo(ready[i]);
+    const char* block = static_cast<const char*>(pool_->At(e.ptr));
+    uint64_t len;
+    std::memcpy(&len, block, 8);
+    vt::Charge(vt::CostMemcpy(len));
+    results[i]->value.assign(block + 8, len);
+  }
 }
 
 size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
@@ -459,7 +522,12 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
   constexpr size_t kSlots = 2 * kMaxReadBatch;
   uint8_t slots[kSlots] = {};        // leader position + 1; 0 = empty
   uint8_t leader_of[kMaxReadBatch];  // batch position -> leader position
-  size_t probes = 0;  // leaders without an in-flight write
+  // Leaders without an in-flight write: the keys the resolution path
+  // probes. Deferred keys and repeats issue no miss.
+  index::KvIndex* idxs[kMaxReadBatch];
+  uint64_t pkeys[kMaxReadBatch];
+  ReadResult* presults[kMaxReadBatch];
+  size_t probes = 0;
   for (size_t i = 0; i < n; i++) {
     results[i].value.clear();
     if (n > 1) {
@@ -478,8 +546,9 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
     if (cs.inflight_keys.Contains(keys[i])) {
       results[i].status = GetResult::kDeferred;
     } else {
-      results[i].status = GetResult::kAbsent;  // provisional until phase B
-      probes++;
+      idxs[probes] = idx;
+      pkeys[probes] = keys[i];
+      presults[probes++] = &results[i];
     }
   }
   if (probes == 0) {
@@ -492,90 +561,13 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
   // batch.
   common::EpochManager::Guard g(epochs_.get(), core);
   vt::Charge(vt::kEpochPinCost);
-  index::LookupHint hints[kMaxReadBatch];
+  bool found[kMaxReadBatch];
   uint64_t packed[kMaxReadBatch];
-  uint64_t ready[kMaxReadBatch];  // read-completion times (phases C/D)
-  // Only the probes overlap: deferred keys and repeats issue no miss.
-  const int ways = static_cast<int>(std::clamp<size_t>(
-      probes, 1, static_cast<size_t>(vt::kMemParallelism)));
-  {
-    vt::ScopedOverlap overlap(ways);
-    // Phase A: locate/prefetch every probing leader. A lone probe has
-    // nothing to overlap with: its un-hinted GetWithHint is a plain Get.
-    for (size_t i = 0; i < n && probes > 1; i++) {
-      if (leader_of[i] != i || results[i].status == GetResult::kDeferred) {
-        continue;
-      }
-      idx->PrefetchGet(keys[i], &hints[i]);
-    }
-    // Phase B: finish the probes on (mostly) warm lines.
-    for (size_t i = 0; i < n; i++) {
-      if (leader_of[i] != i || results[i].status == GetResult::kDeferred) {
-        continue;
-      }
-      results[i].status = idx->GetWithHint(keys[i], hints[i], &packed[i])
-                              ? GetResult::kFound
-                              : GetResult::kAbsent;
-    }
+  ProbeBatch(idxs, pkeys, probes, found, packed);
+  for (size_t j = 0; j < probes; j++) {
+    presults[j]->status = found[j] ? GetResult::kFound : GetResult::kAbsent;
   }
-
-  // Phase C: issue every log-entry header read at one instant; advance to
-  // each completion only when that entry is decoded, so independent PM/
-  // DRAM fetches overlap instead of serializing. A lone read's issue cost
-  // hides under its own latency, so it costs one plain ChargeRead.
-  vt::Clock* clock = vt::CurrentClock();
-  const uint64_t issue = clock != nullptr ? clock->now() : 0;
-  for (size_t i = 0; i < n; i++) {
-    if (leader_of[i] != i || results[i].status != GetResult::kFound) continue;
-    const void* entry = pool_->At(log::UnpackOffset(packed[i]));
-    __builtin_prefetch(entry, 0, 3);
-    if (clock != nullptr) {
-      vt::Charge(vt::kPrefetchIssueCost);
-      ready[i] = pool_->ChargeReadAt(entry, log::kPtrEntrySize, issue);
-    }
-  }
-
-  // Decode in order; embedded values complete here, out-of-log blocks are
-  // issued as a second overlapped read wave (phase D) and consumed below.
-  log::DecodedEntry entries[kMaxReadBatch];
-  for (size_t i = 0; i < n; i++) {
-    if (leader_of[i] != i || results[i].status != GetResult::kFound) continue;
-    if (clock != nullptr) clock->AdvanceTo(ready[i]);
-    const uint64_t off = log::UnpackOffset(packed[i]);
-    log::DecodedEntry& e = entries[i];
-    bool ok = log::DecodeEntry(static_cast<const uint8_t*>(pool_->At(off)),
-                               log::kMaxEntrySize, &e);
-    FLATSTORE_CHECK(ok) << "index pointed at an invalid entry: key="
-                        << keys[i] << " off=" << off;
-    if (e.op == log::OpType::kDelete) {
-      results[i].status = GetResult::kAbsent;  // tombstone
-      continue;
-    }
-    if (e.embedded) {
-      vt::Charge(vt::CostMemcpy(e.value_len));
-      results[i].value.assign(reinterpret_cast<const char*>(e.value),
-                              e.value_len);
-      e.ptr = 0;  // no phase-D read
-    } else if (clock != nullptr) {
-      const char* block = static_cast<const char*>(pool_->At(e.ptr));
-      uint64_t len;
-      std::memcpy(&len, block, 8);
-      ready[i] = pool_->ChargeReadAt(block, len + 8, clock->now());
-    }
-  }
-
-  // Phase D: consume the out-of-log value blocks.
-  for (size_t i = 0; i < n; i++) {
-    if (leader_of[i] != i || results[i].status != GetResult::kFound) continue;
-    const log::DecodedEntry& e = entries[i];
-    if (e.embedded || e.ptr == 0) continue;
-    if (clock != nullptr) clock->AdvanceTo(ready[i]);
-    const char* block = static_cast<const char*>(pool_->At(e.ptr));
-    uint64_t len;
-    std::memcpy(&len, block, 8);
-    vt::Charge(vt::CostMemcpy(len));
-    results[i].value.assign(block + 8, len);
-  }
+  FetchBatch(packed, probes, presults);
 
   // Repeats take their leader's outcome. Every copy is served at this one
   // instant with no write to the key in between (a deferral defers all).
@@ -1326,18 +1318,18 @@ uint64_t FlatStore::Scan(uint64_t start_key, uint64_t count,
     const uint64_t want = count - produced + 16;  // slack for tombstones
     uint64_t got = ordered->Scan(cursor, want, &pairs);
     exhausted = got < want;
-    for (const auto& p : pairs) {
-      if (produced >= count) break;
-      log::DecodedEntry e;
-      bool ok = log::DecodeEntry(
-          static_cast<const uint8_t*>(pool_->At(log::UnpackOffset(p.value))),
-          log::kMaxEntrySize, &e);
-      FLATSTORE_CHECK(ok);
-      if (e.op == log::OpType::kDelete) continue;  // tombstone
-      std::string v;
-      ReadValue(e, &v);
-      out->emplace_back(p.key, std::move(v));
-      produced++;
+    // The index scan already resolved every key: windows run only the
+    // fetch phases of the read path.
+    for (size_t p = 0; p < pairs.size() && produced < count;) {
+      const size_t m = std::min<uint64_t>(
+          {kMaxReadBatch, count - produced, pairs.size() - p});
+      uint64_t keys[kMaxReadBatch], packed[kMaxReadBatch];
+      for (size_t i = 0; i < m; i++) {
+        keys[i] = pairs[p + i].key;
+        packed[i] = pairs[p + i].value;
+      }
+      produced += FetchWindow(keys, nullptr, packed, m, out);
+      p += m;
     }
     if (!pairs.empty()) {
       if (pairs.back().key == UINT64_MAX) break;
@@ -1350,6 +1342,26 @@ uint64_t FlatStore::Scan(uint64_t start_key, uint64_t count,
 bool FlatStore::CanScan() const {
   return tier_ != nullptr ||
          dynamic_cast<index::OrderedKvIndex*>(indexes_[0].get()) != nullptr;
+}
+
+// fs-lint: epoch-held(every scan holds its GuestGuard across its windows)
+uint64_t FlatStore::FetchWindow(
+    const uint64_t* keys, const bool* found, const uint64_t* packed,
+    size_t n, std::vector<std::pair<uint64_t, std::string>>* out) const {
+  ReadResult results[kMaxReadBatch];
+  ReadResult* ptrs[kMaxReadBatch] = {};
+  for (size_t i = 0; i < n; i++) {
+    if (found == nullptr || found[i]) results[i].status = GetResult::kFound;
+    ptrs[i] = &results[i];
+  }
+  FetchBatch(packed, n, ptrs);
+  uint64_t emitted = 0;
+  for (size_t i = 0; i < n; i++) {
+    if (results[i].status != GetResult::kFound) continue;
+    out->emplace_back(keys[i], std::move(results[i].value));
+    emitted++;
+  }
+  return emitted;
 }
 
 uint64_t FlatStore::ScanFullIteration(
@@ -1368,18 +1380,16 @@ uint64_t FlatStore::ScanFullIteration(
   }
   std::sort(hits.begin(), hits.end());
   uint64_t produced = 0;
-  for (const auto& h : hits) {
-    if (produced >= count) break;
-    log::DecodedEntry e;
-    const bool ok = log::DecodeEntry(
-        static_cast<const uint8_t*>(pool_->At(log::UnpackOffset(h.second))),
-        log::kMaxEntrySize, &e);
-    FLATSTORE_CHECK(ok);
-    if (e.op == log::OpType::kDelete) continue;  // tombstone
-    std::string v;
-    ReadValue(e, &v);
-    out->emplace_back(h.first, std::move(v));
-    produced++;
+  for (size_t h = 0; h < hits.size() && produced < count;) {
+    const size_t m = std::min<uint64_t>(
+        {kMaxReadBatch, count - produced, hits.size() - h});
+    uint64_t keys[kMaxReadBatch], packed[kMaxReadBatch];
+    for (size_t i = 0; i < m; i++) {
+      keys[i] = hits[h + i].first;
+      packed[i] = hits[h + i].second;
+    }
+    produced += FetchWindow(keys, nullptr, packed, m, out);
+    h += m;
   }
   return produced;
 }
@@ -1387,7 +1397,8 @@ uint64_t FlatStore::ScanFullIteration(
 // Hash-index scan (DESIGN.md §11.4): keys come in order from a lazy
 // k-way merge of the tier's L0 cursor with windowed gathers of the
 // per-core delta sets, stopping the moment `count` pairs are produced.
-// Values are read authoritatively back through the volatile index, so a
+// Candidates are resolved authoritatively through the volatile index,
+// in windows of up to kMaxReadBatch keys on the batched read path, so a
 // stale tier node or a racy delta membership costs one wasted probe,
 // never correctness.
 uint64_t FlatStore::ScanMerged(
@@ -1395,29 +1406,15 @@ uint64_t FlatStore::ScanMerged(
     std::vector<std::pair<uint64_t, std::string>>* out) {
   // A single guest pin holds reclamation off store-wide for the scan's
   // duration (entries may live in any group's logs). The tier cursor
-  // holds a node across index probes, so the pin must also keep tier
+  // holds nodes across index probes, so the pin must also keep tier
   // nodes dereferenceable; today arena chunks are never freed.
   common::EpochManager::GuestGuard guard(epochs_.get());
   vt::Charge(vt::kEpochPinCost);
-  vt::Clock* clock = vt::CurrentClock();
   uint64_t produced = 0;
 
-  // Tier cursor, software-pipelined at depth 1: a node's read is issued
-  // as soon as its address is known (when its predecessor is consumed)
-  // and waited for only when the merge needs its key, so it overlaps the
-  // predecessor's index probe and value copy. Every consumed node costs
-  // one read; at most one read is issued past the last.
-  tier::PersistentTier::Iterator tier_it;
-  uint64_t tier_ready = 0;  // vt completion of the cursor node's read
-  auto issue_tier_read = [&] {
-    if (!tier_it.Valid() || clock == nullptr) return;
-    vt::Charge(vt::kPrefetchIssueCost);
-    tier_ready = tier_it.IssueRead(clock->now());
-  };
-  if (tier_ != nullptr) {
-    tier_it = tier_->Seek(start_key);
-    issue_tier_read();
-  }
+  // Tier cursor with lane-parallel read-ahead.
+  std::optional<tier::PersistentTier::Cursor> tier_it;
+  if (tier_ != nullptr) tier_it.emplace(tier_.get(), start_key);
 
   // Delta window: every delta key in [delta_from, bound], sorted and
   // deduplicated. A core that filled its quota may still hold keys below
@@ -1450,33 +1447,48 @@ uint64_t FlatStore::ScanMerged(
     delta_from = bound + 1;
   };
 
-  while (produced < count) {
-    if (wi == window.size() && !deltas_done) refill_window();
-    const bool delta_live = wi < window.size();
-    if (tier_it.Valid() && clock != nullptr) clock->AdvanceTo(tier_ready);
-    uint64_t k;
-    if (tier_it.Valid() && (!delta_live || tier_it.key() <= window[wi])) {
-      k = tier_it.key();
-      if (delta_live && window[wi] == k) wi++;
-      tier_it.Next();
-      issue_tier_read();
-    } else if (delta_live) {
-      k = window[wi++];
-    } else {
-      break;  // both sources exhausted
+  // The tier reads ahead only as far as the keys still wanted beyond the
+  // `gathered` candidates; gathered delta keys below a tier node come
+  // before it in the merge.
+  auto read_ahead = [&](size_t gathered) {
+    if (tier_it.has_value()) {
+      tier_it->ReadAhead(count - produced - gathered, window.data() + wi,
+                         window.size() - wi);
     }
-    uint64_t packed = 0;
-    if (!IndexForCore(CoreForKey(k))->Get(k, &packed)) continue;
-    log::DecodedEntry e;
-    const bool ok = log::DecodeEntry(
-        static_cast<const uint8_t*>(pool_->At(log::UnpackOffset(packed))),
-        log::kMaxEntrySize, &e);
-    FLATSTORE_CHECK(ok);
-    if (e.op == log::OpType::kDelete) continue;  // tombstone
-    std::string v;
-    ReadValue(e, &v);
-    out->emplace_back(k, std::move(v));
-    produced++;
+  };
+  bool sources_live = true;
+  while (produced < count && sources_live) {
+    // Gather the next window of merged candidate keys (distinct, in key
+    // order), then resolve it as one batched read.
+    const size_t w = std::min<uint64_t>(kMaxReadBatch, count - produced);
+    uint64_t keys[kMaxReadBatch];
+    index::KvIndex* idxs[kMaxReadBatch];
+    size_t m = 0;
+    while (m < w) {
+      if (wi == window.size() && !deltas_done) refill_window();
+      const bool delta_live = wi < window.size();
+      read_ahead(m);
+      const bool tier_live = tier_it.has_value() && tier_it->Ready();
+      uint64_t k;
+      if (tier_live && (!delta_live || tier_it->key() <= window[wi])) {
+        k = tier_it->key();
+        if (delta_live && window[wi] == k) wi++;
+        tier_it->Next();
+      } else if (delta_live) {
+        k = window[wi++];
+      } else {
+        sources_live = false;  // both sources exhausted
+        break;
+      }
+      keys[m] = k;
+      idxs[m++] = IndexForCore(CoreForKey(k));
+    }
+    if (m == 0) break;
+    read_ahead(m);  // the next window's reads fly while this one resolves
+    bool found[kMaxReadBatch];
+    uint64_t packed[kMaxReadBatch];
+    ProbeBatch(idxs, keys, m, found, packed);
+    produced += FetchWindow(keys, found, packed, m, out);
   }
   return produced;
 }

@@ -512,8 +512,25 @@ class FlatStore {
   // epoch pin so the entry's chunk cannot be freed mid-decode).
   void RetireOld(uint64_t old_packed);
 
-  // Reads the value of a decoded entry into `*value`.
-  void ReadValue(const log::DecodedEntry& e, std::string* value) const;
+  // The one read-resolution path (DESIGN.md §5.1), shared by point reads
+  // and every scan. ProbeBatch is phases A and B: key i probes idx[i],
+  // all probes under one overlap window of min(n, kMemParallelism) ways,
+  // prefetched first when there are two or more; found[i] and packed[i]
+  // receive the outcome. FetchBatch is phases C and D for every
+  // results[i] whose status is kFound on entry: one overlapped wave of
+  // charged entry-header reads, one of out-of-log value blocks, then the
+  // copies into results[i]->value; a tombstone turns kFound into kAbsent.
+  // Both require n <= kMaxReadBatch and an epoch pin held by the caller.
+  void ProbeBatch(index::KvIndex* const* idx, const uint64_t* keys, size_t n,
+                  bool* found, uint64_t* packed) const;
+  void FetchBatch(const uint64_t* packed, size_t n,
+                  ReadResult* const* results) const;
+  // One scan window: fetches keys[i] (found[i], or every key when `found`
+  // is null) through FetchBatch and appends the live pairs to `out` in
+  // order. Returns how many it appended.
+  uint64_t FetchWindow(
+      const uint64_t* keys, const bool* found, const uint64_t* packed,
+      size_t n, std::vector<std::pair<uint64_t, std::string>>* out) const;
 
   pm::PmPool* pool_;
   FlatStoreOptions options_;

@@ -360,9 +360,13 @@ FsckReport FsckPool(const pm::PmPool& pool) {
         break;
       }
       const auto* n = mutable_pool->PtrAt<tier::TierNode>(node_off);
-      if (n->height < 1 || n->height > tier::kMaxHeight) {
+      if (n->height != tier::NodeHeight(n->key)) {
+        // Open rebuilds the DRAM lanes from the stored height; a height
+        // that disagrees with the key's would misshape every lane.
         c.Fatal("tier node at " + std::to_string(node_off) +
-                " has bad height " + std::to_string(n->height));
+                " has height " + std::to_string(n->height) + ", key " +
+                std::to_string(n->key) + " needs " +
+                std::to_string(tier::NodeHeight(n->key)));
         break;
       }
       if (!first && n->key <= prev_key) {
@@ -407,7 +411,7 @@ FsckReport FsckPool(const pm::PmPool& pool) {
       c.report.tier_nodes++;
       prev_key = n->key;
       first = false;
-      node_off = n->next[0];
+      node_off = n->next0;
     }
   }
 

@@ -1,5 +1,6 @@
 #include "pm/pm_pool.h"
 
+#include <algorithm>
 #include <mutex>
 
 namespace flatstore {
@@ -192,11 +193,13 @@ uint64_t PmPool::ChargeReadAt(const void* p, uint64_t len,
       (num_sockets_ > 1 && socket != vt::CurrentSocket())
           ? vt::kRemoteSocketLoadPenalty
           : 0;
+  const uint64_t span = len == 0 ? 1 : CachelineSpan(begin, len);
+  stats_.AddRead(span);
   if (device_ == nullptr) {
     return issue_time + vt::kPmReadLatency + surcharge;
   }
-  uint64_t lines = len == 0 ? 1 : CachelineSpan(begin, len);
-  if (lines > 4) lines = 4;  // streaming reads pipeline beyond one block
+  // Streaming reads pipeline beyond one block.
+  const uint64_t lines = std::min<uint64_t>(span, 4);
   uint64_t completion = issue_time;
   for (uint64_t i = 0; i < lines; i++) {
     completion = device_->ReadLine(CachelineAlignDown(begin) +

@@ -29,6 +29,8 @@ class PmStats {
     uint64_t lines_flushed = 0;   // cachelines written to media
     uint64_t fences = 0;          // Fence() invocations
     uint64_t bytes_persisted = 0; // sum of Persist() range lengths
+    uint64_t reads = 0;           // charged media reads (ChargeReadAt calls)
+    uint64_t read_lines = 0;      // cachelines those reads fetched
     // Epoch-based retirement (common/epoch.h): global-epoch advances,
     // deferred chunk frees executed, and the deferred queue's high-water
     // mark — the reclamation lag a stalled reader can build up.
@@ -55,6 +57,11 @@ class PmStats {
   }
 
   void AddFence() { fences_.fetch_add(1, std::memory_order_relaxed); }
+
+  void AddRead(uint64_t lines) {
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    read_lines_.fetch_add(lines, std::memory_order_relaxed);
+  }
 
   void AddEpochAdvance() {
     epoch_advances_.fetch_add(1, std::memory_order_relaxed);
@@ -93,6 +100,8 @@ class PmStats {
     s.lines_flushed = lines_flushed_.load(std::memory_order_relaxed);
     s.fences = fences_.load(std::memory_order_relaxed);
     s.bytes_persisted = bytes_persisted_.load(std::memory_order_relaxed);
+    s.reads = reads_.load(std::memory_order_relaxed);
+    s.read_lines = read_lines_.load(std::memory_order_relaxed);
     s.epoch_advances = epoch_advances_.load(std::memory_order_relaxed);
     s.epoch_deferred_frees =
         epoch_deferred_frees_.load(std::memory_order_relaxed);
@@ -120,6 +129,8 @@ class PmStats {
     lines_flushed_.store(0, std::memory_order_relaxed);
     fences_.store(0, std::memory_order_relaxed);
     bytes_persisted_.store(0, std::memory_order_relaxed);
+    reads_.store(0, std::memory_order_relaxed);
+    read_lines_.store(0, std::memory_order_relaxed);
     epoch_advances_.store(0, std::memory_order_relaxed);
     epoch_deferred_frees_.store(0, std::memory_order_relaxed);
     epoch_deferred_hwm_.store(0, std::memory_order_relaxed);
@@ -138,6 +149,8 @@ class PmStats {
   std::atomic<uint64_t> lines_flushed_{0};
   std::atomic<uint64_t> fences_{0};
   std::atomic<uint64_t> bytes_persisted_{0};
+  std::atomic<uint64_t> reads_{0};
+  std::atomic<uint64_t> read_lines_{0};
   std::atomic<uint64_t> epoch_advances_{0};
   std::atomic<uint64_t> epoch_deferred_frees_{0};
   std::atomic<uint64_t> epoch_deferred_hwm_{0};
@@ -157,6 +170,8 @@ inline PmStats::Snapshot Delta(const PmStats::Snapshot& before,
   d.lines_flushed = after.lines_flushed - before.lines_flushed;
   d.fences = after.fences - before.fences;
   d.bytes_persisted = after.bytes_persisted - before.bytes_persisted;
+  d.reads = after.reads - before.reads;
+  d.read_lines = after.read_lines - before.read_lines;
   d.gc_bytes_relocated = after.gc_bytes_relocated - before.gc_bytes_relocated;
   d.gc_bytes_reclaimed = after.gc_bytes_reclaimed - before.gc_bytes_reclaimed;
   d.gc_survivor_bytes_hot =

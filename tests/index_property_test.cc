@@ -155,7 +155,10 @@ TEST_P(IndexPropertyTest, ForEachVisitsExactlyLiveEntries) {
 
 TEST_P(IndexPropertyTest, CasRacesWithWriterStaySane) {
   // The cleaner CASes values while the owner upserts — no torn values,
-  // final state must be one of the written values.
+  // final state must be one of the written values. Like a relocation, a
+  // CAS moves a written value once: a bumped value is never bumped again,
+  // or the loop could stack several bumps on the last write before it
+  // sees `stop`.
   auto idx = Make();
   constexpr uint64_t kKey = 77;
   idx->Insert(kKey, 1);
@@ -163,7 +166,9 @@ TEST_P(IndexPropertyTest, CasRacesWithWriterStaySane) {
   std::thread cleaner([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       uint64_t v;
-      if (idx->Get(kKey, &v)) idx->CompareExchange(kKey, v, v + 1000000);
+      if (idx->Get(kKey, &v) && v < 1000000) {
+        idx->CompareExchange(kKey, v, v + 1000000);
+      }
     }
   });
   for (uint64_t i = 2; i < 3000; i++) {
