@@ -586,43 +586,47 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
   return served;
 }
 
-size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
-                                  OpHandle* handles, OpStatus* statuses) {
-  static_assert(kMaxWriteBatch <= batch::HbEngine::kMaxBatch,
-                "a client batch must fit in one fused HB group");
+TxnStatus FlatStore::StageWrites(int core, const TxnOp* ops, size_t n,
+                                 bool txn, OpHandle* handles,
+                                 OpStatus* statuses, size_t* failed_op) {
+  static_assert(kMaxWriteBatch + 1 <= batch::HbEngine::kMaxBatch,
+                "a batch plus a commit record must fit one fused HB group");
   static_assert(kMaxWriteBatch < UINT8_MAX, "batch positions fit uint8_t");
-  FLATSTORE_CHECK_LE(n, kMaxWriteBatch);
-  if (n == 0) return 0;
+  static_assert(kMaxTxnOps <= kMaxWriteBatch, "a txn is a write batch");
+  static_assert(kMaxTxnOps <= log::kMaxTxnChain,
+                "readers must be able to buffer a whole chain");
+  if (txn) handles[n] = kNoOpHandle;
+  if (n == 0) return TxnStatus::kCommitted;
   CoreState& cs = *cores_[core];
-  index::KvIndex* idx = IndexForCore(core);
 
   // Every accepted op takes a pending-ring entry (and a server tag-ring
   // entry), but absorbed ops take no HB slot, so the HB pool's own
   // backpressure cannot bound the rings: admit the batch only if all of
-  // its ops fit.
-  if (cs.pend_count + n > batch::HbEngine::kPoolSlots) {
+  // its ops, and a txn's commit record, fit.
+  if (cs.pend_count + n + (txn ? 1 : 0) > batch::HbEngine::kPoolSlots) {
     for (size_t i = 0; i < n; i++) statuses[i] = OpStatus::kBackpressure;
-    return 0;
+    return TxnStatus::kBackpressure;
   }
 
   // All per-batch state is stack-resident (the serving path stays
-  // allocation-free).
-  uint8_t bufs[kMaxWriteBatch][log::kMaxEntrySize];
-  log::OpLog::EntryRef refs[kMaxWriteBatch];
+  // allocation-free). Entries encode back-to-back into `chain`, a txn's
+  // commit record last, so a txn's refs alias contiguous bytes laid out
+  // exactly as they will land in the log.
+  uint8_t chain[kMaxWriteBatch * log::kMaxEntrySize + log::kPtrEntrySize];
+  log::OpLog::EntryRef refs[kMaxWriteBatch + 1];
   uint64_t blocks[kMaxWriteBatch];  // out-of-log value blocks (0 = none)
   uint32_t versions[kMaxWriteBatch];
   size_t slot_of[kMaxWriteBatch];  // op index -> fused-group position
-  index::LookupHint hints[kMaxWriteBatch];
-  uint64_t packed[kMaxWriteBatch];
-  bool indexed[kMaxWriteBatch];
 
-  // Absorption (DESIGN.md §5.2): a stack-resident open-addressing table,
-  // at most half full, maps each key to its first occurrence. Only first
-  // occurrences probe the index; the per-key state below lives at the
-  // first occurrence's position. An op followed later in the batch by a
-  // Put of its key is absorbed: that Put supersedes it at the same
-  // instant, so it encodes, allocates, persists and stages nothing. A
-  // batch of one has nothing to deduplicate and skips the table.
+  // First occurrences (DESIGN.md §5.2): a stack-resident open-addressing
+  // table, at most half full, maps each key to its first occurrence. Only
+  // first occurrences probe the index; the per-key state below lives at
+  // the first occurrence's position. In a write batch, an op followed
+  // later by a Put of its key is absorbed: that Put supersedes it at the
+  // same instant, so it encodes, allocates, persists and stages nothing.
+  // A txn absorbs nothing — every member stages, so a CAS or RMW always
+  // reads an earlier member's staged bytes. A batch of one has nothing to
+  // deduplicate and skips the table.
   constexpr int kSlotBits = 6;
   constexpr size_t kSlots = size_t{1} << kSlotBits;
   static_assert(kSlots >= 2 * kMaxWriteBatch, "table stays half empty");
@@ -632,7 +636,9 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
   bool has_tomb[kMaxWriteBatch];  // first occurrence -> key has a tombstone
   bool chained[kMaxWriteBatch];  // first occurrence -> earlier write exists
   uint32_t tail[kMaxWriteBatch];  // first occurrence -> newest version
-  size_t tombstones = 0;
+  // Some op dereferences its key's indexed entry: a tombstone (liveness
+  // check) or a CAS/RMW (the committed value).
+  bool pin = false;
   for (size_t i = 0; i < n; i++) {
     FLATSTORE_DCHECK(core == CoreForKey(ops[i].key));
     statuses[i] = OpStatus::kOk;
@@ -658,44 +664,51 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
       chained[i] = fly != nullptr;
       tail[i] = chained[i] ? fly->last_version : 0;
     }
-    if (ops[i].tombstone) {
+    if (ops[i].kind == TxnOpKind::kDelete) {
       has_tomb[f] = true;
-      tombstones++;
-    } else {
+    } else if (!txn) {
       last_put[f] = static_cast<uint8_t>(i + 1);
     }
+    pin |= ops[i].kind != TxnOpKind::kPut;
   }
 
   // A key probes the index only when it has no write in flight (its
   // version comes from the index) or when it has a tombstone, which needs
-  // the indexed entry for its covered-chunk hint and liveness check.
-  bool probe[kMaxWriteBatch];
+  // the indexed entry for its covered-chunk hint and liveness check. A txn
+  // has no key in flight (BeginTxn), so every distinct key probes.
+  index::KvIndex* idx[kMaxWriteBatch];
+  uint64_t keys[kMaxWriteBatch];
+  uint8_t pos[kMaxWriteBatch];  // probe -> first occurrence
+  bool found[kMaxWriteBatch];
+  uint64_t probed[kMaxWriteBatch];
+  bool indexed[kMaxWriteBatch];  // first occurrence -> probe hit
+  uint64_t packed[kMaxWriteBatch];  // first occurrence -> indexed entry
   bool dead[kMaxWriteBatch];  // first occurrence -> indexed tombstone
+  // A CAS or RMW reads its key's value as of the op: the newest earlier
+  // op of the same txn, else the committed value (FetchBatch below).
+  bool present[kMaxWriteBatch];  // first occurrence -> key live now
+  const void* cur[kMaxWriteBatch];
+  uint32_t cur_len[kMaxWriteBatch];
   size_t probes = 0;
   for (size_t i = 0; i < n; i++) {
-    probe[i] = first_of[i] == i && (!chained[i] || has_tomb[i]);
-    packed[i] = 0;
     indexed[i] = false;
+    packed[i] = 0;
     dead[i] = false;
-    if (probe[i]) probes++;
+    present[i] = false;
+    if (first_of[i] == i && (!chained[i] || has_tomb[i])) {
+      idx[probes] = IndexForCore(core);
+      keys[probes] = ops[i].key;
+      pos[probes++] = static_cast<uint8_t>(i);
+    }
   }
   auto probe_index = [&] {
-    // Only probing keys overlap their misses.
-    vt::ScopedOverlap overlap(static_cast<int>(std::clamp<size_t>(
-        probes, 1, static_cast<size_t>(vt::kMemParallelism))));
-    // Phase A: issue every probe with prefetches. A lone probe has nothing
-    // to overlap with: its un-hinted GetWithHint is a plain Get.
-    for (size_t i = 0; i < n && probes > 1; i++) {
-      if (probe[i]) idx->PrefetchGet(ops[i].key, &hints[i]);
-    }
-    // Phase B: complete the probes on warm lines.
-    for (size_t i = 0; i < n; i++) {
-      if (probe[i]) {
-        indexed[i] = idx->GetWithHint(ops[i].key, hints[i], &packed[i]);
-      }
+    ProbeBatch(idx, keys, probes, found, probed);
+    for (size_t j = 0; j < probes; j++) {
+      indexed[pos[j]] = found[j];
+      packed[pos[j]] = probed[j];
     }
   };
-  if (tombstones == 0) {
+  if (!pin) {
     // A put-only batch dereferences no log entry, so it takes no pin.
     probe_index();
   } else {
@@ -705,25 +718,39 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
     common::EpochManager::Guard g(epochs_.get(), core);
     vt::Charge(vt::kEpochPinCost);
     probe_index();
+    uint64_t fetch_packed[kMaxWriteBatch];
+    ReadResult* fetch[kMaxWriteBatch];
+    size_t fetches = 0;
     for (size_t i = 0; i < n; i++) {
-      // indexed[i] implies a probing first occurrence.
-      if (!indexed[i] || !has_tomb[i] || chained[i]) continue;
-      log::DecodedEntry e;
-      dead[i] = log::DecodeEntry(static_cast<const uint8_t*>(pool_->At(
-                                     log::UnpackOffset(packed[i]))),
-                                 log::kMaxEntrySize, &e) &&
-                e.op == log::OpType::kDelete;
+      if (first_of[i] != i || chained[i]) continue;
+      if (ops[i].kind == TxnOpKind::kDelete) {
+        log::DecodedEntry e;
+        dead[i] = indexed[i] &&
+                  log::DecodeEntry(static_cast<const uint8_t*>(pool_->At(
+                                       log::UnpackOffset(packed[i]))),
+                                   log::kMaxEntrySize, &e) &&
+                  e.op == log::OpType::kDelete;
+      } else if (ops[i].kind != TxnOpKind::kPut) {
+        ReadResult& r = cs.reads[i];
+        r.status = indexed[i] ? GetResult::kFound : GetResult::kAbsent;
+        fetch_packed[fetches] = packed[i];
+        fetch[fetches++] = &r;
+      }
     }
+    FetchBatch(fetch_packed, fetches, fetch);
   }
 
-  // Phase C: resolve versions, encode entries, l-persist out-of-log
-  // values. Every block Persist below shares the single Fence after the
-  // loop (batched l-persist: independent value streams need one drain).
+  // Phase C: resolve each op, chain versions, encode entries, l-persist
+  // out-of-log values. Every block Persist below shares the single Fence
+  // after the loop (batched l-persist: independent value streams need one
+  // drain).
+  uint8_t rmw_out[log::kMaxInlineValue];
+  uint64_t chain_len = 0;
   size_t staged = 0;
-  bool fenced_needed = false;
-  bool nospace = false;
-  for (size_t i = 0; i < n; i++) {
-    const WriteOp& op = ops[i];
+  bool fence_needed = false;
+  TxnStatus result = TxnStatus::kCommitted;
+  for (size_t i = 0; i < n && result == TxnStatus::kCommitted; i++) {
+    const TxnOp& op = ops[i];
     const size_t f = first_of[i];
     // Version chaining, newest first: an earlier accepted op of this
     // batch on the same key, else the newest in-flight write, else the
@@ -731,16 +758,50 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
     if (f == i && !chained[f] && indexed[f]) {
       tail[f] = log::UnpackVersion(packed[f]);
     }
-    if (op.tombstone && !chained[f] && (!indexed[f] || dead[f])) {
-      statuses[i] = OpStatus::kNotFound;  // absent, or already a tombstone
-      continue;
+    if (f == i && (op.kind == TxnOpKind::kCas || op.kind == TxnOpKind::kRmw)) {
+      const ReadResult& r = cs.reads[f];
+      present[f] = r.status == GetResult::kFound;
+      cur[f] = r.value.data();
+      cur_len[f] = static_cast<uint32_t>(r.value.size());
+    }
+    const void* value = op.value;
+    uint32_t len = op.len;
+    switch (op.kind) {
+      case TxnOpKind::kPut:
+        break;
+      case TxnOpKind::kDelete:
+        if (!chained[f] && (!indexed[f] || dead[f])) {
+          statuses[i] = OpStatus::kNotFound;  // absent, or already deleted
+          present[f] = false;
+          continue;
+        }
+        break;
+      case TxnOpKind::kCas:
+        if (op.expected == nullptr
+                ? present[f]
+                : !present[f] || cur_len[f] != op.expected_len ||
+                      std::memcmp(cur[f], op.expected, cur_len[f]) != 0) {
+          result = TxnStatus::kCasMismatch;
+          if (failed_op != nullptr) *failed_op = i;
+          continue;
+        }
+        break;
+      case TxnOpKind::kRmw:
+        len = op.rmw(op.rmw_ctx, present[f] ? cur[f] : nullptr,
+                     present[f] ? cur_len[f] : 0, rmw_out,
+                     log::kMaxInlineValue);
+        FLATSTORE_CHECK(len >= 1 && len <= log::kMaxInlineValue)
+            << "RMW output must be 1.." << log::kMaxInlineValue << " bytes";
+        value = rmw_out;
+        break;
     }
     chained[f] = true;
     if (last_put[f] > i + 1) continue;  // absorbed: consumes no version
     const uint32_t version = (tail[f] + 1) & log::kVersionMask;
     tail[f] = version;
+    uint8_t* dst = chain + chain_len;
     uint32_t elen;
-    if (op.tombstone) {
+    if (op.kind == TxnOpKind::kDelete) {
       // Best-effort covered-chunk hint for tombstone GC (§3.4).
       uint32_t covered = 0;
       if (indexed[f]) {
@@ -749,61 +810,78 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
         int owner;
         root_->ChunkInfo(old_chunk, &owner, &covered);
       }
-      elen = log::EncodeDelete(bufs[i], op.key, version, covered);
+      elen = log::EncodeDelete(dst, op.key, version, covered);
+      present[f] = false;
     } else {
-      FLATSTORE_DCHECK(op.len >= 1);
-      if (op.len <= log::kMaxInlineValue) {
-        elen = log::EncodePutValue(bufs[i], op.key, version, op.value, op.len);
+      FLATSTORE_DCHECK(len >= 1);
+      if (len <= log::kMaxInlineValue) {
+        elen = log::EncodePutValue(dst, op.key, version, value, len);
+        cur[f] = dst + log::kValueEntryHeader;
       } else {
-        const uint64_t block = alloc_->Alloc(core, op.len + 8);
+        const uint64_t block = alloc_->Alloc(core, len + 8);
         if (block == 0) {
-          statuses[i] = OpStatus::kNoSpace;
-          nospace = true;
-          break;
+          result = TxnStatus::kNoSpace;
+          continue;
         }
-        char* dst = static_cast<char*>(pool_->At(block));
-        uint64_t len64 = op.len;
-        std::memcpy(dst, &len64, 8);
-        std::memcpy(dst + 8, op.value, op.len);
-        vt::Charge(vt::CostMemcpy(op.len));
+        char* bdst = static_cast<char*>(pool_->At(block));
+        uint64_t len64 = len;
+        std::memcpy(bdst, &len64, 8);
+        std::memcpy(bdst + 8, value, len);
+        vt::Charge(vt::CostMemcpy(len));
         // fs-lint: fence-guarded(drained by the one Fence below under the flag)
         // Abort paths free the blocks; dead data needs no fence.
-        pool_->Persist(dst, op.len + 8);
-        fenced_needed = true;
+        pool_->Persist(bdst, len + 8);
+        fence_needed = true;
         blocks[i] = block;
-        elen = log::EncodePutPtr(bufs[i], op.key, version, block);
+        elen = log::EncodePutPtr(dst, op.key, version, block);
+        cur[f] = bdst + 8;
+      }
+      present[f] = true;
+      cur_len[f] = len;
+    }
+    if (txn) log::MarkTxnMember(dst);
+    versions[i] = version;
+    refs[staged] = {dst, elen};
+    slot_of[i] = staged++;
+    chain_len += elen;
+  }
+
+  // Aborts stage nothing: the blocks go back to the allocator and every
+  // accepted op takes the batch's failure (a txn reports through its
+  // TxnStatus alone).
+  auto fail = [&](TxnStatus why) {
+    for (size_t i = 0; i < n; i++) {
+      if (blocks[i] != 0) alloc_->Free(blocks[i]);
+      if (statuses[i] == OpStatus::kOk) {
+        statuses[i] = why == TxnStatus::kNoSpace ? OpStatus::kNoSpace
+                                                 : OpStatus::kBackpressure;
       }
     }
-    versions[i] = version;
-    refs[staged] = {bufs[i], elen};
-    slot_of[i] = staged;
-    staged++;
-  }
-  if (fenced_needed) pool_->Fence();  // one drain for all l-persists
-
-  if (nospace) {
-    // PM exhausted mid-batch: abort the whole batch (nothing staged) so
-    // the caller sees a clean all-or-nothing failure.
-    for (size_t i = 0; i < n; i++) {
-      if (blocks[i] != 0) alloc_->Free(blocks[i]);
-      if (statuses[i] == OpStatus::kOk) statuses[i] = OpStatus::kNoSpace;
-    }
-    return 0;
-  }
+    return why;
+  };
+  if (result != TxnStatus::kCommitted) return fail(result);
+  if (fence_needed) pool_->Fence();  // one drain for all l-persists
   // Every accepted op is staged or absorbed by a staged Put, so nothing
   // staged means every op was a not-found delete.
-  if (staged == 0) return 0;
+  if (staged == 0) return TxnStatus::kCommitted;
 
-  // Phase D: stage the batch as ONE fused group — all-or-nothing.
-  uint64_t fused_handles[kMaxWriteBatch];
-  if (!hb_->StageBatch(core, refs, staged, fused_handles)) {
-    for (size_t i = 0; i < n; i++) {
-      if (blocks[i] != 0) alloc_->Free(blocks[i]);
-      if (statuses[i] == OpStatus::kOk) statuses[i] = OpStatus::kBackpressure;
-    }
-    return 0;
+  // A txn's commit record: member count, chain byte length, XXH64 over
+  // the chain bytes exactly as they will appear in the log.
+  const size_t members = staged;
+  if (txn) {
+    uint8_t* commit = chain + chain_len;
+    refs[staged++] = {
+        commit, log::EncodeTxnCommit(commit, static_cast<uint32_t>(members),
+                                     chain_len, Hash64(chain, chain_len))};
   }
-  size_t accepted = 0;
+
+  // Phase D: stage everything as ONE fused group — all-or-nothing. The
+  // leader writes it through a single AppendBatch: one reservation, one
+  // persist sweep, one fence pair.
+  uint64_t fused[kMaxWriteBatch + 1];
+  if (!hb_->StageBatch(core, refs, staged, fused)) {
+    return fail(TxnStatus::kBackpressure);
+  }
   for (size_t i = 0; i < n; i++) {
     if (statuses[i] != OpStatus::kOk) continue;
     // An absorbed op rides the handle of its key's last Put, which sits
@@ -811,341 +889,110 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
     const size_t last = last_put[first_of[i]];
     const bool absorbed = last > i + 1;
     const size_t owner = absorbed ? last - 1 : i;
-    const OpHandle h = fused_handles[slot_of[owner]];
+    const OpHandle h = fused[slot_of[owner]];
     handles[i] = h;
-    cs.Push({h, ops[i].key, versions[owner], /*txn_member=*/false,
+    cs.Push({h, ops[i].key, versions[owner], /*txn_member=*/txn,
              /*txn_commit=*/false, absorbed});
     InflightKey& fly = cs.inflight_keys.GetOrInsert(ops[i].key);
     fly.count++;
     fly.last_version = versions[owner];
-    accepted++;
   }
-  return accepted;
+  if (txn) {
+    handles[n] = fused[members];
+    cs.Push({handles[n], /*key=*/0, /*version=*/0, /*txn_member=*/false,
+             /*txn_commit=*/true});
+  }
+  return TxnStatus::kCommitted;
+}
+
+namespace {
+
+// WriteOps as the staging routine's ops: a Put or a Delete.
+void ToTxnOps(const WriteOp* ops, size_t n, TxnOp* out) {
+  for (size_t i = 0; i < n; i++) {
+    out[i].kind = ops[i].tombstone ? TxnOpKind::kDelete : TxnOpKind::kPut;
+    out[i].key = ops[i].key;
+    out[i].value = ops[i].value;
+    out[i].len = ops[i].len;
+  }
+}
+
+}  // namespace
+
+size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
+                                  OpHandle* handles, OpStatus* statuses) {
+  FLATSTORE_CHECK_LE(n, kMaxWriteBatch);
+  TxnOp txn_ops[kMaxWriteBatch];
+  ToTxnOps(ops, n, txn_ops);
+  StageWrites(core, txn_ops, n, /*txn=*/false, handles, statuses, nullptr);
+  return static_cast<size_t>(
+      std::count(statuses, statuses + n, OpStatus::kOk));
+}
+
+// The synchronous write calls' retry loop: re-stages after a Pump + Drain
+// while `stage` reports kBusy or kBackpressure, then, once it resolved
+// (kCommitted), runs the core's in-flight ops to completion.
+template <typename Stage>
+TxnStatus FlatStore::StageToCompletion(int core, Stage stage) {
+  TxnStatus st;
+  while ((st = stage()) == TxnStatus::kBusy ||
+         st == TxnStatus::kBackpressure) {
+    // Same-core in-flight ops belong to this thread's protocol: drain
+    // them and retry.
+    Pump(core);
+    Drain(core, SIZE_MAX, nullptr);
+  }
+  while (st == TxnStatus::kCommitted && Inflight(core) > 0) {
+    Pump(core);
+    Drain(core, SIZE_MAX, nullptr);
+  }
+  return st;
 }
 
 size_t FlatStore::MultiPutOnCore(int core, const WriteOp* ops, size_t n,
                                  OpStatus* statuses) {
+  FLATSTORE_CHECK_LE(n, kMaxWriteBatch);
+  TxnOp txn_ops[kMaxWriteBatch];
+  ToTxnOps(ops, n, txn_ops);
   OpHandle handles[kMaxWriteBatch];
-  size_t accepted;
-  while (true) {
-    accepted = BeginWriteBatch(core, ops, n, handles, statuses);
-    if (accepted > 0) break;
-    bool backpressure = false;
-    for (size_t i = 0; i < n; i++) {
-      backpressure |= statuses[i] == OpStatus::kBackpressure;
-    }
-    // Not backpressure => nothing will ever stage (all kNotFound /
-    // kNoSpace) — done.
-    if (!backpressure) return 0;
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  while (Inflight(core) > 0) {
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  return accepted;
+  StageToCompletion(core, [&] {
+    return StageWrites(core, txn_ops, n, /*txn=*/false, handles, statuses,
+                       nullptr);
+  });
+  return static_cast<size_t>(
+      std::count(statuses, statuses + n, OpStatus::kOk));
 }
 
 // ---- transactions (§5.3) -------------------------------------------------
 
 TxnStatus FlatStore::BeginTxn(int core, const TxnOp* ops, size_t n,
                               OpHandle* commit_handle, size_t* failed_op) {
-  static_assert(kMaxTxnOps + 1 <= batch::HbEngine::kMaxBatch,
-                "a txn chain plus its commit record must fit one fused group");
-  static_assert(kMaxTxnOps <= log::kMaxTxnChain,
-                "readers must be able to buffer a whole chain");
   FLATSTORE_CHECK_LE(n, kMaxTxnOps);
   *commit_handle = kNoOpHandle;
   if (failed_op != nullptr) *failed_op = n;
-  if (n == 0) return TxnStatus::kCommitted;
-  CoreState& cs = *cores_[core];
-  index::KvIndex* idx = IndexForCore(core);
-
   // Conflict detection: §3.3's conflict queue widened to whole txns — any
-  // key with in-flight writes fails the txn up front, so the current-value
-  // reads below (kCas compares, kRmw inputs) see stable committed state
-  // and the version chains cannot interleave with a concurrent drain.
+  // key with in-flight writes fails the txn up front, so CAS and RMW read
+  // stable committed state and the version chains cannot interleave with
+  // a concurrent drain.
   for (size_t i = 0; i < n; i++) {
-    FLATSTORE_DCHECK(core == CoreForKey(ops[i].key));
-    if (cs.inflight_keys.Contains(ops[i].key)) {
+    if (cores_[core]->inflight_keys.Contains(ops[i].key)) {
       if (failed_op != nullptr) *failed_op = i;
       return TxnStatus::kBusy;
     }
   }
-
-  // Entry dereferences below need the pin (the cleaner may unlink chunks).
-  common::EpochManager::Guard g(epochs_.get(), core);
-  vt::Charge(vt::kEpochPinCost);
-
-  index::LookupHint hints[kMaxTxnOps];
-  uint64_t packed[kMaxTxnOps];
-  bool indexed[kMaxTxnOps];
-  {
-    const int ways = n > static_cast<size_t>(vt::kMemParallelism)
-                         ? vt::kMemParallelism
-                         : static_cast<int>(n);
-    vt::ScopedOverlap overlap(ways);
-    // Phase A/B: prefetch-interleaved probes, as in BeginWriteBatch.
-    for (size_t i = 0; i < n; i++) idx->PrefetchGet(ops[i].key, &hints[i]);
-    for (size_t i = 0; i < n; i++) {
-      packed[i] = 0;
-      indexed[i] = idx->GetWithHint(ops[i].key, hints[i], &packed[i]);
-    }
-  }
-
-  // Members encode back-to-back into one stack buffer with the commit
-  // record last, so the refs handed to StageBatch alias contiguous bytes
-  // laid out exactly as they will land in the log.
-  uint8_t chain[kMaxTxnOps * log::kMaxEntrySize + log::kPtrEntrySize];
-  uint64_t member_start[kMaxTxnOps];
-  uint32_t member_len[kMaxTxnOps];
-  uint64_t blocks[kMaxTxnOps];  // out-of-log value blocks (0 = none)
-  uint32_t versions[kMaxTxnOps];
-  bool staged_member[kMaxTxnOps];
-  // Post-op logical state, for in-txn read-your-writes: value pointers
-  // alias the chain (inline) or the fresh value block (out-of-log).
-  bool present_after[kMaxTxnOps];
-  const uint8_t* val_after[kMaxTxnOps];
-  uint32_t len_after[kMaxTxnOps];
-  uint8_t rmw_out[log::kMaxInlineValue];
-
-  uint64_t chain_len = 0;
-  size_t members = 0;
-  bool fence_needed = false;
-
-  auto abort_blocks = [&](size_t upto) {
-    for (size_t i = 0; i < upto; i++) {
-      if (blocks[i] != 0) alloc_->Free(blocks[i]);
-    }
-  };
-
-  for (size_t i = 0; i < n; i++) {
-    const TxnOp& op = ops[i];
-    blocks[i] = 0;
-    staged_member[i] = false;
-
-    // Resolve the key's pre-op state with in-txn visibility: the newest
-    // earlier op on this key wins, else the committed index entry.
-    bool present = false;
-    const uint8_t* cur = nullptr;
-    uint32_t cur_len = 0;
-    int last_same = -1;
-    for (size_t j = i; j-- > 0;) {
-      if (ops[j].key == op.key) {
-        last_same = static_cast<int>(j);
-        break;
-      }
-    }
-    if (last_same >= 0) {
-      present = present_after[last_same];
-      cur = val_after[last_same];
-      cur_len = len_after[last_same];
-    } else if (indexed[i]) {
-      const uint64_t off = log::UnpackOffset(packed[i]);
-      pool_->ChargeRead(pool_->At(off), log::kPtrEntrySize);
-      log::DecodedEntry e;
-      const bool ok = log::DecodeEntry(
-          static_cast<const uint8_t*>(pool_->At(off)), log::kMaxEntrySize,
-          &e);
-      FLATSTORE_CHECK(ok) << "index pointed at an invalid entry: key="
-                          << op.key << " off=" << off;
-      if (e.op != log::OpType::kDelete) {
-        present = true;
-        if (e.embedded) {
-          cur = e.value;
-          cur_len = e.value_len;
-        } else {
-          const uint8_t* block =
-              static_cast<const uint8_t*>(pool_->At(e.ptr));
-          uint64_t len64;
-          std::memcpy(&len64, block, 8);
-          pool_->ChargeRead(block, len64 + 8);
-          cur = block + 8;
-          cur_len = static_cast<uint32_t>(len64);
-        }
-      }
-    }
-
-    // Version chaining: the newest earlier *member* on this key, else the
-    // indexed version (tombstones included — versions stay monotonic
-    // across delete + re-put), else a fresh chain.
-    uint32_t version = 1;
-    {
-      int last_member = -1;
-      for (size_t j = i; j-- > 0;) {
-        if (ops[j].key == op.key && staged_member[j]) {
-          last_member = static_cast<int>(j);
-          break;
-        }
-      }
-      if (last_member >= 0) {
-        version = (versions[last_member] + 1) & log::kVersionMask;
-      } else if (indexed[i]) {
-        version = (log::UnpackVersion(packed[i]) + 1) & log::kVersionMask;
-      }
-    }
-
-    // Resolve the op to a staged member (or skip / abort).
-    const void* new_val = nullptr;
-    uint32_t new_len = 0;
-    bool is_tomb = false;
-    switch (op.kind) {
-      case TxnOpKind::kPut:
-        new_val = op.value;
-        new_len = op.len;
-        break;
-      case TxnOpKind::kDelete:
-        if (!present) {
-          // Logical no-op: the key is already absent. Stage nothing, so
-          // the chain carries only effective ops.
-          present_after[i] = false;
-          val_after[i] = nullptr;
-          len_after[i] = 0;
-          continue;
-        }
-        is_tomb = true;
-        break;
-      case TxnOpKind::kCas: {
-        const bool match =
-            op.expected == nullptr
-                ? !present
-                : (present && cur_len == op.expected_len &&
-                   std::memcmp(cur, op.expected, cur_len) == 0);
-        if (!match) {
-          abort_blocks(i);
-          if (failed_op != nullptr) *failed_op = i;
-          return TxnStatus::kCasMismatch;
-        }
-        new_val = op.value;
-        new_len = op.len;
-        break;
-      }
-      case TxnOpKind::kRmw: {
-        const uint32_t out_len =
-            op.rmw(op.rmw_ctx, present ? cur : nullptr,
-                   present ? cur_len : 0, rmw_out, log::kMaxInlineValue);
-        FLATSTORE_CHECK(out_len >= 1 && out_len <= log::kMaxInlineValue)
-            << "RMW output must be 1.." << log::kMaxInlineValue << " bytes";
-        new_val = rmw_out;
-        new_len = out_len;
-        break;
-      }
-    }
-
-    uint8_t* dst = chain + chain_len;
-    uint32_t elen;
-    if (is_tomb) {
-      // Best-effort covered-chunk hint for tombstone GC (§3.4).
-      uint32_t covered = 0;
-      if (indexed[i]) {
-        const uint64_t old_chunk =
-            AlignDown(log::UnpackOffset(packed[i]), alloc::kChunkSize);
-        int owner;
-        root_->ChunkInfo(old_chunk, &owner, &covered);
-      }
-      elen = log::EncodeDelete(dst, op.key, version, covered);
-      present_after[i] = false;
-      val_after[i] = nullptr;
-      len_after[i] = 0;
-    } else {
-      FLATSTORE_DCHECK(new_len >= 1);
-      if (new_len <= log::kMaxInlineValue) {
-        elen = log::EncodePutValue(dst, op.key, version, new_val, new_len);
-        val_after[i] = dst + log::kValueEntryHeader;
-      } else {
-        // l-persist, fence shared below (batched as in BeginWriteBatch).
-        const uint64_t block = alloc_->Alloc(core, new_len + 8);
-        if (block == 0) {
-          abort_blocks(i);
-          return TxnStatus::kNoSpace;
-        }
-        char* bdst = static_cast<char*>(pool_->At(block));
-        uint64_t len64 = new_len;
-        std::memcpy(bdst, &len64, 8);
-        std::memcpy(bdst + 8, new_val, new_len);
-        vt::Charge(vt::CostMemcpy(new_len));
-        // fs-lint: fence-guarded(drained by the one Fence below under the flag)
-        // Abort paths free the blocks; dead data needs no fence.
-        pool_->Persist(bdst, new_len + 8);
-        fence_needed = true;
-        blocks[i] = block;
-        elen = log::EncodePutPtr(dst, op.key, version, block);
-        val_after[i] = reinterpret_cast<const uint8_t*>(bdst) + 8;
-      }
-      present_after[i] = true;
-      len_after[i] = new_len;
-    }
-    log::MarkTxnMember(dst);
-    member_start[i] = chain_len;
-    member_len[i] = elen;
-    versions[i] = version;
-    staged_member[i] = true;
-    chain_len += elen;
-    members++;
-  }
-  if (fence_needed) pool_->Fence();  // one drain for all l-persists
-
-  if (members == 0) return TxnStatus::kCommitted;  // every op was a no-op
-
-  // Commit record: member count, chain byte length, XXH64 over the chain
-  // bytes exactly as they will appear in the log.
-  const uint64_t checksum = Hash64(chain, chain_len);
-  uint8_t* commit = chain + chain_len;
-  const uint32_t commit_len = log::EncodeTxnCommit(
-      commit, static_cast<uint32_t>(members), chain_len, checksum);
-
-  // Stage as ONE fused group: the leader writes members + commit through
-  // a single AppendBatch, so the physical chain is contiguous and covered
-  // by one persist sweep and one fence pair — all-or-nothing on crash.
-  log::OpLog::EntryRef refs[kMaxTxnOps + 1];
-  uint64_t fused_handles[kMaxTxnOps + 1];
-  size_t slot = 0;
-  for (size_t i = 0; i < n; i++) {
-    if (!staged_member[i]) continue;
-    refs[slot] = {chain + member_start[i], member_len[i]};
-    slot++;
-  }
-  refs[slot] = {commit, commit_len};
-  if (!hb_->StageBatch(core, refs, members + 1, fused_handles)) {
-    abort_blocks(n);
-    return TxnStatus::kBackpressure;
-  }
-
-  slot = 0;
-  for (size_t i = 0; i < n; i++) {
-    if (!staged_member[i]) continue;
-    cs.Push({fused_handles[slot], ops[i].key, versions[i],
-             /*txn_member=*/true});
-    InflightKey& fly = cs.inflight_keys.GetOrInsert(ops[i].key);
-    fly.count++;
-    fly.last_version = versions[i];
-    slot++;
-  }
-  cs.Push({fused_handles[members], /*key=*/0, /*version=*/0,
-           /*txn_member=*/false, /*txn_commit=*/true});
-  *commit_handle = fused_handles[members];
-  return TxnStatus::kCommitted;
+  OpHandle handles[kMaxTxnOps + 1];
+  OpStatus statuses[kMaxTxnOps];
+  const TxnStatus st =
+      StageWrites(core, ops, n, /*txn=*/true, handles, statuses, failed_op);
+  if (st == TxnStatus::kCommitted) *commit_handle = handles[n];
+  return st;
 }
 
 TxnStatus FlatStore::CommitTxnOnCore(int core, const TxnOp* ops, size_t n,
                                      size_t* failed_op) {
   OpHandle commit_handle;
-  TxnStatus st;
-  while (true) {
-    st = BeginTxn(core, ops, n, &commit_handle, failed_op);
-    if (st != TxnStatus::kBusy && st != TxnStatus::kBackpressure) break;
-    // Same-core in-flight ops belong to this thread's protocol: drain
-    // them and retry.
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  if (st != TxnStatus::kCommitted) return st;
-  while (Inflight(core) > 0) {
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  return st;
+  return StageToCompletion(
+      core, [&] { return BeginTxn(core, ops, n, &commit_handle, failed_op); });
 }
 
 FlatStore::Txn& FlatStore::Txn::Put(uint64_t key, std::string_view value) {

@@ -319,19 +319,23 @@ class FlatStore {
   // Sentinel handle for a trivially committed (empty-effect) transaction.
   static constexpr OpHandle kNoOpHandle = UINT64_MAX;
 
-  // Stages `ops` as one atomic transaction: members encode back-to-back
-  // into a contiguous chain, a commit record (count, byte length, XXH64
-  // checksum) terminates it, and the whole group rides StageBatch's fused
-  // path — one reservation, one persist sweep, two fences. All keys must
-  // route to `core`; a key with in-flight writes fails the whole txn with
-  // kBusy (so kCas/kRmw read stable committed state). Ops resolve in
-  // order with read-your-writes inside the txn; kDelete of an absent key
-  // stages nothing (a no-op member). On kCommitted, `*commit_handle` is
-  // the commit record's handle — ONE Completion per txn surfaces through
-  // Drain, carrying it (members complete silently) — or kNoOpHandle when
-  // no member staged. Any failure stages nothing (`*failed_op` = the
-  // offending op for kBusy/kCasMismatch). Crash semantics: a torn commit
-  // recovers to "nothing happened"; a durable commit recovers every op.
+  // Stages `ops` as one atomic transaction: a write batch with the chain
+  // flag (StageWrites, DESIGN.md §5.3). Members are marked and encode
+  // back-to-back, and a commit record (count, byte length, XXH64
+  // checksum) joins the same fused group — one reservation, one persist
+  // sweep, two fences. All keys must route to `core`; a key with in-flight
+  // writes fails the whole txn with kBusy (so kCas/kRmw read stable
+  // committed state). Ops resolve in order with read-your-writes inside
+  // the txn, under the write batch's rules: one index probe per distinct
+  // key, an epoch pin only when some op is a kDelete, kCas or kRmw, and a
+  // kDelete of a key known absent stages nothing (a no-op member); unlike
+  // a write batch, no member is absorbed. On kCommitted, `*commit_handle`
+  // is the commit record's handle — ONE Completion per txn surfaces
+  // through Drain, carrying it (members complete silently) — or
+  // kNoOpHandle when no member staged. Any failure stages nothing
+  // (`*failed_op` = the offending op for kBusy/kCasMismatch). Crash
+  // semantics: a torn commit recovers to "nothing happened"; a durable
+  // commit recovers every op.
   TxnStatus BeginTxn(int core, const TxnOp* ops, size_t n,
                      OpHandle* commit_handle, size_t* failed_op = nullptr);
   // Synchronous wrapper: BeginTxn + Pump/Drain to completion, retrying
@@ -494,6 +498,9 @@ class FlatStore {
     // the key stays discoverable through its tier node.
     SpinLock delta_lock;
     std::set<uint64_t> delta;
+    // StageWrites' committed-value reads for CAS/RMW, by first-occurrence
+    // position; the strings keep their capacity across batches.
+    ReadResult reads[kMaxWriteBatch];
 
     PendingOp& Front() { return pending[pend_head]; }
     void Push(const PendingOp& op) {
@@ -511,6 +518,23 @@ class FlatStore {
   // Retires the superseded entry `old_packed` of `key` (caller holds an
   // epoch pin so the entry's chunk cannot be freed mid-decode).
   void RetireOld(uint64_t old_packed);
+
+  // The one write-staging routine (DESIGN.md §5.2, §5.3) behind
+  // BeginWriteBatch, MultiPutOnCore and BeginTxn. `txn` is the chain
+  // flag: members are marked (log::MarkTxnMember), nothing is absorbed,
+  // CAS/RMW ops are allowed, a checksummed commit record joins the fused
+  // group and handles[n] receives its handle (kNoOpHandle when nothing
+  // staged). Returns kCommitted when the ops are staged or resolved to
+  // not-found deletes (per-op `statuses`), else the failure: nothing is
+  // then staged and `*failed_op` (if non-null) names a mismatching CAS.
+  // Requires n <= kMaxWriteBatch (kMaxTxnOps for a txn).
+  TxnStatus StageWrites(int core, const TxnOp* ops, size_t n, bool txn,
+                        OpHandle* handles, OpStatus* statuses,
+                        size_t* failed_op);
+  // The synchronous write calls' retry-then-drain loop around `stage`
+  // (MultiPutOnCore, CommitTxnOnCore).
+  template <typename Stage>
+  TxnStatus StageToCompletion(int core, Stage stage);
 
   // The one read-resolution path (DESIGN.md §5.1), shared by point reads
   // and every scan. ProbeBatch is phases A and B: key i probes idx[i],

@@ -287,8 +287,15 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       resp.value_len = 0;
       TxnOp ops[kMaxTxnOps];
       size_t nops = 0;
-      if (!DecodeTxnOps(req->value, req->value_len, ops, kMaxTxnOps,
-                        &nops)) {
+      bool valid =
+          DecodeTxnOps(req->value, req->value_len, ops, kMaxTxnOps, &nops);
+      // A txn stages on the core its members route to: one with a member
+      // owned by another core (a client with a stale routing view) is
+      // refused like a malformed one, before the engine sees it.
+      for (size_t i = 0; valid && i < nops; i++) {
+        valid = engine->CoreForKey(ops[i].key) == core;
+      }
+      if (!valid) {
         resp.status = net::MsgStatus::kUnsupported;
         rpc.PostResponse(core, conn, &resp, 0);
         rpc.PopRequest(core, conn);

@@ -129,6 +129,8 @@ class EngineAdapter {
   // whole chain is durable; kDoneNow means the txn committed with no
   // effect (all ops were no-ops). kCasMismatch / kBusy / kBackpressure
   // stage nothing. Engines without txn support return kUnsupported.
+  // Every member routes to `core` (CoreForKey); the server answers a txn
+  // that spans cores kUnsupported without submitting it.
   virtual Submit SubmitTxn(int core, const TxnOp* ops, size_t n,
                            uint64_t tag) {
     (void)core;

@@ -13,10 +13,16 @@
 // kRmw has no wire form (callbacks cannot be serialized); clients run
 // read-modify-write as a Get followed by a CAS txn.
 //
+// A decoded txn is a write batch with the chain flag: FlatStore::BeginTxn
+// stages it through the write batch's staging routine on the core its
+// members route to. Every member must route to the core the request
+// reached; the server answers any other txn kUnsupported without
+// submitting it.
+//
 // Decoded TxnOps point INTO the wire buffer — they stay valid only while
-// the message buffer does. FlatStore::BeginTxn copies every member byte
-// into its chain before returning, so submitting straight off the ring
-// is safe.
+// the message buffer does. BeginTxn copies every member byte into the
+// staged chain (and every CAS compare happens) before it returns, so
+// submitting straight off the ring is safe.
 
 #ifndef FLATSTORE_CORE_TXN_WIRE_H_
 #define FLATSTORE_CORE_TXN_WIRE_H_

@@ -196,8 +196,8 @@ void MultiPutWorkload(WorkloadCtx& ctx) {
   RunBatch(ctx, DuplicateKeyBatch());
 }
 
-// Transactions (§5.3): committed, aborted (CAS-fail), and CAS-success
-// chains, with inline, out-of-log, RMW, and delete members. Every flush
+// Transactions (§5.3): committed, aborted (CAS-fail), CAS-success and
+// repeated-key chains, with inline, out-of-log, RMW, and delete members. Every flush
 // of the chain encode, the fused group persist, and the commit record
 // becomes a crash point; the oracle folds each txn's keys in as a unit
 // (all WillPut before the commit, all Acked after), so a recovered image
@@ -267,6 +267,20 @@ void TxnWorkload(WorkloadCtx& ctx) {
   cas_ok.value = t3.data();
   cas_ok.len = static_cast<uint32_t>(t3.size());
   commit({cas_ok, put(5, t3)}, core::TxnStatus::kCommitted);
+
+  // Txn 4 repeats a key: its CAS compares against the Put staged before
+  // it in the same txn and swaps in an out-of-log value, so the chain
+  // carries two versions of key 6 around a fresh value block.
+  const std::string t4a = Val('X', 36);
+  const std::string t4b = Val('Y', 320);
+  core::TxnOp cas_own;
+  cas_own.kind = core::TxnOpKind::kCas;
+  cas_own.key = 6;
+  cas_own.expected = t4a.data();
+  cas_own.expected_len = static_cast<uint32_t>(t4a.size());
+  cas_own.value = t4b.data();
+  cas_own.len = static_cast<uint32_t>(t4b.size());
+  commit({put(6, t4a), cas_own, put(2, t4a)}, core::TxnStatus::kCommitted);
 }
 
 // Log-to-tier conversion (DESIGN.md §11): a sealed, partly superseded

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "core/server.h"
 #include "core/txn_wire.h"
 #include "one_op.h"
+#include "vt/clock.h"
 
 namespace flatstore {
 namespace core {
@@ -35,8 +38,86 @@ std::string V(uint64_t k, size_t len = 48) {
   return std::string(len, char('a' + k % 26));
 }
 
+TxnOp PutOp(uint64_t key, const std::string& v) {
+  TxnOp op;
+  op.kind = TxnOpKind::kPut;
+  op.key = key;
+  op.value = v.data();
+  op.len = static_cast<uint32_t>(v.size());
+  return op;
+}
+
+TxnOp DeleteOp(uint64_t key) {
+  TxnOp op;
+  op.kind = TxnOpKind::kDelete;
+  op.key = key;
+  return op;
+}
+
+TxnOp CasOp(uint64_t key, const std::string& expected, const std::string& v) {
+  TxnOp op = PutOp(key, v);
+  op.kind = TxnOpKind::kCas;
+  op.expected = expected.data();
+  op.expected_len = static_cast<uint32_t>(expected.size());
+  return op;
+}
+
+// RMW that appends '+' to the current value, or writes "new" when absent.
+TxnOp AppendOp(uint64_t key) {
+  TxnOp op;
+  op.kind = TxnOpKind::kRmw;
+  op.key = key;
+  op.rmw = [](void*, const void* cur, uint32_t cur_len, uint8_t* out,
+              uint32_t cap) -> uint32_t {
+    if (cur == nullptr) {
+      std::memcpy(out, "new", 3);
+      return 3;
+    }
+    EXPECT_LT(cur_len, cap);
+    std::memcpy(out, cur, cur_len);
+    out[cur_len] = '+';
+    return cur_len + 1;
+  };
+  return op;
+}
+
+// Applies `op` alone through the synchronous API; CAS and RMW become a Get
+// followed by a Put.
+void ApplyAlone(FlatStore* store, const TxnOp& op) {
+  std::string cur;
+  const bool present = store->Get(op.key, &cur);
+  switch (op.kind) {
+    case TxnOpKind::kPut:
+      break;
+    case TxnOpKind::kDelete:
+      store->Delete(op.key);
+      return;
+    case TxnOpKind::kCas:
+      ASSERT_EQ(present, op.expected != nullptr) << op.key;
+      if (present) {
+        ASSERT_EQ(cur, std::string(static_cast<const char*>(op.expected),
+                                   op.expected_len))
+            << op.key;
+      }
+      break;
+    case TxnOpKind::kRmw: {
+      uint8_t out[log::kMaxInlineValue];
+      const uint32_t len =
+          op.rmw(op.rmw_ctx, present ? cur.data() : nullptr,
+                 static_cast<uint32_t>(cur.size()), out, sizeof(out));
+      store->Put(op.key,
+                 std::string_view(reinterpret_cast<const char*>(out), len));
+      return;
+    }
+  }
+  store->Put(op.key,
+             std::string_view(static_cast<const char*>(op.value), op.len));
+}
+
 // Keys 0..n-1 all route to core 0 under num_cores=1; multi-core tests
-// probe CoreForKey explicitly.
+// probe CoreForKey explicitly. Each txn commits on one store while its ops
+// apply one at a time on another: first distinct Puts, then txns that
+// repeat keys, so later members read and chain onto earlier ones.
 TEST(Txn, CommitEqualsSequentialPuts) {
   auto pool_a = MakePool();
   auto pool_b = MakePool();
@@ -45,25 +126,78 @@ TEST(Txn, CommitEqualsSequentialPuts) {
 
   constexpr size_t kOps = 6;
   std::string vals[kOps];
-  TxnOp ops[kOps];
   for (size_t i = 0; i < kOps; i++) {
     vals[i] = V(i, 24 + 7 * i);
     if (i == 3) vals[i] = V(i, 400);  // out-of-log member
-    ops[i].kind = TxnOpKind::kPut;
-    ops[i].key = i;
-    ops[i].value = vals[i].data();
-    ops[i].len = static_cast<uint32_t>(vals[i].size());
   }
-  ASSERT_EQ(txn_store->CommitTxnOnCore(0, ops, kOps), TxnStatus::kCommitted);
-  for (size_t i = 0; i < kOps; i++) seq_store->Put(i, vals[i]);
+  std::vector<std::vector<TxnOp>> txns(1);
+  for (size_t i = 0; i < kOps; i++) txns[0].push_back(PutOp(i, vals[i]));
+  // Put -> CAS: the CAS compares against the Put it follows and swaps in
+  // an out-of-log value.
+  txns.push_back({PutOp(0, vals[1]), CasOp(0, vals[1], vals[3]),
+                  PutOp(1, vals[2])});
+  // Delete -> RMW -> RMW: the first RMW sees the key absent, the second
+  // the first one's output.
+  txns.push_back({DeleteOp(2), AppendOp(2), AppendOp(2), AppendOp(5)});
+  // Put -> Put -> Put, inline and out-of-log, last write wins.
+  txns.push_back({PutOp(4, vals[3]), PutOp(4, vals[0]), PutOp(6, vals[2]),
+                  PutOp(4, vals[5])});
+  // Delete -> Delete -> CAS expecting absent -> CAS on the CAS's value.
+  TxnOp insert = CasOp(1, "", vals[4]);
+  insert.expected = nullptr;
+  txns.push_back({DeleteOp(1), DeleteOp(1), insert,
+                  CasOp(1, vals[4], vals[3]), DeleteOp(99)});
 
-  EXPECT_EQ(txn_store->Size(), seq_store->Size());
-  for (size_t i = 0; i < kOps; i++) {
-    std::string a, b;
-    ASSERT_TRUE(txn_store->Get(i, &a)) << i;
-    ASSERT_TRUE(seq_store->Get(i, &b)) << i;
-    EXPECT_EQ(a, b) << i;
-    EXPECT_EQ(a, vals[i]) << i;
+  for (size_t t = 0; t < txns.size(); t++) {
+    const std::vector<TxnOp>& ops = txns[t];
+    ASSERT_EQ(txn_store->CommitTxnOnCore(0, ops.data(), ops.size()),
+              TxnStatus::kCommitted)
+        << "txn " << t;
+    for (const TxnOp& op : ops) ApplyAlone(seq_store.get(), op);
+
+    EXPECT_EQ(txn_store->Size(), seq_store->Size()) << "txn " << t;
+    for (size_t k = 0; k <= kOps; k++) {
+      std::string a, b;
+      const bool fa = txn_store->Get(k, &a);
+      ASSERT_EQ(fa, seq_store->Get(k, &b)) << "txn " << t << " key " << k;
+      EXPECT_EQ(a, b) << "txn " << t << " key " << k;
+      if (t == 0 && k < kOps) {
+        EXPECT_EQ(a, vals[k]) << k;
+      }
+    }
+  }
+}
+
+// A Put member never reads its key's committed entry: staging a put-only
+// txn over preloaded keys, inline and out-of-log values alike, charges
+// no PM read.
+TEST(Txn, PutMembersReadNothing) {
+  auto pool = MakePool();
+  auto store = FlatStore::Create(pool.get(), Opts());
+  vt::Clock clock;
+  vt::ScopedClock bind(&clock);
+  constexpr size_t kOps = 8;
+  std::string vals[kOps];
+  TxnOp ops[kOps];
+  for (size_t k = 0; k < kOps; k++) {
+    store->Put(k, V(k, k % 2 == 0 ? 40 : 600));  // preloaded: indexed
+    vals[k] = V(k + 1, k % 3 == 0 ? 700 : 56);
+    ops[k] = PutOp(k, vals[k]);
+  }
+
+  const pm::PmStats::Snapshot before = pool->stats().Get();
+  FlatStore::OpHandle commit;
+  ASSERT_EQ(store->BeginTxn(0, ops, kOps, &commit), TxnStatus::kCommitted);
+  EXPECT_EQ(pm::Delta(before, pool->stats().Get()).reads, 0u);
+
+  while (store->Inflight(0) > 0) {
+    store->Pump(0);
+    store->Drain(0, SIZE_MAX, nullptr);
+  }
+  std::string got;
+  for (size_t k = 0; k < kOps; k++) {
+    ASSERT_TRUE(store->Get(k, &got)) << k;
+    EXPECT_EQ(got, vals[k]) << k;
   }
 }
 
@@ -520,6 +654,94 @@ TEST(TxnServer, RunServerWithTxnTraffic) {
   EXPECT_EQ(r.ops, 8000u);
   EXPECT_EQ(r.latency.count(), 8000u);
   EXPECT_GT(store->Size(), 1000u);
+}
+
+// Forwards to a FlatStoreAdapter, except that the client fleet routes
+// with a stale table putting every key on core 0: client-side calls run
+// outside every server core's clock, server-side calls inside one. Records
+// what reaches SubmitTxn.
+class StaleClientRouting final : public EngineAdapter {
+ public:
+  explicit StaleClientRouting(FlatStore* store)
+      : store_(store), inner_(store) {}
+  int num_cores() const override { return inner_.num_cores(); }
+  int CoreForKey(uint64_t key) const override {
+    return vt::CurrentClock() == nullptr ? 0 : inner_.CoreForKey(key);
+  }
+  const char* Name() const override { return inner_.Name(); }
+  size_t SubmitWriteBatch(int core, const WriteReq* reqs, size_t n,
+                          Submit* out) override {
+    return inner_.SubmitWriteBatch(core, reqs, n, out);
+  }
+  size_t MultiGet(int core, const uint64_t* keys, size_t n,
+                  ReadResult* results) override {
+    return inner_.MultiGet(core, keys, n, results);
+  }
+  Submit SubmitTxn(int core, const TxnOp* ops, size_t n,
+                   uint64_t tag) override {
+    for (size_t i = 0; i < n; i++) {
+      if (store_->CoreForKey(ops[i].key) != core) {
+        cross_core_submits++;
+        break;
+      }
+    }
+    const Submit st = inner_.SubmitTxn(core, ops, n, tag);
+    if (st == Submit::kPending || st == Submit::kDoneNow) {
+      for (size_t i = 0; i < n; i++) committed_keys.insert(ops[i].key);
+    }
+    return st;
+  }
+  size_t Pump(int core) override { return inner_.Pump(core); }
+  size_t Drain(int core, std::vector<Done>* done) override {
+    return inner_.Drain(core, done);
+  }
+
+  uint64_t cross_core_submits = 0;
+  std::set<uint64_t> committed_keys;
+
+ private:
+  FlatStore* store_;
+  FlatStoreAdapter inner_;
+};
+
+// Every request is a txn posted to core 0 whose members the client picked
+// as "same-core" under its stale table. The server must answer each txn
+// with a member on core 1 kUnsupported before submitting it: staged on
+// core 0, its core-1 members would sit in the wrong log and in-flight
+// table, and a later write of such a key on core 1 would chain versions
+// without seeing them.
+TEST(TxnServer, CrossCoreTxnIsRefusedUnstaged) {
+  pm::PmPool::Options o;
+  o.size = 256ull << 20;
+  pm::PmPool pool(o);
+  auto store = FlatStore::Create(&pool, Opts(2));
+  StaleClientRouting adapter(store.get());
+
+  ServerConfig cfg;
+  cfg.num_conns = 2;
+  cfg.client_threads = 1;
+  cfg.ops_per_conn = 200;
+  cfg.workload.key_space = 1024;
+  cfg.workload.value_len = 32;
+  cfg.workload.get_ratio = 0.0;
+  cfg.txn_every = 1;
+  cfg.txn_size = 2;
+  ServerResult r = RunServer(&adapter, cfg);
+  EXPECT_EQ(r.ops, 400u);  // kUnsupported answers complete requests too
+
+  EXPECT_EQ(adapter.cross_core_submits, 0u);
+  EXPECT_FALSE(adapter.committed_keys.empty());
+  EXPECT_EQ(store->Inflight(0) + store->Inflight(1), 0u);
+  // Exactly the keys of submitted txns exist, each readable on its core.
+  size_t present = 0;
+  std::string got;
+  for (uint64_t k = 0; k < cfg.workload.key_space + cfg.txn_size; k++) {
+    const bool found = store->Get(k, &got);
+    EXPECT_EQ(found, adapter.committed_keys.count(k) == 1) << "key " << k;
+    present += found;
+  }
+  EXPECT_EQ(present, adapter.committed_keys.size());
+  EXPECT_LT(present, cfg.workload.key_space / 2) << "some txns refused";
 }
 
 TEST(TxnServer, BaselineAnswersUnsupported) {
