@@ -115,9 +115,8 @@ class BenchJson {
     // self-describing: topology knobs and the vt cost constants the
     // numbers were produced under (comparing JSONs across commits is
     // meaningless if the cost model moved). Benches override the
-    // topology fields (sockets/shards) per run via Meta*.
+    // topology fields (sockets) per run via Meta*.
     MetaInt("sockets", 1);
-    MetaInt("shards", 1);
     MetaInt("server_cores", kCores);
     MetaInt("client_conns", kConns);
     MetaInt("ops_per_point", OpsPerPoint());

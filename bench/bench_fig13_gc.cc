@@ -1,8 +1,7 @@
 // Figure 13 — garbage-collection efficiency, reworked as a sweep:
 // update ratio {25, 50, 75 %} x cleaning threshold {0.6, 0.8, 0.9} under
-// the ETC value mix in a deliberately small pool, plus a policy A/B at
-// the 50 %-update point (cost-benefit + hot/cold segregation vs the
-// legacy oldest-first live-ratio cleaner).
+// the ETC value mix in a deliberately small pool, cleaned by the
+// cost-benefit + hot/cold segregation cleaner.
 //
 // Each point runs in time segments: serve, then one synchronous cleaner
 // pass whose PM traffic lands at the head of the *next* segment's device
@@ -13,8 +12,7 @@
 //
 // Expected shape: WA grows with both knobs (more updates -> more
 // survivors per victim at pick time; higher threshold -> fuller
-// victims), and at every shared point cost-benefit beats the legacy
-// policy on WA — it spends its budget on old, empty chunks first.
+// victims).
 
 #include "bench_common.h"
 #include "pm/pm_stats.h"
@@ -24,7 +22,6 @@ namespace bench {
 namespace {
 
 struct GcPoint {
-  std::string policy;
   double update_ratio;
   double live_ratio;
   double steady_mops;      // mean of the last kSteadyTail segments
@@ -40,21 +37,18 @@ std::vector<GcPoint> g_points;
 constexpr int kSegments = 12;
 constexpr int kSteadyTail = 3;
 
-GcPoint RunGcPoint(log::VictimQuery::Policy policy, bool segregate,
-                   double update_ratio, double live_ratio) {
+GcPoint RunGcPoint(double update_ratio, double live_ratio) {
   core::FlatStoreOptions fo;
   fo.num_cores = 2;
   fo.group_size = 2;
   fo.hash_initial_depth = 6;
-  fo.gc_policy = policy;
-  fo.gc_segregate = segregate;
   fo.gc_live_ratio = live_ratio;
   fo.gc_cold_age = 256;
   // Pace the cleaner: one bounded pass per segment, below the churn
   // rate, so a victim backlog persists and selection ORDER matters (an
   // unpaced cleaner drains every eligible chunk each pass, making all
   // policies converge on the same cumulative totals). One victim in
-  // flight per core keeps every pick a fresh, policy-driven choice over
+  // flight per core keeps every pick a fresh, cost-benefit choice over
   // the current backlog rather than a slot pinned at segment 1.
   fo.gc_quantum_bytes = 8ull << 20;
   fo.gc_max_victims = 1;
@@ -98,9 +92,6 @@ GcPoint RunGcPoint(log::VictimQuery::Policy policy, bool segregate,
 
   const auto s = rig.pool->stats().Get();
   GcPoint p;
-  p.policy =
-      policy == log::VictimQuery::Policy::kCostBenefit ? "cost_benefit"
-                                                       : "live_ratio";
   p.update_ratio = update_ratio;
   p.live_ratio = live_ratio;
   p.steady_mops = steady_sum / kSteadyTail;
@@ -116,27 +107,17 @@ GcPoint RunGcPoint(log::VictimQuery::Policy policy, bool segregate,
 void BM_GcSweep(benchmark::State& state) {
   for (auto _ : state) {
     g_points.clear();
-    // Main sweep: the cost-benefit + segregation cleaner.
     for (double update : {0.25, 0.5, 0.75}) {
       for (double lr : {0.6, 0.8, 0.9}) {
-        g_points.push_back(RunGcPoint(log::VictimQuery::Policy::kCostBenefit,
-                                      /*segregate=*/true, update, lr));
+        g_points.push_back(RunGcPoint(update, lr));
       }
     }
-    // Legacy arm at the 50 %-update column (the acceptance A/B).
-    for (double lr : {0.6, 0.8, 0.9}) {
-      g_points.push_back(RunGcPoint(log::VictimQuery::Policy::kLiveRatio,
-                                    /*segregate=*/false, 0.5, lr));
-    }
   }
-  // Headline counters: the 50 % update / 0.9 threshold pair.
+  // Headline counters: the 50 % update / 0.9 threshold point.
   for (const GcPoint& p : g_points) {
     if (p.update_ratio == 0.5 && p.live_ratio == 0.9) {
-      const char* tag =
-          p.policy == "cost_benefit" ? "cb_mops" : "legacy_mops";
-      state.counters[tag] = p.steady_mops;
-      const char* wtag = p.policy == "cost_benefit" ? "cb_wa" : "legacy_wa";
-      state.counters[wtag] = p.wa_ratio;
+      state.counters["cb_mops"] = p.steady_mops;
+      state.counters["cb_wa"] = p.wa_ratio;
     }
   }
 }
@@ -152,13 +133,11 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   std::printf(
       "\n== Figure 13: GC sweep (ETC values, zipfian, 256 MB pool) ==\n");
-  std::printf("%-14s %8s %6s %10s %8s %10s %14s %14s\n", "policy", "update",
-              "thresh", "Mops/s", "WA", "cleaned", "surv hot B",
-              "surv cold B");
+  std::printf("%8s %6s %10s %8s %10s %14s %14s\n", "update", "thresh",
+              "Mops/s", "WA", "cleaned", "surv hot B", "surv cold B");
   for (const auto& p : flatstore::bench::g_points) {
-    std::printf("%-14s %8.2f %6.2f %10.2f %8.3f %10lu %14lu %14lu\n",
-                p.policy.c_str(), p.update_ratio, p.live_ratio,
-                p.steady_mops, p.wa_ratio,
+    std::printf("%8.2f %6.2f %10.2f %8.3f %10lu %14lu %14lu\n",
+                p.update_ratio, p.live_ratio, p.steady_mops, p.wa_ratio,
                 static_cast<unsigned long>(p.chunks_cleaned),
                 static_cast<unsigned long>(p.survivor_bytes_hot),
                 static_cast<unsigned long>(p.survivor_bytes_cold));
@@ -166,7 +145,7 @@ int main(int argc, char** argv) {
   flatstore::bench::BenchJson j("fig13_gc");
   for (const auto& p : flatstore::bench::g_points) {
     j.AddRow()
-        .Str("policy", p.policy)
+        .Str("policy", "cost_benefit")
         .Num("update_ratio", p.update_ratio)
         .Num("live_ratio", p.live_ratio)
         .Num("mops", p.steady_mops)

@@ -39,7 +39,6 @@ SegPoint RunSegPoint(bool segregate) {
   fo.num_cores = 4;
   fo.group_size = 4;
   fo.hash_initial_depth = 6;
-  fo.gc_policy = log::VictimQuery::Policy::kCostBenefit;
   fo.gc_segregate = segregate;
   fo.gc_live_ratio = 0.9;  // aggressive: survivors dominate the traffic
   fo.gc_cold_age = 256;

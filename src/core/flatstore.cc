@@ -1389,7 +1389,6 @@ void FlatStore::EnsureCleaners() {
     return tier_ != nullptr && tier_->Get(key, &tp) && tp != packed;
   };
   log::LogCleaner::Options opts;
-  opts.policy = options_.gc_policy;
   opts.live_ratio = options_.gc_live_ratio;
   opts.quantum_bytes = options_.gc_quantum_bytes;
   opts.max_victims = options_.gc_max_victims;

@@ -78,7 +78,6 @@ struct FlatStoreOptions {
   // Pad log batches to cachelines (§3.2); ablation toggle.
   bool pad_batches = true;
   // Log cleaning (§3.4). See log::LogCleaner::Options for semantics.
-  log::VictimQuery::Policy gc_policy = log::VictimQuery::Policy::kCostBenefit;
   double gc_live_ratio = 0.6;
   uint64_t gc_quantum_bytes = 0;         // 0 = unbounded passes
   size_t gc_max_victims = 4;             // in-flight cleaning jobs per core

@@ -7,7 +7,6 @@
 
 #include "common/random.h"
 #include "core/txn_wire.h"
-#include "net/shard_router.h"
 #include "vt/clock.h"
 #include "vt/costs.h"
 
@@ -131,7 +130,6 @@ struct CoreLoop {
   std::vector<EngineAdapter::WriteReq> write_reqs;     // scratch
   std::vector<EngineAdapter::Submit> write_status;     // scratch
   uint64_t next_tag = 1;
-  uint64_t completed = 0;
 
   CoreLoop() {
     reads.reserve(kMaxReadBatch);
@@ -258,7 +256,6 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       if (engine->MultiGet(core, &req->key, 1, &r) == 0) continue;
       PostGetResponse(rpc, core, conn, *req, r, /*chained=*/false);
       rpc.PopRequest(core, conn);
-      state.completed++;
       progress = true;
       continue;
     }
@@ -270,7 +267,6 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       // the index the scan merges over.
       RespondNow(rpc, core, conn, *req, engine);
       rpc.PopRequest(core, conn);
-      state.completed++;
       progress = true;
       continue;
     }
@@ -299,7 +295,6 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
         resp.status = net::MsgStatus::kUnsupported;
         rpc.PostResponse(core, conn, &resp, 0);
         rpc.PopRequest(core, conn);
-        state.completed++;
         progress = true;
         continue;
       }
@@ -314,14 +309,12 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
           resp.status = net::MsgStatus::kOk;
           rpc.PostResponse(core, conn, &resp, 0);
           rpc.PopRequest(core, conn);
-          state.completed++;
           progress = true;
           break;
         case EngineAdapter::Submit::kCasMismatch:
           resp.status = net::MsgStatus::kCasMismatch;
           rpc.PostResponse(core, conn, &resp, 0);
           rpc.PopRequest(core, conn);
-          state.completed++;
           progress = true;
           break;
         case EngineAdapter::Submit::kNotFound:
@@ -329,7 +322,6 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
           resp.status = net::MsgStatus::kUnsupported;
           rpc.PostResponse(core, conn, &resp, 0);
           rpc.PopRequest(core, conn);
-          state.completed++;
           progress = true;
           break;
         case EngineAdapter::Submit::kBusy:
@@ -371,7 +363,6 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       case EngineAdapter::Submit::kNotFound:
         RespondNow(rpc, core, conn, *req, engine);
         rpc.PopRequest(core, conn);
-        state.completed++;
         progress = true;
         break;
       default:
@@ -411,7 +402,6 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
         case EngineAdapter::Submit::kNotFound:
           RespondNow(rpc, core, state.writes[i].conn, state.writes[i].req,
                      engine);
-          state.completed++;
           progress = true;
           break;
         default:  // kBusy / kBackpressure: carry to the next quantum
@@ -457,7 +447,6 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       PostGetResponse(rpc, core, state.reads[i].conn, state.reads[i].req,
                       state.read_results[i], chain_open);
       chain_open = true;
-      state.completed++;
       progress = true;
     }
     state.reads.resize(kept);
@@ -490,7 +479,6 @@ bool CorePersistStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
                  coalesce_responses && chain_open);
       chain_open = true;
       state.pending.pop_front();
-      state.completed++;
     }
     progress = true;
   }
@@ -524,18 +512,8 @@ struct Conn {
   Histogram latency;
 };
 
-// One shard's runtime: its engine, RPC fabric, and per-core loop state.
-// RunServer is the one-shard special case; RunCluster keeps a vector.
-struct ShardRt {
-  EngineAdapter* engine = nullptr;
-  std::unique_ptr<net::FlatRpc> rpc;
-  std::vector<CoreLoop> cores;
-  Histogram latency;  // client-observed latency of ops this shard served
-};
-
-// Drains any delivered responses into the connection's accounting (and
-// the serving shard's latency histogram).
-void DrainResponses(net::FlatRpc& rpc, Conn* conn, Histogram* shard_latency) {
+// Drains any delivered responses into the connection's accounting.
+void DrainResponses(net::FlatRpc& rpc, Conn* conn) {
   net::Response resp;
   while (rpc.PollResponse(conn->id, &resp)) {
     const uint64_t arrival = net::FlatRpc::ResponseArrival(resp);
@@ -543,29 +521,19 @@ void DrainResponses(net::FlatRpc& rpc, Conn* conn, Histogram* shard_latency) {
     size_t i = 0;
     while (i < conn->nposted && conn->posted[i].seq != resp.seq) i++;
     FLATSTORE_CHECK_LT(i, conn->nposted) << "response for unknown seq";
-    const uint64_t lat = arrival - conn->posted[i].post_time;
-    conn->latency.Record(lat);
-    if (shard_latency != nullptr) shard_latency->Record(lat);
+    conn->latency.Record(arrival - conn->posted[i].post_time);
     conn->posted[i] = conn->posted[--conn->nposted];
     conn->completed++;
   }
 }
 
-// One scheduling quantum of a connection: fill the request window across
-// the shard fleet, drain responses from every shard. Returns true while
-// the connection has work left. With one shard the routing collapses to
-// the unsharded path (the router is not even consulted).
-bool ConnStep(ShardRt* shards, size_t nshards,
-              const net::ShardRouter* router, Conn* conn,
+// One scheduling quantum of a connection: fill the request window, drain
+// responses. Returns true while the connection has work left.
+bool ConnStep(EngineAdapter* engine, net::FlatRpc& rpc, Conn* conn,
               const ServerConfig& config, const uint8_t* value) {
   while (conn->issued < config.ops_per_conn &&
          conn->nposted < static_cast<size_t>(config.client_window)) {
     workload::Op op = conn->gen->Next();
-    const int shard_id =
-        nshards == 1 ? 0 : router->ShardForKey(op.key);
-    ShardRt& shard = shards[shard_id];
-    EngineAdapter* engine = shard.engine;
-    net::FlatRpc& rpc = *shard.rpc;
     net::Request req;
     req.seq = conn->next_seq;
     req.key = op.key;
@@ -576,8 +544,7 @@ bool ConnStep(ShardRt* shards, size_t nshards,
                 static_cast<uint64_t>(config.txn_every) - 1) {
           // Every txn_every-th write goes out as an atomic multi-put:
           // txn_size puts on same-core keys, scanned upward from the
-          // workload key so the whole txn routes to one core (and, in a
-          // cluster, to one shard — a txn never spans shards). Member
+          // workload key so the whole txn routes to one core. Member
           // values are capped at 128 B so the encoded txn always fits
           // the message buffer.
           req.type = net::MsgType::kTxn;
@@ -590,7 +557,6 @@ bool ConnStep(ShardRt* shards, size_t nshards,
           TxnOp ops[kMaxTxnOps];
           size_t nops = 0;
           for (uint64_t k = op.key; nops < want; k++) {
-            if (nshards > 1 && router->ShardForKey(k) != shard_id) continue;
             if (engine->CoreForKey(k) != target) continue;
             ops[nops] = TxnOp{};
             ops[nops].kind = TxnOpKind::kPut;
@@ -651,28 +617,8 @@ bool ConnStep(ShardRt* shards, size_t nshards,
     conn->next_seq++;
     conn->issued++;
   }
-  for (size_t s = 0; s < nshards; s++) {
-    DrainResponses(*shards[s].rpc, conn, &shards[s].latency);
-  }
+  DrainResponses(rpc, conn);
   return conn->completed < config.ops_per_conn;
-}
-
-// Builds one shard's runtime: RPC fabric sized for the client fleet,
-// per-core loop state, and each core clock stamped with its socket (the
-// hook that makes cross-socket surcharges apply).
-ShardRt MakeShardRt(EngineAdapter* engine, const ServerConfig& config) {
-  ShardRt rt;
-  rt.engine = engine;
-  net::FlatRpc::Options ro;
-  ro.num_cores = engine->num_cores();
-  ro.num_conns = config.num_conns;
-  ro.all_to_all = config.all_to_all_qps;
-  rt.rpc = std::make_unique<net::FlatRpc>(ro);
-  rt.cores.resize(static_cast<size_t>(engine->num_cores()));
-  for (int c = 0; c < engine->num_cores(); c++) {
-    rt.cores[c].clock.set_socket(engine->SocketForCore(c));
-  }
-  return rt;
 }
 
 std::vector<Conn> MakeConns(const ServerConfig& config) {
@@ -694,16 +640,16 @@ std::vector<Conn> MakeConns(const ServerConfig& config) {
   return conns;
 }
 
-// Deterministic round-robin co-simulation of connections and the shard
-// fleet's cores. Within a sweep, poll and persist rounds alternate until
-// the cores run dry: every core stages (phase 1) before any persists
-// (phase 2) so leaders see their siblings' staged entries, and conflict-
-// queue retries (hot keys under skew) get another chance as soon as the
-// blocking op drains — not a whole sweep later. Shards interleave at
-// core granularity, so a one-shard run executes the exact instruction
-// sequence the pre-cluster loop did.
-void RunLoop(std::vector<ShardRt>& shards, const net::ShardRouter* router,
-             std::vector<Conn>& conns, const ServerConfig& config) {
+// Deterministic round-robin co-simulation of connections and cores.
+// Within a sweep, poll and persist rounds alternate until the cores run
+// dry: every core stages (phase 1) before any persists (phase 2) so
+// leaders see their siblings' staged entries, and conflict-queue retries
+// (hot keys under skew) get another chance as soon as the blocking op
+// drains — not a whole sweep later.
+void RunLoop(EngineAdapter* engine, net::FlatRpc& rpc,
+             std::vector<CoreLoop>& cores, std::vector<Conn>& conns,
+             const ServerConfig& config) {
+  const int ncores = engine->num_cores();
   const int read_batch =
       std::min(config.read_batch, static_cast<int>(kMaxReadBatch));
   const int write_batch =
@@ -713,18 +659,16 @@ void RunLoop(std::vector<ShardRt>& shards, const net::ShardRouter* router,
   uint8_t value[net::kMaxMsgValue];
   std::memset(value, 0x5A, sizeof(value));
 
-  // Earliest pending arrival across every shard and core — the open-loop
-  // event horizon recomputed before each poll pass. Closed loop never
-  // consults it (requests carry past stamps).
-  auto arrival_horizon = [&shards, &config]() -> uint64_t {
+  // Earliest pending arrival across every core — the open-loop event
+  // horizon recomputed before each poll pass. Closed loop never consults
+  // it (requests carry past stamps).
+  auto arrival_horizon = [&]() -> uint64_t {
     uint64_t h = UINT64_MAX;
     if (!config.open_loop) return h;
-    for (ShardRt& sh : shards) {
-      for (int c = 0; c < sh.engine->num_cores(); c++) {
-        int conn;
-        net::Request* r = sh.rpc->PollEarliestRequest(c, &conn);
-        if (r != nullptr) h = std::min(h, sh.rpc->ArrivalTime(*r));
-      }
+    for (int c = 0; c < ncores; c++) {
+      int conn;
+      net::Request* r = rpc.PollEarliestRequest(c, &conn);
+      if (r != nullptr) h = std::min(h, rpc.ArrivalTime(*r));
     }
     return h;
   };
@@ -733,33 +677,26 @@ void RunLoop(std::vector<ShardRt>& shards, const net::ShardRouter* router,
   while (work_left) {
     work_left = false;
     for (Conn& conn : conns) {
-      if (ConnStep(shards.data(), shards.size(), router, &conn, config,
-                   value)) {
-        work_left = true;
-      }
+      if (ConnStep(engine, rpc, &conn, config, value)) work_left = true;
     }
     bool round_progress = true;
     while (round_progress) {
       round_progress = false;
       const uint64_t horizon = arrival_horizon();
-      for (ShardRt& sh : shards) {
-        for (int c = 0; c < sh.engine->num_cores(); c++) {
-          if (CorePollStep(sh.engine, *sh.rpc, c, sh.cores[c], read_batch,
-                           write_batch, config.open_loop, horizon)) {
-            round_progress = true;
-          }
+      for (int c = 0; c < ncores; c++) {
+        if (CorePollStep(engine, rpc, c, cores[c], read_batch, write_batch,
+                         config.open_loop, horizon)) {
+          round_progress = true;
         }
       }
       bool persist_progress = true;
       while (persist_progress) {
         persist_progress = false;
-        for (ShardRt& sh : shards) {
-          for (int c = 0; c < sh.engine->num_cores(); c++) {
-            if (CorePersistStep(sh.engine, *sh.rpc, c, sh.cores[c],
-                                done_scratch, coalesce)) {
-              persist_progress = true;
-              round_progress = true;
-            }
+        for (int c = 0; c < ncores; c++) {
+          if (CorePersistStep(engine, rpc, c, cores[c], done_scratch,
+                              coalesce)) {
+            persist_progress = true;
+            round_progress = true;
           }
         }
       }
@@ -778,44 +715,22 @@ void RunLoop(std::vector<ShardRt>& shards, const net::ShardRouter* router,
   while (progress) {
     progress = false;
     const uint64_t horizon = arrival_horizon();
-    for (ShardRt& sh : shards) {
-      for (int c = 0; c < sh.engine->num_cores(); c++) {
-        if (CorePollStep(sh.engine, *sh.rpc, c, sh.cores[c], read_batch,
-                         write_batch, config.open_loop, horizon)) {
-          progress = true;
-        }
-        if (CorePersistStep(sh.engine, *sh.rpc, c, sh.cores[c],
-                            done_scratch, coalesce)) {
-          progress = true;
-        }
+    for (int c = 0; c < ncores; c++) {
+      if (CorePollStep(engine, rpc, c, cores[c], read_batch, write_batch,
+                       config.open_loop, horizon)) {
+        progress = true;
+      }
+      if (CorePersistStep(engine, rpc, c, cores[c], done_scratch,
+                          coalesce)) {
+        progress = true;
       }
     }
     for (Conn& conn : conns) {
       const uint64_t before = conn.completed;
-      for (ShardRt& sh : shards) {
-        DrainResponses(*sh.rpc, &conn, &sh.latency);
-      }
+      DrainResponses(rpc, &conn);
       if (conn.completed != before) progress = true;
     }
   }
-}
-
-// Per-shard metrics from its core loops (ops are counted server-side
-// here; the aggregate counts client-side completions — the totals match,
-// the split per shard is only visible on the serving end).
-ServerResult ShardResult(const ShardRt& sh) {
-  ServerResult r;
-  r.latency = sh.latency;
-  for (const CoreLoop& s : sh.cores) {
-    r.ops += s.completed;
-    r.core_ns.push_back(s.clock.now());
-    r.sim_ns = std::max(r.sim_ns, s.clock.now());
-  }
-  if (r.sim_ns > 0) {
-    r.mops = static_cast<double>(r.ops) * 1000.0 /
-             static_cast<double>(r.sim_ns);
-  }
-  return r;
 }
 
 }  // namespace
@@ -823,52 +738,28 @@ ServerResult ShardResult(const ShardRt& sh) {
 ServerResult RunServer(EngineAdapter* engine, const ServerConfig& config) {
   FLATSTORE_CHECK_LE(config.client_window, 8)
       << "client window exceeds the response ring size";
-  std::vector<ShardRt> shards;
-  shards.push_back(MakeShardRt(engine, config));
+  // RPC fabric sized for the client fleet, and each core clock stamped
+  // with its socket (the hook that makes cross-socket surcharges apply).
+  net::FlatRpc::Options ro;
+  ro.num_cores = engine->num_cores();
+  ro.num_conns = config.num_conns;
+  ro.all_to_all = config.all_to_all_qps;
+  net::FlatRpc rpc(ro);
+  std::vector<CoreLoop> cores(static_cast<size_t>(engine->num_cores()));
+  for (int c = 0; c < engine->num_cores(); c++) {
+    cores[c].clock.set_socket(engine->SocketForCore(c));
+  }
   std::vector<Conn> conns = MakeConns(config);
-  RunLoop(shards, nullptr, conns, config);
+  RunLoop(engine, rpc, cores, conns, config);
 
   ServerResult result;
   for (const Conn& c : conns) {
     result.ops += c.completed;
     result.latency.Merge(c.latency);
   }
-  for (const CoreLoop& s : shards[0].cores) {
+  for (const CoreLoop& s : cores) {
     result.core_ns.push_back(s.clock.now());
     result.sim_ns = std::max(result.sim_ns, s.clock.now());
-  }
-  if (result.sim_ns > 0) {
-    result.mops = static_cast<double>(result.ops) * 1000.0 /
-                  static_cast<double>(result.sim_ns);
-  }
-  return result;
-}
-
-ClusterResult RunCluster(const std::vector<EngineAdapter*>& engines,
-                         const ClusterConfig& config) {
-  FLATSTORE_CHECK_GE(engines.size(), 1u);
-  FLATSTORE_CHECK_LE(config.server.client_window, 8)
-      << "client window exceeds the response ring size";
-  net::ShardRouter router(config.router_vnodes);
-  for (size_t s = 0; s < engines.size(); s++) {
-    router.AddShard(static_cast<int>(s));
-  }
-  std::vector<ShardRt> shards;
-  shards.reserve(engines.size());
-  for (EngineAdapter* e : engines) {
-    shards.push_back(MakeShardRt(e, config.server));
-  }
-  std::vector<Conn> conns = MakeConns(config.server);
-  RunLoop(shards, &router, conns, config.server);
-
-  ClusterResult result;
-  for (const Conn& c : conns) {
-    result.ops += c.completed;
-    result.latency.Merge(c.latency);
-  }
-  for (const ShardRt& sh : shards) {
-    result.shards.push_back(ShardResult(sh));
-    result.sim_ns = std::max(result.sim_ns, result.shards.back().sim_ns);
   }
   if (result.sim_ns > 0) {
     result.mops = static_cast<double>(result.ops) * 1000.0 /

@@ -268,7 +268,6 @@ class BaselineAdapter final : public EngineAdapter {
 // Benchmark-run configuration.
 struct ServerConfig {
   int num_conns = 8;          // simulated client connections
-  int client_threads = 2;     // host threads driving the connections
   int client_window = 8;      // async requests in flight per connection
   uint64_t ops_per_conn = 10000;
   // Gets polled by a core in one quantum are served as a single MultiGet
@@ -320,37 +319,6 @@ struct ServerResult {
 // Runs the full client/server simulation until every connection finishes
 // its quota; returns aggregate metrics.
 ServerResult RunServer(EngineAdapter* engine, const ServerConfig& config);
-
-// ---- scale-out (sharded) deployment ----
-
-// A cluster run drives N independent engine instances (shards) — each
-// with its own FlatRPC fabric and per-core loops — from one simulated
-// client-node fleet. Clients route each key to a shard through a
-// consistent-hash ring (net::ShardRouter) and then to a core via the
-// shard's own CoreForKey; shards share nothing, so the deployment's
-// crash/recovery story is per-shard.
-struct ClusterConfig {
-  // Per-shard serving knobs + the client fleet (num_conns = client
-  // nodes, each connected to every shard).
-  ServerConfig server;
-  // Consistent-hash points per shard.
-  int router_vnodes = 64;
-};
-
-struct ClusterResult {
-  uint64_t ops = 0;
-  uint64_t sim_ns = 0;  // max simulated core time across all shards
-  double mops = 0;      // aggregate ops over max shard time
-  Histogram latency;    // client-observed, all shards merged
-  std::vector<ServerResult> shards;  // per-shard breakdown
-};
-
-// Runs `shards.size()` engines as one cluster until every connection
-// finishes its quota. With one shard this is byte-for-byte RunServer
-// (same request stream, same virtual-time results) — the single-shard
-// path *is* the shared loop.
-ClusterResult RunCluster(const std::vector<EngineAdapter*>& shards,
-                         const ClusterConfig& config);
 
 // Convenience: bulk-load `keys` sequential keys, one write at a time and
 // each completed before the next, before a measured run (the paper

@@ -123,7 +123,6 @@ void LogCleaner::RefillJobs() {
     if (in_flight >= options_.max_victims) continue;
 
     VictimQuery q;
-    q.policy = options_.policy;
     q.live_ratio = options_.live_ratio;
     q.max = options_.max_victims;
     for (const VictimInfo& v : logs_[core]->PickVictims(q)) {

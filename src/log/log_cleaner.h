@@ -7,11 +7,9 @@
 // index at the copies with atomic CAS, and returns the victim chunks to
 // the allocator.
 //
-// Victim selection (OpLog::PickVictims) is policy-driven: the default
-// cost-benefit policy ranks chunks by (1 - u) * age / (1 + u) over
-// incrementally maintained per-chunk live-byte counters (RAMCloud/LFS);
-// the legacy live-ratio threshold policy is kept behind Options::policy
-// for A/B comparison.
+// Victim selection (OpLog::PickVictims) ranks chunks cost-benefit,
+// (1 - u) * age / (1 + u), over incrementally maintained per-chunk
+// live-byte counters (RAMCloud/LFS).
 //
 // Cleaning is *pipelined and incremental*: each victim is a CleaningJob
 // that moves through scan -> relocate -> retire stages in bounded slices.
@@ -98,12 +96,8 @@ struct CleanerHooks {
 class LogCleaner {
  public:
   struct Options {
-    // Victim-selection policy. kCostBenefit is the default; kLiveRatio is
-    // the legacy threshold policy, kept for A/B comparison (Fig. 13).
-    VictimQuery::Policy policy = VictimQuery::Policy::kCostBenefit;
-    // kLiveRatio: the victim threshold (fraction of live entries).
-    // kCostBenefit: eligibility cap — chunks at or above this live ratio
-    // are never worth relocating.
+    // Victim eligibility cap: chunks at or above this live ratio are
+    // never worth relocating.
     double live_ratio = 0.6;
     size_t max_victims = 4;    // in-flight cleaning jobs per core
     // Per-RunOnce byte budget over scanned + relocated bytes (0 =

@@ -266,7 +266,7 @@ std::map<uint64_t, ChunkUsage> OpLog::UsageSnapshot() const {
 
 std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
   struct Candidate {
-    double score;   // kCostBenefit ordering key (unused for kLiveRatio)
+    double score;   // cost-benefit ordering key
     uint32_t seq;
     VictimInfo info;
   };
@@ -307,14 +307,10 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
           (u.tombs > 0 && min_seq > u.max_covered_seq) ? u.tombs : 0;
       const uint32_t effective_live =
           u.live > dead_tombs ? u.live - dead_tombs : 0;
-      // kLiveRatio keeps the legacy entry-count ratio; kCostBenefit uses
-      // the byte-granular counters (falling back to counts for chunks
-      // that predate them, e.g. hand-built test fixtures).
-      const double count_ratio =
-          static_cast<double>(effective_live) / u.total;
-      double ratio = count_ratio;
-      if (query.policy == VictimQuery::Policy::kCostBenefit &&
-          u.total_bytes > 0) {
+      // Byte-granular counters, falling back to entry counts for chunks
+      // that predate them (e.g. hand-built test fixtures).
+      double ratio = static_cast<double>(effective_live) / u.total;
+      if (u.total_bytes > 0) {
         const uint64_t dead_tomb_bytes =
             static_cast<uint64_t>(dead_tombs) * kPtrEntrySize;
         const uint64_t eff_live_bytes =
@@ -346,33 +342,15 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
       candidates.push_back(c);
     }
   }
-  if (query.policy == VictimQuery::Policy::kCostBenefit) {
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.seq < b.seq;  // ties: oldest first (deterministic)
-              });
-  } else {
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                return a.seq < b.seq;  // legacy: oldest sequence first
-              });
-  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.seq < b.seq;  // ties: oldest first (deterministic)
+            });
   std::vector<VictimInfo> out;
   for (size_t i = 0; i < candidates.size() && i < query.max; i++) {
     out.push_back(candidates[i].info);
   }
-  return out;
-}
-
-std::vector<uint64_t> OpLog::PickVictims(double live_ratio,
-                                         size_t max) const {
-  VictimQuery q;
-  q.policy = VictimQuery::Policy::kLiveRatio;
-  q.live_ratio = live_ratio;
-  q.max = max;
-  std::vector<uint64_t> out;
-  for (const VictimInfo& v : PickVictims(q)) out.push_back(v.chunk_off);
   return out;
 }
 

@@ -98,16 +98,11 @@ struct VictimInfo {
   bool from_cleaner_chunk = false;  // victim held relocated survivors
 };
 
-// Victim-selection policy (§3.4).
+// Victim-selection query (§3.4): RAMCloud/LFS-style cost-benefit, rank
+// by (1-u)*age/(1+u).
 struct VictimQuery {
-  enum class Policy : uint8_t {
-    kLiveRatio,    // legacy: any sealed chunk below the live_ratio cap,
-                   // oldest sequence first
-    kCostBenefit,  // RAMCloud/LFS-style: rank by (1-u)*age/(1+u)
-  };
-  Policy policy = Policy::kCostBenefit;
-  // kLiveRatio: the victim threshold. kCostBenefit: eligibility cap —
-  // chunks at or above this live ratio are never worth relocating.
+  // Eligibility cap: chunks at or above this live ratio are never worth
+  // relocating.
   double live_ratio = 0.98;
   size_t max = 4;
 };
@@ -173,14 +168,10 @@ class OpLog {
   // Snapshot of per-chunk usage, keyed by chunk offset.
   std::map<uint64_t, ChunkUsage> UsageSnapshot() const;
 
-  // Chooses sealed chunks whose live ratio is below `live_ratio`,
-  // excluding chunks the cleaner itself wrote that are still its current
-  // chunk. Returns chunk offsets, oldest sequence first.
-  std::vector<uint64_t> PickVictims(double live_ratio, size_t max) const;
-
-  // Policy-driven victim selection over the incremental per-chunk
-  // counters (never rescans). kLiveRatio reproduces the legacy ordering;
-  // kCostBenefit ranks by benefit/cost = (1 - u) * age / (1 + u) with
+  // Cost-benefit victim selection over the incremental per-chunk
+  // counters (never rescans): among sealed chunks below the live-ratio
+  // cap, excluding the serving and cleaner chunks currently being
+  // written, ranks by benefit/cost = (1 - u) * age / (1 + u) with
   // u = effective live-byte ratio and age = write-clock distance since
   // the chunk's last append/death (ties: older sequence first).
   std::vector<VictimInfo> PickVictims(const VictimQuery& query) const;

@@ -417,7 +417,7 @@ TEST(FsLintRules, NetLayerIsExemptFromRemoteWrite) {
       "  p->PersistFence(remote_buf, 1);\n"
       "}\n";
   // The same write is a remote-write violation in the log layer but
-  // sanctioned inside src/net (the router/replication fabric).
+  // sanctioned inside src/net (the RPC fabric).
   auto vs = LintFile("src/log/f.cc", code);
   ASSERT_EQ(vs.size(), 1u) << Format(vs[0]);
   EXPECT_EQ(vs[0].rule, "remote-write");

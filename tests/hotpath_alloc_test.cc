@@ -22,7 +22,6 @@
 
 #include "core/flatstore.h"
 #include "net/flatrpc.h"
-#include "net/shard_router.h"
 #include "pm/pm_pool.h"
 
 namespace {
@@ -316,25 +315,6 @@ TEST(HotPathAlloc, TxnCommitIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "txn commit path heap-allocated " << (after - before)
       << " times across 100 warm transactions";
-}
-
-// The cluster client's per-request routing decision: ShardForKey is a
-// hash plus a binary search over the prebuilt ring — no heap traffic once
-// the ring exists.
-TEST(HotPathAlloc, ShardRouterLookupIsAllocationFree) {
-  net::ShardRouter router;
-  for (int s = 0; s < 4; s++) router.AddShard(s);
-
-  uint64_t sink = 0;
-  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
-  for (uint64_t k = 0; k < 100000; k++) {
-    sink += static_cast<uint64_t>(router.ShardForKey(k));
-  }
-  const uint64_t after = g_allocs.load(std::memory_order_relaxed);
-  EXPECT_GT(sink, 0u);
-  EXPECT_EQ(after - before, 0u)
-      << "ShardForKey heap-allocated " << (after - before)
-      << " times across 100k lookups";
 }
 
 // The open-loop admission path: post a future-stamped request, find the

@@ -259,17 +259,19 @@ TEST_F(OpLogTest, NoteDeadDrivesVictimSelection) {
     OpLog::EntryRef ref{buf, len};
     uint64_t off;
     ASSERT_TRUE(log_->AppendBatch(&ref, 1, &off));
+    offs.push_back(off);
   }
-  EXPECT_TRUE(log_->PickVictims(0.5, 8).empty());  // everything live
-  auto usage = log_->UsageSnapshot();
-  uint64_t first_chunk = usage.begin()->first;
-  uint32_t total = usage.begin()->second.total;
-  for (uint32_t i = 0; i < total; i++) {
-    log_->NoteDead(first_chunk + kLogDataOff + i);  // any offset in chunk
+  VictimQuery q;
+  q.live_ratio = 0.5;
+  q.max = 8;
+  EXPECT_TRUE(log_->PickVictims(q).empty());  // everything live
+  const uint64_t first_chunk = log_->UsageSnapshot().begin()->first;
+  for (uint64_t off : offs) {
+    if (AlignDown(off, alloc::kChunkSize) == first_chunk) log_->NoteDead(off);
   }
-  auto victims = log_->PickVictims(0.5, 8);
+  auto victims = log_->PickVictims(q);
   ASSERT_EQ(victims.size(), 1u);
-  EXPECT_EQ(victims[0], first_chunk);
+  EXPECT_EQ(victims[0].chunk_off, first_chunk);
 }
 
 TEST_F(OpLogTest, ReleaseChunkUnregistersAndFrees) {
@@ -390,12 +392,15 @@ TEST_F(OpLogTest, VictimSelectionSparesTheTailChunk) {
   const uint64_t chunk = AlignDown(offs[0], alloc::kChunkSize);
   for (uint64_t off : offs) log_->NoteDead(off);
   log_->SealActiveChunk();
-  EXPECT_TRUE(log_->PickVictims(1.0, 8).empty());
+  VictimQuery q;
+  q.live_ratio = 1.0;
+  q.max = 8;
+  EXPECT_TRUE(log_->PickVictims(q).empty());
   // Once the tail moves to a fresh chunk the old one is fair game.
   AppendPtrBatch(1);
-  auto victims = log_->PickVictims(1.0, 8);
+  auto victims = log_->PickVictims(q);
   ASSERT_EQ(victims.size(), 1u);
-  EXPECT_EQ(victims[0], chunk);
+  EXPECT_EQ(victims[0].chunk_off, chunk);
 }
 
 TEST_F(OpLogTest, TornTailSlotFailsCheckAndFallsBack) {

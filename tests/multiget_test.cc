@@ -397,7 +397,6 @@ TEST(MultiGetServer, ReadBatch1And16CompleteSameWorkload) {
 
     core::ServerConfig cfg;
     cfg.num_conns = 8;
-    cfg.client_threads = 1;
     cfg.ops_per_conn = 2000;
     cfg.read_batch = i == 0 ? 1 : 16;
     cfg.workload.key_space = 4096;

@@ -603,7 +603,6 @@ TEST(MultiPutServer, WriteBatch1And16CompleteSameWorkload) {
 
     core::ServerConfig cfg;
     cfg.num_conns = 8;
-    cfg.client_threads = 1;
     cfg.ops_per_conn = 2000;
     cfg.write_batch = i == 0 ? 1 : 16;
     cfg.workload.key_space = 4096;

@@ -110,10 +110,12 @@ TEST_F(OpLogConcurrencyTest, VictimScanRacesAppendsSafely) {
                                    alloc::kChunkSize;
         EXPECT_LE(log_->CommittedBytes(chunk_off), kLogDataBytes);
       }
-      const std::vector<uint64_t> victims = log_->PickVictims(1.1, 8);
-      for (uint64_t v : victims) {
-        EXPECT_NE(v, 0u);
-        EXPECT_EQ(v % alloc::kChunkSize, 0u);
+      VictimQuery q;
+      q.live_ratio = 1.1;
+      q.max = 8;
+      for (const VictimInfo& v : log_->PickVictims(q)) {
+        EXPECT_NE(v.chunk_off, 0u);
+        EXPECT_EQ(v.chunk_off % alloc::kChunkSize, 0u);
       }
       (void)log_->MinSeq();
       scans.fetch_add(1, std::memory_order_relaxed);

@@ -39,7 +39,6 @@ TEST(Server, AllOpsCompleteAndLand) {
   Harness h;
   ServerConfig cfg;
   cfg.num_conns = 4;
-  cfg.client_threads = 1;
   cfg.ops_per_conn = 2000;
   cfg.workload.key_space = 4096;
   cfg.workload.value_len = 64;
@@ -57,13 +56,34 @@ TEST(Server, LatencyIsAtLeastOneRoundTrip) {
   Harness h;
   ServerConfig cfg;
   cfg.num_conns = 1;
-  cfg.client_threads = 1;
   cfg.client_window = 1;
   cfg.ops_per_conn = 500;
   cfg.workload.key_space = 1024;
   ServerResult r = RunServer(h.adapter.get(), cfg);
   EXPECT_GE(r.latency.min(), 2 * vt::kNetOneWay);
   EXPECT_LT(r.latency.Percentile(99), 100000u) << "latency blew up";
+}
+
+TEST(Server, OpenLoopConservesOpsAndRespectsOfferedLoad) {
+  // Poisson arrivals at a fixed aggregate rate: every issued op still
+  // completes, and the achieved rate cannot beat the offered one by more
+  // than schedule jitter (requests are admitted no earlier than their
+  // scheduled arrival).
+  Harness h(IndexKind::kHash, /*cores=*/4, /*pool_mb=*/256);
+  ServerConfig cfg;
+  cfg.num_conns = 12;
+  cfg.ops_per_conn = 500;
+  cfg.workload.key_space = 1 << 12;
+  cfg.workload.value_len = 64;
+  cfg.workload.get_ratio = 0.3;
+  cfg.seed = 7;
+  cfg.open_loop = true;
+  cfg.offered_mops = 1.0;
+  ServerResult r = RunServer(h.adapter.get(), cfg);
+  EXPECT_EQ(r.ops, 12u * 500u);
+  EXPECT_EQ(r.latency.count(), 12u * 500u);
+  EXPECT_GT(r.mops, 0.0);
+  EXPECT_LT(r.mops, cfg.offered_mops * 1.1);
 }
 
 TEST(Server, MixedWorkloadWithGetsAndDeletes) {
@@ -139,7 +159,6 @@ TEST(Server, PipelinedHbBeatsNoBatchingInSimTime) {
     FlatStoreAdapter adapter(store.get());
     ServerConfig cfg;
     cfg.num_conns = 8;
-    cfg.client_threads = 2;
     cfg.ops_per_conn = 3000;
     cfg.workload.key_space = 1 << 16;
     cfg.workload.value_len = 64;

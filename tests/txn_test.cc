@@ -644,7 +644,6 @@ TEST(TxnServer, RunServerWithTxnTraffic) {
 
   ServerConfig cfg;
   cfg.num_conns = 4;
-  cfg.client_threads = 1;
   cfg.ops_per_conn = 2000;
   cfg.workload.key_space = 4096;
   cfg.workload.value_len = 64;
@@ -719,7 +718,6 @@ TEST(TxnServer, CrossCoreTxnIsRefusedUnstaged) {
 
   ServerConfig cfg;
   cfg.num_conns = 2;
-  cfg.client_threads = 1;
   cfg.ops_per_conn = 200;
   cfg.workload.key_space = 1024;
   cfg.workload.value_len = 32;
@@ -756,7 +754,6 @@ TEST(TxnServer, BaselineAnswersUnsupported) {
 
   ServerConfig cfg;
   cfg.num_conns = 2;
-  cfg.client_threads = 1;
   cfg.ops_per_conn = 600;
   cfg.workload.key_space = 1024;
   cfg.txn_every = 4;
