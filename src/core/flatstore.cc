@@ -1242,7 +1242,7 @@ uint64_t FlatStore::ScanFullIteration(
 }
 
 // Hash-index scan (DESIGN.md §11.4): keys come in order from a lazy
-// k-way merge of the tier's L0 cursor with windowed gathers of the
+// k-way merge of a tier directory cursor with windowed gathers of the
 // per-core delta sets, stopping the moment `count` pairs are produced.
 // Candidates are resolved authoritatively through the volatile index,
 // in windows of up to kMaxReadBatch keys on the batched read path, so a
@@ -1252,14 +1252,14 @@ uint64_t FlatStore::ScanMerged(
     uint64_t start_key, uint64_t count,
     std::vector<std::pair<uint64_t, std::string>>* out) {
   // A single guest pin holds reclamation off store-wide for the scan's
-  // duration (entries may live in any group's logs). The tier cursor
-  // holds nodes across index probes, so the pin must also keep tier
-  // nodes dereferenceable; today arena chunks are never freed.
+  // duration (entries may live in any group's logs). It also keeps the
+  // cursor's directory snapshot alive, and keeps the keys that snapshot
+  // lacks in the delta sets (ConvertChunk erases them a grace period
+  // after it publishes the snapshot that holds them).
   common::EpochManager::GuestGuard guard(epochs_.get());
   vt::Charge(vt::kEpochPinCost);
   uint64_t produced = 0;
 
-  // Tier cursor with lane-parallel read-ahead.
   std::optional<tier::PersistentTier::Cursor> tier_it;
   if (tier_ != nullptr) tier_it.emplace(tier_.get(), start_key);
 
@@ -1294,15 +1294,6 @@ uint64_t FlatStore::ScanMerged(
     delta_from = bound + 1;
   };
 
-  // The tier reads ahead only as far as the keys still wanted beyond the
-  // `gathered` candidates; gathered delta keys below a tier node come
-  // before it in the merge.
-  auto read_ahead = [&](size_t gathered) {
-    if (tier_it.has_value()) {
-      tier_it->ReadAhead(count - produced - gathered, window.data() + wi,
-                         window.size() - wi);
-    }
-  };
   bool sources_live = true;
   while (produced < count && sources_live) {
     // Gather the next window of merged candidate keys (distinct, in key
@@ -1314,8 +1305,7 @@ uint64_t FlatStore::ScanMerged(
     while (m < w) {
       if (wi == window.size() && !deltas_done) refill_window();
       const bool delta_live = wi < window.size();
-      read_ahead(m);
-      const bool tier_live = tier_it.has_value() && tier_it->Ready();
+      const bool tier_live = tier_it.has_value() && tier_it->Valid();
       uint64_t k;
       if (tier_live && (!delta_live || tier_it->key() <= window[wi])) {
         k = tier_it->key();
@@ -1331,7 +1321,6 @@ uint64_t FlatStore::ScanMerged(
       idxs[m++] = IndexForCore(CoreForKey(k));
     }
     if (m == 0) break;
-    read_ahead(m);  // the next window's reads fly while this one resolves
     bool found[kMaxReadBatch];
     uint64_t packed[kMaxReadBatch];
     ProbeBatch(idxs, keys, m, found, packed);
@@ -1385,8 +1374,12 @@ void FlatStore::EnsureCleaners() {
   // Wired even when tier_enabled is off: a pool that carries a tier from
   // an earlier run must keep honouring the invariant.
   hooks.tier_stale = [this](uint64_t key, uint64_t packed) {
+    if (tier_ == nullptr) return false;
+    // The pin keeps Get's directory snapshot alive.
+    common::EpochManager::GuestGuard guard(epochs_.get());
+    vt::Charge(vt::kEpochPinCost);
     uint64_t tp = 0;
-    return tier_ != nullptr && tier_->Get(key, &tp) && tp != packed;
+    return tier_->Get(key, &tp) && tp != packed;
   };
   log::LogCleaner::Options opts;
   opts.live_ratio = options_.gc_live_ratio;
@@ -1451,7 +1444,7 @@ std::vector<int> FlatStore::SocketCores() const {
 // under tier_lock_.
 void FlatStore::EnsureTier() {
   if (tier_ != nullptr) return;
-  tier_ = tier::PersistentTier::Create(pool_, alloc_.get(),
+  tier_ = tier::PersistentTier::Create(pool_, alloc_.get(), epochs_.get(),
                                        pool_->num_sockets(), SocketCores());
   FLATSTORE_CHECK(tier_ != nullptr) << "no PM space for the tier root";
   // Publish: Create fully persisted and fenced the root chunk, so this
@@ -1465,7 +1458,8 @@ size_t FlatStore::RunTieringOnce() {
   LockGuard<SpinLock> g(tier_lock_);
   EnsureTier();
   size_t converted = 0;
-  for (int c = 0; c < options_.num_cores; c++) {
+  bool no_space = false;
+  for (int c = 0; c < options_.num_cores && !no_space; c++) {
     const std::vector<log::OpLog::TierCandidate> cands =
         logs_[c]->PickTierCandidates(kTierMinLiveRatio, kTierMaxChunks);
     for (size_t i = 0; i < cands.size(); i++) {
@@ -1478,9 +1472,13 @@ size_t FlatStore::RunTieringOnce() {
       for (size_t j = i; j < cands.size(); j++) {
         logs_[c]->UnclaimChunk(cands[j].chunk_off);
       }
-      return converted;
+      no_space = true;
+      break;
     }
   }
+  // Runs what the pass deferred (retired snapshots, delta-set erases)
+  // unless a scan pinned before it is still running.
+  epochs_->ReclaimDeferred();
   return converted;
 }
 
@@ -1537,14 +1535,18 @@ bool FlatStore::ConvertChunk(int core,
                         sizeof(sb->tier_frontier_seq[core]));
   }
   logs_[core]->DetachForTier(cand.chunk_off);
-  // The batch's keys are now tier-discoverable: drop them from the
-  // delta sets (racy against a concurrent re-dirtying write — benign,
-  // see CoreState::delta).
-  for (const tier::TierEntry& te : entries) {
-    CoreState& cs = *cores_[CoreForKey(te.key)];
-    LockGuard<SpinLock> dg(cs.delta_lock);
-    cs.delta.erase(te.key);
-  }
+  // The batch's keys are in the snapshot InsertBatch published, but a
+  // scan pinned before it may still walk the previous one: the keys
+  // leave the delta sets only once every such scan has finished (racy
+  // against a concurrent re-dirtying write — benign, see
+  // CoreState::delta).
+  epochs_->Defer([this, entries = std::move(entries)] {
+    for (const tier::TierEntry& te : entries) {
+      CoreState& cs = *cores_[CoreForKey(te.key)];
+      LockGuard<SpinLock> dg(cs.delta_lock);
+      cs.delta.erase(te.key);
+    }
+  });
   chunks_tiered_++;
   return true;
 }
@@ -1690,7 +1692,8 @@ void FlatStore::Recover(bool rebuild_index) {
   const auto tier_t0 = std::chrono::steady_clock::now();
   if (root_->superblock()->tier_root_off != 0 && tier_ == nullptr) {
     tier_ = tier::PersistentTier::Open(
-        pool_, alloc_.get(), pool_->num_sockets(), SocketCores(),
+        pool_, alloc_.get(), epochs_.get(), pool_->num_sockets(),
+        SocketCores(),
         root_->superblock()->tier_root_off,
         [this](uint64_t key, uint64_t packed) {
           DuelInsert(IndexForCore(CoreForKey(key)), key, packed);

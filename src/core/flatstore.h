@@ -101,7 +101,7 @@ struct FlatStoreOptions {
   bool socket_local_placement = true;
   // Ordered persistent tier (DESIGN.md §11). Opt-in: when on, the
   // tiering pass (RunTieringOnce / the cleaner-driven background flow)
-  // converts sealed cold log chunks into the braided persistent skiplist,
+  // converts sealed cold log chunks into the persistent tier list,
   // bounding recovery to the un-tiered log suffix and giving FlatStore-H
   // an ordered scan path. A store whose pool already holds a tier always
   // loads and honours it on Open regardless of this flag (stale tier
@@ -236,8 +236,8 @@ class FlatStore {
   bool Delete(uint64_t key);
   // Ordered scan: up to `count` pairs with key >= start_key. Served by
   // the ordered index (kMasstree / kFastFairVolatile), or — for kHash
-  // stores running the persistent tier — by a merge of the tier's L0
-  // list with the un-tiered delta sets (DESIGN.md §11).
+  // stores running the persistent tier — by a merge of the tier's key
+  // directory with the un-tiered delta sets (DESIGN.md §11).
   uint64_t Scan(uint64_t start_key, uint64_t count,
                 std::vector<std::pair<uint64_t, std::string>>* out);
   // True when Scan has an ordered access path (ordered index or tier).
@@ -366,7 +366,7 @@ class FlatStore {
 
   // One synchronous tiering pass: per core, converts up to
   // kTierMaxChunks eligible sealed chunks (cold cleaner chunks first)
-  // into the persistent skiplist and detaches them from the log. Creates
+  // into the persistent tier list and detaches them from the log. Creates
   // the tier lazily on first use. Returns the number of chunks converted.
   // Serialized internally; safe to call concurrently with serving.
   size_t RunTieringOnce();
@@ -437,7 +437,7 @@ class FlatStore {
   bool TierActive() const {
     return options_.tier_enabled || tier_ != nullptr;
   }
-  // Scan served by a k-way merge of the tier's L0 list and the per-core
+  // Scan served by a k-way merge of the tier's directory and the per-core
   // delta sets (keys whose current entry is still un-tiered) — the path
   // for FlatStore-H, whose hash index cannot enumerate keys in order.
   uint64_t ScanMerged(uint64_t start_key, uint64_t count,
@@ -490,8 +490,8 @@ class FlatStore {
 
     // Tier delta set (DESIGN.md §11): keys this core owns whose current
     // index entry still lives in an un-tiered log chunk. Only maintained
-    // while TierActive(). ScanMerged unions these with the tier's L0
-    // list to enumerate keys in order; values are always read back
+    // while TierActive(). ScanMerged unions these with the tier's
+    // directory to enumerate keys in order; values are always read back
     // through the index, so a racy membership (a key erased by the
     // tiering pass just as a serving write re-dirtied it) is benign —
     // the key stays discoverable through its tier node.

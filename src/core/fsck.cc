@@ -360,15 +360,6 @@ FsckReport FsckPool(const pm::PmPool& pool) {
         break;
       }
       const auto* n = mutable_pool->PtrAt<tier::TierNode>(node_off);
-      if (n->height != tier::NodeHeight(n->key)) {
-        // Open rebuilds the DRAM lanes from the stored height; a height
-        // that disagrees with the key's would misshape every lane.
-        c.Fatal("tier node at " + std::to_string(node_off) +
-                " has height " + std::to_string(n->height) + ", key " +
-                std::to_string(n->key) + " needs " +
-                std::to_string(tier::NodeHeight(n->key)));
-        break;
-      }
       if (!first && n->key <= prev_key) {
         c.Fatal("tier L0 keys not strictly ascending at node " +
                 std::to_string(node_off));

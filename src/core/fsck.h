@@ -23,9 +23,9 @@
 //   * checkpoint chain (if armed): chunks readable, pair counts match;
 //   * ordered tier (DESIGN.md §11, if rooted): the arena chain is
 //     acyclic, in bounds, and disjoint from the log registry; the L0
-//     list carries strictly ascending keys; every node's height is
-//     NodeHeight(key) (open rebuilds the DRAM lanes from it); every
-//     node's packed word decodes to a valid log entry. Tier nodes join the dry-run replay
+//     list carries strictly ascending keys (open builds the DRAM
+//     directory from it); every node's packed word decodes to a valid
+//     log entry. Tier nodes join the dry-run replay
 //     exactly as recovery duel-inserts them, while kChunkTiered chunks
 //     sit out the entry walk (recovery skips them; the tier represents
 //     their live entries).
