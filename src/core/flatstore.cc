@@ -1714,7 +1714,7 @@ void FlatStore::Recover(bool rebuild_index) {
   std::vector<std::vector<Rec>> per_core(
       static_cast<size_t>(options_.num_cores));
   const log::ChunkRecord* regs = root_->registry();
-  for (uint64_t s = 0; s < log::kRegistrySlots; s++) {
+  for (uint64_t s = 0; s < root_->registry_slots(); s++) {
     if (regs[s].chunk_off == 0) continue;
     FLATSTORE_CHECK_LT(regs[s].core,
                        static_cast<uint32_t>(options_.num_cores));

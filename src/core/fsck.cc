@@ -110,7 +110,7 @@ FsckReport FsckPool(const pm::PmPool& pool) {
   std::set<uint64_t> chunk_offs;
   std::map<uint64_t, bool> cleaner_chunks;  // chunk off -> cleaner flag
   const log::ChunkRecord* regs = root.registry();
-  for (uint64_t s = 0; s < log::kRegistrySlots; s++) {
+  for (uint64_t s = 0; s < root.registry_slots(); s++) {
     if (regs[s].chunk_off == 0) continue;
     if (regs[s].chunk_off & log::kChunkProvisional) {
       // Crash mid-RegisterChunk: the slot was claimed but never committed

@@ -11,11 +11,13 @@ namespace log {
 
 void RootArea::Format(int num_cores) {
   FLATSTORE_CHECK(num_cores >= 1 && num_cores <= kMaxCores);
-  std::memset(pool_->base(), 0, alloc::kChunkSize);
-  // The zeroed root chunk (tail slots, registry) is made durable before
+  const uint64_t root_bytes =
+      kRegistryOff + registry_slots_ * sizeof(ChunkRecord);
+  std::memset(pool_->base(), 0, root_bytes);
+  // The zeroed root metadata (tail slots, registry) is made durable before
   // any superblock field so a torn format can never pair fresh fields
   // with stale metadata.
-  pool_->PersistFence(pool_->base(), alloc::kChunkSize);
+  pool_->PersistFence(pool_->base(), root_bytes);
   Superblock* sb = superblock();
   sb->num_cores = static_cast<uint32_t>(num_cores);
   sb->clean_shutdown = 0;
@@ -63,9 +65,9 @@ uint64_t RootArea::RegisterChunk(uint64_t chunk_off, int core, uint32_t seq,
   const uint64_t flagged = chunk_off | (cleaner ? kChunkCleaner : 0);
   // Claim a free slot; CAS-protected so concurrent cores don't collide.
   // Start probing at a hash of the chunk offset to spread occupancy.
-  uint64_t start = (chunk_off / alloc::kChunkSize) % kRegistrySlots;
-  for (uint64_t i = 0; i < kRegistrySlots; i++) {
-    uint64_t s = (start + i) % kRegistrySlots;
+  uint64_t start = (chunk_off / alloc::kChunkSize) % registry_slots_;
+  for (uint64_t i = 0; i < registry_slots_; i++) {
+    uint64_t s = (start + i) % registry_slots_;
     uint64_t expected = 0;
     if (std::atomic_ref<uint64_t>(recs[s].chunk_off)
             .compare_exchange_strong(expected, flagged | kChunkProvisional,
@@ -92,7 +94,7 @@ uint64_t RootArea::RegisterChunk(uint64_t chunk_off, int core, uint32_t seq,
 }
 
 void RootArea::UnregisterChunk(uint64_t slot_index) {
-  FLATSTORE_DCHECK(slot_index < kRegistrySlots);
+  FLATSTORE_DCHECK(slot_index < registry_slots_);
   ChunkRecord* rec = &registry()[slot_index];
   {
     LockGuard<SpinLock> g(mirror_lock_);
@@ -119,7 +121,7 @@ bool RootArea::ChunkTiered(uint64_t chunk_off) const {
 }
 
 void RootArea::SetChunkTiered(uint64_t slot_index) {
-  FLATSTORE_DCHECK(slot_index < kRegistrySlots);
+  FLATSTORE_DCHECK(slot_index < registry_slots_);
   ChunkRecord* rec = &registry()[slot_index];
   const uint64_t cur =
       std::atomic_ref<uint64_t>(rec->chunk_off).load(std::memory_order_acquire);
@@ -143,7 +145,7 @@ void RootArea::RebuildMirror() {
   LockGuard<SpinLock> g(mirror_lock_);
   mirror_.clear();
   const ChunkRecord* recs = registry();
-  for (uint64_t s = 0; s < kRegistrySlots; s++) {
+  for (uint64_t s = 0; s < registry_slots_; s++) {
     const uint64_t off = recs[s].chunk_off;
     if (off != 0 && (off & kChunkProvisional) == 0) {
       mirror_[off & ~kChunkFlagsMask] = {static_cast<int>(recs[s].core),
@@ -156,7 +158,7 @@ void RootArea::RebuildMirror() {
 uint64_t RootArea::ScrubProvisionalRecords() {
   ChunkRecord* recs = registry();
   uint64_t scrubbed = 0;
-  for (uint64_t s = 0; s < kRegistrySlots; s++) {
+  for (uint64_t s = 0; s < registry_slots_; s++) {
     if (recs[s].chunk_off & kChunkProvisional) {
       std::atomic_ref<uint64_t>(recs[s].chunk_off)
           .store(0, std::memory_order_release);

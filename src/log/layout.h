@@ -12,7 +12,9 @@
 //                    (DESIGN.md §3.1; the paper persists a single tail
 //                    pointer and does not discuss this interaction).
 //   [36 KB,  4 MB)   Chunk registry — one 16 B persistent record per 4 MB
-//                    pool chunk registered as an OpLog segment. This
+//                    pool chunk registered as an OpLog segment. Only the
+//                    first registry_slots() records (one per pool chunk)
+//                    are ever used, formatted or scanned. This
 //                    generalizes the paper's "journal field (a predefined
 //                    area in PM)" that tracks chunk addresses during GC:
 //                    here *every* log chunk is journaled at allocation, so
@@ -148,8 +150,10 @@ inline constexpr uint64_t kRegistrySlots =
 // engine can route entry retirements to the right OpLog in O(1).
 class RootArea {
  public:
-  explicit RootArea(pm::PmPool* pool) : pool_(pool) {
+  explicit RootArea(pm::PmPool* pool)
+      : pool_(pool), registry_slots_(pool->size() / alloc::kChunkSize) {
     FLATSTORE_CHECK_GE(pool->size(), 2 * alloc::kChunkSize);
+    FLATSTORE_CHECK_LE(registry_slots_, kRegistrySlots);
   }
 
   Superblock* superblock() const { return pool_->PtrAt<Superblock>(0); }
@@ -165,8 +169,13 @@ class RootArea {
     return pool_->PtrAt<ChunkRecord>(kRegistryOff);
   }
 
+  // Registry records in use: one per pool chunk, so there is always a
+  // slot for every chunk the allocator can hand out. Every registry scan
+  // and probe stops here.
+  uint64_t registry_slots() const { return registry_slots_; }
+
   // Formats a brand-new pool: writes and persists the superblock and
-  // zeroes the tail/registry areas.
+  // zeroes the tail area and the registry_slots() registry records.
   void Format(int num_cores);
 
   // True if the pool carries a valid superblock.
@@ -221,6 +230,7 @@ class RootArea {
   };
 
   pm::PmPool* pool_;
+  const uint64_t registry_slots_;
   mutable SpinLock mirror_lock_;
   std::unordered_map<uint64_t, MirrorEntry> mirror_ GUARDED_BY(mirror_lock_);
 };

@@ -40,8 +40,8 @@ bool OpLog::EnsureRoom(uint64_t bytes, Lane lane) {
   if (fresh == 0) return false;
   // Fresh log chunks must decode as empty: zero the data region (a reused
   // chunk holds stale bytes that must not replay).
-  std::memset(root_->pool()->At(fresh + alloc::kChunkHeaderSize), 0,
-              alloc::kChunkSize - alloc::kChunkHeaderSize);
+  root_->pool()->Zero(fresh + alloc::kChunkHeaderSize,
+                      alloc::kChunkSize - alloc::kChunkHeaderSize);
   auto* hdr = root_->pool()->PtrAt<LogChunkHeader>(fresh +
                                                    alloc::kChunkHeaderSize);
   hdr->used_final = 0;
@@ -95,7 +95,7 @@ uint64_t OpLog::WriteEntries(uint64_t* cursor, const EntryRef* entries,
   // so the persist below makes them durable too. Without this, a chunk
   // that is freed and later reused could expose *stale entries from its
   // previous incarnation* inside the padding gap after a crash (the
-  // fresh-chunk memset in EnsureRoom is volatile).
+  // fresh-chunk Zero in EnsureRoom is volatile).
   const uint64_t padded = options_.pad_batches ? CachelineAlignUp(pos) : pos;
   if (padded > pos) std::memset(pool->At(pos), 0, padded - pos);
   // One persist sweep over every touched line — this is where batching

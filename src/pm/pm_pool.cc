@@ -1,5 +1,9 @@
 #include "pm/pm_pool.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <mutex>
 
@@ -31,10 +35,58 @@ PmPool::PmPool(const Options& options)
   }
   socket_span_ =
       AlignUp(size_ / static_cast<uint64_t>(num_sockets_), 4ull << 20);
-  mem_ = NewPageAlignedZeroed(size_);
+  mem_ = MapZeroed(size_);
   if (options.crash_tracking) {
-    shadow_ = NewPageAlignedZeroed(size_);
+    shadow_ = MapZeroed(size_);
+    const uint64_t words = (size_ / kPageSize + 63) / 64;
+    shadow_pages_ = std::make_unique<std::atomic<uint64_t>[]>(words);
   }
+}
+
+PmPool::Mapping PmPool::MapZeroed(uint64_t size) {
+  // MAP_NORESERVE: like a DAX namespace, a large pool commits nothing
+  // until its pages are touched.
+  void* p = mmap(nullptr, size + kPageSize, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  FLATSTORE_CHECK(p != MAP_FAILED) << "mmap of a " << size << "-byte pool";
+  char* base = static_cast<char*>(p);
+  FLATSTORE_CHECK(mprotect(base + size, kPageSize, PROT_NONE) == 0);
+  return Mapping(base, Unmapper{size + kPageSize});
+}
+
+void PmPool::Unmapper::operator()(char* p) const { munmap(p, size); }
+
+void PmPool::Zero(uint64_t off, uint64_t len) {
+  FLATSTORE_CHECK_LE(off + len, size_);
+  const uint64_t end = off + len;
+  const uint64_t first = AlignUp(off, kPageSize);
+  const uint64_t last = AlignDown(end, kPageSize);
+  if (first >= last) {
+    std::memset(mem_.get() + off, 0, len);
+    return;
+  }
+  std::memset(mem_.get() + off, 0, first - off);
+  // A private anonymous page dropped with MADV_DONTNEED reads back zero.
+  FLATSTORE_CHECK(madvise(mem_.get() + first, last - first, MADV_DONTNEED) ==
+                  0);
+  std::memset(mem_.get() + last, 0, end - last);
+}
+
+void PmPool::MarkShadowPage(uint64_t off) {
+  const uint64_t page = off / kPageSize;
+  std::atomic<uint64_t>& word = shadow_pages_[page / 64];
+  const uint64_t bit = 1ull << (page % 64);
+  // relaxed: SimulateCrash reads the bitmap with the pool quiesced (the
+  // caller's contract), so the flushing threads are already joined. The
+  // load skips the read-modify-write once the page is marked.
+  if ((word.load(std::memory_order_relaxed) & bit) == 0) {
+    word.fetch_or(bit, std::memory_order_relaxed);
+  }
+}
+
+void PmPool::CopyLineToShadow(uint64_t off, const void* src) {
+  MarkShadowPage(off);
+  std::memcpy(shadow_.get() + off, src, kCachelineSize);
 }
 
 void PmPool::Persist(const void* p, uint64_t len) {
@@ -85,16 +137,14 @@ void PmPool::CrashTrackLine(uint64_t off) {
   }
   switch (crash_mode_) {
     case CrashMode::kClean:
-      if (durable) {
-        std::memcpy(shadow_.get() + off, mem_.get() + off, kCachelineSize);
-      }
+      if (durable) CopyLineToShadow(off, mem_.get() + off);
       break;
     case CrashMode::kTorn:
       if (durable) {
         if (exhausted_now) {
           TearLineIntoShadow(off);
         } else {
-          std::memcpy(shadow_.get() + off, mem_.get() + off, kCachelineSize);
+          CopyLineToShadow(off, mem_.get() + off);
         }
       }
       break;
@@ -108,9 +158,7 @@ void PmPool::CrashTrackLine(uint64_t off) {
       }
       break;
     case CrashMode::kEviction:
-      if (durable) {
-        std::memcpy(shadow_.get() + off, mem_.get() + off, kCachelineSize);
-      }
+      if (durable) CopyLineToShadow(off, mem_.get() + off);
       if (exhausted_now) ResolveEviction();
       break;
   }
@@ -130,6 +178,7 @@ void PmPool::TearLineIntoShadow(uint64_t off) {
   constexpr int kWords = kCachelineSize / 8;
   const char* src = mem_.get() + off;
   char* dst = shadow_.get() + off;
+  MarkShadowPage(off);
   const uint64_t r = NextCrashRand();
   if (r & 1) {
     // Aligned prefix of 0..8 words — the common store-buffer drain shape.
@@ -145,9 +194,7 @@ void PmPool::TearLineIntoShadow(uint64_t off) {
 }
 
 void PmPool::CommitPendingLocked() {
-  for (const PendingLine& pl : pending_) {
-    std::memcpy(shadow_.get() + pl.off, pl.data, kCachelineSize);
-  }
+  for (const PendingLine& pl : pending_) CopyLineToShadow(pl.off, pl.data);
   pending_.clear();
 }
 
@@ -155,9 +202,7 @@ void PmPool::ResolvePendingAtLossLocked() {
   // The cut landed between a Persist and its Fence: each in-flight line
   // independently may or may not have drained, still in issue order.
   for (const PendingLine& pl : pending_) {
-    if (NextCrashRand() & 1) {
-      std::memcpy(shadow_.get() + pl.off, pl.data, kCachelineSize);
-    }
+    if (NextCrashRand() & 1) CopyLineToShadow(pl.off, pl.data);
   }
   pending_.clear();
 }
@@ -166,14 +211,43 @@ void PmPool::ResolveEviction() {
   // Every line whose live content was never flushed may persist anyway.
   // The RNG is consumed only for dirty lines, so the draw sequence depends
   // only on the dirty set — deterministic for a deterministic workload.
-  for (uint64_t off = 0; off < size_; off += kCachelineSize) {
-    char* s = shadow_.get() + off;
-    const char* m = mem_.get() + off;
-    if (std::memcmp(m, s, kCachelineSize) != 0 && (NextCrashRand() & 1)) {
-      std::memcpy(s, m, kCachelineSize);
+  // A page that is zero in both images holds no dirty line, so only pages
+  // touched in the live image or marked in the shadow are compared: the
+  // draws are the full scan's without faulting in the untouched rest.
+  const std::vector<bool> live = LivePagesTouched();
+  for (uint64_t page = 0; page < size_ / kPageSize; page++) {
+    if (!live[page] && !ShadowPageMarked(page)) continue;
+    const uint64_t end = (page + 1) * kPageSize;
+    for (uint64_t off = page * kPageSize; off < end; off += kCachelineSize) {
+      const char* m = mem_.get() + off;
+      if (std::memcmp(m, shadow_.get() + off, kCachelineSize) != 0 &&
+          (NextCrashRand() & 1)) {
+        CopyLineToShadow(off, m);
+      }
     }
   }
   loss_resolved_ = true;
+}
+
+std::vector<bool> PmPool::LivePagesTouched() const {
+  const uint64_t pages = size_ / kPageSize;
+  std::vector<bool> touched(pages, true);
+  const int fd = open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return touched;
+  // One 64-bit entry per virtual page: bit 63 = present, bit 62 = swapped.
+  const uint64_t first = reinterpret_cast<uintptr_t>(mem_.get()) / kPageSize;
+  uint64_t entries[512] = {};
+  for (uint64_t p = 0; p < pages; p += 512) {
+    const uint64_t n = std::min<uint64_t>(512, pages - p);
+    const auto bytes = static_cast<ssize_t>(n * sizeof(uint64_t));
+    if (pread(fd, entries, static_cast<size_t>(bytes),
+              static_cast<off_t>((first + p) * sizeof(uint64_t))) != bytes) {
+      break;  // the rest stays "touched": compared in full
+    }
+    for (uint64_t i = 0; i < n; i++) touched[p + i] = (entries[i] >> 62) != 0;
+  }
+  close(fd);
+  return touched;
 }
 
 void PmPool::ChargeRead(const void* p, uint64_t len) {
@@ -250,7 +324,14 @@ void PmPool::SimulateCrash() {
     LockGuard<SpinLock> g(pending_lock_);
     pending_.clear();
   }
-  std::memcpy(mem_.get(), shadow_.get(), size_);
+  // Every live page drops to zero, then the shadow pages ever written
+  // are copied back; an unmarked shadow page is still all zero.
+  FLATSTORE_CHECK(madvise(mem_.get(), size_, MADV_DONTNEED) == 0);
+  for (uint64_t page = 0; page < size_ / kPageSize; page++) {
+    if (!ShadowPageMarked(page)) continue;
+    const uint64_t off = page * kPageSize;
+    std::memcpy(mem_.get() + off, shadow_.get() + off, kPageSize);
+  }
   // relaxed: re-arming the test budget; no ordering required.
   flush_budget_.store(-1, std::memory_order_relaxed);
   loss_resolved_ = false;

@@ -2,7 +2,10 @@
 //
 // A PmPool is a contiguous DRAM region standing in for a DAX-mapped Optane
 // namespace. Code mutates it through ordinary pointers and then makes
-// ranges durable with Persist()/Fence(), mirroring clwb+sfence.
+// ranges durable with Persist()/Fence(), mirroring clwb+sfence. Like a DAX
+// mapping, the region is paid for per touched page: it is a private
+// anonymous mapping that reads zero until written, followed by an
+// inaccessible guard page so an access past size() faults.
 //
 // Two orthogonal capabilities:
 //
@@ -15,7 +18,9 @@
 //    rolls the live region back to the shadow — every store that was not
 //    followed by Persist()+Fence() is lost. A flush *budget* lets tests
 //    cut power after an arbitrary number of line flushes, including
-//    mid-operation.
+//    mid-operation. The shadow is lazily zeroed too, and a page bitmap
+//    records which shadow pages were ever written, so a crash costs the
+//    pages the workload persisted, not the size of the pool.
 //
 // The default crash mode (kClean) loses unflushed data atomically at 64 B
 // granularity. Real PM is nastier in three ways, each modelled by an
@@ -33,7 +38,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "common/cacheline.h"
@@ -96,6 +100,9 @@ class PmPool {
   };
   static const char* CrashModeName(CrashMode mode);
 
+  // Granularity of the lazy mapping, Zero() and the crash restore.
+  static constexpr uint64_t kPageSize = 4096;
+
   explicit PmPool(const Options& options);
   PmPool(const PmPool&) = delete;
   PmPool& operator=(const PmPool&) = delete;
@@ -103,6 +110,12 @@ class PmPool {
   // Base address / size of the emulated region.
   char* base() const { return mem_.get(); }
   uint64_t size() const { return size_; }
+
+  // Zeroes [off, off+len) of the live image, like a memset that persists
+  // nothing (the shadow is untouched). Whole pages go back to the kernel
+  // and read zero on next touch; only the partial edges are written.
+  // Caller must guarantee no concurrent access to the range.
+  void Zero(uint64_t off, uint64_t len);
 
   // --- NUMA topology ---
 
@@ -173,7 +186,9 @@ class PmPool {
   // still-in-flight unordered/eviction state first — an unfenced flush is
   // never guaranteed). Caller must guarantee no concurrent access. Also
   // resets the flush budget and re-arms the cut for the next cycle; the
-  // crash mode and its seed stream carry over.
+  // crash mode and its seed stream carry over. Costs one copy per shadow
+  // page ever written: every live page is dropped, then only those are
+  // copied back.
   void SimulateCrash();
 
   // After `n` more line flushes, the pool "loses power": subsequent
@@ -212,8 +227,20 @@ class PmPool {
   };
 
   // Crash-model bookkeeping for one line flush (only called with a
-  // shadow). Returns whether the flush was within budget.
+  // shadow): spends the budget and writes the shadow per the crash mode.
   void CrashTrackLine(uint64_t off);
+
+  // Records that the shadow page holding `off` is about to be written, so
+  // SimulateCrash restores it. Every shadow write goes through here.
+  void MarkShadowPage(uint64_t off);
+  // MarkShadowPage + copy of one line into the shadow at `off`.
+  void CopyLineToShadow(uint64_t off, const void* src);
+  // Whether shadow page `page` was ever written (else it is all zero).
+  bool ShadowPageMarked(uint64_t page) const {
+    // relaxed: read with the pool quiesced (see MarkShadowPage).
+    return (shadow_pages_[page / 64].load(std::memory_order_relaxed) >>
+            (page % 64)) & 1;
+  }
 
   uint64_t NextCrashRand();
   // Copies a seed-chosen 8-byte-aligned subset of the line at `off` into
@@ -226,29 +253,31 @@ class PmPool {
   // kEviction: every line whose live content differs from the shadow may
   // persist, per seeded coin flip.
   void ResolveEviction();
+  // One flag per page of the live image: false only for a page that is
+  // neither mapped nor swapped out (/proc/self/pagemap), which reads zero.
+  // All true when the page map cannot be read.
+  std::vector<bool> LivePagesTouched() const;
 
-  // The pool buffer emulates a DAX mapping, which is page-aligned; the
-  // alignas(64) PM-resident structs (tail lines, index buckets) rely on
-  // it. Plain new char[] only guarantees 16 bytes (UBSan catches the
-  // resulting misaligned member accesses), hence the aligned allocation.
-  struct PageAlignedDeleter {
-    void operator()(char* p) const {
-      ::operator delete[](p, std::align_val_t{4096});
-    }
+  // A private anonymous mapping of `size` bytes plus one PROT_NONE guard
+  // page. It is page-aligned, as a DAX mapping is (the alignas(64)
+  // PM-resident structs rely on it), reads zero, and costs a page only
+  // once touched. The guard page makes an overrun fault even under ASan,
+  // which does not track mmapped memory.
+  struct Unmapper {
+    uint64_t size;  // mapping length, guard page included
+    void operator()(char* p) const;
   };
-  using PageAlignedBuf = std::unique_ptr<char[], PageAlignedDeleter>;
-  static PageAlignedBuf NewPageAlignedZeroed(uint64_t size) {
-    auto* p = static_cast<char*>(
-        ::operator new[](size, std::align_val_t{4096}));
-    std::memset(p, 0, size);
-    return PageAlignedBuf(p);
-  }
+  using Mapping = std::unique_ptr<char[], Unmapper>;
+  static Mapping MapZeroed(uint64_t size);
 
   uint64_t size_;
   int num_sockets_;
   uint64_t socket_span_;  // bytes per socket (4 MB multiple)
-  PageAlignedBuf mem_;
-  PageAlignedBuf shadow_;  // null unless crash_tracking
+  Mapping mem_{nullptr, Unmapper{0}};
+  Mapping shadow_{nullptr, Unmapper{0}};  // null unless crash_tracking
+  // One bit per shadow page ever written (crash_tracking only). Set from
+  // any flushing thread; read by SimulateCrash with the pool quiesced.
+  std::unique_ptr<std::atomic<uint64_t>[]> shadow_pages_;
   PmDevice* device_;
   PmStats stats_;
   std::atomic<int64_t> flush_budget_{-1};

@@ -12,6 +12,8 @@
 // rotation via SealActiveLogChunks) keeps GC reachable without megabytes
 // of fill traffic.
 
+#include <cinttypes>
+#include <cstdio>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -327,9 +329,12 @@ TEST_P(CrashMatrixTest, EveryFlushIndexEveryMode) {
   ExplorerOptions opts;
   opts.store = SmallStore(c.cores);
   opts.store.tier_enabled = c.tier;
-  opts.seeds = CrashSeedsFromEnv({1, 7});
+  opts.seeds = CrashSeeds();
   CrashExplorer explorer(c.name, opts);
   ExplorerResult res = explorer.Explore(c.workload);
+  std::printf("[crash-matrix] workload=%s total_flushes=%" PRIu64
+              " points_run=%" PRIu64 "\n",
+              c.name, res.total_flushes, res.points_run);
   EXPECT_GT(res.total_flushes, 0u);
   EXPECT_TRUE(res.ok()) << res.Summary();
 }
@@ -395,7 +400,7 @@ TEST(MultiPutCrash, FusedCommitIsPrefixAtomic) {
   }
   ASSERT_GT(total, 0u);
 
-  const std::vector<uint64_t> seeds = CrashSeedsFromEnv({1, 7});
+  const std::vector<uint64_t> seeds = CrashSeeds();
   uint64_t points = 0;
   for (pm::PmPool::CrashMode mode :
        {pm::PmPool::CrashMode::kClean, pm::PmPool::CrashMode::kTorn,
@@ -451,7 +456,7 @@ TEST(MultiPutCrash, FusedCommitIsPrefixAtomic) {
 TEST(MultiPutCrash, DuplicateKeyBatchRecoversOldOrFinal) {
   ExplorerOptions opts;
   opts.store = SmallStore(1);
-  opts.seeds = CrashSeedsFromEnv({1, 7});
+  opts.seeds = CrashSeeds();
   Workload w = [](WorkloadCtx& ctx) {
     for (uint64_t k = 1; k <= 5; k++) ctx.Put(k, Val('p', 20 + 11 * k));
     ctx.Arm();
@@ -472,7 +477,7 @@ TEST(MultiPutCrash, DuplicateKeyBatchRecoversOldOrFinal) {
 TEST(CrashExplorerTest, GcRetireJournalWindow) {
   ExplorerOptions opts;
   opts.store = SmallStore(1);
-  opts.seeds = CrashSeedsFromEnv({1, 7});
+  opts.seeds = CrashSeeds();
   Workload w = [](WorkloadCtx& ctx) {
     for (uint64_t k = 1; k <= 8; k++) ctx.Put(k, Val('j', 80));
     ctx.store->SealActiveLogChunks();
@@ -499,7 +504,7 @@ TEST(CrashExplorerTest, GcStagedQuantumBoundaries) {
   opts.store = SmallStore(1);
   opts.store.gc_quantum_bytes = 256;  // ~6 scan slices per 12-entry chunk
   opts.store.gc_cold_age = 0;
-  opts.seeds = CrashSeedsFromEnv({1, 7});
+  opts.seeds = CrashSeeds();
   Workload w = [](WorkloadCtx& ctx) {
     for (uint64_t k = 1; k <= 12; k++) ctx.Put(k, Val('q', 64));
     ctx.store->SealActiveLogChunks();
@@ -526,7 +531,7 @@ TEST(CrashExplorerTest, GcStagedRelocSubBatches) {
   ExplorerOptions opts;
   opts.store = SmallStore(1);
   opts.store.gc_quantum_bytes = 512;
-  opts.seeds = CrashSeedsFromEnv({1, 7});
+  opts.seeds = CrashSeeds();
   Workload w = [](WorkloadCtx& ctx) {
     for (uint64_t k = 1; k <= 67; k++) ctx.Put(k, Val('u', 24));
     ctx.store->SealActiveLogChunks();

@@ -87,7 +87,7 @@ TEST(Fsck, DetectsCorruptRegistry) {
   // Point a registry record at a misaligned offset.
   log::RootArea root(pool.get());
   log::ChunkRecord* regs = root.registry();
-  for (uint64_t s = 0; s < log::kRegistrySlots; s++) {
+  for (uint64_t s = 0; s < root.registry_slots(); s++) {
     if (regs[s].chunk_off != 0) {
       regs[s].chunk_off += 8;
       break;

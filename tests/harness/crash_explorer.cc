@@ -129,6 +129,8 @@ std::vector<uint64_t> CrashSeedsFromEnv(std::vector<uint64_t> fallback) {
   return seeds.empty() ? fallback : seeds;
 }
 
+std::vector<uint64_t> CrashSeeds() { return CrashSeedsFromEnv({1, 7, 13}); }
+
 std::string ExplorerResult::Summary() const {
   std::ostringstream out;
   out << (ok() ? "PASS" : "FAIL") << ": " << points_run

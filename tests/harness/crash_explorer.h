@@ -121,6 +121,10 @@ struct ExplorerResult {
 // variable is unset or empty.
 std::vector<uint64_t> CrashSeedsFromEnv(std::vector<uint64_t> fallback);
 
+// The seeds crash suites enumerate by default: {1, 7, 13}, unless
+// FLATSTORE_CRASH_SEEDS overrides them.
+std::vector<uint64_t> CrashSeeds();
+
 class CrashExplorer {
  public:
   CrashExplorer(std::string workload_name, ExplorerOptions options);

@@ -234,7 +234,7 @@ TEST_F(OpLogTest, ChunkRolloverSealsAndRegisters) {
   EXPECT_EQ(sealed, 1);
   // Both chunks registered.
   int registered = 0;
-  for (uint64_t s = 0; s < kRegistrySlots; s++) {
+  for (uint64_t s = 0; s < root_->registry_slots(); s++) {
     if (root_->registry()[s].chunk_off != 0) registered++;
   }
   EXPECT_EQ(registered, 2);
@@ -441,14 +441,14 @@ TEST_F(OpLogTest, ProvisionalRegistryRecordIsScrubbedAndSkipped) {
   // Forge the crash state RegisterChunk's step (1) leaves behind: the
   // slot is claimed provisional but the final offset was never stored.
   ChunkRecord* recs = root_->registry();
-  uint64_t slot = kRegistrySlots;
-  for (uint64_t s = 0; s < kRegistrySlots; s++) {
+  uint64_t slot = root_->registry_slots();
+  for (uint64_t s = 0; s < root_->registry_slots(); s++) {
     if (recs[s].chunk_off == 0) {
       slot = s;
       break;
     }
   }
-  ASSERT_LT(slot, kRegistrySlots);
+  ASSERT_LT(slot, root_->registry_slots());
   const uint64_t ghost_chunk = real_chunk + alloc::kChunkSize;
   recs[slot].chunk_off = ghost_chunk | kChunkProvisional;
   recs[slot].core = 99;  // garbage — never durably committed

@@ -121,6 +121,10 @@ TEST_F(OpLogConcurrencyTest, VictimScanRacesAppendsSafely) {
       scans.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // The appends below finish in well under a millisecond (fresh chunks
+  // are zeroed by handing their pages back), so let the reader start
+  // scanning first or it may never overlap them at all.
+  while (scans.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   for (int r = 0; r < 40; r++) {
     ASSERT_TRUE(Append(/*cleaner=*/false, 16, 1000u * (r + 1)));
     if (r % 5 == 4) log_->SealActiveChunk();

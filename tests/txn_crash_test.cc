@@ -132,7 +132,7 @@ TEST(TxnCrash, CommitIsAllOrNothing) {
   }
   ASSERT_GT(total, 0u);
 
-  const std::vector<uint64_t> seeds = CrashSeedsFromEnv({1, 7});
+  const std::vector<uint64_t> seeds = CrashSeeds();
   uint64_t points = 0;
   uint64_t committed_points = 0;
   for (pm::PmPool::CrashMode mode :
@@ -218,7 +218,7 @@ TEST(TxnCrash, FailedCasRecoversToOldAtEveryCut) {
   }
   ASSERT_GT(total, 0u);
 
-  const std::vector<uint64_t> seeds = CrashSeedsFromEnv({1, 7});
+  const std::vector<uint64_t> seeds = CrashSeeds();
   for (pm::PmPool::CrashMode mode :
        {pm::PmPool::CrashMode::kClean, pm::PmPool::CrashMode::kTorn,
         pm::PmPool::CrashMode::kUnordered,
