@@ -59,9 +59,9 @@ core::FlatStoreOptions Options(bool tier) {
 
 // Writes `rounds` full overwrite passes over a fixed LiveKeys() key
 // space. The tier arm interleaves the background maintenance the engine
-// would run anyway (seal + cleaner + tiering) after every round, so the
-// un-tiered remainder stays a bounded suffix; the no_tier arm does no
-// maintenance and its log grows with history.
+// would run anyway (seal + cleaning passes that relocate or tier) after
+// every round, so the un-tiered remainder stays a bounded suffix; the
+// no_tier arm does no maintenance and its log grows with history.
 std::unique_ptr<pm::PmPool> LoadedPool(uint64_t rounds, bool tier) {
   pm::PmPool::Options o;
   o.size = 1024ull << 20;
@@ -74,8 +74,6 @@ std::unique_ptr<pm::PmPool> LoadedPool(uint64_t rounds, bool tier) {
     if (tier) {
       store->SealActiveLogChunks();
       while (store->RunCleanersOnce() > 0) {
-      }
-      while (store->RunTieringOnce() > 0) {
       }
     }
   }

@@ -46,7 +46,7 @@ Rig MakeScanRig() {
   for (uint64_t k = 0; k < keys; k++) rig.flat->Put(k, value);
   rig.flat->SealActiveLogChunks();
   for (uint64_t k = 0; k < 1024 && k < keys; k++) rig.flat->Put(k, value);
-  while (rig.flat->RunTieringOnce() > 0) {
+  while (rig.flat->RunCleanersOnce() > 0) {
   }
   return rig;
 }

@@ -24,13 +24,6 @@ namespace {
 // structures so routing does not correlate with bucket choice.
 constexpr uint64_t kRoutingSeed = 0xC04E;
 
-// Tiering pass limits (DESIGN.md §11.2): chunks with a live-entry ratio
-// below kTierMinLiveRatio are better freed by the cleaner than leaked into
-// the tier (tiered chunks are never freed), and each pass converts at most
-// kTierMaxChunks chunks per core.
-constexpr double kTierMinLiveRatio = 0.25;
-constexpr size_t kTierMaxChunks = 4;
-
 // Wrap-aware 20-bit version comparison: `a` strictly newer than `b`.
 bool VersionNewer(uint32_t a, uint32_t b) {
   const uint32_t d = (a - b) & log::kVersionMask;
@@ -1357,6 +1350,12 @@ uint64_t FlatStore::ChunksCleaned() const {
   return n;
 }
 
+uint64_t FlatStore::ChunksTiered() const {
+  uint64_t n = 0;
+  for (const auto& c : cleaners_) n += c->chunks_tiered();
+  return n;
+}
+
 // ---- log cleaning ---------------------------------------------------------
 
 void FlatStore::EnsureCleaners() {
@@ -1368,18 +1367,18 @@ void FlatStore::EnsureCleaners() {
     return IndexForCore(CoreForKey(key));
   };
   hooks.epochs = epochs_.get();
-  // Tier resurrection veto (DESIGN.md §11): a tombstone may die only
-  // when no tier node could resurrect its key at recovery — the tier
-  // never saw the key, or its node already points at this tombstone.
-  // Wired even when tier_enabled is off: a pool that carries a tier from
-  // an earlier run must keep honouring the invariant.
-  hooks.tier_stale = [this](uint64_t key, uint64_t packed) {
-    if (tier_ == nullptr) return false;
-    // The pin keeps Get's directory snapshot alive.
-    common::EpochManager::GuestGuard guard(epochs_.get());
-    vt::Charge(vt::kEpochPinCost);
-    uint64_t tp = 0;
-    return tier_->Get(key, &tp) && tp != packed;
+  // A converted batch's keys leave the delta sets only once every scan
+  // that may hold the directory snapshot before it has finished (racy
+  // against a concurrent re-dirtying write — benign, see
+  // CoreState::delta).
+  hooks.on_tiered = [this](std::vector<tier::TierEntry> entries) {
+    epochs_->Defer([this, entries = std::move(entries)] {
+      for (const tier::TierEntry& te : entries) {
+        CoreState& cs = *cores_[CoreForKey(te.key)];
+        LockGuard<SpinLock> dg(cs.delta_lock);
+        cs.delta.erase(te.key);
+      }
+    });
   };
   log::LogCleaner::Options opts;
   opts.live_ratio = options_.gc_live_ratio;
@@ -1387,15 +1386,12 @@ void FlatStore::EnsureCleaners() {
   opts.max_victims = options_.gc_max_victims;
   opts.segregate = options_.gc_segregate;
   opts.cold_age = options_.gc_cold_age;
-  // With the tier on, cold-lane survivors stop bouncing between cleaner
-  // chunks — the tiering pass is their exit (DESIGN.md §11).
-  opts.exclude_cold_from_victims = options_.tier_enabled;
   for (int first = 0; first < options_.num_cores;
        first += options_.group_size) {
     const int last = std::min(first + options_.group_size,
                               options_.num_cores);
     cleaners_.push_back(std::make_unique<log::LogCleaner>(
-        raw, first, last, hooks, opts, alloc_.get()));
+        raw, first, last, hooks, opts, alloc_.get(), tier_.get()));
   }
 }
 
@@ -1440,8 +1436,7 @@ std::vector<int> FlatStore::SocketCores() const {
   return sc;
 }
 
-// Callers serialize: Create/Open before any threads, RunTieringOnce
-// under tier_lock_.
+// Called from Create/Open, before any thread or cleaner exists.
 void FlatStore::EnsureTier() {
   if (tier_ != nullptr) return;
   tier_ = tier::PersistentTier::Create(pool_, alloc_.get(), epochs_.get(),
@@ -1454,102 +1449,7 @@ void FlatStore::EnsureTier() {
   pool_->PersistFence(&sb->tier_root_off, 8);
 }
 
-size_t FlatStore::RunTieringOnce() {
-  LockGuard<SpinLock> g(tier_lock_);
-  EnsureTier();
-  size_t converted = 0;
-  bool no_space = false;
-  for (int c = 0; c < options_.num_cores && !no_space; c++) {
-    const std::vector<log::OpLog::TierCandidate> cands =
-        logs_[c]->PickTierCandidates(kTierMinLiveRatio, kTierMaxChunks);
-    for (size_t i = 0; i < cands.size(); i++) {
-      if (ConvertChunk(c, cands[i])) {
-        converted++;
-        continue;
-      }
-      // Arena growth failed (PM exhausted): release every unconverted
-      // claim and stop — the pass retries once space frees up.
-      for (size_t j = i; j < cands.size(); j++) {
-        logs_[c]->UnclaimChunk(cands[j].chunk_off);
-      }
-      no_space = true;
-      break;
-    }
-  }
-  // Runs what the pass deferred (retired snapshots, delta-set erases)
-  // unless a scan pinned before it is still running.
-  epochs_->ReclaimDeferred();
-  return converted;
-}
-
-bool FlatStore::ConvertChunk(int core,
-                             const log::OpLog::TierCandidate& cand) {
-  // Gather the chunk's live entries — including live tombstones — as
-  // {key, current packed} pairs. Liveness is address equality with the
-  // index (the cleaner's rule), so two entries can never tie on a key
-  // and the sorted batch is duplicate-free.
-  std::vector<tier::TierEntry> entries;
-  {
-    common::EpochManager::GuestGuard guard(epochs_.get());
-    vt::Charge(vt::kEpochPinCost);
-    const uint64_t committed =
-        pool_
-            ->PtrAt<log::LogChunkHeader>(cand.chunk_off +
-                                         alloc::kChunkHeaderSize)
-            ->used_final;
-    log::ChainedChunkReader reader(pool_, cand.chunk_off, committed);
-    log::DecodedEntry e;
-    uint64_t off;
-    while (reader.Next(&e, &off)) {
-      if (e.op == log::OpType::kTxnCommit) continue;  // born dead
-      const uint64_t packed = log::PackIndexValue(off, e.version);
-      uint64_t cur = 0;
-      if (!IndexForCore(CoreForKey(e.key))->Get(e.key, &cur) ||
-          cur != packed) {
-        continue;  // superseded
-      }
-      entries.push_back(
-          {e.key, packed, alloc_->SocketForCore(CoreForKey(e.key))});
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const tier::TierEntry& a, const tier::TierEntry& b) {
-              return a.key < b.key;
-            });
-  if (!entries.empty() &&
-      !tier_->InsertBatch(entries.data(), entries.size())) {
-    return false;  // arena exhausted; published nodes are idempotent
-  }
-  // Conversion commit point: the persistent kChunkTiered flag flips the
-  // chunk from "replayed" to "represented by the tier" in one fenced
-  // 8-byte store. Before it, recovery still replays the chunk and the
-  // freshly inserted tier nodes are harmless duplicates in the version
-  // duel; after it, recovery loads the nodes instead.
-  root_->SetChunkTiered(cand.registry_slot);
-  // Advisory frontier: newest tiered sequence per core (diagnostics;
-  // ground truth stays the per-chunk registry flags).
-  log::Superblock* sb = root_->superblock();
-  if (cand.seq > sb->tier_frontier_seq[core]) {
-    sb->tier_frontier_seq[core] = cand.seq;
-    pool_->PersistFence(&sb->tier_frontier_seq[core],
-                        sizeof(sb->tier_frontier_seq[core]));
-  }
-  logs_[core]->DetachForTier(cand.chunk_off);
-  // The batch's keys are in the snapshot InsertBatch published, but a
-  // scan pinned before it may still walk the previous one: the keys
-  // leave the delta sets only once every such scan has finished (racy
-  // against a concurrent re-dirtying write — benign, see
-  // CoreState::delta).
-  epochs_->Defer([this, entries = std::move(entries)] {
-    for (const tier::TierEntry& te : entries) {
-      CoreState& cs = *cores_[CoreForKey(te.key)];
-      LockGuard<SpinLock> dg(cs.delta_lock);
-      cs.delta.erase(te.key);
-    }
-  });
-  chunks_tiered_++;
-  return true;
-}
+size_t FlatStore::RunTieringOnce() { return RunCleanersOnce(); }
 
 // ---- shutdown / recovery ---------------------------------------------------
 
@@ -1685,7 +1585,7 @@ void FlatStore::Recover(bool rebuild_index) {
 
   // Phase 0: the ordered tier (DESIGN.md §11). Every tier node
   // duel-inserts into the index on ANY open — crash or clean. The
-  // cleaner's tier_stale veto guarantees no stale node survives for an
+  // cleaner's tier veto guarantees no stale node survives for an
   // erased key, and the version duel resolves both directions against
   // checkpoint pairs and suffix replay, so the duel is always safe and —
   // for chunks tiered after the last checkpoint — necessary.

@@ -99,13 +99,14 @@ struct FlatStoreOptions {
   // and group alignment is not enforced — the placement-off arm of the
   // scaling A/B.
   bool socket_local_placement = true;
-  // Ordered persistent tier (DESIGN.md §11). Opt-in: when on, the
-  // tiering pass (RunTieringOnce / the cleaner-driven background flow)
-  // converts sealed cold log chunks into the persistent tier list,
-  // bounding recovery to the un-tiered log suffix and giving FlatStore-H
-  // an ordered scan path. A store whose pool already holds a tier always
-  // loads and honours it on Open regardless of this flag (stale tier
-  // nodes must keep duelling or recovery would lose updates).
+  // Ordered persistent tier (DESIGN.md §11). Opt-in: when on, the log
+  // cleaners' maintenance pass (StartCleaners' threads or
+  // RunCleanersOnce) converts sealed cold or mostly-live log chunks into
+  // the persistent tier list instead of relocating them, bounding
+  // recovery to the un-tiered log suffix and giving FlatStore-H an
+  // ordered scan path. A store whose pool already holds a tier always
+  // loads it on Open and keeps converting into it regardless of this flag
+  // (stale tier nodes must keep duelling or recovery would lose updates).
   bool tier_enabled = false;
 };
 
@@ -351,10 +352,13 @@ class FlatStore {
   // Starts one background log cleaner per HB group (§3.4).
   void StartCleaners();
   void StopCleaners();
-  // Runs one synchronous cleaning pass on every group (deterministic
-  // benchmarks drive GC this way instead of via background threads).
-  // Returns the amount of cleaning work done (victims unlinked plus
-  // epoch-deferred frees executed); 0 means nothing left to clean.
+  // Runs one synchronous maintenance pass on every group (deterministic
+  // benchmarks drive GC this way instead of via background threads):
+  // victims are relocated or, with a tier, converted into it. Returns the
+  // amount of work finished (victims unlinked or converted plus
+  // epoch-deferred frees executed). With unbounded passes 0 means nothing
+  // is left to do; with gc_quantum_bytes set, a pass that only advanced
+  // parked jobs also returns 0.
   size_t RunCleanersOnce();
 
   // Forces log rotation on every core (OpLog::SealActiveChunk): partially
@@ -364,16 +368,13 @@ class FlatStore {
 
   // ---- ordered persistent tier (DESIGN.md §11) ----
 
-  // One synchronous tiering pass: per core, converts up to
-  // kTierMaxChunks eligible sealed chunks (cold cleaner chunks first)
-  // into the persistent tier list and detaches them from the log. Creates
-  // the tier lazily on first use. Returns the number of chunks converted.
-  // Serialized internally; safe to call concurrently with serving.
+  // Forwards to RunCleanersOnce, whose pass also converts chunks into
+  // the tier. Kept only for perfbench, which calls it.
   size_t RunTieringOnce();
   // The tier, or nullptr while none exists (never created / not on PM).
   tier::PersistentTier* tier() const { return tier_.get(); }
-  // Chunks converted into the tier by this process (stat).
-  uint64_t ChunksTiered() const { return chunks_tiered_; }
+  // Chunks converted into the tier by this process's cleaners (stat).
+  uint64_t ChunksTiered() const;
 
   // Per-phase timings of the last Open's recovery (bench_recovery).
   struct RecoveryStats {
@@ -424,16 +425,13 @@ class FlatStore {
 
   void BuildIndexes();
   void EnsureCleaners();
-  // Formats the tier on first use and publishes its root in the
-  // superblock (persist-before-publish). No-op if it already exists.
+  // Formats the tier and publishes its root in the superblock
+  // (persist-before-publish). No-op if it already exists.
   void EnsureTier();
-  // Converts one claimed candidate chunk into the tier. Returns false if
-  // the arena cannot grow (PM exhausted); the claim is then released.
-  bool ConvertChunk(int core, const log::OpLog::TierCandidate& cand);
   // One representative core per pool socket (tier arena placement).
   std::vector<int> SocketCores() const;
   // Delta sets (and the hash-scan merge path) are maintained whenever a
-  // tier exists or will be created on first RunTieringOnce.
+  // tier exists; Create and Open make one when tier_enabled is set.
   bool TierActive() const {
     return options_.tier_enabled || tier_ != nullptr;
   }
@@ -492,8 +490,8 @@ class FlatStore {
     // index entry still lives in an un-tiered log chunk. Only maintained
     // while TierActive(). ScanMerged unions these with the tier's
     // directory to enumerate keys in order; values are always read back
-    // through the index, so a racy membership (a key erased by the
-    // tiering pass just as a serving write re-dirtied it) is benign —
+    // through the index, so a racy membership (a key erased after a
+    // conversion just as a serving write re-dirtied it) is benign —
     // the key stays discoverable through its tier node.
     SpinLock delta_lock;
     std::set<uint64_t> delta;
@@ -569,14 +567,10 @@ class FlatStore {
   // instantiates cleaner objects without starting threads).
   bool cleaners_running_ = false;
 
-  // Ordered persistent tier (DESIGN.md §11). Created in Create/Open (or
-  // lazily under tier_lock_ before any cleaner thread starts), so
-  // concurrent readers (cleaner tier_stale hook, ScanMerged) see a
-  // stable pointer.
+  // Ordered persistent tier (DESIGN.md §11). Created or loaded in
+  // Create/Open, before any cleaner exists, so concurrent readers (the
+  // cleaners, ScanMerged) see a stable pointer.
   std::unique_ptr<tier::PersistentTier> tier_;
-  // Serializes tiering passes (the tier is single-mutator).
-  SpinLock tier_lock_;
-  uint64_t chunks_tiered_ = 0;
   RecoveryStats recovery_stats_;
 };
 

@@ -61,12 +61,12 @@ struct Superblock {
   // Ordered persistent tier (DESIGN.md §11). tier_root_off is the first
   // arena chunk of the tier (0 = no tier was ever created); the tier's
   // own arena chain and level-0 list hang off it, so recovery finds every
-  // tier structure from this one word. tier_frontier_seq[c] is advisory:
-  // the highest chunk sequence core c has converted into the tier (the
-  // per-chunk kChunkTiered registry flags are the ground truth — leader
-  // steals mean tiering order need not be contiguous in seq).
+  // tier structure from this one word; the per-chunk kChunkTiered
+  // registry flags say which log chunks it represents.
   uint64_t tier_root_off;
-  uint32_t tier_frontier_seq[64];
+  // Reserved: unused, kept so the superblock layout does not move. Pools
+  // written by older builds may hold nonzero bytes here.
+  uint32_t reserved[64];
 };
 static_assert(sizeof(Superblock) <= 4096);
 

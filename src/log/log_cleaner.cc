@@ -1,5 +1,6 @@
 #include "log/log_cleaner.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "log/log_reader.h"
@@ -16,17 +17,32 @@ namespace {
 // victims instead of draining one victim end-to-end.
 constexpr uint64_t kScanSliceBytes = 256 * 1024;
 constexpr size_t kRelocSubBatch = 32;
+
+// Tier resurrection veto (DESIGN.md §11.2): true if `tier` holds a node
+// for `key` whose packed word differs from `packed`. Dropping that key's
+// tombstone would then let the stale node resurrect it at recovery.
+bool TierStale(const tier::PersistentTier* tier,
+               common::EpochManager* epochs, uint64_t key, uint64_t packed) {
+  if (tier == nullptr) return false;
+  // The pin keeps Get's directory snapshot alive.
+  common::EpochManager::GuestGuard guard(epochs);
+  vt::Charge(vt::kEpochPinCost);
+  uint64_t tp = 0;
+  return tier->Get(key, &tp) && tp != packed;
+}
 }  // namespace
 
 LogCleaner::LogCleaner(std::vector<OpLog*> logs, int first_core,
                        int last_core, CleanerHooks hooks,
-                       const Options& options, alloc::LazyAllocator* alloc)
+                       const Options& options, alloc::LazyAllocator* alloc,
+                       tier::PersistentTier* tier)
     : logs_(std::move(logs)),
       first_core_(first_core),
       last_core_(last_core),
       hooks_(std::move(hooks)),
       options_(options),
-      alloc_(alloc) {
+      alloc_(alloc),
+      tier_(tier) {
   FLATSTORE_CHECK(first_core_ >= 0 &&
                   last_core_ <= static_cast<int>(logs_.size()));
   FLATSTORE_CHECK(hooks_.epochs != nullptr)
@@ -79,20 +95,21 @@ size_t LogCleaner::RunOnce() {
 
   size_t retired = 0;
   std::vector<int> rotate_cores;
+  std::vector<size_t> converts(static_cast<size_t>(last_core_ - first_core_));
   bool progressed = true;
   while (budget > 0 && progressed) {
-    // Top up to max_victims in-flight jobs per core. Re-refilling every
-    // round (not just once per pass) makes max_victims an in-flight cap
-    // rather than a per-pass total: a boosted or unbounded budget can
+    // Top up to max_victims in-flight relocations per core. Re-refilling
+    // every round (not just once per pass) makes max_victims an in-flight
+    // cap rather than a per-pass total: a boosted or unbounded budget can
     // retire many victims in one pass even with max_victims = 1.
-    RefillJobs();
+    RefillJobs(&converts);
     if (jobs_.empty()) break;
     progressed = false;
     for (auto it = jobs_.begin(); it != jobs_.end() && budget > 0;) {
       if (AdvanceJob(*it, &budget)) progressed = true;
       if (it->stage == Stage::kDone) {
         retired++;
-        rotate_cores.push_back(it->core);
+        if (!it->convert) rotate_cores.push_back(it->core);
         it = jobs_.erase(it);
       } else {
         ++it;
@@ -114,37 +131,40 @@ size_t LogCleaner::RunOnce() {
   return retired + hooks_.epochs->ReclaimDeferred();
 }
 
-void LogCleaner::RefillJobs() {
+void LogCleaner::RefillJobs(std::vector<size_t>* converts) {
   for (int core = first_core_; core < last_core_; core++) {
-    size_t in_flight = 0;
+    size_t relocating = 0;
     for (const CleaningJob& j : jobs_) {
-      if (j.core == core) in_flight++;
+      if (j.core == core && !j.convert) relocating++;
     }
-    if (in_flight >= options_.max_victims) continue;
-
+    size_t& converted = (*converts)[static_cast<size_t>(core - first_core_)];
     VictimQuery q;
     q.live_ratio = options_.live_ratio;
     q.max = options_.max_victims;
+    q.tier = tier_ != nullptr;
+    q.max_converts = kTierMaxChunks - converted;
+    if (relocating >= q.max && (!q.tier || q.max_converts == 0)) continue;
+
     for (const VictimInfo& v : logs_[core]->PickVictims(q)) {
-      if (in_flight >= options_.max_victims) break;
-      // Tier handoff: cold-lane chunks drain into the ordered tier
-      // instead of being re-cleaned (their stable survivors would only
-      // bounce between cold cleaner chunks).
-      if (options_.exclude_cold_from_victims && v.from_cold_chunk) continue;
+      // The picker sees chunks whose job is still in flight (a bounded
+      // pass parks jobs mid-victim); one job per chunk.
       bool dup = false;
       for (const CleaningJob& j : jobs_) {
         dup = dup || (j.core == core && j.chunk_off == v.chunk_off);
       }
       if (dup) continue;
-      // Claim the chunk so the tiering pass can never convert-and-detach
-      // it while this job is in flight (the claim is consumed when
-      // ReleaseChunk erases the chunk). A failed claim means the tiering
-      // pass got there between PickVictims and here.
-      if (!logs_[core]->ClaimChunk(v.chunk_off)) continue;
+      if (v.convert) {
+        converted++;  // the picker returns at most q.max_converts
+      } else if (relocating < q.max) {
+        relocating++;
+      } else {
+        continue;
+      }
       CleaningJob job;
       job.core = core;
       job.chunk_off = v.chunk_off;
       job.committed = logs_[core]->CommittedBytes(v.chunk_off);
+      job.convert = v.convert;
       job.age_clock = v.last_write_clock;
       job.pick_live_ratio = v.live_ratio;
       // Temperature classification (§3.4): survivors of a long-stable
@@ -157,7 +177,6 @@ void LogCleaner::RefillJobs() {
                  (v.from_cold_chunk || v.from_cleaner_chunk ||
                   v.age >= options_.cold_age);
       jobs_.push_back(std::move(job));
-      in_flight++;
     }
   }
 }
@@ -196,13 +215,13 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
       uint64_t cur = 0;
       bool live = index->Get(e.key, &cur) && cur == packed;
       if (live && e.op == OpType::kDelete && e.ptr < min_seq &&
-          (!hooks_.tier_stale || !hooks_.tier_stale(e.key, packed))) {
+          !TierStale(tier_, hooks_.epochs, e.key, packed)) {
         // Tombstone whose covered chunk is gone: no stale Put can
         // resurrect the key anymore, so both the tombstone and its index
         // entry may die (paper §3.4's "safely reclaimed" condition).
         // With a tier, DetachForTier raises MinSeq past chunks whose
-        // entries still exist — the tier_stale veto keeps the tombstone
-        // until no stale tier node could resurrect the key at recovery.
+        // entries still exist — the veto keeps the tombstone until no
+        // stale tier node could resurrect the key at recovery.
         if (index->EraseIfEqual(e.key, packed)) live = false;
       }
       if (!live) {
@@ -216,7 +235,9 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
     *budget -= std::min(*budget, consumed);
     job.scan_pos = reader.position();
     if (end_of_chunk || job.scan_pos >= job.committed) {
-      job.stage = Stage::kRelocate;
+      // A convert victim that died since its pick is freed, not pinned.
+      if (job.survivors.empty()) job.convert = false;
+      job.stage = job.convert ? Stage::kConvert : Stage::kRelocate;
     }
     // Zero consumed bytes with no stage change means an empty slice.
     return consumed > 0 || job.stage != Stage::kScan;
@@ -304,6 +325,12 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
     return true;
   }
 
+  if (job.stage == Stage::kConvert) {
+    if (!ConvertJob(job)) return false;  // arena exhausted: park, retry
+    job.stage = Stage::kDone;
+    return true;
+  }
+
   // Stage::kRetire — unlink now, free later. A serving core may still
   // hold an entry pointer it decoded through the index *before* the CAS
   // swings above, so the physical free waits until every core has
@@ -318,6 +345,30 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
   chunks_cleaned_.fetch_add(1, std::memory_order_relaxed);
   vt::Charge(vt::kCpuCas);
   job.stage = Stage::kDone;
+  return true;
+}
+
+bool LogCleaner::ConvertJob(CleaningJob& job) {
+  // Nodes are homed on the socket of the log whose chunk holds the
+  // entries they alias — the keys' serving socket too, since placement
+  // keeps HB groups within a socket (DESIGN.md §10.2).
+  const int socket = alloc_->SocketForCore(job.core);
+  std::vector<tier::TierEntry> entries;
+  entries.reserve(job.survivors.size());
+  for (const Survivor& s : job.survivors) {
+    entries.push_back({s.key, PackIndexValue(s.old_off, s.version), socket});
+  }
+  // Liveness is address equality with the index, so no two survivors
+  // share a key and the sorted batch is duplicate-free.
+  std::sort(entries.begin(), entries.end(),
+            [](const tier::TierEntry& a, const tier::TierEntry& b) {
+              return a.key < b.key;
+            });
+  if (!tier_->InsertBatch(entries.data(), entries.size())) return false;
+  logs_[job.core]->DetachForTier(job.chunk_off);
+  hooks_.on_tiered(std::move(entries));
+  // relaxed: monotonic stat counter, no ordering required.
+  chunks_tiered_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -1,32 +1,41 @@
-// Log cleaning (paper §3.4).
+// Log cleaning (paper §3.4): the store's one maintenance pass.
 //
 // Each horizontal-batching group gets one background cleaner thread that
-// walks the OpLogs of the group's cores, picks victim chunks, copies the
-// surviving entries into fresh chunks (committed via the chunk's
-// used_final, journaled in the chunk registry), re-points the volatile
-// index at the copies with atomic CAS, and returns the victim chunks to
-// the allocator.
+// walks the OpLogs of the group's cores and picks victim chunks from one
+// ranked list (OpLog::PickVictims). Each victim is either *relocated* —
+// its surviving entries are copied into fresh chunks (committed via the
+// chunk's used_final, journaled in the chunk registry), the volatile index
+// is re-pointed at the copies with atomic CAS, and the victim returns to
+// the allocator — or, when the store runs an ordered tier (DESIGN.md
+// §11), *converted*: its surviving entries are merged into the tier in
+// place and the chunk is detached from the log for good.
 //
-// Victim selection (OpLog::PickVictims) ranks chunks cost-benefit,
-// (1 - u) * age / (1 + u), over incrementally maintained per-chunk
-// live-byte counters (RAMCloud/LFS).
+// Victim selection ranks chunks cost-benefit, (1 - u) * age / (1 + u),
+// over incrementally maintained per-chunk live-byte counters
+// (RAMCloud/LFS). Chunks below the live-ratio cap are relocated; with a
+// tier, cold-lane chunks at or above kTierMinLiveRatio and chunks too
+// live to relocate are converted, at most kTierMaxChunks per core per
+// pass.
 //
-// Cleaning is *pipelined and incremental*: each victim is a CleaningJob
-// that moves through scan -> relocate -> retire stages in bounded slices.
-// RunOnce advances every in-flight job round-robin until a per-quantum
-// byte budget is exhausted, so one pass can overlap the scan of one
-// victim with the relocation of another, and a pass interrupted by PM
-// pressure *resumes* where it stopped instead of restarting the victim
-// (already-relocated survivors are durable and their index entries
-// already swung). The allocator's MemoryPressure signal raises the
-// budget before the pool runs dry (backpressure).
+// Maintenance is *pipelined and incremental*: each victim is a
+// CleaningJob that moves through scan -> relocate -> retire (or scan ->
+// convert) stages in bounded slices. Both kinds share the scan stage and
+// its liveness rule. RunOnce advances every in-flight job round-robin
+// until a per-quantum byte budget is exhausted, so one pass can overlap
+// the scan of one victim with the relocation of another, and a pass
+// interrupted by the budget or by PM pressure *resumes* where it stopped
+// instead of restarting the victim (already-relocated survivors are
+// durable and their index entries already swung). The allocator's
+// MemoryPressure signal raises the budget before the pool runs dry
+// (backpressure).
 //
 // Survivors are segregated by temperature (§3.4 hot/cold): a victim
 // whose last overwrite is older than Options::cold_age — or that already
 // lives in the cold lane — relocates into the cold cleaner chunk, so
 // stable data clusters into near-fully-live chunks that future passes
-// skip. Effectiveness is measured as survivor-bytes-per-reclaimed-byte
-// (pm::GcWriteAmp), split per temperature in PmStats.
+// skip (or, with a tier, convert). Effectiveness is measured as
+// survivor-bytes-per-reclaimed-byte (pm::GcWriteAmp), split per
+// temperature in PmStats.
 //
 // Liveness rules:
 //  * Put entry: live iff the index still maps its key to exactly this
@@ -37,7 +46,9 @@
 //    chunk holding the overwritten version is gone, no stale Put can
 //    resurrect the key during replay, and the tombstone may die
 //    (the paper's "safely reclaimed only after all the log entries
-//    related to this KV item have been reclaimed").
+//    related to this KV item have been reclaimed"). With a tier, it also
+//    stays live while the tier holds a different node for its key, which
+//    would otherwise resurrect the key at recovery.
 //
 // Transaction chains (§5.3): surviving chain members carry the txn
 // header bit, and recovery only replays members covered by a valid
@@ -54,7 +65,10 @@
 // copies) and schedules the actual ReleaseChunk with Defer(); it runs
 // only after every serving core has advanced past the epoch in which the
 // unlink happened — so a reader that decoded an entry pointer before the
-// swing can never observe the chunk being freed under it.
+// swing can never observe the chunk being freed under it. A converted
+// chunk is never freed and its entries never move, so conversion swings
+// no index entry; PersistentTier::InsertBatch serializes the cleaners of
+// different groups.
 
 #ifndef FLATSTORE_LOG_LOG_CLEANER_H_
 #define FLATSTORE_LOG_LOG_CLEANER_H_
@@ -69,6 +83,7 @@
 #include "common/thread_annotations.h"
 #include "index/kv_index.h"
 #include "log/oplog.h"
+#include "tier/tier.h"
 
 namespace flatstore {
 namespace log {
@@ -83,13 +98,11 @@ struct CleanerHooks {
   // Epoch manager guarding the engine's log-entry dereferences. Victim
   // chunks are freed through its deferred queue (see file comment).
   common::EpochManager* epochs = nullptr;
-  // Tier resurrection veto (DESIGN.md §11), set when the engine runs an
-  // ordered persistent tier. Returns true if the tier holds a node for
-  // `key` whose packed word differs from `packed`: dropping a tombstone
-  // then would let the stale tier node resurrect the key at recovery, so
-  // the tombstone must stay live until the tiering pass updates the node
-  // past it. Null when no tier exists (the MinSeq bound alone is safe).
-  std::function<bool(uint64_t key, uint64_t packed)> tier_stale;
+  // Called after each conversion commits, with the key-sorted batch it
+  // merged into the tier. The engine takes those keys out of its
+  // un-tiered delta sets once no scan can still hold the previous
+  // directory snapshot (DESIGN.md §11.2). Unused without a tier.
+  std::function<void(std::vector<tier::TierEntry> entries)> on_tiered;
 };
 
 // One group's cleaner.
@@ -111,29 +124,26 @@ class LogCleaner {
     // lane — relocates its survivors into the cold cleaner chunk.
     bool segregate = true;
     uint64_t cold_age = 512;
-    // Tier handoff (DESIGN.md §11): when set, cold-lane cleaner chunks
-    // are not re-cleaned — they are the tiering pass's preferred
-    // candidates, so their stable survivors flow into the ordered tier
-    // instead of bouncing between cold cleaner chunks.
-    bool exclude_cold_from_victims = false;
   };
 
-  // Cleans cores [first_core, last_core) of `logs`.
+  // Cleans cores [first_core, last_core) of `logs`. `tier` is the
+  // store's ordered tier, or null: victims are then only relocated.
   LogCleaner(std::vector<OpLog*> logs, int first_core, int last_core,
              CleanerHooks hooks, const Options& options,
-             alloc::LazyAllocator* alloc);
+             alloc::LazyAllocator* alloc, tier::PersistentTier* tier);
   ~LogCleaner();
 
   LogCleaner(const LogCleaner&) = delete;
   LogCleaner& operator=(const LogCleaner&) = delete;
 
-  // One cleaning quantum: advances every in-flight job (refilling from
-  // victim selection first) within the byte budget, then reclaims every
-  // deferred free that has become epoch-safe. Returns retired + freed
-  // chunk counts (victims retired this pass are freed by this same call
-  // when no reader is pinned — e.g. single-threaded benchmark drivers).
-  // With the default unbounded budget a pass drains all eligible victims
-  // end-to-end, preserving the old one-shot semantics.
+  // One maintenance quantum: advances every in-flight job (refilling
+  // from victim selection first) within the byte budget, then reclaims
+  // every deferred free that has become epoch-safe. Returns the victims
+  // retired or converted plus the deferred frees run (victims retired
+  // this pass are freed by this same call when no reader is pinned —
+  // e.g. single-threaded benchmark drivers). With the default unbounded
+  // budget a pass drains every relocation victim end-to-end and converts
+  // up to kTierMaxChunks chunks per core.
   size_t RunOnce();
 
   // Background-thread control (idempotent).
@@ -153,15 +163,19 @@ class LogCleaner {
     // relaxed: monotonic stat counter, no ordering required.
     return entries_dropped_.load(std::memory_order_relaxed);
   }
+  uint64_t chunks_tiered() const {
+    // relaxed: monotonic stat counter, no ordering required.
+    return chunks_tiered_.load(std::memory_order_relaxed);
+  }
   // In-flight cleaning jobs (a nonzero value after a bounded RunOnce
   // means the pass was interrupted mid-victim and will resume).
   size_t jobs_in_flight() const;
 
  private:
-  // A victim chunk moving through the cleaning pipeline. All fields are
+  // A victim chunk moving through the pipeline. All fields are
   // cleaner-state guarded by run_lock_ (the job list is mutated by
   // RunOnce, which may be called from the background thread or from a
-  // synchronous driver).
+  // synchronous driver). The list holds at most one job per chunk.
   struct Survivor {
     uint64_t old_off;
     uint64_t key;
@@ -169,12 +183,13 @@ class LogCleaner {
     uint32_t len;
     bool txn;  // txn-chain member: needs a covering commit on relocation
   };
-  enum class Stage : uint8_t { kScan, kRelocate, kRetire, kDone };
+  enum class Stage : uint8_t { kScan, kRelocate, kRetire, kConvert, kDone };
   struct CleaningJob {
     int core = 0;
     uint64_t chunk_off = 0;
     uint64_t committed = 0;  // frozen extent (victims are sealed); these
                              // bytes count as reclaimed at retire time
+    bool convert = false;    // scan -> convert instead of relocate/retire
     Stage stage = Stage::kScan;
     uint64_t scan_pos = 0;       // reader position; resumable
     size_t reloc_pos = 0;        // survivors already durably relocated
@@ -184,21 +199,29 @@ class LogCleaner {
     double pick_live_ratio = 0;  // live ratio at pick time (WA histogram)
   };
 
-  // Starts new jobs from victim selection up to max_victims per core,
+  // Starts new jobs from victim selection: relocations up to
+  // max_victims in flight per core, conversions up to kTierMaxChunks per
+  // core per pass (`converts[core - first_core_]` counts this pass's),
   // skipping chunks that already have a job in flight.
-  void RefillJobs() REQUIRES(run_lock_);
+  void RefillJobs(std::vector<size_t>* converts) REQUIRES(run_lock_);
 
   // Advances one job by one bounded slice (scan slice, relocation
-  // sub-batch, or the retire step), deducting consumed bytes from
-  // `*budget`. Returns true if any progress was made (false = budget
-  // exhausted or relocation blocked on PM space; the job resumes later).
+  // sub-batch, or the retire or convert step), deducting consumed bytes
+  // from `*budget`. Returns true if any progress was made (false = budget
+  // exhausted, or relocation or conversion blocked on PM space; the job
+  // resumes later).
   bool AdvanceJob(CleaningJob& job, uint64_t* budget) REQUIRES(run_lock_);
+
+  // The convert stage: merges the job's survivors into the tier, then
+  // commits and detaches the chunk. False if the tier's arena cannot grow.
+  bool ConvertJob(CleaningJob& job) REQUIRES(run_lock_);
 
   std::vector<OpLog*> logs_;
   int first_core_, last_core_;
   CleanerHooks hooks_;
   Options options_;
   alloc::LazyAllocator* alloc_;
+  tier::PersistentTier* tier_;
 
   // Serializes cleaning passes and guards the job pipeline: RunOnce may
   // be driven by the background thread and by synchronous callers
@@ -211,6 +234,7 @@ class LogCleaner {
   std::atomic<uint64_t> chunks_cleaned_{0};
   std::atomic<uint64_t> entries_copied_{0};
   std::atomic<uint64_t> entries_dropped_{0};
+  std::atomic<uint64_t> chunks_tiered_{0};
 };
 
 }  // namespace log

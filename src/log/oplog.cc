@@ -291,13 +291,13 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
     for (const auto& [off, u] : usage_) {
       if (!u.sealed) continue;                       // still being written
       if (u.retired) continue;     // unlinked, free already in flight
-      if (u.busy) continue;        // claimed by a cleaner job / tiering
       if (off == active_chunk) continue;
       if (off == active_cleaner[0] || off == active_cleaner[1]) continue;
-      // Never retire the chunk the durable tail record points into, even
-      // when it is sealed (forced rotation seals before the tail moves).
-      // Unregistering it would leave a crash-time tail referencing a
-      // freed — and possibly reused — chunk.
+      // Never retire or convert the chunk the durable tail record points
+      // into, even when it is sealed (forced rotation seals before the
+      // tail moves). Unregistering it would leave a crash-time tail
+      // referencing a freed — and possibly reused — chunk, and recovery
+      // must be able to replay the tail.
       if (tail != 0 && AlignDown(tail, alloc::kChunkSize) == off) continue;
       if (u.total == 0) continue;
       // Tombstones whose covered chunks are all gone are as good as dead:
@@ -323,18 +323,23 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
       // will not decay much further: cleaning one at high liveness is
       // almost pure copying. Gate them at half the configured threshold
       // so the budget goes to chunks whose dead fraction can still grow.
-      const double cap = (u.cleaner && u.temp == Temp::kCold)
-                             ? query.live_ratio * 0.5
-                             : query.live_ratio;
-      if (ratio >= cap) continue;
+      const bool cold = u.cleaner && u.temp == Temp::kCold;
+      const double cap = cold ? query.live_ratio * 0.5 : query.live_ratio;
+      // With a tier (DESIGN.md §11.2), the cold lane drains into it, and
+      // so does any chunk too live to relocate — unless it is so dead
+      // that relocating its few survivors beats pinning it forever.
+      const bool convert = query.tier && ratio >= kTierMinLiveRatio &&
+                           (cold || ratio >= cap);
+      if (!convert && ratio >= cap) continue;
       Candidate c;
       c.seq = u.seq;
       c.info.chunk_off = off;
       c.info.live_ratio = ratio;
       c.info.age = now > u.last_write_clock ? now - u.last_write_clock : 0;
       c.info.last_write_clock = u.last_write_clock;
-      c.info.from_cold_chunk = u.cleaner && u.temp == Temp::kCold;
+      c.info.from_cold_chunk = cold;
       c.info.from_cleaner_chunk = u.cleaner;
+      c.info.convert = convert;
       // RAMCloud/LFS cost-benefit: benefit = freeable space x age of the
       // data; cost = read the chunk + rewrite the live part (1 + u).
       c.score = (1.0 - ratio) * static_cast<double>(c.info.age) /
@@ -348,8 +353,12 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
               return a.seq < b.seq;  // ties: oldest first (deterministic)
             });
   std::vector<VictimInfo> out;
-  for (size_t i = 0; i < candidates.size() && i < query.max; i++) {
-    out.push_back(candidates[i].info);
+  size_t relocates = 0, converts = 0;
+  for (const Candidate& c : candidates) {
+    size_t& taken = c.info.convert ? converts : relocates;
+    if (taken >= (c.info.convert ? query.max_converts : query.max)) continue;
+    taken++;
+    out.push_back(c.info);
   }
   return out;
 }
@@ -384,84 +393,26 @@ uint64_t OpLog::CommittedBytes(uint64_t chunk_off) const {
       ->used_final;
 }
 
-bool OpLog::ClaimChunk(uint64_t chunk_off) {
-  LockGuard<SpinLock> g(usage_lock_);
-  auto it = usage_.find(chunk_off);
-  if (it == usage_.end() || it->second.retired || it->second.busy) {
-    return false;
-  }
-  it->second.busy = true;
-  return true;
-}
-
-void OpLog::UnclaimChunk(uint64_t chunk_off) {
-  LockGuard<SpinLock> g(usage_lock_);
-  auto it = usage_.find(chunk_off);
-  if (it != usage_.end()) it->second.busy = false;
-}
-
-std::vector<OpLog::TierCandidate> OpLog::PickTierCandidates(
-    double min_live_ratio, size_t max) {
-  struct Candidate {
-    bool cold;
-    uint32_t seq;
-    TierCandidate tc;
-  };
-  std::vector<Candidate> candidates;
-  const uint64_t active_chunk = chunk_.load(std::memory_order_acquire);
-  uint64_t active_cleaner[kNumTemps];
-  for (int t = 0; t < kNumTemps; t++) {
-    active_cleaner[t] = cleaner_chunk_[t].load(std::memory_order_acquire);
-  }
-  const uint64_t tail = tail_.load(std::memory_order_acquire);
+void OpLog::DetachForTier(uint64_t chunk_off) {
+  uint64_t slot;
   {
     LockGuard<SpinLock> g(usage_lock_);
-    for (const auto& [off, u] : usage_) {
-      if (!u.sealed || u.retired || u.busy) continue;
-      if (off == active_chunk) continue;
-      if (off == active_cleaner[0] || off == active_cleaner[1]) continue;
-      // The durable tail record must keep pointing into a replayable log
-      // chunk, so the tail chunk never tiers (same rule as PickVictims).
-      if (tail != 0 && AlignDown(tail, alloc::kChunkSize) == off) continue;
-      // A chunk with no live entries contributes nothing to the tier but
-      // would leak 4 MB forever; leave it for the cleaner to free.
-      if (u.total == 0 || u.live == 0) continue;
-      const double ratio = static_cast<double>(u.live) / u.total;
-      if (ratio < min_live_ratio) continue;
-      Candidate c;
-      c.cold = u.cleaner && u.temp == Temp::kCold;
-      c.seq = u.seq;
-      c.tc.chunk_off = off;
-      c.tc.seq = u.seq;
-      c.tc.registry_slot = u.registry_slot;
-      candidates.push_back(c);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.cold != b.cold) return a.cold;  // cold lane first
-                return a.seq < b.seq;                 // then oldest
-              });
-    std::vector<TierCandidate> out;
-    for (size_t i = 0; i < candidates.size() && i < max; i++) {
-      usage_[candidates[i].tc.chunk_off].busy = true;  // claim
-      out.push_back(candidates[i].tc);
-    }
-    return out;
+    auto it = usage_.find(chunk_off);
+    FLATSTORE_CHECK(it != usage_.end())
+        << "DetachForTier on unknown chunk " << chunk_off;
+    slot = it->second.registry_slot;
   }
-}
-
-void OpLog::DetachForTier(uint64_t chunk_off) {
-  LockGuard<SpinLock> g(usage_lock_);
-  auto it = usage_.find(chunk_off);
-  FLATSTORE_CHECK(it != usage_.end())
-      << "DetachForTier on unknown chunk " << chunk_off;
-  FLATSTORE_CHECK(it->second.busy)
-      << "DetachForTier without a claim on chunk " << chunk_off;
+  // Conversion commit point: the fenced 8-byte flag flips the chunk from
+  // "replayed" to "represented by the tier". Before it, recovery still
+  // replays the chunk and the tier nodes are harmless duplicates in the
+  // version duel; after it, recovery loads the nodes instead.
+  root_->SetChunkTiered(slot);
   // No UnregisterChunk, no FreeRawChunk, no checkpoint disarm: the chunk
   // stays registered (with its persistent kChunkTiered flag) and its
   // bytes stay allocated — tier nodes alias entries inside it. An armed
   // checkpoint also stays valid for the same reason.
-  usage_.erase(it);
+  LockGuard<SpinLock> g(usage_lock_);
+  usage_.erase(chunk_off);
 }
 
 void OpLog::BeginRetire(uint64_t chunk_off) {

@@ -15,7 +15,8 @@
 //    the in-chunk `used_final` field rather than the tail record.
 //
 // Chunk-usage accounting (live/total entries per chunk) feeds victim
-// selection for log cleaning (§3.4).
+// selection for the one maintenance pass (§3.4): each victim is either
+// relocated by the cleaner or, with a tier, converted into it.
 
 #ifndef FLATSTORE_LOG_OPLOG_H_
 #define FLATSTORE_LOG_OPLOG_H_
@@ -77,14 +78,15 @@ struct ChunkUsage {
   bool cleaner = false;      // written by the cleaner path
   Temp temp = Temp::kHot;    // cleaner chunks: survivor temperature lane
   bool retired = false;      // unlinked; physical free deferred (epochs)
-  // Claimed for exclusive background processing: either an in-flight
-  // cleaner job or a tier conversion. Claimed chunks are invisible to
-  // both PickVictims and PickTierCandidates, so the cleaner can never
-  // reach BeginRetire on a chunk the tiering pass detached (and vice
-  // versa). Volatile only.
-  bool busy = false;
   uint64_t registry_slot = 0;
 };
+
+// Tier conversion limits (DESIGN.md §11.2): chunks whose live ratio is
+// below kTierMinLiveRatio are better freed by relocation than leaked into
+// the tier (tiered chunks are never freed), and one maintenance pass
+// starts at most kTierMaxChunks conversions per core.
+inline constexpr double kTierMinLiveRatio = 0.25;
+inline constexpr size_t kTierMaxChunks = 4;
 
 // One victim chunk chosen by PickVictims, with the pick-time metrics the
 // cleaner threads through its staged pipeline (live ratio feeds the WA
@@ -96,15 +98,20 @@ struct VictimInfo {
   uint64_t last_write_clock = 0;
   bool from_cold_chunk = false;  // victim was a cleaner cold-lane chunk
   bool from_cleaner_chunk = false;  // victim held relocated survivors
+  bool convert = false;  // convert into the tier instead of relocating
 };
 
 // Victim-selection query (§3.4): RAMCloud/LFS-style cost-benefit, rank
 // by (1-u)*age/(1+u).
 struct VictimQuery {
-  // Eligibility cap: chunks at or above this live ratio are never worth
+  // Relocation cap: chunks at or above this live ratio are never worth
   // relocating.
   double live_ratio = 0.98;
-  size_t max = 4;
+  size_t max = 4;  // relocation picks
+  // With a tier, picks at or above the cap (and cold-lane picks at or
+  // above kTierMinLiveRatio) are converted instead, up to max_converts.
+  bool tier = false;
+  size_t max_converts = kTierMaxChunks;
 };
 
 // One core's operation log.
@@ -168,12 +175,17 @@ class OpLog {
   // Snapshot of per-chunk usage, keyed by chunk offset.
   std::map<uint64_t, ChunkUsage> UsageSnapshot() const;
 
-  // Cost-benefit victim selection over the incremental per-chunk
-  // counters (never rescans): among sealed chunks below the live-ratio
-  // cap, excluding the serving and cleaner chunks currently being
-  // written, ranks by benefit/cost = (1 - u) * age / (1 + u) with
-  // u = effective live-byte ratio and age = write-clock distance since
-  // the chunk's last append/death (ties: older sequence first).
+  // The maintenance pass's one picker, over the incremental per-chunk
+  // counters (never rescans). One walk over the sealed chunks, skipping
+  // retired and empty ones, the serving and cleaner chunks being written
+  // and the durable-tail chunk; ranks by benefit/cost =
+  // (1 - u) * age / (1 + u) with u = effective live-byte ratio and
+  // age = write-clock distance since the chunk's last append/death
+  // (ties: older sequence first). A pick below the relocation cap is
+  // relocated; with query.tier, a cold-lane pick at or above
+  // kTierMinLiveRatio, and any other pick at or above both the cap and
+  // that floor, is tagged `convert`. Returns up to query.max relocations
+  // and query.max_converts conversions, in rank order.
   std::vector<VictimInfo> PickVictims(const VictimQuery& query) const;
 
   // Logical write clock: ticks once per serving AppendBatch. Purely
@@ -201,34 +213,12 @@ class OpLog {
   // queue, one grace period after BeginRetire.
   void ReleaseChunk(uint64_t chunk_off);
 
-  // --- tiering handoff (DESIGN.md §11) ---
-
-  // Claims a chunk for exclusive background processing. Returns false if
-  // the chunk is unknown, retired, or already claimed. The claim is
-  // dropped by UnclaimChunk, or consumed by the claimant's terminal step
-  // (ReleaseChunk for cleaner jobs, DetachForTier for conversions).
-  bool ClaimChunk(uint64_t chunk_off);
-  void UnclaimChunk(uint64_t chunk_off);
-
-  struct TierCandidate {
-    uint64_t chunk_off = 0;
-    uint32_t seq = 0;
-    uint64_t registry_slot = 0;
-  };
-
-  // Chooses up to `max` sealed chunks ready for tier conversion:
-  // live-entry ratio at or above `min_live_ratio` (mostly-dead chunks are
-  // better freed by the cleaner than leaked into the tier), never the
-  // serving/tail/cleaner chunks. Cold cleaner chunks come first (the cold
-  // lane drains into the tier), then oldest sequence. Every returned
-  // chunk is claimed; the caller must DetachForTier or UnclaimChunk it.
-  std::vector<TierCandidate> PickTierCandidates(double min_live_ratio,
-                                                size_t max);
-
-  // Forgets a chunk converted into the tier: erased from the usage map
-  // (never again a victim, candidate, or MinSeq contributor) but neither
-  // unregistered nor freed — tier nodes alias its entry bytes forever.
-  // The caller must have set the persistent kChunkTiered flag first.
+  // Converts a chunk into the tier (DESIGN.md §11.2): the caller has
+  // durably merged the chunk's live entries into the tier. Sets the
+  // persistent kChunkTiered flag (the conversion commit point), then
+  // forgets the chunk: erased from the usage map (never again a victim
+  // or MinSeq contributor) but neither unregistered nor freed — tier
+  // nodes alias its entry bytes forever.
   void DetachForTier(uint64_t chunk_off);
 
   // Seals the current serving chunk at its present extent; the next

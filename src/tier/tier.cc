@@ -219,8 +219,10 @@ uint64_t PersistentTier::AssignNodeBytes(int socket,
 
 bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
   if (n == 0) return true;
+  LockGuard<Mutex> g(insert_mu_);
   TierRoot* root = tier_root();
-  // The single mutator's own snapshot: no reader pin is needed to read it.
+  // The mutator's own snapshot: only a mutator retires snapshots, so no
+  // reader pin is needed to read it.
   const Directory& dir = Snapshot();
 
   // Pass A — classify: one forward directory cursor (the batch is

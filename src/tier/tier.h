@@ -34,11 +34,11 @@
 // publishes it as a snapshot. Readers (scans, Get) never walk PM to learn
 // order.
 //
-// Concurrency: single mutator (the tiering pass is serialized by the
-// caller), lock-free concurrent readers. A reader holds an epoch pin
-// while it uses a snapshot; retired snapshots are freed through
-// EpochManager::Defer. L0 links and `packed` words go through
-// std::atomic_ref with release/acquire ordering.
+// Concurrency: one mutator at a time (InsertBatch serializes the log
+// cleaners that convert chunks into the tier), lock-free concurrent
+// readers. A reader holds an epoch pin while it uses a snapshot; retired
+// snapshots are freed through EpochManager::Defer. L0 links and `packed`
+// words go through std::atomic_ref with release/acquire ordering.
 
 #ifndef FLATSTORE_TIER_TIER_H_
 #define FLATSTORE_TIER_TIER_H_
@@ -52,6 +52,7 @@
 #include "alloc/lazy_allocator.h"
 #include "common/epoch.h"
 #include "common/logging.h"
+#include "common/thread_annotations.h"
 #include "pm/pm_pool.h"
 #include "vt/costs.h"
 
@@ -161,10 +162,10 @@ class PersistentTier {
   // the directory snapshot with the new keys merged in is published (the
   // old one retires through the epoch manager). One trailing fence covers
   // the batch's deferred persists; the caller's conversion commit
-  // (SetChunkTiered) happens after this returns. Single mutator only.
-  // Returns false (with no partial batch published beyond already-fenced
-  // nodes — which are harmlessly idempotent) if the pool cannot grow the
-  // arena.
+  // (SetChunkTiered) happens after this returns. Callers are serialized
+  // internally. Returns false (with no partial batch published beyond
+  // already-fenced nodes — which are harmlessly idempotent) if the pool
+  // cannot grow the arena.
   bool InsertBatch(const TierEntry* entries, size_t n);
 
   // Point lookup: a directory search plus one PM read of the node's
@@ -232,6 +233,8 @@ class PersistentTier {
 
   // The current directory snapshot; never null.
   std::atomic<const Directory*> dir_;
+  // Held by InsertBatch: one mutator at a time.
+  Mutex insert_mu_;
 };
 
 }  // namespace tier

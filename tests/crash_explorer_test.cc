@@ -285,29 +285,45 @@ void TxnWorkload(WorkloadCtx& ctx) {
   commit({put(6, t4a), cas_own, put(2, t4a)}, core::TxnStatus::kCommitted);
 }
 
-// Log-to-tier conversion (DESIGN.md §11): a sealed, partly superseded
-// chunk is converted into persistent tier nodes and detached from replay.
-// Every flush inside the conversion — arena chunk formatting, the
-// reserve fence, node persists, L0 link publishes, the kChunkTiered
-// commit store, and the advisory frontier update — becomes a crash
-// point. Before the commit a crash must replay the chunk (tier nodes are
-// harmless version-duel duplicates); after it, recovery must load the
-// nodes instead. Live traffic follows so post-conversion appends land in
-// the delta sets too.
+// The maintenance pass with a tier (DESIGN.md §11): one pass picks a
+// mostly-live sealed chunk to convert into persistent tier nodes and a
+// mostly-dead one to relocate, and a small byte budget (the case's
+// gc_quantum_bytes) makes both jobs park after a scan slice and resume in
+// later passes. Every flush of the interleaved pipeline — survivor
+// copies and their used_final commit, the victim's unlink and deferred
+// release, tier arena growth, the reserve fence, node persists, L0 link
+// publishes and the kChunkTiered commit store — becomes a crash point.
+// Before the commit a crash must replay the converted chunk (tier nodes
+// are harmless version-duel duplicates); after it, recovery must load
+// the nodes instead. Live traffic follows so post-conversion appends
+// land in the delta sets too.
 void TieringWorkload(WorkloadCtx& ctx) {
   for (uint64_t k = 1; k <= 12; k++) {
     ctx.Put(k, Val('t', 40 + 5 * k));
   }
   ctx.Put(13, Val('T', 300));  // out-of-log value behind a tier node
-  ctx.store->SealActiveLogChunks();  // chunk 1 sealed at 13 entries
-  for (uint64_t k = 1; k <= 5; k++) {
-    ctx.Put(k, Val('u', 64));  // supersede: tier must skip these
+  ctx.store->SealActiveLogChunks();  // chunk A: the conversion victim
+  for (uint64_t k = 20; k <= 27; k++) {
+    ctx.Put(k, Val('r', 48));
   }
-  ctx.Delete(6);  // live tombstone: tiered, then vetoed from the index
+  ctx.store->SealActiveLogChunks();  // chunk B: the relocation victim
+  for (uint64_t k = 20; k <= 25; k++) {
+    ctx.Put(k, Val('s', 52));  // B drops to 2/8 live
+  }
+  ctx.Put(1, Val('u', 64));  // supersede: the tier must skip A's copy
+  ctx.Delete(6);  // live tombstone covering A: vetoed once A tiers
   ctx.Arm();
-  ctx.store->RunTieringOnce();
-  // Volatile counter: proves conversion really ran in every replay.
+  int passes = 0;
+  while (passes < 64 && (ctx.store->ChunksTiered() == 0 ||
+                         ctx.store->ChunksCleaned() == 0)) {
+    ctx.store->RunCleanersOnce();
+    passes++;
+  }
+  // Volatile counters: prove both jobs really ran, and were parked by
+  // the budget, in every replay.
   EXPECT_GT(ctx.store->ChunksTiered(), 0u);
+  EXPECT_GT(ctx.store->ChunksCleaned(), 0u);
+  EXPECT_GT(passes, 2);
   ctx.Put(50, Val('v', 40));  // post-conversion delta-set traffic
   ctx.Delete(8);
   ctx.Put(9, Val('w', 72));
@@ -318,6 +334,7 @@ struct MatrixCase {
   int cores;
   Workload workload;
   bool tier = false;  // run the store with the persistent tier enabled
+  uint64_t gc_quantum_bytes = 0;  // per-pass cleaning budget (0 = none)
 };
 
 class CrashMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
@@ -329,6 +346,7 @@ TEST_P(CrashMatrixTest, EveryFlushIndexEveryMode) {
   ExplorerOptions opts;
   opts.store = SmallStore(c.cores);
   opts.store.tier_enabled = c.tier;
+  opts.store.gc_quantum_bytes = c.gc_quantum_bytes;
   opts.seeds = CrashSeeds();
   CrashExplorer explorer(c.name, opts);
   ExplorerResult res = explorer.Explore(c.workload);
@@ -347,7 +365,8 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{"checkpoint", 1, CheckpointWorkload},
                       MatrixCase{"multiput", 1, MultiPutWorkload},
                       MatrixCase{"txn", 1, TxnWorkload},
-                      MatrixCase{"tiering", 1, TieringWorkload, true}),
+                      MatrixCase{"tiering", 1, TieringWorkload, true,
+                                 /*gc_quantum_bytes=*/256}),
     [](const ::testing::TestParamInfo<MatrixCase>& info) {
       return std::string(info.param.name);
     });

@@ -1,5 +1,6 @@
-// Cost-benefit victim selection, hot/cold survivor segregation, pipelined
-// quantum-bounded cleaning, and allocator backpressure (§3.4).
+// Cost-benefit victim selection and its relocate-or-convert tags, hot/cold
+// survivor segregation, pipelined quantum-bounded cleaning, and allocator
+// backpressure (§3.4).
 //
 // OpLog-level tests drive PickVictims directly over hand-built chunk
 // populations; FlatStore-level tests verify the end-to-end behavior of
@@ -67,6 +68,22 @@ class GcPolicyTest : public ::testing::Test {
 
   static uint64_t ChunkOf(uint64_t entry_off) {
     return AlignDown(entry_off, alloc::kChunkSize);
+  }
+
+  // Appends `n` ptr-based entries through the cleaner path into `temp`'s
+  // lane; returns their offsets.
+  std::vector<uint64_t> AppendCleanerBatch(int n, Temp temp) {
+    std::vector<std::vector<uint8_t>> bufs(n);
+    std::vector<OpLog::EntryRef> refs(n);
+    for (int i = 0; i < n; i++) {
+      bufs[i].resize(kPtrEntrySize);
+      EncodePutPtr(bufs[i].data(), next_key_++, 1, 0x100u * 256);
+      refs[i] = {bufs[i].data(), kPtrEntrySize};
+    }
+    std::vector<uint64_t> offs(n);
+    EXPECT_TRUE(log_->CleanerAppendBatch(refs.data(), refs.size(),
+                                         offs.data(), temp));
+    return offs;
   }
 
   // Ticks the logical write clock by `n` (each serving batch = one tick).
@@ -146,6 +163,142 @@ TEST_F(GcPolicyTest, EqualScoresTieBreakByOldestSequence) {
   ASSERT_GE(victims.size(), 2u);
   EXPECT_EQ(victims[0].chunk_off, ChunkOf(offs_a[0]))
       << "ties must break toward the older sequence (deterministic)";
+}
+
+// The one picker's relocate-or-convert table (DESIGN.md §3.4, §11.2),
+// with the relocation cap at 0.6 (0.3 for the cold lane) and the tier's
+// floor at kTierMinLiveRatio = 0.25. Each row is one sealed 16-entry
+// chunk with `live` entries left.
+TEST_F(GcPolicyTest, PickerTableRelocateOrConvert) {
+  enum Pick { kSkip, kRelocate, kConvert };
+  struct Row {
+    const char* name;
+    bool cold;
+    int live;
+    Pick tier_off;
+    Pick tier_on;
+  };
+  const Row table[] = {
+      {"hot, full", false, 16, kSkip, kConvert},
+      {"hot, over the cap", false, 10, kSkip, kConvert},  // 0.625
+      {"hot, under the cap", false, 9, kRelocate, kRelocate},
+      {"hot, under the floor", false, 2, kRelocate, kRelocate},
+      {"hot, dead", false, 0, kRelocate, kRelocate},
+      {"cold, over the cold cap", true, 12, kSkip, kConvert},
+      {"cold, at the floor", true, 4, kRelocate, kConvert},  // 0.25
+      {"cold, under the floor", true, 3, kRelocate, kRelocate},
+      {"cold, dead", true, 0, kRelocate, kRelocate},
+  };
+
+  std::map<uint64_t, const Row*> chunk_row;
+  for (const Row& r : table) {
+    std::vector<uint64_t> offs;
+    if (r.cold) {
+      offs = AppendCleanerBatch(16, Temp::kCold);
+      log_->RotateCleanerChunk();
+    } else {
+      offs = AppendPtrBatch(16);
+      log_->SealActiveChunk();
+    }
+    for (int i = r.live; i < 16; i++) log_->NoteDead(offs[i], kPtrEntrySize);
+    chunk_row[ChunkOf(offs[0])] = &r;
+  }
+  TickClock(3);  // the durable tail leaves the last sealed chunk
+
+  for (bool tier : {false, true}) {
+    VictimQuery q;
+    q.live_ratio = 0.6;
+    q.max = 16;
+    q.tier = tier;
+    q.max_converts = 16;
+    std::map<uint64_t, Pick> picked;
+    for (const VictimInfo& v : log_->PickVictims(q)) {
+      ASSERT_TRUE(chunk_row.count(v.chunk_off) != 0) << v.chunk_off;
+      picked[v.chunk_off] = v.convert ? kConvert : kRelocate;
+    }
+    for (const auto& [chunk, row] : chunk_row) {
+      const Pick want = tier ? row->tier_on : row->tier_off;
+      const Pick got = picked.count(chunk) != 0 ? picked[chunk] : kSkip;
+      EXPECT_EQ(got, want) << row->name << (tier ? ", tier on" : ", tier off");
+    }
+  }
+}
+
+// A pick converts at most max_converts chunks (kTierMaxChunks per core by
+// default), oldest first among equal scores; relocations are unaffected.
+TEST_F(GcPolicyTest, PickerConvertCapHolds) {
+  std::vector<uint64_t> full;
+  for (int i = 0; i < 6; i++) {
+    full.push_back(ChunkOf(AppendPtrBatch(16)[0]));
+    log_->SealActiveChunk();
+  }
+  auto dying = AppendPtrBatch(16);
+  log_->SealActiveChunk();
+  for (int i = 0; i < 12; i++) log_->NoteDead(dying[i], kPtrEntrySize);
+  TickClock(3);
+
+  VictimQuery q;
+  q.live_ratio = 0.6;
+  q.max = 8;
+  q.tier = true;
+  for (size_t cap : {kTierMaxChunks, size_t{2}, size_t{0}}) {
+    q.max_converts = cap;
+    std::vector<uint64_t> converts;
+    size_t relocates = 0;
+    for (const VictimInfo& v : log_->PickVictims(q)) {
+      if (v.convert) {
+        converts.push_back(v.chunk_off);
+      } else {
+        relocates++;
+        EXPECT_EQ(v.chunk_off, ChunkOf(dying[0]));
+      }
+    }
+    EXPECT_EQ(relocates, 1u) << "cap " << cap;
+    ASSERT_EQ(converts.size(), cap);
+    for (size_t i = 0; i < cap; i++) EXPECT_EQ(converts[i], full[i]);
+  }
+}
+
+// The durable-tail chunk and the chunks being written (serving and both
+// cleaner lanes) are never picked, whatever the policy would say.
+TEST_F(GcPolicyTest, PickerSparesTailAndActiveChunks) {
+  const uint64_t old_chunk = ChunkOf(AppendPtrBatch(16)[0]);
+  log_->SealActiveChunk();
+  // The tail chunk: sealed, but the durable tail record points into it.
+  const uint64_t tail_chunk = ChunkOf(AppendPtrBatch(16)[0]);
+  log_->SealActiveChunk();
+  // The active cleaner chunks of both lanes, unsealed.
+  const uint64_t hot_lane = ChunkOf(AppendCleanerBatch(16, Temp::kHot)[0]);
+  const uint64_t cold_lane = ChunkOf(AppendCleanerBatch(16, Temp::kCold)[0]);
+  ASSERT_EQ(AlignDown(log_->tail(), alloc::kChunkSize), tail_chunk);
+
+  for (bool tier : {false, true}) {
+    VictimQuery q;
+    q.live_ratio = tier ? 0.6 : 1.5;  // tier off: every chunk relocatable
+    q.max = 16;
+    q.tier = tier;
+    const auto victims = log_->PickVictims(q);
+    ASSERT_EQ(victims.size(), 1u) << (tier ? "tier on" : "tier off");
+    EXPECT_EQ(victims[0].chunk_off, old_chunk);
+    EXPECT_EQ(victims[0].convert, tier);
+  }
+  // The serving chunk after the tail moves into it: unsealed, so spared,
+  // and the former tail chunk becomes eligible.
+  const uint64_t serving = ChunkOf(AppendPtrBatch(4)[0]);
+  VictimQuery q;
+  q.live_ratio = 1.5;
+  q.max = 16;
+  std::vector<uint64_t> picked;
+  for (const VictimInfo& v : log_->PickVictims(q)) {
+    picked.push_back(v.chunk_off);
+    EXPECT_NE(v.chunk_off, serving);
+    EXPECT_NE(v.chunk_off, hot_lane);
+    EXPECT_NE(v.chunk_off, cold_lane);
+  }
+  std::sort(picked.begin(), picked.end());
+  std::vector<uint64_t> want = {old_chunk, tail_chunk};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(picked, want);
 }
 
 TEST_F(GcPolicyTest, IncrementalByteCountersMatchRescanOracle) {

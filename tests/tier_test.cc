@@ -1,14 +1,17 @@
-// Persistent ordered tier (DESIGN.md §11): log-to-tier conversion,
-// merged hash-store scans, scan equivalence against the full-iteration
-// baseline under puts/deletes/GC churn, tombstone handling, the DRAM key
-// directory (seek equivalence, concurrent snapshot publication), the vt
-// cost of a tier-served scan, and incremental (bounded) recovery that
-// skips tiered chunks.
+// Persistent ordered tier (DESIGN.md §11): log-to-tier conversion by the
+// cleaners' maintenance pass (called directly or in the background, and
+// never pinning a dead chunk), merged hash-store scans, scan equivalence
+// against the full-iteration baseline under puts/deletes/GC churn,
+// tombstone handling, the DRAM key directory (seek equivalence,
+// concurrent snapshot publication), the vt cost of a tier-served scan,
+// and incremental (bounded) recovery that skips tiered chunks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <random>
 #include <string>
 #include <thread>
@@ -63,15 +66,15 @@ void ExpectScanMatchesFullIteration(FlatStore* store, uint64_t start,
 
 // Puts keys [0, keys), seals, writes a few keys far above the range so
 // every core's durable tail moves into a fresh chunk (the tail chunk
-// never tiers), then tiers until nothing is left to convert: every key
-// in [0, keys) is then served by the tier alone.
+// never tiers), then runs maintenance passes until nothing is left to
+// convert: every key in [0, keys) is then served by the tier alone.
 void FillAndTierAll(FlatStore* store, uint64_t keys) {
   for (uint64_t k = 0; k < keys; k++) store->Put(k, ValueFor(k, 1, 40));
   store->SealActiveLogChunks();
   for (uint64_t k = 0; k < 8; k++) {
     store->Put((1ull << 32) + k, ValueFor(k, 1, 40));
   }
-  while (store->RunTieringOnce() > 0) {
+  while (store->RunCleanersOnce() > 0) {
   }
 }
 
@@ -87,7 +90,7 @@ TEST(Tier, ConvertAndServe) {
   for (uint64_t k = 512; k < 520; k++) {
     store->Put(k, ValueFor(k, 1, 40));
   }
-  EXPECT_GT(store->RunTieringOnce(), 0u);
+  store->RunCleanersOnce();
   EXPECT_GT(store->ChunksTiered(), 0u);
   ASSERT_NE(store->tier(), nullptr);
   EXPECT_GT(store->tier()->node_count(), 0u);
@@ -108,7 +111,11 @@ TEST(Tier, ConvertAndServe) {
 
 TEST(Tier, SupersededEntriesNeverResurface) {
   auto pool = MakePool();
-  auto store = FlatStore::Create(pool.get(), TierOptions());
+  auto opts = TierOptions();
+  // The sealed chunk ends under half live: a cap below that makes the
+  // pass convert it rather than relocate it.
+  opts.gc_live_ratio = 0.3;
+  auto store = FlatStore::Create(pool.get(), opts);
   for (uint64_t k = 0; k < 256; k++) {
     store->Put(k, ValueFor(k, 1, 60));
   }
@@ -121,7 +128,8 @@ TEST(Tier, SupersededEntriesNeverResurface) {
   for (uint64_t k = 1; k < 32; k += 2) {
     ASSERT_TRUE(store->Delete(k));
   }
-  EXPECT_GT(store->RunTieringOnce(), 0u);
+  store->RunCleanersOnce();
+  EXPECT_GT(store->ChunksTiered(), 0u);
   ScanRows rows;
   store->Scan(0, 256, &rows);
   for (const auto& [k, v] : rows) {
@@ -150,7 +158,7 @@ TEST(Tier, ScanEquivalentToFullIterationUnderChurn) {
     ExpectScanMatchesFullIteration(store.get(), start, count);
   };
   for (int round = 1; round <= 4; round++) {
-    // Churn: overwrites, deletes, re-puts — then GC and tiering passes.
+    // Churn: overwrites, deletes, re-puts — then a maintenance pass.
     for (uint64_t k = 0; k < kKeys; k += 3) {
       store->Put(k, ValueFor(k, static_cast<uint64_t>(round), 50 + round));
     }
@@ -160,7 +168,6 @@ TEST(Tier, ScanEquivalentToFullIterationUnderChurn) {
     }
     store->SealActiveLogChunks();
     store->RunCleanersOnce();
-    store->RunTieringOnce();
     compare(0, kKeys);
     compare(kKeys / 3, 100);
     compare(kKeys - 40, 200);  // tail: fewer than `count` keys remain
@@ -192,7 +199,8 @@ TEST(Tier, ScanEquivalentToFullIterationUnderChurn) {
     // Second pass: the same tombstones after they convert into tier
     // nodes, so the tier cursor steps over them too.
     store->SealActiveLogChunks();
-    store->RunTieringOnce();
+    while (store->RunCleanersOnce() > 0) {
+    }
   }
 }
 
@@ -350,7 +358,7 @@ TEST(Tier, DirectorySeekMatchesLinearWalk) {
         for (uint64_t k = 0; k < 8; k++) {
           store->Put((1ull << 32) + 8 * round + k, ValueFor(k, round, 40));
         }
-        while (store->RunTieringOnce() > 0) {
+        while (store->RunCleanersOnce() > 0) {
         }
       }
       check(store.get());
@@ -361,12 +369,32 @@ TEST(Tier, DirectorySeekMatchesLinearWalk) {
   }
 }
 
-// Scans racing live writers — and a tiering pass that links new L0 nodes
-// and publishes directory snapshots under them — must stay well-formed:
-// strictly ascending keys, no crashes, every returned value a version
-// some Put wrote. No key is ever deleted, so every scan returns exactly
-// min(120, kKeys - start) rows: a key the pass moves from the delta sets
-// into the tier is never missing from both.
+// Checks one scan from `start` while writers and maintenance race it:
+// exactly min(120, keys - start) rows (no key is ever deleted), strictly
+// ascending, each value one some Put wrote for its key.
+bool ScanWellFormed(FlatStore* store, uint64_t keys, uint64_t start) {
+  ScanRows rows;
+  const uint64_t want = std::min<uint64_t>(120, keys - start);
+  EXPECT_EQ(store->Scan(start, 120, &rows), want) << start;
+  EXPECT_EQ(rows.size(), want) << start;
+  for (size_t j = 1; j < rows.size(); j++) {
+    EXPECT_LT(rows[j - 1].first, rows[j].first) << start;
+  }
+  for (const auto& [k, v] : rows) {
+    EXPECT_EQ(v.size(), 48u) << k;
+    uint64_t embedded = 0;
+    std::memcpy(&embedded, v.data(), std::min<size_t>(8, v.size()));
+    EXPECT_EQ(embedded, k);
+  }
+  return !::testing::Test::HasFailure();
+}
+
+// Scans racing live writers — and a maintenance pass that links new L0
+// nodes and publishes directory snapshots under them — must stay
+// well-formed: strictly ascending keys, no crashes, every returned value
+// a version some Put wrote. No key is ever deleted, so every scan returns
+// exactly min(120, kKeys - start) rows: a key the pass moves from the
+// delta sets into the tier is never missing from both.
 TEST(Tier, ConcurrentScanSmoke) {
   auto pool = MakePool(256);
   auto store = FlatStore::Create(pool.get(), TierOptions());
@@ -375,8 +403,8 @@ TEST(Tier, ConcurrentScanSmoke) {
     store->Put(k, ValueFor(k, 0, 48));
   }
   store->SealActiveLogChunks();
-  store->RunTieringOnce();
-  // The odd keys sit in pre-sealed chunks that the concurrent tiering pass
+  store->RunCleanersOnce();
+  // The odd keys sit in pre-sealed chunks that the concurrent pass
   // converts while the scans below run.
   for (uint64_t k = 1; k < kKeys; k += 2) {
     store->Put(k, ValueFor(k, 0, 48));
@@ -397,25 +425,14 @@ TEST(Tier, ConcurrentScanSmoke) {
   std::atomic<bool> scanning{false}, tiered{false};
   std::thread tiering([&] {
     while (!scanning.load()) std::this_thread::yield();
-    store->RunTieringOnce();
+    store->RunCleanersOnce();
     tiered.store(true);
   });
   scanning.store(true);
-  for (int i = 0; i < 50 || !tiered.load(); i++) {
-    ScanRows rows;
-    const uint64_t start = (static_cast<uint64_t>(i) * 37) % kKeys;
-    const uint64_t want = std::min<uint64_t>(120, kKeys - start);
-    ASSERT_EQ(store->Scan(start, 120, &rows), want) << start;
-    ASSERT_EQ(rows.size(), want) << start;
-    for (size_t j = 1; j < rows.size(); j++) {
-      ASSERT_LT(rows[j - 1].first, rows[j].first);
-    }
-    for (const auto& [k, v] : rows) {
-      ASSERT_EQ(v.size(), 48u) << k;
-      uint64_t embedded = 0;
-      std::memcpy(&embedded, v.data(), 8);
-      ASSERT_EQ(embedded, k);
-    }
+  bool ok = true;
+  for (int i = 0; ok && (i < 50 || !tiered.load()); i++) {
+    ok = ScanWellFormed(store.get(), kKeys,
+                        (static_cast<uint64_t>(i) * 37) % kKeys);
   }
   tiering.join();
   stop.store(true);
@@ -423,8 +440,49 @@ TEST(Tier, ConcurrentScanSmoke) {
   EXPECT_GT(store->ChunksTiered(), tiered_before);
 }
 
-// A reader pinned before a tiering pass keeps the directory snapshot it
-// loaded, and the keys the pass moves into the tier stay in the delta
+// The background flow: with StartCleaners(), the cleaner threads' own
+// maintenance passes convert chunks into the tier while a writer and
+// scans run — no explicit pass is ever called. Scans stay complete and
+// strictly ascending throughout, as in ConcurrentScanSmoke.
+TEST(Tier, ConcurrentScanWithBackgroundTiering) {
+  auto pool = MakePool(256);
+  auto store = FlatStore::Create(pool.get(), TierOptions());
+  constexpr uint64_t kKeys = 1024;
+  for (uint64_t k = 0; k < kKeys; k++) store->Put(k, ValueFor(k, 0, 48));
+  store->SealActiveLogChunks();
+  store->StartCleaners();
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    // Its first writes move every core's durable tail past the sealed
+    // chunks, which makes them eligible for conversion.
+    uint64_t nonce = 1;
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (uint64_t k = 0; k < kKeys; k += 5) {
+        store->Put(k, ValueFor(k, nonce, 48));
+      }
+      nonce++;
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool ok = true;
+  for (int i = 0; ok && (i < 50 || (store->ChunksTiered() == 0 &&
+                                    std::chrono::steady_clock::now() <
+                                        deadline));
+       i++) {
+    ok = ScanWellFormed(store.get(), kKeys,
+                        (static_cast<uint64_t>(i) * 37) % kKeys);
+  }
+  stop.store(true);
+  writer.join();
+  store->StopCleaners();
+  EXPECT_GT(store->ChunksTiered(), 0u)
+      << "background cleaners never converted a chunk";
+  ExpectScanMatchesFullIteration(store.get(), 0, kKeys);
+}
+
+// A reader pinned before a maintenance pass keeps the directory snapshot
+// it loaded, and the keys the pass moves into the tier stay in the delta
 // sets until that reader unpins: the pass defers both the free of each
 // snapshot it retires and each chunk's delta erase. (A scan that read the
 // old snapshot and then gathered the delta sets after an immediate erase
@@ -445,7 +503,9 @@ TEST(Tier, PinnedReaderDefersSnapshotFreeAndDeltaErase) {
     common::EpochManager::GuestGuard pin(epochs);
     tier::PersistentTier::Cursor old(store->tier(), 0);
     const uint64_t old_nodes = store->tier()->node_count();
-    const size_t converted = store->RunTieringOnce();
+    const uint64_t tiered_before = store->ChunksTiered();
+    store->RunCleanersOnce();
+    const uint64_t converted = store->ChunksTiered() - tiered_before;
     ASSERT_GT(converted, 0u);
     ASSERT_GT(store->tier()->node_count(), old_nodes);
     // One retired snapshot and one delta erase per converted chunk.
@@ -475,7 +535,8 @@ TEST(Tier, RecoverySkipsTieredChunksAndKeepsData) {
     for (uint64_t k = 0; k < 64; k++) {
       store->Put(k, ValueFor(k, 4, 52));  // un-tiered suffix
     }
-    ASSERT_GT(store->RunTieringOnce(), 0u);
+    store->RunCleanersOnce();
+    ASSERT_GT(store->ChunksTiered(), 0u);
     // No Shutdown(): simulate a crash so Open takes the replay path.
   }
   core::FsckReport rep = core::FsckPool(*pool);
@@ -511,7 +572,8 @@ TEST(Tier, TieredTombstoneStaysDeadAcrossReopen) {
     for (uint64_t k = 200; k < 208; k++) {
       store->Put(k, ValueFor(k, 5, 40));  // advance tails past the seal
     }
-    ASSERT_GT(store->RunTieringOnce(), 0u);
+    store->RunCleanersOnce();
+    ASSERT_GT(store->ChunksTiered(), 0u);
     std::string v;
     EXPECT_FALSE(store->Get(7, &v));
   }
@@ -539,7 +601,7 @@ TEST(Tier, RepeatedConversionAcrossReopens) {
                  ValueFor(k, static_cast<uint64_t>(gen), 46));
     }
     store->SealActiveLogChunks();
-    store->RunTieringOnce();
+    store->RunCleanersOnce();
   }
   auto store = FlatStore::Open(pool.get(), TierOptions());
   for (int gen = 0; gen < 3; gen++) {
@@ -554,6 +616,77 @@ TEST(Tier, RepeatedConversionAcrossReopens) {
   ASSERT_EQ(store->Scan(0, 1200, &rows),
             store->ScanFullIteration(0, 1200, &full));
   EXPECT_EQ(rows, full);
+}
+
+// A convert victim whose entries all die between its pick and its scan
+// is freed like a relocation victim, not pinned in the tier with no
+// nodes. A tiny budget parks the second of two convert jobs before its
+// first scan slice; its keys are then overwritten.
+TEST(Tier, ConvertVictimThatDiesBeforeItsScanIsFreed) {
+  auto pool = MakePool();
+  auto opts = TierOptions(1);
+  opts.gc_quantum_bytes = 4096;
+  auto store = FlatStore::Create(pool.get(), opts);
+  for (uint64_t k = 0; k < 200; k++) store->Put(k, ValueFor(k, 1, 40));
+  store->SealActiveLogChunks();
+  for (uint64_t k = 1000; k < 1200; k++) store->Put(k, ValueFor(k, 1, 40));
+  store->SealActiveLogChunks();
+  store->Put(1u << 20, ValueFor(0, 1, 40));  // the tail leaves both chunks
+  const auto sealed = store->LogForCore(0)->UsageSnapshot();
+  ASSERT_EQ(sealed.size(), 3u);
+  const uint64_t doomed = std::next(sealed.begin())->first;
+
+  store->RunCleanersOnce();  // both picked to convert; the budget ends
+  ASSERT_EQ(store->ChunksTiered(), 0u);  // inside the first one's scan
+  for (uint64_t k = 1000; k < 1200; k++) store->Put(k, ValueFor(k, 2, 40));
+  // A bounded pass that finishes no job returns 0, so run a fixed count.
+  for (int pass = 0; pass < 32; pass++) store->RunCleanersOnce();
+  EXPECT_EQ(store->ChunksTiered(), 1u);
+  EXPECT_EQ(store->ChunksCleaned(), 1u);
+  EXPECT_EQ(store->LogForCore(0)->UsageSnapshot().count(doomed), 0u);
+  std::string v;
+  for (uint64_t k = 1000; k < 1200; k += 7) {
+    ASSERT_TRUE(store->Get(k, &v)) << k;
+    EXPECT_EQ(v, ValueFor(k, 2, 40));
+  }
+  const core::FsckReport rep = core::FsckPool(*pool);
+  EXPECT_TRUE(rep.ok) << rep.Summary();
+}
+
+// With the tier on, a cold-lane chunk that decays below
+// kTierMinLiveRatio is relocated like any other victim (a dead one is
+// simply freed), never held for a conversion that will not take it.
+// Every survivor goes to the cold lane (gc_cold_age = 0), and three
+// quarters of the keys are overwritten between passes, so cold chunks
+// keep dying; no sealed cold-lane chunk with no live bytes may outlive a
+// pass.
+TEST(Tier, DeadColdLaneChunksDoNotOutliveAPass) {
+  auto pool = MakePool(256);
+  auto opts = TierOptions();
+  opts.gc_cold_age = 0;
+  auto store = FlatStore::Create(pool.get(), opts);
+  constexpr uint64_t kKeys = 20000;
+  for (uint64_t k = 0; k < kKeys; k++) store->Put(k, ValueFor(k, 0, 120));
+  std::mt19937_64 rng(7);
+  uint64_t cold_seen = 0;
+  for (uint64_t round = 1; round <= 12; round++) {
+    for (uint64_t k = 0; k < kKeys; k++) {
+      if (rng() % 4 != 0) store->Put(k, ValueFor(k, round, 120));
+    }
+    store->SealActiveLogChunks();
+    store->RunCleanersOnce();
+    for (int c = 0; c < opts.num_cores; c++) {
+      for (const auto& [off, u] : store->LogForCore(c)->UsageSnapshot()) {
+        if (!u.sealed || !u.cleaner || u.temp != log::Temp::kCold) continue;
+        cold_seen++;
+        EXPECT_GT(u.live_bytes, 0u)
+            << "round " << round << ": dead cold-lane chunk " << off;
+      }
+    }
+  }
+  EXPECT_GT(cold_seen, 0u) << "the scenario never built a cold-lane chunk";
+  std::string v;
+  for (uint64_t k = 0; k < kKeys; k += 97) ASSERT_TRUE(store->Get(k, &v));
 }
 
 }  // namespace
