@@ -1363,8 +1363,10 @@ void FlatStore::EnsureCleaners() {
   std::vector<log::OpLog*> raw;
   for (auto& l : logs_) raw.push_back(l.get());
   log::CleanerHooks hooks;
-  hooks.index_for_key = [this](uint64_t key) {
-    return IndexForCore(CoreForKey(key));
+  hooks.home_of_key = [this](uint64_t key) {
+    const int core = CoreForKey(key);
+    return log::CleanerHooks::KeyHome{IndexForCore(core),
+                                      alloc_->SocketForCore(core)};
   };
   hooks.epochs = epochs_.get();
   // A converted batch's keys leave the delta sets only once every scan
@@ -1391,7 +1393,8 @@ void FlatStore::EnsureCleaners() {
     const int last = std::min(first + options_.group_size,
                               options_.num_cores);
     cleaners_.push_back(std::make_unique<log::LogCleaner>(
-        raw, first, last, hooks, opts, alloc_.get(), tier_.get()));
+        raw, first, last, hooks, opts, alloc_.get(), tier_.get(),
+        options_.tier_enabled));
   }
 }
 

@@ -105,8 +105,9 @@ struct FlatStoreOptions {
   // the persistent tier list instead of relocating them, bounding
   // recovery to the un-tiered log suffix and giving FlatStore-H an
   // ordered scan path. A store whose pool already holds a tier always
-  // loads it on Open and keeps converting into it regardless of this flag
-  // (stale tier nodes must keep duelling or recovery would lose updates).
+  // loads and honours it on Open regardless of this flag (stale tier
+  // nodes must keep duelling, and vetoing tombstone drops, or recovery
+  // would lose updates), but converts into it only when the flag is set.
   bool tier_enabled = false;
 };
 

@@ -35,16 +35,18 @@ bool TierStale(const tier::PersistentTier* tier,
 LogCleaner::LogCleaner(std::vector<OpLog*> logs, int first_core,
                        int last_core, CleanerHooks hooks,
                        const Options& options, alloc::LazyAllocator* alloc,
-                       tier::PersistentTier* tier)
+                       tier::PersistentTier* tier, bool convert)
     : logs_(std::move(logs)),
       first_core_(first_core),
       last_core_(last_core),
       hooks_(std::move(hooks)),
       options_(options),
       alloc_(alloc),
-      tier_(tier) {
+      tier_(tier),
+      convert_(convert) {
   FLATSTORE_CHECK(first_core_ >= 0 &&
                   last_core_ <= static_cast<int>(logs_.size()));
+  FLATSTORE_CHECK(!convert_ || tier_ != nullptr);
   FLATSTORE_CHECK(hooks_.epochs != nullptr)
       << "LogCleaner requires an epoch manager for deferred chunk frees";
 }
@@ -141,7 +143,7 @@ void LogCleaner::RefillJobs(std::vector<size_t>* converts) {
     VictimQuery q;
     q.live_ratio = options_.live_ratio;
     q.max = options_.max_victims;
-    q.tier = tier_ != nullptr;
+    q.tier = convert_;
     q.max_converts = kTierMaxChunks - converted;
     if (relocating >= q.max && (!q.tier || q.max_converts == 0)) continue;
 
@@ -211,7 +213,7 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
         continue;
       }
       const uint64_t packed = PackIndexValue(off, e.version);
-      index::KvIndex* index = hooks_.index_for_key(e.key);
+      index::KvIndex* index = hooks_.home_of_key(e.key).index;
       uint64_t cur = 0;
       bool live = index->Get(e.key, &cur) && cur == packed;
       if (live && e.op == OpType::kDelete && e.ptr < min_seq &&
@@ -308,8 +310,8 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
       const Survivor& s = job.survivors[job.reloc_pos + order[i]];
       const uint64_t expected = PackIndexValue(s.old_off, s.version);
       const uint64_t desired = PackIndexValue(new_offs[i], s.version);
-      if (hooks_.index_for_key(s.key)->CompareExchange(s.key, expected,
-                                                       desired)) {
+      if (hooks_.home_of_key(s.key).index->CompareExchange(s.key, expected,
+                                                           desired)) {
         // relaxed: monotonic stat counter, no ordering required.
         entries_copied_.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -326,9 +328,7 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
   }
 
   if (job.stage == Stage::kConvert) {
-    if (!ConvertJob(job)) return false;  // arena exhausted: park, retry
-    job.stage = Stage::kDone;
-    return true;
+    return ConvertJob(job);  // false: arena exhausted; park, retry
   }
 
   // Stage::kRetire — unlink now, free later. A serving core may still
@@ -349,14 +349,35 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
 }
 
 bool LogCleaner::ConvertJob(CleaningJob& job) {
-  // Nodes are homed on the socket of the log whose chunk holds the
-  // entries they alias — the keys' serving socket too, since placement
-  // keeps HB groups within a socket (DESIGN.md §10.2).
-  const int socket = alloc_->SocketForCore(job.core);
+  // The scan may be slices or passes old, and InsertBatch overwrites a
+  // key's node without comparing versions: a newer chunk holding one of
+  // these keys may have converted meanwhile, and re-inserting the older
+  // entry would hand it back to recovery, which skips tiered chunks.
+  // Keep only survivors the index still maps to. All conversions of a
+  // key run under this group's run_lock_, so none can slip in between.
+  // Dropped survivors leave the job, so a retry after a failed
+  // InsertBatch neither re-checks nor re-counts them.
   std::vector<tier::TierEntry> entries;
   entries.reserve(job.survivors.size());
+  size_t kept = 0;
   for (const Survivor& s : job.survivors) {
-    entries.push_back({s.key, PackIndexValue(s.old_off, s.version), socket});
+    const CleanerHooks::KeyHome home = hooks_.home_of_key(s.key);
+    const uint64_t packed = PackIndexValue(s.old_off, s.version);
+    uint64_t cur = 0;
+    if (!home.index->Get(s.key, &cur) || cur != packed) {
+      // relaxed: monotonic stat counter, no ordering required.
+      entries_dropped_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    entries.push_back({s.key, packed, home.socket});
+    job.survivors[kept++] = s;
+  }
+  job.survivors.resize(kept);
+  if (entries.empty()) {
+    // Nothing left to convert: the victim is freed, not pinned.
+    job.convert = false;
+    job.stage = Stage::kRetire;
+    return true;
   }
   // Liveness is address equality with the index, so no two survivors
   // share a key and the sorted batch is duplicate-free.
@@ -369,6 +390,7 @@ bool LogCleaner::ConvertJob(CleaningJob& job) {
   hooks_.on_tiered(std::move(entries));
   // relaxed: monotonic stat counter, no ordering required.
   chunks_tiered_.fetch_add(1, std::memory_order_relaxed);
+  job.stage = Stage::kDone;
   return true;
 }
 

@@ -6,9 +6,9 @@
 // its surviving entries are copied into fresh chunks (committed via the
 // chunk's used_final, journaled in the chunk registry), the volatile index
 // is re-pointed at the copies with atomic CAS, and the victim returns to
-// the allocator — or, when the store runs an ordered tier (DESIGN.md
-// §11), *converted*: its surviving entries are merged into the tier in
-// place and the chunk is detached from the log for good.
+// the allocator — or, when the store converts into an ordered tier
+// (DESIGN.md §11), *converted*: its surviving entries are merged into the
+// tier in place and the chunk is detached from the log for good.
 //
 // Victim selection ranks chunks cost-benefit, (1 - u) * age / (1 + u),
 // over incrementally maintained per-chunk live-byte counters
@@ -68,7 +68,12 @@
 // swing can never observe the chunk being freed under it. A converted
 // chunk is never freed and its entries never move, so conversion swings
 // no index entry; PersistentTier::InsertBatch serializes the cleaners of
-// different groups.
+// different groups. A convert job may park between its scan and its
+// commit while a newer chunk holding one of its keys converts, and
+// InsertBatch overwrites a key's node without comparing versions — so
+// the convert stage re-checks every survivor against the index right
+// before InsertBatch. Every entry of a key lives in its own group's logs,
+// so run_lock_ orders all conversions of that key.
 
 #ifndef FLATSTORE_LOG_LOG_CLEANER_H_
 #define FLATSTORE_LOG_LOG_CLEANER_H_
@@ -90,11 +95,16 @@ namespace log {
 
 // Engine-provided hooks.
 struct CleanerHooks {
-  // Volatile index partition holding `key`. NOTE: keyed by *key*, not by
-  // the log-owning core — horizontal batching stores stolen entries in
-  // the leader's log, so a chunk freely mixes keys owned by every core of
-  // the group.
-  std::function<index::KvIndex*(uint64_t key)> index_for_key;
+  // Where `key` lives in DRAM: the volatile index partition holding it,
+  // and the socket of its owning core (converted entries' tier nodes are
+  // homed there). NOTE: keyed by *key*, not by the log-owning core —
+  // horizontal batching stores stolen entries in the leader's log, so a
+  // chunk freely mixes keys owned by every core of the group.
+  struct KeyHome {
+    index::KvIndex* index;
+    int socket;
+  };
+  std::function<KeyHome(uint64_t key)> home_of_key;
   // Epoch manager guarding the engine's log-entry dereferences. Victim
   // chunks are freed through its deferred queue (see file comment).
   common::EpochManager* epochs = nullptr;
@@ -127,10 +137,13 @@ class LogCleaner {
   };
 
   // Cleans cores [first_core, last_core) of `logs`. `tier` is the
-  // store's ordered tier, or null: victims are then only relocated.
+  // store's ordered tier, or null; its nodes veto tombstone drops.
+  // Victims are converted into it only when `convert` is set
+  // (FlatStoreOptions::tier_enabled); otherwise they are only relocated.
   LogCleaner(std::vector<OpLog*> logs, int first_core, int last_core,
              CleanerHooks hooks, const Options& options,
-             alloc::LazyAllocator* alloc, tier::PersistentTier* tier);
+             alloc::LazyAllocator* alloc, tier::PersistentTier* tier,
+             bool convert);
   ~LogCleaner();
 
   LogCleaner(const LogCleaner&) = delete;
@@ -212,8 +225,10 @@ class LogCleaner {
   // resumes later).
   bool AdvanceJob(CleaningJob& job, uint64_t* budget) REQUIRES(run_lock_);
 
-  // The convert stage: merges the job's survivors into the tier, then
-  // commits and detaches the chunk. False if the tier's arena cannot grow.
+  // The convert stage: merges the job's survivors that are still current
+  // into the tier, then commits and detaches the chunk (kDone). A victim
+  // none of whose survivors is still current goes to kRetire instead.
+  // False if the tier's arena cannot grow.
   bool ConvertJob(CleaningJob& job) REQUIRES(run_lock_);
 
   std::vector<OpLog*> logs_;
@@ -222,6 +237,7 @@ class LogCleaner {
   Options options_;
   alloc::LazyAllocator* alloc_;
   tier::PersistentTier* tier_;
+  const bool convert_;
 
   // Serializes cleaning passes and guards the job pipeline: RunOnce may
   // be driven by the background thread and by synchronous callers

@@ -1,6 +1,7 @@
 // Persistent ordered tier (DESIGN.md §11): log-to-tier conversion by the
-// cleaners' maintenance pass (called directly or in the background, and
-// never pinning a dead chunk), merged hash-store scans, scan equivalence
+// cleaners' maintenance pass (called directly or in the background,
+// never pinning a dead chunk, never reverting a newer conversion, and
+// only with tier_enabled), merged hash-store scans, scan equivalence
 // against the full-iteration baseline under puts/deletes/GC churn,
 // tombstone handling, the DRAM key directory (seek equivalence,
 // concurrent snapshot publication), the vt cost of a tier-served scan,
@@ -687,6 +688,89 @@ TEST(Tier, DeadColdLaneChunksDoNotOutliveAPass) {
   EXPECT_GT(cold_seen, 0u) << "the scenario never built a cold-lane chunk";
   std::string v;
   for (uint64_t k = 0; k < kKeys; k += 97) ASSERT_TRUE(store->Get(k, &v));
+}
+
+// A convert job parked mid-scan must not undo a newer conversion of a
+// key it scanned. The budget parks the long chunk A after its first
+// slices, which already hold key 0; key 0 is then overwritten into a
+// short chunk C, which is picked to convert later but finishes first.
+// When A converts, key 0's tier node must stay on C: recovery skips
+// both tiered chunks and serves key 0 from its node.
+TEST(Tier, ParkedConvertJobDoesNotRevertANewerConversion) {
+  auto pool = MakePool();
+  auto opts = TierOptions(1);
+  opts.gc_quantum_bytes = 320 << 10;
+  {
+    auto store = FlatStore::Create(pool.get(), opts);
+    constexpr uint64_t kKeys = 16000;
+    for (uint64_t k = 0; k < kKeys; k++) store->Put(k, ValueFor(k, 1, 100));
+    store->SealActiveLogChunks();
+    const auto sealed = store->LogForCore(0)->UsageSnapshot();
+    ASSERT_EQ(sealed.size(), 1u);
+    // A must outlast several bounded passes.
+    ASSERT_GT(store->LogForCore(0)->CommittedBytes(sealed.begin()->first),
+              4 * opts.gc_quantum_bytes);
+    store->Put(1u << 20, ValueFor(0, 1, 40));  // the tail leaves A
+
+    store->RunCleanersOnce();  // A picked to convert; parks mid-scan
+    ASSERT_EQ(store->ChunksTiered(), 0u);
+    store->Put(0, ValueFor(0, 2, 100));  // k=0@v2 joins the tail's chunk C
+    store->SealActiveLogChunks();
+    store->Put((1u << 20) + 1, ValueFor(0, 1, 40));  // the tail leaves C
+    // C converts on the next passes while A is still scanning.
+    store->RunCleanersOnce();
+    store->RunCleanersOnce();
+    ASSERT_EQ(store->ChunksTiered(), 1u);
+    for (int pass = 0; pass < 32; pass++) store->RunCleanersOnce();
+    ASSERT_EQ(store->ChunksTiered(), 2u);
+    std::string v;
+    ASSERT_TRUE(store->Get(0, &v));
+    EXPECT_EQ(v, ValueFor(0, 2, 100));
+    // No Shutdown(): simulate a crash so Open takes the replay path.
+  }
+  auto store = FlatStore::Open(pool.get(), opts);
+  EXPECT_GT(store->recovery_stats().chunks_skipped_tiered, 1u);
+  std::string v;
+  ASSERT_TRUE(store->Get(0, &v));
+  EXPECT_EQ(v, ValueFor(0, 2, 100));
+  for (uint64_t k = 1; k < 16000; k += 97) {
+    ASSERT_TRUE(store->Get(k, &v)) << k;
+    EXPECT_EQ(v, ValueFor(k, 1, 100)) << k;
+  }
+}
+
+// Only tier_enabled converts. A store reopened without it over a pool
+// that holds a tier keeps honouring the tier but only relocates, so its
+// cleaners cannot pin chunks the opted-out store will never free.
+TEST(Tier, OptedOutStoreOverATieredPoolOnlyRelocates) {
+  auto pool = MakePool();
+  {
+    auto store = FlatStore::Create(pool.get(), TierOptions());
+    FillAndTierAll(store.get(), 400);
+    ASSERT_GT(store->ChunksTiered(), 0u);
+    store->Shutdown();
+  }
+  auto opts = TierOptions();
+  opts.tier_enabled = false;
+  auto store = FlatStore::Open(pool.get(), opts);
+  ASSERT_NE(store->tier(), nullptr);
+  for (uint64_t k = 1000; k < 3000; k++) store->Put(k, ValueFor(k, 1, 40));
+  store->SealActiveLogChunks();
+  for (uint64_t k = 1000; k < 3000; k += 2) store->Put(k, ValueFor(k, 2, 40));
+  store->SealActiveLogChunks();
+  store->Put(1u << 20, ValueFor(0, 1, 40));
+  store->RunCleanersOnce();
+  EXPECT_EQ(store->ChunksTiered(), 0u);
+  EXPECT_GT(store->ChunksCleaned(), 0u);
+  std::string v;
+  for (uint64_t k = 0; k < 400; k += 7) {
+    ASSERT_TRUE(store->Get(k, &v)) << k;
+    EXPECT_EQ(v, ValueFor(k, 1, 40));
+  }
+  for (uint64_t k = 1000; k < 3000; k += 7) {
+    ASSERT_TRUE(store->Get(k, &v)) << k;
+    EXPECT_EQ(v, ValueFor(k, k % 2 == 0 ? 2 : 1, 40));
+  }
 }
 
 }  // namespace
