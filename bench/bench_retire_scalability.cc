@@ -1,27 +1,21 @@
 // Read-path retirement-synchronization scalability (host wall-clock).
 //
 // Measures the real (not simulated) cost of the synchronization that
-// guards log-entry dereferences against cleaner frees, across serving
-// thread counts, for a 90/10 get/put mix:
-//
-//  * epoch — the engine as built: each dereference pins the current epoch
-//    with a store into a core-private cacheline (common/epoch.h).
-//  * lock  — emulation of the retired design: every op additionally takes
-//    a group-wide std::shared_mutex in shared mode (the atomic RMW on the
-//    shared lock line is the cost being measured; a background thread
-//    takes the lock exclusively at a cleaner-like cadence).
+// guards log-entry dereferences against cleaner frees — each dereference
+// pins the current epoch with a store into a core-private cacheline
+// (common/epoch.h) — across serving thread counts, for a 90/10 get/put
+// mix with the background cleaners running.
 //
 // Unlike the bench_fig* binaries this reports host wall-clock ops/s:
-// the contended cacheline is a host-hardware effect the virtual-time
-// model deliberately excludes (vt/costs.h kRetireSharedLockCost models
-// its simulated charge; this bench shows the real-machine shape).
+// cacheline traffic between cores is a host-hardware effect the
+// virtual-time model deliberately excludes. The A/B against the retired
+// group-wide shared lock is frozen in EXPERIMENTS.md.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,12 +30,12 @@ constexpr uint64_t kKeysPerCore = 4096;
 constexpr uint32_t kValueLen = 64;
 constexpr uint64_t kOpsPerThread = 300000;
 
-struct ModeResult {
+struct Result {
   double mops = 0;
   double wall_ms = 0;
 };
 
-ModeResult RunMode(int threads, bool emulate_lock) {
+Result Run(int threads) {
   pm::PmPool::Options po;
   po.size = 1ull << 30;
   pm::PmPool pool(po);
@@ -67,25 +61,6 @@ ModeResult RunMode(int threads, bool emulate_lock) {
     for (const auto& v : keys) full = full && v.size() >= kKeysPerCore;
     if (full) break;
     k++;
-  }
-
-  // The emulated retire lock of the old design, plus its "cleaner":
-  // a thread taking the lock exclusively every ~1 ms, as the unlink
-  // critical sections used to.
-  std::shared_mutex retire;
-  std::atomic<bool> stop_cleaner{false};
-  std::thread lock_cleaner;
-  if (emulate_lock) {
-    lock_cleaner = std::thread([&retire, &stop_cleaner] {
-      // relaxed: plain stop flag, no data is published through it
-      while (!stop_cleaner.load(std::memory_order_relaxed)) {
-        {
-          std::unique_lock<std::shared_mutex> g(retire);
-          std::this_thread::sleep_for(std::chrono::microseconds(5));
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
   }
 
   store->StartCleaners();
@@ -117,14 +92,7 @@ ModeResult RunMode(int threads, bool emulate_lock) {
       rng = rng * 6364136223846793005ull + 1442695040888963407ull;
       const uint64_t key = mine[(rng >> 33) % mine.size()];
       const bool is_put = (rng >> 60) < 2;  // ~10 %
-      bool admitted;
-      if (emulate_lock) {
-        std::shared_lock<std::shared_mutex> g(retire);
-        admitted = serve_one(key, is_put);
-      } else {
-        admitted = serve_one(key, is_put);
-      }
-      if (!admitted) continue;
+      if (!serve_one(key, is_put)) continue;
       ops++;
       if ((i & 31) == 0) {
         store->Pump(core);
@@ -146,26 +114,19 @@ ModeResult RunMode(int threads, bool emulate_lock) {
   const auto t1 = std::chrono::steady_clock::now();
 
   store->StopCleaners();
-  if (emulate_lock) {
-    // relaxed: plain stop flag, the join below is the synchronization
-    stop_cleaner.store(true, std::memory_order_relaxed);
-    lock_cleaner.join();
-  }
 
-  ModeResult r;
+  Result r;
   r.wall_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.mops = static_cast<double>(total_ops.load()) / 1e6 /
            (r.wall_ms / 1e3);
-  if (!emulate_lock) {
-    std::printf("    [epoch stats] advances=%llu deferred_frees=%llu "
-                "deferred_hwm=%llu\n",
-                static_cast<unsigned long long>(store->epochs()->advances()),
-                static_cast<unsigned long long>(
-                    store->epochs()->deferred_frees()),
-                static_cast<unsigned long long>(
-                    store->epochs()->deferred_hwm()));
-  }
+  std::printf("    [epoch stats] advances=%llu deferred_frees=%llu "
+              "deferred_hwm=%llu\n",
+              static_cast<unsigned long long>(store->epochs()->advances()),
+              static_cast<unsigned long long>(
+                  store->epochs()->deferred_frees()),
+              static_cast<unsigned long long>(
+                  store->epochs()->deferred_hwm()));
   return r;
 }
 
@@ -176,8 +137,7 @@ int main(int argc, char** argv) {
   std::printf("retire-path scalability, 90/10 get/put, %u B values, "
               "host wall-clock\n",
               flatstore::kValueLen);
-  std::printf("%-8s %-8s %12s %12s\n", "threads", "mode", "wall_ms",
-              "Mops/s");
+  std::printf("%-8s %12s %12s\n", "threads", "wall_ms", "Mops/s");
   // Thread counts above the machine's core count are skipped (the numbers
   // would measure the scheduler, not the synchronization); pass a max
   // thread count as argv[1] to force the sweep anyway.
@@ -191,18 +151,14 @@ int main(int argc, char** argv) {
   bool first = true;
   for (int t : {1, 2, 4, 8}) {
     if (hw != 0 && static_cast<unsigned>(t) > hw) break;
-    for (const bool lock_mode : {false, true}) {
-      const auto r = flatstore::RunMode(t, lock_mode);
-      std::printf("%-8d %-8s %12.1f %12.2f\n", t,
-                  lock_mode ? "lock" : "epoch", r.wall_ms, r.mops);
-      if (json != nullptr) {
-        std::fprintf(json,
-                     "%s{\"threads\": %d, \"mode\": \"%s\", "
-                     "\"wall_ms\": %.3f, \"mops\": %.6g}",
-                     first ? "" : ", ", t, lock_mode ? "lock" : "epoch",
-                     r.wall_ms, r.mops);
-        first = false;
-      }
+    const auto r = flatstore::Run(t);
+    std::printf("%-8d %12.1f %12.2f\n", t, r.wall_ms, r.mops);
+    if (json != nullptr) {
+      std::fprintf(json,
+                   "%s{\"threads\": %d, \"wall_ms\": %.3f, "
+                   "\"mops\": %.6g}",
+                   first ? "" : ", ", t, r.wall_ms, r.mops);
+      first = false;
     }
   }
   if (json != nullptr) {

@@ -1,9 +1,9 @@
 // Range scans on the hash store (DESIGN.md §11). Two parts:
 //
-//  * Microbench (host wall-clock): tier-backed merged scans
-//    (FlatStore::Scan — tier L0 Seek + delta-set merge) vs the only
-//    range query a pure hash index has, ScanFullIteration (enumerate
-//    every index entry, sort, read). Swept over range lengths; CI's
+//  * Microbench (host wall-clock): merged scans of a tier store
+//    (FlatStore::Scan — a seek in the sorted key run, merged with the
+//    new-key buffer) vs the only range query a pure hash index has,
+//    ScanFullIteration (enumerate every index entry, sort, read). Swept over range lengths; CI's
 //    bench-smoke asserts speedup >= 2 at range length >= 100.
 //
 //  * YCSB-E shaped simulation point (virtual time): 95 % short scans
@@ -37,8 +37,9 @@ core::FlatStoreOptions TierOptions(bool tier) {
   return fo;
 }
 
-// Store preloaded with kScanKeys keys, fully tiered (a bounded suffix
-// stays in the delta sets so the merge path is exercised too).
+// Store preloaded with kScanKeys keys, tiered but for a bounded
+// un-tiered suffix of overwrites; the maintenance passes leave every key
+// in the key run.
 Rig MakeScanRig() {
   Rig rig = MakeFlatRig(TierOptions(true), /*pool_mb=*/1024);
   std::string value(64, 's');

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <optional>
+#include <iterator>
 #include <thread>
 
 #include "common/hash.h"
@@ -73,6 +73,23 @@ struct CheckpointHeader {
 constexpr uint64_t kCheckpointPairs =
     (alloc::kChunkSize - alloc::kChunkHeaderSize - sizeof(CheckpointHeader)) /
     16;
+
+// The key run and the new-key buffer (DESIGN.md §11.4) are DRAM arrays of
+// 8-byte keys homed on socket 0, like the tier's directory; every line a
+// scan reads is one charged miss.
+constexpr size_t kKeysPerLine = 64 / sizeof(uint64_t);
+constexpr int kKeyOrderSocket = 0;
+
+void TouchKeyLine(size_t i, size_t* line) {
+  vt::TouchLine(i, kKeysPerLine, kKeyOrderSocket, line);
+}
+
+// Index of the first of the sorted `keys[0, n)` that is >= target.
+size_t SeekKey(const uint64_t* keys, size_t n, uint64_t target,
+               size_t* line) {
+  return vt::SeekLines(n, target, kKeysPerLine, kKeyOrderSocket, line,
+                       [keys](size_t i) { return keys[i]; });
+}
 
 }  // namespace
 
@@ -159,7 +176,11 @@ FlatStore::FlatStore(pm::PmPool* pool, const FlatStoreOptions& options)
   BuildIndexes();
 }
 
-FlatStore::~FlatStore() { StopCleaners(); }
+FlatStore::~FlatStore() {
+  StopCleaners();  // runs the deferred frees of retired key runs
+  delete key_run_.load(std::memory_order_acquire);
+  delete spare_run_.load(std::memory_order_acquire);
+}
 
 void FlatStore::BuildIndexes() {
   indexes_.clear();
@@ -297,6 +318,7 @@ void FlatStore::RetireOld(uint64_t old_packed) {
 size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
   CoreState& cs = *cores_[core];
   index::KvIndex* idx = IndexForCore(core);
+  const bool key_ordered = KeyOrdered();
   size_t n = 0;
   while (n < max && cs.pend_count > 0) {
     // Gather the completed FIFO prefix for one round, up to a leader
@@ -315,6 +337,8 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
       round++;
     }
     if (round == 0) break;
+    uint64_t fresh[batch::HbEngine::kMaxBatch];  // keys new to the index
+    size_t fresh_n = 0;
     // Follower semantics differ by mode (paper Fig. 4): under *naive* HB
     // the followers wait synchronously for the leader's persist, so their
     // clocks jump to the batch completion; under *pipelined* HB the
@@ -364,6 +388,8 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
           retire[r] = idx->InsertWithHint(
               op.key, log::PackIndexValue(offs[r], op.version), &olds[r],
               hints[r]);
+          // A key the index did not hold joins the key order.
+          if (!retire[r] && key_ordered) fresh[fresh_n++] = op.key;
         }
       }
       for (size_t r = 0; r < round; r++) {
@@ -380,17 +406,7 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
         }
       }
     }
-    if (TierActive()) {
-      // New entries land in un-tiered chunks: record their keys in the
-      // delta set so ScanMerged can enumerate them (DESIGN.md §11).
-      LockGuard<SpinLock> dg(cs.delta_lock);
-      for (size_t r = 0; r < round; r++) {
-        const PendingOp& op =
-            cs.pending[(cs.pend_head + r) % batch::HbEngine::kPoolSlots];
-        // An absorbed op's key is recorded by its absorber.
-        if (!op.txn_commit && !op.absorbed) cs.delta.insert(op.key);
-      }
-    }
+    if (fresh_n > 0) NoteNewKeys(fresh, fresh_n);
     for (size_t r = 0; r < round; r++) {
       const PendingOp& op = cs.Front();
       // A txn surfaces exactly one Completion — the commit record's —
@@ -1234,84 +1250,85 @@ uint64_t FlatStore::ScanFullIteration(
   return produced;
 }
 
-// Hash-index scan (DESIGN.md §11.4): keys come in order from a lazy
-// k-way merge of a tier directory cursor with windowed gathers of the
-// per-core delta sets, stopping the moment `count` pairs are produced.
-// Candidates are resolved authoritatively through the volatile index,
-// in windows of up to kMaxReadBatch keys on the batched read path, so a
-// stale tier node or a racy delta membership costs one wasted probe,
-// never correctness.
+// Hash-index scan (DESIGN.md §11.4): keys come in order from a merge of
+// the key run with windows gathered from the new-key buffer, stopping the
+// moment `count` pairs are produced. Candidates are resolved
+// authoritatively through the volatile index, in windows of up to
+// kMaxReadBatch keys on the batched read path, so a key the index has
+// dropped costs one wasted probe, never correctness.
 uint64_t FlatStore::ScanMerged(
     uint64_t start_key, uint64_t count,
     std::vector<std::pair<uint64_t, std::string>>* out) {
   // A single guest pin holds reclamation off store-wide for the scan's
-  // duration (entries may live in any group's logs). It also keeps the
-  // cursor's directory snapshot alive, and keeps the keys that snapshot
-  // lacks in the delta sets (ConvertChunk erases them a grace period
-  // after it publishes the snapshot that holds them).
+  // duration (entries may live in any group's logs). It also keeps alive
+  // every key run the scan loads: folds retire runs through Defer.
   common::EpochManager::GuestGuard guard(epochs_.get());
   vt::Charge(vt::kEpochPinCost);
   uint64_t produced = 0;
+  uint64_t next = start_key;  // every key below it has been merged
+  bool done = false;          // no key left, or UINT64_MAX merged
 
-  std::optional<tier::PersistentTier::Cursor> tier_it;
-  if (tier_ != nullptr) tier_it.emplace(tier_.get(), start_key);
-
-  // Delta window: every delta key in [delta_from, bound], sorted and
-  // deduplicated. A core that filled its quota may still hold keys below
-  // another core's last gathered key, so only keys up to the smallest
-  // truncated core's last key are completely gathered; the next window
-  // resumes past that bound.
-  std::vector<uint64_t> window;
-  size_t wi = 0;
-  uint64_t delta_from = start_key;
-  bool deltas_done = false;
-  auto refill_window = [&] {
-    const uint64_t want = count - produced + 16;  // slack for tombstones
-    uint64_t bound = UINT64_MAX;
-    window.clear();
-    wi = 0;
-    for (auto& csp : cores_) {
-      LockGuard<SpinLock> dg(csp->delta_lock);
-      auto it = csp->delta.lower_bound(delta_from);
-      for (uint64_t taken = 0; it != csp->delta.end() && taken < want;
-           ++it, ++taken) {
-        window.push_back(*it);
+  // Run cursor: the run of the last gather, the index of its next key
+  // and the last line charged.
+  const KeyRun* run = nullptr;
+  size_t ri = 0, run_line = SIZE_MAX;
+  // Buffer window: the buffer's keys >= `next` at the last gather, at most
+  // kMaxReadBatch of them; `window_all` if that was all of them.
+  uint64_t window[kMaxReadBatch];
+  size_t wn = 0, wi = 0;
+  bool window_all = false;
+  auto gather = [&] {
+    const KeyRun* loaded;
+    {
+      LockGuard<SpinLock> g(key_buf_lock_);
+      vt::Charge(vt::kCpuCas);  // the lock
+      loaded = key_run_.load(std::memory_order_acquire);
+      size_t line = SIZE_MAX;
+      const size_t b = SeekKey(key_buf_, key_buf_n_, next, &line);
+      wn = std::min(key_buf_n_ - b, kMaxReadBatch);
+      for (size_t i = 0; i < wn; i++) {
+        TouchKeyLine(b + i, &line);
+        window[i] = key_buf_[b + i];
       }
-      if (it != csp->delta.end()) bound = std::min(bound, window.back());
+      window_all = b + wn == key_buf_n_;
     }
-    std::sort(window.begin(), window.end());
-    window.erase(std::unique(window.begin(), window.end()), window.end());
-    window.erase(std::upper_bound(window.begin(), window.end(), bound),
-                 window.end());
-    deltas_done = bound == UINT64_MAX;
-    delta_from = bound + 1;
+    wi = 0;
+    if (loaded != run) {
+      // The first gather, or a fold published a run since the last one.
+      // That run holds every key of the one before and every key the fold
+      // took from the buffer, so the merge goes on in it from `next`.
+      run = loaded;
+      run_line = SIZE_MAX;
+      ri = SeekKey(run->data(), run->size(), next, &run_line);
+    }
   };
-
-  bool sources_live = true;
-  while (produced < count && sources_live) {
+  gather();
+  while (produced < count && !done) {
     // Gather the next window of merged candidate keys (distinct, in key
     // order), then resolve it as one batched read.
     const size_t w = std::min<uint64_t>(kMaxReadBatch, count - produced);
     uint64_t keys[kMaxReadBatch];
     index::KvIndex* idxs[kMaxReadBatch];
     size_t m = 0;
-    while (m < w) {
-      if (wi == window.size() && !deltas_done) refill_window();
-      const bool delta_live = wi < window.size();
-      const bool tier_live = tier_it.has_value() && tier_it->Valid();
+    while (m < w && !done) {
+      if (wi == wn && !window_all) gather();
+      const bool in_window = wi < wn;
+      const bool in_run = ri < run->size();
+      if (in_run) TouchKeyLine(ri, &run_line);
       uint64_t k;
-      if (tier_live && (!delta_live || tier_it->key() <= window[wi])) {
-        k = tier_it->key();
-        if (delta_live && window[wi] == k) wi++;
-        tier_it->Next();
-      } else if (delta_live) {
+      if (in_run && (!in_window || (*run)[ri] <= window[wi])) {
+        k = (*run)[ri++];
+        if (in_window && window[wi] == k) wi++;
+      } else if (in_window) {
         k = window[wi++];
       } else {
-        sources_live = false;  // both sources exhausted
+        done = true;
         break;
       }
       keys[m] = k;
       idxs[m++] = IndexForCore(CoreForKey(k));
+      done = k == UINT64_MAX;
+      next = k + 1;
     }
     if (m == 0) break;
     bool found[kMaxReadBatch];
@@ -1320,6 +1337,104 @@ uint64_t FlatStore::ScanMerged(
     produced += FetchWindow(keys, found, packed, m, out);
   }
   return produced;
+}
+
+void FlatStore::NoteNewKeys(const uint64_t* keys, size_t n) {
+  size_t i = 0;
+  while (true) {
+    {
+      LockGuard<SpinLock> g(key_buf_lock_);
+      vt::Charge(vt::kCpuCas);  // the lock
+      for (; i < n && key_buf_n_ < kKeyBufferCap; i++) {
+        uint64_t* end = key_buf_ + key_buf_n_;
+        uint64_t* at = std::lower_bound(key_buf_, end, keys[i]);
+        // A key returns after the cleaner drops its tombstone from the
+        // index.
+        if (at != end && *at == keys[i]) continue;
+        // Keys mostly arrive in order (a preload, a fresh key range), so
+        // the shift is usually empty.
+        const size_t shift = static_cast<size_t>(end - at) * sizeof(uint64_t);
+        vt::Charge(vt::CostMemcpy(shift));
+        std::memmove(at + 1, at, shift);
+        *at = keys[i];
+        key_buf_n_++;
+      }
+      if (key_buf_n_ < kKeyBufferCap) return;
+    }
+    // The buffer is full: fold it, or wait for the fold under way.
+    FoldKeys(kKeyBufferCap);
+  }
+}
+
+size_t FlatStore::FoldKeys(size_t min_keys) {
+  LockGuard<SpinLock> fold(fold_lock_);
+  size_t n;
+  const KeyRun* old;
+  {
+    LockGuard<SpinLock> g(key_buf_lock_);
+    vt::Charge(vt::kCpuCas);  // the lock
+    n = key_buf_n_;
+    if (n == 0 || n < min_keys) return 0;
+    std::copy(key_buf_, key_buf_ + n, fold_keys_);
+    vt::Charge(vt::CostMemcpy(n * sizeof(uint64_t)));
+    // relaxed: only folds replace the run, and they hold fold_lock_.
+    old = key_run_.load(std::memory_order_relaxed);
+  }
+  // The merge runs outside key_buf_lock_: scans and new keys go on
+  // meanwhile, and the buffer keeps the folded keys until the swap. It
+  // fills the memory of the run an earlier fold retired, once no scan
+  // holds that run, grown geometrically.
+  std::unique_ptr<KeyRun> fresh(
+      spare_run_.exchange(nullptr, std::memory_order_acquire));
+  if (fresh == nullptr) fresh = std::make_unique<KeyRun>();
+  fresh->clear();
+  if (fresh->capacity() < old->size() + n) {
+    fresh->reserve(std::max(old->size() + n, 2 * fresh->capacity()));
+  }
+  // A key in both (one the index dropped and regained) is kept once.
+  std::set_union(old->begin(), old->end(), fold_keys_, fold_keys_ + n,
+                 std::back_inserter(*fresh));
+  vt::Charge(vt::CostMemcpy(fresh->size() * sizeof(uint64_t)));
+  {
+    LockGuard<SpinLock> g(key_buf_lock_);
+    vt::Charge(vt::kCpuCas);  // the lock
+    key_run_.store(fresh.release(), std::memory_order_release);
+    // Keys only leave the buffer here, so it still holds every folded
+    // key, among the keys that arrived during the merge.
+    size_t kept = 0;
+    for (size_t b = 0, f = 0; b < key_buf_n_; b++) {
+      if (f < n && key_buf_[b] == fold_keys_[f]) {
+        f++;
+      } else {
+        key_buf_[kept++] = key_buf_[b];
+      }
+    }
+    vt::Charge(vt::CostMemcpy(key_buf_n_ * sizeof(uint64_t)));
+    key_buf_n_ = kept;
+  }
+  // Scans pinned before the swap may still read `old`.
+  epochs_->Defer([this, old] {
+    delete spare_run_.exchange(const_cast<KeyRun*>(old),
+                               std::memory_order_release);
+  });
+  // Frees the retired run at once unless a scan still holds it: a store
+  // that runs no maintenance pass would otherwise keep every run its
+  // preload retires. This also runs every other deferred free that is
+  // ready, on the folding thread.
+  return epochs_->ReclaimDeferred();
+}
+
+void FlatStore::BuildKeyRun() {
+  auto run = std::make_unique<KeyRun>();
+  uint64_t keys = 0;
+  for (const auto& idx : indexes_) keys += idx->Size();
+  run->reserve(keys);
+  for (const auto& idx : indexes_) {
+    idx->ForEach([&](uint64_t key, uint64_t) { run->push_back(key); });
+  }
+  std::sort(run->begin(), run->end());
+  // Recovery runs before any reader exists.
+  delete key_run_.exchange(run.release(), std::memory_order_acq_rel);
 }
 
 uint64_t FlatStore::Size() const {
@@ -1369,19 +1484,6 @@ void FlatStore::EnsureCleaners() {
                                       alloc_->SocketForCore(core)};
   };
   hooks.epochs = epochs_.get();
-  // A converted batch's keys leave the delta sets only once every scan
-  // that may hold the directory snapshot before it has finished (racy
-  // against a concurrent re-dirtying write — benign, see
-  // CoreState::delta).
-  hooks.on_tiered = [this](std::vector<tier::TierEntry> entries) {
-    epochs_->Defer([this, entries = std::move(entries)] {
-      for (const tier::TierEntry& te : entries) {
-        CoreState& cs = *cores_[CoreForKey(te.key)];
-        LockGuard<SpinLock> dg(cs.delta_lock);
-        cs.delta.erase(te.key);
-      }
-    });
-  };
   log::LogCleaner::Options opts;
   opts.live_ratio = options_.gc_live_ratio;
   opts.quantum_bytes = options_.gc_quantum_bytes;
@@ -1408,6 +1510,7 @@ size_t FlatStore::RunCleanersOnce() {
   EnsureCleaners();
   size_t freed = 0;
   for (auto& c : cleaners_) freed += c->RunOnce();
+  if (KeyOrdered()) freed += FoldKeys(1);
   return freed;
 }
 
@@ -1660,7 +1763,7 @@ void FlatStore::Recover(bool rebuild_index) {
   // Pass 1: rebuild the volatile index, newest version wins. After a
   // clean open the checkpoint already provided the index as of the
   // recorded per-core positions — replay only the suffix beyond them
-  // (delta replay; empty after a final shutdown).
+  // (suffix replay; empty after a final shutdown).
   //
   // Replay runs with one host thread per core's log, as in the paper
   // ("the server cores need to rebuild the in-memory index ... by
@@ -1780,13 +1883,6 @@ void FlatStore::Recover(bool rebuild_index) {
         if (live) {
           u.live++;
           u.live_bytes += e.entry_len;
-          if (TierActive()) {
-            // Rebuild the delta set: this key's current entry is in an
-            // un-tiered chunk, so ScanMerged must learn it from here.
-            CoreState& dcs = *cores_[CoreForKey(e.key)];
-            LockGuard<SpinLock> dg(dcs.delta_lock);
-            dcs.delta.insert(e.key);
-          }
         }
       }
 
@@ -1811,6 +1907,7 @@ void FlatStore::Recover(bool rebuild_index) {
   }
   alloc_->FinishRecovery();
   recovery_stats_.usage_ns = ElapsedNs(usage_t0);
+  if (KeyOrdered()) BuildKeyRun();
 }
 
 }  // namespace core

@@ -35,10 +35,10 @@
 #ifndef FLATSTORE_CORE_FLATSTORE_H_
 #define FLATSTORE_CORE_FLATSTORE_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -134,6 +134,11 @@ struct ReadResult {
 // Upper bound on one MultiGet batch, fixed so all per-batch state (hints,
 // packed values, read completions) lives on the stack.
 inline constexpr size_t kMaxReadBatch = 64;
+
+// Capacity of a hash store's new-key buffer (DESIGN.md §11.4): the keys
+// its index gained since the last fold into the sorted key run. A full
+// buffer folds at once; every RunCleanersOnce folds what is left.
+inline constexpr size_t kKeyBufferCap = 4096;
 
 // Upper bound on one MultiPut batch. Must fit in one fused HB group
 // (batch::HbEngine::kMaxBatch) so the whole client batch persists through
@@ -238,8 +243,8 @@ class FlatStore {
   bool Delete(uint64_t key);
   // Ordered scan: up to `count` pairs with key >= start_key. Served by
   // the ordered index (kMasstree / kFastFairVolatile), or — for kHash
-  // stores running the persistent tier — by a merge of the tier's key
-  // directory with the un-tiered delta sets (DESIGN.md §11).
+  // stores running the persistent tier — by a merge of the store's
+  // sorted key run with its new-key buffer (DESIGN.md §11.4).
   uint64_t Scan(uint64_t start_key, uint64_t count,
                 std::vector<std::pair<uint64_t, std::string>>* out);
   // True when Scan has an ordered access path (ordered index or tier).
@@ -355,7 +360,8 @@ class FlatStore {
   void StopCleaners();
   // Runs one synchronous maintenance pass on every group (deterministic
   // benchmarks drive GC this way instead of via background threads):
-  // victims are relocated or, with a tier, converted into it. Returns the
+  // victims are relocated or, with a tier, converted into it, and a hash
+  // store's new-key buffer is folded into its key run. Returns the
   // amount of work finished (victims unlinked or converted plus
   // epoch-deferred frees executed). With unbounded passes 0 means nothing
   // is left to do; with gc_quantum_bytes set, a pass that only advanced
@@ -431,16 +437,31 @@ class FlatStore {
   void EnsureTier();
   // One representative core per pool socket (tier arena placement).
   std::vector<int> SocketCores() const;
-  // Delta sets (and the hash-scan merge path) are maintained whenever a
-  // tier exists; Create and Open make one when tier_enabled is set.
+  // Whether a tier exists or will: Create and Open make one when
+  // tier_enabled is set.
   bool TierActive() const {
     return options_.tier_enabled || tier_ != nullptr;
   }
-  // Scan served by a k-way merge of the tier's directory and the per-core
-  // delta sets (keys whose current entry is still un-tiered) — the path
-  // for FlatStore-H, whose hash index cannot enumerate keys in order.
+  // Whether the store keeps a key order (DESIGN.md §11.4): a hash store
+  // running the tier, whose index cannot enumerate keys in order.
+  bool KeyOrdered() const {
+    return options_.index == IndexKind::kHash && TierActive();
+  }
+  // Scan served by a merge of the key run with the new-key buffer — the
+  // ordered path of FlatStore-H.
   uint64_t ScanMerged(uint64_t start_key, uint64_t count,
                       std::vector<std::pair<uint64_t, std::string>>* out);
+  // Adds `n` keys that a Drain round inserted into the index afresh to
+  // the new-key buffer, folding it whenever it fills.
+  void NoteNewKeys(const uint64_t* keys, size_t n);
+  // If the buffer holds max(`min_keys`, 1) keys or more, merges them
+  // into a fresh run (charged CostMemcpy of the run) outside
+  // key_buf_lock_, then publishes the run, retires the old one and drops
+  // the folded keys from the buffer under it. Returns the epoch-deferred
+  // frees it ran afterwards.
+  size_t FoldKeys(size_t min_keys);
+  // Replaces the run with every key the index holds (end of Recover).
+  void BuildKeyRun();
   // Crash-recovery replay / usage rebuild (also used after clean open to
   // rebuild allocator bitmaps + chunk usage). `rebuild_index` is false
   // when the checkpoint already provided the index.
@@ -486,16 +507,6 @@ class FlatStore {
     size_t pend_head = 0;   // ring index of the oldest pending op
     size_t pend_count = 0;
     common::OpenTable<InflightKey> inflight_keys;
-
-    // Tier delta set (DESIGN.md §11): keys this core owns whose current
-    // index entry still lives in an un-tiered log chunk. Only maintained
-    // while TierActive(). ScanMerged unions these with the tier's
-    // directory to enumerate keys in order; values are always read back
-    // through the index, so a racy membership (a key erased after a
-    // conversion just as a serving write re-dirtied it) is benign —
-    // the key stays discoverable through its tier node.
-    SpinLock delta_lock;
-    std::set<uint64_t> delta;
     // StageWrites' committed-value reads for CAS/RMW, by first-occurrence
     // position; the strings keep their capacity across batches.
     ReadResult reads[kMaxWriteBatch];
@@ -570,8 +581,25 @@ class FlatStore {
 
   // Ordered persistent tier (DESIGN.md §11). Created or loaded in
   // Create/Open, before any cleaner exists, so concurrent readers (the
-  // cleaners, ScanMerged) see a stable pointer.
+  // cleaners) see a stable pointer.
   std::unique_ptr<tier::PersistentTier> tier_;
+
+  // Key order of a KeyOrdered() store (DESIGN.md §11.4), DRAM soft state:
+  // an immutable sorted run of every key the index held at the last fold
+  // (retired through EpochManager::Defer), and a sorted buffer of the
+  // keys it gained since. fold_lock_ lets one fold at a time merge; it
+  // swaps the run and drops the folded keys from the buffer under
+  // key_buf_lock_, under which scans load the run and read the buffer.
+  using KeyRun = std::vector<uint64_t>;
+  std::atomic<const KeyRun*> key_run_{new KeyRun()};
+  // The last run a fold retired that no scan holds any more; the next
+  // fold reuses its memory.
+  std::atomic<KeyRun*> spare_run_{nullptr};
+  SpinLock fold_lock_;  // taken before key_buf_lock_
+  uint64_t fold_keys_[kKeyBufferCap] GUARDED_BY(fold_lock_);
+  SpinLock key_buf_lock_;
+  size_t key_buf_n_ GUARDED_BY(key_buf_lock_) = 0;
+  uint64_t key_buf_[kKeyBufferCap] GUARDED_BY(key_buf_lock_);
   RecoveryStats recovery_stats_;
 };
 

@@ -17,15 +17,16 @@ uint32_t BucketIndex(uint64_t hash, uint32_t i) {
 }
 }  // namespace
 
-Cceh::Cceh(const PmContext& ctx, uint32_t initial_depth)
-    : arena_(ctx), global_depth_(initial_depth) {
+Cceh::Cceh(const PmContext& ctx, uint32_t initial_depth) : arena_(ctx) {
   FLATSTORE_CHECK_LE(initial_depth, 28u);
-  directory_.resize(1ull << global_depth_);
-  for (uint64_t i = 0; i < directory_.size(); i++) {
+  dirs_.push_back(std::make_unique<Directory>(initial_depth));
+  for (auto& entry : dirs_.back()->entries) {
     // Pairs of directory entries initially share a segment only if we
     // created fewer segments than entries; here: one segment per entry.
-    directory_[i] = NewSegment(global_depth_);
+    // relaxed: the directory's release store below publishes them.
+    entry.store(NewSegment(initial_depth), std::memory_order_relaxed);
   }
+  dir_.store(dirs_.back().get(), std::memory_order_release);
 }
 
 Cceh::Segment* Cceh::NewSegment(uint32_t local_depth) {
@@ -39,7 +40,8 @@ uint64_t Cceh::segment_count() const {
   // Distinct segments in the directory.
   uint64_t n = 0;
   const Segment* prev = nullptr;
-  for (const Segment* s : directory_) {
+  for (const auto& entry : Dir().entries) {
+    const Segment* s = entry.load(std::memory_order_acquire);
     if (s != prev) n++;
     prev = s;
   }
@@ -55,7 +57,10 @@ Cceh::SlotRef Cceh::FindSlot(uint64_t key, uint64_t hash) const {
     arena_.ctx().ChargeNodeRead(&bucket);  // fetch bucket line
     for (int i = 0; i < kSlots; i++) {
       vt::Charge(vt::kCpuSlotProbe);
-      if (bucket.keys[i] == key) return {&bucket, i};
+      if (std::atomic_ref<uint64_t>(bucket.keys[i])
+              .load(std::memory_order_acquire) == key) {
+        return {&bucket, i};
+      }
     }
   }
   return {};
@@ -90,7 +95,10 @@ bool Cceh::UpsertLocked(uint64_t key, uint64_t value, uint64_t* old_value,
           seg->buckets[BucketIndex(hash, static_cast<uint32_t>(b))];
       for (int i = 0; i < kSlots; i++) {
         if (bucket.keys[i] == kReservedKey) {
-          bucket.values[i] = value;
+          // release: a reader whose value load sees it also sees the
+          // sequence move of the slot's erase (StableGet).
+          std::atomic_ref<uint64_t>(bucket.values[i])
+              .store(value, std::memory_order_release);
           std::atomic_ref<uint64_t>(bucket.keys[i])
               .store(key, std::memory_order_release);
           arena_.ctx().PersistFence(&bucket, sizeof(Bucket));
@@ -101,8 +109,11 @@ bool Cceh::UpsertLocked(uint64_t key, uint64_t value, uint64_t* old_value,
       }
     }
 
-    // Probe window exhausted: split and retry.
+    // Probe window exhausted: split and retry. Readers that overlap the
+    // split (the sequence is odd, or moved) retry their probe.
+    seq_.fetch_add(1, std::memory_order_acq_rel);
     Split(hash);
+    seq_.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -112,8 +123,11 @@ bool Cceh::TryPlace(Segment* seg, uint64_t hash, uint64_t key,
     Bucket& nb = seg->buckets[BucketIndex(hash, static_cast<uint32_t>(b))];
     for (int j = 0; j < kSlots; j++) {
       if (nb.keys[j] == kReservedKey) {
-        nb.values[j] = value;
-        nb.keys[j] = key;
+        // relaxed: the key's release store below publishes the value.
+        std::atomic_ref<uint64_t>(nb.values[j])
+            .store(value, std::memory_order_relaxed);
+        std::atomic_ref<uint64_t>(nb.keys[j])
+            .store(key, std::memory_order_release);
         return true;
       }
     }
@@ -125,17 +139,22 @@ void Cceh::Split(uint64_t hash) {
   Segment* old = SegmentFor(hash);
   const uint32_t ld = old->local_depth;
 
-  if (ld == global_depth_) {
-    // Directory doubling.
-    vt::Charge(vt::CostMemcpy(directory_.size() * 8));
-    std::vector<Segment*> bigger(directory_.size() * 2);
-    for (uint64_t i = 0; i < directory_.size(); i++) {
-      bigger[2 * i] = directory_[i];
-      bigger[2 * i + 1] = directory_[i];
+  if (ld == Dir().depth) {
+    // Directory doubling: a fresh directory, published whole.
+    const Directory& cur = Dir();
+    vt::Charge(vt::CostMemcpy(cur.entries.size() * 8));
+    auto bigger = std::make_unique<Directory>(cur.depth + 1);
+    for (uint64_t i = 0; i < cur.entries.size(); i++) {
+      // relaxed: only this writer stores entries, and the directory's
+      // release store below publishes the copies.
+      Segment* s = cur.entries[i].load(std::memory_order_relaxed);
+      bigger->entries[2 * i].store(s, std::memory_order_relaxed);
+      bigger->entries[2 * i + 1].store(s, std::memory_order_relaxed);
     }
-    directory_ = std::move(bigger);
-    global_depth_++;
+    dir_.store(bigger.get(), std::memory_order_release);
+    dirs_.push_back(std::move(bigger));
   }
+  Directory& dir = *dirs_.back();
 
   Segment* s0 = NewSegment(ld + 1);
   Segment* s1 = NewSegment(ld + 1);
@@ -144,10 +163,12 @@ void Cceh::Split(uint64_t hash) {
   // redistribution below can resolve through SegmentFor and recurse into
   // a further split if a probe window overflows (rare, but linear
   // probing placement is order sensitive, so it can happen).
-  const uint64_t stride = 1ull << (global_depth_ - ld);
-  const uint64_t base = (hash >> (64 - global_depth_)) & ~(stride - 1);
-  for (uint64_t i = 0; i < stride / 2; i++) directory_[base + i] = s0;
-  for (uint64_t i = stride / 2; i < stride; i++) directory_[base + i] = s1;
+  const uint64_t stride = 1ull << (dir.depth - ld);
+  const uint64_t base = (hash >> (64 - dir.depth)) & ~(stride - 1);
+  for (uint64_t i = 0; i < stride; i++) {
+    dir.entries[base + i].store(i < stride / 2 ? s0 : s1,
+                                std::memory_order_release);
+  }
 
   for (Bucket& bucket : old->buckets) {
     for (int i = 0; i < kSlots; i++) {
@@ -172,7 +193,8 @@ void Cceh::Split(uint64_t hash) {
 void Cceh::ForEach(
     const std::function<void(uint64_t, uint64_t)>& fn) const {
   const Segment* prev = nullptr;
-  for (const Segment* seg : directory_) {
+  for (const auto& entry : Dir().entries) {
+    const Segment* seg = entry.load(std::memory_order_acquire);
     if (seg == prev) continue;  // directory entries sharing a segment
     prev = seg;
     for (const Bucket& bucket : seg->buckets) {
@@ -185,13 +207,25 @@ void Cceh::ForEach(
   }
 }
 
+bool Cceh::StableGet(uint64_t key, uint64_t hash, uint64_t* value) const {
+  while (true) {
+    const uint64_t seq = seq_.load(std::memory_order_acquire);
+    const SlotRef ref = FindSlot(key, hash);
+    if (ref.bucket != nullptr) {
+      *value = std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
+                   .load(std::memory_order_acquire);
+    }
+    std::atomic_thread_fence(std::memory_order_acquire);
+    // relaxed: the acquire fence above orders the probe's loads before it.
+    if (seq % 2 == 0 && seq_.load(std::memory_order_relaxed) == seq) {
+      return ref.bucket != nullptr;
+    }
+  }
+}
+
 bool Cceh::Get(uint64_t key, uint64_t* value) const {
   vt::Charge(vt::kCpuHash);
-  SlotRef ref = FindSlot(key, HashKey(key));
-  if (ref.bucket == nullptr) return false;
-  *value = std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
-               .load(std::memory_order_acquire);
-  return true;
+  return StableGet(key, HashKey(key), value);
 }
 
 void Cceh::PrefetchGet(uint64_t key, LookupHint* hint) const {
@@ -215,11 +249,7 @@ bool Cceh::GetWithHint(uint64_t key, const LookupHint& hint,
   if (!hint.valid || SegmentFor(hint.hash) != hint.node) {
     return KvIndex::GetWithHint(key, hint, value);
   }
-  SlotRef ref = FindSlot(key, hint.hash);  // hash charged in phase A
-  if (ref.bucket == nullptr) return false;
-  *value = std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
-               .load(std::memory_order_acquire);
-  return true;
+  return StableGet(key, hint.hash, value);  // hash charged in phase A
 }
 
 void Cceh::PrefetchInsert(uint64_t key, LookupHint* hint) const {
@@ -259,6 +289,10 @@ bool Cceh::Erase(uint64_t key, uint64_t* old_value) {
   *old_value = ref.bucket->values[ref.slot];
   std::atomic_ref<uint64_t>(ref.bucket->keys[ref.slot])
       .store(kReservedKey, std::memory_order_release);
+  // A reader that matched the key before the erase may load the value of
+  // a key inserted into the slot next; moving the sequence after the
+  // erase makes that reader retry.
+  seq_.fetch_add(2, std::memory_order_release);
   arena_.ctx().PersistFence(&ref.bucket->keys[ref.slot], 8);
   // relaxed: size_ is an approximate stat counter, no ordering.
   size_.fetch_sub(1, std::memory_order_relaxed);
@@ -288,6 +322,10 @@ bool Cceh::EraseIfEqual(uint64_t key, uint64_t expected) {
   }
   std::atomic_ref<uint64_t>(ref.bucket->keys[ref.slot])
       .store(kReservedKey, std::memory_order_release);
+  // A reader that matched the key before the erase may load the value of
+  // a key inserted into the slot next; moving the sequence after the
+  // erase makes that reader retry.
+  seq_.fetch_add(2, std::memory_order_release);
   arena_.ctx().PersistFence(&ref.bucket->keys[ref.slot], 8);
   // relaxed: size_ is an approximate stat counter, no ordering.
   size_.fetch_sub(1, std::memory_order_relaxed);

@@ -22,6 +22,7 @@
 #define FLATSTORE_INDEX_CCEH_H_
 
 #include <atomic>
+#include <memory>
 #include <vector>
 
 #include "common/spin_lock.h"
@@ -31,10 +32,16 @@
 namespace flatstore {
 namespace index {
 
-// Extendible hash index. Single-writer per instance; Get() and
-// CompareExchange() may run concurrently with the writer's value updates
-// (the log cleaner's relocation path), which is the concurrency FlatStore-H
-// actually needs.
+// Extendible hash index. Single-writer per instance (mutating calls
+// serialize on mutate_lock_). Get(), GetWithHint() and CompareExchange()
+// may run on other threads concurrently with the writer — its value
+// updates (the log cleaner's relocation path) and its inserts, splits
+// and directory doublings (FlatStore's scans and cleaners probe every
+// core's partition while its core inserts fresh keys). A split moves
+// keys between segments, so it runs inside a sequence window that
+// readers validate and retry; an erase moves the same sequence, so a
+// reader that matched a slot an insert then refilled with another key
+// retries too. ForEach() needs a quiescent writer.
 class Cceh final : public KvIndex {
  public:
   // `initial_depth`: log2 of the initial number of segments. Size the
@@ -64,7 +71,7 @@ class Cceh final : public KvIndex {
   const char* Name() const override { return "CCEH"; }
 
   // Structure introspection (tests).
-  uint32_t global_depth() const { return global_depth_; }
+  uint32_t global_depth() const { return Dir().depth; }
   uint64_t segment_count() const;
 
  private:
@@ -86,13 +93,32 @@ class Cceh final : public KvIndex {
     Bucket buckets[kSegmentBuckets];
   };
 
+  // The directory: 2^depth segment pointers, indexed by the hash MSBs.
+  // Readers load it and its entries with acquire; only the writer
+  // rewrites entries, or publishes a doubled directory. Replaced
+  // directories stay allocated (`dirs_`), since a reader may still walk
+  // them, as the arena keeps replaced segments.
+  struct Directory {
+    explicit Directory(uint32_t d) : depth(d), entries(1ull << d) {}
+    uint32_t depth;
+    std::vector<std::atomic<Segment*>> entries;
+  };
+  const Directory& Dir() const {
+    return *dir_.load(std::memory_order_acquire);
+  }
+
   Segment* NewSegment(uint32_t local_depth);
   Segment* SegmentFor(uint64_t hash) const {
-    return directory_[hash >> (64 - global_depth_)];
+    const Directory& d = Dir();
+    return d.entries[hash >> (64 - d.depth)].load(std::memory_order_acquire);
   }
   // Splits the segment containing `hash` and redistributes its slots,
   // cascading into further splits when a probe window overflows.
   void Split(uint64_t hash);
+  // A Get probe that no split or erase overlapped: FindSlot and the
+  // value load, retried while a split is moving keys or after a split or
+  // an erase ran.
+  bool StableGet(uint64_t key, uint64_t hash, uint64_t* value) const;
 
   // Places (key, value) in `seg`'s probe window; false when full.
   bool TryPlace(Segment* seg, uint64_t hash, uint64_t key, uint64_t value);
@@ -110,8 +136,10 @@ class Cceh final : public KvIndex {
                     uint64_t hash);
 
   NodeArena arena_;
-  uint32_t global_depth_;
-  std::vector<Segment*> directory_;
+  std::vector<std::unique_ptr<Directory>> dirs_;  // the current one last
+  std::atomic<const Directory*> dir_;
+  // Odd while a split moves keys between segments; each erase adds 2.
+  std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> size_{0};
   SpinLock mutate_lock_;  // Insert/Delete/CAS vs. cleaner CAS
 };

@@ -77,11 +77,6 @@ void LogCleaner::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-size_t LogCleaner::jobs_in_flight() const {
-  LockGuard<SpinLock> g(run_lock_);
-  return jobs_.size();
-}
-
 size_t LogCleaner::RunOnce() {
   LockGuard<SpinLock> g(run_lock_);
   const int pressure = alloc_->MemoryPressure();
@@ -387,7 +382,6 @@ bool LogCleaner::ConvertJob(CleaningJob& job) {
             });
   if (!tier_->InsertBatch(entries.data(), entries.size())) return false;
   logs_[job.core]->DetachForTier(job.chunk_off);
-  hooks_.on_tiered(std::move(entries));
   // relaxed: monotonic stat counter, no ordering required.
   chunks_tiered_.fetch_add(1, std::memory_order_relaxed);
   job.stage = Stage::kDone;

@@ -108,11 +108,6 @@ struct CleanerHooks {
   // Epoch manager guarding the engine's log-entry dereferences. Victim
   // chunks are freed through its deferred queue (see file comment).
   common::EpochManager* epochs = nullptr;
-  // Called after each conversion commits, with the key-sorted batch it
-  // merged into the tier. The engine takes those keys out of its
-  // un-tiered delta sets once no scan can still hold the previous
-  // directory snapshot (DESIGN.md §11.2). Unused without a tier.
-  std::function<void(std::vector<tier::TierEntry> entries)> on_tiered;
 };
 
 // One group's cleaner.
@@ -180,9 +175,6 @@ class LogCleaner {
     // relaxed: monotonic stat counter, no ordering required.
     return chunks_tiered_.load(std::memory_order_relaxed);
   }
-  // In-flight cleaning jobs (a nonzero value after a bounded RunOnce
-  // means the pass was interrupted mid-victim and will resume).
-  size_t jobs_in_flight() const;
 
  private:
   // A victim chunk moving through the pipeline. All fields are

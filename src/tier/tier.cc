@@ -33,38 +33,6 @@ inline void StoreLink(uint64_t* slot, uint64_t v) {
   std::atomic_ref<uint64_t>(*slot).store(v, std::memory_order_release);
 }
 
-// Charges one DRAM miss for reading entry `i`, unless `*line` (the last
-// line charged) already holds it.
-inline void TouchLine(size_t i, size_t* line) {
-  if (i / kEntriesPerLine != *line) {
-    *line = i / kEntriesPerLine;
-    vt::ChargeMissAt(kDirSocket, vt::kCpuCacheMiss);
-  }
-}
-
-// Index of the first entry with key >= target: binary search while more
-// than a line's worth of entries remains, then a scan of the rest. Every
-// line read is charged once.
-size_t Search(const std::vector<DirEntry>& d, uint64_t target,
-              size_t* line) {
-  size_t lo = 0, len = d.size();
-  while (len > kEntriesPerLine) {
-    const size_t half = len / 2;
-    TouchLine(lo + half, line);
-    if (d[lo + half].key < target) {
-      lo += half + 1;
-      len -= half + 1;
-    } else {
-      len = half;
-    }
-  }
-  for (; len > 0; lo++, len--) {
-    TouchLine(lo, line);
-    if (d[lo].key >= target) break;
-  }
-  return lo;
-}
-
 }  // namespace
 
 PersistentTier::PersistentTier(pm::PmPool* pool, alloc::LazyAllocator* alloc,
@@ -322,22 +290,12 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
 bool PersistentTier::Get(uint64_t key, uint64_t* packed) const {
   const Directory& d = Snapshot();
   size_t line = SIZE_MAX;
-  const size_t i = Search(d, key, &line);
+  const size_t i = vt::SeekLines(d.size(), key, kEntriesPerLine, kDirSocket,
+                                 &line, [&](size_t j) { return d[j].key; });
   if (i == d.size() || d[i].key != key) return false;
   const TierNode* n = NodeAt(d[i].node);
   pool_->ChargeRead(&n->packed, sizeof(uint64_t));
   *packed = LoadLink(&n->packed);
-  return true;
-}
-
-PersistentTier::Cursor::Cursor(const PersistentTier* tier, uint64_t start_key)
-    : dir_(&tier->Snapshot()), line_(SIZE_MAX) {
-  i_ = Search(*dir_, start_key, &line_);
-}
-
-bool PersistentTier::Cursor::Valid() {
-  if (i_ >= dir_->size()) return false;
-  TouchLine(i_, &line_);
   return true;
 }
 

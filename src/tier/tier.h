@@ -1,10 +1,9 @@
 // Ordered persistent tier: a sorted persistent list whose durable nodes
 // alias value bytes still sitting in converted ("tiered") OpLog chunks,
-// ordered for readers by a volatile key directory in DRAM.
+// ordered for its own lookups by a volatile key directory in DRAM.
 //
-// The tier is FlatStore's answer to two linear costs of a pure log
-// (DESIGN.md §11): recovery replaying every log byte, and range scans
-// having no ordered path when the volatile index is a hash. Following
+// The tier is FlatStore's answer to a linear cost of a pure log
+// (DESIGN.md §11): recovery replaying every log byte. Following
 // ListDB's Index-Unified Logging, a background tiering pass converts a
 // sealed log chunk's live entries *in place* into list nodes — the node
 // stores the entry's packed {offset, version} word, never a copy of the
@@ -27,12 +26,13 @@
 //   * In-place updates of an existing key touch exactly one 8-byte
 //     `packed` word (atomic store + persist), so they are tear-proof.
 //
-// Key order lives in DRAM, like FlatStore's index: an immutable,
-// key-sorted directory of {key, L0 node offset}, one 16-byte entry per
-// node. It is SOFT state, never persisted: Open builds it in its L0 walk,
-// and every InsertBatch merges the batch's new keys into a fresh copy and
-// publishes it as a snapshot. Readers (scans, Get) never walk PM to learn
-// order.
+// The tier's key order lives in DRAM, like FlatStore's index: an
+// immutable, key-sorted directory of {key, L0 node offset}, one 16-byte
+// entry per node. It is SOFT state, never persisted: Open builds it in
+// its L0 walk, and every InsertBatch merges the batch's new keys into a
+// fresh copy and publishes it as a snapshot. It serves Get and
+// InsertBatch, which never walk PM to learn order; scans take their key
+// order from the engine, not from the tier.
 //
 // Concurrency: one mutator at a time (InsertBatch serializes the log
 // cleaners that convert chunks into the tier), lock-free concurrent
@@ -145,7 +145,6 @@ class PersistentTier {
   // Nodes in the current snapshot. The caller holds an epoch pin or the
   // tier is quiescent; so for every snapshot reader below.
   uint64_t node_count() const { return Snapshot().size(); }
-  uint64_t arena_chunk_count() const { return arena_chunks_.size(); }
   // DRAM bytes held by the current snapshot's entries.
   uint64_t directory_bytes() const {
     return Snapshot().capacity() * sizeof(DirEntry);
@@ -171,26 +170,6 @@ class PersistentTier {
   // Point lookup: a directory search plus one PM read of the node's
   // `packed` word.
   bool Get(uint64_t key, uint64_t* packed) const;
-
-  // Ordered cursor over one directory snapshot (DESIGN.md §11.4). The
-  // caller holds an epoch pin for the cursor's lifetime. Reads no tier
-  // node: a scan resolves every key through the volatile index.
-  class Cursor {
-   public:
-    // Positions at the first key >= start_key with one directory search.
-    Cursor(const PersistentTier* tier, uint64_t start_key);
-
-    // False once the snapshot is exhausted; key() requires a true
-    // return. The first read of each directory line is one DRAM miss.
-    bool Valid();
-    uint64_t key() const { return (*dir_)[i_].key; }
-    void Next() { i_++; }
-
-   private:
-    const Directory* dir_;
-    size_t i_;
-    size_t line_;  // the last directory line charged
-  };
 
   // In-order walk over every node of the current snapshot, reading each
   // node's `packed` word (tests, recovery block marking).

@@ -177,13 +177,6 @@ inline constexpr uint64_t kQpCacheMissCost = 450;
 // a few times per pass). No RMW, no shared-line ping-pong.
 inline constexpr uint64_t kEpochPinCost = 2 * kCpuSlotProbe;
 
-// What the retired design cost per dereference and what the epoch design
-// replaces: acquiring + releasing a reader-writer lock is two locked RMWs
-// on a cacheline shared by every core of the group, each a cross-core
-// transfer under contention. Kept for the before/after comparison in
-// bench_retire_scalability and the Fig. 10/12 discussion.
-inline constexpr uint64_t kRetireSharedLockCost = 2 * kCpuCas;
-
 // ---- Batching ---------------------------------------------------------
 
 // Leader's cost to scan one sibling core's request pool while stealing

@@ -295,8 +295,8 @@ void TxnWorkload(WorkloadCtx& ctx) {
 // publishes and the kChunkTiered commit store — becomes a crash point.
 // Before the commit a crash must replay the converted chunk (tier nodes
 // are harmless version-duel duplicates); after it, recovery must load
-// the nodes instead. Live traffic follows so post-conversion appends
-// land in the delta sets too.
+// the nodes instead. Live traffic follows: a key new to the index (it
+// joins the new-key buffer), a delete and an overwrite.
 void TieringWorkload(WorkloadCtx& ctx) {
   for (uint64_t k = 1; k <= 12; k++) {
     ctx.Put(k, Val('t', 40 + 5 * k));
@@ -324,7 +324,7 @@ void TieringWorkload(WorkloadCtx& ctx) {
   EXPECT_GT(ctx.store->ChunksTiered(), 0u);
   EXPECT_GT(ctx.store->ChunksCleaned(), 0u);
   EXPECT_GT(passes, 2);
-  ctx.Put(50, Val('v', 40));  // post-conversion delta-set traffic
+  ctx.Put(50, Val('v', 40));  // new key after the conversion
   ctx.Delete(8);
   ctx.Put(9, Val('w', 72));
 }

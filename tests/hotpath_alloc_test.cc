@@ -97,6 +97,66 @@ TEST(HotPathAlloc, PutGetDrainCycleIsAllocationFree) {
       << " times across 100 warm put/pump/drain/get cycles";
 }
 
+// The same cycle on a store running the tier, over keys a maintenance
+// pass has converted into it: overwriting a converted key adds nothing to
+// the key order (only keys new to the index do), so the cycle stays off
+// the heap. The pass itself, and the frees it defers, run before the
+// measured window.
+TEST(HotPathAlloc, TierOnPutGetDrainCycleIsAllocationFree) {
+  pm::PmPool::Options o;
+  o.size = 128ull << 20;
+  pm::PmPool pool(o);
+  FlatStoreOptions fo;
+  fo.num_cores = 1;
+  fo.group_size = 1;
+  fo.hash_initial_depth = 4;
+  fo.tier_enabled = true;
+  auto store = FlatStore::Create(&pool, fo);
+
+  constexpr uint64_t kKeys = 64;
+  constexpr uint32_t kValueLen = 64;  // inline (<= 256 B): no block alloc
+  const std::string initial(kValueLen, 'i');
+  for (uint64_t k = 0; k < kKeys; k++) store->Put(k, initial);
+  store->SealActiveLogChunks();
+  // Moves the durable tail past the sealed chunk, which may then convert.
+  store->Put(1ull << 32, initial);
+  store->RunCleanersOnce();
+  ASSERT_GT(store->ChunksTiered(), 0u);
+  store->epochs()->DrainDeferred();
+
+  uint8_t value[kValueLen];
+  std::memset(value, 0x42, sizeof(value));
+  std::vector<FlatStore::Completion> done;
+  done.reserve(2 * batch::HbEngine::kPoolSlots);
+  std::string read_value;
+  read_value.reserve(512);
+
+  auto cycle = [&] {
+    for (uint64_t k = 0; k < kKeys; k++) {
+      const WriteOp op{k, value, kValueLen};
+      FlatStore::OpHandle h;
+      OpStatus st;
+      ASSERT_EQ(store->BeginWriteBatch(0, &op, 1, &h, &st), 1u);
+    }
+    store->Pump(0);
+    done.clear();
+    store->Drain(0, SIZE_MAX, &done);
+    ASSERT_EQ(done.size(), kKeys);
+    for (uint64_t k = 0; k < kKeys; k++) {
+      ASSERT_TRUE(store->Get(k, &read_value));
+      ASSERT_EQ(read_value.size(), kValueLen);
+    }
+  };
+
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; i++) cycle();
+  const uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u)
+      << "tier-on serving loop heap-allocated " << (after - before)
+      << " times across 100 put/pump/drain/get cycles after a conversion";
+}
+
 // The batched read pipeline: once the ReadResult strings reached their
 // high-water capacity, repeated MultiGet batches (epoch pin, prefetch
 // hints, probes, log/block reads) must not touch the heap — all per-batch

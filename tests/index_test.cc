@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "index/cceh.h"
 #include "index/fast_fair.h"
@@ -259,6 +262,74 @@ TEST(CcehStructure, DirectoryDoublesUnderLoad) {
     ASSERT_TRUE(idx.Get(k, &v));
     ASSERT_EQ(v, k);
   }
+}
+
+// Readers on another thread find every key, with its value, while the
+// writer inserts fresh keys through splits and directory doublings (the
+// store's scans and cleaners probe a core's partition while that core
+// inserts).
+TEST(CcehStructure, ReadersFindEveryKeyWhileTheWriterSplits) {
+  Cceh idx({}, /*initial_depth=*/2);
+  constexpr uint64_t kOld = 1000, kNew = 60000;
+  for (uint64_t k = 0; k < kOld; k++) idx.Insert(k, k + 1);
+  const uint32_t depth0 = idx.global_depth();
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t k = kOld; k < kOld + kNew; k++) idx.Insert(k, k + 1);
+    done.store(true);
+  });
+  uint64_t misses = 0, rounds = 0;
+  while (!done.load() || rounds == 0) {
+    for (uint64_t k = 0; k < kOld; k++) {
+      uint64_t v = 0;
+      if (!idx.Get(k, &v) || v != k + 1) misses++;
+    }
+    rounds++;
+  }
+  writer.join();
+  EXPECT_EQ(misses, 0u) << "over " << rounds << " rounds";
+  EXPECT_GT(idx.global_depth(), depth0);
+}
+
+// A reader never takes one key's value for another's while the writer
+// erases a key and refills its slot with a different key: key B is
+// chosen to probe key A's bucket first, so each of B's inserts lands in
+// the slot A's erase just freed, and each of A's in the one B's freed.
+TEST(CcehStructure, ReadersNeverSeeAnotherKeysValueInARefilledSlot) {
+  constexpr uint32_t kDepth = 2;
+  Cceh idx({}, kDepth);
+  auto bucket_of = [](uint64_t k) {
+    const uint64_t h = HashKey(k);
+    // The segment (hash MSBs) and the first probed bucket (hash LSBs).
+    return std::make_pair(h >> (64 - kDepth), (h & 0xFFFFFF) % 255);
+  };
+  const uint64_t a = 1;
+  uint64_t b = a + 1;
+  while (bucket_of(b) != bucket_of(a)) b++;
+  idx.Insert(a, a + 1);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 200000; i++) {
+      ASSERT_TRUE(idx.EraseIfEqual(a, a + 1));
+      idx.Insert(b, b + 1);
+      ASSERT_TRUE(idx.EraseIfEqual(b, b + 1));
+      idx.Insert(a, a + 1);
+    }
+    done.store(true);
+  });
+  uint64_t wrong = 0, found = 0;
+  while (!done.load()) {
+    for (const uint64_t k : {a, b}) {
+      uint64_t v = 0;
+      if (idx.Get(k, &v)) {
+        found++;
+        if (v != k + 1) wrong++;
+      }
+    }
+  }
+  writer.join();
+  EXPECT_EQ(wrong, 0u) << "of " << found << " found";
+  EXPECT_EQ(idx.global_depth(), kDepth);  // no split moved the slot
 }
 
 TEST(LevelHashingStructure, ResizesWhenFull) {
