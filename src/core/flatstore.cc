@@ -1339,25 +1339,44 @@ uint64_t FlatStore::ScanMerged(
   return produced;
 }
 
-void FlatStore::NoteNewKeys(const uint64_t* keys, size_t n) {
+size_t MergeNewKeys(uint64_t* buf, size_t n, uint64_t* keys, size_t m,
+                    size_t* moved) {
+  // A key returns after the cleaner drops its tombstone from the index,
+  // so one may already sit in the buffer.
+  size_t fresh = 0;
+  for (size_t i = 0; i < m; i++) {
+    if (!std::binary_search(buf, buf + n, keys[i])) keys[fresh++] = keys[i];
+  }
+  // Fill from the top, largest new key first: the buffered keys above
+  // it move up past every new key still to place, as one block, so a
+  // buffered key moves at most once and the ones below the smallest new
+  // key stay put.
+  size_t b = n;  // buf[0, b) is not placed yet
+  for (size_t k = fresh; k > 0; k--) {
+    const size_t at = static_cast<size_t>(
+        std::upper_bound(buf, buf + b, keys[k - 1]) - buf);
+    std::copy_backward(buf + at, buf + b, buf + b + k);
+    buf[at + k - 1] = keys[k - 1];
+    b = at;
+  }
+  *moved = n - b;
+  return n + fresh;
+}
+
+void FlatStore::NoteNewKeys(uint64_t* keys, size_t n) {
+  std::sort(keys, keys + n);
   size_t i = 0;
   while (true) {
     {
       LockGuard<SpinLock> g(key_buf_lock_);
       vt::Charge(vt::kCpuCas);  // the lock
-      for (; i < n && key_buf_n_ < kKeyBufferCap; i++) {
-        uint64_t* end = key_buf_ + key_buf_n_;
-        uint64_t* at = std::lower_bound(key_buf_, end, keys[i]);
-        // A key returns after the cleaner drops its tombstone from the
-        // index.
-        if (at != end && *at == keys[i]) continue;
-        // Keys mostly arrive in order (a preload, a fresh key range), so
-        // the shift is usually empty.
-        const size_t shift = static_cast<size_t>(end - at) * sizeof(uint64_t);
-        vt::Charge(vt::CostMemcpy(shift));
-        std::memmove(at + 1, at, shift);
-        *at = keys[i];
-        key_buf_n_++;
+      while (i < n && key_buf_n_ < kKeyBufferCap) {
+        const size_t take = std::min(n - i, kKeyBufferCap - key_buf_n_);
+        size_t moved = 0;
+        key_buf_n_ = MergeNewKeys(key_buf_, key_buf_n_, keys + i, take,
+                                  &moved);
+        vt::Charge(vt::CostMemcpy(moved * sizeof(uint64_t)));
+        i += take;
       }
       if (key_buf_n_ < kKeyBufferCap) return;
     }
@@ -1694,15 +1713,29 @@ void FlatStore::Recover(bool rebuild_index) {
   // cleaner's tier veto guarantees no stale node survives for an
   // erased key, and the version duel resolves both directions against
   // checkpoint pairs and suffix replay, so the duel is always safe and —
-  // for chunks tiered after the last checkpoint — necessary.
+  // for chunks tiered after the last checkpoint — necessary. A node
+  // naming a chunk without kChunkTiered belongs to a conversion the
+  // crash interrupted before its commit: the log replays that chunk, so
+  // Open unlinks the node instead, and every node left names a tiered
+  // chunk (which the cleaner frees only after unlinking its nodes).
+  // Each tiered chunk's usage, by chunk index, rebuilt from its nodes:
+  // `total` counts the nodes naming it (the entries the tier took from it
+  // and still names), `live` and `live_bytes` the ones that win the duel.
+  std::vector<log::ChunkUsage> tiered_usage(pool_->size() /
+                                            alloc::kChunkSize);
   const auto tier_t0 = std::chrono::steady_clock::now();
   if (root_->superblock()->tier_root_off != 0 && tier_ == nullptr) {
     tier_ = tier::PersistentTier::Open(
         pool_, alloc_.get(), epochs_.get(), pool_->num_sockets(),
         SocketCores(),
         root_->superblock()->tier_root_off,
-        [this](uint64_t key, uint64_t packed) {
+        [this](uint64_t packed) {
+          return root_->ChunkTiered(
+              AlignDown(log::UnpackOffset(packed), alloc::kChunkSize));
+        },
+        [this, &tiered_usage](uint64_t key, uint64_t packed) {
           DuelInsert(IndexForCore(CoreForKey(key)), key, packed);
+          tiered_usage[log::UnpackOffset(packed) / alloc::kChunkSize].total++;
         });
     tier_->ForEachArenaChunk(
         [this](uint64_t off) { alloc_->MarkRawChunkAllocated(off); });
@@ -1719,24 +1752,25 @@ void FlatStore::Recover(bool rebuild_index) {
   };
   std::vector<std::vector<Rec>> per_core(
       static_cast<size_t>(options_.num_cores));
+  std::vector<std::vector<Rec>> tiered_per_core(per_core.size());
   const log::ChunkRecord* regs = root_->registry();
   for (uint64_t s = 0; s < root_->registry_slots(); s++) {
     if (regs[s].chunk_off == 0) continue;
     FLATSTORE_CHECK_LT(regs[s].core,
                        static_cast<uint32_t>(options_.num_cores));
+    const Rec rec{s, regs[s].chunk_off & ~log::kChunkFlagsMask, regs[s].seq,
+                  (regs[s].chunk_off & log::kChunkCleaner) != 0};
     if ((regs[s].chunk_off & log::kChunkTiered) != 0) {
-      // Tiered chunk: represented by the tier's nodes. Its memory stays
-      // allocated forever (nodes alias its entry bytes) but it is
-      // neither replayed nor usage-tracked — this skip is what makes
-      // recovery track the live-key count instead of the log size.
-      alloc_->MarkRawChunkAllocated(regs[s].chunk_off &
-                                    ~log::kChunkFlagsMask);
+      // Tiered chunk: represented by the tier's nodes, which alias its
+      // entry bytes, so its memory stays allocated; it is not replayed —
+      // this skip is what makes recovery track the live-key count
+      // instead of the log size. Its usage comes from the nodes below.
+      alloc_->MarkRawChunkAllocated(rec.chunk);
+      tiered_per_core[regs[s].core].push_back(rec);
       recovery_stats_.chunks_skipped_tiered++;
       continue;
     }
-    per_core[regs[s].core].push_back(
-        {s, regs[s].chunk_off & ~log::kChunkFlagsMask, regs[s].seq,
-         (regs[s].chunk_off & log::kChunkCleaner) != 0});
+    per_core[regs[s].core].push_back(rec);
     recovery_stats_.chunks_replayed++;
   }
   for (auto& v : per_core) {
@@ -1815,23 +1849,30 @@ void FlatStore::Recover(bool rebuild_index) {
   recovery_stats_.replay_ns = ElapsedNs(replay_t0);
 
   const auto usage_t0 = std::chrono::steady_clock::now();
-  // Tier-resident value blocks: pass 2 walks only un-tiered chunks, so
-  // out-of-log blocks owned by current tier-resident entries are marked
-  // here against the settled post-replay index. Stale nodes' blocks were
-  // already freed at supersede time — marking them would leak.
+  // Tier-resident entries: pass 2 walks only un-tiered chunks, so the
+  // nodes that won the duel against the settled post-replay index give
+  // each tiered chunk its live counters, and their out-of-log blocks are
+  // marked here. Stale nodes' entries are dead bytes of their chunk, and
+  // their blocks were already freed at supersede time — marking them
+  // would leak.
   if (tier_ != nullptr) {
-    tier_->ForEach([this](uint64_t key, uint64_t packed) {
+    tier_->ForEach([&](uint64_t key, uint64_t packed) {
       uint64_t cur = 0;
       if (!IndexForCore(CoreForKey(key))->Get(key, &cur) || cur != packed) {
         return;
       }
+      const uint64_t off = log::UnpackOffset(packed);
       log::DecodedEntry e;
       // fs-lint: unpinned-read(recovery is offline; no cleaner runs yet)
       // No chunk can be retired during the walk.
-      if (log::DecodeEntry(static_cast<const uint8_t*>(
-                               pool_->At(log::UnpackOffset(packed))),
-                           log::kMaxEntrySize, &e) &&
-          e.op == log::OpType::kPut && !e.embedded) {
+      if (!log::DecodeEntry(static_cast<const uint8_t*>(pool_->At(off)),
+                            log::kMaxEntrySize, &e)) {
+        return;
+      }
+      log::ChunkUsage& u = tiered_usage[off / alloc::kChunkSize];
+      u.live++;
+      u.live_bytes += e.entry_len;
+      if (e.op == log::OpType::kPut && !e.embedded) {
         alloc_->MarkBlockAllocated(e.ptr);
       }
     });
@@ -1892,6 +1933,19 @@ void FlatStore::Recover(bool rebuild_index) {
         continue;
       }
       alloc_->MarkRawChunkAllocated(r.chunk);
+      usage[r.chunk] = u;
+    }
+    for (const Rec& r : tiered_per_core[c]) {
+      // A tiered chunk is never rescanned: its counters come from its
+      // nodes, and it pins its whole capacity (as OpLog::DetachForTier
+      // counts it).
+      log::ChunkUsage u = tiered_usage[r.chunk / alloc::kChunkSize];
+      u.total_bytes = log::kLogDataBytes;
+      u.seq = r.seq;
+      u.sealed = true;
+      u.cleaner = r.cleaner;
+      u.tiered = true;
+      u.registry_slot = r.slot;
       usage[r.chunk] = u;
     }
     logs_[c]->AdoptRecoveredState(tails[c], tail_seqs[c], std::move(usage));

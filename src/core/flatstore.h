@@ -140,6 +140,13 @@ inline constexpr size_t kMaxReadBatch = 64;
 // buffer folds at once; every RunCleanersOnce folds what is left.
 inline constexpr size_t kKeyBufferCap = 4096;
 
+// Merges the `m` sorted, distinct `keys` into the sorted, distinct
+// `buf[0, n)`, which has room for n + m, in one backward pass; keys `buf`
+// already holds are skipped (`keys` is compacted in place to the rest).
+// Returns the new count and sets `*moved` to the `buf` keys it shifted.
+size_t MergeNewKeys(uint64_t* buf, size_t n, uint64_t* keys, size_t m,
+                    size_t* moved);
+
 // Upper bound on one MultiPut batch. Must fit in one fused HB group
 // (batch::HbEngine::kMaxBatch) so the whole client batch persists through
 // a single OpLog::AppendBatch; sized below it so a leader batch can still
@@ -452,8 +459,9 @@ class FlatStore {
   uint64_t ScanMerged(uint64_t start_key, uint64_t count,
                       std::vector<std::pair<uint64_t, std::string>>* out);
   // Adds `n` keys that a Drain round inserted into the index afresh to
-  // the new-key buffer, folding it whenever it fills.
-  void NoteNewKeys(const uint64_t* keys, size_t n);
+  // the new-key buffer: sorts them (in place) and merges them in with
+  // MergeNewKeys, folding the buffer whenever it fills.
+  void NoteNewKeys(uint64_t* keys, size_t n);
   // If the buffer holds max(`min_keys`, 1) keys or more, merges them
   // into a fresh run (charged CostMemcpy of the run) outside
   // key_buf_lock_, then publishes the run, retires the old one and drops

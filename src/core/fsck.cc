@@ -44,8 +44,10 @@ std::string FsckReport::Summary() const {
       << live_keys << " live keys, " << value_blocks << " value blocks, "
       << txn_commits << " txn commits, " << orphan_chains
       << " orphan chains, " << checkpoint_items << " checkpointed pairs, "
-      << tiered_chunks << " tiered chunks, " << tier_nodes
-      << " tier nodes in " << tier_arena_chunks << " arena chunks";
+      << tiered_chunks << " tiered chunks (tiered live "
+      << tiered_live_bytes << " B, pinned dead " << tiered_dead_bytes
+      << " B), " << tier_nodes << " tier nodes in " << tier_arena_chunks
+      << " arena chunks";
   int fatals = 0, warns = 0;
   for (const FsckIssue& i : issues) (i.fatal ? fatals : warns)++;
   out << "; " << fatals << " errors, " << warns << " warnings";
@@ -109,6 +111,7 @@ FsckReport FsckPool(const pm::PmPool& pool) {
   std::vector<ChunkRec> chunks;
   std::set<uint64_t> chunk_offs;
   std::map<uint64_t, bool> cleaner_chunks;  // chunk off -> cleaner flag
+  std::set<uint64_t> tiered_offs;           // chunks with kChunkTiered
   const log::ChunkRecord* regs = root.registry();
   for (uint64_t s = 0; s < root.registry_slots(); s++) {
     if (regs[s].chunk_off == 0) continue;
@@ -150,7 +153,10 @@ FsckReport FsckPool(const pm::PmPool& pool) {
     chunks.push_back(
         {off, static_cast<int>(regs[s].core), regs[s].seq, cleaner, tiered});
     cleaner_chunks[off] = cleaner;
-    if (tiered) c.report.tiered_chunks++;
+    if (tiered) {
+      tiered_offs.insert(off);
+      c.report.tiered_chunks++;
+    }
   }
   c.report.log_chunks = chunks.size();
 
@@ -203,8 +209,9 @@ FsckReport FsckPool(const pm::PmPool& pool) {
     if (r.tiered) {
       // Tier-converted chunk: recovery never replays it — the tier's
       // nodes represent its live entries (validated in the tier walk
-      // below), and its dead bytes are permanent. Keep it out of the
-      // dry-run replay so fsck's winner map matches what recovery builds.
+      // below), and its dead bytes wait for the cleaner to reclaim it.
+      // Keep it out of the dry-run replay so fsck's winner map matches
+      // what recovery builds.
       continue;
     }
     const auto* hdr = mutable_pool->PtrAt<log::LogChunkHeader>(
@@ -300,6 +307,13 @@ FsckReport FsckPool(const pm::PmPool& pool) {
   }
 
   // --- ordered tier (DESIGN.md §11) ---
+  struct TierEntryRef {
+    uint64_t key;
+    uint64_t off;
+    uint32_t version;
+    uint32_t len;
+  };
+  std::vector<TierEntryRef> tier_entries;  // nodes naming tiered chunks
   if (sb->tier_root_off != 0) {
     const uint64_t troot = sb->tier_root_off;
     bool tier_ok = true;
@@ -346,10 +360,12 @@ FsckReport FsckPool(const pm::PmPool& pool) {
     }
     c.report.tier_arena_chunks = arena.size();
     // L0 walk: strictly ascending keys (which also proves acyclicity);
-    // every node's packed word decodes to a valid log entry. Nodes join
-    // the replay map through the same version duel recovery runs — a
-    // stale node (superseded after its chunk tiered) simply loses to the
-    // newer un-tiered entry.
+    // every node's packed word decodes to a valid log entry inside a
+    // registered chunk. Nodes naming a tiered chunk join the replay map
+    // through the same version duel recovery runs — a stale node
+    // (superseded after its chunk tiered) simply loses to the newer
+    // un-tiered entry. A node naming an un-tiered chunk is what a crash
+    // before a conversion's commit leaves; Open unlinks it instead.
     uint64_t node_off = tier_ok ? troot_hdr->head0 : 0;
     uint64_t prev_key = 0;
     bool first = true;
@@ -367,17 +383,30 @@ FsckReport FsckPool(const pm::PmPool& pool) {
       }
       const uint64_t eoff = log::UnpackOffset(n->packed);
       const uint32_t ever = log::UnpackVersion(n->packed);
+      const uint64_t echunk = AlignDown(eoff, alloc::kChunkSize);
+      const bool in_pool = eoff != 0 && eoff < pool.size();
       log::DecodedEntry e;
-      // fs-lint: unpinned-read(offline pool; no serving thread or cleaner)
-      if (eoff == 0 || eoff >= pool.size() ||
-          !log::DecodeEntry(
-              static_cast<const uint8_t*>(mutable_pool->At(eoff)),
-              log::kMaxEntrySize, &e) ||
-          e.key != n->key) {
+      if (in_pool && chunk_offs.count(echunk) == 0) {
+        // The reclaimer frees a tiered chunk only after unlinking every
+        // node naming it; the chunk's next contents would decode here.
+        c.Fatal("tier node for key " + std::to_string(n->key) +
+                " names entry " + std::to_string(eoff) +
+                " in unregistered chunk " + std::to_string(echunk));
+      } else if (in_pool && tiered_offs.count(echunk) == 0) {
+        c.Warn("tier node for key " + std::to_string(n->key) +
+               " names un-tiered chunk " + std::to_string(echunk) +
+               " (a conversion cut before its commit; Open unlinks it)");
+        // fs-lint: unpinned-read(offline pool; no serving thread or cleaner)
+      } else if (!in_pool ||
+                 !log::DecodeEntry(
+                     static_cast<const uint8_t*>(mutable_pool->At(eoff)),
+                     log::kMaxEntrySize, &e) ||
+                 e.key != n->key) {
         c.Fatal("tier node for key " + std::to_string(n->key) +
                 " points at an invalid entry (off " + std::to_string(eoff) +
                 ")");
       } else {
+        tier_entries.push_back({e.key, eoff, ever, e.entry_len});
         auto it = replay.find(e.key);
         if (it == replay.end() || version_newer(ever, it->second.version)) {
           replay[e.key] = {eoff, ever, e.op == log::OpType::kDelete,
@@ -405,6 +434,20 @@ FsckReport FsckPool(const pm::PmPool& pool) {
       node_off = n->next0;
     }
   }
+
+  // Space health of the tier: the bytes of tiered chunks that winning
+  // nodes name, and the rest of those chunks, which the tier pins dead
+  // until the cleaner reclaims them.
+  for (const TierEntryRef& t : tier_entries) {
+    auto it = replay.find(t.key);
+    if (it != replay.end() && it->second.off == t.off &&
+        it->second.version == t.version) {
+      c.report.tiered_live_bytes += t.len;
+    }
+  }
+  const uint64_t pinned = c.report.tiered_chunks * log::kLogDataBytes;
+  c.report.tiered_dead_bytes =
+      pinned - std::min(pinned, c.report.tiered_live_bytes);
 
   // Winning value blocks: bounds + overlap.
   std::map<uint64_t, uint64_t> blocks;  // off -> len

@@ -25,10 +25,15 @@
 //     acyclic, in bounds, and disjoint from the log registry; the L0
 //     list carries strictly ascending keys (open builds the DRAM
 //     directory from it); every node's packed word decodes to a valid
-//     log entry. Tier nodes join the dry-run replay
-//     exactly as recovery duel-inserts them, while kChunkTiered chunks
-//     sit out the entry walk (recovery skips them; the tier represents
-//     their live entries).
+//     log entry. A node naming a chunk that is not registered is fatal
+//     (the cleaner frees a tiered chunk only after unlinking its nodes);
+//     one naming a registered chunk without kChunkTiered is a warning
+//     (a conversion cut before its commit, which Open unlinks). Nodes
+//     naming tiered chunks join the dry-run replay exactly as recovery
+//     duel-inserts them, while kChunkTiered chunks sit out the entry
+//     walk (recovery skips them; the tier represents their live
+//     entries). The tiered chunks' capacity splits into the bytes their
+//     winning nodes name and the dead bytes the tier pins.
 //
 // Used by examples/fsck.cpp and by tests to validate pools after crash
 // and GC storms.
@@ -68,6 +73,8 @@ struct FsckReport {
   uint64_t tiered_chunks = 0;     // registered chunks with kChunkTiered
   uint64_t tier_arena_chunks = 0; // chunks in the tier's arena chain
   uint64_t tier_nodes = 0;        // nodes on the tier's L0 list
+  uint64_t tiered_live_bytes = 0; // tiered-chunk entries winning nodes name
+  uint64_t tiered_dead_bytes = 0; // the rest of the tiered chunks' capacity
 
   // Human-readable summary.
   std::string Summary() const;

@@ -130,8 +130,9 @@ inline constexpr uint64_t kChunkCleaner = 2;
 // been converted into the ordered persistent tier (DESIGN.md §11). The
 // single 8-byte flag store is the conversion commit point: recovery skips
 // tiered chunks during log replay (their live entries reach the index via
-// the tier's durable level-0 list instead) but keeps their bytes allocated
-// forever, because tier nodes alias value bytes inside them.
+// the tier's durable level-0 list instead) but keeps their bytes
+// allocated, because tier nodes alias value bytes inside them, until the
+// cleaner has unlinked those nodes and frees the chunk.
 inline constexpr uint64_t kChunkTiered = 4;
 
 // All flag bits stashed in the 4 MB-aligned chunk_off. Every registry

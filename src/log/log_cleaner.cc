@@ -162,6 +162,7 @@ void LogCleaner::RefillJobs(std::vector<size_t>* converts) {
       job.chunk_off = v.chunk_off;
       job.committed = logs_[core]->CommittedBytes(v.chunk_off);
       job.convert = v.convert;
+      job.tiered = v.tiered;
       job.age_clock = v.last_write_clock;
       job.pick_live_ratio = v.live_ratio;
       // Temperature classification (§3.4): survivors of a long-stable
@@ -207,6 +208,8 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
         entries_dropped_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
+      // Any entry of a tiered victim, live or dead, may have a node.
+      if (job.tiered) job.keys.push_back(e.key);
       const uint64_t packed = PackIndexValue(off, e.version);
       index::KvIndex* index = hooks_.home_of_key(e.key).index;
       uint64_t cur = 0;
@@ -331,6 +334,21 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
   // swings above, so the physical free waits until every core has
   // advanced past the current epoch. BeginRetire keeps the chunk out of
   // future victim selection while the free is in flight.
+  if (job.tiered) {
+    // The survivors are durable in the log by now, so every tier node
+    // still naming the victim — a survivor's or a superseded entry's —
+    // can go. Unlink fences before it returns: no durable node names the
+    // chunk by the time ReleaseChunk clears its registry record.
+    FLATSTORE_DCHECK(tier_ != nullptr) << "tiered victim without a tier";
+    std::sort(job.keys.begin(), job.keys.end());
+    job.keys.erase(std::unique(job.keys.begin(), job.keys.end()),
+                   job.keys.end());
+    const uint64_t chunk = job.chunk_off;
+    tier_->Unlink(job.keys.data(), job.keys.size(), [chunk](uint64_t packed) {
+      return AlignDown(UnpackOffset(packed), alloc::kChunkSize) == chunk;
+    });
+    std::vector<uint64_t>().swap(job.keys);
+  }
   log->BeginRetire(job.chunk_off);
   const uint64_t chunk_off = job.chunk_off;
   hooks_.epochs->Defer([log, chunk_off] { log->ReleaseChunk(chunk_off); });

@@ -8,14 +8,17 @@
 // is re-pointed at the copies with atomic CAS, and the victim returns to
 // the allocator — or, when the store converts into an ordered tier
 // (DESIGN.md §11), *converted*: its surviving entries are merged into the
-// tier in place and the chunk is detached from the log for good.
+// tier in place and the chunk is tagged tiered. A tiered chunk becomes
+// a relocation victim once most of it is dead (OpLog::PickVictims): its
+// survivors are relocated back into the log, every tier node naming it
+// is unlinked, and only then is it freed.
 //
 // Victim selection ranks chunks cost-benefit, (1 - u) * age / (1 + u),
 // over incrementally maintained per-chunk live-byte counters
 // (RAMCloud/LFS). Chunks below the live-ratio cap are relocated; with a
-// tier, cold-lane chunks at or above kTierMinLiveRatio and chunks too
-// live to relocate are converted, at most kTierMaxChunks per core per
-// pass.
+// tier, un-tiered cold-lane chunks at or above kTierMinLiveRatio and
+// un-tiered chunks too live to relocate are converted, at most
+// kTierMaxChunks per core per pass.
 //
 // Maintenance is *pipelined and incremental*: each victim is a
 // CleaningJob that moves through scan -> relocate -> retire (or scan ->
@@ -65,10 +68,13 @@
 // copies) and schedules the actual ReleaseChunk with Defer(); it runs
 // only after every serving core has advanced past the epoch in which the
 // unlink happened — so a reader that decoded an entry pointer before the
-// swing can never observe the chunk being freed under it. A converted
-// chunk is never freed and its entries never move, so conversion swings
-// no index entry; PersistentTier::InsertBatch serializes the cleaners of
-// different groups. A convert job may park between its scan and its
+// swing can never observe the chunk being freed under it. Conversion
+// moves no entry, so it swings no index entry; PersistentTier's
+// InsertBatch and Unlink serialize the cleaners of different groups. A
+// tiered victim's retire first unlinks its tier nodes — Unlink fences
+// the unlinks, so no durable node can name the chunk once its registry
+// record is cleared — and the unlinked nodes, like the chunk, are
+// released through the epoch manager. A convert job may park between its scan and its
 // commit while a newer chunk holding one of its keys converts, and
 // InsertBatch overwrites a key's node without comparing versions — so
 // the convert stage re-checks every survivor against the index right
@@ -195,6 +201,10 @@ class LogCleaner {
     uint64_t committed = 0;  // frozen extent (victims are sealed); these
                              // bytes count as reclaimed at retire time
     bool convert = false;    // scan -> convert instead of relocate/retire
+    // A tiered victim: the scan also gathers every entry's key, which
+    // the retire stage hands to PersistentTier::Unlink.
+    bool tiered = false;
+    std::vector<uint64_t> keys;
     Stage stage = Stage::kScan;
     uint64_t scan_pos = 0;       // reader position; resumable
     size_t reloc_pos = 0;        // survivors already durably relocated

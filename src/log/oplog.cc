@@ -286,7 +286,7 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
     LockGuard<SpinLock> g(usage_lock_);
     uint64_t min_seq = UINT64_MAX;
     for (const auto& [off, u] : usage_) {
-      min_seq = std::min<uint64_t>(min_seq, u.seq);
+      if (!u.tiered) min_seq = std::min<uint64_t>(min_seq, u.seq);
     }
     for (const auto& [off, u] : usage_) {
       if (!u.sealed) continue;                       // still being written
@@ -299,7 +299,9 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
       // referencing a freed — and possibly reused — chunk, and recovery
       // must be able to replay the tail.
       if (tail != 0 && AlignDown(tail, alloc::kChunkSize) == off) continue;
-      if (u.total == 0) continue;
+      // Recovery rebuilds a tiered chunk's counters from its nodes, so its
+      // byte total can stand without an entry count.
+      if (u.total == 0 && u.total_bytes == 0) continue;
       // Tombstones whose covered chunks are all gone are as good as dead:
       // discount them so tombstone-only chunks become victims too (the
       // cleaner verifies exact liveness before dropping anything).
@@ -325,12 +327,27 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
       // so the budget goes to chunks whose dead fraction can still grow.
       const bool cold = u.cleaner && u.temp == Temp::kCold;
       const double cap = cold ? query.live_ratio * 0.5 : query.live_ratio;
-      // With a tier (DESIGN.md §11.2), the cold lane drains into it, and
-      // so does any chunk too live to relocate — unless it is so dead
-      // that relocating its few survivors beats pinning it forever.
-      const bool convert = query.tier && ratio >= kTierMinLiveRatio &&
-                           (cold || ratio >= cap);
-      if (!convert && ratio >= cap) continue;
+      bool convert = false;
+      bool relocate = ratio < cap;
+      if (u.tiered) {
+        // A tiered chunk's byte total is its capacity, all of which the
+        // tier pins, so its ratio is the share of the chunk still live;
+        // its entry total is the entries its conversion took. It is
+        // relocated once that share is below kTierMinLiveRatio and one of
+        // those entries has died since (a dead chunk always): a short
+        // chunk fills little of its capacity, and would otherwise be
+        // reclaimed right after each conversion, pass after pass. It is
+        // never converted again.
+        relocate = ratio < kTierMinLiveRatio &&
+                   (u.live < u.total || u.live == 0);
+      } else {
+        // With a tier (DESIGN.md §11.2), the cold lane drains into it,
+        // and so does any chunk too live to relocate — unless it is so
+        // dead that relocating its few survivors beats pinning it.
+        convert = query.tier && ratio >= kTierMinLiveRatio &&
+                  (cold || ratio >= cap);
+      }
+      if (!convert && !relocate) continue;
       Candidate c;
       c.seq = u.seq;
       c.info.chunk_off = off;
@@ -340,6 +357,7 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
       c.info.from_cold_chunk = cold;
       c.info.from_cleaner_chunk = u.cleaner;
       c.info.convert = convert;
+      c.info.tiered = u.tiered;
       // RAMCloud/LFS cost-benefit: benefit = freeable space x age of the
       // data; cost = read the chunk + rewrite the live part (1 + u).
       c.score = (1.0 - ratio) * static_cast<double>(c.info.age) /
@@ -367,7 +385,7 @@ uint64_t OpLog::MinSeq() const {
   LockGuard<SpinLock> g(usage_lock_);
   uint64_t min_seq = UINT64_MAX;
   for (const auto& [off, u] : usage_) {
-    if (u.seq < min_seq) min_seq = u.seq;
+    if (!u.tiered && u.seq < min_seq) min_seq = u.seq;
   }
   return min_seq;
 }
@@ -404,15 +422,21 @@ void OpLog::DetachForTier(uint64_t chunk_off) {
   }
   // Conversion commit point: the fenced 8-byte flag flips the chunk from
   // "replayed" to "represented by the tier". Before it, recovery still
-  // replays the chunk and the tier nodes are harmless duplicates in the
-  // version duel; after it, recovery loads the nodes instead.
+  // replays the chunk and unlinks the tier nodes naming it; after it,
+  // recovery loads the nodes instead.
   root_->SetChunkTiered(slot);
   // No UnregisterChunk, no FreeRawChunk, no checkpoint disarm: the chunk
   // stays registered (with its persistent kChunkTiered flag) and its
   // bytes stay allocated — tier nodes alias entries inside it. An armed
-  // checkpoint also stays valid for the same reason.
+  // checkpoint also stays valid for the same reason. The usage record
+  // stays, so its dead bytes keep counting toward its reclaim. Its
+  // totals become what the tier pins: every byte of the chunk, written or
+  // not, for the entries live now.
   LockGuard<SpinLock> g(usage_lock_);
-  usage_.erase(chunk_off);
+  ChunkUsage& u = usage_.find(chunk_off)->second;
+  u.tiered = true;
+  u.total = u.live;
+  u.total_bytes = kLogDataBytes;
 }
 
 void OpLog::BeginRetire(uint64_t chunk_off) {

@@ -16,7 +16,9 @@
 //
 // Chunk-usage accounting (live/total entries per chunk) feeds victim
 // selection for the one maintenance pass (§3.4): each victim is either
-// relocated by the cleaner or, with a tier, converted into it.
+// relocated by the cleaner or, with a tier, converted into it. A tiered
+// chunk keeps its usage record, so its dead bytes are counted and it is
+// relocated (and freed) like any other victim once it is worth it.
 
 #ifndef FLATSTORE_LOG_OPLOG_H_
 #define FLATSTORE_LOG_OPLOG_H_
@@ -78,13 +80,18 @@ struct ChunkUsage {
   bool cleaner = false;      // written by the cleaner path
   Temp temp = Temp::kHot;    // cleaner chunks: survivor temperature lane
   bool retired = false;      // unlinked; physical free deferred (epochs)
+  // Converted into the tier (persistent kChunkTiered): never replayed,
+  // never converted again, left out of MinSeq; tier nodes name its live
+  // entries until it is relocated.
+  bool tiered = false;
   uint64_t registry_slot = 0;
 };
 
 // Tier conversion limits (DESIGN.md §11.2): chunks whose live ratio is
-// below kTierMinLiveRatio are better freed by relocation than leaked into
-// the tier (tiered chunks are never freed), and one maintenance pass
-// starts at most kTierMaxChunks conversions per core.
+// below kTierMinLiveRatio are better freed by relocation than pinned in
+// the tier (a tiered chunk is freed only once less than this share of
+// its capacity is live), and one maintenance pass starts at most
+// kTierMaxChunks conversions per core.
 inline constexpr double kTierMinLiveRatio = 0.25;
 inline constexpr size_t kTierMaxChunks = 4;
 
@@ -99,6 +106,7 @@ struct VictimInfo {
   bool from_cold_chunk = false;  // victim was a cleaner cold-lane chunk
   bool from_cleaner_chunk = false;  // victim held relocated survivors
   bool convert = false;  // convert into the tier instead of relocating
+  bool tiered = false;   // a tiered chunk: unlink its nodes before the free
 };
 
 // Victim-selection query (§3.4): RAMCloud/LFS-style cost-benefit, rank
@@ -184,8 +192,10 @@ class OpLog {
   // (ties: older sequence first). A pick below the relocation cap is
   // relocated; with query.tier, a cold-lane pick at or above
   // kTierMinLiveRatio, and any other pick at or above both the cap and
-  // that floor, is tagged `convert`. Returns up to query.max relocations
-  // and query.max_converts conversions, in rank order.
+  // that floor, is tagged `convert`. A tiered chunk never is; it is
+  // relocated once less than kTierMinLiveRatio of its capacity is live
+  // and an entry died since its conversion. Returns up to query.max
+  // relocations and query.max_converts conversions, in rank order.
   std::vector<VictimInfo> PickVictims(const VictimQuery& query) const;
 
   // Logical write clock: ticks once per serving AppendBatch. Purely
@@ -196,8 +206,10 @@ class OpLog {
     return write_clock_.load(std::memory_order_relaxed);
   }
 
-  // Oldest sequence number among this core's registered chunks
-  // (UINT64_MAX when the log is empty) — tombstone reclamation bound.
+  // Oldest sequence number among this core's registered, un-tiered
+  // chunks (UINT64_MAX when there is none) — tombstone reclamation
+  // bound. Tiered chunks are not replayed; the cleaner's tier veto
+  // covers the entries they still hold.
   uint64_t MinSeq() const;
 
   // Returns the committed data length of `chunk_off` ([0, kLogDataBytes]).
@@ -215,10 +227,10 @@ class OpLog {
 
   // Converts a chunk into the tier (DESIGN.md §11.2): the caller has
   // durably merged the chunk's live entries into the tier. Sets the
-  // persistent kChunkTiered flag (the conversion commit point), then
-  // forgets the chunk: erased from the usage map (never again a victim
-  // or MinSeq contributor) but neither unregistered nor freed — tier
-  // nodes alias its entry bytes forever.
+  // persistent kChunkTiered flag (the conversion commit point) and tags
+  // the usage record tiered. The chunk stays registered and allocated —
+  // tier nodes alias its entry bytes — and NoteDead keeps counting its
+  // dead bytes, so it is relocated and freed once mostly dead.
   void DetachForTier(uint64_t chunk_off);
 
   // Seals the current serving chunk at its present extent; the next

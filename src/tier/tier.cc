@@ -95,11 +95,12 @@ std::unique_ptr<PersistentTier> PersistentTier::Open(
     pm::PmPool* pool, alloc::LazyAllocator* alloc,
     common::EpochManager* epochs, int num_sockets,
     const std::vector<int>& socket_cores, uint64_t root_off,
+    const std::function<bool(uint64_t packed)>& keep,
     const std::function<void(uint64_t key, uint64_t packed)>& on_node) {
   auto t = std::unique_ptr<PersistentTier>(
       new PersistentTier(pool, alloc, epochs, num_sockets, root_off));
   t->socket_cores_ = socket_cores;
-  const TierRoot* root = t->tier_root();
+  TierRoot* root = t->tier_root();
   FLATSTORE_CHECK_EQ(root->magic, kTierMagic)
       << "tier root magic mismatch at " << root_off;
   // Walk the arena chain; the last chunk per socket is that socket's
@@ -120,14 +121,47 @@ std::unique_ptr<PersistentTier> PersistentTier::Open(
   // walk of it on every open.
   auto dir = std::make_unique<Directory>();
   dir->reserve(std::min(root->node_count, pool->size() / sizeof(TierNode)));
+  std::vector<bool> gone;
+  bool dropped = false;
   for (uint64_t cur = root->head0; cur != 0;) {
     const TierNode* n = t->NodeAt(cur);
     pool->ChargeRead(n, sizeof(TierNode));
     FLATSTORE_CHECK(dir->empty() || n->key > dir->back().key)
         << "tier L0 keys not strictly ascending at node " << cur;
     dir->push_back({n->key, cur});
-    if (on_node) on_node(n->key, n->packed);
+    gone.push_back(keep && !keep(n->packed));
+    dropped = dropped || gone.back();
+    if (on_node && !gone.back()) on_node(n->key, n->packed);
     cur = n->next0;
+  }
+  if (dropped) dir = t->Cut(*dir, gone);
+  // Every arena node off L0 is free: unlinked ones released before the
+  // crash or dropped above, and ones a crash left reserved but unlinked.
+  std::vector<uint64_t> chunks = t->arena_chunks_;
+  std::sort(chunks.begin(), chunks.end());
+  constexpr uint64_t kSlots = alloc::kChunkSize / sizeof(TierNode);
+  std::vector<std::vector<bool>> linked(chunks.size(),
+                                        std::vector<bool>(kSlots));
+  for (const DirEntry& e : *dir) {
+    const size_t c = static_cast<size_t>(
+        std::upper_bound(chunks.begin(), chunks.end(), e.node) -
+        chunks.begin() - 1);
+    linked[c][(e.node - chunks[c]) / sizeof(TierNode)] = true;
+  }
+  {
+    LockGuard<SpinLock> g(t->free_mu_);
+    for (size_t c = 0; c < chunks.size(); c++) {
+      const ArenaHeader* hdr = t->arena_header(chunks[c]);
+      uint64_t first = kArenaDataOff;
+      if (chunks[c] == root_off) first += sizeof(TierRoot);
+      const uint64_t end = kArenaDataOff + hdr->used;
+      for (uint64_t off = first; off < end; off += sizeof(TierNode)) {
+        if (!linked[c][off / sizeof(TierNode)]) {
+          t->free_nodes_[hdr->socket % vt::kMaxSockets].push_back(chunks[c] +
+                                                                  off);
+        }
+      }
+    }
   }
   t->dir_.store(dir.release(), std::memory_order_release);
   return t;
@@ -140,6 +174,18 @@ void PersistentTier::Publish(std::unique_ptr<Directory> fresh) {
   epochs_->Defer([old] { delete old; });
 }
 
+uint64_t PersistentTier::free_nodes() const {
+  LockGuard<SpinLock> g(free_mu_);
+  uint64_t n = 0;
+  for (const auto& list : free_nodes_) n += list.size();
+  return n;
+}
+
+int PersistentTier::NodeSocket(uint64_t node_off) const {
+  const uint64_t chunk = node_off - node_off % alloc::kChunkSize;
+  return static_cast<int>(arena_header(chunk)->socket % vt::kMaxSockets);
+}
+
 void PersistentTier::ForEachArenaChunk(
     const std::function<void(uint64_t)>& fn) const {
   for (uint64_t off : arena_chunks_) fn(off);
@@ -147,6 +193,17 @@ void PersistentTier::ForEachArenaChunk(
 
 uint64_t PersistentTier::AssignNodeBytes(int socket,
                                          std::vector<uint64_t>* dirty) {
+  {
+    // A released node is off L0 durably and no reader holds it: reuse it
+    // before growing the arena.
+    LockGuard<SpinLock> g(free_mu_);
+    std::vector<uint64_t>& list = free_nodes_[socket];
+    if (!list.empty()) {
+      const uint64_t off = list.back();
+      list.pop_back();
+      return off;
+    }
+  }
   constexpr uint64_t kBytes = sizeof(TierNode);
   uint64_t tail = socket_tail_[socket];
   if (tail == 0 || arena_header(tail)->used + kBytes > kArenaCapacity) {
@@ -212,23 +269,32 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
   // Pass B — reserve-then-link, step 1: durably reserve every new node's
   // bytes. All touched arena `used` words persist under one fence BEFORE
   // any node byte is written, so a post-crash allocator can never hand
-  // out bytes under a published node.
+  // out bytes under a published node. Reused free nodes need no
+  // reservation.
   std::vector<uint64_t> offs(n, 0);
   std::vector<uint64_t> dirty;
-  for (size_t i = 0; i < n; i++) {
-    if (!is_new[i]) continue;
-    offs[i] = AssignNodeBytes(entries[i].home_socket % num_sockets_, &dirty);
-    if (offs[i] == 0) {
-      // Arena exhausted; nothing published. Settle any arena chain-link
-      // persists issued while growing, then bail.
-      pool_->Fence();
-      return false;
-    }
+  size_t assigned = 0;  // entries before the one the arena failed, if any
+  for (; assigned < n; assigned++) {
+    if (!is_new[assigned]) continue;
+    offs[assigned] = AssignNodeBytes(
+        entries[assigned].home_socket % num_sockets_, &dirty);
+    if (offs[assigned] == 0) break;
   }
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   for (uint64_t chunk : dirty) {
     pool_->Persist(&arena_header(chunk)->used, sizeof(uint64_t));
+  }
+  if (assigned < n) {
+    // Arena exhausted; nothing published. The fence settles what was
+    // reserved (and any chain-link persists issued while growing), and
+    // the assigned nodes wait on the free list.
+    pool_->Fence();
+    LockGuard<SpinLock> g(free_mu_);
+    for (size_t j = 0; j < assigned; j++) {
+      if (offs[j] != 0) free_nodes_[NodeSocket(offs[j])].push_back(offs[j]);
+    }
+    return false;
   }
   if (!dirty.empty()) pool_->Fence();
 
@@ -285,6 +351,78 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
   pool_->Fence();
   Publish(std::move(fresh));
   return true;
+}
+
+std::unique_ptr<PersistentTier::Directory> PersistentTier::Cut(
+    const Directory& dir, const std::vector<bool>& gone) {
+  TierRoot* root = tier_root();
+  auto fresh = std::make_unique<Directory>();
+  uint64_t pred = 0;  // last kept node (0 = L0 head)
+  for (size_t p = 0; p < dir.size();) {
+    if (!gone[p]) {
+      fresh->push_back(dir[p]);
+      pred = dir[p++].node;
+      continue;
+    }
+    // A run of dropped nodes is cut out by one tear-proof store: its
+    // predecessor links to the next kept node. Both come from the
+    // directory, so no PM link is read.
+    const uint64_t first = dir[p].node;
+    while (p < dir.size() && gone[p]) p++;
+    uint64_t* slot = pred == 0 ? &root->head0 : &NodeAt(pred)->next0;
+    FLATSTORE_DCHECK(LoadLink(slot) == first)
+        << "tier directory disagrees with L0 at node " << first;
+    StoreLink(slot, p < dir.size() ? dir[p].node : 0);
+    pool_->Persist(slot, sizeof(uint64_t));
+  }
+  // The cut streams the old directory into the new one.
+  vt::Charge(vt::CostMemcpy(fresh->size() * sizeof(DirEntry)));
+  root->node_count = fresh->size();
+  pool_->Persist(&root->node_count, sizeof(uint64_t));
+  // Every unlink is durable before anything the dropped nodes named is
+  // freed: a node left naming a freed chunk would decode whatever the
+  // chunk holds next.
+  pool_->Fence();
+  return fresh;
+}
+
+size_t PersistentTier::Unlink(
+    const uint64_t* keys, size_t n,
+    const std::function<bool(uint64_t packed)>& drop) {
+  if (n == 0) return 0;
+  LockGuard<Mutex> g(insert_mu_);
+  // The mutator's own snapshot, as in InsertBatch.
+  const Directory& dir = Snapshot();
+
+  // One forward directory cursor (the keys are sorted) finds each key's
+  // node; one PM read of its `packed` word decides.
+  std::vector<bool> gone(dir.size());
+  size_t dropped = 0;
+  for (size_t i = 0, p = 0; i < n && p < dir.size(); i++) {
+    FLATSTORE_DCHECK(i == 0 || keys[i - 1] < keys[i])
+        << "Unlink requires sorted, duplicate-free keys";
+    while (p < dir.size() && dir[p].key < keys[i]) p++;
+    if (p == dir.size() || dir[p].key != keys[i]) continue;
+    const TierNode* node = NodeAt(dir[p].node);
+    pool_->ChargeRead(&node->packed, sizeof(uint64_t));
+    if (drop(LoadLink(&node->packed))) {
+      gone[p] = true;
+      dropped++;
+    }
+  }
+  if (dropped == 0) return 0;
+  std::vector<uint64_t> released;
+  released.reserve(dropped);
+  for (size_t p = 0; p < dir.size(); p++) {
+    if (gone[p]) released.push_back(dir[p].node);
+  }
+  Publish(Cut(dir, gone));
+  // Readers of the old snapshot may still read the dropped nodes.
+  epochs_->Defer([this, released = std::move(released)] {
+    LockGuard<SpinLock> fl(free_mu_);
+    for (uint64_t off : released) free_nodes_[NodeSocket(off)].push_back(off);
+  });
+  return dropped;
 }
 
 bool PersistentTier::Get(uint64_t key, uint64_t* packed) const {

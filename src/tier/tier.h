@@ -10,7 +10,9 @@
 // value — and then stamps the chunk's registry record with the
 // persistent kChunkTiered flag. From then on recovery loads the tier's
 // durable level-0 list instead of replaying the chunk, so recovery time
-// tracks the live-key count, not the log size.
+// tracks the live-key count, not the log size. Once most of a tiered
+// chunk is dead, the maintenance pass relocates its survivors back into
+// the log, unlinks every node that names the chunk (Unlink) and frees it.
 //
 // Durability contract (what crash_explorer exercises):
 //
@@ -25,20 +27,26 @@
 //     let a later allocation overwrite a published node.
 //   * In-place updates of an existing key touch exactly one 8-byte
 //     `packed` word (atomic store + persist), so they are tear-proof.
+//   * An unlink is one 8-byte store to the predecessor's link, so a crash
+//     leaves L0 with any subset of a batch's unlinks. Unlinked nodes stay
+//     intact until the unlinks are fenced and every reader has unpinned;
+//     only then do they return to the node free list for reuse.
 //
 // The tier's key order lives in DRAM, like FlatStore's index: an
 // immutable, key-sorted directory of {key, L0 node offset}, one 16-byte
 // entry per node. It is SOFT state, never persisted: Open builds it in
-// its L0 walk, and every InsertBatch merges the batch's new keys into a
-// fresh copy and publishes it as a snapshot. It serves Get and
-// InsertBatch, which never walk PM to learn order; scans take their key
-// order from the engine, not from the tier.
+// its L0 walk, and every InsertBatch or Unlink merges its keys into a
+// fresh copy and publishes it as a snapshot. It serves Get, InsertBatch
+// and Unlink, which never walk PM to learn order; scans take their key
+// order from the engine, not from the tier. The node free list is soft
+// state too: Open rebuilds it as the arena's nodes minus the L0 ones.
 //
-// Concurrency: one mutator at a time (InsertBatch serializes the log
-// cleaners that convert chunks into the tier), lock-free concurrent
+// Concurrency: one mutator at a time (InsertBatch and Unlink serialize
+// the log cleaners that convert and reclaim chunks), lock-free concurrent
 // readers. A reader holds an epoch pin while it uses a snapshot; retired
-// snapshots are freed through EpochManager::Defer. L0 links and `packed`
-// words go through std::atomic_ref with release/acquire ordering.
+// snapshots and unlinked nodes are released through EpochManager::Defer.
+// L0 links and `packed` words go through std::atomic_ref with
+// release/acquire ordering.
 
 #ifndef FLATSTORE_TIER_TIER_H_
 #define FLATSTORE_TIER_TIER_H_
@@ -52,6 +60,7 @@
 #include "alloc/lazy_allocator.h"
 #include "common/epoch.h"
 #include "common/logging.h"
+#include "common/spin_lock.h"
 #include "common/thread_annotations.h"
 #include "pm/pm_pool.h"
 #include "vt/costs.h"
@@ -66,8 +75,8 @@ inline constexpr uint64_t kTierMagic = 0x11E2F1A757025Dull;
 // bytes. Arena data starts 32-aligned, so a node never straddles a
 // cacheline and one node read is one line. The node carries no value
 // bytes: `packed` is the same {entry offset, version} word the volatile
-// index stores, and the entry it names lives forever in its (tiered,
-// never freed) log chunk.
+// index stores, and the entry it names lives in a tiered log chunk, which
+// is freed only after the node is unlinked.
 struct TierNode {
   uint64_t key;
   uint64_t packed;  // log::PackIndexValue format; atomically updated
@@ -131,12 +140,17 @@ class PersistentTier {
 
   // Opens an existing tier rooted at `root_off`: walks the arena chain,
   // then walks L0 once to build the directory, invoking
-  // `on_node(key, packed)` for every node (recovery uses this to feed the
-  // volatile index without a second walk). `on_node` may be null.
+  // `on_node(key, packed)` for every node it keeps (recovery uses this to
+  // feed the volatile index without a second walk). A node for which
+  // `keep(packed)` is false — one naming a chunk a crash left un-tiered,
+  // an interrupted conversion the log replays anyway — is unlinked
+  // durably instead. Every arena node off L0 joins the free list. Either
+  // callback may be null (keep every node).
   static std::unique_ptr<PersistentTier> Open(
       pm::PmPool* pool, alloc::LazyAllocator* alloc,
       common::EpochManager* epochs, int num_sockets,
       const std::vector<int>& socket_cores, uint64_t root_off,
+      const std::function<bool(uint64_t packed)>& keep,
       const std::function<void(uint64_t key, uint64_t packed)>& on_node);
 
   ~PersistentTier();
@@ -149,6 +163,8 @@ class PersistentTier {
   uint64_t directory_bytes() const {
     return Snapshot().capacity() * sizeof(DirEntry);
   }
+  // Arena nodes off L0 and ready for reuse (released unlinked nodes).
+  uint64_t free_nodes() const;
 
   // Invokes `fn` for every arena chunk offset (recovery marks them
   // allocated; fsck walks them).
@@ -161,11 +177,24 @@ class PersistentTier {
   // the directory snapshot with the new keys merged in is published (the
   // old one retires through the epoch manager). One trailing fence covers
   // the batch's deferred persists; the caller's conversion commit
-  // (SetChunkTiered) happens after this returns. Callers are serialized
+  // (SetChunkTiered) happens after this returns. New nodes reuse free
+  // nodes of their socket before the arena grows. Callers are serialized
   // internally. Returns false (with no partial batch published beyond
   // already-fenced nodes — which are harmlessly idempotent) if the pool
   // cannot grow the arena.
   bool InsertBatch(const TierEntry* entries, size_t n);
+
+  // Unlinks from L0 every node among `keys`' (sorted, duplicate-free)
+  // whose `packed` word satisfies `drop` — the reclaimer passes the keys
+  // of all a victim chunk's entries and drops the nodes naming it. Each
+  // run of unlinked nodes costs one 8-byte store to the predecessor link
+  // the directory names; one fence makes every unlink durable, so the
+  // caller may free what they named once this returns, and then the
+  // directory without them is published. The nodes reach the free list
+  // only after EpochManager::Defer: readers of the old snapshot may still
+  // read them. Returns the number of nodes unlinked.
+  size_t Unlink(const uint64_t* keys, size_t n,
+                const std::function<bool(uint64_t packed)>& drop);
 
   // Point lookup: a directory search plus one PM read of the node's
   // `packed` word.
@@ -198,6 +227,14 @@ class PersistentTier {
   // once per batch in InsertBatch, BEFORE any node byte is written
   // (reserve-then-link).
   uint64_t AssignNodeBytes(int socket, std::vector<uint64_t>* dirty);
+  // Socket whose arena chunk holds the node at `node_off`.
+  int NodeSocket(uint64_t node_off) const;
+  // Unlinks from L0 the nodes of `dir` (which matches L0) that `gone`
+  // marks: one 8-byte store per run of them, to the link of the kept
+  // node before it (or the L0 head), then one fence. Returns `dir`
+  // without them. The caller is the one mutator.
+  std::unique_ptr<Directory> Cut(const Directory& dir,
+                                 const std::vector<bool>& gone);
 
   pm::PmPool* pool_;
   alloc::LazyAllocator* alloc_;
@@ -212,8 +249,12 @@ class PersistentTier {
 
   // The current directory snapshot; never null.
   std::atomic<const Directory*> dir_;
-  // Held by InsertBatch: one mutator at a time.
+  // Held by InsertBatch and Unlink: one mutator at a time.
   Mutex insert_mu_;
+  // Released nodes per socket, reused by InsertBatch. Its own lock, not
+  // insert_mu_: the deferred release runs on whichever thread reclaims.
+  mutable SpinLock free_mu_;
+  std::vector<uint64_t> free_nodes_[vt::kMaxSockets] GUARDED_BY(free_mu_);
 };
 
 }  // namespace tier

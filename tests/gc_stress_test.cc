@@ -7,17 +7,21 @@
 // still reads back its final value, (b) the cleaner actually reclaimed
 // space (the pool is sized so churn without cleaning would exhaust it),
 // and (c) the write-amplification accounting stays self-consistent.
+// A soak with the tier on checks that maintenance keeps PM bounded when
+// it converts chunks into the tier as well as relocating.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <random>
 #include <string>
 #include <thread>
 
 #include "core/flatstore.h"
 #include "pm/pm_stats.h"
+#include "tier/tier.h"
 
 namespace flatstore {
 namespace core {
@@ -149,6 +153,72 @@ TEST(GcStress, CleanerRestartResumesParkedJobs) {
   for (uint64_t k = 0; k < kKeys; k += 7) {
     ASSERT_TRUE(store->Get(k, &v)) << "key " << k << " lost";
     ASSERT_EQ(v, ValueFor(k, 3, kValLen)) << "key " << k;
+  }
+}
+
+// Steady state with the tier on: 60k keys, a third of them overwritten
+// each round, maintenance (seal, one pass) after every round. Chunks
+// convert into the tier, decay as their keys are overwritten, and must
+// be reclaimed: free chunks stay above a fixed floor after warm-up, for
+// 100 rounds, and the tier's arena stops growing. Every key reads back
+// its last value, before and after a crash.
+TEST(TierSoak, FreeChunksStayBounded) {
+  constexpr uint64_t kKeys = 60000;
+  constexpr uint64_t kPerRound = 20000;
+  constexpr uint64_t kRounds = 100;
+  constexpr uint64_t kWarmup = 10;
+  constexpr uint64_t kFloor = 40;  // of 64 chunks in the 256 MB pool
+  constexpr size_t kValLen = 120;
+
+  pm::PmPool::Options po;
+  po.size = 256ull << 20;
+  pm::PmPool pool(po);
+  FlatStoreOptions fo;
+  fo.num_cores = 2;
+  fo.group_size = 2;
+  fo.hash_initial_depth = 8;
+  fo.tier_enabled = true;
+  std::vector<uint64_t> last(kKeys, 0);
+  uint64_t min_free = UINT64_MAX;
+  {
+    auto store = FlatStore::Create(&pool, fo);
+    for (uint64_t k = 0; k < kKeys; k++) {
+      store->Put(k, ValueFor(k, 0, kValLen));
+    }
+    std::mt19937_64 rng(11);
+    uint64_t arena_after_warmup = 0;
+    for (uint64_t r = 1; r <= kRounds; r++) {
+      for (uint64_t i = 0; i < kPerRound; i++) {
+        const uint64_t k = rng() % kKeys;
+        store->Put(k, ValueFor(k, r, kValLen));
+        last[k] = r;
+      }
+      store->SealActiveLogChunks();
+      store->RunCleanersOnce();
+      uint64_t arena = 0;
+      store->tier()->ForEachArenaChunk([&](uint64_t) { arena++; });
+      if (r == kWarmup) arena_after_warmup = arena;
+      if (r < kWarmup) continue;
+      const uint64_t free_chunks = store->allocator()->free_chunks();
+      min_free = std::min(min_free, free_chunks);
+      ASSERT_GE(free_chunks, kFloor) << "round " << r;
+      ASSERT_LE(arena, arena_after_warmup) << "round " << r;
+    }
+    EXPECT_GT(store->ChunksTiered(), 0u) << "nothing was ever tiered";
+    std::string v;
+    for (uint64_t k = 0; k < kKeys; k++) {
+      ASSERT_TRUE(store->Get(k, &v)) << k;
+      ASSERT_EQ(v, ValueFor(k, last[k], kValLen)) << k;
+    }
+  }
+  std::printf("[tier-soak] min free chunks after warm-up: %llu\n",
+              static_cast<unsigned long long>(min_free));
+  // No Shutdown: the reopen takes the crash-recovery path.
+  auto store = FlatStore::Open(&pool, fo);
+  std::string v;
+  for (uint64_t k = 0; k < kKeys; k += 7) {
+    ASSERT_TRUE(store->Get(k, &v)) << k;
+    ASSERT_EQ(v, ValueFor(k, last[k], kValLen)) << k;
   }
 }
 

@@ -5,8 +5,9 @@
 // the new-key buffer, scan equivalence against the full-iteration
 // baseline under puts/deletes/GC churn, tombstone handling, the tier's
 // DRAM key directory, concurrent scans across conversions and folds, the
-// vt cost of a scan, and incremental (bounded) recovery that skips
-// tiered chunks.
+// vt cost of a scan, incremental (bounded) recovery that skips tiered
+// chunks, and the reclaim of decayed tiered chunks (unlinked nodes,
+// their reuse, and the usage and free list a reopen rebuilds).
 
 #include <gtest/gtest.h>
 
@@ -14,13 +15,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/fsck.h"
 #include "core/flatstore.h"
+#include "log/layout.h"
 #include "pm/pm_device.h"
 #include "tier/tier.h"
 #include "vt/clock.h"
@@ -838,8 +842,8 @@ TEST(Tier, ParkedConvertJobDoesNotRevertANewerConversion) {
 }
 
 // Only tier_enabled converts. A store reopened without it over a pool
-// that holds a tier keeps honouring the tier but only relocates, so its
-// cleaners cannot pin chunks the opted-out store will never free.
+// that holds a tier keeps honouring the tier but only relocates: it
+// starts no conversion of its own.
 TEST(Tier, OptedOutStoreOverATieredPoolOnlyRelocates) {
   auto pool = MakePool();
   {
@@ -869,6 +873,376 @@ TEST(Tier, OptedOutStoreOverATieredPoolOnlyRelocates) {
     ASSERT_TRUE(store->Get(k, &v)) << k;
     EXPECT_EQ(v, ValueFor(k, k % 2 == 0 ? 2 : 1, 40));
   }
+}
+
+// NoteNewKeys takes a Drain round's fresh keys in any order, sorts them
+// and merges them into the new-key buffer in one backward pass
+// (MergeNewKeys). Rounds of random keys, some already buffered, keep the
+// buffer sorted and duplicate-free, and a buffered key moves only when a
+// new key lands below it. End to end, random-order MultiPut batches into
+// a store whose buffer never folds scan exactly like a full iteration.
+TEST(KeyBuffer, RandomArrivalsStaySortedAndDuplicateFree) {
+  std::mt19937_64 rng(5);
+  std::vector<uint64_t> buf(kKeyBufferCap);
+  std::set<uint64_t> want;
+  size_t n = 0;
+  while (n + 32 <= kKeyBufferCap) {
+    std::set<uint64_t> fresh;
+    const size_t m = 1 + rng() % 32;
+    while (fresh.size() < m) fresh.insert(rng() % 16384);
+    std::vector<uint64_t> round(fresh.begin(), fresh.end());
+    uint64_t lowest_new = UINT64_MAX;
+    for (uint64_t k : round) {
+      if (want.count(k) == 0) lowest_new = std::min(lowest_new, k);
+    }
+    const size_t shifted =
+        lowest_new == UINT64_MAX
+            ? 0
+            : static_cast<size_t>(
+                  std::distance(want.upper_bound(lowest_new), want.end()));
+    size_t moved = 0;
+    n = MergeNewKeys(buf.data(), n, round.data(), round.size(), &moved);
+    want.insert(fresh.begin(), fresh.end());
+    ASSERT_EQ(n, want.size());
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), buf.begin()));
+    ASSERT_EQ(moved, shifted);
+  }
+
+  auto pool = MakePool();
+  auto store = FlatStore::Create(pool.get(), TierOptions(1));
+  constexpr uint64_t kKeys = 3000;
+  static_assert(kKeys < kKeyBufferCap, "the buffer must not fold");
+  std::vector<uint64_t> keys(kKeys);
+  for (uint64_t i = 0; i < kKeys; i++) keys[i] = i * 3;
+  std::shuffle(keys.begin(), keys.end(), rng);
+  constexpr size_t kBatch = 24;
+  for (size_t i = 0; i < kKeys; i += kBatch) {
+    std::string vals[kBatch];
+    WriteOp ops[kBatch];
+    OpStatus st[kBatch];
+    const size_t b = std::min<size_t>(kBatch, kKeys - i);
+    for (size_t j = 0; j < b; j++) {
+      vals[j] = ValueFor(keys[i + j], 1, 40);
+      ops[j] = {keys[i + j], vals[j].data(),
+                static_cast<uint32_t>(vals[j].size()), false};
+    }
+    ASSERT_EQ(store->MultiPutOnCore(0, ops, b, st), b);
+  }
+  ExpectScanMatchesFullIteration(store.get(), 0, 3 * kKeys);
+  ExpectScanMatchesFullIteration(store.get(), 1000, 500);
+}
+
+// The tiered chunks of core `core`, by offset.
+std::map<uint64_t, log::ChunkUsage> TieredChunks(FlatStore* store,
+                                                 int core) {
+  std::map<uint64_t, log::ChunkUsage> out;
+  for (const auto& [off, u] : store->LogForCore(core)->UsageSnapshot()) {
+    if (u.tiered) out[off] = u;
+  }
+  return out;
+}
+
+// Arena node slots in use: every slot below each arena chunk's `used`
+// mark, the root block aside, is either on L0 or on the free list.
+uint64_t ArenaSlots(FlatStore* store, const pm::PmPool& pool) {
+  uint64_t slots = 0;
+  const uint64_t root = store->tier()->root_off();
+  store->tier()->ForEachArenaChunk([&](uint64_t chunk) {
+    const auto* hdr = const_cast<pm::PmPool&>(pool).PtrAt<tier::ArenaHeader>(
+        chunk + alloc::kChunkHeaderSize);
+    const uint64_t used =
+        hdr->used - (chunk == root ? sizeof(tier::TierRoot) : 0);
+    slots += used / sizeof(tier::TierNode);
+  });
+  return slots;
+}
+
+// A tiered chunk whose entries start dying is relocated like any other
+// victim: its survivors return to the log, every node naming it leaves
+// L0 (a survivor's and a superseded key's alike), and it is freed. A
+// reader pinned across the pass holds back both the chunk and the
+// unlinked nodes; afterwards the nodes wait on the free list, the next
+// conversion reuses them instead of growing the arena, and a reopen
+// rebuilds the same free list from the arena minus L0.
+TEST(Tier, DecayedTieredChunkIsReclaimedAndItsNodesReused) {
+  auto pool = MakePool();
+  constexpr uint64_t kKeys = 300;
+  uint64_t free_before_crash = 0, nodes_before_crash = 0;
+  {
+    auto store = FlatStore::Create(pool.get(), TierOptions(1));
+    FillAndTierAll(store.get(), kKeys);
+    const auto tiered = TieredChunks(store.get(), 0);
+    ASSERT_EQ(tiered.size(), 1u);
+    const uint64_t victim = tiered.begin()->first;
+    ASSERT_EQ(store->tier()->node_count(), kKeys);
+    ASSERT_EQ(store->tier()->free_nodes(), 0u);
+    const uint64_t slots = ArenaSlots(store.get(), *pool);
+    // Keys 0 and 150 survive in the victim; the rest move to the serving
+    // chunk, which stays active, so the pass below reclaims the victim
+    // and converts nothing.
+    for (uint64_t k = 1; k < kKeys; k++) {
+      if (k != 150) store->Put(k, ValueFor(k, 2, 40));
+    }
+    {
+      common::EpochManager::GuestGuard pin(store->epochs());
+      store->RunCleanersOnce();
+      EXPECT_EQ(store->tier()->node_count(), 0u);
+      EXPECT_EQ(store->tier()->free_nodes(), 0u) << "reused under a reader";
+      const auto usage = store->LogForCore(0)->UsageSnapshot();
+      ASSERT_EQ(usage.count(victim), 1u) << "freed under a reader";
+      EXPECT_TRUE(usage.at(victim).retired);
+    }
+    store->epochs()->ReclaimDeferred();
+    EXPECT_EQ(store->tier()->free_nodes(), kKeys);
+    EXPECT_EQ(store->LogForCore(0)->UsageSnapshot().count(victim), 0u);
+    int owner;
+    uint32_t seq;
+    EXPECT_FALSE(store->root()->ChunkInfo(victim, &owner, &seq));
+    std::string v;
+    for (uint64_t k = 0; k < kKeys; k++) {
+      ASSERT_TRUE(store->Get(k, &v)) << k;
+      EXPECT_EQ(v, ValueFor(k, k == 0 || k == 150 ? 1 : 2, 40)) << k;
+    }
+    const FsckReport mid = FsckPool(*pool);
+    EXPECT_TRUE(mid.ok) << mid.Summary();
+
+    // The overwrites (and FillAndTierAll's 8 far keys) convert next: the
+    // new nodes take every freed slot before the arena grows.
+    store->SealActiveLogChunks();
+    store->Put(1ull << 33, ValueFor(0, 1, 40));
+    while (store->RunCleanersOnce() > 0) {
+    }
+    EXPECT_EQ(store->tier()->node_count(), kKeys + 8);
+    EXPECT_EQ(store->tier()->free_nodes(), 0u);
+    EXPECT_EQ(ArenaSlots(store.get(), *pool), slots + 8);
+    free_before_crash = store->tier()->free_nodes();
+    nodes_before_crash = store->tier()->node_count();
+    // No Shutdown(): the reopen takes the crash-recovery path.
+  }
+  const FsckReport rep = FsckPool(*pool);
+  EXPECT_TRUE(rep.ok) << rep.Summary();
+  auto store = FlatStore::Open(pool.get(), TierOptions(1));
+  EXPECT_EQ(store->tier()->node_count(), nodes_before_crash);
+  EXPECT_EQ(store->tier()->free_nodes(), free_before_crash);
+  std::string v;
+  for (uint64_t k = 0; k < kKeys; k++) {
+    ASSERT_TRUE(store->Get(k, &v)) << k;
+    EXPECT_EQ(v, ValueFor(k, k == 0 || k == 150 ? 1 : 2, 40)) << k;
+  }
+}
+
+// Recovery rebuilds a tiered chunk's usage from its nodes: the live
+// counters from the nodes that win the duel (matching what NoteDead
+// counted before the crash), the total from every node naming it, and
+// the whole chunk as its byte total. A chunk with stale nodes has lost
+// entries since its conversion, so the first pass after the reopen
+// reclaims it.
+TEST(Tier, ReopenRebuildsTieredChunkUsage) {
+  auto pool = MakePool();
+  constexpr uint64_t kKeys = 200;
+  log::ChunkUsage before;
+  uint64_t victim = 0;
+  {
+    auto store = FlatStore::Create(pool.get(), TierOptions(1));
+    FillAndTierAll(store.get(), kKeys);
+    for (uint64_t k = 0; k < kKeys; k += 4) {
+      store->Put(k, ValueFor(k, 2, 40));
+    }
+    const auto tiered = TieredChunks(store.get(), 0);
+    ASSERT_EQ(tiered.size(), 1u);
+    victim = tiered.begin()->first;
+    before = tiered.begin()->second;
+    EXPECT_EQ(before.total, kKeys);
+    EXPECT_EQ(before.live, kKeys - kKeys / 4);
+    EXPECT_EQ(before.total_bytes, log::kLogDataBytes);
+  }
+  auto store = FlatStore::Open(pool.get(), TierOptions(1));
+  const auto tiered = TieredChunks(store.get(), 0);
+  ASSERT_EQ(tiered.count(victim), 1u);
+  const log::ChunkUsage& after = tiered.at(victim);
+  EXPECT_EQ(after.live, before.live);
+  EXPECT_EQ(after.live_bytes, before.live_bytes);
+  EXPECT_EQ(after.total, kKeys);
+  EXPECT_EQ(after.total_bytes, log::kLogDataBytes);
+  EXPECT_TRUE(after.sealed);
+  store->RunCleanersOnce();
+  EXPECT_EQ(TieredChunks(store.get(), 0).count(victim), 0u);
+  std::string v;
+  for (uint64_t k = 0; k < kKeys; k++) {
+    ASSERT_TRUE(store->Get(k, &v)) << k;
+    EXPECT_EQ(v, ValueFor(k, k % 4 == 0 ? 2 : 1, 40)) << k;
+  }
+}
+
+// A crash between a conversion's node links and its kChunkTiered commit
+// leaves nodes naming an un-tiered chunk, which the log still replays.
+// fsck warns (it cannot tell the window from a bug that a reopen would
+// fix); Open unlinks the nodes, so the chunk can later be freed without
+// leaving a node naming it, and frees them for reuse.
+TEST(Tier, OpenUnlinksNodesOfAnInterruptedConversion) {
+  auto pool = MakePool();
+  constexpr uint64_t kKeys = 120;
+  {
+    auto store = FlatStore::Create(pool.get(), TierOptions(1));
+    FillAndTierAll(store.get(), kKeys);
+    const auto tiered = TieredChunks(store.get(), 0);
+    ASSERT_EQ(tiered.size(), 1u);
+    // Undo the commit point, as if the crash had come just before it.
+    log::ChunkRecord* rec =
+        &store->root()->registry()[tiered.begin()->second.registry_slot];
+    rec->chunk_off &= ~log::kChunkTiered;
+    pool->PersistFence(&rec->chunk_off, sizeof(uint64_t));
+  }
+  const FsckReport before = FsckPool(*pool);
+  EXPECT_TRUE(before.ok) << before.Summary();
+  EXPECT_GT(before.issues.size(), 0u) << "no warning for the window";
+  {
+    auto store = FlatStore::Open(pool.get(), TierOptions(1));
+    EXPECT_EQ(store->tier()->node_count(), 0u);
+    EXPECT_EQ(store->tier()->free_nodes(), kKeys);
+    EXPECT_EQ(TieredChunks(store.get(), 0).size(), 0u);
+    std::string v;
+    for (uint64_t k = 0; k < kKeys; k++) {
+      ASSERT_TRUE(store->Get(k, &v)) << k;
+      EXPECT_EQ(v, ValueFor(k, 1, 40)) << k;
+    }
+  }
+  const FsckReport after = FsckPool(*pool);
+  EXPECT_TRUE(after.ok) << after.Summary();
+  EXPECT_EQ(after.issues.size(), 0u) << after.issues[0].what;
+}
+
+// fsck's guard on the reclaimer: a node naming a chunk that is no longer
+// registered (freed without its nodes unlinked) is fatal, since the
+// chunk's next contents would decode in its place. The summary reports
+// the tier's live bytes and the dead bytes it pins.
+TEST(Tier, FsckFlagsANodeNamingAFreedChunk) {
+  auto pool = MakePool();
+  uint64_t slot = 0;
+  {
+    auto store = FlatStore::Create(pool.get(), TierOptions(1));
+    FillAndTierAll(store.get(), 64);
+    const auto tiered = TieredChunks(store.get(), 0);
+    ASSERT_EQ(tiered.size(), 1u);
+    slot = tiered.begin()->second.registry_slot;
+    store->Shutdown();
+  }
+  const FsckReport good = FsckPool(*pool);
+  EXPECT_TRUE(good.ok) << good.Summary();
+  EXPECT_GT(good.tiered_live_bytes, 0u);
+  EXPECT_EQ(good.tiered_live_bytes + good.tiered_dead_bytes,
+            good.tiered_chunks * log::kLogDataBytes);
+  EXPECT_NE(good.Summary().find("tiered live"), std::string::npos)
+      << good.Summary();
+  log::RootArea root(pool.get());
+  root.UnregisterChunk(slot);
+  const FsckReport bad = FsckPool(*pool);
+  EXPECT_FALSE(bad.ok);
+  bool named = false;
+  for (const FsckIssue& i : bad.issues) {
+    named = named || (i.fatal && i.what.find("unregistered") !=
+                                     std::string::npos);
+  }
+  EXPECT_TRUE(named) << bad.Summary();
+}
+
+// Reclaim passes racing readers: a writer overwrites (and deletes and
+// re-puts) keys so tiered chunks keep losing entries, and a maintenance
+// thread's passes relocate them, unlink their nodes and publish
+// directory snapshots, while new conversions reuse the freed node slots.
+// Meanwhile merged scans (a one-row scan is the point read that may run
+// beside the writer) and direct tier lookups (the tombstone veto's read)
+// run under their own pins. Every value read is one some Put wrote for
+// its key; every scan is strictly ascending.
+TEST(Tier, ConcurrentReclaimSmoke) {
+  auto pool = MakePool(256);
+  auto store = FlatStore::Create(pool.get(), TierOptions());
+  constexpr uint64_t kKeys = 1024;
+  for (uint64_t k = 0; k < kKeys; k++) store->Put(k, ValueFor(k, 0, 48));
+  store->SealActiveLogChunks();
+  store->Put(1ull << 33, ValueFor(1ull << 33, 0, 48));
+  store->RunCleanersOnce();
+  ASSERT_GT(store->ChunksTiered(), 0u);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (uint64_t nonce = 1; !stop.load(std::memory_order_relaxed);
+         nonce++) {
+      for (uint64_t k = nonce % 7; k < kKeys; k += 7) {
+        // Odd keys are deleted and put back, so tombstones reach the
+        // cleaner's scans (and the veto) too.
+        if (k % 2 == 1) store->Delete(k);
+        store->Put(k, ValueFor(k, nonce, 48));
+      }
+      // Short sealed chunks convert, then die and are reclaimed; the
+      // writer waits while the passes catch up.
+      if (nonce % 4 == 0) store->SealActiveLogChunks();
+      while (store->allocator()->free_chunks() < 24 &&
+             !stop.load(std::memory_order_relaxed)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  });
+  std::atomic<uint64_t> passes{0};
+  std::thread maintenance([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      store->RunCleanersOnce();
+      passes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::thread prober([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (uint64_t k = 0; k < kKeys; k += 13) {
+        common::EpochManager::GuestGuard pin(store->epochs());
+        uint64_t packed = 0;
+        if (store->tier()->Get(k, &packed)) {
+          EXPECT_NE(log::UnpackOffset(packed), 0u) << k;
+        }
+      }
+    }
+  });
+  // One check round: a point read (a one-row scan, the read that may run
+  // beside the writer) of an even key, never deleted, and a 64-row scan.
+  auto check = [&](uint64_t k) {
+    ScanRows rows;
+    EXPECT_EQ(store->Scan(k, 1, &rows), 1u) << k;
+    if (rows.size() != 1) return false;
+    EXPECT_EQ(rows[0].first, k);
+    uint64_t embedded = 0;
+    std::memcpy(&embedded, rows[0].second.data(), 8);
+    EXPECT_EQ(embedded, k);
+    rows.clear();
+    store->Scan(k, 64, &rows);
+    for (size_t j = 0; j < rows.size(); j++) {
+      EXPECT_TRUE(j == 0 || rows[j - 1].first < rows[j].first) << k;
+      EXPECT_EQ(rows[j].second.size(), 48u);
+      std::memcpy(&embedded, rows[j].second.data(), 8);
+      EXPECT_EQ(embedded, rows[j].first);
+    }
+    return !::testing::Test::HasFailure();
+  };
+  // Conversions so far minus the chunks still tiered: the reclaimed ones.
+  auto reclaimed = [&] {
+    uint64_t tiered = 0;
+    for (int c = 0; c < store->options().num_cores; c++) {
+      tiered += TieredChunks(store.get(), c).size();
+    }
+    return store->ChunksTiered() - tiered;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int i = 0; check((static_cast<uint64_t>(i) * 74) % kKeys) &&
+                  (i < 60 || ((reclaimed() < 8 || passes < 8) &&
+                              std::chrono::steady_clock::now() < deadline));
+       i++) {
+  }
+  stop.store(true);
+  writer.join();
+  maintenance.join();
+  prober.join();
+  EXPECT_GE(reclaimed(), 8u) << "too few tiered chunks were reclaimed";
+  ExpectScanMatchesFullIteration(store.get(), 0, kKeys);
+  const FsckReport rep = FsckPool(*pool);
+  EXPECT_TRUE(rep.ok) << rep.Summary();
 }
 
 }  // namespace
