@@ -57,6 +57,20 @@ void DuelInsert(index::KvIndex* idx, uint64_t key, uint64_t packed) {
   }
 }
 
+// Runs fn(i) for every i in [0, n), each on its own host thread (inline
+// when n == 1), and returns once all are done.
+template <typename Fn>
+void RunOnEach(size_t n, const Fn& fn) {
+  if (n == 1) {
+    fn(0);
+    return;
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (size_t i = 0; i < n; i++) threads.emplace_back([&fn, i] { fn(i); });
+  for (auto& t : threads) t.join();
+}
+
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -1708,34 +1722,56 @@ void FlatStore::Recover(bool rebuild_index) {
   root_->RebuildMirror();
   alloc_->StartRecovery();
 
-  // Phase 0: the ordered tier (DESIGN.md §11). Every tier node
-  // duel-inserts into the index on ANY open — crash or clean. The
-  // cleaner's tier veto guarantees no stale node survives for an
-  // erased key, and the version duel resolves both directions against
-  // checkpoint pairs and suffix replay, so the duel is always safe and —
-  // for chunks tiered after the last checkpoint — necessary. A node
-  // naming a chunk without kChunkTiered belongs to a conversion the
-  // crash interrupted before its commit: the log replays that chunk, so
-  // Open unlinks the node instead, and every node left names a tiered
-  // chunk (which the cleaner frees only after unlinking its nodes).
-  // Each tiered chunk's usage, by chunk index, rebuilt from its nodes:
-  // `total` counts the nodes naming it (the entries the tier took from it
-  // and still names), `live` and `live_bytes` the ones that win the duel.
-  std::vector<log::ChunkUsage> tiered_usage(pool_->size() /
-                                            alloc::kChunkSize);
+  // Registered log chunks grouped by owning core, and each chunk's owner
+  // by chunk index.
+  struct Rec {
+    uint64_t slot;
+    uint64_t chunk;
+    uint32_t seq;
+    bool cleaner;  // persisted kChunkCleaner flag (relocation chunk)
+    bool tiered;   // persisted kChunkTiered flag (converted into the tier)
+  };
+  const size_t cores = static_cast<size_t>(options_.num_cores);
+  std::vector<std::vector<Rec>> per_core(cores);
+  std::vector<int> owner(pool_->size() / alloc::kChunkSize, -1);
+  const log::ChunkRecord* regs = root_->registry();
+  for (uint64_t s = 0; s < root_->registry_slots(); s++) {
+    if (regs[s].chunk_off == 0) continue;
+    FLATSTORE_CHECK_LT(regs[s].core,
+                       static_cast<uint32_t>(options_.num_cores));
+    const Rec rec{s, regs[s].chunk_off & ~log::kChunkFlagsMask, regs[s].seq,
+                  (regs[s].chunk_off & log::kChunkCleaner) != 0,
+                  (regs[s].chunk_off & log::kChunkTiered) != 0};
+    per_core[regs[s].core].push_back(rec);
+    owner[rec.chunk / alloc::kChunkSize] = static_cast<int>(regs[s].core);
+    (rec.tiered ? recovery_stats_.chunks_skipped_tiered
+                : recovery_stats_.chunks_replayed)++;
+  }
+  for (auto& v : per_core) {
+    std::sort(v.begin(), v.end(),
+              [](const Rec& a, const Rec& b) { return a.seq < b.seq; });
+  }
+
+  // The ordered tier (DESIGN.md §11): Open walks L0 once. A node naming a
+  // chunk without kChunkTiered belongs to a conversion the crash
+  // interrupted before its commit: the log replays that chunk, so Open
+  // unlinks the node instead. Every node left names a tiered chunk, and
+  // is handed to the core owning that chunk, whose replay thread
+  // duel-inserts it below.
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> tier_nodes(cores);
   const auto tier_t0 = std::chrono::steady_clock::now();
-  if (root_->superblock()->tier_root_off != 0 && tier_ == nullptr) {
+  if (root_->superblock()->tier_root_off != 0) {
     tier_ = tier::PersistentTier::Open(
         pool_, alloc_.get(), epochs_.get(), pool_->num_sockets(),
-        SocketCores(),
-        root_->superblock()->tier_root_off,
+        SocketCores(), root_->superblock()->tier_root_off,
         [this](uint64_t packed) {
           return root_->ChunkTiered(
               AlignDown(log::UnpackOffset(packed), alloc::kChunkSize));
         },
-        [this, &tiered_usage](uint64_t key, uint64_t packed) {
-          DuelInsert(IndexForCore(CoreForKey(key)), key, packed);
-          tiered_usage[log::UnpackOffset(packed) / alloc::kChunkSize].total++;
+        [&](uint64_t key, uint64_t packed) {
+          const int c = owner[log::UnpackOffset(packed) / alloc::kChunkSize];
+          FLATSTORE_CHECK_GE(c, 0) << "tier node names unregistered chunk";
+          tier_nodes[static_cast<size_t>(c)].push_back({key, packed});
         });
     tier_->ForEachArenaChunk(
         [this](uint64_t off) { alloc_->MarkRawChunkAllocated(off); });
@@ -1743,159 +1779,66 @@ void FlatStore::Recover(bool rebuild_index) {
   }
   recovery_stats_.tier_load_ns = ElapsedNs(tier_t0);
 
-  // Enumerate registered log chunks grouped by owning core.
-  struct Rec {
-    uint64_t slot;
-    uint64_t chunk;
-    uint32_t seq;
-    bool cleaner;  // persisted kChunkCleaner flag (relocation chunk)
-  };
-  std::vector<std::vector<Rec>> per_core(
-      static_cast<size_t>(options_.num_cores));
-  std::vector<std::vector<Rec>> tiered_per_core(per_core.size());
-  const log::ChunkRecord* regs = root_->registry();
-  for (uint64_t s = 0; s < root_->registry_slots(); s++) {
-    if (regs[s].chunk_off == 0) continue;
-    FLATSTORE_CHECK_LT(regs[s].core,
-                       static_cast<uint32_t>(options_.num_cores));
-    const Rec rec{s, regs[s].chunk_off & ~log::kChunkFlagsMask, regs[s].seq,
-                  (regs[s].chunk_off & log::kChunkCleaner) != 0};
-    if ((regs[s].chunk_off & log::kChunkTiered) != 0) {
-      // Tiered chunk: represented by the tier's nodes, which alias its
-      // entry bytes, so its memory stays allocated; it is not replayed —
-      // this skip is what makes recovery track the live-key count
-      // instead of the log size. Its usage comes from the nodes below.
-      alloc_->MarkRawChunkAllocated(rec.chunk);
-      tiered_per_core[regs[s].core].push_back(rec);
-      recovery_stats_.chunks_skipped_tiered++;
-      continue;
-    }
-    per_core[regs[s].core].push_back(rec);
-    recovery_stats_.chunks_replayed++;
-  }
-  for (auto& v : per_core) {
-    std::sort(v.begin(), v.end(),
-              [](const Rec& a, const Rec& b) { return a.seq < b.seq; });
-  }
-
   // Per-core tails and committed extents.
-  std::vector<uint64_t> tails(per_core.size(), 0);
-  std::vector<uint64_t> tail_seqs(per_core.size(), 0);
-  for (size_t c = 0; c < per_core.size(); c++) {
+  std::vector<uint64_t> tails(cores, 0);
+  std::vector<uint64_t> tail_seqs(cores, 0);
+  for (size_t c = 0; c < cores; c++) {
     tails[c] = root_->ReadTail(static_cast<int>(c), &tail_seqs[c]);
   }
-  auto committed_bytes = [&](int core, uint64_t chunk) -> uint64_t {
-    if (tails[core] != 0 &&
-        AlignDown(tails[core], alloc::kChunkSize) == chunk) {
-      return tails[core] - (chunk + log::kLogDataOff);
-    }
-    return pool_
-        ->PtrAt<log::LogChunkHeader>(chunk + alloc::kChunkHeaderSize)
-        ->used_final;
-  };
 
-  // Pass 1: rebuild the volatile index, newest version wins. After a
-  // clean open the checkpoint already provided the index as of the
-  // recorded per-core positions — replay only the suffix beyond them
-  // (suffix replay; empty after a final shutdown).
+  // Pass 1, one thread per core, as in the paper ("the server cores need
+  // to rebuild the in-memory index ... by scanning their OpLogs"): rebuild
+  // the volatile index, newest version wins, and every chunk's usage but
+  // its live counters. Entries route to the owning partition of their
+  // *key* (stolen entries live in other cores' logs), so the upsert is
+  // the atomic DuelInsert. A core inserts its tier nodes before its log,
+  // so a node beats the same-version copy that a relocation cut short
+  // left in the core's own log (the cleaner relocates within its core).
   //
-  // Replay runs with one host thread per core's log, as in the paper
-  // ("the server cores need to rebuild the in-memory index ... by
-  // scanning their OpLogs"). Entries route to the owning partition of
-  // their *key* (stolen entries live in other cores' logs), so the
-  // duelling-version upsert must be atomic: a CAS loop over Get +
-  // CompareExchange/Upsert keeps the newest version under concurrency.
+  // A tiered chunk is not replayed — this skip is what makes recovery
+  // track the live-key count instead of the log size: its `total` counts
+  // the nodes naming it, and it pins its whole capacity (as
+  // OpLog::DetachForTier counts it). An un-tiered chunk is walked once.
+  // After a clean open the checkpoint already provided the index as of
+  // the recorded per-core positions, so only the suffix beyond them is
+  // inserted (empty after a final shutdown), but every entry is counted.
+  std::vector<std::map<uint64_t, log::ChunkUsage>> usage(cores);
   const auto replay_t0 = std::chrono::steady_clock::now();
-  {
-    const log::Superblock* sb = root_->superblock();
-    auto replay_core = [&](size_t c) {
-      const uint64_t ckpt_tail = rebuild_index ? 0 : sb->ckpt_tail[c];
-      const uint32_t ckpt_seq = rebuild_index ? 0 : sb->ckpt_seq[c];
-      for (const Rec& r : per_core[c]) {
-        if (!rebuild_index && ckpt_tail != 0 && r.seq < ckpt_seq) continue;
-        // The chained reader enforces txn atomicity (§5.3): members of a
-        // chain surface only behind a valid commit record; a torn or
-        // aborted chain is dropped wholesale — it "never happened".
-        // fs-lint: unpinned-read(recovery is offline; no cleaner runs yet)
-        // No chunk can be retired during the scan.
-        log::ChainedChunkReader reader(pool_, r.chunk,
-                                       committed_bytes(static_cast<int>(c),
-                                                       r.chunk));
-        log::DecodedEntry e;
-        uint64_t off;
-        while (reader.Next(&e, &off)) {
-          if (e.op == log::OpType::kTxnCommit) continue;  // no index entry
-          if (!rebuild_index && ckpt_tail != 0 && r.seq == ckpt_seq &&
-              off < ckpt_tail) {
-            continue;  // covered by the checkpoint
-          }
-          DuelInsert(IndexForCore(CoreForKey(e.key)),
-                     e.key, log::PackIndexValue(off, e.version));
-        }
-      }
-    };
-    if (per_core.size() > 1) {
-      std::vector<std::thread> replayers;
-      for (size_t c = 0; c < per_core.size(); c++) {
-        replayers.emplace_back(replay_core, c);
-      }
-      for (auto& t : replayers) t.join();
-    } else {
-      replay_core(0);
+  RunOnEach(cores, [&](size_t c) {
+    std::map<uint64_t, log::ChunkUsage>& chunks = usage[c];
+    for (const auto& [key, packed] : tier_nodes[c]) {
+      DuelInsert(IndexForCore(CoreForKey(key)), key, packed);
+      chunks[AlignDown(log::UnpackOffset(packed), alloc::kChunkSize)].total++;
     }
-    // Tombstone index entries are retained on purpose: they keep per-key
-    // versions monotonic across delete + re-put cycles.
-  }
-  recovery_stats_.replay_ns = ElapsedNs(replay_t0);
-
-  const auto usage_t0 = std::chrono::steady_clock::now();
-  // Tier-resident entries: pass 2 walks only un-tiered chunks, so the
-  // nodes that won the duel against the settled post-replay index give
-  // each tiered chunk its live counters, and their out-of-log blocks are
-  // marked here. Stale nodes' entries are dead bytes of their chunk, and
-  // their blocks were already freed at supersede time — marking them
-  // would leak.
-  if (tier_ != nullptr) {
-    tier_->ForEach([&](uint64_t key, uint64_t packed) {
-      uint64_t cur = 0;
-      if (!IndexForCore(CoreForKey(key))->Get(key, &cur) || cur != packed) {
-        return;
-      }
-      const uint64_t off = log::UnpackOffset(packed);
-      log::DecodedEntry e;
-      // fs-lint: unpinned-read(recovery is offline; no cleaner runs yet)
-      // No chunk can be retired during the walk.
-      if (!log::DecodeEntry(static_cast<const uint8_t*>(pool_->At(off)),
-                            log::kMaxEntrySize, &e)) {
-        return;
-      }
-      log::ChunkUsage& u = tiered_usage[off / alloc::kChunkSize];
-      u.live++;
-      u.live_bytes += e.entry_len;
-      if (e.op == log::OpType::kPut && !e.embedded) {
-        alloc_->MarkBlockAllocated(e.ptr);
-      }
-    });
-  }
-
-  // Pass 2: chunk usage and allocator bitmaps — per-core independent, so
-  // it parallelizes like pass 1 (allocator marking is chunk-locked).
-  auto pass2_core = [&](size_t c) {
-    std::map<uint64_t, log::ChunkUsage> usage;
+    const log::Superblock* sb = root_->superblock();
+    const uint64_t ckpt_tail = rebuild_index ? 0 : sb->ckpt_tail[c];
+    const uint32_t ckpt_seq = rebuild_index ? 0 : sb->ckpt_seq[c];
     for (const Rec& r : per_core[c]) {
-      const uint64_t committed = committed_bytes(static_cast<int>(c), r.chunk);
-      const bool is_tail_chunk =
-          tails[c] != 0 &&
-          AlignDown(tails[c], alloc::kChunkSize) == r.chunk;
-      log::ChunkUsage u;
+      log::ChunkUsage& u = chunks[r.chunk];
       u.seq = r.seq;
-      u.sealed = !is_tail_chunk;
       u.cleaner = r.cleaner;
       u.registry_slot = r.slot;
-
-      // Chain-aware, as in pass 1: orphaned members never surface, so
-      // their bytes count as neither total nor live (they are garbage the
-      // cleaner will collect with the chunk).
+      if (r.tiered) {
+        u.total_bytes = log::kLogDataBytes;
+        u.sealed = true;
+        u.tiered = true;
+        alloc_->MarkRawChunkAllocated(r.chunk);
+        continue;
+      }
+      const bool tail_chunk =
+          tails[c] != 0 && AlignDown(tails[c], alloc::kChunkSize) == r.chunk;
+      u.sealed = !tail_chunk;
+      const uint64_t committed =
+          tail_chunk ? tails[c] - (r.chunk + log::kLogDataOff)
+                     : pool_
+                           ->PtrAt<log::LogChunkHeader>(
+                               r.chunk + alloc::kChunkHeaderSize)
+                           ->used_final;
+      // The chained reader enforces txn atomicity (§5.3): members of a
+      // chain surface only behind a valid commit record; a torn or
+      // aborted chain is dropped wholesale — it "never happened", so its
+      // bytes count as neither total nor live (garbage the cleaner will
+      // collect with the chunk).
       // fs-lint: unpinned-read(recovery is offline; no cleaner runs yet)
       // No chunk can be retired during the scan.
       log::ChainedChunkReader reader(pool_, r.chunk, committed);
@@ -1904,60 +1847,74 @@ void FlatStore::Recover(bool rebuild_index) {
       while (reader.Next(&e, &off)) {
         u.total++;
         u.total_bytes += e.entry_len;
-        if (e.op == log::OpType::kTxnCommit) {
-          // Commit records are born dead (never indexed) but counted in
-          // the totals, matching the serving path's immediate NoteDead.
-          continue;
-        }
-        uint64_t cur = 0;
-        const bool live =
-            IndexForCore(CoreForKey(e.key))->Get(e.key, &cur) &&
-            cur == log::PackIndexValue(off, e.version);
-        if (live && e.op == log::OpType::kPut && !e.embedded) {
-          alloc_->MarkBlockAllocated(e.ptr);
-        }
         if (e.op == log::OpType::kDelete) {
           u.tombs++;
           u.max_covered_seq =
               std::max(u.max_covered_seq, static_cast<uint32_t>(e.ptr));
         }
-        if (live) {
-          u.live++;
-          u.live_bytes += e.entry_len;
+        // Commit records are born dead (never indexed) but counted in the
+        // totals, matching the serving path's immediate NoteDead.
+        if (e.op == log::OpType::kTxnCommit) continue;
+        if (ckpt_tail != 0 &&
+            (r.seq < ckpt_seq || (r.seq == ckpt_seq && off < ckpt_tail))) {
+          continue;  // covered by the checkpoint
         }
+        DuelInsert(IndexForCore(CoreForKey(e.key)), e.key,
+                   log::PackIndexValue(off, e.version));
       }
-
-      if (u.total == 0 && !is_tail_chunk) {
+      if (u.total == 0 && !tail_chunk) {
         // Pre-registered but never written (crash at rollover): reclaim.
         root_->UnregisterChunk(r.slot);
+        chunks.erase(r.chunk);
         continue;
       }
       alloc_->MarkRawChunkAllocated(r.chunk);
-      usage[r.chunk] = u;
     }
-    for (const Rec& r : tiered_per_core[c]) {
-      // A tiered chunk is never rescanned: its counters come from its
-      // nodes, and it pins its whole capacity (as OpLog::DetachForTier
-      // counts it).
-      log::ChunkUsage u = tiered_usage[r.chunk / alloc::kChunkSize];
-      u.total_bytes = log::kLogDataBytes;
-      u.seq = r.seq;
-      u.sealed = true;
-      u.cleaner = r.cleaner;
-      u.tiered = true;
-      u.registry_slot = r.slot;
-      usage[r.chunk] = u;
-    }
-    logs_[c]->AdoptRecoveredState(tails[c], tail_seqs[c], std::move(usage));
+    // Tombstone index entries are retained on purpose: they keep per-key
+    // versions monotonic across delete + re-put cycles.
+  });
+  recovery_stats_.replay_ns = ElapsedNs(replay_t0);
+
+  // Pass 2, one thread per index partition (a tree store has one): an
+  // entry is live iff the settled index names it, tiered or not. Each
+  // named entry is decoded once, adds to its chunk's live counters in the
+  // thread's own array, and marks its out-of-log block (allocator marking
+  // is chunk-locked). Superseded entries are dead bytes of their chunk,
+  // and their blocks were freed at supersede time, so they stay unmarked.
+  struct Live {
+    uint32_t entries = 0;
+    uint64_t bytes = 0;
   };
-  if (per_core.size() > 1) {
-    std::vector<std::thread> workers;
-    for (size_t c = 0; c < per_core.size(); c++) {
-      workers.emplace_back(pass2_core, c);
+  const auto usage_t0 = std::chrono::steady_clock::now();
+  std::vector<std::vector<Live>> live(indexes_.size(),
+                                      std::vector<Live>(owner.size()));
+  RunOnEach(indexes_.size(), [&](size_t i) {
+    indexes_[i]->ForEach([&](uint64_t, uint64_t packed) {
+      const uint64_t off = log::UnpackOffset(packed);
+      log::DecodedEntry e;
+      // fs-lint: unpinned-read(recovery is offline; no cleaner runs yet)
+      // No chunk can be retired during the walk.
+      if (!log::DecodeEntry(static_cast<const uint8_t*>(pool_->At(off)),
+                            log::kMaxEntrySize, &e)) {
+        return;
+      }
+      Live& l = live[i][off / alloc::kChunkSize];
+      l.entries++;
+      l.bytes += e.entry_len;
+      if (e.op == log::OpType::kPut && !e.embedded) {
+        alloc_->MarkBlockAllocated(e.ptr);
+      }
+    });
+  });
+  for (size_t c = 0; c < cores; c++) {
+    for (auto& [chunk, u] : usage[c]) {
+      for (const auto& per_thread : live) {
+        u.live += per_thread[chunk / alloc::kChunkSize].entries;
+        u.live_bytes += per_thread[chunk / alloc::kChunkSize].bytes;
+      }
     }
-    for (auto& t : workers) t.join();
-  } else {
-    pass2_core(0);
+    logs_[c]->AdoptRecoveredState(tails[c], tail_seqs[c],
+                                  std::move(usage[c]));
   }
   alloc_->FinishRecovery();
   recovery_stats_.usage_ns = ElapsedNs(usage_t0);

@@ -390,11 +390,15 @@ class FlatStore {
   // Chunks converted into the tier by this process's cleaners (stat).
   uint64_t ChunksTiered() const;
 
-  // Per-phase timings of the last Open's recovery (bench_recovery).
+  // Per-phase host timings of the last Open's recovery (bench_recovery,
+  // perfbench).
   struct RecoveryStats {
-    uint64_t tier_load_ns = 0;  // tier open + duel-insert into the index
-    uint64_t replay_ns = 0;     // un-tiered log (suffix) replay
-    uint64_t usage_ns = 0;      // chunk usage + allocator bitmap rebuild
+    uint64_t tier_load_ns = 0;  // PersistentTier::Open's L0 walk
+    // Pass 1: per-core duel-inserts of tier nodes and the log walk.
+    uint64_t replay_ns = 0;
+    // Pass 2: the index walk giving chunks their live counters and
+    // marking live blocks, then the allocator's rebuild.
+    uint64_t usage_ns = 0;
     uint64_t tier_nodes_loaded = 0;
     uint64_t chunks_replayed = 0;
     uint64_t chunks_skipped_tiered = 0;
@@ -471,8 +475,10 @@ class FlatStore {
   // Replaces the run with every key the index holds (end of Recover).
   void BuildKeyRun();
   // Crash-recovery replay / usage rebuild (also used after clean open to
-  // rebuild allocator bitmaps + chunk usage). `rebuild_index` is false
-  // when the checkpoint already provided the index.
+  // rebuild allocator bitmaps + chunk usage): one per-core pass replays
+  // tier nodes and walks the log, one walk of the recovered index gives
+  // chunk liveness (DESIGN.md §3.5). `rebuild_index` is false when the
+  // checkpoint already provided the index.
   void Recover(bool rebuild_index);
   void LoadCheckpoint();
   void WriteCheckpoint();

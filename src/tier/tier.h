@@ -140,8 +140,9 @@ class PersistentTier {
 
   // Opens an existing tier rooted at `root_off`: walks the arena chain,
   // then walks L0 once to build the directory, invoking
-  // `on_node(key, packed)` for every node it keeps (recovery uses this to
-  // feed the volatile index without a second walk). A node for which
+  // `on_node(key, packed)` for every node it keeps (recovery buckets each
+  // by the core owning the chunk it names; that core's replay thread
+  // duel-inserts it into the index). A node for which
   // `keep(packed)` is false — one naming a chunk a crash left un-tiered,
   // an interrupted conversion the log replays anyway — is unlinked
   // durably instead. Every arena node off L0 joins the free list. Either
@@ -201,7 +202,7 @@ class PersistentTier {
   bool Get(uint64_t key, uint64_t* packed) const;
 
   // In-order walk over every node of the current snapshot, reading each
-  // node's `packed` word (tests, recovery block marking).
+  // node's `packed` word (tests).
   void ForEach(
       const std::function<void(uint64_t key, uint64_t packed)>& fn) const;
 

@@ -15,11 +15,17 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 
+#include "alloc/lazy_allocator.h"
+#include "common/cacheline.h"
 #include "common/random.h"
 #include "core/flatstore.h"
 #include "harness/crash_explorer.h"
+#include "log/layout.h"
+#include "log/log_reader.h"
+#include "tier/tier.h"
 
 namespace flatstore {
 namespace core {
@@ -294,6 +300,332 @@ TEST(Recovery, MasstreeCrashReplay) {
     std::string got;
     EXPECT_EQ(recovered->Get(k, &got), k % 3 != 0) << k;
   }
+}
+
+// ---- recovered chunk usage against a rescan of the log ----
+
+// What recovery must rebuild, recomputed the slow way from the recovered
+// registry, log and index: each registered un-tiered chunk is walked with
+// ChainedChunkReader and an entry is live iff the index names it; a
+// tiered chunk counts the tier nodes that name it, live iff the index
+// names them. The allocator holds every registered log chunk, every tier
+// arena chunk and the block of every live out-of-log value.
+struct Rescan {
+  std::vector<std::map<uint64_t, log::ChunkUsage>> usage;  // per core
+  uint64_t allocated_bytes = 0;
+  uint64_t orphan_chains = 0;  // torn or aborted txn chains dropped
+  uint64_t tiered_chunks = 0;
+  uint64_t untiered_chunks = 0;
+};
+
+Rescan RescanUsage(FlatStore* store, pm::PmPool* pool) {
+  Rescan ref;
+  ref.usage.resize(static_cast<size_t>(store->options().num_cores));
+  std::set<uint64_t> blocks;
+  auto indexed = [store](uint64_t key, uint64_t packed) {
+    uint64_t cur = 0;
+    return store->IndexForCore(store->CoreForKey(key))->Get(key, &cur) &&
+           cur == packed;
+  };
+  auto count_live = [&blocks](const log::DecodedEntry& e,
+                              log::ChunkUsage* u) {
+    u->live++;
+    u->live_bytes += e.entry_len;
+    if (e.op == log::OpType::kPut && !e.embedded) blocks.insert(e.ptr);
+  };
+  log::RootArea* root = store->root();
+  const log::ChunkRecord* regs = root->registry();
+  std::map<uint64_t, int> owner;
+  for (uint64_t s = 0; s < root->registry_slots(); s++) {
+    if (regs[s].chunk_off == 0) continue;
+    const uint64_t chunk = regs[s].chunk_off & ~log::kChunkFlagsMask;
+    const int core = static_cast<int>(regs[s].core);
+    owner[chunk] = core;
+    log::ChunkUsage u;
+    u.seq = regs[s].seq;
+    u.last_write_clock = regs[s].seq;  // re-seeded from the sequence
+    u.cleaner = (regs[s].chunk_off & log::kChunkCleaner) != 0;
+    u.tiered = (regs[s].chunk_off & log::kChunkTiered) != 0;
+    u.registry_slot = s;
+    ref.allocated_bytes += alloc::kChunkSize;
+    if (u.tiered) {
+      u.sealed = true;
+      u.total_bytes = log::kLogDataBytes;
+      ref.tiered_chunks++;
+    } else {
+      uint64_t tail_seq = 0;
+      const uint64_t tail = root->ReadTail(core, &tail_seq);
+      const bool is_tail =
+          tail != 0 && AlignDown(tail, alloc::kChunkSize) == chunk;
+      u.sealed = !is_tail;
+      const uint64_t committed =
+          is_tail ? tail - (chunk + log::kLogDataOff)
+                  : pool->PtrAt<log::LogChunkHeader>(
+                            chunk + alloc::kChunkHeaderSize)
+                        ->used_final;
+      log::ChainedChunkReader reader(pool, chunk, committed);
+      log::DecodedEntry e;
+      uint64_t off;
+      while (reader.Next(&e, &off)) {
+        u.total++;
+        u.total_bytes += e.entry_len;
+        if (e.op == log::OpType::kTxnCommit) continue;
+        if (e.op == log::OpType::kDelete) {
+          u.tombs++;
+          u.max_covered_seq =
+              std::max(u.max_covered_seq, static_cast<uint32_t>(e.ptr));
+        }
+        if (indexed(e.key, log::PackIndexValue(off, e.version))) {
+          count_live(e, &u);
+        }
+      }
+      ref.orphan_chains += reader.orphan_chains();
+      ref.untiered_chunks++;
+    }
+    ref.usage[static_cast<size_t>(core)][chunk] = u;
+  }
+  if (store->tier() != nullptr) {
+    store->tier()->ForEach([&](uint64_t key, uint64_t packed) {
+      const uint64_t off = log::UnpackOffset(packed);
+      const uint64_t chunk = AlignDown(off, alloc::kChunkSize);
+      auto it = owner.find(chunk);
+      if (it == owner.end()) {
+        ADD_FAILURE() << "tier node for key " << key
+                      << " names unregistered chunk " << chunk;
+        return;
+      }
+      log::ChunkUsage& u = ref.usage[static_cast<size_t>(it->second)][chunk];
+      u.total++;
+      log::DecodedEntry e;
+      if (indexed(key, packed) &&
+          log::DecodeEntry(static_cast<const uint8_t*>(pool->At(off)),
+                           log::kMaxEntrySize, &e)) {
+        count_live(e, &u);
+      }
+    });
+    store->tier()->ForEachArenaChunk(
+        [&](uint64_t) { ref.allocated_bytes += alloc::kChunkSize; });
+  }
+  for (uint64_t b : blocks) {
+    ref.allocated_bytes +=
+        pool->PtrAt<alloc::ChunkHeader>(AlignDown(b, alloc::kChunkSize))
+            ->size_class;
+  }
+  return ref;
+}
+
+// Every core's recovered usage records and the allocator's bytes equal
+// the rescan's. Returns the rescan for the caller's scenario checks.
+Rescan ExpectUsageMatchesRescan(FlatStore* store, pm::PmPool* pool) {
+  const Rescan ref = RescanUsage(store, pool);
+  for (size_t c = 0; c < ref.usage.size(); c++) {
+    const auto got = store->LogForCore(static_cast<int>(c))->UsageSnapshot();
+    EXPECT_EQ(got.size(), ref.usage[c].size()) << "core " << c;
+    for (const auto& [chunk, want] : ref.usage[c]) {
+      auto it = got.find(chunk);
+      if (it == got.end()) {
+        ADD_FAILURE() << "core " << c << " lost chunk " << chunk;
+        continue;
+      }
+      const log::ChunkUsage& u = it->second;
+      const std::string where =
+          "core " + std::to_string(c) + " chunk " + std::to_string(chunk);
+      EXPECT_EQ(u.seq, want.seq) << where;
+      EXPECT_EQ(u.total, want.total) << where;
+      EXPECT_EQ(u.live, want.live) << where;
+      EXPECT_EQ(u.tombs, want.tombs) << where;
+      EXPECT_EQ(u.max_covered_seq, want.max_covered_seq) << where;
+      EXPECT_EQ(u.total_bytes, want.total_bytes) << where;
+      EXPECT_EQ(u.live_bytes, want.live_bytes) << where;
+      EXPECT_EQ(u.last_write_clock, want.last_write_clock) << where;
+      EXPECT_EQ(u.sealed, want.sealed) << where;
+      EXPECT_EQ(u.cleaner, want.cleaner) << where;
+      EXPECT_TRUE(u.temp == want.temp) << where;
+      EXPECT_EQ(u.retired, want.retired) << where;
+      EXPECT_EQ(u.tiered, want.tiered) << where;
+      EXPECT_EQ(u.registry_slot, want.registry_slot) << where;
+    }
+  }
+  EXPECT_EQ(store->allocator()->allocated_bytes(), ref.allocated_bytes);
+  return ref;
+}
+
+FlatStoreOptions TierStoreOptions() {
+  FlatStoreOptions fo;
+  fo.num_cores = 4;
+  fo.group_size = 4;
+  fo.hash_initial_depth = 4;
+  fo.tier_enabled = true;
+  return fo;
+}
+
+// Keys `first`..`first + n` with inline and out-of-log values, then the
+// maintenance passes that convert them: sealing and a few far keys move
+// every core's durable tail into a fresh chunk first (a tail chunk never
+// tiers).
+void PutAndTier(FlatStore* store, uint64_t first, uint64_t n,
+                uint64_t nonce) {
+  for (uint64_t k = first; k < first + n; k++) {
+    store->Put(k, ValueFor(k, nonce, 16 + k * 37 % 400));
+  }
+  store->SealActiveLogChunks();
+  for (uint64_t k = 0; k < 32; k++) {
+    store->Put((nonce << 40) + k, ValueFor(k, nonce, 40));
+  }
+  while (store->RunCleanersOnce() > 0) {
+  }
+}
+
+// A 4-core tier store whose history has conversions, tiered chunks
+// reclaimed after their entries died, and tiered chunks left with stale
+// nodes.
+void TieredHistory(FlatStore* store) {
+  PutAndTier(store, 0, 1500, 1);
+  PutAndTier(store, 100000, 1500, 2);
+  // Most of the first batch dies (overwrites and deletes), so the passes
+  // reclaim its tiered chunks and convert the overwrites.
+  for (uint64_t k = 0; k < 1500; k++) {
+    if (k % 5 == 0) {
+      store->Delete(k);
+    } else if (k % 5 != 1) {
+      store->Put(k, ValueFor(k, 3, 16 + k * 11 % 400));
+    }
+  }
+  store->SealActiveLogChunks();
+  while (store->RunCleanersOnce() > 0) {
+  }
+  ASSERT_GT(store->ChunksCleaned(), 0u);
+  ASSERT_GT(store->ChunksTiered(), 0u);
+  // Entries of the second batch die without a pass to reclaim them.
+  for (uint64_t k = 100000; k < 101500; k += 7) store->Delete(k);
+}
+
+// An un-tiered suffix: fresh keys, overwrites of tiered keys, deletes.
+void Suffix(FlatStore* store, uint64_t nonce) {
+  for (uint64_t k = 200000; k < 200600; k++) {
+    store->Put(k, ValueFor(k, nonce, 16 + k * 13 % 400));
+  }
+  for (uint64_t k = 100001; k < 101500; k += 9) {
+    store->Put(k, ValueFor(k, nonce, 300));
+  }
+  for (uint64_t k = 200000; k < 200600; k += 4) store->Delete(k);
+}
+
+TEST(Recovery, RecoveredUsageMatchesRescanTierCrash) {
+  auto pool = CrashPool();
+  {
+    auto store = FlatStore::Create(pool.get(), TierStoreOptions());
+    TieredHistory(store.get());
+    Suffix(store.get(), 4);
+  }
+  pool->SimulateCrash();
+  auto store = FlatStore::Open(pool.get(), TierStoreOptions());
+  const Rescan ref = ExpectUsageMatchesRescan(store.get(), pool.get());
+  EXPECT_GT(ref.tiered_chunks, 0u);
+  EXPECT_GT(ref.untiered_chunks, 0u);
+  EXPECT_GT(store->tier()->free_nodes(), 0u) << "no tiered chunk reclaimed";
+  size_t stale = 0;  // tiered chunks with nodes that lost the duel
+  for (const auto& per_core : ref.usage) {
+    for (const auto& [chunk, u] : per_core) {
+      stale += u.tiered && u.live < u.total ? 1 : 0;
+    }
+  }
+  EXPECT_GT(stale, 0u);
+}
+
+TEST(Recovery, RecoveredUsageMatchesRescanTierCheckpoint) {
+  auto pool = CrashPool();
+  {
+    auto store = FlatStore::Create(pool.get(), TierStoreOptions());
+    TieredHistory(store.get());
+    store->CheckpointNow();
+    Suffix(store.get(), 5);
+  }
+  ASSERT_NE(log::RootArea(pool.get()).superblock()->clean_shutdown, 0u)
+      << "the suffix disarmed the checkpoint";
+  auto store = FlatStore::Open(pool.get(), TierStoreOptions());
+  const Rescan ref = ExpectUsageMatchesRescan(store.get(), pool.get());
+  EXPECT_GT(ref.tiered_chunks, 0u);
+  EXPECT_GT(ref.untiered_chunks, 0u);
+}
+
+TEST(Recovery, RecoveredUsageMatchesRescanMasstree) {
+  auto pool = CrashPool();
+  {
+    auto store =
+        FlatStore::Create(pool.get(), SmallOptions(IndexKind::kMasstree));
+    for (uint64_t k = 0; k < 3000; k++) {
+      store->Put(k, ValueFor(k, 0, 16 + k * 37 % 400));
+    }
+    for (uint64_t k = 0; k < 3000; k += 3) {
+      store->Put(k, ValueFor(k, 1, 16 + k * 11 % 400));
+    }
+    for (uint64_t k = 1; k < 3000; k += 5) store->Delete(k);
+  }
+  pool->SimulateCrash();
+  auto store =
+      FlatStore::Open(pool.get(), SmallOptions(IndexKind::kMasstree));
+  const Rescan ref = ExpectUsageMatchesRescan(store.get(), pool.get());
+  EXPECT_GT(ref.untiered_chunks, 1u);
+}
+
+// A torn txn chain (members durable, no valid commit record after them,
+// forged into the log as a torn fused persist would leave it) between a
+// committed transaction and later puts: its members count as neither
+// total nor live, and the one that names an indexed key leaves that
+// key's entry live.
+TEST(Recovery, RecoveredUsageMatchesRescanTornTxn) {
+  auto pool = CrashPool(64ull << 20);
+  {
+    auto store = FlatStore::Create(pool.get(), SmallOptions());
+    for (uint64_t k = 0; k < 200; k++) {
+      store->Put(k, ValueFor(k, 0, 16 + k * 37 % 400));
+    }
+    const std::string inline_val(200, 'i');
+    const std::string block_val(400, 'b');
+    // Two committed transactions on one core: a put with a delete of a
+    // preloaded key, then an out-of-log put superseding the first.
+    const uint64_t key = 1000;
+    const int core = store->CoreForKey(key);
+    uint64_t doomed = 0;
+    while (store->CoreForKey(doomed) != core) doomed++;
+    TxnOp ops[2];
+    ops[0].key = key;
+    ops[0].value = inline_val.data();
+    ops[0].len = static_cast<uint32_t>(inline_val.size());
+    ops[1].kind = TxnOpKind::kDelete;
+    ops[1].key = doomed;
+    ASSERT_EQ(store->CommitTxnOnCore(core, ops, 2), TxnStatus::kCommitted);
+    ops[0].value = block_val.data();
+    ops[0].len = static_cast<uint32_t>(block_val.size());
+    ASSERT_EQ(store->CommitTxnOnCore(core, ops, 1), TxnStatus::kCommitted);
+
+    uint8_t e1[log::kMaxEntrySize];
+    uint8_t e2[log::kMaxEntrySize];
+    const std::string v = "orphaned-member";
+    const uint32_t l1 = log::EncodePutValue(
+        e1, 7, 9, v.data(), static_cast<uint32_t>(v.size()));
+    const uint32_t l2 = log::EncodePutValue(
+        e2, 7001, 1, v.data(), static_cast<uint32_t>(v.size()));
+    log::MarkTxnMember(e1);
+    log::MarkTxnMember(e2);
+    log::OpLog::EntryRef refs[2] = {{e1, l1}, {e2, l2}};
+    uint64_t offs[2];
+    ASSERT_TRUE(store->LogForCore(0)->AppendBatch(refs, 2, offs));
+    for (uint64_t k = 100; k < 300; k++) {
+      store->Put(k, ValueFor(k, 1, 16 + k * 11 % 400));
+    }
+    for (uint64_t k = 0; k < 300; k += 7) store->Delete(k);
+  }
+  pool->SimulateCrash();
+  auto store = FlatStore::Open(pool.get(), SmallOptions());
+  const Rescan ref = ExpectUsageMatchesRescan(store.get(), pool.get());
+  EXPECT_EQ(ref.orphan_chains, 1u);
+  std::string got;
+  EXPECT_FALSE(store->Get(7001, &got));
+  EXPECT_FALSE(store->Get(7, &got)) << "an orphaned member was replayed";
+  ASSERT_TRUE(store->Get(1000, &got));
+  EXPECT_EQ(got, std::string(400, 'b'));
 }
 
 }  // namespace
