@@ -1,10 +1,11 @@
 // Range scans on the hash store (DESIGN.md §11). Two parts:
 //
-//  * Microbench (host wall-clock): merged scans of a tier store
+//  * Microbench (host wall-clock): merged scans of a key-ordered store
 //    (FlatStore::Scan — a seek in the sorted key run, merged with the
 //    new-key buffer) vs the only range query a pure hash index has,
-//    ScanFullIteration (enumerate every index entry, sort, read). Swept over range lengths; CI's
-//    bench-smoke asserts speedup >= 2 at range length >= 100.
+//    ScanFullIteration (enumerate every index entry, sort, read). Swept
+//    over range lengths; CI's bench-smoke asserts speedup >= 2 at range
+//    length >= 100.
 //
 //  * YCSB-E shaped simulation point (virtual time): 95 % short scans
 //    from zipfian start keys + 5 % inserts through the full
@@ -24,24 +25,23 @@ namespace flatstore {
 namespace bench {
 namespace {
 
-Table g_table("Range scans: tier-backed merge vs hash full iteration");
+Table g_table("Range scans: key-ordered merge vs hash full iteration");
 
 constexpr uint64_t kScanKeys = 1 << 17;
 
-core::FlatStoreOptions TierOptions(bool tier) {
+core::FlatStoreOptions KeyOrderedOptions() {
   core::FlatStoreOptions fo;
   fo.num_cores = 4;
   fo.group_size = 4;
   fo.hash_initial_depth = 8;
-  fo.tier_enabled = tier;
+  fo.tier_enabled = true;  // keep key order
   return fo;
 }
 
-// Store preloaded with kScanKeys keys, tiered but for a bounded
-// un-tiered suffix of overwrites; the maintenance passes leave every key
-// in the key run.
+// Store preloaded with kScanKeys keys and a suffix of overwrites; the
+// maintenance passes leave every key in the key run.
 Rig MakeScanRig() {
-  Rig rig = MakeFlatRig(TierOptions(true), /*pool_mb=*/1024);
+  Rig rig = MakeFlatRig(KeyOrderedOptions(), /*pool_mb=*/1024);
   std::string value(64, 's');
   const uint64_t keys = BenchKeys(kScanKeys);
   for (uint64_t k = 0; k < keys; k++) rig.flat->Put(k, value);
@@ -124,7 +124,7 @@ void BM_YcsbE(benchmark::State& state) {
   cfg.workload.scan_ratio = 0.95;
   cfg.workload.scan_len_max = 100;
   cfg.workload.value_len = 64;
-  RunPoint(state, rig.adapter.get(), cfg, &g_table, "FlatStore-H+tier",
+  RunPoint(state, rig.adapter.get(), cfg, &g_table, "FlatStore-H key-ordered",
            "ycsb-e 95:5");
 }
 BENCHMARK(BM_YcsbE)->Iterations(1)->Unit(benchmark::kMillisecond);

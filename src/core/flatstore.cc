@@ -88,9 +88,9 @@ constexpr uint64_t kCheckpointPairs =
     (alloc::kChunkSize - alloc::kChunkHeaderSize - sizeof(CheckpointHeader)) /
     16;
 
-// The key run and the new-key buffer (DESIGN.md §11.4) are DRAM arrays of
-// 8-byte keys homed on socket 0, like the tier's directory; every line a
-// scan reads is one charged miss.
+// The key run and the new-key buffer (DESIGN.md §11) are DRAM arrays of
+// 8-byte keys homed on socket 0; every line a scan reads is one charged
+// miss.
 constexpr size_t kKeysPerLine = 64 / sizeof(uint64_t);
 constexpr int kKeyOrderSocket = 0;
 
@@ -267,11 +267,7 @@ std::unique_ptr<FlatStore> FlatStore::Create(pm::PmPool* pool,
                                              const FlatStoreOptions& options) {
   log::RootArea root(pool);
   root.Format(options.num_cores);
-  std::unique_ptr<FlatStore> store(new FlatStore(pool, options));
-  // Create the tier eagerly so tier_ is settled before any cleaner or
-  // serving thread can observe it (no lock needed on the read side).
-  if (options.tier_enabled) store->EnsureTier();
-  return store;
+  return std::unique_ptr<FlatStore>(new FlatStore(pool, options));
 }
 
 std::unique_ptr<FlatStore> FlatStore::Open(pm::PmPool* pool,
@@ -295,9 +291,6 @@ std::unique_ptr<FlatStore> FlatStore::Open(pm::PmPool* pool,
   } else {
     store->Recover(/*rebuild_index=*/true);
   }
-  // Recover loaded the tier if the pool has one; otherwise create it now
-  // (before any threads) when this open opts in.
-  if (options.tier_enabled && store->tier_ == nullptr) store->EnsureTier();
   return store;
 }
 
@@ -1171,8 +1164,8 @@ uint64_t FlatStore::Scan(uint64_t start_key, uint64_t count,
                          std::vector<std::pair<uint64_t, std::string>>* out) {
   auto* ordered = dynamic_cast<index::OrderedKvIndex*>(indexes_[0].get());
   if (ordered == nullptr) {
-    FLATSTORE_CHECK(TierActive())
-        << "Scan on FlatStore-H requires the persistent tier "
+    FLATSTORE_CHECK(KeyOrdered())
+        << "Scan on FlatStore-H requires key order "
            "(FlatStoreOptions::tier_enabled)";
     return ScanMerged(start_key, count, out);
   }
@@ -1210,7 +1203,7 @@ uint64_t FlatStore::Scan(uint64_t start_key, uint64_t count,
 }
 
 bool FlatStore::CanScan() const {
-  return tier_ != nullptr ||
+  return KeyOrdered() ||
          dynamic_cast<index::OrderedKvIndex*>(indexes_[0].get()) != nullptr;
 }
 
@@ -1264,7 +1257,7 @@ uint64_t FlatStore::ScanFullIteration(
   return produced;
 }
 
-// Hash-index scan (DESIGN.md §11.4): keys come in order from a merge of
+// Hash-index scan (DESIGN.md §11): keys come in order from a merge of
 // the key run with windows gathered from the new-key buffer, stopping the
 // moment `count` pairs are produced. Candidates are resolved
 // authoritatively through the volatile index, in windows of up to
@@ -1498,12 +1491,6 @@ uint64_t FlatStore::ChunksCleaned() const {
   return n;
 }
 
-uint64_t FlatStore::ChunksTiered() const {
-  uint64_t n = 0;
-  for (const auto& c : cleaners_) n += c->chunks_tiered();
-  return n;
-}
-
 // ---- log cleaning ---------------------------------------------------------
 
 void FlatStore::EnsureCleaners() {
@@ -1511,10 +1498,8 @@ void FlatStore::EnsureCleaners() {
   std::vector<log::OpLog*> raw;
   for (auto& l : logs_) raw.push_back(l.get());
   log::CleanerHooks hooks;
-  hooks.home_of_key = [this](uint64_t key) {
-    const int core = CoreForKey(key);
-    return log::CleanerHooks::KeyHome{IndexForCore(core),
-                                      alloc_->SocketForCore(core)};
+  hooks.index_of_key = [this](uint64_t key) {
+    return IndexForCore(CoreForKey(key));
   };
   hooks.epochs = epochs_.get();
   log::LogCleaner::Options opts;
@@ -1528,8 +1513,7 @@ void FlatStore::EnsureCleaners() {
     const int last = std::min(first + options_.group_size,
                               options_.num_cores);
     cleaners_.push_back(std::make_unique<log::LogCleaner>(
-        raw, first, last, hooks, opts, alloc_.get(), tier_.get(),
-        options_.tier_enabled));
+        raw, first, last, hooks, opts, alloc_.get()));
   }
 }
 
@@ -1558,34 +1542,6 @@ void FlatStore::StopCleaners() {
   // checkpoint paths see a settled chunk population (a ReleaseChunk
   // running after a checkpoint would invalidate it).
   if (epochs_ != nullptr) epochs_->DrainDeferred();
-}
-
-// ---- ordered persistent tier (DESIGN.md §11) -------------------------------
-
-std::vector<int> FlatStore::SocketCores() const {
-  std::vector<int> sc(static_cast<size_t>(pool_->num_sockets()), 0);
-  std::vector<bool> seen(sc.size(), false);
-  for (int c = 0; c < options_.num_cores; c++) {
-    const int s = alloc_->SocketForCore(c);
-    if (s >= 0 && s < static_cast<int>(sc.size()) && !seen[s]) {
-      sc[s] = c;
-      seen[s] = true;
-    }
-  }
-  return sc;
-}
-
-// Called from Create/Open, before any thread or cleaner exists.
-void FlatStore::EnsureTier() {
-  if (tier_ != nullptr) return;
-  tier_ = tier::PersistentTier::Create(pool_, alloc_.get(), epochs_.get(),
-                                       pool_->num_sockets(), SocketCores());
-  FLATSTORE_CHECK(tier_ != nullptr) << "no PM space for the tier root";
-  // Publish: Create fully persisted and fenced the root chunk, so this
-  // 8-byte root-pointer store is the atomic commit of the tier's birth.
-  log::Superblock* sb = root_->superblock();
-  sb->tier_root_off = tier_->root_off();
-  pool_->PersistFence(&sb->tier_root_off, 8);
 }
 
 size_t FlatStore::RunTieringOnce() { return RunCleanersOnce(); }
@@ -1722,62 +1678,29 @@ void FlatStore::Recover(bool rebuild_index) {
   root_->RebuildMirror();
   alloc_->StartRecovery();
 
-  // Registered log chunks grouped by owning core, and each chunk's owner
-  // by chunk index.
+  // Registered log chunks grouped by owning core.
   struct Rec {
     uint64_t slot;
     uint64_t chunk;
     uint32_t seq;
     bool cleaner;  // persisted kChunkCleaner flag (relocation chunk)
-    bool tiered;   // persisted kChunkTiered flag (converted into the tier)
   };
   const size_t cores = static_cast<size_t>(options_.num_cores);
   std::vector<std::vector<Rec>> per_core(cores);
-  std::vector<int> owner(pool_->size() / alloc::kChunkSize, -1);
   const log::ChunkRecord* regs = root_->registry();
   for (uint64_t s = 0; s < root_->registry_slots(); s++) {
     if (regs[s].chunk_off == 0) continue;
     FLATSTORE_CHECK_LT(regs[s].core,
                        static_cast<uint32_t>(options_.num_cores));
-    const Rec rec{s, regs[s].chunk_off & ~log::kChunkFlagsMask, regs[s].seq,
-                  (regs[s].chunk_off & log::kChunkCleaner) != 0,
-                  (regs[s].chunk_off & log::kChunkTiered) != 0};
-    per_core[regs[s].core].push_back(rec);
-    owner[rec.chunk / alloc::kChunkSize] = static_cast<int>(regs[s].core);
-    (rec.tiered ? recovery_stats_.chunks_skipped_tiered
-                : recovery_stats_.chunks_replayed)++;
+    per_core[regs[s].core].push_back(
+        {s, regs[s].chunk_off & ~log::kChunkFlagsMask, regs[s].seq,
+         (regs[s].chunk_off & log::kChunkCleaner) != 0});
+    recovery_stats_.chunks_replayed++;
   }
   for (auto& v : per_core) {
     std::sort(v.begin(), v.end(),
               [](const Rec& a, const Rec& b) { return a.seq < b.seq; });
   }
-
-  // The ordered tier (DESIGN.md §11): Open walks L0 once. A node naming a
-  // chunk without kChunkTiered belongs to a conversion the crash
-  // interrupted before its commit: the log replays that chunk, so Open
-  // unlinks the node instead. Every node left names a tiered chunk, and
-  // is handed to the core owning that chunk, whose replay thread
-  // duel-inserts it below.
-  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> tier_nodes(cores);
-  const auto tier_t0 = std::chrono::steady_clock::now();
-  if (root_->superblock()->tier_root_off != 0) {
-    tier_ = tier::PersistentTier::Open(
-        pool_, alloc_.get(), epochs_.get(), pool_->num_sockets(),
-        SocketCores(), root_->superblock()->tier_root_off,
-        [this](uint64_t packed) {
-          return root_->ChunkTiered(
-              AlignDown(log::UnpackOffset(packed), alloc::kChunkSize));
-        },
-        [&](uint64_t key, uint64_t packed) {
-          const int c = owner[log::UnpackOffset(packed) / alloc::kChunkSize];
-          FLATSTORE_CHECK_GE(c, 0) << "tier node names unregistered chunk";
-          tier_nodes[static_cast<size_t>(c)].push_back({key, packed});
-        });
-    tier_->ForEachArenaChunk(
-        [this](uint64_t off) { alloc_->MarkRawChunkAllocated(off); });
-    recovery_stats_.tier_nodes_loaded = tier_->node_count();
-  }
-  recovery_stats_.tier_load_ns = ElapsedNs(tier_t0);
 
   // Per-core tails and committed extents.
   std::vector<uint64_t> tails(cores, 0);
@@ -1791,25 +1714,15 @@ void FlatStore::Recover(bool rebuild_index) {
   // the volatile index, newest version wins, and every chunk's usage but
   // its live counters. Entries route to the owning partition of their
   // *key* (stolen entries live in other cores' logs), so the upsert is
-  // the atomic DuelInsert. A core inserts its tier nodes before its log,
-  // so a node beats the same-version copy that a relocation cut short
-  // left in the core's own log (the cleaner relocates within its core).
-  //
-  // A tiered chunk is not replayed — this skip is what makes recovery
-  // track the live-key count instead of the log size: its `total` counts
-  // the nodes naming it, and it pins its whole capacity (as
-  // OpLog::DetachForTier counts it). An un-tiered chunk is walked once.
-  // After a clean open the checkpoint already provided the index as of
-  // the recorded per-core positions, so only the suffix beyond them is
-  // inserted (empty after a final shutdown), but every entry is counted.
+  // the atomic DuelInsert. Each chunk is walked once; the cleaner bounds
+  // the chunks, and so the walk. After a clean open the checkpoint
+  // already provided the index as of the recorded per-core positions, so
+  // only the suffix beyond them is inserted (empty after a final
+  // shutdown), but every entry is counted.
   std::vector<std::map<uint64_t, log::ChunkUsage>> usage(cores);
   const auto replay_t0 = std::chrono::steady_clock::now();
   RunOnEach(cores, [&](size_t c) {
     std::map<uint64_t, log::ChunkUsage>& chunks = usage[c];
-    for (const auto& [key, packed] : tier_nodes[c]) {
-      DuelInsert(IndexForCore(CoreForKey(key)), key, packed);
-      chunks[AlignDown(log::UnpackOffset(packed), alloc::kChunkSize)].total++;
-    }
     const log::Superblock* sb = root_->superblock();
     const uint64_t ckpt_tail = rebuild_index ? 0 : sb->ckpt_tail[c];
     const uint32_t ckpt_seq = rebuild_index ? 0 : sb->ckpt_seq[c];
@@ -1818,13 +1731,6 @@ void FlatStore::Recover(bool rebuild_index) {
       u.seq = r.seq;
       u.cleaner = r.cleaner;
       u.registry_slot = r.slot;
-      if (r.tiered) {
-        u.total_bytes = log::kLogDataBytes;
-        u.sealed = true;
-        u.tiered = true;
-        alloc_->MarkRawChunkAllocated(r.chunk);
-        continue;
-      }
       const bool tail_chunk =
           tails[c] != 0 && AlignDown(tails[c], alloc::kChunkSize) == r.chunk;
       u.sealed = !tail_chunk;
@@ -1876,7 +1782,7 @@ void FlatStore::Recover(bool rebuild_index) {
   recovery_stats_.replay_ns = ElapsedNs(replay_t0);
 
   // Pass 2, one thread per index partition (a tree store has one): an
-  // entry is live iff the settled index names it, tiered or not. Each
+  // entry is live iff the settled index names it. Each
   // named entry is decoded once, adds to its chunk's live counters in the
   // thread's own array, and marks its out-of-log block (allocator marking
   // is chunk-locked). Superseded entries are dead bytes of their chunk,
@@ -1886,8 +1792,8 @@ void FlatStore::Recover(bool rebuild_index) {
     uint64_t bytes = 0;
   };
   const auto usage_t0 = std::chrono::steady_clock::now();
-  std::vector<std::vector<Live>> live(indexes_.size(),
-                                      std::vector<Live>(owner.size()));
+  std::vector<std::vector<Live>> live(
+      indexes_.size(), std::vector<Live>(pool_->size() / alloc::kChunkSize));
   RunOnEach(indexes_.size(), [&](size_t i) {
     indexes_[i]->ForEach([&](uint64_t, uint64_t packed) {
       const uint64_t off = log::UnpackOffset(packed);

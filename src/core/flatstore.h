@@ -52,7 +52,6 @@
 #include "log/layout.h"
 #include "log/log_cleaner.h"
 #include "log/oplog.h"
-#include "tier/tier.h"
 
 namespace flatstore {
 namespace core {
@@ -78,7 +77,7 @@ struct FlatStoreOptions {
   // Pad log batches to cachelines (§3.2); ablation toggle.
   bool pad_batches = true;
   // Log cleaning (§3.4). See log::LogCleaner::Options for semantics.
-  double gc_live_ratio = 0.6;
+  double gc_live_ratio = 0.9;
   uint64_t gc_quantum_bytes = 0;         // 0 = unbounded passes
   size_t gc_max_victims = 4;             // in-flight cleaning jobs per core
   bool gc_segregate = true;              // hot/cold survivor lanes
@@ -99,15 +98,11 @@ struct FlatStoreOptions {
   // and group alignment is not enforced — the placement-off arm of the
   // scaling A/B.
   bool socket_local_placement = true;
-  // Ordered persistent tier (DESIGN.md §11). Opt-in: when on, the log
-  // cleaners' maintenance pass (StartCleaners' threads or
-  // RunCleanersOnce) converts sealed cold or mostly-live log chunks into
-  // the persistent tier list instead of relocating them, bounding
-  // recovery to the un-tiered log suffix and giving FlatStore-H an
-  // ordered scan path. A store whose pool already holds a tier always
-  // loads and honours it on Open regardless of this flag (stale tier
-  // nodes must keep duelling, and vetoing tombstone drops, or recovery
-  // would lose updates), but converts into it only when the flag is set.
+  // Keep key order for Scan (DESIGN.md §11): a FlatStore-H store keeps a
+  // sorted DRAM run of its keys, so Scan needs no full index iteration.
+  // Ordered indexes keep their own order and ignore it. The name is kept
+  // for perfbench, which sets it; rename it to key_ordered with the next
+  // benchmark change.
   bool tier_enabled = false;
 };
 
@@ -135,7 +130,7 @@ struct ReadResult {
 // packed values, read completions) lives on the stack.
 inline constexpr size_t kMaxReadBatch = 64;
 
-// Capacity of a hash store's new-key buffer (DESIGN.md §11.4): the keys
+// Capacity of a hash store's new-key buffer (DESIGN.md §11): the keys
 // its index gained since the last fold into the sorted key run. A full
 // buffer folds at once; every RunCleanersOnce folds what is left.
 inline constexpr size_t kKeyBufferCap = 4096;
@@ -250,16 +245,17 @@ class FlatStore {
   bool Delete(uint64_t key);
   // Ordered scan: up to `count` pairs with key >= start_key. Served by
   // the ordered index (kMasstree / kFastFairVolatile), or — for kHash
-  // stores running the persistent tier — by a merge of the store's
-  // sorted key run with its new-key buffer (DESIGN.md §11.4).
+  // stores that keep key order — by a merge of the store's sorted key
+  // run with its new-key buffer (DESIGN.md §11).
   uint64_t Scan(uint64_t start_key, uint64_t count,
                 std::vector<std::pair<uint64_t, std::string>>* out);
-  // True when Scan has an ordered access path (ordered index or tier).
+  // True when Scan has an ordered access path (ordered index or key
+  // order).
   bool CanScan() const;
-  // Baseline range scan for hash stores WITHOUT the tier: enumerates
+  // Baseline range scan for hash stores WITHOUT key order: enumerates
   // every index entry on every core, sorts the survivors, reads values.
   // This is the only range query a pure hash index supports; bench_scan
-  // quotes it as the tier's comparison arm.
+  // quotes it as the key-ordered merge's comparison arm.
   uint64_t ScanFullIteration(
       uint64_t start_key, uint64_t count,
       std::vector<std::pair<uint64_t, std::string>>* out);
@@ -367,12 +363,12 @@ class FlatStore {
   void StopCleaners();
   // Runs one synchronous maintenance pass on every group (deterministic
   // benchmarks drive GC this way instead of via background threads):
-  // victims are relocated or, with a tier, converted into it, and a hash
-  // store's new-key buffer is folded into its key run. Returns the
-  // amount of work finished (victims unlinked or converted plus
-  // epoch-deferred frees executed). With unbounded passes 0 means nothing
-  // is left to do; with gc_quantum_bytes set, a pass that only advanced
-  // parked jobs also returns 0.
+  // victims are relocated, and a key-ordered store's new-key buffer is
+  // folded into its key run. Returns the amount of work finished
+  // (victims unlinked plus epoch-deferred frees executed). With
+  // unbounded passes 0 means nothing is left to do; with
+  // gc_quantum_bytes set, a pass that only advanced parked jobs also
+  // returns 0.
   size_t RunCleanersOnce();
 
   // Forces log rotation on every core (OpLog::SealActiveChunk): partially
@@ -380,28 +376,23 @@ class FlatStore {
   // use this to stage deterministic cleaning scenarios cheaply.
   void SealActiveLogChunks();
 
-  // ---- ordered persistent tier (DESIGN.md §11) ----
-
-  // Forwards to RunCleanersOnce, whose pass also converts chunks into
-  // the tier. Kept only for perfbench, which calls it.
+  // perfbench calls it; remove with the next benchmark change. Forwards
+  // to RunCleanersOnce.
   size_t RunTieringOnce();
-  // The tier, or nullptr while none exists (never created / not on PM).
-  tier::PersistentTier* tier() const { return tier_.get(); }
-  // Chunks converted into the tier by this process's cleaners (stat).
-  uint64_t ChunksTiered() const;
+  // perfbench reads it; remove with the next benchmark change. Always 0.
+  uint64_t ChunksTiered() const { return 0; }
 
   // Per-phase host timings of the last Open's recovery (bench_recovery,
   // perfbench).
   struct RecoveryStats {
-    uint64_t tier_load_ns = 0;  // PersistentTier::Open's L0 walk
-    // Pass 1: per-core duel-inserts of tier nodes and the log walk.
+    // perfbench reads it; remove with the next benchmark change. Always 0.
+    uint64_t tier_load_ns = 0;
+    // Pass 1: the per-core log walk.
     uint64_t replay_ns = 0;
     // Pass 2: the index walk giving chunks their live counters and
     // marking live blocks, then the allocator's rebuild.
     uint64_t usage_ns = 0;
-    uint64_t tier_nodes_loaded = 0;
     uint64_t chunks_replayed = 0;
-    uint64_t chunks_skipped_tiered = 0;
   };
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
@@ -443,20 +434,10 @@ class FlatStore {
 
   void BuildIndexes();
   void EnsureCleaners();
-  // Formats the tier and publishes its root in the superblock
-  // (persist-before-publish). No-op if it already exists.
-  void EnsureTier();
-  // One representative core per pool socket (tier arena placement).
-  std::vector<int> SocketCores() const;
-  // Whether a tier exists or will: Create and Open make one when
-  // tier_enabled is set.
-  bool TierActive() const {
-    return options_.tier_enabled || tier_ != nullptr;
-  }
-  // Whether the store keeps a key order (DESIGN.md §11.4): a hash store
-  // running the tier, whose index cannot enumerate keys in order.
+  // Whether the store keeps a key order (DESIGN.md §11): a hash store,
+  // whose index cannot enumerate keys in order, with tier_enabled set.
   bool KeyOrdered() const {
-    return options_.index == IndexKind::kHash && TierActive();
+    return options_.index == IndexKind::kHash && options_.tier_enabled;
   }
   // Scan served by a merge of the key run with the new-key buffer — the
   // ordered path of FlatStore-H.
@@ -475,10 +456,10 @@ class FlatStore {
   // Replaces the run with every key the index holds (end of Recover).
   void BuildKeyRun();
   // Crash-recovery replay / usage rebuild (also used after clean open to
-  // rebuild allocator bitmaps + chunk usage): one per-core pass replays
-  // tier nodes and walks the log, one walk of the recovered index gives
-  // chunk liveness (DESIGN.md §3.5). `rebuild_index` is false when the
-  // checkpoint already provided the index.
+  // rebuild allocator bitmaps + chunk usage): one per-core pass walks the
+  // log, one walk of the recovered index gives chunk liveness (DESIGN.md
+  // §3.5). `rebuild_index` is false when the checkpoint already
+  // provided the index.
   void Recover(bool rebuild_index);
   void LoadCheckpoint();
   void WriteCheckpoint();
@@ -593,12 +574,7 @@ class FlatStore {
   // instantiates cleaner objects without starting threads).
   bool cleaners_running_ = false;
 
-  // Ordered persistent tier (DESIGN.md §11). Created or loaded in
-  // Create/Open, before any cleaner exists, so concurrent readers (the
-  // cleaners) see a stable pointer.
-  std::unique_ptr<tier::PersistentTier> tier_;
-
-  // Key order of a KeyOrdered() store (DESIGN.md §11.4), DRAM soft state:
+  // Key order of a KeyOrdered() store (DESIGN.md §11), DRAM soft state:
   // an immutable sorted run of every key the index held at the last fold
   // (retired through EpochManager::Defer), and a sorted buffer of the
   // keys it gained since. fold_lock_ lets one fold at a time merge; it

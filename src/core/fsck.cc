@@ -9,7 +9,6 @@
 #include "alloc/lazy_allocator.h"
 #include "log/layout.h"
 #include "log/log_reader.h"
-#include "tier/tier.h"
 
 namespace flatstore {
 namespace core {
@@ -43,11 +42,7 @@ std::string FsckReport::Summary() const {
       << log_entries << " entries (" << tombstones << " tombstones), "
       << live_keys << " live keys, " << value_blocks << " value blocks, "
       << txn_commits << " txn commits, " << orphan_chains
-      << " orphan chains, " << checkpoint_items << " checkpointed pairs, "
-      << tiered_chunks << " tiered chunks (tiered live "
-      << tiered_live_bytes << " B, pinned dead " << tiered_dead_bytes
-      << " B), " << tier_nodes << " tier nodes in " << tier_arena_chunks
-      << " arena chunks";
+      << " orphan chains, " << checkpoint_items << " checkpointed pairs";
   int fatals = 0, warns = 0;
   for (const FsckIssue& i : issues) (i.fatal ? fatals : warns)++;
   out << "; " << fatals << " errors, " << warns << " warnings";
@@ -106,12 +101,10 @@ FsckReport FsckPool(const pm::PmPool& pool) {
     int core;
     uint32_t seq;
     bool cleaner;  // persisted kChunkCleaner flag (relocation chunk)
-    bool tiered;   // persisted kChunkTiered flag (tier-converted chunk)
   };
   std::vector<ChunkRec> chunks;
   std::set<uint64_t> chunk_offs;
   std::map<uint64_t, bool> cleaner_chunks;  // chunk off -> cleaner flag
-  std::set<uint64_t> tiered_offs;           // chunks with kChunkTiered
   const log::ChunkRecord* regs = root.registry();
   for (uint64_t s = 0; s < root.registry_slots(); s++) {
     if (regs[s].chunk_off == 0) continue;
@@ -124,7 +117,6 @@ FsckReport FsckPool(const pm::PmPool& pool) {
     }
     const uint64_t off = regs[s].chunk_off & ~log::kChunkFlagsMask;
     const bool cleaner = (regs[s].chunk_off & log::kChunkCleaner) != 0;
-    const bool tiered = (regs[s].chunk_off & log::kChunkTiered) != 0;
     if (off % alloc::kChunkSize != 0 || off == 0 ||
         off + alloc::kChunkSize > pool.size()) {
       c.Fatal("registry slot " + std::to_string(s) +
@@ -150,13 +142,9 @@ FsckReport FsckPool(const pm::PmPool& pool) {
       c.Warn("registered log chunk " + std::to_string(off) +
              " carries a value size class");
     }
-    chunks.push_back(
-        {off, static_cast<int>(regs[s].core), regs[s].seq, cleaner, tiered});
+    chunks.push_back({off, static_cast<int>(regs[s].core), regs[s].seq,
+                      cleaner});
     cleaner_chunks[off] = cleaner;
-    if (tiered) {
-      tiered_offs.insert(off);
-      c.report.tiered_chunks++;
-    }
   }
   c.report.log_chunks = chunks.size();
 
@@ -206,14 +194,6 @@ FsckReport FsckPool(const pm::PmPool& pool) {
   };
 
   for (const ChunkRec& r : chunks) {
-    if (r.tiered) {
-      // Tier-converted chunk: recovery never replays it — the tier's
-      // nodes represent its live entries (validated in the tier walk
-      // below), and its dead bytes wait for the cleaner to reclaim it.
-      // Keep it out of the dry-run replay so fsck's winner map matches
-      // what recovery builds.
-      continue;
-    }
     const auto* hdr = mutable_pool->PtrAt<log::LogChunkHeader>(
         r.off + alloc::kChunkHeaderSize);
     uint64_t committed = hdr->used_final;
@@ -305,149 +285,6 @@ FsckReport FsckPool(const pm::PmPool& pool) {
     }
     (void)entries_here;
   }
-
-  // --- ordered tier (DESIGN.md §11) ---
-  struct TierEntryRef {
-    uint64_t key;
-    uint64_t off;
-    uint32_t version;
-    uint32_t len;
-  };
-  std::vector<TierEntryRef> tier_entries;  // nodes naming tiered chunks
-  if (sb->tier_root_off != 0) {
-    const uint64_t troot = sb->tier_root_off;
-    bool tier_ok = true;
-    std::set<uint64_t> arena;
-    if (troot % alloc::kChunkSize != 0 ||
-        troot + alloc::kChunkSize > pool.size()) {
-      c.Fatal("tier root offset out of range: " + std::to_string(troot));
-      tier_ok = false;
-    }
-    const auto* troot_hdr = tier_ok
-                                ? mutable_pool->PtrAt<tier::TierRoot>(
-                                      troot + alloc::kChunkHeaderSize +
-                                      sizeof(tier::ArenaHeader))
-                                : nullptr;
-    if (tier_ok && troot_hdr->magic != tier::kTierMagic) {
-      c.Fatal("tier root magic mismatch at " + std::to_string(troot));
-      tier_ok = false;
-    }
-    // Arena chain: in bounds, acyclic, disjoint from the log registry.
-    uint64_t chunk = tier_ok ? troot : 0;
-    while (chunk != 0) {
-      if (chunk % alloc::kChunkSize != 0 ||
-          chunk + alloc::kChunkSize > pool.size() ||
-          !arena.insert(chunk).second) {
-        c.Fatal("tier arena chain broken at " + std::to_string(chunk));
-        tier_ok = false;
-        break;
-      }
-      if (chunk_offs.count(chunk) != 0) {
-        c.Fatal("tier arena chunk " + std::to_string(chunk) +
-                " is also a registered log chunk");
-      }
-      const auto* ah = mutable_pool->PtrAt<tier::ArenaHeader>(
-          chunk + alloc::kChunkHeaderSize);
-      if (ah->used >
-          alloc::kChunkSize - alloc::kChunkHeaderSize -
-              sizeof(tier::ArenaHeader)) {
-        c.Fatal("tier arena chunk " + std::to_string(chunk) +
-                " used mark beyond capacity");
-        tier_ok = false;
-        break;
-      }
-      chunk = ah->next;
-    }
-    c.report.tier_arena_chunks = arena.size();
-    // L0 walk: strictly ascending keys (which also proves acyclicity);
-    // every node's packed word decodes to a valid log entry inside a
-    // registered chunk. Nodes naming a tiered chunk join the replay map
-    // through the same version duel recovery runs — a stale node
-    // (superseded after its chunk tiered) simply loses to the newer
-    // un-tiered entry. A node naming an un-tiered chunk is what a crash
-    // before a conversion's commit leaves; Open unlinks it instead.
-    uint64_t node_off = tier_ok ? troot_hdr->head0 : 0;
-    uint64_t prev_key = 0;
-    bool first = true;
-    while (node_off != 0) {
-      if (arena.count(AlignDown(node_off, alloc::kChunkSize)) == 0) {
-        c.Fatal("tier node at " + std::to_string(node_off) +
-                " lies outside the arena chain");
-        break;
-      }
-      const auto* n = mutable_pool->PtrAt<tier::TierNode>(node_off);
-      if (!first && n->key <= prev_key) {
-        c.Fatal("tier L0 keys not strictly ascending at node " +
-                std::to_string(node_off));
-        break;
-      }
-      const uint64_t eoff = log::UnpackOffset(n->packed);
-      const uint32_t ever = log::UnpackVersion(n->packed);
-      const uint64_t echunk = AlignDown(eoff, alloc::kChunkSize);
-      const bool in_pool = eoff != 0 && eoff < pool.size();
-      log::DecodedEntry e;
-      if (in_pool && chunk_offs.count(echunk) == 0) {
-        // The reclaimer frees a tiered chunk only after unlinking every
-        // node naming it; the chunk's next contents would decode here.
-        c.Fatal("tier node for key " + std::to_string(n->key) +
-                " names entry " + std::to_string(eoff) +
-                " in unregistered chunk " + std::to_string(echunk));
-      } else if (in_pool && tiered_offs.count(echunk) == 0) {
-        c.Warn("tier node for key " + std::to_string(n->key) +
-               " names un-tiered chunk " + std::to_string(echunk) +
-               " (a conversion cut before its commit; Open unlinks it)");
-        // fs-lint: unpinned-read(offline pool; no serving thread or cleaner)
-      } else if (!in_pool ||
-                 !log::DecodeEntry(
-                     static_cast<const uint8_t*>(mutable_pool->At(eoff)),
-                     log::kMaxEntrySize, &e) ||
-                 e.key != n->key) {
-        c.Fatal("tier node for key " + std::to_string(n->key) +
-                " points at an invalid entry (off " + std::to_string(eoff) +
-                ")");
-      } else {
-        tier_entries.push_back({e.key, eoff, ever, e.entry_len});
-        auto it = replay.find(e.key);
-        if (it == replay.end() || version_newer(ever, it->second.version)) {
-          replay[e.key] = {eoff, ever, e.op == log::OpType::kDelete,
-                           e.embedded || e.op == log::OpType::kDelete
-                               ? 0
-                               : e.ptr};
-        } else if (it->second.version == ever && it->second.off != eoff) {
-          // Same key + version at two offsets: legal only as
-          // byte-identical copies (the half-relocated-victim rule; the
-          // tier aliases the cleaner's cold-lane copies).
-          const auto* a = static_cast<const uint8_t*>(
-              mutable_pool->At(it->second.off));
-          const auto* b =
-              static_cast<const uint8_t*>(mutable_pool->At(eoff));
-          if (!std::equal(b, b + e.entry_len, a)) {
-            c.Fatal("key " + std::to_string(e.key) +
-                    ": tier node and log entry share version " +
-                    std::to_string(ever) + " with different bytes");
-          }
-        }
-      }
-      c.report.tier_nodes++;
-      prev_key = n->key;
-      first = false;
-      node_off = n->next0;
-    }
-  }
-
-  // Space health of the tier: the bytes of tiered chunks that winning
-  // nodes name, and the rest of those chunks, which the tier pins dead
-  // until the cleaner reclaims them.
-  for (const TierEntryRef& t : tier_entries) {
-    auto it = replay.find(t.key);
-    if (it != replay.end() && it->second.off == t.off &&
-        it->second.version == t.version) {
-      c.report.tiered_live_bytes += t.len;
-    }
-  }
-  const uint64_t pinned = c.report.tiered_chunks * log::kLogDataBytes;
-  c.report.tiered_dead_bytes =
-      pinned - std::min(pinned, c.report.tiered_live_bytes);
 
   // Winning value blocks: bounds + overlap.
   std::map<uint64_t, uint64_t> blocks;  // off -> len

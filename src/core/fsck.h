@@ -20,20 +20,7 @@
 //     crash came to the commit point;
 //   * value blocks referenced by winning ptr-based entries lie inside
 //     formatted chunks of a plausible size class and do not overlap;
-//   * checkpoint chain (if armed): chunks readable, pair counts match;
-//   * ordered tier (DESIGN.md §11, if rooted): the arena chain is
-//     acyclic, in bounds, and disjoint from the log registry; the L0
-//     list carries strictly ascending keys (open builds the DRAM
-//     directory from it); every node's packed word decodes to a valid
-//     log entry. A node naming a chunk that is not registered is fatal
-//     (the cleaner frees a tiered chunk only after unlinking its nodes);
-//     one naming a registered chunk without kChunkTiered is a warning
-//     (a conversion cut before its commit, which Open unlinks). Nodes
-//     naming tiered chunks join the dry-run replay exactly as recovery
-//     duel-inserts them, while kChunkTiered chunks sit out the entry
-//     walk (recovery skips them; the tier represents their live
-//     entries). The tiered chunks' capacity splits into the bytes their
-//     winning nodes name and the dead bytes the tier pins.
+//   * checkpoint chain (if armed): chunks readable, pair counts match.
 //
 // Used by examples/fsck.cpp and by tests to validate pools after crash
 // and GC storms.
@@ -70,11 +57,6 @@ struct FsckReport {
   uint64_t txn_commits = 0;       // valid transaction commit records
   uint64_t orphan_chains = 0;     // txn chains lacking a valid commit
   uint64_t orphan_entries = 0;    // entries dropped with those chains
-  uint64_t tiered_chunks = 0;     // registered chunks with kChunkTiered
-  uint64_t tier_arena_chunks = 0; // chunks in the tier's arena chain
-  uint64_t tier_nodes = 0;        // nodes on the tier's L0 list
-  uint64_t tiered_live_bytes = 0; // tiered-chunk entries winning nodes name
-  uint64_t tiered_dead_bytes = 0; // the rest of the tiered chunks' capacity
 
   // Human-readable summary.
   std::string Summary() const;

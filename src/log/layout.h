@@ -40,7 +40,9 @@
 namespace flatstore {
 namespace log {
 
-inline constexpr uint64_t kSuperblockMagic = 0xF1A757025B10C4ull;
+// Changes whenever the on-PM layout does, so a pool of another layout
+// fails IsFormatted instead of being misread.
+inline constexpr uint64_t kSuperblockMagic = 0xF1A757025B10C5ull;
 inline constexpr int kMaxCores = 64;
 inline constexpr int kTailSlots = 8;  // rotating tail records per core
 
@@ -58,15 +60,6 @@ struct Superblock {
   // beyond them.
   uint64_t ckpt_tail[64];
   uint32_t ckpt_seq[64];
-  // Ordered persistent tier (DESIGN.md §11). tier_root_off is the first
-  // arena chunk of the tier (0 = no tier was ever created); the tier's
-  // own arena chain and level-0 list hang off it, so recovery finds every
-  // tier structure from this one word; the per-chunk kChunkTiered
-  // registry flags say which log chunks it represents.
-  uint64_t tier_root_off;
-  // Reserved: unused, kept so the superblock layout does not move. Pools
-  // written by older builds may hold nonzero bytes here.
-  uint32_t reserved[64];
 };
 static_assert(sizeof(Superblock) <= 4096);
 
@@ -126,19 +119,9 @@ inline constexpr uint64_t kChunkProvisional = 1;
 // are byte-identical AND at least one sits in a cleaner-flagged chunk.
 inline constexpr uint64_t kChunkCleaner = 2;
 
-// Bit 2 of ChunkRecord::chunk_off marks a chunk whose live entries have
-// been converted into the ordered persistent tier (DESIGN.md §11). The
-// single 8-byte flag store is the conversion commit point: recovery skips
-// tiered chunks during log replay (their live entries reach the index via
-// the tier's durable level-0 list instead) but keeps their bytes
-// allocated, because tier nodes alias value bytes inside them, until the
-// cleaner has unlinked those nodes and frees the chunk.
-inline constexpr uint64_t kChunkTiered = 4;
-
 // All flag bits stashed in the 4 MB-aligned chunk_off. Every registry
 // reader must mask these before treating the value as an offset.
-inline constexpr uint64_t kChunkFlagsMask =
-    kChunkProvisional | kChunkCleaner | kChunkTiered;
+inline constexpr uint64_t kChunkFlagsMask = kChunkProvisional | kChunkCleaner;
 
 inline constexpr uint64_t kTailAreaOff = 4096;
 inline constexpr uint64_t kRegistryOff =
@@ -199,18 +182,9 @@ class RootArea {
                          bool cleaner = false);
   void UnregisterChunk(uint64_t slot_index);
 
-  // Stamps the persistent kChunkTiered flag on an already-committed
-  // registry record: a single 8-byte flagged store + persist + fence, so
-  // the flag flips atomically even under torn writes. This is the tier
-  // conversion commit point (DESIGN.md §11).
-  void SetChunkTiered(uint64_t slot_index);
-
   // DRAM-mirror lookup: fills {core, seq} of a registered log chunk.
   // Returns false for unregistered chunks.
   bool ChunkInfo(uint64_t chunk_off, int* core, uint32_t* seq) const;
-
-  // True if the registered chunk carries the persistent tiered flag.
-  bool ChunkTiered(uint64_t chunk_off) const;
 
   // Rebuilds the DRAM mirror from the persistent registry (recovery).
   // Provisional records are skipped — their core/seq may be garbage.
@@ -227,7 +201,6 @@ class RootArea {
   struct MirrorEntry {
     int core;
     uint32_t seq;
-    bool tiered;
   };
 
   pm::PmPool* pool_;

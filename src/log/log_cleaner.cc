@@ -17,36 +17,19 @@ namespace {
 // victims instead of draining one victim end-to-end.
 constexpr uint64_t kScanSliceBytes = 256 * 1024;
 constexpr size_t kRelocSubBatch = 32;
-
-// Tier resurrection veto (DESIGN.md §11.2): true if `tier` holds a node
-// for `key` whose packed word differs from `packed`. Dropping that key's
-// tombstone would then let the stale node resurrect it at recovery.
-bool TierStale(const tier::PersistentTier* tier,
-               common::EpochManager* epochs, uint64_t key, uint64_t packed) {
-  if (tier == nullptr) return false;
-  // The pin keeps Get's directory snapshot alive.
-  common::EpochManager::GuestGuard guard(epochs);
-  vt::Charge(vt::kEpochPinCost);
-  uint64_t tp = 0;
-  return tier->Get(key, &tp) && tp != packed;
-}
 }  // namespace
 
 LogCleaner::LogCleaner(std::vector<OpLog*> logs, int first_core,
                        int last_core, CleanerHooks hooks,
-                       const Options& options, alloc::LazyAllocator* alloc,
-                       tier::PersistentTier* tier, bool convert)
+                       const Options& options, alloc::LazyAllocator* alloc)
     : logs_(std::move(logs)),
       first_core_(first_core),
       last_core_(last_core),
       hooks_(std::move(hooks)),
       options_(options),
-      alloc_(alloc),
-      tier_(tier),
-      convert_(convert) {
+      alloc_(alloc) {
   FLATSTORE_CHECK(first_core_ >= 0 &&
                   last_core_ <= static_cast<int>(logs_.size()));
-  FLATSTORE_CHECK(!convert_ || tier_ != nullptr);
   FLATSTORE_CHECK(hooks_.epochs != nullptr)
       << "LogCleaner requires an epoch manager for deferred chunk frees";
 }
@@ -92,21 +75,20 @@ size_t LogCleaner::RunOnce() {
 
   size_t retired = 0;
   std::vector<int> rotate_cores;
-  std::vector<size_t> converts(static_cast<size_t>(last_core_ - first_core_));
   bool progressed = true;
   while (budget > 0 && progressed) {
     // Top up to max_victims in-flight relocations per core. Re-refilling
     // every round (not just once per pass) makes max_victims an in-flight
     // cap rather than a per-pass total: a boosted or unbounded budget can
     // retire many victims in one pass even with max_victims = 1.
-    RefillJobs(&converts);
+    RefillJobs();
     if (jobs_.empty()) break;
     progressed = false;
     for (auto it = jobs_.begin(); it != jobs_.end() && budget > 0;) {
       if (AdvanceJob(*it, &budget)) progressed = true;
       if (it->stage == Stage::kDone) {
         retired++;
-        if (!it->convert) rotate_cores.push_back(it->core);
+        rotate_cores.push_back(it->core);
         it = jobs_.erase(it);
       } else {
         ++it;
@@ -128,21 +110,19 @@ size_t LogCleaner::RunOnce() {
   return retired + hooks_.epochs->ReclaimDeferred();
 }
 
-void LogCleaner::RefillJobs(std::vector<size_t>* converts) {
+void LogCleaner::RefillJobs() {
   for (int core = first_core_; core < last_core_; core++) {
-    size_t relocating = 0;
+    size_t in_flight = 0;
     for (const CleaningJob& j : jobs_) {
-      if (j.core == core && !j.convert) relocating++;
+      if (j.core == core) in_flight++;
     }
-    size_t& converted = (*converts)[static_cast<size_t>(core - first_core_)];
     VictimQuery q;
     q.live_ratio = options_.live_ratio;
     q.max = options_.max_victims;
-    q.tier = convert_;
-    q.max_converts = kTierMaxChunks - converted;
-    if (relocating >= q.max && (!q.tier || q.max_converts == 0)) continue;
+    if (in_flight >= q.max) continue;
 
     for (const VictimInfo& v : logs_[core]->PickVictims(q)) {
+      if (in_flight >= q.max) break;
       // The picker sees chunks whose job is still in flight (a bounded
       // pass parks jobs mid-victim); one job per chunk.
       bool dup = false;
@@ -150,19 +130,11 @@ void LogCleaner::RefillJobs(std::vector<size_t>* converts) {
         dup = dup || (j.core == core && j.chunk_off == v.chunk_off);
       }
       if (dup) continue;
-      if (v.convert) {
-        converted++;  // the picker returns at most q.max_converts
-      } else if (relocating < q.max) {
-        relocating++;
-      } else {
-        continue;
-      }
+      in_flight++;
       CleaningJob job;
       job.core = core;
       job.chunk_off = v.chunk_off;
       job.committed = logs_[core]->CommittedBytes(v.chunk_off);
-      job.convert = v.convert;
-      job.tiered = v.tiered;
       job.age_clock = v.last_write_clock;
       job.pick_live_ratio = v.live_ratio;
       // Temperature classification (§3.4): survivors of a long-stable
@@ -208,20 +180,14 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
         entries_dropped_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      // Any entry of a tiered victim, live or dead, may have a node.
-      if (job.tiered) job.keys.push_back(e.key);
       const uint64_t packed = PackIndexValue(off, e.version);
-      index::KvIndex* index = hooks_.home_of_key(e.key).index;
+      index::KvIndex* index = hooks_.index_of_key(e.key);
       uint64_t cur = 0;
       bool live = index->Get(e.key, &cur) && cur == packed;
-      if (live && e.op == OpType::kDelete && e.ptr < min_seq &&
-          !TierStale(tier_, hooks_.epochs, e.key, packed)) {
+      if (live && e.op == OpType::kDelete && e.ptr < min_seq) {
         // Tombstone whose covered chunk is gone: no stale Put can
         // resurrect the key anymore, so both the tombstone and its index
         // entry may die (paper §3.4's "safely reclaimed" condition).
-        // With a tier, DetachForTier raises MinSeq past chunks whose
-        // entries still exist — the veto keeps the tombstone until no
-        // stale tier node could resurrect the key at recovery.
         if (index->EraseIfEqual(e.key, packed)) live = false;
       }
       if (!live) {
@@ -235,9 +201,7 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
     *budget -= std::min(*budget, consumed);
     job.scan_pos = reader.position();
     if (end_of_chunk || job.scan_pos >= job.committed) {
-      // A convert victim that died since its pick is freed, not pinned.
-      if (job.survivors.empty()) job.convert = false;
-      job.stage = job.convert ? Stage::kConvert : Stage::kRelocate;
+      job.stage = Stage::kRelocate;
     }
     // Zero consumed bytes with no stage change means an empty slice.
     return consumed > 0 || job.stage != Stage::kScan;
@@ -308,8 +272,8 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
       const Survivor& s = job.survivors[job.reloc_pos + order[i]];
       const uint64_t expected = PackIndexValue(s.old_off, s.version);
       const uint64_t desired = PackIndexValue(new_offs[i], s.version);
-      if (hooks_.home_of_key(s.key).index->CompareExchange(s.key, expected,
-                                                           desired)) {
+      if (hooks_.index_of_key(s.key)->CompareExchange(s.key, expected,
+                                                      desired)) {
         // relaxed: monotonic stat counter, no ordering required.
         entries_copied_.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -325,30 +289,11 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
     return true;
   }
 
-  if (job.stage == Stage::kConvert) {
-    return ConvertJob(job);  // false: arena exhausted; park, retry
-  }
-
   // Stage::kRetire — unlink now, free later. A serving core may still
   // hold an entry pointer it decoded through the index *before* the CAS
   // swings above, so the physical free waits until every core has
   // advanced past the current epoch. BeginRetire keeps the chunk out of
   // future victim selection while the free is in flight.
-  if (job.tiered) {
-    // The survivors are durable in the log by now, so every tier node
-    // still naming the victim — a survivor's or a superseded entry's —
-    // can go. Unlink fences before it returns: no durable node names the
-    // chunk by the time ReleaseChunk clears its registry record.
-    FLATSTORE_DCHECK(tier_ != nullptr) << "tiered victim without a tier";
-    std::sort(job.keys.begin(), job.keys.end());
-    job.keys.erase(std::unique(job.keys.begin(), job.keys.end()),
-                   job.keys.end());
-    const uint64_t chunk = job.chunk_off;
-    tier_->Unlink(job.keys.data(), job.keys.size(), [chunk](uint64_t packed) {
-      return AlignDown(UnpackOffset(packed), alloc::kChunkSize) == chunk;
-    });
-    std::vector<uint64_t>().swap(job.keys);
-  }
   log->BeginRetire(job.chunk_off);
   const uint64_t chunk_off = job.chunk_off;
   hooks_.epochs->Defer([log, chunk_off] { log->ReleaseChunk(chunk_off); });
@@ -357,51 +302,6 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
   // relaxed: monotonic stat counter, no ordering required.
   chunks_cleaned_.fetch_add(1, std::memory_order_relaxed);
   vt::Charge(vt::kCpuCas);
-  job.stage = Stage::kDone;
-  return true;
-}
-
-bool LogCleaner::ConvertJob(CleaningJob& job) {
-  // The scan may be slices or passes old, and InsertBatch overwrites a
-  // key's node without comparing versions: a newer chunk holding one of
-  // these keys may have converted meanwhile, and re-inserting the older
-  // entry would hand it back to recovery, which skips tiered chunks.
-  // Keep only survivors the index still maps to. All conversions of a
-  // key run under this group's run_lock_, so none can slip in between.
-  // Dropped survivors leave the job, so a retry after a failed
-  // InsertBatch neither re-checks nor re-counts them.
-  std::vector<tier::TierEntry> entries;
-  entries.reserve(job.survivors.size());
-  size_t kept = 0;
-  for (const Survivor& s : job.survivors) {
-    const CleanerHooks::KeyHome home = hooks_.home_of_key(s.key);
-    const uint64_t packed = PackIndexValue(s.old_off, s.version);
-    uint64_t cur = 0;
-    if (!home.index->Get(s.key, &cur) || cur != packed) {
-      // relaxed: monotonic stat counter, no ordering required.
-      entries_dropped_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    entries.push_back({s.key, packed, home.socket});
-    job.survivors[kept++] = s;
-  }
-  job.survivors.resize(kept);
-  if (entries.empty()) {
-    // Nothing left to convert: the victim is freed, not pinned.
-    job.convert = false;
-    job.stage = Stage::kRetire;
-    return true;
-  }
-  // Liveness is address equality with the index, so no two survivors
-  // share a key and the sorted batch is duplicate-free.
-  std::sort(entries.begin(), entries.end(),
-            [](const tier::TierEntry& a, const tier::TierEntry& b) {
-              return a.key < b.key;
-            });
-  if (!tier_->InsertBatch(entries.data(), entries.size())) return false;
-  logs_[job.core]->DetachForTier(job.chunk_off);
-  // relaxed: monotonic stat counter, no ordering required.
-  chunks_tiered_.fetch_add(1, std::memory_order_relaxed);
   job.stage = Stage::kDone;
   return true;
 }

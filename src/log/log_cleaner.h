@@ -2,28 +2,21 @@
 //
 // Each horizontal-batching group gets one background cleaner thread that
 // walks the OpLogs of the group's cores and picks victim chunks from one
-// ranked list (OpLog::PickVictims). Each victim is either *relocated* —
-// its surviving entries are copied into fresh chunks (committed via the
+// ranked list (OpLog::PickVictims). Each victim is *relocated*: its
+// surviving entries are copied into fresh chunks (committed via the
 // chunk's used_final, journaled in the chunk registry), the volatile index
 // is re-pointed at the copies with atomic CAS, and the victim returns to
-// the allocator — or, when the store converts into an ordered tier
-// (DESIGN.md §11), *converted*: its surviving entries are merged into the
-// tier in place and the chunk is tagged tiered. A tiered chunk becomes
-// a relocation victim once most of it is dead (OpLog::PickVictims): its
-// survivors are relocated back into the log, every tier node naming it
-// is unlinked, and only then is it freed.
+// the allocator. Cleaning alone bounds the log's space, and so the log
+// that recovery replays.
 //
 // Victim selection ranks chunks cost-benefit, (1 - u) * age / (1 + u),
 // over incrementally maintained per-chunk live-byte counters
-// (RAMCloud/LFS). Chunks below the live-ratio cap are relocated; with a
-// tier, un-tiered cold-lane chunks at or above kTierMinLiveRatio and
-// un-tiered chunks too live to relocate are converted, at most
-// kTierMaxChunks per core per pass.
+// (RAMCloud/LFS). Every chunk below the one live-ratio cap is a
+// candidate.
 //
 // Maintenance is *pipelined and incremental*: each victim is a
-// CleaningJob that moves through scan -> relocate -> retire (or scan ->
-// convert) stages in bounded slices. Both kinds share the scan stage and
-// its liveness rule. RunOnce advances every in-flight job round-robin
+// CleaningJob that moves through scan -> relocate -> retire stages in
+// bounded slices. RunOnce advances every in-flight job round-robin
 // until a per-quantum byte budget is exhausted, so one pass can overlap
 // the scan of one victim with the relocation of another, and a pass
 // interrupted by the budget or by PM pressure *resumes* where it stopped
@@ -36,7 +29,7 @@
 // whose last overwrite is older than Options::cold_age — or that already
 // lives in the cold lane — relocates into the cold cleaner chunk, so
 // stable data clusters into near-fully-live chunks that future passes
-// skip (or, with a tier, convert). Effectiveness is measured as
+// skip. Effectiveness is measured as
 // survivor-bytes-per-reclaimed-byte (pm::GcWriteAmp), split per
 // temperature in PmStats.
 //
@@ -49,9 +42,7 @@
 //    chunk holding the overwritten version is gone, no stale Put can
 //    resurrect the key during replay, and the tombstone may die
 //    (the paper's "safely reclaimed only after all the log entries
-//    related to this KV item have been reclaimed"). With a tier, it also
-//    stays live while the tier holds a different node for its key, which
-//    would otherwise resurrect the key at recovery.
+//    related to this KV item have been reclaimed").
 //
 // Transaction chains (§5.3): surviving chain members carry the txn
 // header bit, and recovery only replays members covered by a valid
@@ -68,18 +59,7 @@
 // copies) and schedules the actual ReleaseChunk with Defer(); it runs
 // only after every serving core has advanced past the epoch in which the
 // unlink happened — so a reader that decoded an entry pointer before the
-// swing can never observe the chunk being freed under it. Conversion
-// moves no entry, so it swings no index entry; PersistentTier's
-// InsertBatch and Unlink serialize the cleaners of different groups. A
-// tiered victim's retire first unlinks its tier nodes — Unlink fences
-// the unlinks, so no durable node can name the chunk once its registry
-// record is cleared — and the unlinked nodes, like the chunk, are
-// released through the epoch manager. A convert job may park between its scan and its
-// commit while a newer chunk holding one of its keys converts, and
-// InsertBatch overwrites a key's node without comparing versions — so
-// the convert stage re-checks every survivor against the index right
-// before InsertBatch. Every entry of a key lives in its own group's logs,
-// so run_lock_ orders all conversions of that key.
+// swing can never observe the chunk being freed under it.
 
 #ifndef FLATSTORE_LOG_LOG_CLEANER_H_
 #define FLATSTORE_LOG_LOG_CLEANER_H_
@@ -94,23 +74,17 @@
 #include "common/thread_annotations.h"
 #include "index/kv_index.h"
 #include "log/oplog.h"
-#include "tier/tier.h"
 
 namespace flatstore {
 namespace log {
 
 // Engine-provided hooks.
 struct CleanerHooks {
-  // Where `key` lives in DRAM: the volatile index partition holding it,
-  // and the socket of its owning core (converted entries' tier nodes are
-  // homed there). NOTE: keyed by *key*, not by the log-owning core —
-  // horizontal batching stores stolen entries in the leader's log, so a
-  // chunk freely mixes keys owned by every core of the group.
-  struct KeyHome {
-    index::KvIndex* index;
-    int socket;
-  };
-  std::function<KeyHome(uint64_t key)> home_of_key;
+  // The volatile index partition holding `key`. NOTE: keyed by *key*, not
+  // by the log-owning core — horizontal batching stores stolen entries in
+  // the leader's log, so a chunk freely mixes keys owned by every core of
+  // the group.
+  std::function<index::KvIndex*(uint64_t key)> index_of_key;
   // Epoch manager guarding the engine's log-entry dereferences. Victim
   // chunks are freed through its deferred queue (see file comment).
   common::EpochManager* epochs = nullptr;
@@ -122,7 +96,7 @@ class LogCleaner {
   struct Options {
     // Victim eligibility cap: chunks at or above this live ratio are
     // never worth relocating.
-    double live_ratio = 0.6;
+    double live_ratio = 0.9;
     size_t max_victims = 4;    // in-flight cleaning jobs per core
     // Per-RunOnce byte budget over scanned + relocated bytes (0 =
     // unbounded, the synchronous-test default). Under allocator pressure
@@ -137,14 +111,10 @@ class LogCleaner {
     uint64_t cold_age = 512;
   };
 
-  // Cleans cores [first_core, last_core) of `logs`. `tier` is the
-  // store's ordered tier, or null; its nodes veto tombstone drops.
-  // Victims are converted into it only when `convert` is set
-  // (FlatStoreOptions::tier_enabled); otherwise they are only relocated.
+  // Cleans cores [first_core, last_core) of `logs`.
   LogCleaner(std::vector<OpLog*> logs, int first_core, int last_core,
              CleanerHooks hooks, const Options& options,
-             alloc::LazyAllocator* alloc, tier::PersistentTier* tier,
-             bool convert);
+             alloc::LazyAllocator* alloc);
   ~LogCleaner();
 
   LogCleaner(const LogCleaner&) = delete;
@@ -153,11 +123,10 @@ class LogCleaner {
   // One maintenance quantum: advances every in-flight job (refilling
   // from victim selection first) within the byte budget, then reclaims
   // every deferred free that has become epoch-safe. Returns the victims
-  // retired or converted plus the deferred frees run (victims retired
-  // this pass are freed by this same call when no reader is pinned —
-  // e.g. single-threaded benchmark drivers). With the default unbounded
-  // budget a pass drains every relocation victim end-to-end and converts
-  // up to kTierMaxChunks chunks per core.
+  // retired plus the deferred frees run (victims retired this pass are
+  // freed by this same call when no reader is pinned — e.g.
+  // single-threaded benchmark drivers). With the default unbounded
+  // budget a pass drains every victim end-to-end.
   size_t RunOnce();
 
   // Background-thread control (idempotent).
@@ -177,10 +146,6 @@ class LogCleaner {
     // relaxed: monotonic stat counter, no ordering required.
     return entries_dropped_.load(std::memory_order_relaxed);
   }
-  uint64_t chunks_tiered() const {
-    // relaxed: monotonic stat counter, no ordering required.
-    return chunks_tiered_.load(std::memory_order_relaxed);
-  }
 
  private:
   // A victim chunk moving through the pipeline. All fields are
@@ -194,17 +159,12 @@ class LogCleaner {
     uint32_t len;
     bool txn;  // txn-chain member: needs a covering commit on relocation
   };
-  enum class Stage : uint8_t { kScan, kRelocate, kRetire, kConvert, kDone };
+  enum class Stage : uint8_t { kScan, kRelocate, kRetire, kDone };
   struct CleaningJob {
     int core = 0;
     uint64_t chunk_off = 0;
     uint64_t committed = 0;  // frozen extent (victims are sealed); these
                              // bytes count as reclaimed at retire time
-    bool convert = false;    // scan -> convert instead of relocate/retire
-    // A tiered victim: the scan also gathers every entry's key, which
-    // the retire stage hands to PersistentTier::Unlink.
-    bool tiered = false;
-    std::vector<uint64_t> keys;
     Stage stage = Stage::kScan;
     uint64_t scan_pos = 0;       // reader position; resumable
     size_t reloc_pos = 0;        // survivors already durably relocated
@@ -214,32 +174,21 @@ class LogCleaner {
     double pick_live_ratio = 0;  // live ratio at pick time (WA histogram)
   };
 
-  // Starts new jobs from victim selection: relocations up to
-  // max_victims in flight per core, conversions up to kTierMaxChunks per
-  // core per pass (`converts[core - first_core_]` counts this pass's),
-  // skipping chunks that already have a job in flight.
-  void RefillJobs(std::vector<size_t>* converts) REQUIRES(run_lock_);
+  // Starts new jobs from victim selection, up to max_victims in flight
+  // per core, skipping chunks that already have a job in flight.
+  void RefillJobs() REQUIRES(run_lock_);
 
   // Advances one job by one bounded slice (scan slice, relocation
-  // sub-batch, or the retire or convert step), deducting consumed bytes
-  // from `*budget`. Returns true if any progress was made (false = budget
-  // exhausted, or relocation or conversion blocked on PM space; the job
-  // resumes later).
+  // sub-batch, or the retire step), deducting consumed bytes from
+  // `*budget`. Returns true if any progress was made (false = budget
+  // exhausted, or relocation blocked on PM space; the job resumes later).
   bool AdvanceJob(CleaningJob& job, uint64_t* budget) REQUIRES(run_lock_);
-
-  // The convert stage: merges the job's survivors that are still current
-  // into the tier, then commits and detaches the chunk (kDone). A victim
-  // none of whose survivors is still current goes to kRetire instead.
-  // False if the tier's arena cannot grow.
-  bool ConvertJob(CleaningJob& job) REQUIRES(run_lock_);
 
   std::vector<OpLog*> logs_;
   int first_core_, last_core_;
   CleanerHooks hooks_;
   Options options_;
   alloc::LazyAllocator* alloc_;
-  tier::PersistentTier* tier_;
-  const bool convert_;
 
   // Serializes cleaning passes and guards the job pipeline: RunOnce may
   // be driven by the background thread and by synchronous callers
@@ -252,7 +201,6 @@ class LogCleaner {
   std::atomic<uint64_t> chunks_cleaned_{0};
   std::atomic<uint64_t> entries_copied_{0};
   std::atomic<uint64_t> entries_dropped_{0};
-  std::atomic<uint64_t> chunks_tiered_{0};
 };
 
 }  // namespace log

@@ -286,22 +286,20 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
     LockGuard<SpinLock> g(usage_lock_);
     uint64_t min_seq = UINT64_MAX;
     for (const auto& [off, u] : usage_) {
-      if (!u.tiered) min_seq = std::min<uint64_t>(min_seq, u.seq);
+      min_seq = std::min<uint64_t>(min_seq, u.seq);
     }
     for (const auto& [off, u] : usage_) {
       if (!u.sealed) continue;                       // still being written
       if (u.retired) continue;     // unlinked, free already in flight
       if (off == active_chunk) continue;
       if (off == active_cleaner[0] || off == active_cleaner[1]) continue;
-      // Never retire or convert the chunk the durable tail record points
-      // into, even when it is sealed (forced rotation seals before the
-      // tail moves). Unregistering it would leave a crash-time tail
-      // referencing a freed — and possibly reused — chunk, and recovery
-      // must be able to replay the tail.
+      // Never retire the chunk the durable tail record points into, even
+      // when it is sealed (forced rotation seals before the tail moves).
+      // Unregistering it would leave a crash-time tail referencing a
+      // freed — and possibly reused — chunk, and recovery must be able
+      // to replay the tail.
       if (tail != 0 && AlignDown(tail, alloc::kChunkSize) == off) continue;
-      // Recovery rebuilds a tiered chunk's counters from its nodes, so its
-      // byte total can stand without an entry count.
-      if (u.total == 0 && u.total_bytes == 0) continue;
+      if (u.total == 0) continue;
       // Tombstones whose covered chunks are all gone are as good as dead:
       // discount them so tombstone-only chunks become victims too (the
       // cleaner verifies exact liveness before dropping anything).
@@ -321,43 +319,18 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
         ratio = static_cast<double>(eff_live_bytes) /
                 static_cast<double>(u.total_bytes);
       }
-      // Cold-lane chunks are packed with proven-stable survivors and
-      // will not decay much further: cleaning one at high liveness is
-      // almost pure copying. Gate them at half the configured threshold
-      // so the budget goes to chunks whose dead fraction can still grow.
-      const bool cold = u.cleaner && u.temp == Temp::kCold;
-      const double cap = cold ? query.live_ratio * 0.5 : query.live_ratio;
-      bool convert = false;
-      bool relocate = ratio < cap;
-      if (u.tiered) {
-        // A tiered chunk's byte total is its capacity, all of which the
-        // tier pins, so its ratio is the share of the chunk still live;
-        // its entry total is the entries its conversion took. It is
-        // relocated once that share is below kTierMinLiveRatio and one of
-        // those entries has died since (a dead chunk always): a short
-        // chunk fills little of its capacity, and would otherwise be
-        // reclaimed right after each conversion, pass after pass. It is
-        // never converted again.
-        relocate = ratio < kTierMinLiveRatio &&
-                   (u.live < u.total || u.live == 0);
-      } else {
-        // With a tier (DESIGN.md §11.2), the cold lane drains into it,
-        // and so does any chunk too live to relocate — unless it is so
-        // dead that relocating its few survivors beats pinning it.
-        convert = query.tier && ratio >= kTierMinLiveRatio &&
-                  (cold || ratio >= cap);
-      }
-      if (!convert && !relocate) continue;
+      // One cap for every chunk, cold lane included: cold-lane chunks
+      // decay slowly, so a lower cap for them would pin their dead bytes
+      // for a long time.
+      if (ratio >= query.live_ratio) continue;
       Candidate c;
       c.seq = u.seq;
       c.info.chunk_off = off;
       c.info.live_ratio = ratio;
       c.info.age = now > u.last_write_clock ? now - u.last_write_clock : 0;
       c.info.last_write_clock = u.last_write_clock;
-      c.info.from_cold_chunk = cold;
+      c.info.from_cold_chunk = u.cleaner && u.temp == Temp::kCold;
       c.info.from_cleaner_chunk = u.cleaner;
-      c.info.convert = convert;
-      c.info.tiered = u.tiered;
       // RAMCloud/LFS cost-benefit: benefit = freeable space x age of the
       // data; cost = read the chunk + rewrite the live part (1 + u).
       c.score = (1.0 - ratio) * static_cast<double>(c.info.age) /
@@ -371,12 +344,8 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
               return a.seq < b.seq;  // ties: oldest first (deterministic)
             });
   std::vector<VictimInfo> out;
-  size_t relocates = 0, converts = 0;
-  for (const Candidate& c : candidates) {
-    size_t& taken = c.info.convert ? converts : relocates;
-    if (taken >= (c.info.convert ? query.max_converts : query.max)) continue;
-    taken++;
-    out.push_back(c.info);
+  for (size_t i = 0; i < candidates.size() && i < query.max; i++) {
+    out.push_back(candidates[i].info);
   }
   return out;
 }
@@ -385,7 +354,7 @@ uint64_t OpLog::MinSeq() const {
   LockGuard<SpinLock> g(usage_lock_);
   uint64_t min_seq = UINT64_MAX;
   for (const auto& [off, u] : usage_) {
-    if (!u.tiered && u.seq < min_seq) min_seq = u.seq;
+    min_seq = std::min<uint64_t>(min_seq, u.seq);
   }
   return min_seq;
 }
@@ -409,34 +378,6 @@ uint64_t OpLog::CommittedBytes(uint64_t chunk_off) const {
   return root_->pool()
       ->PtrAt<LogChunkHeader>(chunk_off + alloc::kChunkHeaderSize)
       ->used_final;
-}
-
-void OpLog::DetachForTier(uint64_t chunk_off) {
-  uint64_t slot;
-  {
-    LockGuard<SpinLock> g(usage_lock_);
-    auto it = usage_.find(chunk_off);
-    FLATSTORE_CHECK(it != usage_.end())
-        << "DetachForTier on unknown chunk " << chunk_off;
-    slot = it->second.registry_slot;
-  }
-  // Conversion commit point: the fenced 8-byte flag flips the chunk from
-  // "replayed" to "represented by the tier". Before it, recovery still
-  // replays the chunk and unlinks the tier nodes naming it; after it,
-  // recovery loads the nodes instead.
-  root_->SetChunkTiered(slot);
-  // No UnregisterChunk, no FreeRawChunk, no checkpoint disarm: the chunk
-  // stays registered (with its persistent kChunkTiered flag) and its
-  // bytes stay allocated — tier nodes alias entries inside it. An armed
-  // checkpoint also stays valid for the same reason. The usage record
-  // stays, so its dead bytes keep counting toward its reclaim. Its
-  // totals become what the tier pins: every byte of the chunk, written or
-  // not, for the entries live now.
-  LockGuard<SpinLock> g(usage_lock_);
-  ChunkUsage& u = usage_.find(chunk_off)->second;
-  u.tiered = true;
-  u.total = u.live;
-  u.total_bytes = kLogDataBytes;
 }
 
 void OpLog::BeginRetire(uint64_t chunk_off) {

@@ -15,10 +15,8 @@
 //    the in-chunk `used_final` field rather than the tail record.
 //
 // Chunk-usage accounting (live/total entries per chunk) feeds victim
-// selection for the one maintenance pass (§3.4): each victim is either
-// relocated by the cleaner or, with a tier, converted into it. A tiered
-// chunk keeps its usage record, so its dead bytes are counted and it is
-// relocated (and freed) like any other victim once it is worth it.
+// selection for the cleaner's maintenance pass (§3.4), which relocates
+// each victim's survivors and frees the victim.
 
 #ifndef FLATSTORE_LOG_OPLOG_H_
 #define FLATSTORE_LOG_OPLOG_H_
@@ -80,20 +78,8 @@ struct ChunkUsage {
   bool cleaner = false;      // written by the cleaner path
   Temp temp = Temp::kHot;    // cleaner chunks: survivor temperature lane
   bool retired = false;      // unlinked; physical free deferred (epochs)
-  // Converted into the tier (persistent kChunkTiered): never replayed,
-  // never converted again, left out of MinSeq; tier nodes name its live
-  // entries until it is relocated.
-  bool tiered = false;
   uint64_t registry_slot = 0;
 };
-
-// Tier conversion limits (DESIGN.md §11.2): chunks whose live ratio is
-// below kTierMinLiveRatio are better freed by relocation than pinned in
-// the tier (a tiered chunk is freed only once less than this share of
-// its capacity is live), and one maintenance pass starts at most
-// kTierMaxChunks conversions per core.
-inline constexpr double kTierMinLiveRatio = 0.25;
-inline constexpr size_t kTierMaxChunks = 4;
 
 // One victim chunk chosen by PickVictims, with the pick-time metrics the
 // cleaner threads through its staged pipeline (live ratio feeds the WA
@@ -105,21 +91,15 @@ struct VictimInfo {
   uint64_t last_write_clock = 0;
   bool from_cold_chunk = false;  // victim was a cleaner cold-lane chunk
   bool from_cleaner_chunk = false;  // victim held relocated survivors
-  bool convert = false;  // convert into the tier instead of relocating
-  bool tiered = false;   // a tiered chunk: unlink its nodes before the free
 };
 
 // Victim-selection query (§3.4): RAMCloud/LFS-style cost-benefit, rank
 // by (1-u)*age/(1+u).
 struct VictimQuery {
-  // Relocation cap: chunks at or above this live ratio are never worth
-  // relocating.
+  // Relocation cap, the same for every chunk: chunks at or above this
+  // live ratio are never worth relocating.
   double live_ratio = 0.98;
-  size_t max = 4;  // relocation picks
-  // With a tier, picks at or above the cap (and cold-lane picks at or
-  // above kTierMinLiveRatio) are converted instead, up to max_converts.
-  bool tier = false;
-  size_t max_converts = kTierMaxChunks;
+  size_t max = 4;  // picks
 };
 
 // One core's operation log.
@@ -189,13 +169,8 @@ class OpLog {
   // and the durable-tail chunk; ranks by benefit/cost =
   // (1 - u) * age / (1 + u) with u = effective live-byte ratio and
   // age = write-clock distance since the chunk's last append/death
-  // (ties: older sequence first). A pick below the relocation cap is
-  // relocated; with query.tier, a cold-lane pick at or above
-  // kTierMinLiveRatio, and any other pick at or above both the cap and
-  // that floor, is tagged `convert`. A tiered chunk never is; it is
-  // relocated once less than kTierMinLiveRatio of its capacity is live
-  // and an entry died since its conversion. Returns up to query.max
-  // relocations and query.max_converts conversions, in rank order.
+  // (ties: older sequence first). Only chunks below the relocation cap
+  // are candidates. Returns up to query.max picks, in rank order.
   std::vector<VictimInfo> PickVictims(const VictimQuery& query) const;
 
   // Logical write clock: ticks once per serving AppendBatch. Purely
@@ -206,10 +181,8 @@ class OpLog {
     return write_clock_.load(std::memory_order_relaxed);
   }
 
-  // Oldest sequence number among this core's registered, un-tiered
-  // chunks (UINT64_MAX when there is none) — tombstone reclamation
-  // bound. Tiered chunks are not replayed; the cleaner's tier veto
-  // covers the entries they still hold.
+  // Oldest sequence number among this core's registered chunks
+  // (UINT64_MAX when there is none) — tombstone reclamation bound.
   uint64_t MinSeq() const;
 
   // Returns the committed data length of `chunk_off` ([0, kLogDataBytes]).
@@ -224,14 +197,6 @@ class OpLog {
   // step). With epoch-based retirement this runs from the deferred-free
   // queue, one grace period after BeginRetire.
   void ReleaseChunk(uint64_t chunk_off);
-
-  // Converts a chunk into the tier (DESIGN.md §11.2): the caller has
-  // durably merged the chunk's live entries into the tier. Sets the
-  // persistent kChunkTiered flag (the conversion commit point) and tags
-  // the usage record tiered. The chunk stays registered and allocated —
-  // tier nodes alias its entry bytes — and NoteDead keeps counting its
-  // dead bytes, so it is relocated and freed once mostly dead.
-  void DetachForTier(uint64_t chunk_off);
 
   // Seals the current serving chunk at its present extent; the next
   // append starts a fresh chunk. This is forced log rotation: it makes a

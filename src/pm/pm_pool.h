@@ -23,7 +23,7 @@
 //    pages the workload persisted, not the size of the pool.
 //
 // The default crash mode (kClean) loses unflushed data atomically at 64 B
-// granularity. Real PM is nastier in three ways, each modelled by an
+// granularity. Real PM is harsher in three ways, each modelled by an
 // adversarial CrashMode (see the enum): flushes caught by the cut persist
 // 8-byte subsets (torn lines), flushes between a Persist and its Fence
 // complete in any order (unordered persistence), and dirty lines the code

@@ -285,99 +285,86 @@ void TxnWorkload(WorkloadCtx& ctx) {
   commit({put(6, t4a), cas_own, put(2, t4a)}, core::TxnStatus::kCommitted);
 }
 
-// The maintenance pass with a tier (DESIGN.md §11): one pass picks a
-// mostly-live sealed chunk to convert into persistent tier nodes and a
-// mostly-dead one to relocate, and a small byte budget (the case's
-// gc_quantum_bytes) makes both jobs park after a scan slice and resume in
-// later passes. Every flush of the interleaved pipeline — survivor
-// copies and their used_final commit, the victim's unlink and deferred
-// release, tier arena growth, the reserve fence, node persists, L0 link
-// publishes and the kChunkTiered commit store — becomes a crash point.
-// Before the commit a crash must replay the converted chunk (tier nodes
-// are harmless version-duel duplicates); after it, recovery must load
-// the nodes instead. Live traffic follows: a key new to the index (it
-// joins the new-key buffer), a delete and an overwrite.
-void TieringWorkload(WorkloadCtx& ctx) {
+// Parked cleaning (§3.4): one pass picks two half-dead sealed chunks —
+// A, holding an out-of-log value and a tombstone's target, and B — and a
+// small byte budget (the case's gc_quantum_bytes) parks both relocation
+// jobs after each scan slice or sub-batch, so they resume over several
+// passes. Every flush of the interleaved pipeline — survivor copies and
+// their used_final commits, the victims' unlinks and deferred releases —
+// becomes a crash point. Live traffic follows: a key new to the index
+// (it enters the new-key buffer, which the next passes fold), a delete
+// and an overwrite, then more passes over the chunk they sealed.
+void CleanParkedWorkload(WorkloadCtx& ctx) {
   for (uint64_t k = 1; k <= 12; k++) {
     ctx.Put(k, Val('t', 40 + 5 * k));
   }
-  ctx.Put(13, Val('T', 300));  // out-of-log value behind a tier node
-  ctx.store->SealActiveLogChunks();  // chunk A: the conversion victim
+  ctx.Put(13, Val('T', 300));  // out-of-log value: a relocated survivor
+  ctx.store->SealActiveLogChunks();  // chunk A
   for (uint64_t k = 20; k <= 27; k++) {
     ctx.Put(k, Val('r', 48));
   }
-  ctx.store->SealActiveLogChunks();  // chunk B: the relocation victim
+  ctx.store->SealActiveLogChunks();  // chunk B
   for (uint64_t k = 20; k <= 25; k++) {
     ctx.Put(k, Val('s', 52));  // B drops to 2/8 live
   }
-  ctx.Put(1, Val('u', 64));  // supersede: the tier must skip A's copy
-  ctx.Delete(6);  // live tombstone covering A: vetoed once A tiers
+  for (uint64_t k = 1; k <= 5; k++) {
+    ctx.Put(k, Val('u', 64));  // A drops under the cap
+  }
+  ctx.Delete(6);  // a tombstone covering A
   ctx.Arm();
   int passes = 0;
-  while (passes < 64 && (ctx.store->ChunksTiered() == 0 ||
-                         ctx.store->ChunksCleaned() == 0)) {
+  while (passes < 64 && ctx.store->ChunksCleaned() < 2) {
     ctx.store->RunCleanersOnce();
     passes++;
   }
   // Volatile counters: prove both jobs really ran, and were parked by
   // the budget, in every replay.
-  EXPECT_GT(ctx.store->ChunksTiered(), 0u);
-  EXPECT_GT(ctx.store->ChunksCleaned(), 0u);
+  EXPECT_EQ(ctx.store->ChunksCleaned(), 2u);
   EXPECT_GT(passes, 2);
-  ctx.Put(50, Val('v', 40));  // new key after the conversion
+  ctx.Put(50, Val('v', 40));  // a new key: it enters the new-key buffer
   ctx.Delete(8);
   ctx.Put(9, Val('w', 72));
-  // That traffic killed entries of A, so the next passes reclaim A
-  // (parked by the budget like any victim) and convert the chunk holding
-  // the traffic and a run of fresh keys, whose new nodes reuse A's.
-  const uint64_t tiered = ctx.store->ChunksTiered();
-  for (uint64_t k = 14; k <= 40; k += 2) ctx.Put(k, Val('x', 40));
+  for (uint64_t k = 7; k <= 12; k++) ctx.Put(k, Val('x', 40));
   ctx.store->SealActiveLogChunks();
   ctx.Put(60, Val('y', 40));  // the tail leaves the sealed chunk
-  for (int pass = 0; pass < 64 && ctx.store->ChunksTiered() == tiered;
-       pass++) {
-    ctx.store->RunCleanersOnce();
-  }
-  // (Puts after the power cut are skipped, so there may be nothing new.)
-  if (!ctx.PowerLost()) EXPECT_GT(ctx.store->ChunksTiered(), tiered);
+  for (int pass = 0; pass < 16; pass++) ctx.store->RunCleanersOnce();
 }
 
-// Reclaiming tiered chunks (DESIGN.md §11.2). Before arming, three
-// chunks convert into the tier: D (the odd keys 1..63), A (the even keys
-// 2..32) and B (the even keys 34..64), so every node of A and B sits
-// between two of D's; then every key of A is overwritten into the
-// serving chunk, which stays active. The first pass reclaims A with no
-// survivors: one unlink store per node, each to another line, then the
-// deferred release clears A's registry record with no other fence in
-// between, so the crash at that clear tests the fence Unlink issues before it returns.
-// Then all but two keys of B are overwritten and the second pass
-// reclaims B: survivor copies and their used_final commit, the unlinks,
-// the fence and the registry clear are all crash points. Live traffic
-// follows.
-void ReclaimWorkload(WorkloadCtx& ctx) {
-  for (uint64_t k = 1; k <= 63; k += 2) ctx.Put(k, Val('d', 40));
-  ctx.store->SealActiveLogChunks();  // chunk D
+// Reclaiming victims (§3.4). Before arming, two chunks are sealed: A
+// (the even keys 2..32) and B (the even keys 34..64: 58..62 with the
+// largest inline values, so each spans several lines, the rest
+// out-of-log); then every key of A is overwritten into the serving
+// chunk, which stays active. The first pass frees A with no survivors:
+// its unlink and the deferred release that clears its registry record.
+// Then B's keys below 58 are overwritten and the second pass relocates
+// its four survivors into a fresh cleaner chunk — the survivor copies,
+// the fence before the used_final commit, the commit itself, the index
+// swings — and frees B. A cut at the commit with that fence missing
+// leaves a copy torn across its lines inside the committed extent,
+// which the unordered mode shows at the default seeds 7 and 13. Live
+// traffic follows.
+void CleanReclaimWorkload(WorkloadCtx& ctx) {
   for (uint64_t k = 2; k <= 32; k += 2) ctx.Put(k, Val('a', 40 + k));
   ctx.store->SealActiveLogChunks();  // chunk A
-  for (uint64_t k = 34; k <= 64; k += 2) ctx.Put(k, Val('b', 300));
-  ctx.store->SealActiveLogChunks();  // chunk B: out-of-log values
-  ctx.Put(100, Val('c', 40));  // the tail leaves B
-  for (int pass = 0; pass < 8 && ctx.store->ChunksTiered() < 3; pass++) {
-    ctx.store->RunCleanersOnce();
+  for (uint64_t k = 34; k <= 64; k += 2) {
+    ctx.Put(k, Val('b', k >= 58 && k < 64 ? 250 : 300));
   }
-  EXPECT_EQ(ctx.store->ChunksTiered(), 3u);
+  ctx.store->SealActiveLogChunks();  // chunk B
+  ctx.Put(100, Val('c', 40));  // the tail leaves B
   for (uint64_t k = 2; k <= 32; k += 2) ctx.Put(k, Val('A', 44));
   const uint64_t cleaned = ctx.store->ChunksCleaned();
   ctx.Arm();
-  ctx.store->RunCleanersOnce();  // reclaims A
-  // Volatile counters: prove each pass really reclaimed one chunk.
+  ctx.store->RunCleanersOnce();  // frees A
+  // Volatile counters: prove each pass really cleaned one chunk.
   EXPECT_EQ(ctx.store->ChunksCleaned(), cleaned + 1);
-  for (uint64_t k = 34; k <= 60; k += 2) ctx.Put(k, Val('B', 52));
-  ctx.store->RunCleanersOnce();  // reclaims B; 62 and 64 survive
+  for (uint64_t k = 34; k <= 56; k += 2) ctx.Put(k, Val('B', 52));
+  ctx.store->RunCleanersOnce();  // relocates 58..64, frees B
   // (Puts after the power cut are skipped, so B may not have decayed.)
-  if (!ctx.PowerLost()) EXPECT_EQ(ctx.store->ChunksCleaned(), cleaned + 2);
+  if (!ctx.PowerLost()) {
+    EXPECT_EQ(ctx.store->ChunksCleaned(), cleaned + 2);
+  }
   ctx.Put(70, Val('v', 40));
-  ctx.Delete(23);
+  ctx.Delete(4);
   ctx.Put(62, Val('w', 72));
 }
 
@@ -385,11 +372,8 @@ struct MatrixCase {
   const char* name;
   int cores;
   Workload workload;
-  bool tier = false;  // run the store with the persistent tier enabled
+  bool key_ordered = false;  // the store keeps key order (tier_enabled)
   uint64_t gc_quantum_bytes = 0;  // per-pass cleaning budget (0 = none)
-  // Seeds run on top of CrashSeeds(), for a window that only some
-  // unordered-mode draws expose.
-  std::vector<uint64_t> extra_seeds = {};
 };
 
 class CrashMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
@@ -400,11 +384,9 @@ TEST_P(CrashMatrixTest, EveryFlushIndexEveryMode) {
   const MatrixCase& c = GetParam();
   ExplorerOptions opts;
   opts.store = SmallStore(c.cores);
-  opts.store.tier_enabled = c.tier;
+  opts.store.tier_enabled = c.key_ordered;
   opts.store.gc_quantum_bytes = c.gc_quantum_bytes;
   opts.seeds = CrashSeeds();
-  opts.seeds.insert(opts.seeds.end(), c.extra_seeds.begin(),
-                    c.extra_seeds.end());
   CrashExplorer explorer(c.name, opts);
   ExplorerResult res = explorer.Explore(c.workload);
   std::printf("[crash-matrix] workload=%s total_flushes=%" PRIu64
@@ -422,18 +404,10 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{"checkpoint", 1, CheckpointWorkload},
                       MatrixCase{"multiput", 1, MultiPutWorkload},
                       MatrixCase{"txn", 1, TxnWorkload},
-                      // A crash at a conversion's kChunkTiered commit
-                      // leaves in flight the commit and whatever the
-                      // fence before it would have settled: the last L0
-                      // link and the node count. kUnordered keeps each
-                      // in-flight line on one seed-drawn bit, in issue
-                      // order, and only a seed that drops the first and
-                      // keeps the third shows a missing fence there;
-                      // none of the default seeds does, seed 4 does.
-                      MatrixCase{"tiering", 1, TieringWorkload, true,
-                                 /*gc_quantum_bytes=*/256,
-                                 /*extra_seeds=*/{4}},
-                      MatrixCase{"reclaim", 1, ReclaimWorkload, true}),
+                      MatrixCase{"clean_parked", 1, CleanParkedWorkload,
+                                 /*key_ordered=*/true,
+                                 /*gc_quantum_bytes=*/256},
+                      MatrixCase{"clean_reclaim", 1, CleanReclaimWorkload}),
     [](const ::testing::TestParamInfo<MatrixCase>& info) {
       return std::string(info.param.name);
     });

@@ -1,4 +1,4 @@
-// Cost-benefit victim selection and its relocate-or-convert tags, hot/cold
+// Cost-benefit victim selection under one relocation cap, hot/cold
 // survivor segregation, pipelined quantum-bounded cleaning, and allocator
 // backpressure (§3.4).
 //
@@ -165,29 +165,27 @@ TEST_F(GcPolicyTest, EqualScoresTieBreakByOldestSequence) {
       << "ties must break toward the older sequence (deterministic)";
 }
 
-// The one picker's relocate-or-convert table (DESIGN.md §3.4, §11.2),
-// with the relocation cap at 0.6 (0.3 for the cold lane) and the tier's
-// floor at kTierMinLiveRatio = 0.25. Each row is one sealed 16-entry
-// chunk with `live` entries left.
-TEST_F(GcPolicyTest, PickerTableRelocateOrConvert) {
-  enum Pick { kSkip, kRelocate, kConvert };
+// The picker's one relocation cap (DESIGN.md §3.4), here 0.9: every
+// chunk below it is picked, hot or cold lane alike, and none at or above
+// it. Each row is one sealed 16-entry chunk with `live` entries left.
+TEST_F(GcPolicyTest, PickerTableOneCapForEveryChunk) {
   struct Row {
     const char* name;
     bool cold;
     int live;
-    Pick tier_off;
-    Pick tier_on;
+    bool picked;
   };
   const Row table[] = {
-      {"hot, full", false, 16, kSkip, kConvert},
-      {"hot, over the cap", false, 10, kSkip, kConvert},  // 0.625
-      {"hot, under the cap", false, 9, kRelocate, kRelocate},
-      {"hot, under the floor", false, 2, kRelocate, kRelocate},
-      {"hot, dead", false, 0, kRelocate, kRelocate},
-      {"cold, over the cold cap", true, 12, kSkip, kConvert},
-      {"cold, at the floor", true, 4, kRelocate, kConvert},  // 0.25
-      {"cold, under the floor", true, 3, kRelocate, kRelocate},
-      {"cold, dead", true, 0, kRelocate, kRelocate},
+      {"hot, full", false, 16, false},
+      {"hot, over the cap", false, 15, false},  // 0.9375
+      {"hot, under the cap", false, 14, true},  // 0.875
+      {"hot, half", false, 8, true},
+      {"hot, dead", false, 0, true},
+      {"cold, full", true, 16, false},
+      {"cold, over the cap", true, 15, false},
+      {"cold, under the cap", true, 14, true},
+      {"cold, half", true, 8, true},
+      {"cold, dead", true, 0, true},
   };
 
   std::map<uint64_t, const Row*> chunk_row;
@@ -205,57 +203,41 @@ TEST_F(GcPolicyTest, PickerTableRelocateOrConvert) {
   }
   TickClock(3);  // the durable tail leaves the last sealed chunk
 
-  for (bool tier : {false, true}) {
-    VictimQuery q;
-    q.live_ratio = 0.6;
-    q.max = 16;
-    q.tier = tier;
-    q.max_converts = 16;
-    std::map<uint64_t, Pick> picked;
-    for (const VictimInfo& v : log_->PickVictims(q)) {
-      ASSERT_TRUE(chunk_row.count(v.chunk_off) != 0) << v.chunk_off;
-      picked[v.chunk_off] = v.convert ? kConvert : kRelocate;
-    }
-    for (const auto& [chunk, row] : chunk_row) {
-      const Pick want = tier ? row->tier_on : row->tier_off;
-      const Pick got = picked.count(chunk) != 0 ? picked[chunk] : kSkip;
-      EXPECT_EQ(got, want) << row->name << (tier ? ", tier on" : ", tier off");
-    }
+  VictimQuery q;
+  q.live_ratio = 0.9;
+  q.max = 16;
+  std::map<uint64_t, bool> picked;
+  for (const VictimInfo& v : log_->PickVictims(q)) {
+    ASSERT_TRUE(chunk_row.count(v.chunk_off) != 0) << v.chunk_off;
+    EXPECT_EQ(v.from_cold_chunk, chunk_row[v.chunk_off]->cold);
+    picked[v.chunk_off] = true;
+  }
+  for (const auto& [chunk, row] : chunk_row) {
+    EXPECT_EQ(picked.count(chunk) != 0, row->picked) << row->name;
   }
 }
 
-// A pick converts at most max_converts chunks (kTierMaxChunks per core by
-// default), oldest first among equal scores; relocations are unaffected.
-TEST_F(GcPolicyTest, PickerConvertCapHolds) {
-  std::vector<uint64_t> full;
+// A pick returns at most query.max chunks, the best-ranked first.
+TEST_F(GcPolicyTest, PickerReturnsAtMostMax) {
+  std::vector<uint64_t> chunks;
   for (int i = 0; i < 6; i++) {
-    full.push_back(ChunkOf(AppendPtrBatch(16)[0]));
+    auto offs = AppendPtrBatch(16);
     log_->SealActiveChunk();
+    // Chunk i keeps 2 + i live entries: the emptier, the better.
+    for (int j = 2 + i; j < 16; j++) log_->NoteDead(offs[j], kPtrEntrySize);
+    chunks.push_back(ChunkOf(offs[0]));
   }
-  auto dying = AppendPtrBatch(16);
-  log_->SealActiveChunk();
-  for (int i = 0; i < 12; i++) log_->NoteDead(dying[i], kPtrEntrySize);
   TickClock(3);
 
   VictimQuery q;
-  q.live_ratio = 0.6;
-  q.max = 8;
-  q.tier = true;
-  for (size_t cap : {kTierMaxChunks, size_t{2}, size_t{0}}) {
-    q.max_converts = cap;
-    std::vector<uint64_t> converts;
-    size_t relocates = 0;
-    for (const VictimInfo& v : log_->PickVictims(q)) {
-      if (v.convert) {
-        converts.push_back(v.chunk_off);
-      } else {
-        relocates++;
-        EXPECT_EQ(v.chunk_off, ChunkOf(dying[0]));
-      }
+  q.live_ratio = 0.9;
+  for (size_t max : {size_t{6}, size_t{4}, size_t{1}, size_t{0}}) {
+    q.max = max;
+    const auto victims = log_->PickVictims(q);
+    ASSERT_EQ(victims.size(), max);
+    for (size_t i = 0; i < max; i++) {
+      EXPECT_EQ(victims[i].chunk_off, chunks[i]);
     }
-    EXPECT_EQ(relocates, 1u) << "cap " << cap;
-    ASSERT_EQ(converts.size(), cap);
-    for (size_t i = 0; i < cap; i++) EXPECT_EQ(converts[i], full[i]);
   }
 }
 
@@ -272,15 +254,13 @@ TEST_F(GcPolicyTest, PickerSparesTailAndActiveChunks) {
   const uint64_t cold_lane = ChunkOf(AppendCleanerBatch(16, Temp::kCold)[0]);
   ASSERT_EQ(AlignDown(log_->tail(), alloc::kChunkSize), tail_chunk);
 
-  for (bool tier : {false, true}) {
+  {
     VictimQuery q;
-    q.live_ratio = tier ? 0.6 : 1.5;  // tier off: every chunk relocatable
+    q.live_ratio = 1.5;  // every chunk relocatable
     q.max = 16;
-    q.tier = tier;
     const auto victims = log_->PickVictims(q);
-    ASSERT_EQ(victims.size(), 1u) << (tier ? "tier on" : "tier off");
+    ASSERT_EQ(victims.size(), 1u);
     EXPECT_EQ(victims[0].chunk_off, old_chunk);
-    EXPECT_EQ(victims[0].convert, tier);
   }
   // The serving chunk after the tail moves into it: unsealed, so spared,
   // and the former tail chunk becomes eligible.
@@ -485,6 +465,48 @@ TEST(HotColdSegregation, SegregationOffKeepsEverySurvivorHot) {
         EXPECT_EQ(u.temp, log::Temp::kHot) << "chunk " << off;
       }
     }
+  }
+}
+
+// A cold-lane chunk is relocated as soon as it falls below the one cap,
+// like any other chunk. Every survivor goes to the cold lane
+// (gc_cold_age = 0); 40 % of the cold keys are then overwritten, which
+// leaves the cold chunks a little over half live, under gc_live_ratio.
+TEST(HotColdSegregation, ColdChunkUnderTheCapIsRelocated) {
+  pm::PmPool::Options o;
+  o.size = 256ull << 20;
+  pm::PmPool pool(o);
+  auto opts = SegOptions();
+  opts.gc_live_ratio = 0.9;
+  opts.gc_cold_age = 0;
+  auto store = FlatStore::Create(&pool, opts);
+  StageGarbage(store.get());
+  while (store->RunCleanersOnce() > 0) {
+  }
+  for (uint64_t k = 3000; k < 3400; k++) store->Put(k, ValueFor(k, 2, 200));
+  std::vector<std::pair<int, uint64_t>> cold;  // (core, chunk)
+  for (int c = 0; c < 2; c++) {
+    for (const auto& [off, u] : store->LogForCore(c)->UsageSnapshot()) {
+      if (!u.cleaner || u.temp != log::Temp::kCold) continue;
+      const double ratio = static_cast<double>(u.live_bytes) /
+                           static_cast<double>(u.total_bytes);
+      EXPECT_LT(ratio, opts.gc_live_ratio) << "chunk " << off;
+      EXPECT_GT(ratio, opts.gc_live_ratio / 2) << "chunk " << off;
+      cold.push_back({c, off});
+    }
+  }
+  ASSERT_FALSE(cold.empty());
+  const uint64_t cleaned = store->ChunksCleaned();
+  store->RunCleanersOnce();
+  EXPECT_GE(store->ChunksCleaned(), cleaned + cold.size());
+  for (const auto& [c, off] : cold) {
+    EXPECT_EQ(store->LogForCore(c)->UsageSnapshot().count(off), 0u)
+        << "cold chunk " << off << " was not relocated";
+  }
+  std::string v;
+  for (uint64_t k = 3000; k < 4000; k += 37) {
+    ASSERT_TRUE(store->Get(k, &v)) << k;
+    ASSERT_EQ(v, ValueFor(k, k < 3400 ? 2 : 0, 200)) << k;
   }
 }
 

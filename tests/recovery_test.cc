@@ -25,7 +25,6 @@
 #include "harness/crash_explorer.h"
 #include "log/layout.h"
 #include "log/log_reader.h"
-#include "tier/tier.h"
 
 namespace flatstore {
 namespace core {
@@ -305,17 +304,16 @@ TEST(Recovery, MasstreeCrashReplay) {
 // ---- recovered chunk usage against a rescan of the log ----
 
 // What recovery must rebuild, recomputed the slow way from the recovered
-// registry, log and index: each registered un-tiered chunk is walked with
-// ChainedChunkReader and an entry is live iff the index names it; a
-// tiered chunk counts the tier nodes that name it, live iff the index
-// names them. The allocator holds every registered log chunk, every tier
-// arena chunk and the block of every live out-of-log value.
+// registry, log and index: each registered chunk is walked with
+// ChainedChunkReader and an entry is live iff the index names it. The
+// allocator holds every registered log chunk and the block of every live
+// out-of-log value.
 struct Rescan {
   std::vector<std::map<uint64_t, log::ChunkUsage>> usage;  // per core
   uint64_t allocated_bytes = 0;
   uint64_t orphan_chains = 0;  // torn or aborted txn chains dropped
-  uint64_t tiered_chunks = 0;
-  uint64_t untiered_chunks = 0;
+  uint64_t chunks = 0;
+  uint64_t cleaner_chunks = 0;  // relocation chunks among them
 };
 
 Rescan RescanUsage(FlatStore* store, pm::PmPool* pool) {
@@ -327,84 +325,50 @@ Rescan RescanUsage(FlatStore* store, pm::PmPool* pool) {
     return store->IndexForCore(store->CoreForKey(key))->Get(key, &cur) &&
            cur == packed;
   };
-  auto count_live = [&blocks](const log::DecodedEntry& e,
-                              log::ChunkUsage* u) {
-    u->live++;
-    u->live_bytes += e.entry_len;
-    if (e.op == log::OpType::kPut && !e.embedded) blocks.insert(e.ptr);
-  };
   log::RootArea* root = store->root();
   const log::ChunkRecord* regs = root->registry();
-  std::map<uint64_t, int> owner;
   for (uint64_t s = 0; s < root->registry_slots(); s++) {
     if (regs[s].chunk_off == 0) continue;
     const uint64_t chunk = regs[s].chunk_off & ~log::kChunkFlagsMask;
     const int core = static_cast<int>(regs[s].core);
-    owner[chunk] = core;
     log::ChunkUsage u;
     u.seq = regs[s].seq;
     u.last_write_clock = regs[s].seq;  // re-seeded from the sequence
     u.cleaner = (regs[s].chunk_off & log::kChunkCleaner) != 0;
-    u.tiered = (regs[s].chunk_off & log::kChunkTiered) != 0;
     u.registry_slot = s;
     ref.allocated_bytes += alloc::kChunkSize;
-    if (u.tiered) {
-      u.sealed = true;
-      u.total_bytes = log::kLogDataBytes;
-      ref.tiered_chunks++;
-    } else {
-      uint64_t tail_seq = 0;
-      const uint64_t tail = root->ReadTail(core, &tail_seq);
-      const bool is_tail =
-          tail != 0 && AlignDown(tail, alloc::kChunkSize) == chunk;
-      u.sealed = !is_tail;
-      const uint64_t committed =
-          is_tail ? tail - (chunk + log::kLogDataOff)
-                  : pool->PtrAt<log::LogChunkHeader>(
-                            chunk + alloc::kChunkHeaderSize)
-                        ->used_final;
-      log::ChainedChunkReader reader(pool, chunk, committed);
-      log::DecodedEntry e;
-      uint64_t off;
-      while (reader.Next(&e, &off)) {
-        u.total++;
-        u.total_bytes += e.entry_len;
-        if (e.op == log::OpType::kTxnCommit) continue;
-        if (e.op == log::OpType::kDelete) {
-          u.tombs++;
-          u.max_covered_seq =
-              std::max(u.max_covered_seq, static_cast<uint32_t>(e.ptr));
-        }
-        if (indexed(e.key, log::PackIndexValue(off, e.version))) {
-          count_live(e, &u);
-        }
-      }
-      ref.orphan_chains += reader.orphan_chains();
-      ref.untiered_chunks++;
-    }
-    ref.usage[static_cast<size_t>(core)][chunk] = u;
-  }
-  if (store->tier() != nullptr) {
-    store->tier()->ForEach([&](uint64_t key, uint64_t packed) {
-      const uint64_t off = log::UnpackOffset(packed);
-      const uint64_t chunk = AlignDown(off, alloc::kChunkSize);
-      auto it = owner.find(chunk);
-      if (it == owner.end()) {
-        ADD_FAILURE() << "tier node for key " << key
-                      << " names unregistered chunk " << chunk;
-        return;
-      }
-      log::ChunkUsage& u = ref.usage[static_cast<size_t>(it->second)][chunk];
+    uint64_t tail_seq = 0;
+    const uint64_t tail = root->ReadTail(core, &tail_seq);
+    const bool is_tail =
+        tail != 0 && AlignDown(tail, alloc::kChunkSize) == chunk;
+    u.sealed = !is_tail;
+    const uint64_t committed =
+        is_tail ? tail - (chunk + log::kLogDataOff)
+                : pool->PtrAt<log::LogChunkHeader>(chunk +
+                                                   alloc::kChunkHeaderSize)
+                      ->used_final;
+    log::ChainedChunkReader reader(pool, chunk, committed);
+    log::DecodedEntry e;
+    uint64_t off;
+    while (reader.Next(&e, &off)) {
       u.total++;
-      log::DecodedEntry e;
-      if (indexed(key, packed) &&
-          log::DecodeEntry(static_cast<const uint8_t*>(pool->At(off)),
-                           log::kMaxEntrySize, &e)) {
-        count_live(e, &u);
+      u.total_bytes += e.entry_len;
+      if (e.op == log::OpType::kTxnCommit) continue;
+      if (e.op == log::OpType::kDelete) {
+        u.tombs++;
+        u.max_covered_seq =
+            std::max(u.max_covered_seq, static_cast<uint32_t>(e.ptr));
       }
-    });
-    store->tier()->ForEachArenaChunk(
-        [&](uint64_t) { ref.allocated_bytes += alloc::kChunkSize; });
+      if (indexed(e.key, log::PackIndexValue(off, e.version))) {
+        u.live++;
+        u.live_bytes += e.entry_len;
+        if (e.op == log::OpType::kPut && !e.embedded) blocks.insert(e.ptr);
+      }
+    }
+    ref.orphan_chains += reader.orphan_chains();
+    ref.chunks++;
+    if (u.cleaner) ref.cleaner_chunks++;
+    ref.usage[static_cast<size_t>(core)][chunk] = u;
   }
   for (uint64_t b : blocks) {
     ref.allocated_bytes +=
@@ -442,7 +406,6 @@ Rescan ExpectUsageMatchesRescan(FlatStore* store, pm::PmPool* pool) {
       EXPECT_EQ(u.cleaner, want.cleaner) << where;
       EXPECT_TRUE(u.temp == want.temp) << where;
       EXPECT_EQ(u.retired, want.retired) << where;
-      EXPECT_EQ(u.tiered, want.tiered) << where;
       EXPECT_EQ(u.registry_slot, want.registry_slot) << where;
     }
   }
@@ -450,20 +413,19 @@ Rescan ExpectUsageMatchesRescan(FlatStore* store, pm::PmPool* pool) {
   return ref;
 }
 
-FlatStoreOptions TierStoreOptions() {
+FlatStoreOptions KeyOrderedStoreOptions() {
   FlatStoreOptions fo;
   fo.num_cores = 4;
   fo.group_size = 4;
   fo.hash_initial_depth = 4;
-  fo.tier_enabled = true;
+  fo.tier_enabled = true;  // keep key order
   return fo;
 }
 
-// Keys `first`..`first + n` with inline and out-of-log values, then the
-// maintenance passes that convert them: sealing and a few far keys move
-// every core's durable tail into a fresh chunk first (a tail chunk never
-// tiers).
-void PutAndTier(FlatStore* store, uint64_t first, uint64_t n,
+// Keys `first`..`first + n` with inline and out-of-log values, sealed,
+// then a few far keys that move every core's durable tail into a fresh
+// chunk (a tail chunk is never cleaned).
+void PutAndSeal(FlatStore* store, uint64_t first, uint64_t n,
                 uint64_t nonce) {
   for (uint64_t k = first; k < first + n; k++) {
     store->Put(k, ValueFor(k, nonce, 16 + k * 37 % 400));
@@ -472,18 +434,16 @@ void PutAndTier(FlatStore* store, uint64_t first, uint64_t n,
   for (uint64_t k = 0; k < 32; k++) {
     store->Put((nonce << 40) + k, ValueFor(k, nonce, 40));
   }
-  while (store->RunCleanersOnce() > 0) {
-  }
 }
 
-// A 4-core tier store whose history has conversions, tiered chunks
-// reclaimed after their entries died, and tiered chunks left with stale
-// nodes.
-void TieredHistory(FlatStore* store) {
-  PutAndTier(store, 0, 1500, 1);
-  PutAndTier(store, 100000, 1500, 2);
+// A 4-core key-ordered store whose history has cleaned chunks, relocation
+// chunks holding survivors and tombstones, and sealed chunks left with
+// dead entries that no pass reclaimed.
+void CleanedHistory(FlatStore* store) {
+  PutAndSeal(store, 0, 1500, 1);
+  PutAndSeal(store, 100000, 1500, 2);
   // Most of the first batch dies (overwrites and deletes), so the passes
-  // reclaim its tiered chunks and convert the overwrites.
+  // clean its chunks and relocate the survivors.
   for (uint64_t k = 0; k < 1500; k++) {
     if (k % 5 == 0) {
       store->Delete(k);
@@ -495,12 +455,11 @@ void TieredHistory(FlatStore* store) {
   while (store->RunCleanersOnce() > 0) {
   }
   ASSERT_GT(store->ChunksCleaned(), 0u);
-  ASSERT_GT(store->ChunksTiered(), 0u);
   // Entries of the second batch die without a pass to reclaim them.
   for (uint64_t k = 100000; k < 101500; k += 7) store->Delete(k);
 }
 
-// An un-tiered suffix: fresh keys, overwrites of tiered keys, deletes.
+// A suffix no pass sees: fresh keys, overwrites of older keys, deletes.
 void Suffix(FlatStore* store, uint64_t nonce) {
   for (uint64_t k = 200000; k < 200600; k++) {
     store->Put(k, ValueFor(k, nonce, 16 + k * 13 % 400));
@@ -511,42 +470,47 @@ void Suffix(FlatStore* store, uint64_t nonce) {
   for (uint64_t k = 200000; k < 200600; k += 4) store->Delete(k);
 }
 
-TEST(Recovery, RecoveredUsageMatchesRescanTierCrash) {
+// The recovered key run serves scans exactly like a full iteration.
+void ExpectScansMatchFullIteration(FlatStore* store) {
+  for (uint64_t start : {0ull, 750ull, 100000ull, 200300ull}) {
+    std::vector<std::pair<uint64_t, std::string>> merged, full;
+    EXPECT_EQ(store->Scan(start, 500, &merged),
+              store->ScanFullIteration(start, 500, &full))
+        << start;
+    EXPECT_EQ(merged, full) << start;
+  }
+}
+
+TEST(Recovery, RecoveredUsageMatchesRescanKeyOrderedCrash) {
   auto pool = CrashPool();
   {
-    auto store = FlatStore::Create(pool.get(), TierStoreOptions());
-    TieredHistory(store.get());
+    auto store = FlatStore::Create(pool.get(), KeyOrderedStoreOptions());
+    CleanedHistory(store.get());
     Suffix(store.get(), 4);
   }
   pool->SimulateCrash();
-  auto store = FlatStore::Open(pool.get(), TierStoreOptions());
+  auto store = FlatStore::Open(pool.get(), KeyOrderedStoreOptions());
   const Rescan ref = ExpectUsageMatchesRescan(store.get(), pool.get());
-  EXPECT_GT(ref.tiered_chunks, 0u);
-  EXPECT_GT(ref.untiered_chunks, 0u);
-  EXPECT_GT(store->tier()->free_nodes(), 0u) << "no tiered chunk reclaimed";
-  size_t stale = 0;  // tiered chunks with nodes that lost the duel
-  for (const auto& per_core : ref.usage) {
-    for (const auto& [chunk, u] : per_core) {
-      stale += u.tiered && u.live < u.total ? 1 : 0;
-    }
-  }
-  EXPECT_GT(stale, 0u);
+  EXPECT_GT(ref.cleaner_chunks, 0u);
+  EXPECT_GT(ref.chunks, ref.cleaner_chunks);
+  ExpectScansMatchFullIteration(store.get());
 }
 
-TEST(Recovery, RecoveredUsageMatchesRescanTierCheckpoint) {
+TEST(Recovery, RecoveredUsageMatchesRescanKeyOrderedCheckpoint) {
   auto pool = CrashPool();
   {
-    auto store = FlatStore::Create(pool.get(), TierStoreOptions());
-    TieredHistory(store.get());
+    auto store = FlatStore::Create(pool.get(), KeyOrderedStoreOptions());
+    CleanedHistory(store.get());
     store->CheckpointNow();
     Suffix(store.get(), 5);
   }
   ASSERT_NE(log::RootArea(pool.get()).superblock()->clean_shutdown, 0u)
       << "the suffix disarmed the checkpoint";
-  auto store = FlatStore::Open(pool.get(), TierStoreOptions());
+  auto store = FlatStore::Open(pool.get(), KeyOrderedStoreOptions());
   const Rescan ref = ExpectUsageMatchesRescan(store.get(), pool.get());
-  EXPECT_GT(ref.tiered_chunks, 0u);
-  EXPECT_GT(ref.untiered_chunks, 0u);
+  EXPECT_GT(ref.cleaner_chunks, 0u);
+  EXPECT_GT(ref.chunks, ref.cleaner_chunks);
+  ExpectScansMatchFullIteration(store.get());
 }
 
 TEST(Recovery, RecoveredUsageMatchesRescanMasstree) {
@@ -566,7 +530,7 @@ TEST(Recovery, RecoveredUsageMatchesRescanMasstree) {
   auto store =
       FlatStore::Open(pool.get(), SmallOptions(IndexKind::kMasstree));
   const Rescan ref = ExpectUsageMatchesRescan(store.get(), pool.get());
-  EXPECT_GT(ref.untiered_chunks, 1u);
+  EXPECT_GT(ref.chunks, 1u);
 }
 
 // A torn txn chain (members durable, no valid commit record after them,
