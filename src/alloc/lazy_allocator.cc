@@ -1,5 +1,6 @@
 #include "alloc/lazy_allocator.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/cacheline.h"
@@ -17,6 +18,7 @@ LazyAllocator::LazyAllocator(pm::PmPool* pool, uint64_t region_off,
       num_chunks_(region_len / kChunkSize),
       num_cores_(num_cores),
       pool_sockets_(pool->num_sockets()),
+      sockets_(static_cast<size_t>(pool_sockets_)),
       cores_(static_cast<size_t>(num_cores)) {
   FLATSTORE_CHECK_EQ(region_off % kChunkSize, 0u);
   // Offset 0 is the "allocation failed" sentinel, so the region must not
@@ -151,7 +153,8 @@ int64_t LazyAllocator::TakeBlock(ChunkState& st, ChunkHeader* h) {
 
 uint64_t LazyAllocator::Alloc(int core, uint64_t size) {
   FLATSTORE_DCHECK(core >= 0 && core < num_cores_);
-  vt::Charge(2 * vt::kCpuSlotProbe + vt::kCpuCas);
+  // The pop: the magazine's count, then its top slot.
+  vt::Charge(2 * vt::kCpuSlotProbe);
   const uint32_t cls = ClassFor(size);
   if (cls == 0) {
     // Raw-chunk fallback for huge values (rare in KV workloads).
@@ -160,38 +163,56 @@ uint64_t LazyAllocator::Alloc(int core, uint64_t size) {
     uint64_t chunk_off = AllocRawChunk(core);
     return chunk_off == 0 ? 0 : chunk_off + kChunkHeaderSize;
   }
+  Magazine& mag = cores_[core].classes[ClassIndex(cls)];
+  // relaxed: only this core's thread writes `count`; allocated_bytes'
+  // reads from other threads are advisory until serving quiesces.
+  uint32_t n = mag.count.load(std::memory_order_relaxed);
+  if (n == 0) {
+    n = Refill(core, cls, mag.blocks.data(), MagazineCapacity(cls));
+    if (n == 0) return 0;  // out of PM space
+  }
+  n--;
+  // relaxed: see the load above.
+  mag.count.store(n, std::memory_order_relaxed);
+  return mag.blocks[n];
+}
 
-  CoreClassState& ccs = cores_[core].classes[ClassIndex(cls)];
+uint32_t LazyAllocator::Refill(int core, uint32_t cls, uint64_t* out,
+                               uint32_t want) {
+  // The class lock and its line, shared by every core of the socket.
+  vt::Charge(vt::kCpuCas + vt::kCpuCacheMiss);
+  const int socket = SocketForCore(core);
+  ClassState& cs = sockets_[socket][ClassIndex(cls)];
+  LockGuard<SpinLock> g(cs.lock);
   while (true) {
-    if (ccs.current < 0) {
-      // Refill: a partially-free chunk we own, else a fresh chunk.
-      {
-        LockGuard<SpinLock> g(ccs.partial_lock);
-        while (!ccs.partial.empty() && ccs.current < 0) {
-          int64_t cand = ccs.partial.back();
-          ccs.partial.pop_back();
-          LockGuard<SpinLock> cg(chunks_[cand]->lock);
-          chunks_[cand]->in_partial_list = false;
-          if (chunks_[cand]->used < BlocksPerChunk(cls)) {
-            ccs.current = cand;
-          }
-        }
-      }
-      if (ccs.current < 0) {
-        int64_t fresh = PopFreeChunk(SocketForCore(core));
-        if (fresh < 0) return 0;  // out of PM space
-        FormatValueChunk(fresh, cls, core);
-        ccs.current = fresh;
-      }
+    // Refill the current chunk: a partially free chunk, else a fresh one.
+    while (cs.current < 0 && !cs.partial.empty()) {
+      const int64_t cand = cs.partial.back();
+      cs.partial.pop_back();
+      ChunkState& st = *chunks_[cand];
+      LockGuard<SpinLock> cg(st.lock);
+      st.in_partial_list = false;
+      if (st.used < BlocksPerChunk(cls)) cs.current = cand;
     }
-    int64_t chunk = ccs.current;
-    LockGuard<SpinLock> g(chunks_[chunk]->lock);
-    int64_t idx = TakeBlock(*chunks_[chunk], HeaderOf(chunk));
-    if (idx >= 0) {
-      return ChunkOffset(chunk) + kChunkHeaderSize +
-             static_cast<uint64_t>(idx) * cls;
+    if (cs.current < 0) {
+      const int64_t fresh = PopFreeChunk(socket);
+      if (fresh < 0) return 0;
+      FormatValueChunk(fresh, cls, core);
+      cs.current = fresh;
     }
-    ccs.current = -1;  // full; try another chunk
+    const int64_t chunk = cs.current;
+    ChunkState& st = *chunks_[chunk];
+    ChunkHeader* h = HeaderOf(chunk);
+    LockGuard<SpinLock> cg(st.lock);
+    uint32_t got = 0;
+    for (int64_t idx; got < want && (idx = TakeBlock(st, h)) >= 0;) {
+      out[got++] = ChunkOffset(chunk) + kChunkHeaderSize +
+                   static_cast<uint64_t>(idx) * cls;
+    }
+    vt::Charge(got * vt::kCpuSlotProbe);
+    // A short take means the chunk is full: the next free relists it.
+    if (got < want) cs.current = -1;
+    if (got > 0) return got;
   }
 }
 
@@ -200,46 +221,74 @@ void LazyAllocator::Free(uint64_t off) {
   int64_t chunk = ChunkIdOf(off);
   FLATSTORE_CHECK(chunk >= 0 && static_cast<uint64_t>(chunk) < num_chunks_);
   ChunkState& st = *chunks_[chunk];
-  // `raw` must be read under the chunk lock like every other ChunkState
-  // field (the unlocked fast-path read here predated the thread-safety
-  // pass and raced with AllocRawChunk formatting a recycled chunk).
+  ChunkHeader* h = HeaderOf(chunk);
   bool raw;
+  bool relist = false;
+  int owner = -1;
+  uint32_t cls = 0;
   {
+    // `raw` is read under the chunk lock like every other ChunkState
+    // field: AllocRawChunk may be formatting a recycled chunk.
     LockGuard<SpinLock> g(st.lock);
     raw = st.raw;
+    if (!raw) {
+      FLATSTORE_CHECK(st.formatted);
+      cls = st.size_class;
+      uint64_t idx = (off - ChunkOffset(chunk) - kChunkHeaderSize) / cls;
+      FLATSTORE_DCHECK((off - ChunkOffset(chunk) - kChunkHeaderSize) % cls ==
+                       0);
+      BitmapView bm(h->bitmap, BlocksPerChunk(cls));
+      FLATSTORE_CHECK(bm.Test(idx)) << "double free at offset " << off;
+      // fs-lint: pm-write(lazy persist: free only clears the volatile-for-now bitmap bit; recovery recomputes it from the log)
+      bm.Clear(idx);
+      st.used--;
+      // The chunk became empty, or it was full (neither current nor
+      // listed) and has room again.
+      relist = st.used == 0 ||
+               (!st.in_partial_list && st.used + 1 == BlocksPerChunk(cls));
+      owner = st.owner;
+    }
   }
   if (raw) {
     FreeRawChunk(ChunkOffset(chunk));
     return;
   }
-  ChunkHeader* h = HeaderOf(chunk);
-  bool add_partial = false;
-  int owner;
-  uint32_t cls;
+  if (relist) Relist(chunk, cls, SocketForCore(owner));
+}
+
+void LazyAllocator::Relist(int64_t chunk, uint32_t cls, int socket) {
+  // The shared class line, as in Refill.
+  vt::Charge(vt::kCpuCas + vt::kCpuCacheMiss);
+  ClassState& cs = sockets_[socket][ClassIndex(cls)];
+  LockGuard<SpinLock> g(cs.lock);
+  if (cs.current == chunk) return;
+  ChunkState& st = *chunks_[chunk];
+  bool was_listed;
   {
-    LockGuard<SpinLock> g(st.lock);
-    FLATSTORE_CHECK(st.formatted);
-    cls = st.size_class;
-    uint64_t idx = (off - ChunkOffset(chunk) - kChunkHeaderSize) / cls;
-    FLATSTORE_DCHECK((off - ChunkOffset(chunk) - kChunkHeaderSize) % cls == 0);
-    BitmapView bm(h->bitmap, BlocksPerChunk(cls));
-    FLATSTORE_CHECK(bm.Test(idx)) << "double free at offset " << off;
-    // fs-lint: pm-write(lazy persist: free only clears the volatile-for-now bitmap bit; recovery recomputes it from the log)
-    bm.Clear(idx);
-    st.used--;
-    // Re-expose the chunk to its owner if it was invisible (not anyone's
-    // current chunk and not in a partial list).
-    if (!st.in_partial_list && st.used + 1 == BlocksPerChunk(cls)) {
-      st.in_partial_list = true;
-      add_partial = true;
+    LockGuard<SpinLock> cg(st.lock);
+    // Emptied and recycled by another free since: not this class's chunk.
+    if (!st.formatted || st.size_class != cls ||
+        SocketForCore(st.owner) != socket) {
+      return;
     }
-    owner = st.owner;
+    if (st.used > 0) {
+      if (!st.in_partial_list && st.used < BlocksPerChunk(cls)) {
+        st.in_partial_list = true;
+        cs.partial.push_back(chunk);
+      }
+      return;
+    }
+    was_listed = st.in_partial_list;
+    st.in_partial_list = false;
+    st.formatted = false;
   }
-  if (add_partial) {
-    CoreClassState& ccs = cores_[owner].classes[ClassIndex(cls)];
-    LockGuard<SpinLock> g(ccs.partial_lock);
-    ccs.partial.push_back(chunk);
+  if (was_listed) {
+    cs.partial.erase(std::find(cs.partial.begin(), cs.partial.end(), chunk));
   }
+  LockGuard<SpinLock> fg(free_lock_);
+  free_lists_[pool_->SocketOf(ChunkOffset(chunk))].push_back(chunk);
+  free_count_++;
+  UpdatePressure();
 }
 
 uint64_t LazyAllocator::AllocRawChunk(int core) {
@@ -286,11 +335,19 @@ void LazyAllocator::StartRecovery() {
     free_count_ = 0;
     UpdatePressure();
   }
+  for (auto& classes : sockets_) {
+    for (ClassState& cs : classes) {
+      LockGuard<SpinLock> g(cs.lock);
+      cs.current = -1;
+      cs.partial.clear();
+    }
+  }
+  // Magazine blocks are named by no log entry: the bitmap scrub below
+  // frees them.
   for (auto& core : cores_) {
-    for (auto& ccs : core.classes) {
-      ccs.current = -1;
-      LockGuard<SpinLock> g(ccs.partial_lock);
-      ccs.partial.clear();
+    for (auto& mag : core.classes) {
+      // relaxed: recovery runs before any serving thread starts.
+      mag.count.store(0, std::memory_order_relaxed);
     }
   }
   for (uint64_t i = 0; i < num_chunks_; i++) {
@@ -343,24 +400,34 @@ void LazyAllocator::MarkRawChunkAllocated(uint64_t chunk_off) {
 }
 
 void LazyAllocator::FinishRecovery() {
-  LockGuard<SpinLock> g(free_lock_);
   for (uint64_t i = 0; i < num_chunks_; i++) {
     ChunkState& st = *chunks_[i];
-    LockGuard<SpinLock> cg(st.lock);
-    if (st.raw) continue;
-    if (st.formatted && st.used > 0) {
-      st.in_partial_list = true;
-      CoreClassState& ccs =
-          cores_[st.owner].classes[ClassIndex(st.size_class)];
-      LockGuard<SpinLock> pg(ccs.partial_lock);
-      ccs.partial.push_back(static_cast<int64_t>(i));
+    int socket = -1;
+    uint32_t cls = 0;
+    {
+      LockGuard<SpinLock> cg(st.lock);
+      if (st.raw) continue;
+      if (st.formatted && st.used > 0) {
+        st.in_partial_list = true;
+        socket = SocketForCore(st.owner);
+        cls = st.size_class;
+      } else {
+        st.formatted = false;
+      }
+    }
+    // Routed outside the chunk lock: class locks come before chunk locks.
+    if (socket >= 0) {
+      ClassState& cs = sockets_[socket][ClassIndex(cls)];
+      LockGuard<SpinLock> g(cs.lock);
+      cs.partial.push_back(static_cast<int64_t>(i));
     } else {
-      st.formatted = false;
+      LockGuard<SpinLock> g(free_lock_);
       free_lists_[pool_->SocketOf(ChunkOffset(i))].push_back(
           static_cast<int64_t>(i));
       free_count_++;
     }
   }
+  LockGuard<SpinLock> g(free_lock_);
   UpdatePressure();
 }
 
@@ -387,6 +454,16 @@ uint64_t LazyAllocator::free_chunks_on(int socket) const {
 }
 
 uint64_t LazyAllocator::allocated_bytes() const {
+  // Magazines first: a refill racing this walk can then only overcount.
+  uint64_t held = 0;
+  for (const CoreState& core : cores_) {
+    for (size_t c = 0; c < kSizeClasses.size(); c++) {
+      // relaxed: advisory while cores allocate; exact once they quiesce.
+      held += static_cast<uint64_t>(
+                  core.classes[c].count.load(std::memory_order_relaxed)) *
+              kSizeClasses[c];
+    }
+  }
   uint64_t total = 0;
   for (uint64_t i = 0; i < num_chunks_; i++) {
     ChunkState& st = *chunks_[i];
@@ -397,7 +474,7 @@ uint64_t LazyAllocator::allocated_bytes() const {
       total += static_cast<uint64_t>(st.used) * st.size_class;
     }
   }
-  return total;
+  return total > held ? total - held : 0;
 }
 
 bool LazyAllocator::IsAllocated(uint64_t off) const {

@@ -12,10 +12,19 @@
 //    key trick. The OpLog already durably holds every live block pointer,
 //    so after a crash each bitmap is recomputed: chunk = ptr & ~(4MB-1),
 //    block index = (ptr - chunk - header) / class.
-//  * Chunks are partitioned across server cores; a core allocates from its
-//    privately owned chunks without locks on the fast path. Frees may come
-//    from any thread (the log cleaner), so per-chunk spinlocks guard the
-//    bitmap.
+//  * Chunks are shared per socket: all cores of a socket fill the same
+//    chunk of a class, under one spinlock per (socket, class), so a store
+//    keeps sockets x classes chunks open rather than cores x classes (a
+//    chunk per core and class held 103 value chunks for 36 MB of blocks
+//    on perfbench's 16-core etc_put). Each core draws from a small
+//    per-class *magazine* of blocks already set in their chunk's bitmap
+//    (Bonwick's magazines over Hoard's shared heap): the pop takes no
+//    lock, and a miss refills the magazine under the class lock and the
+//    chunk lock once. Frees may come from any thread (the log cleaner),
+//    so per-chunk spinlocks guard the bitmap; a chunk whose last block is
+//    freed returns to the free pool unless it is its class's current
+//    chunk. Blocks held in a magazine at a crash are named by no log
+//    entry, so the bitmap rebuild returns them free.
 //  * On multi-socket pools the free chunks are pooled *per socket* (the
 //    pool's contiguous socket spans, pm::PmPool::SocketOf): a core refills
 //    from its own socket's pool first, so its log segments and value
@@ -30,6 +39,7 @@
 #ifndef FLATSTORE_ALLOC_LAZY_ALLOCATOR_H_
 #define FLATSTORE_ALLOC_LAZY_ALLOCATOR_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -37,6 +47,7 @@
 #include <vector>
 
 #include "common/bitmap.h"
+#include "common/cacheline.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
 #include "pm/pm_pool.h"
@@ -48,6 +59,12 @@ namespace alloc {
 inline constexpr uint64_t kChunkSize = 4ull << 20;
 inline constexpr uint64_t kChunkHeaderSize = 4096;  // header + bitmap area
 inline constexpr uint64_t kChunkMagic = 0xF1A75702EC0FFEEDull;
+
+// Per-core magazine bounds: a core holds at most this many blocks of one
+// class, and at most this many bytes (a class above the byte bound is
+// taken one block per refill, so its magazine never holds one).
+inline constexpr uint32_t kMagazineBlocks = 16;
+inline constexpr uint64_t kMagazineBytes = 16ull << 10;
 
 // Size classes for value blocks (all > 256 B; multiples of 256 B).
 inline constexpr std::array<uint32_t, 11> kSizeClasses = {
@@ -84,13 +101,21 @@ class LazyAllocator {
   // chunks (> largest class).
   static uint32_t ClassFor(uint64_t size);
 
+  // Blocks of class `cls` one magazine refill takes.
+  static constexpr uint32_t MagazineCapacity(uint32_t cls) {
+    return static_cast<uint32_t>(
+        std::clamp<uint64_t>(kMagazineBytes / cls, 1, kMagazineBlocks));
+  }
+
   // Allocates at least `size` bytes for `core`. Returns the pool offset of
   // the block (256 B aligned), or 0 on out-of-space. The bitmap update is
-  // *not* flushed (lazy persist).
+  // *not* flushed (lazy persist). One thread serves each core: the core's
+  // magazine is popped without a lock.
   uint64_t Alloc(int core, uint64_t size);
 
   // Frees a block previously returned by Alloc. Thread-safe (cleaners free
-  // blocks owned by other cores). Not flushed.
+  // blocks owned by other cores). Not flushed. A chunk left empty returns
+  // to the free pool unless it is its class's current chunk.
   void Free(uint64_t off);
 
   // Allocates one whole raw chunk for `core` (OpLog segments). The header
@@ -113,7 +138,7 @@ class LazyAllocator {
   // journal).
   void MarkRawChunkAllocated(uint64_t chunk_off);
 
-  // Rebuilds free lists / per-core ownership after replay.
+  // Rebuilds the free lists and each socket's partial chunks after replay.
   void FinishRecovery();
 
   // --- clean shutdown ---
@@ -158,10 +183,13 @@ class LazyAllocator {
     return core * pool_sockets_ / num_cores_;
   }
   uint64_t total_chunks() const { return num_chunks_; }
-  // Bytes of the region currently allocated (blocks + raw chunks).
+  // Bytes of the region currently allocated (blocks + raw chunks). Blocks
+  // held in the cores' magazines are not counted; exact when no core is
+  // allocating.
   uint64_t allocated_bytes() const;
 
-  // True if `off` lies inside a live block/raw chunk (test helper).
+  // True if `off` lies inside a live block, a block held in a magazine or
+  // a raw chunk (test helper).
   bool IsAllocated(uint64_t off) const;
 
   pm::PmPool* pool() const { return pool_; }
@@ -173,25 +201,36 @@ class LazyAllocator {
   struct ChunkState {
     SpinLock lock;
     uint32_t size_class GUARDED_BY(lock) = 0;  // mirrors persistent header
-    uint32_t used GUARDED_BY(lock) = 0;  // live blocks (1 for raw chunks)
-    int owner GUARDED_BY(lock) = -1;
+    // Bits set in the bitmap: blocks handed out or held in a magazine
+    // (1 for raw chunks).
+    uint32_t used GUARDED_BY(lock) = 0;
+    int owner GUARDED_BY(lock) = -1;  // persisted owner_core; its socket
+                                      // owns the chunk's class state
     bool formatted GUARDED_BY(lock) = false;  // handed out as value chunk
     bool raw GUARDED_BY(lock) = false;        // handed out as raw chunk
     bool in_partial_list GUARDED_BY(lock) = false;
     uint32_t next_free_hint GUARDED_BY(lock) = 0;
   };
 
-  // Per-core, per-class allocation state. `current` is owned by the
-  // core's serving thread (single writer/reader) and deliberately not
-  // guarded; `partial` takes pushes from cleaner frees on any thread.
-  struct CoreClassState {
-    int64_t current = -1;               // chunk id being filled
-    SpinLock partial_lock;              // frees may push from cleaners
-    std::vector<int64_t> partial GUARDED_BY(partial_lock);
+  // Per-socket, per-class state, shared by the socket's cores. `lock` is
+  // taken before free_lock_ and before any chunk lock.
+  struct alignas(kCachelineSize) ClassState {
+    SpinLock lock;
+    int64_t current GUARDED_BY(lock) = -1;  // chunk id being filled
+    std::vector<int64_t> partial GUARDED_BY(lock);
   };
 
-  struct CoreState {
-    std::array<CoreClassState, kSizeClasses.size()> classes;
+  // A core's stock of one class's blocks, each already set in its chunk's
+  // bitmap. Only the core's serving thread touches `blocks`; `count` is
+  // atomic so allocated_bytes can subtract the held blocks from any
+  // thread.
+  struct Magazine {
+    std::array<uint64_t, kMagazineBlocks> blocks{};
+    std::atomic<uint32_t> count{0};
+  };
+
+  struct alignas(kCachelineSize) CoreState {
+    std::array<Magazine, kSizeClasses.size()> classes;
   };
 
   ChunkHeader* HeaderOf(uint64_t chunk_id) const {
@@ -218,6 +257,17 @@ class LazyAllocator {
   // header fields (not the bitmap).
   void FormatValueChunk(int64_t chunk, uint32_t cls, int core);
 
+  // Takes up to `want` blocks of `cls` for `core` into `out` from its
+  // socket's current chunk, moving to a partial or fresh chunk when that
+  // one is full. Returns the count; 0 only when PM is exhausted.
+  uint32_t Refill(int core, uint32_t cls, uint64_t* out, uint32_t want);
+
+  // After a free left `chunk` (class `cls`, owned by `socket`) empty or
+  // no longer full: returns it to the free pool if it is empty and not its
+  // class's current chunk, else lists it as partial. Decides from the
+  // chunk's state under the class lock, so a racing refill is seen.
+  void Relist(int64_t chunk, uint32_t cls, int socket);
+
   // Allocates one block from the chunk owning `st` (header `h`); the
   // caller holds the chunk lock. Returns the block index or -1 if full.
   int64_t TakeBlock(ChunkState& st, ChunkHeader* h) REQUIRES(st.lock);
@@ -229,7 +279,9 @@ class LazyAllocator {
   int pool_sockets_;  // pool_->num_sockets(), cached
 
   std::vector<std::unique_ptr<ChunkState>> chunks_;
-  std::vector<CoreState> cores_;
+  // Index = SocketForCore, then the class index.
+  std::vector<std::array<ClassState, kSizeClasses.size()>> sockets_;
+  std::vector<CoreState> cores_;  // per-core magazines
   mutable SpinLock free_lock_;
   // One free-chunk pool per socket (index = pm::PmPool::SocketOf of the
   // chunk's offset; single-socket pools use only slot 0).

@@ -173,9 +173,53 @@ TEST_F(AllocConcurrencyTest, ChunkRecycleRacesReadersAndFrees) {
   done.store(true, std::memory_order_release);
   reader.join();
 
-  // Fully drained, but value chunks legitimately stay parked as a
-  // core's current/partial chunk — so assert on bytes, not chunk counts.
+  // Fully drained, but a class's current chunk and the chunks of blocks
+  // still in magazines stay formatted — so assert on bytes here.
   EXPECT_EQ(alloc_->allocated_bytes(), 0u);
+}
+
+TEST_F(AllocConcurrencyTest, EmptiedChunksReturnAcrossThreads) {
+  // Two serving cores fill three chunks' worth of 4 KiB blocks each while
+  // a "cleaner" thread per core frees them: every chunk a free empties
+  // must reach the free pool, whichever thread empties it.
+  constexpr int kCores = 2;
+  const uint64_t start = alloc_->free_chunks();
+  const uint32_t per_core = 3 * LazyAllocator::BlocksPerChunk(4096);
+  struct Queue {
+    std::mutex mu;
+    std::vector<uint64_t> items;
+  };
+  std::vector<Queue> queues(kCores);
+  std::atomic<int> producing{kCores};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kCores; t++) {
+    threads.emplace_back([&, t] {
+      for (uint32_t i = 0; i < per_core; i++) {
+        const uint64_t off = alloc_->Alloc(t, 4096);
+        ASSERT_NE(off, 0u);
+        std::lock_guard<std::mutex> g(queues[t].mu);
+        queues[t].items.push_back(off);
+      }
+      producing.fetch_sub(1, std::memory_order_release);
+    });
+    threads.emplace_back([&, t] {
+      while (true) {
+        const bool last = producing.load(std::memory_order_acquire) == 0;
+        std::vector<uint64_t> batch;
+        {
+          std::lock_guard<std::mutex> g(queues[t].mu);
+          batch.swap(queues[t].items);
+        }
+        for (uint64_t off : batch) alloc_->Free(off);
+        if (last && batch.empty()) break;
+        if (batch.empty()) std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(alloc_->allocated_bytes(), 0u);
+  // At most the class's current chunk and each core's magazine chunk.
+  EXPECT_GE(alloc_->free_chunks() + kCores + 1, start);
 }
 
 TEST_F(AllocConcurrencyTest, RawChunkChurnUnderContention) {

@@ -1,6 +1,7 @@
 // Tests of the lazy-persist allocator: class selection, alignment
-// guarantees needed by the 40-bit Ptr encoding, per-core partitioning,
-// free/reuse, raw chunks, exhaustion, and — most importantly — bitmap
+// guarantees needed by the 40-bit Ptr encoding, per-socket chunk sharing
+// and per-core magazines, free/reuse, emptied chunks returning to the
+// free pool, raw chunks, exhaustion, and — most importantly — bitmap
 // reconstruction after a crash (the "lazy persist" property).
 
 #include <gtest/gtest.h>
@@ -78,13 +79,76 @@ TEST_F(LazyAllocatorTest, FreeAllowsReuse) {
   EXPECT_TRUE(reused);
 }
 
-TEST_F(LazyAllocatorTest, PerCoreChunksAreDisjoint) {
+TEST_F(LazyAllocatorTest, CoresOfOneSocketShareClassChunks) {
   uint64_t a = alloc_->Alloc(0, 512);
   uint64_t b = alloc_->Alloc(1, 512);
   ASSERT_NE(a, 0u);
   ASSERT_NE(b, 0u);
-  EXPECT_NE(a / kChunkSize, b / kChunkSize)
-      << "different cores must fill different chunks";
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a / kChunkSize, b / kChunkSize)
+      << "cores of one socket must fill the same chunk of a class";
+  EXPECT_EQ(alloc_->total_chunks() - alloc_->free_chunks(), 1u);
+}
+
+TEST(LazyAllocatorFloor, OneOpenChunkPerClassAcrossSixteenCores) {
+  constexpr uint64_t kChunks = 64;
+  pm::PmPool::Options o;
+  o.size = (kChunks + 1) * kChunkSize;
+  pm::PmPool pool(o);
+  LazyAllocator alloc(&pool, kChunkSize, kChunks * kChunkSize, 16);
+  size_t classes = 0;
+  for (uint32_t cls : kSizeClasses) {
+    // The largest classes hold fewer blocks than 16 cores' refills take.
+    if (16 * LazyAllocator::MagazineCapacity(cls) >
+        LazyAllocator::BlocksPerChunk(cls)) {
+      continue;
+    }
+    classes++;
+    for (int core = 0; core < 16; core++) {
+      ASSERT_NE(alloc.Alloc(core, cls), 0u) << "class " << cls;
+    }
+  }
+  EXPECT_EQ(classes, 9u);
+  EXPECT_EQ(alloc.total_chunks() - alloc.free_chunks(), classes);
+}
+
+TEST_F(LazyAllocatorTest, MagazineBoundsBlocksAndBytes) {
+  for (uint32_t cls : kSizeClasses) {
+    const uint32_t cap = LazyAllocator::MagazineCapacity(cls);
+    EXPECT_GE(cap, 1u) << cls;
+    EXPECT_LE(cap, kMagazineBlocks) << cls;
+    if (cap > 1) {
+      EXPECT_LE(cap * cls, kMagazineBytes) << cls;
+    }
+  }
+  // One refill of the 512 B class sets a full magazine in the bitmap but
+  // hands out one block.
+  const uint64_t a = alloc_->Alloc(0, 512);
+  const uint64_t chunk = a / kChunkSize * kChunkSize;
+  uint32_t set = 0;
+  for (uint32_t i = 0; i < 2 * kMagazineBlocks; i++) {
+    set += alloc_->IsAllocated(chunk + kChunkHeaderSize + i * 512) ? 1 : 0;
+  }
+  EXPECT_EQ(set, LazyAllocator::MagazineCapacity(512));
+  EXPECT_EQ(alloc_->allocated_bytes(), 512u);
+}
+
+TEST_F(LazyAllocatorTest, EmptiedChunksReturnToFreePool) {
+  const uint64_t start = alloc_->free_chunks();
+  std::vector<uint64_t> offs;
+  std::set<uint64_t> chunks;
+  for (uint32_t i = 0; i < 3 * LazyAllocator::BlocksPerChunk(4096); i++) {
+    offs.push_back(alloc_->Alloc(0, 4096));
+    ASSERT_NE(offs.back(), 0u);
+    chunks.insert(offs.back() / kChunkSize);
+  }
+  EXPECT_EQ(chunks.size(), 3u);
+  for (uint64_t off : offs) alloc_->Free(off);
+  EXPECT_GE(alloc_->free_chunks() + 1, start)
+      << "emptied chunks other than the current one must be free again";
+  EXPECT_EQ(alloc_->allocated_bytes(), 0u);
+  // A returned chunk is reformatted for another class on reuse.
+  for (int i = 0; i < 20; i++) ASSERT_NE(alloc_->Alloc(1, 1048576), 0u);
 }
 
 TEST_F(LazyAllocatorTest, DifferentClassesDifferentChunks) {
@@ -165,6 +229,35 @@ TEST_F(LazyAllocatorTest, BitmapRecoveredFromPointersAfterCrash) {
     ASSERT_NE(off, 0u);
     EXPECT_EQ(live_set.count(off), 0u) << "recovered-live block re-issued";
   }
+}
+
+TEST_F(LazyAllocatorTest, MagazineBlocksAreFreeAfterCrash) {
+  // One live block; the rest of its refill sits in core 0's magazine,
+  // set in the (unflushed) bitmap but named by no log entry.
+  const uint64_t live = alloc_->Alloc(0, 512);
+  const uint64_t chunk = live / kChunkSize * kChunkSize;
+  std::vector<uint64_t> held;
+  for (uint32_t i = 0; i < LazyAllocator::BlocksPerChunk(512); i++) {
+    const uint64_t off = chunk + kChunkHeaderSize + i * 512;
+    if (off != live && alloc_->IsAllocated(off)) held.push_back(off);
+  }
+  ASSERT_EQ(held.size(), LazyAllocator::MagazineCapacity(512) - 1);
+  alloc_->PersistMetadata();  // even a flushed bitmap must not keep them
+  pool_->SimulateCrash();
+  alloc_->StartRecovery();
+  alloc_->MarkBlockAllocated(live);
+  alloc_->FinishRecovery();
+  EXPECT_TRUE(alloc_->IsAllocated(live));
+  for (uint64_t off : held) EXPECT_FALSE(alloc_->IsAllocated(off)) << off;
+  EXPECT_EQ(alloc_->allocated_bytes(), 512u);
+  // The next refill hands the held blocks out again; the live one never.
+  std::set<uint64_t> again;
+  for (uint32_t i = 0; i < LazyAllocator::MagazineCapacity(512); i++) {
+    const uint64_t off = alloc_->Alloc(0, 512);
+    ASSERT_NE(off, live);
+    again.insert(off);
+  }
+  for (uint64_t off : held) EXPECT_EQ(again.count(off), 1u) << off;
 }
 
 TEST_F(LazyAllocatorTest, RecoveryReclaimsUnreferencedChunks) {

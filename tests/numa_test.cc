@@ -114,6 +114,29 @@ TEST(NumaAlloc, LocalExhaustionFallsBackToRemoteSocket) {
   EXPECT_EQ(pool->SocketOf(off), 1);
 }
 
+TEST(NumaAlloc, ValueChunksStayOnTheCoresSocket) {
+  pm::PmDevice dev(2);
+  auto pool = TwoSocketPool(&dev);
+  alloc::LazyAllocator alloc(pool.get(), alloc::kChunkSize,
+                             pool->size() - alloc::kChunkSize, /*num_cores=*/4);
+  std::set<uint64_t> chunks_of[2];
+  for (int i = 0; i < 200; i++) {
+    for (int core = 0; core < 4; core++) {
+      for (uint64_t size : {512u, 4096u}) {
+        const uint64_t off = alloc.Alloc(core, size);
+        ASSERT_NE(off, 0u);
+        const int socket = alloc.SocketForCore(core);
+        EXPECT_EQ(pool->SocketOf(off), socket) << "core " << core;
+        chunks_of[socket].insert(off / alloc::kChunkSize);
+      }
+    }
+  }
+  // Two cores per socket share each class's chunk; sockets never do.
+  EXPECT_EQ(chunks_of[0].size(), 2u);
+  EXPECT_EQ(chunks_of[1].size(), 2u);
+  for (uint64_t c : chunks_of[0]) EXPECT_EQ(chunks_of[1].count(c), 0u) << c;
+}
+
 TEST(NumaAlloc, InterleaveModeDealsRoundRobin) {
   pm::PmDevice dev(2);
   auto pool = TwoSocketPool(&dev);
