@@ -6,9 +6,11 @@
 // Each point runs in time segments: serve, then one synchronous cleaner
 // pass whose PM traffic lands at the head of the *next* segment's device
 // window — the cleaner/serving interference of the paper's Fig. 13. The
-// row reports steady-state throughput (mean of the final segments, once
-// cleaning has ramped) and the cleaner's write-amplification ratio
-// (bytes relocated / bytes reclaimed, from PmStats).
+// row reports steady-state throughput (mean of every segment after the
+// first cleaner pass, so the mean spans many passes' interference rather
+// than whichever few segments a pass happened to overlap) and the
+// cleaner's write-amplification ratio (bytes relocated / bytes
+// reclaimed, from PmStats).
 //
 // Expected shape: WA grows with both knobs (more updates -> more
 // survivors per victim at pick time; higher threshold -> fuller
@@ -24,7 +26,7 @@ namespace {
 struct GcPoint {
   double update_ratio;
   double live_ratio;
-  double steady_mops;      // mean of the last kSteadyTail segments
+  double steady_mops;      // mean of segments 1 .. kSegments - 1
   double wa_ratio;         // relocated / reclaimed
   uint64_t chunks_cleaned;
   uint64_t bytes_relocated;
@@ -35,7 +37,6 @@ struct GcPoint {
 std::vector<GcPoint> g_points;
 
 constexpr int kSegments = 12;
-constexpr int kSteadyTail = 3;
 
 GcPoint RunGcPoint(double update_ratio, double live_ratio) {
   core::FlatStoreOptions fo;
@@ -80,7 +81,7 @@ GcPoint RunGcPoint(double update_ratio, double live_ratio) {
         BenchKeys(1 << 15) - static_cast<uint64_t>(seg / (kSegments / 4));
     cfg.seed = static_cast<uint64_t>(seg) + 1;
     core::ServerResult r = core::RunServer(rig.adapter.get(), cfg);
-    if (seg >= kSegments - kSteadyTail) steady_sum += r.mops;
+    if (seg > 0) steady_sum += r.mops;
     // Core clocks restart at zero each segment; clear the device window
     // *before* the cleaner pass so its PM traffic overlaps the next
     // segment's serving traffic (the interference under measurement).
@@ -94,7 +95,7 @@ GcPoint RunGcPoint(double update_ratio, double live_ratio) {
   GcPoint p;
   p.update_ratio = update_ratio;
   p.live_ratio = live_ratio;
-  p.steady_mops = steady_sum / kSteadyTail;
+  p.steady_mops = steady_sum / (kSegments - 1);
   p.wa_ratio = pm::GcWriteAmp(s);
   p.chunks_cleaned = rig.flat->ChunksCleaned();
   p.bytes_relocated = s.gc_bytes_relocated;

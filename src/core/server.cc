@@ -770,29 +770,61 @@ ServerResult RunServer(EngineAdapter* engine, const ServerConfig& config) {
 
 void Preload(EngineAdapter* engine, const workload::Config& workload,
              uint64_t keys) {
+  const int ncores = engine->num_cores();
   std::vector<uint8_t> value(net::kMaxMsgValue, 0x5A);
+  std::vector<std::vector<EngineAdapter::WriteReq>> batches(
+      static_cast<size_t>(ncores));
+  for (auto& b : batches) b.reserve(kMaxWriteBatch);
+  EngineAdapter::Submit status[kMaxWriteBatch] = {};
   std::vector<EngineAdapter::Done> done;
+
+  // Submits every core's batch, then pumps and drains all cores until no
+  // write is in flight. Ops refused as busy or backpressured stay queued
+  // and go out again once the drain has freed their pool slots.
+  auto flush = [&]() {
+    size_t refused = 0;
+    do {
+      size_t in_flight = 0, submitted = 0;
+      refused = 0;
+      for (int c = 0; c < ncores; c++) {
+        std::vector<EngineAdapter::WriteReq>& b = batches[c];
+        if (b.empty()) continue;
+        in_flight += engine->SubmitWriteBatch(c, b.data(), b.size(), status);
+        submitted += b.size();
+        size_t kept = 0;
+        for (size_t i = 0; i < b.size(); i++) {
+          if (status[i] == EngineAdapter::Submit::kBusy ||
+              status[i] == EngineAdapter::Submit::kBackpressure) {
+            b[kept++] = b[i];
+          }
+        }
+        b.resize(kept);
+        refused += kept;
+      }
+      // With nothing in flight every pool is empty, so a round that
+      // admits nothing would repeat forever.
+      FLATSTORE_CHECK(refused == 0 || refused < submitted)
+          << "Preload cannot stage a batch";
+      while (in_flight > 0) {
+        for (int c = 0; c < ncores; c++) engine->Pump(c);
+        for (int c = 0; c < ncores; c++) {
+          done.clear();
+          in_flight -= engine->Drain(c, &done);
+        }
+      }
+    } while (refused > 0);
+  };
+
   for (uint64_t k = 0; k < keys; k++) {
     const uint32_t len =
         workload.etc_values
             ? workload::Generator::EtcValueLen(k, workload.key_space)
             : workload.value_len;
-    const int core = engine->CoreForKey(k);
-    const EngineAdapter::WriteReq req{k, value.data(), len,
-                                      /*tombstone=*/false, k + 1};
-    while (true) {
-      EngineAdapter::Submit st;
-      engine->SubmitWriteBatch(core, &req, 1, &st);
-      if (st == EngineAdapter::Submit::kDoneNow) break;
-      done.clear();
-      if (st == EngineAdapter::Submit::kPending) {
-        while (engine->Drain(core, &done) == 0) engine->Pump(core);
-        break;
-      }
-      engine->Pump(core);
-      engine->Drain(core, &done);
-    }
+    std::vector<EngineAdapter::WriteReq>& b = batches[engine->CoreForKey(k)];
+    b.push_back({k, value.data(), len, /*tombstone=*/false, k + 1});
+    if (b.size() == kMaxWriteBatch) flush();
   }
+  flush();
 }
 
 }  // namespace core

@@ -320,9 +320,13 @@ struct ServerResult {
 // its quota; returns aggregate metrics.
 ServerResult RunServer(EngineAdapter* engine, const ServerConfig& config);
 
-// Convenience: bulk-load `keys` sequential keys, one write at a time and
-// each completed before the next, before a measured run (the paper
-// preloads the key range). Values use the workload's sizing rule.
+// Bulk-loads `keys` sequential keys before a measured run (the paper
+// preloads the key range). Values use the workload's sizing rule. Keys
+// are routed into per-core batches of up to kMaxWriteBatch; when one
+// fills, every core's batch is submitted as one fused SubmitWriteBatch
+// and all cores are pumped and drained until nothing is in flight, so HB
+// leaders fuse the staged groups into few log appends. Synchronous
+// engines answer kDoneNow and need no pumping.
 void Preload(EngineAdapter* engine, const workload::Config& workload,
              uint64_t keys);
 

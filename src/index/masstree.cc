@@ -59,15 +59,14 @@ Masstree::Inner* Masstree::NewInner() {
   return static_cast<Inner*>(arena_.Alloc(sizeof(Inner)));
 }
 
-Masstree::Leaf* Masstree::Descend(uint64_t key,
-                                  std::vector<Inner*>* path) const {
+Masstree::Leaf* Masstree::Descend(uint64_t key, Path* path) const {
   void* n = root_;
   for (uint32_t h = height_; h > 1; h--) {
     // Amortized under a MultiGet overlap window (descents of independent
     // keys are independent pointer chases); serial cost otherwise.
     vt::ChargeMiss(vt::kCpuCacheMiss);
     Inner* inner = static_cast<Inner*>(n);
-    if (path != nullptr) path->push_back(inner);
+    if (path != nullptr) path->nodes[path->depth++] = inner;
     int i = 0;
     while (i < static_cast<int>(inner->count) && inner->entries[i].key <= key) {
       vt::Charge(vt::kCpuSlotProbe);
@@ -143,12 +142,11 @@ Masstree::Leaf* Masstree::SplitLeaf(Leaf* leaf, uint64_t* up_key) {
   return right;
 }
 
-void Masstree::InsertInner(uint64_t up_key, void* right,
-                           const std::vector<Inner*>& path) {
+void Masstree::InsertInner(uint64_t up_key, void* right, const Path& path) {
   void* carry_child = right;
   uint64_t carry_key = up_key;
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    Inner* n = *it;
+  for (uint32_t d = path.depth; d > 0; d--) {
+    Inner* n = path.nodes[d - 1];
     int pos = 0;
     while (pos < static_cast<int>(n->count) && n->entries[pos].key < carry_key) {
       pos++;
@@ -189,6 +187,7 @@ void Masstree::InsertInner(uint64_t up_key, void* right,
   new_root->count = 1;
   root_ = new_root;
   height_++;
+  FLATSTORE_CHECK_LE(height_ - 1, kMaxInnerLevels);
 }
 
 bool Masstree::Upsert(uint64_t key, uint64_t value, uint64_t* old_value) {
@@ -201,7 +200,7 @@ bool Masstree::Upsert(uint64_t key, uint64_t value, uint64_t* old_value) {
 bool Masstree::UpsertLocked(uint64_t key, uint64_t value,
                             uint64_t* old_value) {
   while (true) {
-    std::vector<Inner*> path;
+    Path path;
     Leaf* leaf = Descend(key, &path);
     bool found;
     int pos = LeafPosition(leaf, key, &found);

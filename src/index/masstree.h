@@ -102,16 +102,26 @@ class Masstree final : public OrderedKvIndex {
   Leaf* NewLeaf();
   Inner* NewInner();
 
-  // Descends to the leaf for `key`, filling `path` with inner nodes.
-  Leaf* Descend(uint64_t key, std::vector<Inner*>* path) const
-      REQUIRES_SHARED(rw_lock_);
+  // The inner nodes of one root-to-leaf descent, root first, held in a
+  // fixed array so an Upsert allocates nothing. An inner node splits half
+  // full, so every non-root one keeps more than kInnerCard / 2 children
+  // and kMaxInnerLevels levels would index over 10^17 keys.
+  static constexpr uint32_t kMaxInnerLevels = 16;
+  struct Path {
+    Inner* nodes[kMaxInnerLevels] = {};
+    uint32_t depth = 0;
+  };
+
+  // Descends to the leaf for `key`, filling `path` (if given) with the
+  // inner nodes passed.
+  Leaf* Descend(uint64_t key, Path* path) const REQUIRES_SHARED(rw_lock_);
 
   // Sorted position of `key` in `leaf`; sets `*found` if the key exists.
   static int LeafPosition(const Leaf* l, uint64_t key, bool* found);
 
   Leaf* SplitLeaf(Leaf* leaf, uint64_t* up_key);
-  void InsertInner(uint64_t up_key, void* right,
-                   const std::vector<Inner*>& path) REQUIRES(rw_lock_);
+  void InsertInner(uint64_t up_key, void* right, const Path& path)
+      REQUIRES(rw_lock_);
 
   // The Upsert loop (descend, in-place / leaf insert / split) with the
   // write lock already held. Shared by Upsert and InsertWithHint's

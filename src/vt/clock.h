@@ -76,11 +76,21 @@ class Clock {
   int socket_ = 0;
 };
 
+// The clock bound to this host thread and its interleaved-lookup overlap
+// factor (see below). Inline, so that every modelled charge reads them
+// without a function call.
+inline thread_local Clock* g_current_clock = nullptr;
+inline thread_local int g_current_overlap = 1;
+
 // Returns the clock bound to this host thread, or nullptr.
-Clock* CurrentClock();
+inline Clock* CurrentClock() { return g_current_clock; }
 
 // Binds `c` (may be nullptr) to this host thread; returns the old binding.
-Clock* SetCurrentClock(Clock* c);
+inline Clock* SetCurrentClock(Clock* c) {
+  Clock* prev = g_current_clock;
+  g_current_clock = c;
+  return prev;
+}
 
 // Socket of the bound clock, or 0 when none is bound (plain unit tests
 // behave as single-socket machines).
@@ -121,10 +131,14 @@ inline uint64_t Now() {
 // leaves every charge untouched.
 
 // Overlap factor active on this thread (>= 1).
-int CurrentOverlap();
+inline int CurrentOverlap() { return g_current_overlap; }
 
 // Sets the overlap factor; returns the previous value.
-int SetCurrentOverlap(int ways);
+inline int SetCurrentOverlap(int ways) {
+  const int prev = g_current_overlap;
+  g_current_overlap = ways < 1 ? 1 : ways;
+  return prev;
+}
 
 // Advances the current clock by one cache-miss-class stall, amortized by
 // the active overlap factor (full latency when serial).

@@ -9,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "core/fsck.h"
 #include "core/server.h"
 #include "vt/clock.h"
 #include "vt/costs.h"
@@ -297,19 +298,26 @@ TEST(Server, CallsOnlyBatchedEntryPoints) {
     cfg.workload.delete_ratio = 0.05;
     cfg.workload.dist = workload::KeyDist::kZipfian;
     Preload(&rec, cfg.workload, cfg.workload.key_space);
+    // The event assertions below are about the serving loop alone:
+    // Preload submits whole per-core batches.
+    rec.events.clear();
     ASSERT_EQ(RunServer(&rec, cfg).ops, 2000u) << "batch " << batch;
     EXPECT_EQ(rec.single_op_calls, 0u) << "batch " << batch;
-    size_t write_batches = 0, deferred_reads = 0;
+    size_t write_batches = 0, write_ops = 0, deferred_reads = 0;
     for (const auto& e : rec.events) {
       if (e.call == RecordingAdapter::Call::kWriteBatch) {
         write_batches++;
+        write_ops += e.count;
         if (batch == 1) EXPECT_EQ(e.count, 1u);
       } else if (e.call == RecordingAdapter::Call::kMultiGet &&
                  e.count == 0) {
         deferred_reads++;
       }
     }
-    EXPECT_GT(write_batches, cfg.workload.key_space) << "batch " << batch;
+    EXPECT_GT(write_ops, cfg.workload.key_space) << "batch " << batch;
+    if (batch == 16) {
+      EXPECT_LT(write_batches, write_ops) << "no write batch held two ops";
+    }
     if (batch == 1) {
       EXPECT_GT(deferred_reads, 0u) << "no Get met a write in flight";
     }
@@ -402,11 +410,92 @@ TEST(Server, PreloadPopulatesKeys) {
   workload::Config w;
   w.key_space = 1000;
   w.value_len = 32;
+  Preload(h.adapter.get(), w, 0);
+  EXPECT_EQ(h.store->Size(), 0u);
   Preload(h.adapter.get(), w, 1000);
   EXPECT_EQ(h.store->Size(), 1000u);
   std::string v;
   EXPECT_TRUE(h.store->Get(999, &v));
   EXPECT_EQ(v.size(), 32u);
+}
+
+// Preload fuses its writes: keys go out in per-core batches, HB leaders
+// fuse several staged groups into one log append, and the result reads,
+// scans and recovers like any other write history. A synchronous
+// baseline takes the same path and answers every op at once.
+TEST(Server, PreloadFusesBatchesAndRecovers) {
+  constexpr uint64_t kKeys = 1 << 14;
+  workload::Config w;
+  w.key_space = kKeys;
+  w.etc_values = true;
+  struct Variant {
+    const char* name;
+    IndexKind index;
+    bool key_order;
+  };
+  for (const Variant& v : {Variant{"FlatStore-H", IndexKind::kHash, false},
+                           Variant{"FlatStore-M", IndexKind::kMasstree, false},
+                           Variant{"FlatStore-H ordered", IndexKind::kHash,
+                                   true}}) {
+    SCOPED_TRACE(v.name);
+    pm::PmPool::Options po;
+    po.size = 512ull << 20;
+    po.crash_tracking = true;
+    auto pool = std::make_unique<pm::PmPool>(po);
+    FlatStoreOptions fo;
+    fo.num_cores = 4;
+    fo.group_size = 4;
+    fo.index = v.index;
+    fo.tier_enabled = v.key_order;
+    auto store = FlatStore::Create(pool.get(), fo);
+    FlatStoreAdapter adapter(store.get());
+    Preload(&adapter, w, kKeys);
+
+    EXPECT_EQ(store->Size(), kKeys);
+    const batch::HbEngine& hb = *store->hb();
+    EXPECT_GT(hb.fused_entries(), hb.fused_groups())
+        << "Preload staged one-op groups";
+    EXPECT_LE(hb.batches(), kKeys / 8) << "HB leaders did not fuse groups";
+    std::string value;
+    for (uint64_t k = 0; k < kKeys; k++) {
+      ASSERT_TRUE(store->Get(k, &value)) << "key " << k;
+      ASSERT_EQ(value.size(), workload::Generator::EtcValueLen(k, kKeys))
+          << "key " << k;
+    }
+    if (store->CanScan()) {
+      std::vector<std::pair<uint64_t, std::string>> rows;
+      ASSERT_EQ(store->Scan(0, kKeys, &rows), kKeys);
+      for (uint64_t k = 0; k < kKeys; k++) ASSERT_EQ(rows[k].first, k);
+    } else {
+      EXPECT_FALSE(v.key_order) << "a key-ordered store cannot scan";
+    }
+
+    store.reset();
+    pool->SimulateCrash();
+    FsckReport fsck = FsckPool(*pool);
+    EXPECT_TRUE(fsck.ok) << fsck.Summary();
+    EXPECT_EQ(fsck.live_keys, kKeys);
+    store = FlatStore::Open(pool.get(), fo);
+    EXPECT_EQ(store->Size(), kKeys);
+    for (uint64_t k = 0; k < kKeys; k++) {
+      ASSERT_TRUE(store->Get(k, &value)) << "key " << k << " lost";
+      ASSERT_EQ(value.size(), workload::Generator::EtcValueLen(k, kKeys));
+    }
+  }
+
+  pm::PmPool::Options po;
+  po.size = 512ull << 20;
+  pm::PmPool pool(po);
+  BaselineStore::Options bo;
+  bo.num_cores = 4;
+  auto baseline = BaselineStore::Create(&pool, bo);
+  BaselineAdapter adapter(baseline.get());
+  Preload(&adapter, w, kKeys);
+  std::string value;
+  for (uint64_t k = 0; k < kKeys; k++) {
+    ASSERT_TRUE(baseline->Get(k, &value)) << "baseline key " << k;
+    ASSERT_EQ(value.size(), workload::Generator::EtcValueLen(k, kKeys));
+  }
 }
 
 }  // namespace
