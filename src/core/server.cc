@@ -130,6 +130,7 @@ struct CoreLoop {
   std::vector<EngineAdapter::WriteReq> write_reqs;     // scratch
   std::vector<EngineAdapter::Submit> write_status;     // scratch
   uint64_t next_tag = 1;
+  uint64_t idle_ns = 0;  // vt the clock jumped waiting for a request
 
   CoreLoop() {
     reads.reserve(kMaxReadBatch);
@@ -236,7 +237,13 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       // Write batch full: the op stays at its ring head likewise.
       break;
     }
-    state.clock.AdvanceTo(rpc.ArrivalTime(*req));
+    // A request that arrives after the core's clock is waited for: the
+    // jump is idle time.
+    const uint64_t arrival = rpc.ArrivalTime(*req);
+    if (arrival > state.clock.now()) {
+      state.idle_ns += arrival - state.clock.now();
+      state.clock.AdvanceTo(arrival);
+    }
     vt::Charge(vt::kRpcProcessCost);
 
     if (req->type == net::MsgType::kGet) {
@@ -759,6 +766,7 @@ ServerResult RunServer(EngineAdapter* engine, const ServerConfig& config) {
   }
   for (const CoreLoop& s : cores) {
     result.core_ns.push_back(s.clock.now());
+    result.idle_ns += s.idle_ns;
     result.sim_ns = std::max(result.sim_ns, s.clock.now());
   }
   if (result.sim_ns > 0) {

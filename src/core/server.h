@@ -314,6 +314,9 @@ struct ServerResult {
   double mops = 0;        // ops / sim time
   Histogram latency;      // client-observed, simulated ns
   std::vector<uint64_t> core_ns;  // per-core simulated time
+  // Simulated time the cores spent waiting for a request to arrive,
+  // summed over cores (a share of the sum of core_ns).
+  uint64_t idle_ns = 0;
 };
 
 // Runs the full client/server simulation until every connection finishes

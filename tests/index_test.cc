@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -23,6 +25,8 @@
 #include "index/kv_index.h"
 #include "index/level_hashing.h"
 #include "index/masstree.h"
+#include "vt/clock.h"
+#include "vt/costs.h"
 
 namespace flatstore {
 namespace index {
@@ -348,6 +352,131 @@ TEST(FastFairStructure, TreeGrowsInHeight) {
   EXPECT_EQ(idx.Height(), 1);
   for (uint64_t k = 0; k < 10000; k++) idx.Insert(k, k);
   EXPECT_GE(idx.Height(), 3);
+}
+
+// ---- Masstree inner-node search ------------------------------------------
+
+// 2^18 keys give every insert order below at least four inner levels.
+constexpr uint64_t kTreeKeys = 1 << 18;
+
+enum class InsertOrder { kAscending, kDescending, kShuffled };
+
+// The even keys 2, 4, ..., 2 * kTreeKeys in `order` (shuffled with a fixed
+// seed).
+std::vector<uint64_t> EvenKeys(InsertOrder order) {
+  std::vector<uint64_t> keys;
+  for (uint64_t i = 1; i <= kTreeKeys; i++) keys.push_back(2 * i);
+  if (order == InsertOrder::kDescending) {
+    std::reverse(keys.begin(), keys.end());
+  } else if (order == InsertOrder::kShuffled) {
+    std::mt19937_64 rng(29);
+    std::shuffle(keys.begin(), keys.end(), rng);
+  }
+  return keys;
+}
+
+uint64_t ValueOf(uint64_t key) { return 3 * key + 1; }
+
+// Every key of `expect` is found with its value by Get and by the
+// two-phase PrefetchGet + GetWithHint, every other key up to one past the
+// largest even key is absent from both, and Scans from sampled starts
+// return the keys that follow in `expect`.
+void ExpectTreeHolds(const Masstree& t, const std::set<uint64_t>& expect) {
+  ASSERT_EQ(t.Size(), expect.size());
+  for (uint64_t k = 0; k <= 2 * kTreeKeys + 1; k++) {
+    const bool present = expect.count(k) != 0;
+    uint64_t v = 0;
+    ASSERT_EQ(t.Get(k, &v), present) << "Get " << k;
+    if (present) ASSERT_EQ(v, ValueOf(k)) << "Get " << k;
+    LookupHint hint;
+    t.PrefetchGet(k, &hint);
+    v = 0;
+    ASSERT_EQ(t.GetWithHint(k, hint, &v), present) << "GetWithHint " << k;
+    if (present) ASSERT_EQ(v, ValueOf(k)) << "GetWithHint " << k;
+  }
+  Rng rng(7);
+  std::vector<KvPair> got;
+  for (int i = 0; i < 256; i++) {
+    const uint64_t start = rng.Uniform(2 * kTreeKeys + 2);
+    const uint64_t len = 1 + rng.Uniform(100);
+    got.clear();
+    const uint64_t n = t.Scan(start, len, &got);
+    ASSERT_EQ(n, got.size());
+    std::vector<KvPair> want;
+    for (auto it = expect.lower_bound(start);
+         it != expect.end() && want.size() < len; ++it) {
+      want.push_back({*it, ValueOf(*it)});
+    }
+    ASSERT_EQ(got.size(), want.size()) << "Scan from " << start;
+    for (size_t j = 0; j < got.size(); j++) {
+      ASSERT_EQ(got[j].key, want[j].key) << "Scan from " << start;
+      ASSERT_EQ(got[j].value, want[j].value) << "Scan from " << start;
+    }
+  }
+}
+
+class MasstreeOrderTest : public ::testing::TestWithParam<InsertOrder> {};
+
+TEST_P(MasstreeOrderTest, DeepTreeMatchesSetThroughEraseAndReinsert) {
+  Masstree t;
+  const std::vector<uint64_t> keys = EvenKeys(GetParam());
+  for (uint64_t k : keys) t.Insert(k, ValueOf(k));
+  ASSERT_GE(t.height(), 5u) << "fewer than four inner levels";
+  std::set<uint64_t> expect(keys.begin(), keys.end());
+  ExpectTreeHolds(t, expect);
+
+  // Erase every third key in insert order, then put them back.
+  for (size_t i = 0; i < keys.size(); i += 3) {
+    ASSERT_TRUE(t.Delete(keys[i]));
+    expect.erase(keys[i]);
+  }
+  ExpectTreeHolds(t, expect);
+  for (size_t i = 0; i < keys.size(); i += 3) {
+    ASSERT_TRUE(t.Insert(keys[i], ValueOf(keys[i])));
+    expect.insert(keys[i]);
+  }
+  ExpectTreeHolds(t, expect);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Orders, MasstreeOrderTest,
+    ::testing::Values(InsertOrder::kAscending, InsertOrder::kDescending,
+                      InsertOrder::kShuffled),
+    [](const ::testing::TestParamInfo<InsertOrder>& info) {
+      switch (info.param) {
+        case InsertOrder::kAscending: return "Ascending";
+        case InsertOrder::kDescending: return "Descending";
+        case InsertOrder::kShuffled: return "Shuffled";
+      }
+      return "Unknown";
+    });
+
+TEST(MasstreeStructure, SerialGetChargesLogProbesPerInnerLevel) {
+  Masstree t;
+  const std::vector<uint64_t> keys = EvenKeys(InsertOrder::kAscending);
+  for (uint64_t k : keys) t.Insert(k, ValueOf(k));
+  const uint64_t h = t.height();
+  ASSERT_GE(h, 5u);
+
+  vt::Clock clock;
+  vt::ScopedClock bind(&clock);
+  vt::ScopedOverlap serial(1);
+  auto charged = [&](uint64_t key) {
+    const uint64_t t0 = clock.now();
+    uint64_t v;
+    EXPECT_TRUE(t.Get(key, &v));
+    return clock.now() - t0;
+  };
+  // A serial Get pays one cache miss per level and at most
+  // bit_width(15) = 4 probes in its leaf. Each inner level may add
+  // ceil(log2(kInnerCard + 1)) = 5 probes; a linear scan of a node passes
+  // about half its 15-30 separators.
+  const uint64_t bound = h * vt::kCpuCacheMiss +
+                         ((h - 1) * 5 + 4) * vt::kCpuSlotProbe;
+  EXPECT_LE(charged(2 * kTreeKeys), bound) << "rightmost key";
+  uint64_t total = 0;
+  for (uint64_t k : keys) total += charged(k);
+  EXPECT_LE(total / keys.size(), bound) << "mean over all keys";
 }
 
 // ---- persistent-mode flush behaviour ------------------------------------

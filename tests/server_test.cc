@@ -209,6 +209,30 @@ TEST(Server, DeterministicAcrossRuns) {
   EXPECT_EQ(a.latency.Percentile(99), b.latency.Percentile(99));
 }
 
+TEST(Server, IdleTimeIsDeterministicAndAShareOfCoreTime) {
+  // idle_ns sums the clock jumps of cores waiting for a request to
+  // arrive: the same for a given seed, and a proper part of core time
+  // (cores wait for round trips, but they also serve).
+  auto run = [] {
+    Harness h(IndexKind::kMasstree);
+    ServerConfig cfg;
+    cfg.num_conns = 8;
+    cfg.ops_per_conn = 1500;
+    cfg.workload.key_space = 4096;
+    cfg.workload.get_ratio = 0.95;
+    cfg.seed = 3;
+    return RunServer(h.adapter.get(), cfg);
+  };
+  ServerResult a = run();
+  ServerResult b = run();
+  EXPECT_EQ(a.idle_ns, b.idle_ns);
+  EXPECT_EQ(a.core_ns, b.core_ns);
+  uint64_t core_sum = 0;
+  for (uint64_t ns : a.core_ns) core_sum += ns;
+  EXPECT_GT(a.idle_ns, 0u);
+  EXPECT_LT(a.idle_ns, core_sum);
+}
+
 // Forwards every call to a FlatStoreAdapter and logs, in call order, the
 // serving core's vt instant at the calls the per-quantum tests inspect.
 // Calls of the single-op forms (SubmitPut, SubmitDelete, Get, KeyBusy)
