@@ -1,7 +1,7 @@
 // Figure 13 — garbage-collection efficiency, reworked as a sweep:
 // update ratio {25, 50, 75 %} x cleaning threshold {0.6, 0.8, 0.9} under
 // the ETC value mix in a deliberately small pool, cleaned by the
-// cost-benefit + hot/cold segregation cleaner.
+// cost-benefit cleaner.
 //
 // Each point runs in time segments: serve, then one synchronous cleaner
 // pass whose PM traffic lands at the head of the *next* segment's device
@@ -12,9 +12,11 @@
 // cleaner's write-amplification ratio (bytes relocated / bytes
 // reclaimed, from PmStats).
 //
-// Expected shape: WA grows with both knobs (more updates -> more
-// survivors per victim at pick time; higher threshold -> fuller
-// victims).
+// Expected shape: at each update ratio WA grows with the threshold
+// (fuller victims are eligible, so each reclaimed byte costs more
+// survivor copies). WA falls as the update ratio grows: more updates
+// kill more entries before the paced cleaner reaches a chunk, so its
+// victims are emptier.
 
 #include "bench_common.h"
 #include "pm/pm_stats.h"
@@ -31,8 +33,6 @@ struct GcPoint {
   uint64_t chunks_cleaned;
   uint64_t bytes_relocated;
   uint64_t bytes_reclaimed;
-  uint64_t survivor_bytes_hot;
-  uint64_t survivor_bytes_cold;
 };
 std::vector<GcPoint> g_points;
 
@@ -44,7 +44,6 @@ GcPoint RunGcPoint(double update_ratio, double live_ratio) {
   fo.group_size = 2;
   fo.hash_initial_depth = 6;
   fo.gc_live_ratio = live_ratio;
-  fo.gc_cold_age = 256;
   // Pace the cleaner: one bounded pass per segment, below the churn
   // rate, so a victim backlog persists and selection ORDER matters (an
   // unpaced cleaner drains every eligible chunk each pass, making all
@@ -75,8 +74,7 @@ GcPoint RunGcPoint(double update_ratio, double live_ratio) {
     // separates the policies: a FIFO cleaner plows through the stranded
     // cohort in seal order, paying up to the threshold's worth of
     // survivor copies per chunk, while cost-benefit spends the same
-    // scarce budget on the emptiest stable chunks first (and segregation
-    // keeps the relocated cold survivors out of future victims).
+    // scarce budget on the emptiest stable chunks first.
     cfg.workload.key_space =
         BenchKeys(1 << 15) - static_cast<uint64_t>(seg / (kSegments / 4));
     cfg.seed = static_cast<uint64_t>(seg) + 1;
@@ -100,8 +98,6 @@ GcPoint RunGcPoint(double update_ratio, double live_ratio) {
   p.chunks_cleaned = rig.flat->ChunksCleaned();
   p.bytes_relocated = s.gc_bytes_relocated;
   p.bytes_reclaimed = s.gc_bytes_reclaimed;
-  p.survivor_bytes_hot = s.gc_survivor_bytes_hot;
-  p.survivor_bytes_cold = s.gc_survivor_bytes_cold;
   return p;
 }
 
@@ -134,14 +130,13 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   std::printf(
       "\n== Figure 13: GC sweep (ETC values, zipfian, 256 MB pool) ==\n");
-  std::printf("%8s %6s %10s %8s %10s %14s %14s\n", "update", "thresh",
-              "Mops/s", "WA", "cleaned", "surv hot B", "surv cold B");
+  std::printf("%8s %6s %10s %8s %10s %14s\n", "update", "thresh",
+              "Mops/s", "WA", "cleaned", "relocated B");
   for (const auto& p : flatstore::bench::g_points) {
-    std::printf("%8.2f %6.2f %10.2f %8.3f %10lu %14lu %14lu\n",
-                p.update_ratio, p.live_ratio, p.steady_mops, p.wa_ratio,
+    std::printf("%8.2f %6.2f %10.2f %8.3f %10lu %14lu\n", p.update_ratio,
+                p.live_ratio, p.steady_mops, p.wa_ratio,
                 static_cast<unsigned long>(p.chunks_cleaned),
-                static_cast<unsigned long>(p.survivor_bytes_hot),
-                static_cast<unsigned long>(p.survivor_bytes_cold));
+                static_cast<unsigned long>(p.bytes_relocated));
   }
   flatstore::bench::BenchJson j("fig13_gc");
   for (const auto& p : flatstore::bench::g_points) {
@@ -153,9 +148,7 @@ int main(int argc, char** argv) {
         .Num("wa_ratio", p.wa_ratio)
         .Int("chunks_cleaned", p.chunks_cleaned)
         .Int("bytes_relocated", p.bytes_relocated)
-        .Int("bytes_reclaimed", p.bytes_reclaimed)
-        .Int("survivor_bytes_hot", p.survivor_bytes_hot)
-        .Int("survivor_bytes_cold", p.survivor_bytes_cold);
+        .Int("bytes_reclaimed", p.bytes_reclaimed);
   }
   j.Write();
   return 0;

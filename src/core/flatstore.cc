@@ -1506,8 +1506,6 @@ void FlatStore::EnsureCleaners() {
   opts.live_ratio = options_.gc_live_ratio;
   opts.quantum_bytes = options_.gc_quantum_bytes;
   opts.max_victims = options_.gc_max_victims;
-  opts.segregate = options_.gc_segregate;
-  opts.cold_age = options_.gc_cold_age;
   for (int first = 0; first < options_.num_cores;
        first += options_.group_size) {
     const int last = std::min(first + options_.group_size,

@@ -80,8 +80,6 @@ struct FlatStoreOptions {
   double gc_live_ratio = 0.9;
   uint64_t gc_quantum_bytes = 0;         // 0 = unbounded passes
   size_t gc_max_victims = 4;             // in-flight cleaning jobs per core
-  bool gc_segregate = true;              // hot/cold survivor lanes
-  uint64_t gc_cold_age = 512;            // write-clock ticks
   // Arms allocator backpressure: at this many free chunks the cleaner's
   // quantum budget is boosted; at a quarter of it, unbounded. 0 = off.
   uint64_t gc_backpressure_watermark = 0;

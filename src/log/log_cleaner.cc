@@ -17,6 +17,8 @@ namespace {
 // victims instead of draining one victim end-to-end.
 constexpr uint64_t kScanSliceBytes = 256 * 1024;
 constexpr size_t kRelocSubBatch = 32;
+// Budget multiplier under allocator pressure level 1 (see RunOnce).
+constexpr uint64_t kPressureBoost = 4;
 }  // namespace
 
 LogCleaner::LogCleaner(std::vector<OpLog*> logs, int first_core,
@@ -69,8 +71,7 @@ size_t LogCleaner::RunOnce() {
   // reclaiming beats pacing).
   uint64_t budget = UINT64_MAX;
   if (options_.quantum_bytes != 0 && pressure < 2) {
-    budget = options_.quantum_bytes *
-             (pressure == 1 ? options_.pressure_boost : 1);
+    budget = options_.quantum_bytes * (pressure == 1 ? kPressureBoost : 1);
   }
 
   size_t retired = 0;
@@ -137,15 +138,6 @@ void LogCleaner::RefillJobs() {
       job.committed = logs_[core]->CommittedBytes(v.chunk_off);
       job.age_clock = v.last_write_clock;
       job.pick_live_ratio = v.live_ratio;
-      // Temperature classification (§3.4): survivors of a long-stable
-      // victim — or of a chunk already in the cold lane — are cold. The
-      // cleaner-chunk rule is generational: an entry relocated a second
-      // time has already outlived one full decay cycle, so it is demoted
-      // regardless of its chunk's write-clock age (with large chunks the
-      // tail of a zipfian keeps restamping even stone-cold victims).
-      job.cold = options_.segregate &&
-                 (v.from_cold_chunk || v.from_cleaner_chunk ||
-                  v.age >= options_.cold_age);
       jobs_.push_back(std::move(job));
     }
   }
@@ -260,12 +252,10 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
       bytes += kPtrEntrySize;
       n_refs = k + 1;
     }
-    const Temp temp = job.cold ? Temp::kCold : Temp::kHot;
-    if (!log->CleanerAppendBatch(refs, n_refs, new_offs, temp,
-                                 job.age_clock)) {
+    if (!log->CleanerAppendBatch(refs, n_refs, new_offs, job.age_clock)) {
       return false;  // PM pressure: park; resumes at reloc_pos
     }
-    log->root()->pool()->stats().AddGcRelocated(bytes, job.cold);
+    log->root()->pool()->stats().AddGcRelocated(bytes);
     // The fresh commit record is born dead, like the serving path's.
     if (txns > 0) log->NoteDead(new_offs[k], kPtrEntrySize);
     for (size_t i = 0; i < k; i++) {

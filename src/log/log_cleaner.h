@@ -25,13 +25,10 @@
 // MemoryPressure signal raises the budget before the pool runs dry
 // (backpressure).
 //
-// Survivors are segregated by temperature (§3.4 hot/cold): a victim
-// whose last overwrite is older than Options::cold_age — or that already
-// lives in the cold lane — relocates into the cold cleaner chunk, so
-// stable data clusters into near-fully-live chunks that future passes
-// skip. Effectiveness is measured as
-// survivor-bytes-per-reclaimed-byte (pm::GcWriteAmp), split per
-// temperature in PmStats.
+// Every victim's survivors go to its core's one cleaner chunk, which
+// inherits the victim's last-write stamp so survivors keep their age;
+// the end of each pass seals it so the next pass may pick it. Cleaning
+// cost is measured as survivor-bytes-per-reclaimed-byte (pm::GcWriteAmp).
 //
 // Liveness rules:
 //  * Put entry: live iff the index still maps its key to exactly this
@@ -100,15 +97,9 @@ class LogCleaner {
     size_t max_victims = 4;    // in-flight cleaning jobs per core
     // Per-RunOnce byte budget over scanned + relocated bytes (0 =
     // unbounded, the synchronous-test default). Under allocator pressure
-    // level 1 the budget is multiplied by `pressure_boost`; at level 2 it
-    // is unbounded — reclaim beats pacing when the pool is nearly dry.
+    // level 1 the budget is boosted ×4; at level 2 it is unbounded —
+    // reclaim beats pacing when the pool is nearly dry.
     uint64_t quantum_bytes = 0;
-    uint64_t pressure_boost = 4;
-    // Hot/cold survivor segregation (§3.4). A victim whose write-clock
-    // age at pick time is >= cold_age — or that already sits in the cold
-    // lane — relocates its survivors into the cold cleaner chunk.
-    bool segregate = true;
-    uint64_t cold_age = 512;
   };
 
   // Cleans cores [first_core, last_core) of `logs`.
@@ -169,7 +160,6 @@ class LogCleaner {
     uint64_t scan_pos = 0;       // reader position; resumable
     size_t reloc_pos = 0;        // survivors already durably relocated
     std::vector<Survivor> survivors;
-    bool cold = false;           // survivor temperature lane
     uint64_t age_clock = 0;      // victim's last-write stamp (inherited)
     double pick_live_ratio = 0;  // live ratio at pick time (WA histogram)
   };

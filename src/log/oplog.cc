@@ -17,12 +17,10 @@ OpLog::OpLog(RootArea* root, alloc::LazyAllocator* alloc, int core,
 OpLog::OpLog(RootArea* root, alloc::LazyAllocator* alloc, int core)
     : OpLog(root, alloc, core, Options()) {}
 
-bool OpLog::EnsureRoom(uint64_t bytes, Lane lane) {
+bool OpLog::EnsureRoom(uint64_t bytes, bool cleaner) {
   FLATSTORE_CHECK_LE(bytes, kLogDataBytes) << "batch larger than a chunk";
-  const bool cleaner = lane != kServing;
-  std::atomic<uint64_t>& chunk =
-      cleaner ? cleaner_chunk_[lane - kCleanerHot] : chunk_;
-  uint64_t& cursor = cleaner ? cleaner_cursor_[lane - kCleanerHot] : cursor_;
+  std::atomic<uint64_t>& chunk = cleaner ? cleaner_chunk_ : chunk_;
+  uint64_t& cursor = cleaner ? cleaner_cursor_ : cursor_;
   // relaxed: each cursor has exactly one writer (this thread); the load
   // reads our own previous store. Cross-thread readers go through the
   // acquire accessors.
@@ -59,7 +57,6 @@ bool OpLog::EnsureRoom(uint64_t bytes, Lane lane) {
     ChunkUsage& u = usage_[fresh];
     u.seq = seq;
     u.cleaner = cleaner;
-    u.temp = lane == kCleanerCold ? Temp::kCold : Temp::kHot;
     u.registry_slot = slot;
   }
   // Release publishes the zeroed data region and usage record to the
@@ -114,7 +111,7 @@ bool OpLog::AppendBatch(const EntryRef* entries, size_t n,
   if (n == 0) return true;
   uint64_t bytes = 0;
   for (size_t i = 0; i < n; i++) bytes += entries[i].len;
-  if (!EnsureRoom(bytes + kCachelineSize, kServing)) return false;
+  if (!EnsureRoom(bytes + kCachelineSize, /*cleaner=*/false)) return false;
 
   const uint64_t end = WriteEntries(&cursor_, entries, n, offsets);
   root_->pool()->Fence();  // entries durable before the tail moves
@@ -140,20 +137,16 @@ bool OpLog::AppendBatch(const EntryRef* entries, size_t n,
 }
 
 bool OpLog::CleanerAppendBatch(const EntryRef* entries, size_t n,
-                               uint64_t* offsets, Temp temp,
-                               uint64_t age_clock) {
+                               uint64_t* offsets, uint64_t age_clock) {
   if (n == 0) return true;
   uint64_t bytes = 0;
   for (size_t i = 0; i < n; i++) bytes += entries[i].len;
-  const Lane lane = CleanerLane(temp);
-  if (!EnsureRoom(bytes + kCachelineSize, lane)) return false;
+  if (!EnsureRoom(bytes + kCachelineSize, /*cleaner=*/true)) return false;
 
-  const uint64_t end =
-      WriteEntries(&cleaner_cursor_[lane - kCleanerHot], entries, n, offsets);
+  const uint64_t end = WriteEntries(&cleaner_cursor_, entries, n, offsets);
   root_->pool()->Fence();
   // relaxed: cleaner_chunk_ has a single writer — the cleaner itself.
-  const uint64_t cchunk =
-      cleaner_chunk_[lane - kCleanerHot].load(std::memory_order_relaxed);
+  const uint64_t cchunk = cleaner_chunk_.load(std::memory_order_relaxed);
   // Commit through the chunk's used_final (the cleaner has no tail
   // record); must be durable before the index is re-pointed at the
   // copies.
@@ -208,14 +201,12 @@ void OpLog::SealActiveChunk() {
 }
 
 void OpLog::RotateCleanerChunk() {
-  for (int t = 0; t < kNumTemps; t++) {
-    // relaxed: cleaner-thread-owned cursor; see EnsureRoom.
-    const uint64_t chunk = cleaner_chunk_[t].load(std::memory_order_relaxed);
-    if (chunk == 0) continue;
-    SealChunk(chunk, cleaner_cursor_[t] - (chunk + kLogDataOff));
-    cleaner_chunk_[t].store(0, std::memory_order_release);
-    cleaner_cursor_[t] = 0;
-  }
+  // relaxed: cleaner-thread-owned cursor; see EnsureRoom.
+  const uint64_t chunk = cleaner_chunk_.load(std::memory_order_relaxed);
+  if (chunk == 0) return;
+  SealChunk(chunk, cleaner_cursor_ - (chunk + kLogDataOff));
+  cleaner_chunk_.store(0, std::memory_order_release);
+  cleaner_cursor_ = 0;
 }
 
 void OpLog::AdjustLive(uint64_t entry_off, uint32_t entry_len, int dir) {
@@ -274,10 +265,8 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
   // Acquire snapshot of the serving cursor: the serving thread publishes
   // these with release stores (they are NOT protected by usage_lock_).
   const uint64_t active_chunk = chunk_.load(std::memory_order_acquire);
-  uint64_t active_cleaner[kNumTemps];
-  for (int t = 0; t < kNumTemps; t++) {
-    active_cleaner[t] = cleaner_chunk_[t].load(std::memory_order_acquire);
-  }
+  const uint64_t active_cleaner =
+      cleaner_chunk_.load(std::memory_order_acquire);
   const uint64_t tail = tail_.load(std::memory_order_acquire);
   // relaxed: logical clock snapshot; slight lag only shifts every age
   // equally within this pick.
@@ -291,8 +280,7 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
     for (const auto& [off, u] : usage_) {
       if (!u.sealed) continue;                       // still being written
       if (u.retired) continue;     // unlinked, free already in flight
-      if (off == active_chunk) continue;
-      if (off == active_cleaner[0] || off == active_cleaner[1]) continue;
+      if (off == active_chunk || off == active_cleaner) continue;
       // Never retire the chunk the durable tail record points into, even
       // when it is sealed (forced rotation seals before the tail moves).
       // Unregistering it would leave a crash-time tail referencing a
@@ -319,9 +307,6 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
         ratio = static_cast<double>(eff_live_bytes) /
                 static_cast<double>(u.total_bytes);
       }
-      // One cap for every chunk, cold lane included: cold-lane chunks
-      // decay slowly, so a lower cap for them would pin their dead bytes
-      // for a long time.
       if (ratio >= query.live_ratio) continue;
       Candidate c;
       c.seq = u.seq;
@@ -329,8 +314,6 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
       c.info.live_ratio = ratio;
       c.info.age = now > u.last_write_clock ? now - u.last_write_clock : 0;
       c.info.last_write_clock = u.last_write_clock;
-      c.info.from_cold_chunk = u.cleaner && u.temp == Temp::kCold;
-      c.info.from_cleaner_chunk = u.cleaner;
       // RAMCloud/LFS cost-benefit: benefit = freeable space x age of the
       // data; cost = read the chunk + rewrite the live part (1 + u).
       c.score = (1.0 - ratio) * static_cast<double>(c.info.age) /
@@ -419,10 +402,8 @@ void OpLog::AdoptRecoveredState(uint64_t tail, uint64_t tail_seq,
   tail_seq_.store(tail_seq, std::memory_order_release);
   chunk_.store(0, std::memory_order_release);
   cursor_ = 0;
-  for (int t = 0; t < kNumTemps; t++) {
-    cleaner_chunk_[t].store(0, std::memory_order_release);
-    cleaner_cursor_[t] = 0;
-  }
+  cleaner_chunk_.store(0, std::memory_order_release);
+  cleaner_cursor_ = 0;
   uint32_t max_seq = 0;
   for (auto& [off, u] : usage_) {
     max_seq = std::max(max_seq, u.seq);

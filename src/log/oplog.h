@@ -11,8 +11,9 @@
 //    current horizontal-batching leader, under the group's collection
 //    protocol (leaders append stolen entries to *their own* log);
 //  * the cleaner path (CleanerAppendBatch) — the background log cleaner
-//    copies surviving entries into fresh chunks whose committed length is
-//    the in-chunk `used_final` field rather than the tail record.
+//    copies surviving entries into one cleaner chunk at a time, whose
+//    committed length is the in-chunk `used_final` field rather than the
+//    tail record.
 //
 // Chunk-usage accounting (live/total entries per chunk) feeds victim
 // selection for the cleaner's maintenance pass (§3.4), which relocates
@@ -50,13 +51,6 @@ inline constexpr uint64_t kLogDataOff =
     alloc::kChunkHeaderSize + sizeof(LogChunkHeader);
 inline constexpr uint64_t kLogDataBytes = alloc::kChunkSize - kLogDataOff;
 
-// Survivor placement temperature for the cleaner's relocation chunks
-// (§3.4 hot/cold segregation): cold survivors — keys not overwritten for
-// a long time — are relocated together so future passes skip their
-// (stable, near-fully-live) chunks.
-enum class Temp : uint8_t { kHot = 0, kCold = 1 };
-inline constexpr int kNumTemps = 2;
-
 // Volatile usage record of one log chunk. The byte-granular counters and
 // the last-write clock are maintained incrementally on append / delete /
 // overwrite — victim selection never rescans a chunk.
@@ -76,21 +70,18 @@ struct ChunkUsage {
   uint64_t last_write_clock = 0;
   bool sealed = false;       // used_final is the committed length
   bool cleaner = false;      // written by the cleaner path
-  Temp temp = Temp::kHot;    // cleaner chunks: survivor temperature lane
   bool retired = false;      // unlinked; physical free deferred (epochs)
   uint64_t registry_slot = 0;
 };
 
 // One victim chunk chosen by PickVictims, with the pick-time metrics the
 // cleaner threads through its staged pipeline (live ratio feeds the WA
-// histogram; age feeds survivor temperature classification).
+// histogram; the last-write stamp is inherited by the relocation chunk).
 struct VictimInfo {
   uint64_t chunk_off = 0;
   double live_ratio = 0;        // effective live-byte ratio at pick time
   uint64_t age = 0;             // write-clock distance at pick time
   uint64_t last_write_clock = 0;
-  bool from_cold_chunk = false;  // victim was a cleaner cold-lane chunk
-  bool from_cleaner_chunk = false;  // victim held relocated survivors
 };
 
 // Victim-selection query (§3.4): RAMCloud/LFS-style cost-benefit, rank
@@ -131,13 +122,11 @@ class OpLog {
   bool AppendBatch(const EntryRef* entries, size_t n, uint64_t* offsets);
 
   // Cleaner path: same append mechanics, but into the cleaner's chunk
-  // chain for `temp` and committed via the chunk's `used_final` field.
-  // `age_clock` is the victim's last-write stamp — the relocation chunk
-  // inherits it (max across batches) so survivors keep their age.
-  // The two-arg form appends to the hot lane.
+  // and committed via the chunk's `used_final` field. `age_clock` is the
+  // victim's last-write stamp — the relocation chunk inherits it (max
+  // across batches) so survivors keep their age.
   bool CleanerAppendBatch(const EntryRef* entries, size_t n,
-                          uint64_t* offsets, Temp temp = Temp::kHot,
-                          uint64_t age_clock = 0);
+                          uint64_t* offsets, uint64_t age_clock = 0);
 
   // Marks the entry at `entry_off` dead (superseded or deleted) and
   // advances the chunk's last-write clock — a chunk losing entries is
@@ -205,10 +194,9 @@ class OpLog {
   // GC scenarios. The committed tail is unaffected.
   void SealActiveChunk();
 
-  // Seals the cleaner's current chunks (both temperature lanes) so
-  // future passes may victimize them (relocated tombstones would
-  // otherwise hide in them forever). The next cleaner append starts a
-  // fresh chunk. No-op for lanes that have none.
+  // Seals the cleaner's current chunk so future passes may victimize it
+  // (relocated tombstones would otherwise hide in it forever). The next
+  // cleaner append starts a fresh chunk. No-op when there is none.
   void RotateCleanerChunk();
 
   // --- recovery support (paper §3.5) ---
@@ -225,16 +213,10 @@ class OpLog {
   RootArea* root() const { return root_; }
 
  private:
-  // Append lanes: one serving cursor plus one cleaner cursor per
-  // temperature.
-  enum Lane : int { kServing = 0, kCleanerHot = 1, kCleanerCold = 2 };
-  static Lane CleanerLane(Temp t) {
-    return t == Temp::kCold ? kCleanerCold : kCleanerHot;
-  }
-
-  // Ensures the lane's cursor has room for `bytes`; rolls over to a
-  // fresh chunk when needed. Returns false on out-of-space.
-  bool EnsureRoom(uint64_t bytes, Lane lane);
+  // Ensures the serving (or, with `cleaner`, the cleaner) cursor has room
+  // for `bytes`; rolls over to a fresh chunk when needed. Returns false on
+  // out-of-space.
+  bool EnsureRoom(uint64_t bytes, bool cleaner);
 
   // Seals the chunk containing `cursor` at `cursor` bytes used.
   void SealChunk(uint64_t chunk_off, uint64_t used);
@@ -272,11 +254,10 @@ class OpLog {
   std::atomic<uint64_t> tail_{0};
   std::atomic<uint64_t> tail_seq_{0};
 
-  // Cleaner cursors, one per temperature lane (§3.4 segregation):
-  // `cleaner_chunk_[t]` is read by PickVictims and written on rollover;
-  // `cleaner_cursor_[t]` is cleaner-thread-confined.
-  std::atomic<uint64_t> cleaner_chunk_[kNumTemps] = {};
-  uint64_t cleaner_cursor_[kNumTemps] = {};
+  // Cleaner cursor: `cleaner_chunk_` is read by PickVictims and written
+  // on rollover; `cleaner_cursor_` is cleaner-thread-confined.
+  std::atomic<uint64_t> cleaner_chunk_{0};
+  uint64_t cleaner_cursor_ = 0;
 
   // Logical write clock (see write_clock()); ticked by the serving
   // append path, read by victim selection and NoteDead.

@@ -40,12 +40,9 @@ class PmStats {
     // Log cleaning write-amplification accounting (§3.4). Relocated =
     // survivor bytes the cleaner re-appended; reclaimed = committed data
     // bytes of retired victim chunks. The cleaner's write amplification
-    // is relocated/reclaimed — also the survivor-bytes-per-reclaimed-byte
-    // segregation-effectiveness metric; split per survivor temperature.
+    // is relocated/reclaimed: survivor bytes per reclaimed byte.
     uint64_t gc_bytes_relocated = 0;
     uint64_t gc_bytes_reclaimed = 0;
-    uint64_t gc_survivor_bytes_hot = 0;
-    uint64_t gc_survivor_bytes_cold = 0;
     uint64_t gc_victims = 0;  // victim chunks retired
     uint64_t gc_victim_live_histo[kGcLiveHistoBuckets] = {};
   };
@@ -77,10 +74,8 @@ class PmStats {
   }
 
   // --- log-cleaning write amplification (§3.4) ---
-  void AddGcRelocated(uint64_t bytes, bool cold) {
+  void AddGcRelocated(uint64_t bytes) {
     gc_bytes_relocated_.fetch_add(bytes, std::memory_order_relaxed);
-    (cold ? gc_survivor_bytes_cold_ : gc_survivor_bytes_hot_)
-        .fetch_add(bytes, std::memory_order_relaxed);
   }
   // One victim retired: `committed` data bytes return to the allocator,
   // `live_ratio` is the victim's live-byte ratio when it was picked.
@@ -111,10 +106,6 @@ class PmStats {
         gc_bytes_relocated_.load(std::memory_order_relaxed);
     s.gc_bytes_reclaimed =
         gc_bytes_reclaimed_.load(std::memory_order_relaxed);
-    s.gc_survivor_bytes_hot =
-        gc_survivor_bytes_hot_.load(std::memory_order_relaxed);
-    s.gc_survivor_bytes_cold =
-        gc_survivor_bytes_cold_.load(std::memory_order_relaxed);
     s.gc_victims = gc_victims_.load(std::memory_order_relaxed);
     for (int i = 0; i < kGcLiveHistoBuckets; i++) {
       s.gc_victim_live_histo[i] =
@@ -136,8 +127,6 @@ class PmStats {
     epoch_deferred_hwm_.store(0, std::memory_order_relaxed);
     gc_bytes_relocated_.store(0, std::memory_order_relaxed);
     gc_bytes_reclaimed_.store(0, std::memory_order_relaxed);
-    gc_survivor_bytes_hot_.store(0, std::memory_order_relaxed);
-    gc_survivor_bytes_cold_.store(0, std::memory_order_relaxed);
     gc_victims_.store(0, std::memory_order_relaxed);
     for (auto& b : gc_victim_live_histo_) {
       b.store(0, std::memory_order_relaxed);
@@ -156,8 +145,6 @@ class PmStats {
   std::atomic<uint64_t> epoch_deferred_hwm_{0};
   std::atomic<uint64_t> gc_bytes_relocated_{0};
   std::atomic<uint64_t> gc_bytes_reclaimed_{0};
-  std::atomic<uint64_t> gc_survivor_bytes_hot_{0};
-  std::atomic<uint64_t> gc_survivor_bytes_cold_{0};
   std::atomic<uint64_t> gc_victims_{0};
   std::atomic<uint64_t> gc_victim_live_histo_[kGcLiveHistoBuckets] = {};
 };
@@ -174,10 +161,6 @@ inline PmStats::Snapshot Delta(const PmStats::Snapshot& before,
   d.read_lines = after.read_lines - before.read_lines;
   d.gc_bytes_relocated = after.gc_bytes_relocated - before.gc_bytes_relocated;
   d.gc_bytes_reclaimed = after.gc_bytes_reclaimed - before.gc_bytes_reclaimed;
-  d.gc_survivor_bytes_hot =
-      after.gc_survivor_bytes_hot - before.gc_survivor_bytes_hot;
-  d.gc_survivor_bytes_cold =
-      after.gc_survivor_bytes_cold - before.gc_survivor_bytes_cold;
   d.gc_victims = after.gc_victims - before.gc_victims;
   for (int i = 0; i < kGcLiveHistoBuckets; i++) {
     d.gc_victim_live_histo[i] =

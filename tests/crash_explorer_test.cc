@@ -557,13 +557,10 @@ TEST(CrashExplorerTest, GcRetireJournalWindow) {
 // calls, so the flush enumeration cuts power at every stage boundary —
 // mid-scan (no PM writes yet), after a survivor copy but before its
 // used_final commit, after the commit but before the victim retires.
-// cold_age=0 also routes the survivors through the cold lane, covering
-// the cold cleaner chunk's flagged registration.
 TEST(CrashExplorerTest, GcStagedQuantumBoundaries) {
   ExplorerOptions opts;
   opts.store = SmallStore(1);
   opts.store.gc_quantum_bytes = 256;  // ~6 scan slices per 12-entry chunk
-  opts.store.gc_cold_age = 0;
   opts.seeds = CrashSeeds();
   Workload w = [](WorkloadCtx& ctx) {
     for (uint64_t k = 1; k <= 12; k++) ctx.Put(k, Val('q', 64));

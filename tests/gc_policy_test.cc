@@ -1,11 +1,11 @@
-// Cost-benefit victim selection under one relocation cap, hot/cold
-// survivor segregation, pipelined quantum-bounded cleaning, and allocator
+// Cost-benefit victim selection under one relocation cap, the one cleaner
+// chunk per log, pipelined quantum-bounded cleaning, and allocator
 // backpressure (§3.4).
 //
 // OpLog-level tests drive PickVictims directly over hand-built chunk
 // populations; FlatStore-level tests verify the end-to-end behavior of
-// the staged cleaner (temperature lanes, WA accounting, resumable
-// quanta, pressure-boosted budgets).
+// the staged cleaner (cleaner chunks, WA accounting, resumable quanta,
+// pressure-boosted budgets).
 
 #include <gtest/gtest.h>
 
@@ -70,9 +70,9 @@ class GcPolicyTest : public ::testing::Test {
     return AlignDown(entry_off, alloc::kChunkSize);
   }
 
-  // Appends `n` ptr-based entries through the cleaner path into `temp`'s
-  // lane; returns their offsets.
-  std::vector<uint64_t> AppendCleanerBatch(int n, Temp temp) {
+  // Appends `n` ptr-based entries through the cleaner path; returns their
+  // offsets.
+  std::vector<uint64_t> AppendCleanerBatch(int n) {
     std::vector<std::vector<uint8_t>> bufs(n);
     std::vector<OpLog::EntryRef> refs(n);
     for (int i = 0; i < n; i++) {
@@ -82,7 +82,7 @@ class GcPolicyTest : public ::testing::Test {
     }
     std::vector<uint64_t> offs(n);
     EXPECT_TRUE(log_->CleanerAppendBatch(refs.data(), refs.size(),
-                                         offs.data(), temp));
+                                         offs.data()));
     return offs;
   }
 
@@ -113,7 +113,7 @@ TEST_F(GcPolicyTest, CostBenefitPrefersOlderAtEqualLiveRatio) {
   TickClock(20);
   for (int i = 0; i < 8; i++) log_->NoteDead(offs_b[i], kPtrEntrySize);
 
-  VictimQuery q;  // defaults: kCostBenefit, cap 0.98
+  VictimQuery q;  // default cap 0.98
   q.max = 8;
   auto victims = log_->PickVictims(q);
   ASSERT_GE(victims.size(), 2u);
@@ -166,33 +166,34 @@ TEST_F(GcPolicyTest, EqualScoresTieBreakByOldestSequence) {
 }
 
 // The picker's one relocation cap (DESIGN.md §3.4), here 0.9: every
-// chunk below it is picked, hot or cold lane alike, and none at or above
-// it. Each row is one sealed 16-entry chunk with `live` entries left.
+// chunk below it is picked, serving or cleaner chunk alike, and none at
+// or above it. Each row is one sealed 16-entry chunk with `live` entries
+// left.
 TEST_F(GcPolicyTest, PickerTableOneCapForEveryChunk) {
   struct Row {
     const char* name;
-    bool cold;
+    bool cleaner;
     int live;
     bool picked;
   };
   const Row table[] = {
-      {"hot, full", false, 16, false},
-      {"hot, over the cap", false, 15, false},  // 0.9375
-      {"hot, under the cap", false, 14, true},  // 0.875
-      {"hot, half", false, 8, true},
-      {"hot, dead", false, 0, true},
-      {"cold, full", true, 16, false},
-      {"cold, over the cap", true, 15, false},
-      {"cold, under the cap", true, 14, true},
-      {"cold, half", true, 8, true},
-      {"cold, dead", true, 0, true},
+      {"serving, full", false, 16, false},
+      {"serving, over the cap", false, 15, false},  // 0.9375
+      {"serving, under the cap", false, 14, true},  // 0.875
+      {"serving, half", false, 8, true},
+      {"serving, dead", false, 0, true},
+      {"cleaner, full", true, 16, false},
+      {"cleaner, over the cap", true, 15, false},
+      {"cleaner, under the cap", true, 14, true},
+      {"cleaner, half", true, 8, true},
+      {"cleaner, dead", true, 0, true},
   };
 
   std::map<uint64_t, const Row*> chunk_row;
   for (const Row& r : table) {
     std::vector<uint64_t> offs;
-    if (r.cold) {
-      offs = AppendCleanerBatch(16, Temp::kCold);
+    if (r.cleaner) {
+      offs = AppendCleanerBatch(16);
       log_->RotateCleanerChunk();
     } else {
       offs = AppendPtrBatch(16);
@@ -209,7 +210,6 @@ TEST_F(GcPolicyTest, PickerTableOneCapForEveryChunk) {
   std::map<uint64_t, bool> picked;
   for (const VictimInfo& v : log_->PickVictims(q)) {
     ASSERT_TRUE(chunk_row.count(v.chunk_off) != 0) << v.chunk_off;
-    EXPECT_EQ(v.from_cold_chunk, chunk_row[v.chunk_off]->cold);
     picked[v.chunk_off] = true;
   }
   for (const auto& [chunk, row] : chunk_row) {
@@ -241,17 +241,16 @@ TEST_F(GcPolicyTest, PickerReturnsAtMostMax) {
   }
 }
 
-// The durable-tail chunk and the chunks being written (serving and both
-// cleaner lanes) are never picked, whatever the policy would say.
+// The durable-tail chunk and the chunks being written (serving and
+// cleaner) are never picked, whatever the policy would say.
 TEST_F(GcPolicyTest, PickerSparesTailAndActiveChunks) {
   const uint64_t old_chunk = ChunkOf(AppendPtrBatch(16)[0]);
   log_->SealActiveChunk();
   // The tail chunk: sealed, but the durable tail record points into it.
   const uint64_t tail_chunk = ChunkOf(AppendPtrBatch(16)[0]);
   log_->SealActiveChunk();
-  // The active cleaner chunks of both lanes, unsealed.
-  const uint64_t hot_lane = ChunkOf(AppendCleanerBatch(16, Temp::kHot)[0]);
-  const uint64_t cold_lane = ChunkOf(AppendCleanerBatch(16, Temp::kCold)[0]);
+  // The active cleaner chunk, unsealed.
+  const uint64_t cleaner = ChunkOf(AppendCleanerBatch(16)[0]);
   ASSERT_EQ(AlignDown(log_->tail(), alloc::kChunkSize), tail_chunk);
 
   {
@@ -272,8 +271,7 @@ TEST_F(GcPolicyTest, PickerSparesTailAndActiveChunks) {
   for (const VictimInfo& v : log_->PickVictims(q)) {
     picked.push_back(v.chunk_off);
     EXPECT_NE(v.chunk_off, serving);
-    EXPECT_NE(v.chunk_off, hot_lane);
-    EXPECT_NE(v.chunk_off, cold_lane);
+    EXPECT_NE(v.chunk_off, cleaner);
   }
   std::sort(picked.begin(), picked.end());
   std::vector<uint64_t> want = {old_chunk, tail_chunk};
@@ -322,27 +320,22 @@ TEST_F(GcPolicyTest, IncrementalByteCountersMatchRescanOracle) {
   }
 }
 
-TEST_F(GcPolicyTest, CleanerLanesSeparateByTemperatureAndInheritAge) {
+TEST_F(GcPolicyTest, CleanerChunkInheritsNewestVictimStamp) {
+  TickClock(10);  // "now" is past every victim stamp below
   uint8_t buf[kPtrEntrySize];
   EncodePutPtr(buf, 7, 1, 0x100u * 256);
   OpLog::EntryRef ref{buf, kPtrEntrySize};
-  uint64_t hot_off = 0, cold_off = 0;
-  ASSERT_TRUE(log_->CleanerAppendBatch(&ref, 1, &hot_off, Temp::kHot,
-                                       /*age_clock=*/3));
-  ASSERT_TRUE(log_->CleanerAppendBatch(&ref, 1, &cold_off, Temp::kCold,
-                                       /*age_clock=*/5));
-  ASSERT_NE(ChunkOf(hot_off), ChunkOf(cold_off))
-      << "temperature lanes must use distinct chunks";
-  auto usage = log_->UsageSnapshot();
-  const ChunkUsage& hot = usage.at(ChunkOf(hot_off));
-  const ChunkUsage& cold = usage.at(ChunkOf(cold_off));
-  EXPECT_TRUE(hot.cleaner);
-  EXPECT_TRUE(cold.cleaner);
-  EXPECT_EQ(hot.temp, Temp::kHot);
-  EXPECT_EQ(cold.temp, Temp::kCold);
-  // Relocation chunks inherit the victim's stamp, not "now".
-  EXPECT_EQ(hot.last_write_clock, 3u);
-  EXPECT_EQ(cold.last_write_clock, 5u);
+  uint64_t first = 0, second = 0, third = 0;
+  ASSERT_TRUE(log_->CleanerAppendBatch(&ref, 1, &first, /*age_clock=*/3));
+  ASSERT_TRUE(log_->CleanerAppendBatch(&ref, 1, &second, /*age_clock=*/5));
+  ASSERT_TRUE(log_->CleanerAppendBatch(&ref, 1, &third, /*age_clock=*/4));
+  ASSERT_EQ(ChunkOf(first), ChunkOf(second))
+      << "every survivor goes to the one cleaner chunk";
+  ASSERT_EQ(ChunkOf(first), ChunkOf(third));
+  const ChunkUsage& u = log_->UsageSnapshot().at(ChunkOf(first));
+  EXPECT_TRUE(u.cleaner);
+  // Relocation chunks inherit the newest victim stamp, not "now".
+  EXPECT_EQ(u.last_write_clock, 5u);
 }
 
 TEST(AllocatorBackpressure, PressureTracksFreeListAgainstWatermark) {
@@ -402,111 +395,106 @@ void StageGarbage(FlatStore* store) {
   }
 }
 
-TEST(HotColdSegregation, ColdAgeZeroRoutesAllSurvivorsCold) {
-  pm::PmPool::Options o;
-  o.size = 256ull << 20;
-  pm::PmPool pool(o);
-  auto opts = SegOptions();
-  opts.gc_cold_age = 0;  // every victim classifies as cold
-  auto store = FlatStore::Create(&pool, opts);
-  StageGarbage(store.get());
-  while (store->RunCleanersOnce() > 0) {
-  }
-  ASSERT_GT(store->ChunksCleaned(), 0u);
-
-  const auto s = pool.stats().Get();
-  EXPECT_GT(s.gc_bytes_relocated, 0u);
-  EXPECT_GT(s.gc_bytes_reclaimed, 0u);
-  EXPECT_GT(s.gc_survivor_bytes_cold, 0u);
-  EXPECT_EQ(s.gc_survivor_bytes_hot, 0u);
-  // Survivors (1/4 of the data) cost well under one byte of rewrite per
-  // reclaimed byte.
-  EXPECT_LT(pm::GcWriteAmp(s), 1.0);
-  EXPECT_GT(s.gc_victims, 0u);
-
-  for (int c = 0; c < 2; c++) {
-    for (const auto& [off, u] : store->LogForCore(c)->UsageSnapshot()) {
-      if (u.cleaner) {
-        EXPECT_EQ(u.temp, log::Temp::kCold) << "chunk " << off;
-      }
-    }
-  }
-  // Data intact after relocation.
-  std::string v;
-  for (uint64_t k = 3000; k < 4000; k += 97) {
-    ASSERT_TRUE(store->Get(k, &v)) << k;
-    ASSERT_EQ(v, ValueFor(k, 0, 200)) << k;
-  }
-  for (uint64_t k = 0; k < 3000; k += 97) {
-    ASSERT_TRUE(store->Get(k, &v)) << k;
-    ASSERT_EQ(v, ValueFor(k, 1, 200)) << k;
-  }
-}
-
-TEST(HotColdSegregation, SegregationOffKeepsEverySurvivorHot) {
-  pm::PmPool::Options o;
-  o.size = 256ull << 20;
-  pm::PmPool pool(o);
-  auto opts = SegOptions();
-  opts.gc_segregate = false;
-  opts.gc_cold_age = 0;  // would be cold — but segregation is off
-  auto store = FlatStore::Create(&pool, opts);
-  StageGarbage(store.get());
-  while (store->RunCleanersOnce() > 0) {
-  }
-  ASSERT_GT(store->ChunksCleaned(), 0u);
-
-  const auto s = pool.stats().Get();
-  EXPECT_GT(s.gc_survivor_bytes_hot, 0u);
-  EXPECT_EQ(s.gc_survivor_bytes_cold, 0u);
-  for (int c = 0; c < 2; c++) {
-    for (const auto& [off, u] : store->LogForCore(c)->UsageSnapshot()) {
-      if (u.cleaner) {
-        EXPECT_EQ(u.temp, log::Temp::kHot) << "chunk " << off;
-      }
-    }
-  }
-}
-
-// A cold-lane chunk is relocated as soon as it falls below the one cap,
-// like any other chunk. Every survivor goes to the cold lane
-// (gc_cold_age = 0); 40 % of the cold keys are then overwritten, which
-// leaves the cold chunks a little over half live, under gc_live_ratio.
-TEST(HotColdSegregation, ColdChunkUnderTheCapIsRelocated) {
+// A cleaner chunk is relocated as soon as it falls below the one cap,
+// like any other chunk. The first passes move the 1000 surviving keys
+// into cleaner chunks; 40 % of them are then overwritten, which leaves
+// those chunks a little over half live, under gc_live_ratio.
+TEST(CleanerChunks, CleanerChunkUnderTheCapIsRelocated) {
   pm::PmPool::Options o;
   o.size = 256ull << 20;
   pm::PmPool pool(o);
   auto opts = SegOptions();
   opts.gc_live_ratio = 0.9;
-  opts.gc_cold_age = 0;
   auto store = FlatStore::Create(&pool, opts);
   StageGarbage(store.get());
   while (store->RunCleanersOnce() > 0) {
   }
   for (uint64_t k = 3000; k < 3400; k++) store->Put(k, ValueFor(k, 2, 200));
-  std::vector<std::pair<int, uint64_t>> cold;  // (core, chunk)
+  std::vector<std::pair<int, uint64_t>> relocated;  // (core, chunk)
   for (int c = 0; c < 2; c++) {
     for (const auto& [off, u] : store->LogForCore(c)->UsageSnapshot()) {
-      if (!u.cleaner || u.temp != log::Temp::kCold) continue;
+      if (!u.cleaner) continue;
       const double ratio = static_cast<double>(u.live_bytes) /
                            static_cast<double>(u.total_bytes);
       EXPECT_LT(ratio, opts.gc_live_ratio) << "chunk " << off;
       EXPECT_GT(ratio, opts.gc_live_ratio / 2) << "chunk " << off;
-      cold.push_back({c, off});
+      relocated.push_back({c, off});
     }
   }
-  ASSERT_FALSE(cold.empty());
+  ASSERT_FALSE(relocated.empty());
   const uint64_t cleaned = store->ChunksCleaned();
   store->RunCleanersOnce();
-  EXPECT_GE(store->ChunksCleaned(), cleaned + cold.size());
-  for (const auto& [c, off] : cold) {
+  EXPECT_GE(store->ChunksCleaned(), cleaned + relocated.size());
+  for (const auto& [c, off] : relocated) {
     EXPECT_EQ(store->LogForCore(c)->UsageSnapshot().count(off), 0u)
-        << "cold chunk " << off << " was not relocated";
+        << "cleaner chunk " << off << " was not relocated";
   }
   std::string v;
   for (uint64_t k = 3000; k < 4000; k += 37) {
     ASSERT_TRUE(store->Get(k, &v)) << k;
     ASSERT_EQ(v, ValueFor(k, k < 3400 ? 2 : 0, 200)) << k;
+  }
+}
+
+// Every survivor of a pass goes to its core's one cleaner chunk, whatever
+// its victim was. One pass cleans two kinds of victim per core: a
+// serving chunk that lost entries just before the pass (young), and a
+// cleaner chunk written by earlier passes, so its survivors are being
+// relocated a second time. Both fit in one chunk, so the pass must leave
+// at most one new cleaner chunk per core.
+TEST(CleanerChunks, OnePassWritesOneCleanerChunkPerCore) {
+  pm::PmPool::Options o;
+  o.size = 256ull << 20;
+  pm::PmPool pool(o);
+  auto store = FlatStore::Create(&pool, SegOptions());
+  StageGarbage(store.get());
+  while (store->RunCleanersOnce() > 0) {
+  }
+  // The cleaner chunks now hold keys 3000..3999; overwriting 3000..3399
+  // drops them to ~60 % live. Keys 5000..5999 then go into the same
+  // serving chunk, which is sealed and loses 3/4 of them at once.
+  for (uint64_t k = 3000; k < 3400; k++) store->Put(k, ValueFor(k, 2, 200));
+  for (uint64_t k = 5000; k < 6000; k++) store->Put(k, ValueFor(k, 0, 200));
+  store->SealActiveLogChunks();
+  for (uint64_t k = 5000; k < 5750; k++) store->Put(k, ValueFor(k, 1, 200));
+
+  std::map<uint64_t, bool> before[2];  // chunk -> is a cleaner chunk
+  for (int c = 0; c < 2; c++) {
+    for (const auto& [off, u] : store->LogForCore(c)->UsageSnapshot()) {
+      before[c][off] = u.cleaner;
+    }
+  }
+  const auto stats_before = pool.stats().Get();
+  store->RunCleanersOnce();
+  const auto s = pm::Delta(stats_before, pool.stats().Get());
+
+  for (int c = 0; c < 2; c++) {
+    const auto after = store->LogForCore(c)->UsageSnapshot();
+    int old_cleaner_gone = 0;
+    int old_serving_gone = 0;
+    for (const auto& [off, cleaner] : before[c]) {
+      if (after.count(off) != 0) continue;
+      (cleaner ? old_cleaner_gone : old_serving_gone)++;
+    }
+    ASSERT_GT(old_cleaner_gone, 0) << "core " << c;
+    ASSERT_GT(old_serving_gone, 0) << "core " << c;
+    int written = 0;
+    for (const auto& [off, u] : after) {
+      if (u.cleaner && before[c].count(off) == 0) written++;
+    }
+    EXPECT_EQ(written, 1) << "core " << c << ": one pass, one cleaner chunk";
+  }
+  // Survivors (under half of the victims' bytes) cost well under one
+  // byte of rewrite per reclaimed byte.
+  EXPECT_GT(s.gc_bytes_relocated, 0u);
+  EXPECT_LT(pm::GcWriteAmp(s), 1.0);
+
+  std::string v;
+  for (uint64_t k = 3000; k < 6000; k += 37) {
+    if (k >= 4000 && k < 5000) continue;  // never written
+    const uint64_t nonce = k < 3400 ? 2 : (k >= 5000 && k < 5750) ? 1 : 0;
+    ASSERT_TRUE(store->Get(k, &v)) << k;
+    ASSERT_EQ(v, ValueFor(k, nonce, 200)) << k;
   }
 }
 

@@ -404,7 +404,6 @@ Rescan ExpectUsageMatchesRescan(FlatStore* store, pm::PmPool* pool) {
       EXPECT_EQ(u.last_write_clock, want.last_write_clock) << where;
       EXPECT_EQ(u.sealed, want.sealed) << where;
       EXPECT_EQ(u.cleaner, want.cleaner) << where;
-      EXPECT_TRUE(u.temp == want.temp) << where;
       EXPECT_EQ(u.retired, want.retired) << where;
       EXPECT_EQ(u.registry_slot, want.registry_slot) << where;
     }
