@@ -60,23 +60,36 @@ BENCHMARK(BM_ScaleM)
 // Two-socket mode: cores split across two sockets (per-socket DIMM sets,
 // per-socket log/chunk placement). Placement on should stay near-linear
 // versus the 1-socket arm at half the cores; placement off (interleaved
-// chunks + indexes, no group alignment) goes sublinear — every second
-// persist and index miss pays the cross-socket surcharge.
-void BM_Scale2Sock(benchmark::State& state) {
+// chunks + CCEH partitions, no group alignment) goes sublinear — every
+// second persist and index miss pays the cross-socket surcharge.
+// FlatStore-M's one tree is socket-interleaved in both arms, so its gap
+// is the log and value placement alone.
+void BM_Scale2Sock(benchmark::State& state, core::IndexKind kind,
+                   const char* name) {
   const int cores = static_cast<int>(state.range(0));
   const bool placed = state.range(1) != 0;
   core::FlatStoreOptions fo;
   fo.num_cores = cores;
   fo.group_size = (cores + 1) / 2;  // one group per socket
+  fo.index = kind;
   fo.hash_initial_depth = 6;
   fo.socket_local_placement = placed;
   Rig rig = MakeFlatRig(fo, /*pool_mb=*/2048, /*num_sockets=*/2);
   RunPoint(state, rig.adapter.get(), Config(/*skew=*/false, cores),
-           &g_table, "FlatStore-H",
+           &g_table, name,
            std::string(placed ? "2sock-placed" : "2sock-spread") + "/" +
                std::to_string(cores) + "cores");
 }
-BENCHMARK(BM_Scale2Sock)
+void BM_Scale2SockH(benchmark::State& state) {
+  BM_Scale2Sock(state, core::IndexKind::kHash, "FlatStore-H");
+}
+void BM_Scale2SockM(benchmark::State& state) {
+  BM_Scale2Sock(state, core::IndexKind::kMasstree, "FlatStore-M");
+}
+BENCHMARK(BM_Scale2SockH)
+    ->ArgsProduct({{8, 16, 32}, {0, 1}})
+    ->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Scale2SockM)
     ->ArgsProduct({{8, 16, 32}, {0, 1}})
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 

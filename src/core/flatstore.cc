@@ -10,7 +10,6 @@
 #include "index/cceh.h"
 #include "index/fast_fair.h"
 #include "index/masstree.h"
-#include "index/numa_sharded_index.h"
 #include "log/log_reader.h"
 #include "vt/clock.h"
 #include "vt/costs.h"
@@ -200,10 +199,10 @@ void FlatStore::BuildIndexes() {
   indexes_.clear();
   const int sockets = pool_->num_sockets();
   const bool place = options_.socket_local_placement && sockets > 1;
-  // Non-placed volatile nodes: socket-agnostic on single-socket pools
-  // (the historical model, zero surcharge), page-interleaved on
-  // multi-socket pools with placement off (half the remote surcharge on
-  // every node miss — the A/B baseline).
+  // Volatile nodes no socket owns (the one tree, and every index with
+  // placement off): socket-agnostic on single-socket pools (zero
+  // surcharge), page-interleaved on multi-socket pools (half the remote
+  // surcharge on every node miss).
   const int spread_home =
       sockets > 1 ? vt::kSocketInterleaved : vt::kSocketNone;
   switch (options_.index) {
@@ -219,37 +218,17 @@ void FlatStore::BuildIndexes() {
       }
       break;
     case IndexKind::kMasstree:
-      if (place) {
-        std::vector<std::unique_ptr<index::OrderedKvIndex>> shards;
-        for (int s = 0; s < sockets; s++) {
-          index::PmContext ctx;
-          ctx.home_socket = s;
-          shards.push_back(std::make_unique<index::Masstree>(ctx));
-        }
-        indexes_.push_back(std::make_unique<index::NumaShardedIndex>(
-            std::move(shards), options_.num_cores, kRoutingSeed));
-      } else {
-        index::PmContext ctx;
-        ctx.home_socket = spread_home;
+    case IndexKind::kFastFairVolatile: {
+      // One global tree (paper §4.2) serves every core.
+      index::PmContext ctx;
+      ctx.home_socket = spread_home;
+      if (options_.index == IndexKind::kMasstree) {
         indexes_.push_back(std::make_unique<index::Masstree>(ctx));
-      }
-      break;
-    case IndexKind::kFastFairVolatile:
-      if (place) {
-        std::vector<std::unique_ptr<index::OrderedKvIndex>> shards;
-        for (int s = 0; s < sockets; s++) {
-          index::PmContext ctx;
-          ctx.home_socket = s;
-          shards.push_back(std::make_unique<index::FastFair>(ctx));
-        }
-        indexes_.push_back(std::make_unique<index::NumaShardedIndex>(
-            std::move(shards), options_.num_cores, kRoutingSeed));
       } else {
-        index::PmContext ctx;
-        ctx.home_socket = spread_home;
         indexes_.push_back(std::make_unique<index::FastFair>(ctx));
       }
       break;
+    }
   }
 }
 

@@ -87,14 +87,13 @@ struct FlatStoreOptions {
   // unaffected either way). On: each core's log segments and value blocks
   // come from its own socket's chunk pool (the allocator's default), HB
   // groups never straddle a socket boundary (a leader always persists to
-  // DIMMs on its own socket), and the volatile indexes are homed
-  // per-socket — per-core CCEH partitions carry their core's socket, the
-  // tree indexes become a NUMA-braided per-socket forest. Off: PM chunks
-  // are dealt round-robin across sockets (interleaved first-touch — about
-  // half of every core's persists cross the link), indexes are built
-  // socket-interleaved (every node miss pays half the remote surcharge),
-  // and group alignment is not enforced — the placement-off arm of the
-  // scaling A/B.
+  // DIMMs on its own socket), and each per-core CCEH partition is homed
+  // on its core's socket. A tree index is one global tree either way,
+  // built socket-interleaved. Off: PM chunks are dealt round-robin across
+  // sockets (interleaved first-touch — about half of every core's
+  // persists cross the link), CCEH partitions are built socket-interleaved
+  // too (every node miss pays half the remote surcharge), and group
+  // alignment is not enforced — the placement-off arm of the scaling A/B.
   bool socket_local_placement = true;
   // Keep key order for Scan (DESIGN.md §11): a FlatStore-H store keeps a
   // sorted DRAM run of its keys, so Scan needs no full index iteration.

@@ -89,15 +89,17 @@ struct KvPair {
   uint64_t value;
 };
 
-// Opaque two-phase lookup state handed from PrefetchGet to GetWithHint.
-// Plain POD so MultiGet batches keep arrays of hints without allocating;
-// field meaning is private to each index. A hint is only valid for the
+// Opaque two-phase lookup state handed from PrefetchGet to GetWithHint
+// (and from PrefetchInsert to InsertWithHint). Plain POD so MultiGet
+// batches keep arrays of hints without allocating; field meaning is
+// private to each index. Only the indexes FlatStore builds (CCEH,
+// Masstree, FAST&FAIR) fill one; Level-Hashing and FPTree leave it
+// invalid and take the base-class fallback. A hint is only valid for the
 // key PrefetchGet produced it for, and only until the next structural
 // mutation by the owning writer (GetWithHint revalidates cheaply and
 // falls back to a plain probe when stale).
 struct LookupHint {
-  uint64_t hash = 0;         // primary hash (hash indexes)
-  uint64_t hash2 = 0;        // secondary hash (level hashing)
+  uint64_t hash = 0;         // key hash (CCEH)
   const void* node = nullptr;  // located bucket/segment/leaf
   bool valid = false;        // phase A located something prefetchable
 };

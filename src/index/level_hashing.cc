@@ -101,13 +101,8 @@ bool LevelHashing::TryMove(Bucket& bucket, bool top) {
 bool LevelHashing::InsertNoResize(uint64_t key, uint64_t value,
                                   uint64_t* old_value, bool* updated) {
   vt::Charge(2 * vt::kCpuHash);
-  return InsertNoResizeHashed(key, value, old_value, updated, HashKey(key),
-                              HashKey2(key));
-}
-
-bool LevelHashing::InsertNoResizeHashed(uint64_t key, uint64_t value,
-                                        uint64_t* old_value, bool* updated,
-                                        uint64_t h1, uint64_t h2) {
+  const uint64_t h1 = HashKey(key);
+  const uint64_t h2 = HashKey2(key);
   // In-place update.
   SlotRef ref = FindSlotHashed(key, h1, h2);
   if (ref.bucket != nullptr) {
@@ -188,71 +183,6 @@ bool LevelHashing::Get(uint64_t key, uint64_t* value) const {
   *value = std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
                .load(std::memory_order_acquire);
   return true;
-}
-
-void LevelHashing::PrefetchGet(uint64_t key, LookupHint* hint) const {
-  vt::Charge(2 * vt::kCpuHash);
-  hint->hash = HashKey(key);
-  hint->hash2 = HashKey2(key);
-  for (bool top : {true, false}) {
-    for (uint64_t h : {hint->hash, hint->hash2}) {
-      __builtin_prefetch(&BucketAt(top, h), 0, 3);
-    }
-  }
-  vt::Charge(4 * vt::kPrefetchIssueCost);
-  hint->node = top_;  // resize swaps levels; used as a freshness stamp
-  hint->valid = true;
-}
-
-bool LevelHashing::GetWithHint(uint64_t key, const LookupHint& hint,
-                               uint64_t* value) const {
-  if (!hint.valid || hint.node != top_) {
-    return KvIndex::GetWithHint(key, hint, value);
-  }
-  SlotRef ref = FindSlotHashed(key, hint.hash, hint.hash2);
-  if (ref.bucket == nullptr) return false;
-  *value = std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
-               .load(std::memory_order_acquire);
-  return true;
-}
-
-void LevelHashing::PrefetchInsert(uint64_t key, LookupHint* hint) const {
-  vt::Charge(2 * vt::kCpuHash);
-  hint->hash = HashKey(key);
-  hint->hash2 = HashKey2(key);
-  for (bool top : {true, false}) {
-    for (uint64_t h : {hint->hash, hint->hash2}) {
-      // Prefetch for write: the upsert will dirty one candidate line.
-      __builtin_prefetch(&BucketAt(top, h), 1, 3);
-    }
-  }
-  vt::Charge(4 * vt::kPrefetchIssueCost);
-  hint->node = top_;  // resize swaps levels; used as a freshness stamp
-  hint->valid = true;
-}
-
-bool LevelHashing::InsertWithHint(uint64_t key, uint64_t value,
-                                  uint64_t* old_value,
-                                  const LookupHint& hint) {
-  FLATSTORE_DCHECK(key != kReservedKey);
-  LockGuard<SpinLock> g(mutate_lock_);
-  // A resize between the phases swapped the levels (an earlier
-  // InsertWithHint of the same batch may have triggered it): the stamp is
-  // stale and the prefetched lines are the wrong buckets — take the
-  // serial full upsert. The precomputed hashes themselves survive
-  // resizes, so the retry loop below never rehashes.
-  if (!hint.valid || hint.node != top_) {
-    vt::ScopedOverlap serial(1);
-    bool updated = false;
-    while (!InsertNoResize(key, value, old_value, &updated)) Resize();
-    return updated;
-  }
-  bool updated = false;
-  while (!InsertNoResizeHashed(key, value, old_value, &updated, hint.hash,
-                               hint.hash2)) {
-    Resize();
-  }
-  return updated;
 }
 
 bool LevelHashing::Erase(uint64_t key, uint64_t* old_value) {

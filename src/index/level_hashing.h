@@ -35,12 +35,6 @@ class LevelHashing final : public KvIndex {
   bool Upsert(uint64_t key, uint64_t value,
               uint64_t* old_value) override;
   bool Get(uint64_t key, uint64_t* value) const override;
-  void PrefetchGet(uint64_t key, LookupHint* hint) const override;
-  bool GetWithHint(uint64_t key, const LookupHint& hint,
-                   uint64_t* value) const override;
-  void PrefetchInsert(uint64_t key, LookupHint* hint) const override;
-  bool InsertWithHint(uint64_t key, uint64_t value, uint64_t* old_value,
-                      const LookupHint& hint) override;
   bool Erase(uint64_t key, uint64_t* old_value) override;
   bool CompareExchange(uint64_t key, uint64_t expected,
                        uint64_t desired) override;
@@ -74,7 +68,7 @@ class LevelHashing final : public KvIndex {
     int slot = 0;
   };
   SlotRef FindSlot(uint64_t key) const;
-  // Probe with precomputed hashes (two-phase lookups hash in phase A).
+  // Probe with precomputed hashes (an insert reuses them to place the key).
   SlotRef FindSlotHashed(uint64_t key, uint64_t h1, uint64_t h2) const;
 
   // Bucket addressed by hash `h` in the given level.
@@ -98,11 +92,6 @@ class LevelHashing final : public KvIndex {
   // an in-place update (and the previous value) through the out-params.
   bool InsertNoResize(uint64_t key, uint64_t value, uint64_t* old_value,
                       bool* updated);
-  // Same, with both hashes precomputed (two-phase inserts hash in phase
-  // A). Hashes stay valid across resizes, so InsertWithHint can loop on
-  // it without rehashing.
-  bool InsertNoResizeHashed(uint64_t key, uint64_t value, uint64_t* old_value,
-                            bool* updated, uint64_t h1, uint64_t h2);
 
   NodeArena arena_;
   uint32_t level_bits_;

@@ -65,9 +65,11 @@ std::unique_ptr<index::KvIndex> MakeMasstree(const index::PmContext& ctx) {
 
 const IndexCase kCases[] = {
     {"CCEH", MakeCceh},
+    // Level-Hashing and FPTree run only as persistent baselines, which
+    // never batch: they have no override and exercise the base fallback.
     {"LevelHashing", MakeLevel},
     {"FastFair", MakeFastFair},
-    {"FPTree", MakeFpTree},  // no override: exercises the base fallback
+    {"FPTree", MakeFpTree},
     {"Masstree", MakeMasstree},
 };
 
@@ -121,9 +123,9 @@ TEST_P(TwoPhaseInsertTest, DefaultHintFallsBackToUpsert) {
 }
 
 // Hints taken before heavy insertion must still place writes correctly
-// after the structure reshaped itself (CCEH splits, Level-Hashing
-// resizes, tree leaves split) — by revalidating and falling back, never
-// by writing into a stale bucket/leaf.
+// after the structure reshaped itself (CCEH splits, tree leaves split)
+// — by revalidating and falling back, never by writing into a stale
+// bucket/leaf.
 TEST_P(TwoPhaseInsertTest, SurvivesStructuralChangesBetweenPhases) {
   auto idx = Make();
   constexpr uint64_t kPinned = 64;

@@ -1,20 +1,20 @@
 // NUMA placement tests: the vt socket surcharges, the allocator's
 // per-socket chunk pools (and the placement-off interleave mode), the
-// engine's socket-aligned HB groups, the braided per-socket index, and —
-// the end-to-end claim — that socket-local placement beats interleaved
-// spread on a two-socket rig.
+// engine's socket-aligned HB groups, two-socket tree stores (one global
+// tree, through crash recovery), and — the end-to-end claim — that
+// socket-local placement beats interleaved spread on a two-socket rig.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc/lazy_allocator.h"
 #include "core/flatstore.h"
 #include "core/server.h"
-#include "index/masstree.h"
-#include "index/numa_sharded_index.h"
 #include "pm/pm_device.h"
 #include "pm/pm_pool.h"
 #include "vt/clock.h"
@@ -24,11 +24,13 @@ namespace flatstore {
 namespace {
 
 std::unique_ptr<pm::PmPool> TwoSocketPool(pm::PmDevice* dev,
-                                          uint64_t size = 256ull << 20) {
+                                          uint64_t size = 256ull << 20,
+                                          bool crash_tracking = false) {
   pm::PmPool::Options o;
   o.size = size;
   o.device = dev;
   o.num_sockets = 2;
+  o.crash_tracking = crash_tracking;
   return std::make_unique<pm::PmPool>(o);
 }
 
@@ -177,40 +179,93 @@ TEST(NumaEngine, PlacementOffKeepsRequestedGroupSize) {
   EXPECT_EQ(store->options().group_size, 8);
 }
 
-TEST(NumaIndex, ShardedIndexRoutesAndMergesScans) {
-  std::vector<std::unique_ptr<index::OrderedKvIndex>> shards;
-  shards.push_back(std::make_unique<index::Masstree>());
-  shards.push_back(std::make_unique<index::Masstree>());
-  index::NumaShardedIndex idx(std::move(shards), /*num_cores=*/8,
-                              /*seed=*/0xC04E);
-  constexpr uint64_t kKeys = 2000;
-  for (uint64_t k = 0; k < kKeys; k++) {
-    ASSERT_FALSE(idx.Upsert(k, k * 10, nullptr));
-  }
-  EXPECT_EQ(idx.Size(), kKeys);
-  std::set<int> used;
-  for (uint64_t k = 0; k < kKeys; k++) {
-    uint64_t v = 0;
-    ASSERT_TRUE(idx.Get(k, &v)) << k;
-    ASSERT_EQ(v, k * 10);
-    used.insert(idx.ShardForKey(k));
-  }
-  EXPECT_EQ(used.size(), 2u);  // both sockets hold keys
+// A tree store's one tree serves every core, whatever the core count:
+// one core on two sockets is a valid store.
+TEST(NumaEngine, TreeStoreWithFewerCoresThanSockets) {
+  pm::PmDevice dev(2);
+  auto pool = TwoSocketPool(&dev);
+  core::FlatStoreOptions fo;
+  fo.num_cores = 1;
+  fo.index = core::IndexKind::kMasstree;
+  auto store = core::FlatStore::Create(pool.get(), fo);
+  store->Put(42, "forty-two");
+  std::string v;
+  ASSERT_TRUE(store->Get(42, &v));
+  EXPECT_EQ(v, "forty-two");
+}
 
-  // Scan must interleave the per-socket shards back into key order.
-  std::vector<index::KvPair> out;
-  ASSERT_EQ(idx.Scan(100, 50, &out), 50u);
-  for (size_t i = 0; i < out.size(); i++) {
-    ASSERT_EQ(out[i].key, 100 + i);
-    ASSERT_EQ(out[i].value, (100 + i) * 10);
-  }
+std::string TreeValue(uint64_t key, int round) {
+  // Inline and out-of-log values alike.
+  return std::string(16 + (key * 7 + round) % 300,
+                     static_cast<char>('a' + (key + round) % 26));
+}
 
-  // Erase goes to the owning shard.
-  uint64_t old = 0;
-  ASSERT_TRUE(idx.Erase(123, &old));
-  EXPECT_EQ(old, 1230u);
-  EXPECT_FALSE(idx.Get(123, &old));
-  EXPECT_EQ(idx.Size(), kKeys - 1);
+// A two-socket tree store, placed or spread, builds the paper's one
+// global tree, and puts, overwrites, deletes and a cleaning pass all
+// survive a crash.
+void CheckTwoSocketTreeStoreRecovers(core::IndexKind kind, bool placed) {
+  pm::PmDevice dev(2);
+  auto pool = TwoSocketPool(&dev, 256ull << 20, /*crash_tracking=*/true);
+  core::FlatStoreOptions fo;
+  fo.num_cores = 8;
+  fo.index = kind;
+  fo.socket_local_placement = placed;
+  auto store = core::FlatStore::Create(pool.get(), fo);
+
+  const char* tree_name =
+      kind == core::IndexKind::kMasstree ? "Masstree" : "FAST&FAIR";
+  for (int c = 0; c < fo.num_cores; c++) {
+    ASSERT_EQ(store->IndexForCore(c), store->IndexForCore(0)) << c;
+  }
+  EXPECT_STREQ(store->IndexForCore(0)->Name(), tree_name);
+
+  constexpr uint64_t kKeys = 3000;
+  std::vector<std::string> model(kKeys);
+  for (uint64_t k = 0; k < kKeys; k++) {
+    model[k] = TreeValue(k, 0);
+    store->Put(k, model[k]);
+  }
+  for (uint64_t k = 0; k < kKeys; k += 2) {
+    model[k] = TreeValue(k, 1);
+    store->Put(k, model[k]);
+  }
+  for (uint64_t k = 0; k < kKeys; k += 7) {
+    ASSERT_TRUE(store->Delete(k)) << k;
+    model[k].clear();
+  }
+  store->SealActiveLogChunks();
+  store->RunCleanersOnce();
+  std::vector<std::pair<uint64_t, std::string>> before;
+  ASSERT_EQ(store->Scan(100, 50, &before), 50u);
+
+  store.reset();
+  pool->SimulateCrash();
+  auto recovered = core::FlatStore::Open(pool.get(), fo);
+  EXPECT_STREQ(recovered->IndexForCore(0)->Name(), tree_name);
+  for (uint64_t k = 0; k < kKeys; k++) {
+    std::string v;
+    if (model[k].empty()) {
+      EXPECT_FALSE(recovered->Get(k, &v)) << k;
+    } else {
+      ASSERT_TRUE(recovered->Get(k, &v)) << k;
+      EXPECT_EQ(v, model[k]) << k;
+    }
+  }
+  std::vector<std::pair<uint64_t, std::string>> after;
+  ASSERT_EQ(recovered->Scan(100, 50, &after), 50u);
+  EXPECT_EQ(after, before);
+}
+
+TEST(NumaEngine, TwoSocketTreeStoreRecovers) {
+  for (core::IndexKind kind :
+       {core::IndexKind::kMasstree, core::IndexKind::kFastFairVolatile}) {
+    for (bool placed : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "index " << static_cast<int>(kind) << " placed "
+                   << placed);
+      CheckTwoSocketTreeStoreRecovers(kind, placed);
+    }
+  }
 }
 
 // End to end: a two-socket Put run with socket-local placement must beat
