@@ -1,12 +1,11 @@
 #include "core/baseline.h"
 
-#include <cstring>
-
 #include "common/hash.h"
 #include "index/cceh.h"
 #include "index/fast_fair.h"
 #include "index/fptree.h"
 #include "index/level_hashing.h"
+#include "log/log_entry.h"
 #include "vt/clock.h"
 #include "vt/costs.h"
 
@@ -80,14 +79,12 @@ index::KvIndex* BaselineStore::IndexForCore(int core) const {
 void BaselineStore::PutOnCore(int core, uint64_t key, const void* value,
                               uint32_t len) {
   // ① store + persist the record out of index (v_len, value).
-  uint64_t block = alloc_->Alloc(core, len + 8);
+  uint64_t block = alloc_->Alloc(core, log::ValueBlockSize(len));
   FLATSTORE_CHECK_NE(block, 0u) << "PM exhausted";
-  char* dst = static_cast<char*>(pool_->At(block));
-  uint64_t len64 = len;
-  std::memcpy(dst, &len64, 8);
-  std::memcpy(dst + 8, value, len);
+  void* dst = pool_->At(block);
+  log::EncodeValueBlock(dst, value, len);
   vt::Charge(vt::CostMemcpy(len));
-  pool_->Persist(dst, len + 8);
+  pool_->Persist(dst, log::ValueBlockSize(len));
   pool_->Fence();
 
   // ③ update the persistent index (its own flushes happen inside).
@@ -103,12 +100,11 @@ bool BaselineStore::GetOnCore(int core, uint64_t key,
                               std::string* value) const {
   uint64_t block;
   if (!IndexForCore(core)->Get(key, &block)) return false;
-  const char* src = static_cast<const char*>(pool_->At(block));
-  uint64_t len;
-  std::memcpy(&len, src, 8);
-  pool_->ChargeRead(src, len + 8);
+  const void* src = pool_->At(block);
+  const uint64_t len = log::ValueBlockLen(src);
+  pool_->ChargeRead(src, log::ValueBlockSize(len));
   vt::Charge(vt::CostMemcpy(len));
-  value->assign(src + 8, len);
+  value->assign(log::ValueBlockData(src), len);
   return true;
 }
 
@@ -127,12 +123,11 @@ uint64_t BaselineStore::Scan(
   std::vector<index::KvPair> pairs;
   ordered->Scan(start_key, count, &pairs);
   for (const auto& p : pairs) {
-    const char* src = static_cast<const char*>(pool_->At(p.value));
-    uint64_t len;
-    std::memcpy(&len, src, 8);
-    pool_->ChargeRead(src, len + 8);
+    const void* src = pool_->At(p.value);
+    const uint64_t len = log::ValueBlockLen(src);
+    pool_->ChargeRead(src, log::ValueBlockSize(len));
     vt::Charge(vt::CostMemcpy(len));
-    out->emplace_back(p.key, std::string(src + 8, len));
+    out->emplace_back(p.key, std::string(log::ValueBlockData(src), len));
   }
   return pairs.size();
 }

@@ -23,12 +23,6 @@ namespace {
 // structures so routing does not correlate with bucket choice.
 constexpr uint64_t kRoutingSeed = 0xC04E;
 
-// Wrap-aware 20-bit version comparison: `a` strictly newer than `b`.
-bool VersionNewer(uint32_t a, uint32_t b) {
-  const uint32_t d = (a - b) & log::kVersionMask;
-  return d != 0 && d < (1u << (log::kVersionBits - 1));
-}
-
 // Recovery upsert duel: installs `packed` for `key` unless the index
 // already holds a strictly newer version. Entries route to the owning
 // partition of their *key* (stolen entries live in other cores' logs),
@@ -43,12 +37,14 @@ void DuelInsert(index::KvIndex* idx, uint64_t key, uint64_t packed) {
       // Raced with another replayer: our Upsert overwrote its value —
       // restore the duel by comparing and possibly swapping back.
       cur = old;
-      if (VersionNewer(log::UnpackVersion(cur), log::UnpackVersion(packed))) {
+      if (log::VersionNewer(log::UnpackVersion(cur),
+                            log::UnpackVersion(packed))) {
         idx->CompareExchange(key, packed, cur);
       }
       break;
     }
-    if (!VersionNewer(log::UnpackVersion(packed), log::UnpackVersion(cur))) {
+    if (!log::VersionNewer(log::UnpackVersion(packed),
+                           log::UnpackVersion(cur))) {
       break;
     }
     if (idx->CompareExchange(key, cur, packed)) break;
@@ -76,16 +72,6 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
           std::chrono::steady_clock::now() - since)
           .count());
 }
-
-// Checkpoint chunk layout (after the allocator header):
-//   uint64 next_chunk_off; uint64 count; {key, packed} pairs...
-struct CheckpointHeader {
-  uint64_t next;
-  uint64_t count;
-};
-constexpr uint64_t kCheckpointPairs =
-    (alloc::kChunkSize - alloc::kChunkHeaderSize - sizeof(CheckpointHeader)) /
-    16;
 
 // The key run and the new-key buffer (DESIGN.md §11) are DRAM arrays of
 // 8-byte keys homed on socket 0; every line a scan reads is one charged
@@ -351,7 +337,8 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
         // Only the inserting ops overlap their misses.
         vt::ScopedOverlap overlap(static_cast<int>(std::clamp<size_t>(
             inserts, 1, static_cast<size_t>(vt::kMemParallelism))));
-        // Phase A: locate + prefetch every op's insert position. FIFO
+        // Phase A: locate + prefetch every op's key (the Prefetch that
+        // ProbeBatch uses; its hint is valid input to either phase B). FIFO
         // order is preserved below, so a duplicate key in the round is
         // applied oldest-first; its later hints may go stale as earlier
         // inserts split/resize nodes, which InsertWithHint detects and
@@ -360,7 +347,7 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
           const PendingOp& op =
               cs.pending[(cs.pend_head + r) % batch::HbEngine::kPoolSlots];
           if (op.txn_commit || op.absorbed) continue;
-          idx->PrefetchInsert(op.key, &hints[r]);
+          idx->Prefetch(op.key, &hints[r]);
         }
         // Phase B: complete the inserts on warm lines.
         for (size_t r = 0; r < round; r++) {
@@ -431,7 +418,7 @@ void FlatStore::ProbeBatch(index::KvIndex* const* idx, const uint64_t* keys,
   // Phase A: locate/prefetch every probe. A lone probe has nothing to
   // overlap with: its un-hinted GetWithHint is a plain Get.
   for (size_t i = 0; i < n && n > 1; i++) {
-    idx[i]->PrefetchGet(keys[i], &hints[i]);
+    idx[i]->Prefetch(keys[i], &hints[i]);
   }
   // Phase B: finish the probes on (mostly) warm lines.
   for (size_t i = 0; i < n; i++) {
@@ -480,10 +467,10 @@ void FlatStore::FetchBatch(const uint64_t* packed, size_t n,
       r.value.assign(reinterpret_cast<const char*>(e.value), e.value_len);
       e.ptr = 0;  // no phase-D read
     } else if (clock != nullptr) {
-      const char* block = static_cast<const char*>(pool_->At(e.ptr));
-      uint64_t len;
-      std::memcpy(&len, block, 8);
-      ready[i] = pool_->ChargeReadAt(block, len + 8, clock->now());
+      const void* block = pool_->At(e.ptr);
+      ready[i] = pool_->ChargeReadAt(
+          block, log::ValueBlockSize(log::ValueBlockLen(block)),
+          clock->now());
     }
   }
 
@@ -493,11 +480,10 @@ void FlatStore::FetchBatch(const uint64_t* packed, size_t n,
     const log::DecodedEntry& e = entries[i];
     if (e.embedded || e.ptr == 0) continue;
     if (clock != nullptr) clock->AdvanceTo(ready[i]);
-    const char* block = static_cast<const char*>(pool_->At(e.ptr));
-    uint64_t len;
-    std::memcpy(&len, block, 8);
+    const void* block = pool_->At(e.ptr);
+    const uint64_t len = log::ValueBlockLen(block);
     vt::Charge(vt::CostMemcpy(len));
-    results[i]->value.assign(block + 8, len);
+    results[i]->value.assign(log::ValueBlockData(block), len);
   }
 }
 
@@ -813,23 +799,21 @@ TxnStatus FlatStore::StageWrites(int core, const TxnOp* ops, size_t n,
         elen = log::EncodePutValue(dst, op.key, version, value, len);
         cur[f] = dst + log::kValueEntryHeader;
       } else {
-        const uint64_t block = alloc_->Alloc(core, len + 8);
+        const uint64_t block = alloc_->Alloc(core, log::ValueBlockSize(len));
         if (block == 0) {
           result = TxnStatus::kNoSpace;
           continue;
         }
-        char* bdst = static_cast<char*>(pool_->At(block));
-        uint64_t len64 = len;
-        std::memcpy(bdst, &len64, 8);
-        std::memcpy(bdst + 8, value, len);
+        void* bdst = pool_->At(block);
+        log::EncodeValueBlock(bdst, value, len);
         vt::Charge(vt::CostMemcpy(len));
         // fs-lint: fence-guarded(drained by the one Fence below under the flag)
         // Abort paths free the blocks; dead data needs no fence.
-        pool_->Persist(bdst, len + 8);
+        pool_->Persist(bdst, log::ValueBlockSize(len));
         fence_needed = true;
         blocks[i] = block;
         elen = log::EncodePutPtr(dst, op.key, version, block);
-        cur[f] = bdst + 8;
+        cur[f] = log::ValueBlockData(bdst);
       }
       present[f] = true;
       cur_len[f] = len;
@@ -1565,18 +1549,17 @@ void FlatStore::WriteCheckpoint() {
   while (i < pairs.size()) {
     uint64_t chunk = alloc_->AllocRawChunk(0);
     FLATSTORE_CHECK_NE(chunk, 0u) << "no space for index checkpoint";
-    auto* hdr = pool_->PtrAt<CheckpointHeader>(chunk +
-                                               alloc::kChunkHeaderSize);
+    log::CheckpointHeader* hdr = log::CheckpointAt(pool_, chunk);
     hdr->next = 0;
     auto* data = reinterpret_cast<uint64_t*>(hdr + 1);
-    uint64_t n = std::min<uint64_t>(kCheckpointPairs, pairs.size() - i);
+    uint64_t n = std::min<uint64_t>(log::kCheckpointPairs, pairs.size() - i);
     for (uint64_t j = 0; j < n; j++) {
       data[2 * j] = pairs[i + j].first;
       data[2 * j + 1] = pairs[i + j].second;
     }
     hdr->count = n;
     i += n;
-    pool_->Persist(hdr, sizeof(CheckpointHeader) + n * 16);
+    pool_->Persist(hdr, sizeof(log::CheckpointHeader) + n * 16);
     // Link from the previous chunk (or the superblock). One fence below
     // covers payload and link together rather than fencing the payload
     // first: the chain stays dead until CheckpointNow fences
@@ -1598,8 +1581,7 @@ void FlatStore::LoadCheckpoint() {
   uint64_t chunk = sb->checkpoint_off;
   uint64_t loaded = 0;
   while (chunk != 0) {
-    auto* hdr = pool_->PtrAt<CheckpointHeader>(chunk +
-                                               alloc::kChunkHeaderSize);
+    const log::CheckpointHeader* hdr = log::CheckpointAt(pool_, chunk);
     const auto* data = reinterpret_cast<const uint64_t*>(hdr + 1);
     for (uint64_t j = 0; j < hdr->count; j++) {
       const uint64_t key = data[2 * j];
@@ -1708,15 +1690,10 @@ void FlatStore::Recover(bool rebuild_index) {
       u.seq = r.seq;
       u.cleaner = r.cleaner;
       u.registry_slot = r.slot;
-      const bool tail_chunk =
-          tails[c] != 0 && AlignDown(tails[c], alloc::kChunkSize) == r.chunk;
+      const bool tail_chunk = log::HoldsTail(r.chunk, tails[c]);
       u.sealed = !tail_chunk;
       const uint64_t committed =
-          tail_chunk ? tails[c] - (r.chunk + log::kLogDataOff)
-                     : pool_
-                           ->PtrAt<log::LogChunkHeader>(
-                               r.chunk + alloc::kChunkHeaderSize)
-                           ->used_final;
+          log::CommittedBytesAtRest(pool_, r.chunk, tails[c]);
       // The chained reader enforces txn atomicity (§5.3): members of a
       // chain surface only behind a valid commit record; a torn or
       // aborted chain is dropped wholesale — it "never happened", so its

@@ -274,7 +274,7 @@ class FlatStore {
   // Batched read on the owning core: one epoch pin per batch (none when
   // every key is deferred), then a prefetch-interleaved pipeline — phase
   // A hashes/routes every key and issues software prefetches
-  // (index::KvIndex::PrefetchGet), phase B completes the probes on warm
+  // (index::KvIndex::Prefetch), phase B completes the probes on warm
   // lines, phase C issues all log-entry header reads back-to-back and
   // consumes them in order, phase D does the same for out-of-log value
   // blocks. Duplicate keys are coalesced:
@@ -290,7 +290,7 @@ class FlatStore {
                         ReadResult* results);
   // Batched write admission on the owning core (the write-side analogue
   // of MultiGetOnCore): phase A issues every version-resolution index
-  // probe with software prefetches (index::KvIndex::PrefetchGet), phase B
+  // probe with software prefetches (index::KvIndex::Prefetch), phase B
   // completes them on warm lines under one overlap window, phase C
   // encodes all entries and l-persists every out-of-log value with a
   // SINGLE trailing fence, phase D stages the whole batch as ONE fused HB

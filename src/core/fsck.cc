@@ -8,18 +8,14 @@
 
 #include "alloc/lazy_allocator.h"
 #include "log/layout.h"
+#include "log/log_entry.h"
 #include "log/log_reader.h"
+#include "log/oplog.h"
 
 namespace flatstore {
 namespace core {
 
 namespace {
-
-// Mirrors the private checkpoint layout in flatstore.cc.
-struct CheckpointHeader {
-  uint64_t next;
-  uint64_t count;
-};
 
 struct Checker {
   const pm::PmPool& pool;
@@ -188,19 +184,9 @@ FsckReport FsckPool(const pm::PmPool& pool) {
     uint64_t ptr;  // 0 for inline
   };
   std::unordered_map<uint64_t, Winner> replay;
-  auto version_newer = [](uint32_t a, uint32_t b) {
-    const uint32_t d = (a - b) & log::kVersionMask;
-    return d != 0 && d < (1u << (log::kVersionBits - 1));
-  };
-
   for (const ChunkRec& r : chunks) {
-    const auto* hdr = mutable_pool->PtrAt<log::LogChunkHeader>(
-        r.off + alloc::kChunkHeaderSize);
-    uint64_t committed = hdr->used_final;
-    const uint64_t tail = tails[r.core];
-    if (tail != 0 && AlignDown(tail, alloc::kChunkSize) == r.off) {
-      committed = tail - (r.off + log::kLogDataOff);
-    }
+    const uint64_t committed =
+        log::CommittedBytesAtRest(mutable_pool, r.off, tails[r.core]);
     if (committed > log::kLogDataBytes) {
       c.Fatal("chunk " + std::to_string(r.off) + " committed length " +
               std::to_string(committed) + " exceeds capacity");
@@ -234,7 +220,7 @@ FsckReport FsckPool(const pm::PmPool& pool) {
       }
       auto it = replay.find(e.key);
       if (it == replay.end() ||
-          version_newer(e.version, it->second.version)) {
+          log::VersionNewer(e.version, it->second.version)) {
         replay[e.key] = {off, e.version, e.op == log::OpType::kDelete,
                          e.embedded ? 0 : e.ptr};
       } else if (it->second.version == e.version &&
@@ -293,14 +279,13 @@ FsckReport FsckPool(const pm::PmPool& pool) {
     c.report.live_keys++;
     if (w.ptr == 0) continue;
     c.report.value_blocks++;
-    uint64_t len;
-    std::memcpy(&len, mutable_pool->At(w.ptr), 8);
+    const uint64_t len = log::ValueBlockLen(mutable_pool->At(w.ptr));
     if (len > alloc::kChunkSize) {
       c.Fatal("value block at " + std::to_string(w.ptr) +
               " claims absurd length " + std::to_string(len));
       continue;
     }
-    auto [it, fresh] = blocks.emplace(w.ptr, len + 8);
+    auto [it, fresh] = blocks.emplace(w.ptr, log::ValueBlockSize(len));
     if (!fresh) {
       c.Fatal("two live keys share value block " + std::to_string(w.ptr));
     }
@@ -325,8 +310,8 @@ FsckReport FsckPool(const pm::PmPool& pool) {
         c.Fatal("checkpoint chain broken at " + std::to_string(chunk));
         break;
       }
-      const auto* hdr = mutable_pool->PtrAt<CheckpointHeader>(
-          chunk + alloc::kChunkHeaderSize);
+      const log::CheckpointHeader* hdr =
+          log::CheckpointAt(mutable_pool, chunk);
       items += hdr->count;
       chunk = hdr->next;
     }

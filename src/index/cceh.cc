@@ -228,7 +228,7 @@ bool Cceh::Get(uint64_t key, uint64_t* value) const {
   return StableGet(key, HashKey(key), value);
 }
 
-void Cceh::PrefetchGet(uint64_t key, LookupHint* hint) const {
+void Cceh::Prefetch(uint64_t key, LookupHint* hint) const {
   vt::Charge(vt::kCpuHash);
   hint->hash = HashKey(key);
   Segment* seg = SegmentFor(hint->hash);
@@ -250,20 +250,6 @@ bool Cceh::GetWithHint(uint64_t key, const LookupHint& hint,
     return KvIndex::GetWithHint(key, hint, value);
   }
   return StableGet(key, hint.hash, value);  // hash charged in phase A
-}
-
-void Cceh::PrefetchInsert(uint64_t key, LookupHint* hint) const {
-  vt::Charge(vt::kCpuHash);
-  hint->hash = HashKey(key);
-  Segment* seg = SegmentFor(hint->hash);
-  vt::Charge(vt::kCpuSlotProbe);  // directory lookup (cached)
-  for (uint32_t b = 0; b < kProbeBuckets; b++) {
-    // Prefetch for write: the upsert will dirty one of these lines.
-    __builtin_prefetch(&seg->buckets[BucketIndex(hint->hash, b)], 1, 3);
-  }
-  vt::Charge(kProbeBuckets * vt::kPrefetchIssueCost);
-  hint->node = seg;
-  hint->valid = true;
 }
 
 bool Cceh::InsertWithHint(uint64_t key, uint64_t value, uint64_t* old_value,

@@ -199,11 +199,11 @@ bool FastFair::Get(uint64_t key, uint64_t* value) const {
   return false;
 }
 
-void FastFair::PrefetchGet(uint64_t key, LookupHint* hint) const {
+void FastFair::Prefetch(uint64_t key, LookupHint* hint) const {
   SharedLockGuard<SharedMutex> g(rw_lock_);
   const Node* leaf = FindLeaf(key);
-  // Pull the whole 512 B node so the phase-B linear scan stays on warm
-  // lines.
+  // Pull the whole 512 B node so the phase-B linear scan, and an
+  // insert's FAST shift to the node's end, stay on warm lines.
   const char* base = reinterpret_cast<const char*>(leaf);
   for (uint64_t off = 0; off < sizeof(Node); off += 64) {
     __builtin_prefetch(base + off, 0, 3);
@@ -232,20 +232,6 @@ bool FastFair::GetWithHint(uint64_t key, const LookupHint& hint,
     return true;
   }
   return false;
-}
-
-void FastFair::PrefetchInsert(uint64_t key, LookupHint* hint) const {
-  SharedLockGuard<SharedMutex> g(rw_lock_);
-  const Node* leaf = FindLeaf(key);
-  // Pull the whole 512 B node for write: the FAST shift dirties the
-  // region from the insert position to the end.
-  const char* base = reinterpret_cast<const char*>(leaf);
-  for (uint64_t off = 0; off < sizeof(Node); off += 64) {
-    __builtin_prefetch(base + off, 1, 3);
-  }
-  vt::Charge((sizeof(Node) / 64) * vt::kPrefetchIssueCost);
-  hint->node = leaf;
-  hint->valid = true;
 }
 
 bool FastFair::InsertWithHint(uint64_t key, uint64_t value,

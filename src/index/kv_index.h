@@ -69,6 +69,12 @@ struct PmContext {
       vt::ChargeMissAt(home_socket, vt::kCpuCacheMiss);
     }
   }
+  // ChargeNodeRead at full serial latency inside any overlap window: a
+  // line no prefetch covered (a sibling hop, a scan's next leaf).
+  void ChargeSerialNodeRead(const void* p) const {
+    vt::ScopedOverlap serial(1);
+    ChargeNodeRead(p);
+  }
   // Flush helpers that collapse to no-ops in volatile mode.
   // fs-lint: deferred-fence(thin forwarder to the pool primitive; every caller owns its own fence placement)
   void Persist(const void* p, uint64_t len) const {
@@ -89,15 +95,16 @@ struct KvPair {
   uint64_t value;
 };
 
-// Opaque two-phase lookup state handed from PrefetchGet to GetWithHint
-// (and from PrefetchInsert to InsertWithHint). Plain POD so MultiGet
+// Opaque two-phase state handed from Prefetch to GetWithHint or
+// InsertWithHint. One hint serves both: a write batch locates its keys
+// once and may read and then upsert through the same hint. Plain POD so
 // batches keep arrays of hints without allocating; field meaning is
 // private to each index. Only the indexes FlatStore builds (CCEH,
 // Masstree, FAST&FAIR) fill one; Level-Hashing and FPTree leave it
 // invalid and take the base-class fallback. A hint is only valid for the
-// key PrefetchGet produced it for, and only until the next structural
-// mutation by the owning writer (GetWithHint revalidates cheaply and
-// falls back to a plain probe when stale).
+// key Prefetch produced it for, and only until the next structural
+// mutation by the owning writer (each phase-B call revalidates cheaply
+// and falls back to the plain probe or upsert when stale).
 struct LookupHint {
   uint64_t hash = 0;         // key hash (CCEH)
   const void* node = nullptr;  // located bucket/segment/leaf
@@ -119,25 +126,25 @@ class KvIndex {
   // Looks up `key`; fills `*value` and returns true if present.
   virtual bool Get(uint64_t key, uint64_t* value) const = 0;
 
-  // ---- two-phase lookup (the batched-read pipeline, ISSUE 3) ----
+  // ---- two-phase access (the batched read and write pipelines) ----
   //
   // Phase A: hash/route `key`, issue software prefetches for the memory
-  // the probe will touch, and record what was located in `*hint`. Must
-  // not block and must not depend on the prefetched lines having
-  // arrived. Base-class default: no-op (the hint stays invalid), so
-  // indexes without a two-phase implementation remain correct through
-  // the GetWithHint fallback.
-  virtual void PrefetchGet(uint64_t key, LookupHint* hint) const {
+  // a probe or an upsert of it will touch, and record what was located
+  // in `*hint`. Must not block and must not depend on the prefetched
+  // lines having arrived. Base-class default: no-op (the hint stays
+  // invalid), so indexes without a two-phase implementation remain
+  // correct through the phase-B fallbacks.
+  virtual void Prefetch(uint64_t key, LookupHint* hint) const {
     (void)key;
     hint->valid = false;
   }
 
-  // Phase B: completes the lookup started by PrefetchGet(key, hint).
-  // With a valid, still-fresh hint the probe touches prefetched lines —
-  // charged as overlapped misses under the caller's vt overlap window.
-  // Base-class default (also the stale-hint fallback): a plain Get()
-  // inside a serial overlap scope, so an un-prefetched probe pays full
-  // miss latency and cannot free-ride on the batch.
+  // Phase B of a read: completes the lookup of `key` with a hint from
+  // Prefetch(key, hint). With a valid, still-fresh hint the probe touches
+  // prefetched lines — charged as overlapped misses under the caller's vt
+  // overlap window. Base-class default (also the stale-hint fallback): a
+  // plain Get() inside a serial overlap scope, so an un-prefetched probe
+  // pays full miss latency and cannot free-ride on the batch.
   virtual bool GetWithHint(uint64_t key, const LookupHint& hint,
                            uint64_t* value) const {
     (void)hint;
@@ -145,29 +152,16 @@ class KvIndex {
     return Get(key, value);
   }
 
-  // ---- two-phase insert (the batched-write pipeline, ISSUE 6) ----
-  //
-  // Phase A of a batched write: hash/route `key`, issue software
-  // prefetches *for write* on the lines the upsert will mutate, and
-  // record what was located in `*hint`. Same contract as PrefetchGet:
-  // never blocks, never depends on the prefetched lines having arrived.
-  // Base-class default: no-op (hint stays invalid) so indexes without an
-  // implementation remain correct through the InsertWithHint fallback.
-  virtual void PrefetchInsert(uint64_t key, LookupHint* hint) const {
-    (void)key;
-    hint->valid = false;
-  }
-
-  // Phase B: completes the upsert started by PrefetchInsert(key, hint).
-  // Semantics are identical to Upsert (returns true iff the key existed;
-  // previous value through `*old_value`). With a valid, still-fresh hint
-  // the probe runs on warm lines; implementations revalidate the hint
-  // under their write lock (splits/resizes between the phases) exactly
-  // like GetWithHint and fall back to the full upsert when stale — so a
-  // hinted insert is never less correct than Upsert, only cheaper.
-  // Base-class default (also the stale-hint fallback): a plain Upsert()
-  // inside a serial overlap scope, so an un-prefetched mutation pays full
-  // miss latency and cannot free-ride on the batch.
+  // Phase B of a write: the upsert of `key` with a hint from
+  // Prefetch(key, hint). Semantics are identical to Upsert (returns true
+  // iff the key existed; previous value through `*old_value`). With a
+  // valid, still-fresh hint the probe runs on warm lines; implementations
+  // revalidate the hint under their write lock (splits/resizes between
+  // the phases) exactly like GetWithHint and fall back to the full upsert
+  // when stale — so a hinted insert is never less correct than Upsert,
+  // only cheaper. Base-class default (also the stale-hint fallback): a
+  // plain Upsert() inside a serial overlap scope, so an un-prefetched
+  // mutation pays full miss latency and cannot free-ride on the batch.
   virtual bool InsertWithHint(uint64_t key, uint64_t value,
                               uint64_t* old_value, const LookupHint& hint) {
     (void)hint;

@@ -74,7 +74,7 @@ Masstree::Leaf* Masstree::Descend(uint64_t key, Path* path) const {
   for (uint32_t h = height_; h > 1; h--) {
     // Amortized under a MultiGet overlap window (descents of independent
     // keys are independent pointer chases); serial cost otherwise.
-    vt::ChargeMiss(vt::kCpuCacheMiss);
+    arena_.ctx().ChargeNodeRead(n);
     Inner* inner = static_cast<Inner*>(n);
     if (path != nullptr) path->nodes[path->depth++] = inner;
     // Charged like FAST&FAIR's FindLeaf and LeafPosition: the miss above
@@ -84,7 +84,7 @@ Masstree::Leaf* Masstree::Descend(uint64_t key, Path* path) const {
     vt::Charge(vt::kCpuSlotProbe * std::bit_width(inner->count));
     n = i == 0 ? inner->leftmost : inner->entries[i - 1].child;
   }
-  vt::ChargeMiss(vt::kCpuCacheMiss);
+  arena_.ctx().ChargeNodeRead(n);
   return static_cast<Leaf*>(n);
 }
 
@@ -246,11 +246,12 @@ bool Masstree::Get(uint64_t key, uint64_t* value) const {
   return true;
 }
 
-void Masstree::PrefetchGet(uint64_t key, LookupHint* hint) const {
+void Masstree::Prefetch(uint64_t key, LookupHint* hint) const {
   SharedLockGuard<SharedMutex> g(rw_lock_);
   const Leaf* leaf = Descend(key, nullptr);
   // Pull the whole 256 B leaf (permuter word + key/value arrays) so the
-  // phase-B binary search touches warm lines only.
+  // phase-B binary search, and an upsert's permuter and slot stores,
+  // touch warm lines only.
   const char* base = reinterpret_cast<const char*>(leaf);
   for (uint64_t off = 0; off < sizeof(Leaf); off += 64) {
     __builtin_prefetch(base + off, 0, 3);
@@ -275,7 +276,7 @@ bool Masstree::GetWithHint(uint64_t key, const LookupHint& hint,
     if (count > 0 && leaf->next != nullptr &&
         key > leaf->keys[Permuter::At(p, count - 1)]) {
       leaf = leaf->next;
-      vt::Charge(vt::kCpuCacheMiss);
+      arena_.ctx().ChargeSerialNodeRead(leaf);
       continue;
     }
     break;
@@ -287,20 +288,6 @@ bool Masstree::GetWithHint(uint64_t key, const LookupHint& hint,
   *value = std::atomic_ref<const uint64_t>(leaf->values[slot])
                .load(std::memory_order_acquire);
   return true;
-}
-
-void Masstree::PrefetchInsert(uint64_t key, LookupHint* hint) const {
-  SharedLockGuard<SharedMutex> g(rw_lock_);
-  const Leaf* leaf = Descend(key, nullptr);
-  // Pull the whole 256 B leaf for write: the upsert dirties the permuter
-  // word plus one key/value slot, and the phase-B search reads the rest.
-  const char* base = reinterpret_cast<const char*>(leaf);
-  for (uint64_t off = 0; off < sizeof(Leaf); off += 64) {
-    __builtin_prefetch(base + off, 1, 3);
-  }
-  vt::Charge((sizeof(Leaf) / 64) * vt::kPrefetchIssueCost);
-  hint->node = leaf;
-  hint->valid = true;
 }
 
 bool Masstree::InsertWithHint(uint64_t key, uint64_t value,
@@ -369,7 +356,7 @@ bool Masstree::InsertWithHint(uint64_t key, uint64_t value,
       break;
     }
     const uint64_t np = next->permutation;
-    vt::Charge(vt::kCpuCacheMiss);  // un-prefetched sibling line
+    arena_.ctx().ChargeSerialNodeRead(next);  // un-prefetched sibling
     if (Permuter::Count(np) == 0 ||
         key < next->keys[Permuter::At(np, 0)]) {
       break;  // gap between max(leaf) and min(next): placement ambiguous
@@ -430,7 +417,7 @@ uint64_t Masstree::Scan(uint64_t start_key, uint64_t count,
   bool found;
   int pos = LeafPosition(leaf, start_key, &found);
   while (leaf != nullptr && n < count) {
-    vt::Charge(vt::kCpuCacheMiss);
+    arena_.ctx().ChargeSerialNodeRead(leaf);
     const uint64_t p = leaf->permutation;
     for (; pos < Permuter::Count(p) && n < count; pos++) {
       int slot = Permuter::At(p, pos);

@@ -40,10 +40,9 @@ class Masstree final : public OrderedKvIndex {
   bool Upsert(uint64_t key, uint64_t value,
               uint64_t* old_value) override;
   bool Get(uint64_t key, uint64_t* value) const override;
-  void PrefetchGet(uint64_t key, LookupHint* hint) const override;
+  void Prefetch(uint64_t key, LookupHint* hint) const override;
   bool GetWithHint(uint64_t key, const LookupHint& hint,
                    uint64_t* value) const override;
-  void PrefetchInsert(uint64_t key, LookupHint* hint) const override;
   bool InsertWithHint(uint64_t key, uint64_t value, uint64_t* old_value,
                       const LookupHint& hint) override;
   bool Erase(uint64_t key, uint64_t* old_value) override;

@@ -123,6 +123,22 @@ inline constexpr uint64_t kChunkCleaner = 2;
 // reader must mask these before treating the value as an offset.
 inline constexpr uint64_t kChunkFlagsMask = kChunkProvisional | kChunkCleaner;
 
+// Header of one chunk of the index checkpoint chain (Superblock::
+// checkpoint_off), placed right after the allocator's chunk header and
+// followed by `count` {key, packed} pairs of two uint64s.
+struct CheckpointHeader {
+  uint64_t next;   // next chunk of the chain (0 = last)
+  uint64_t count;  // pairs in this chunk
+};
+inline constexpr uint64_t kCheckpointPairs =
+    (alloc::kChunkSize - alloc::kChunkHeaderSize - sizeof(CheckpointHeader)) /
+    16;
+
+// The checkpoint header of chain chunk `chunk_off`.
+inline CheckpointHeader* CheckpointAt(pm::PmPool* pool, uint64_t chunk_off) {
+  return pool->PtrAt<CheckpointHeader>(chunk_off + alloc::kChunkHeaderSize);
+}
+
 inline constexpr uint64_t kTailAreaOff = 4096;
 inline constexpr uint64_t kRegistryOff =
     kTailAreaOff + sizeof(CoreTailArea) * kMaxCores;

@@ -29,7 +29,8 @@
 //   happened: recovery drops every member (all-or-nothing).
 //
 // The 64-bit *packed index value* {entry offset : 44, version : 20} stored
-// in the volatile index is also defined here.
+// in the volatile index, and the out-of-log value block a ptr-based entry
+// points at, are also defined here.
 
 #ifndef FLATSTORE_LOG_LOG_ENTRY_H_
 #define FLATSTORE_LOG_LOG_ENTRY_H_
@@ -53,6 +54,13 @@ enum class OpType : uint8_t {
 
 inline constexpr uint32_t kVersionBits = 20;
 inline constexpr uint32_t kVersionMask = (1u << kVersionBits) - 1;
+
+// Wrap-aware version order: `a` strictly newer than `b`.
+inline constexpr bool VersionNewer(uint32_t a, uint32_t b) {
+  const uint32_t d = (a - b) & kVersionMask;
+  return d != 0 && d < (1u << (kVersionBits - 1));
+}
+
 inline constexpr uint32_t kPtrEntrySize = 16;
 inline constexpr uint32_t kValueEntryHeader = 12;
 // Values up to this size are embedded in the log entry (paper: 256 B,
@@ -208,6 +216,37 @@ inline constexpr uint64_t UnpackOffset(uint64_t packed) {
 }
 inline constexpr uint32_t UnpackVersion(uint64_t packed) {
   return static_cast<uint32_t>(packed & kVersionMask);
+}
+
+// ---- out-of-log value blocks [u64 len][len bytes] ----------------------
+//
+// A value too long to embed (and every value of the baseline stores)
+// lives in an allocator block: its length word, then its bytes. Callers
+// persist and charge the bytes they copy.
+
+inline constexpr uint64_t kValueBlockHeader = 8;
+
+// Bytes a block holding a `len`-byte value occupies.
+inline constexpr uint64_t ValueBlockSize(uint64_t len) {
+  return kValueBlockHeader + len;
+}
+
+// Writes the block for `value` (`len` bytes) at `dst`.
+inline void EncodeValueBlock(void* dst, const void* value, uint64_t len) {
+  std::memcpy(dst, &len, sizeof(len));
+  std::memcpy(static_cast<char*>(dst) + kValueBlockHeader, value, len);
+}
+
+// Value length recorded by the block at `block`.
+inline uint64_t ValueBlockLen(const void* block) {
+  uint64_t len;
+  std::memcpy(&len, block, sizeof(len));
+  return len;
+}
+
+// First value byte of the block at `block`.
+inline const char* ValueBlockData(const void* block) {
+  return static_cast<const char*>(block) + kValueBlockHeader;
 }
 
 }  // namespace log

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "alloc/lazy_allocator.h"
+#include "common/cacheline.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
 #include "log/layout.h"
@@ -50,6 +51,22 @@ static_assert(sizeof(LogChunkHeader) == 64);
 inline constexpr uint64_t kLogDataOff =
     alloc::kChunkHeaderSize + sizeof(LogChunkHeader);
 inline constexpr uint64_t kLogDataBytes = alloc::kChunkSize - kLogDataOff;
+
+// True when log chunk `chunk_off` holds `tail`, a core's committed tail
+// record (0 = none).
+inline bool HoldsTail(uint64_t chunk_off, uint64_t tail) {
+  return tail != 0 && AlignDown(tail, alloc::kChunkSize) == chunk_off;
+}
+
+// Committed data length of registered log chunk `chunk_off` in a pool at
+// rest (recovery, fsck), given its core's committed `tail`: the chunk
+// holding the tail is bounded by it, any other by its used_final.
+inline uint64_t CommittedBytesAtRest(pm::PmPool* pool, uint64_t chunk_off,
+                                     uint64_t tail) {
+  if (HoldsTail(chunk_off, tail)) return tail - (chunk_off + kLogDataOff);
+  return pool->PtrAt<LogChunkHeader>(chunk_off + alloc::kChunkHeaderSize)
+      ->used_final;
+}
 
 // Volatile usage record of one log chunk. The byte-granular counters and
 // the last-write clock are maintained incrementally on append / delete /

@@ -378,7 +378,7 @@ std::vector<uint64_t> EvenKeys(InsertOrder order) {
 uint64_t ValueOf(uint64_t key) { return 3 * key + 1; }
 
 // Every key of `expect` is found with its value by Get and by the
-// two-phase PrefetchGet + GetWithHint, every other key up to one past the
+// two-phase Prefetch + GetWithHint, every other key up to one past the
 // largest even key is absent from both, and Scans from sampled starts
 // return the keys that follow in `expect`.
 void ExpectTreeHolds(const Masstree& t, const std::set<uint64_t>& expect) {
@@ -389,7 +389,7 @@ void ExpectTreeHolds(const Masstree& t, const std::set<uint64_t>& expect) {
     ASSERT_EQ(t.Get(k, &v), present) << "Get " << k;
     if (present) ASSERT_EQ(v, ValueOf(k)) << "Get " << k;
     LookupHint hint;
-    t.PrefetchGet(k, &hint);
+    t.Prefetch(k, &hint);
     v = 0;
     ASSERT_EQ(t.GetWithHint(k, hint, &v), present) << "GetWithHint " << k;
     if (present) ASSERT_EQ(v, ValueOf(k)) << "GetWithHint " << k;

@@ -1,6 +1,6 @@
 // Batched read pipeline tests.
 //
-//  * Index contract: PrefetchGet + GetWithHint must agree with Get on
+//  * Index contract: Prefetch + GetWithHint must agree with Get on
 //    every index, including absent keys, a default (invalid) hint —
 //    which takes the base-class fallback — and a hint made stale by
 //    splits/resizes between the two phases.
@@ -84,7 +84,7 @@ TEST_P(TwoPhaseLookupTest, AgreesWithGetIncludingAbsentKeys) {
     uint64_t direct = 0, hinted = 0;
     const bool found = idx->Get(k, &direct);
     index::LookupHint hint;
-    idx->PrefetchGet(k, &hint);
+    idx->Prefetch(k, &hint);
     ASSERT_EQ(idx->GetWithHint(k, hint, &hinted), found) << "key " << k;
     if (found) EXPECT_EQ(hinted, direct) << "key " << k;
   }
@@ -109,7 +109,7 @@ TEST_P(TwoPhaseLookupTest, SurvivesStructuralChangesBetweenPhases) {
   for (uint64_t k = 0; k < kPinned; k++) idx->Insert(k, k + 500);
 
   index::LookupHint hints[kPinned];
-  for (uint64_t k = 0; k < kPinned; k++) idx->PrefetchGet(k, &hints[k]);
+  for (uint64_t k = 0; k < kPinned; k++) idx->Prefetch(k, &hints[k]);
 
   // Grow the index well past several split/resize thresholds.
   for (uint64_t k = 1000; k < 9000; k++) idx->Insert(k, k);

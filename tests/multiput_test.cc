@@ -1,9 +1,11 @@
 // Batched write pipeline tests.
 //
-//  * Index contract: PrefetchInsert + InsertWithHint must agree with
-//    Upsert on every index — existed-return, old_value, final contents —
-//    including a default (invalid) hint, which takes the base-class
-//    fallback, and hints made stale by splits/resizes between phases.
+//  * Index contract: one Prefetch hint serves a GetWithHint and then an
+//    InsertWithHint of the same key, and the pair must agree with Get +
+//    Upsert on every index — found/existed returns, values, final
+//    contents — including a default (invalid) hint, which takes the
+//    base-class fallback, and hints made stale by splits/resizes between
+//    the read and the write.
 //  * Engine: MultiPutOnCore must leave the store in the same state as
 //    the equivalent sequence of single Put/Delete calls (overwrites,
 //    deletes-in-batch, duplicate keys resolving last-write-wins), stage
@@ -80,9 +82,11 @@ class TwoPhaseInsertTest : public ::testing::TestWithParam<IndexCase> {
   }
 };
 
-// Mirror the same op stream through Upsert on one index and through
-// PrefetchInsert + InsertWithHint on another: existed-returns, old
-// values, and the final contents must be identical.
+// Mirror the same op stream through Get + Upsert on one index and
+// through one Prefetch per key, serving GetWithHint and then
+// InsertWithHint, on another (the admission probe and the drain of a
+// write batch): found and existed returns, values and the final
+// contents must be identical.
 TEST_P(TwoPhaseInsertTest, AgreesWithUpsert) {
   auto plain = Make();
   auto hinted = Make();
@@ -91,10 +95,17 @@ TEST_P(TwoPhaseInsertTest, AgreesWithUpsert) {
     for (uint64_t k = 0; k < 600; k++) {
       if (round == 1 && k % 3 != 0) continue;
       const uint64_t v = k * 10 + round;
+      uint64_t got_p = 0, got_h = 0;
+      const bool found_p = plain->Get(k, &got_p);
+      index::LookupHint hint;
+      hinted->Prefetch(k, &hint);
+      ASSERT_EQ(hinted->GetWithHint(k, hint, &got_h), found_p)
+          << "key " << k << " round " << round;
+      if (found_p) {
+        EXPECT_EQ(got_h, got_p) << "key " << k;
+      }
       uint64_t old_p = 0, old_h = 0;
       const bool existed_p = plain->Upsert(k, v, &old_p);
-      index::LookupHint hint;
-      hinted->PrefetchInsert(k, &hint);
       const bool existed_h = hinted->InsertWithHint(k, v, &old_h, hint);
       ASSERT_EQ(existed_h, existed_p) << "key " << k << " round " << round;
       if (existed_p) EXPECT_EQ(old_h, old_p) << "key " << k;
@@ -122,43 +133,65 @@ TEST_P(TwoPhaseInsertTest, DefaultHintFallsBackToUpsert) {
   EXPECT_EQ(v, 80u);
 }
 
-// Hints taken before heavy insertion must still place writes correctly
-// after the structure reshaped itself (CCEH splits, tree leaves split)
-// — by revalidating and falling back, never by writing into a stale
-// bucket/leaf.
+// A hint that served its read must still place the write correctly
+// after the structure reshaped itself between the two (CCEH segment
+// splits and directory doubling, tree leaf splits) — by revalidating and
+// falling back, never by writing into a stale bucket/leaf. A plain index
+// given the same Gets and Upserts must end identical.
 TEST_P(TwoPhaseInsertTest, SurvivesStructuralChangesBetweenPhases) {
   auto idx = Make();
+  auto plain = Make();
   constexpr uint64_t kPinned = 64;
-  for (uint64_t k = 0; k < kPinned; k++) idx->Insert(k, k + 500);
+  for (uint64_t k = 0; k < kPinned; k++) {
+    idx->Insert(k, k + 500);
+    plain->Insert(k, k + 500);
+  }
 
-  // Hints for existing keys (overwrite targets) and absent keys (fresh
-  // inserts), both taken before the growth phase.
+  // One hint per key for existing keys (overwrite targets) and absent
+  // keys (fresh inserts), each first serving the read.
   index::LookupHint over_hints[kPinned];
   index::LookupHint fresh_hints[kPinned];
   for (uint64_t k = 0; k < kPinned; k++) {
-    idx->PrefetchInsert(k, &over_hints[k]);
-    idx->PrefetchInsert(100000 + k, &fresh_hints[k]);
+    uint64_t v = 0;
+    idx->Prefetch(k, &over_hints[k]);
+    ASSERT_TRUE(idx->GetWithHint(k, over_hints[k], &v)) << "key " << k;
+    EXPECT_EQ(v, k + 500) << "key " << k;
+    idx->Prefetch(100000 + k, &fresh_hints[k]);
+    EXPECT_FALSE(idx->GetWithHint(100000 + k, fresh_hints[k], &v))
+        << "key " << 100000 + k;
   }
 
-  // Grow the index well past several split/resize thresholds.
-  for (uint64_t k = 1000; k < 9000; k++) idx->Insert(k, k);
+  // Grow both indexes well past several split/resize thresholds, with
+  // keys on both sides of the pinned ones so hinted leaves split too.
+  const auto* tree = dynamic_cast<const index::Masstree*>(idx.get());
+  const uint32_t height_before = tree != nullptr ? tree->height() : 0;
+  for (uint64_t k = 1000; k < 9000; k++) {
+    const uint64_t key = k % 2 == 0 ? k : k * 64 + 65;  // some > 100000
+    idx->Insert(key, k);
+    plain->Insert(key, k);
+  }
+  if (tree != nullptr) {
+    ASSERT_GT(tree->height(), height_before);
+  }
 
   for (uint64_t k = 0; k < kPinned; k++) {
-    uint64_t old_v = 0;
+    uint64_t old_v = 0, old_p = 0;
     ASSERT_TRUE(idx->InsertWithHint(k, k + 900, &old_v, over_hints[k]))
         << "key " << k;
+    ASSERT_TRUE(plain->Upsert(k, k + 900, &old_p));
+    EXPECT_EQ(old_v, old_p) << "key " << k;
     EXPECT_EQ(old_v, k + 500) << "key " << k;
     ASSERT_FALSE(
         idx->InsertWithHint(100000 + k, k + 7, &old_v, fresh_hints[k]))
         << "key " << 100000 + k;
+    ASSERT_FALSE(plain->Upsert(100000 + k, k + 7, &old_p));
   }
-  for (uint64_t k = 0; k < kPinned; k++) {
+  ASSERT_EQ(idx->Size(), plain->Size());
+  plain->ForEach([&](uint64_t k, uint64_t want) {
     uint64_t v = 0;
     ASSERT_TRUE(idx->Get(k, &v)) << "key " << k;
-    EXPECT_EQ(v, k + 900) << "key " << k;
-    ASSERT_TRUE(idx->Get(100000 + k, &v)) << "key " << 100000 + k;
-    EXPECT_EQ(v, k + 7) << "key " << 100000 + k;
-  }
+    EXPECT_EQ(v, want) << "key " << k;
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllIndexes, TwoPhaseInsertTest,

@@ -15,6 +15,7 @@
 #include "alloc/lazy_allocator.h"
 #include "core/flatstore.h"
 #include "core/server.h"
+#include "index/masstree.h"
 #include "pm/pm_device.h"
 #include "pm/pm_pool.h"
 #include "vt/clock.h"
@@ -56,6 +57,30 @@ TEST(NumaVt, ChargeMissAtAddsSurchargeForRemoteHome) {
   vt::ChargeMissAt(/*home_socket=*/0, vt::kCpuCacheMiss);
   const uint64_t remote = clock.now() - t1;
   EXPECT_EQ(remote - local, vt::kRemoteSocketLoadPenalty);
+}
+
+// Masstree charges every node a descent reads through its PmContext, so
+// the interleaved home of a two-socket tree store pays half the remote
+// surcharge at each level of a serial Get.
+TEST(NumaVt, MasstreeGetPaysItsHomeSurchargePerLevel) {
+  auto get_vt = [](int home_socket, uint32_t* levels) {
+    index::PmContext ctx;
+    ctx.home_socket = home_socket;
+    index::Masstree tree(ctx);
+    for (uint64_t k = 0; k < 5000; k++) tree.Insert(k, k);
+    *levels = tree.height();
+    vt::Clock clock;
+    vt::ScopedClock bind(&clock);
+    uint64_t v = 0;
+    EXPECT_TRUE(tree.Get(2500, &v));
+    return clock.now();
+  };
+  uint32_t levels = 0, levels_none = 0;
+  const uint64_t interleaved = get_vt(vt::kSocketInterleaved, &levels);
+  const uint64_t none = get_vt(vt::kSocketNone, &levels_none);
+  ASSERT_EQ(levels, levels_none);
+  ASSERT_GE(levels, 3u);
+  EXPECT_EQ(interleaved - none, levels * (vt::kRemoteSocketLoadPenalty / 2));
 }
 
 TEST(NumaPool, SocketSpansAreContiguousHalves) {
