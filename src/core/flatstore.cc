@@ -330,24 +330,28 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
       // Tombstones stay in the index (pointing at the delete entry) so
       // per-key versions remain monotonic across delete + re-put; reads
       // treat them as absent. The cleaner retires them (§3.4).
-      index::LookupHint hints[batch::HbEngine::kMaxBatch];
       uint64_t olds[batch::HbEngine::kMaxBatch];
       bool retire[batch::HbEngine::kMaxBatch];
       {
         // Only the inserting ops overlap their misses.
         vt::ScopedOverlap overlap(static_cast<int>(std::clamp<size_t>(
             inserts, 1, static_cast<size_t>(vt::kMemParallelism))));
-        // Phase A: locate + prefetch every op's key (the Prefetch that
-        // ProbeBatch uses; its hint is valid input to either phase B). FIFO
-        // order is preserved below, so a duplicate key in the round is
-        // applied oldest-first; its later hints may go stale as earlier
-        // inserts split/resize nodes, which InsertWithHint detects and
-        // revalidates (same discipline as GetWithHint).
+        // Phase A: re-warm what each op's admission probe located, held
+        // across the persist, or locate + prefetch a key that did not
+        // probe (a write of it was in flight at admission). Other batches
+        // may have split or emptied a hinted node since, and FIFO order
+        // below applies a duplicate key oldest-first, so an earlier insert
+        // may reshape a later op's node; InsertWithHint revalidates every
+        // hint and falls back (same discipline as GetWithHint).
         for (size_t r = 0; r < round; r++) {
-          const PendingOp& op =
+          PendingOp& op =
               cs.pending[(cs.pend_head + r) % batch::HbEngine::kPoolSlots];
           if (op.txn_commit || op.absorbed) continue;
-          idx->Prefetch(op.key, &hints[r]);
+          if (op.hint.valid) {
+            idx->Rewarm(&op.hint);
+          } else {
+            idx->Prefetch(op.key, &op.hint);
+          }
         }
         // Phase B: complete the inserts on warm lines.
         for (size_t r = 0; r < round; r++) {
@@ -360,7 +364,7 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
           }
           retire[r] = idx->InsertWithHint(
               op.key, log::PackIndexValue(offs[r], op.version), &olds[r],
-              hints[r]);
+              op.hint);
           // A key the index did not hold joins the key order.
           if (!retire[r] && key_ordered) fresh[fresh_n++] = op.key;
         }
@@ -408,22 +412,6 @@ size_t FlatStore::Inflight(int core) const {
 
 bool FlatStore::KeyBusy(int core, uint64_t key) const {
   return cores_[core]->inflight_keys.Contains(key);
-}
-
-void FlatStore::ProbeBatch(index::KvIndex* const* idx, const uint64_t* keys,
-                           size_t n, bool* found, uint64_t* packed) const {
-  index::LookupHint hints[kMaxReadBatch];
-  vt::ScopedOverlap overlap(static_cast<int>(
-      std::clamp<size_t>(n, 1, static_cast<size_t>(vt::kMemParallelism))));
-  // Phase A: locate/prefetch every probe. A lone probe has nothing to
-  // overlap with: its un-hinted GetWithHint is a plain Get.
-  for (size_t i = 0; i < n && n > 1; i++) {
-    idx[i]->Prefetch(keys[i], &hints[i]);
-  }
-  // Phase B: finish the probes on (mostly) warm lines.
-  for (size_t i = 0; i < n; i++) {
-    found[i] = idx[i]->GetWithHint(keys[i], hints[i], &packed[i]);
-  }
 }
 
 // fs-lint: epoch-held(MultiGetOnCore and every scan pin before fetching)
@@ -544,7 +532,8 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
   vt::Charge(vt::kEpochPinCost);
   bool found[kMaxReadBatch];
   uint64_t packed[kMaxReadBatch];
-  ProbeBatch(idxs, pkeys, probes, found, packed);
+  index::LookupHint hints[kMaxReadBatch];
+  index::ProbeBatch(idxs, pkeys, probes, found, packed, hints);
   for (size_t j = 0; j < probes; j++) {
     presults[j]->status = found[j] ? GetResult::kFound : GetResult::kAbsent;
   }
@@ -662,8 +651,11 @@ TxnStatus FlatStore::StageWrites(int core, const TxnOp* ops, size_t n,
   uint8_t pos[kMaxWriteBatch];  // probe -> first occurrence
   bool found[kMaxWriteBatch];
   uint64_t probed[kMaxWriteBatch];
+  index::LookupHint hints[kMaxWriteBatch];
   bool indexed[kMaxWriteBatch];  // first occurrence -> probe hit
   uint64_t packed[kMaxWriteBatch];  // first occurrence -> indexed entry
+  // First occurrence -> what its probe located, carried to the insert.
+  index::LookupHint located[kMaxWriteBatch];
   bool dead[kMaxWriteBatch];  // first occurrence -> indexed tombstone
   // A CAS or RMW reads its key's value as of the op: the newest earlier
   // op of the same txn, else the committed value (FetchBatch below).
@@ -683,10 +675,11 @@ TxnStatus FlatStore::StageWrites(int core, const TxnOp* ops, size_t n,
     }
   }
   auto probe_index = [&] {
-    ProbeBatch(idx, keys, probes, found, probed);
+    index::ProbeBatch(idx, keys, probes, found, probed, hints);
     for (size_t j = 0; j < probes; j++) {
       indexed[pos[j]] = found[j];
       packed[pos[j]] = probed[j];
+      located[pos[j]] = hints[j];
     }
   };
   if (!pin) {
@@ -871,7 +864,7 @@ TxnStatus FlatStore::StageWrites(int core, const TxnOp* ops, size_t n,
     const OpHandle h = fused[slot_of[owner]];
     handles[i] = h;
     cs.Push({h, ops[i].key, versions[owner], /*txn_member=*/txn,
-             /*txn_commit=*/false, absorbed});
+             /*txn_commit=*/false, absorbed, located[first_of[i]]});
     InflightKey& fly = cs.inflight_keys.GetOrInsert(ops[i].key);
     fly.count++;
     fly.last_version = versions[owner];
@@ -879,7 +872,7 @@ TxnStatus FlatStore::StageWrites(int core, const TxnOp* ops, size_t n,
   if (txn) {
     handles[n] = fused[members];
     cs.Push({handles[n], /*key=*/0, /*version=*/0, /*txn_member=*/false,
-             /*txn_commit=*/true});
+             /*txn_commit=*/true, /*absorbed=*/false, /*hint=*/{}});
   }
   return TxnStatus::kCommitted;
 }
@@ -1303,7 +1296,8 @@ uint64_t FlatStore::ScanMerged(
     if (m == 0) break;
     bool found[kMaxReadBatch];
     uint64_t packed[kMaxReadBatch];
-    ProbeBatch(idxs, keys, m, found, packed);
+    index::LookupHint hints[kMaxReadBatch];
+    index::ProbeBatch(idxs, keys, m, found, packed, hints);
     produced += FetchWindow(keys, found, packed, m, out);
   }
   return produced;

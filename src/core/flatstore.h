@@ -476,6 +476,11 @@ class FlatStore {
     // (DESIGN.md §5.2): `handle` is that Put's, so the op completes with
     // it; it does no index insert, retire or slot release of its own.
     bool absorbed = false;
+    // What the admission probe of the key's first occurrence in the batch
+    // located (index::ProbeBatch), reused by Drain's index insert through
+    // KvIndex::Rewarm; invalid when the key did not probe (a write of it
+    // was in flight), and Drain then locates it with Prefetch.
+    index::LookupHint hint;
   };
 
   // In-flight same-key write chain: count of pending ops and the version
@@ -538,16 +543,12 @@ class FlatStore {
   TxnStatus StageToCompletion(int core, Stage stage);
 
   // The one read-resolution path (DESIGN.md §5.1), shared by point reads
-  // and every scan. ProbeBatch is phases A and B: key i probes idx[i],
-  // all probes under one overlap window of min(n, kMemParallelism) ways,
-  // prefetched first when there are two or more; found[i] and packed[i]
-  // receive the outcome. FetchBatch is phases C and D for every
-  // results[i] whose status is kFound on entry: one overlapped wave of
-  // charged entry-header reads, one of out-of-log value blocks, then the
-  // copies into results[i]->value; a tombstone turns kFound into kAbsent.
-  // Both require n <= kMaxReadBatch and an epoch pin held by the caller.
-  void ProbeBatch(index::KvIndex* const* idx, const uint64_t* keys, size_t n,
-                  bool* found, uint64_t* packed) const;
+  // and every scan: index::ProbeBatch (phases A and B), then FetchBatch,
+  // phases C and D for every results[i] whose status is kFound on entry:
+  // one overlapped wave of charged entry-header reads, one of out-of-log
+  // value blocks, then the copies into results[i]->value; a tombstone
+  // turns kFound into kAbsent. Both take n <= kMaxReadBatch, and
+  // FetchBatch an epoch pin held by the caller.
   void FetchBatch(const uint64_t* packed, size_t n,
                   ReadResult* const* results) const;
   // One scan window: fetches keys[i] (found[i], or every key when `found`

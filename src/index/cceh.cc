@@ -228,9 +228,7 @@ bool Cceh::Get(uint64_t key, uint64_t* value) const {
   return StableGet(key, HashKey(key), value);
 }
 
-void Cceh::Prefetch(uint64_t key, LookupHint* hint) const {
-  vt::Charge(vt::kCpuHash);
-  hint->hash = HashKey(key);
+void Cceh::Locate(LookupHint* hint) const {
   Segment* seg = SegmentFor(hint->hash);
   vt::Charge(vt::kCpuSlotProbe);  // directory lookup (cached)
   for (uint32_t b = 0; b < kProbeBuckets; b++) {
@@ -241,15 +239,37 @@ void Cceh::Prefetch(uint64_t key, LookupHint* hint) const {
   hint->valid = true;
 }
 
-bool Cceh::GetWithHint(uint64_t key, const LookupHint& hint,
+void Cceh::Prefetch(uint64_t key, LookupHint* hint) const {
+  vt::Charge(vt::kCpuHash);
+  hint->hash = HashKey(key);
+  Locate(hint);
+}
+
+void Cceh::Rewarm(LookupHint* hint) const {
+  // The hinted segment may have split, and been freed, since the hint
+  // was made: never touch it, re-derive the current one from the hash.
+  Locate(hint);
+}
+
+bool Cceh::GetWithHint(uint64_t key, LookupHint* hint,
                        uint64_t* value) const {
+  if (!hint->valid) {
+    // A lone probe: the plain Get at full latency, recording the hash and
+    // the segment it resolved.
+    vt::ScopedOverlap serial(1);
+    vt::Charge(vt::kCpuHash);
+    hint->hash = HashKey(key);
+    hint->node = SegmentFor(hint->hash);
+    hint->valid = true;
+    return StableGet(key, hint->hash, value);
+  }
   // A split between the phases moves the directory entry off the hinted
   // segment (only the single writer splits, so within one MultiGet batch
   // this never fires); stale hints take the serial fallback.
-  if (!hint.valid || SegmentFor(hint.hash) != hint.node) {
+  if (SegmentFor(hint->hash) != hint->node) {
     return KvIndex::GetWithHint(key, hint, value);
   }
-  return StableGet(key, hint.hash, value);  // hash charged in phase A
+  return StableGet(key, hint->hash, value);  // hash charged in phase A
 }
 
 bool Cceh::InsertWithHint(uint64_t key, uint64_t value, uint64_t* old_value,

@@ -53,8 +53,9 @@ class Cceh final : public KvIndex {
               uint64_t* old_value) override;
   bool Get(uint64_t key, uint64_t* value) const override;
   void Prefetch(uint64_t key, LookupHint* hint) const override;
-  bool GetWithHint(uint64_t key, const LookupHint& hint,
+  bool GetWithHint(uint64_t key, LookupHint* hint,
                    uint64_t* value) const override;
+  void Rewarm(LookupHint* hint) const override;
   bool InsertWithHint(uint64_t key, uint64_t value, uint64_t* old_value,
                       const LookupHint& hint) override;
   bool Erase(uint64_t key, uint64_t* old_value) override;
@@ -111,6 +112,10 @@ class Cceh final : public KvIndex {
     const Directory& d = Dir();
     return d.entries[hash >> (64 - d.depth)].load(std::memory_order_acquire);
   }
+  // Phase A with `hint->hash` already computed: resolves the segment
+  // through the directory (charged as a cached slot probe), prefetches
+  // the key's probe window and records the segment in `*hint`.
+  void Locate(LookupHint* hint) const;
   // Splits the segment containing `hash` and redistributes its slots,
   // cascading into further splits when a probe window overflows.
   void Split(uint64_t hash);

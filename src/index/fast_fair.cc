@@ -188,50 +188,68 @@ bool FastFair::UpsertLocked(uint64_t key, uint64_t value,
   return updated;
 }
 
-bool FastFair::Get(uint64_t key, uint64_t* value) const {
-  SharedLockGuard<SharedMutex> g(rw_lock_);
-  Node* leaf = FindLeaf(key);
-  int i = LowerBound(leaf, key);
+bool FastFair::LeafGet(const Node* leaf, uint64_t key, uint64_t* value) {
+  const int i = LowerBound(leaf, key);
   if (i < static_cast<int>(leaf->count) && leaf->entries[i].key == key) {
     *value = leaf->entries[i].value;
     return true;
   }
   return false;
+}
+
+void FastFair::PrefetchNode(const Node* n) {
+  const char* base = reinterpret_cast<const char*>(n);
+  for (uint64_t off = 0; off < sizeof(Node); off += 64) {
+    __builtin_prefetch(base + off, 0, 3);
+  }
+  vt::Charge((sizeof(Node) / 64) * vt::kPrefetchIssueCost);
+}
+
+bool FastFair::Get(uint64_t key, uint64_t* value) const {
+  SharedLockGuard<SharedMutex> g(rw_lock_);
+  return LeafGet(FindLeaf(key), key, value);
 }
 
 void FastFair::Prefetch(uint64_t key, LookupHint* hint) const {
   SharedLockGuard<SharedMutex> g(rw_lock_);
   const Node* leaf = FindLeaf(key);
-  // Pull the whole 512 B node so the phase-B linear scan, and an
-  // insert's FAST shift to the node's end, stay on warm lines.
-  const char* base = reinterpret_cast<const char*>(leaf);
-  for (uint64_t off = 0; off < sizeof(Node); off += 64) {
-    __builtin_prefetch(base + off, 0, 3);
-  }
-  vt::Charge((sizeof(Node) / 64) * vt::kPrefetchIssueCost);
+  PrefetchNode(leaf);
   hint->node = leaf;
   hint->valid = true;
 }
 
-bool FastFair::GetWithHint(uint64_t key, const LookupHint& hint,
+void FastFair::Rewarm(LookupHint* hint) const {
+  // Nodes are never freed, so the hinted address is still a leaf (it may
+  // have split or emptied since; phase B revalidates). Its lines were
+  // read a persist ago and are charged as a fresh node read.
+  const Node* leaf = static_cast<const Node*>(hint->node);
+  arena_.ctx().ChargeNodeRead(leaf);
+  PrefetchNode(leaf);
+}
+
+bool FastFair::GetWithHint(uint64_t key, LookupHint* hint,
                            uint64_t* value) const {
-  if (!hint.valid) return KvIndex::GetWithHint(key, hint, value);
   SharedLockGuard<SharedMutex> g(rw_lock_);
-  const Node* leaf = static_cast<const Node*>(hint.node);
+  if (!hint->valid) {
+    // A lone probe: the plain Get at full latency, recording its leaf.
+    vt::ScopedOverlap serial(1);
+    const Node* leaf = FindLeaf(key);
+    hint->node = leaf;
+    hint->valid = true;
+    return LeafGet(leaf, key, value);
+  }
+  const Node* leaf = static_cast<const Node*>(hint->node);
   // FAIR sibling links: a split between the phases moves the upper half
   // right, never left (no merges), and nodes are never freed — so a stale
   // hint is repaired by walking right. Each hop is an un-prefetched node.
+  // The hint keeps its leaf: a hop may land right of the key's own leaf
+  // (a key in the gap between two leaves), where an insert must not go.
   while (leaf->count > 0 && leaf->sibling != nullptr &&
          key > leaf->entries[leaf->count - 1].key) {
     leaf = leaf->sibling;
     arena_.ctx().ChargeNodeRead(leaf);
   }
-  int i = LowerBound(leaf, key);
-  if (i < static_cast<int>(leaf->count) && leaf->entries[i].key == key) {
-    *value = leaf->entries[i].value;
-    return true;
-  }
-  return false;
+  return LeafGet(leaf, key, value);
 }
 
 bool FastFair::InsertWithHint(uint64_t key, uint64_t value,

@@ -39,8 +39,9 @@ class FastFair final : public OrderedKvIndex {
               uint64_t* old_value) override;
   bool Get(uint64_t key, uint64_t* value) const override;
   void Prefetch(uint64_t key, LookupHint* hint) const override;
-  bool GetWithHint(uint64_t key, const LookupHint& hint,
+  bool GetWithHint(uint64_t key, LookupHint* hint,
                    uint64_t* value) const override;
+  void Rewarm(LookupHint* hint) const override;
   bool InsertWithHint(uint64_t key, uint64_t value, uint64_t* old_value,
                       const LookupHint& hint) override;
   bool Erase(uint64_t key, uint64_t* old_value) override;
@@ -80,6 +81,12 @@ class FastFair final : public OrderedKvIndex {
   Node* NewNode(bool leaf);
   Node* FindLeaf(uint64_t key) const REQUIRES_SHARED(rw_lock_);
   static int LowerBound(const Node* n, uint64_t key);
+  // The read of `key` in `leaf`, the last step of every Get.
+  static bool LeafGet(const Node* leaf, uint64_t key, uint64_t* value);
+  // Prefetches the whole 512 B node, charging each issue, so a phase-B
+  // linear scan and an insert's FAST shift to the node's end stay on warm
+  // lines.
+  static void PrefetchNode(const Node* n);
 
   // Inserts into a non-full sorted node with FAST shifting and persists
   // the shifted region.

@@ -21,6 +21,8 @@
 #ifndef FLATSTORE_INDEX_KV_INDEX_H_
 #define FLATSTORE_INDEX_KV_INDEX_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -95,19 +97,29 @@ struct KvPair {
   uint64_t value;
 };
 
-// Opaque two-phase state handed from Prefetch to GetWithHint or
-// InsertWithHint. One hint serves both: a write batch locates its keys
-// once and may read and then upsert through the same hint. Plain POD so
-// batches keep arrays of hints without allocating; field meaning is
-// private to each index. Only the indexes FlatStore builds (CCEH,
-// Masstree, FAST&FAIR) fill one; Level-Hashing and FPTree leave it
-// invalid and take the base-class fallback. A hint is only valid for the
-// key Prefetch produced it for, and only until the next structural
-// mutation by the owning writer (each phase-B call revalidates cheaply
-// and falls back to the plain probe or upsert when stale).
+// Opaque two-phase state handed from Prefetch (or a lone probe's
+// GetWithHint) to GetWithHint or InsertWithHint. One hint serves both: a
+// write batch locates its keys once, at admission, and the same hint
+// later carries the insert. Plain POD so batches keep arrays of hints
+// without allocating; field meaning is private to each index. Only the
+// indexes FlatStore builds (CCEH, Masstree, FAST&FAIR) fill one;
+// Level-Hashing and FPTree leave it invalid and take the base-class
+// fallback. The contract:
+//  * A hint is only valid for the key it was produced for, and only
+//    until the next structural mutation by any writer; every phase-B call
+//    revalidates cheaply and falls back to the plain probe or upsert when
+//    it is stale, so a stale hint costs time, never correctness.
+//  * A hint may be held across a log persist (admission to Drain). In
+//    that time other writers may split, resize or empty its node, so its
+//    lines are no longer cached: Rewarm re-issues them and charges the
+//    re-read before phase B uses the hint.
+//  * Masstree and FAST&FAIR never free a node, so they may dereference
+//    `node` (a leaf) at any time. CCEH frees a segment when it splits, so
+//    no code may dereference a CCEH hint's `node`: it may only compare it
+//    with the directory's current entry for `hash`.
 struct LookupHint {
   uint64_t hash = 0;         // key hash (CCEH)
-  const void* node = nullptr;  // located bucket/segment/leaf
+  const void* node = nullptr;  // located segment/leaf
   bool valid = false;        // phase A located something prefetchable
 };
 
@@ -142,15 +154,32 @@ class KvIndex {
   // Phase B of a read: completes the lookup of `key` with a hint from
   // Prefetch(key, hint). With a valid, still-fresh hint the probe touches
   // prefetched lines — charged as overlapped misses under the caller's vt
-  // overlap window. Base-class default (also the stale-hint fallback): a
-  // plain Get() inside a serial overlap scope, so an un-prefetched probe
-  // pays full miss latency and cannot free-ride on the batch.
-  virtual bool GetWithHint(uint64_t key, const LookupHint& hint,
+  // overlap window. An invalid hint is a lone probe (nothing to overlap
+  // with, so nothing was prefetched): the plain Get at its full serial
+  // charge, after which the indexes with a two-phase path leave `*hint`
+  // holding what the probe located, so a write of the key can Rewarm it
+  // instead of locating it again. Base-class default (also the stale-hint
+  // fallback): a plain Get() inside a serial overlap scope, so an
+  // un-prefetched probe pays full miss latency and cannot free-ride on
+  // the batch; `*hint` is left as it was.
+  virtual bool GetWithHint(uint64_t key, LookupHint* hint,
                            uint64_t* value) const {
     (void)hint;
     vt::ScopedOverlap serial(1);
     return Get(key, value);
   }
+
+  // Phase A again, for a valid hint that an earlier Prefetch or
+  // GetWithHint produced and that was held across a persist (a write
+  // batch's admission probe, reused by Drain). Re-issues the located
+  // node's prefetches without locating it again: a tree charges the
+  // leaf's re-read as one node read under the caller's overlap window and
+  // skips the inner levels; CCEH skips the hash, re-derives its segment
+  // from `hint->hash` and refreshes `hint->node` (its bucket reads are
+  // charged in phase B, as after Prefetch). Phase B revalidates as for
+  // any hint. Base-class default: no-op (such an index never hands out a
+  // valid hint).
+  virtual void Rewarm(LookupHint* hint) const { (void)hint; }
 
   // Phase B of a write: the upsert of `key` with a hint from
   // Prefetch(key, hint). Semantics are identical to Upsert (returns true
@@ -207,6 +236,27 @@ class KvIndex {
   // Human-readable structure name (bench output).
   virtual const char* Name() const = 0;
 };
+
+// Probes keys[i] in idx[i] for every i < n as one batch, phases A and B
+// of the two-phase access: all probes under one vt overlap window of
+// min(n, kMemParallelism) ways, prefetched first when there are two or
+// more (a lone probe has nothing to overlap with, so its GetWithHint is
+// the plain Get). found[i] and values[i] receive the outcome, and
+// hints[i] (invalid on entry) what the probe located, which a write batch
+// carries to its index insert. Serves every batched reader: the engine's
+// reads, scans and write admission, and the log cleaner's liveness
+// checks.
+inline void ProbeBatch(KvIndex* const* idx, const uint64_t* keys, size_t n,
+                       bool* found, uint64_t* values, LookupHint* hints) {
+  vt::ScopedOverlap overlap(static_cast<int>(
+      std::clamp<size_t>(n, 1, static_cast<size_t>(vt::kMemParallelism))));
+  for (size_t i = 0; i < n && n > 1; i++) {
+    idx[i]->Prefetch(keys[i], &hints[i]);
+  }
+  for (size_t i = 0; i < n; i++) {
+    found[i] = idx[i]->GetWithHint(keys[i], &hints[i], &values[i]);
+  }
+}
 
 // Indexes that additionally support ordered range scans.
 class OrderedKvIndex : public KvIndex {

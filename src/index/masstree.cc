@@ -107,6 +107,24 @@ int Masstree::LeafPosition(const Leaf* l, uint64_t key, bool* found) {
   return lo;
 }
 
+bool Masstree::LeafGet(const Leaf* l, uint64_t key, uint64_t* value) {
+  bool found;
+  const int pos = LeafPosition(l, key, &found);
+  if (!found) return false;
+  const int slot = Permuter::At(l->permutation, pos);
+  *value = std::atomic_ref<const uint64_t>(l->values[slot])
+               .load(std::memory_order_acquire);
+  return true;
+}
+
+void Masstree::PrefetchLeaf(const Leaf* l) {
+  const char* base = reinterpret_cast<const char*>(l);
+  for (uint64_t off = 0; off < sizeof(Leaf); off += 64) {
+    __builtin_prefetch(base + off, 0, 3);
+  }
+  vt::Charge((sizeof(Leaf) / 64) * vt::kPrefetchIssueCost);
+}
+
 Masstree::Leaf* Masstree::SplitLeaf(Leaf* leaf, uint64_t* up_key) {
   Leaf* right = NewLeaf();
   const uint64_t p = leaf->permutation;
@@ -236,40 +254,44 @@ bool Masstree::UpsertLocked(uint64_t key, uint64_t value,
 
 bool Masstree::Get(uint64_t key, uint64_t* value) const {
   SharedLockGuard<SharedMutex> g(rw_lock_);
-  const Leaf* leaf = Descend(key, nullptr);
-  bool found;
-  int pos = LeafPosition(leaf, key, &found);
-  if (!found) return false;
-  int slot = Permuter::At(leaf->permutation, pos);
-  *value = std::atomic_ref<const uint64_t>(leaf->values[slot])
-               .load(std::memory_order_acquire);
-  return true;
+  return LeafGet(Descend(key, nullptr), key, value);
 }
 
 void Masstree::Prefetch(uint64_t key, LookupHint* hint) const {
   SharedLockGuard<SharedMutex> g(rw_lock_);
   const Leaf* leaf = Descend(key, nullptr);
-  // Pull the whole 256 B leaf (permuter word + key/value arrays) so the
-  // phase-B binary search, and an upsert's permuter and slot stores,
-  // touch warm lines only.
-  const char* base = reinterpret_cast<const char*>(leaf);
-  for (uint64_t off = 0; off < sizeof(Leaf); off += 64) {
-    __builtin_prefetch(base + off, 0, 3);
-  }
-  vt::Charge((sizeof(Leaf) / 64) * vt::kPrefetchIssueCost);
+  PrefetchLeaf(leaf);
   hint->node = leaf;
   hint->valid = true;
 }
 
-bool Masstree::GetWithHint(uint64_t key, const LookupHint& hint,
+void Masstree::Rewarm(LookupHint* hint) const {
+  // Leaves are never freed, so the hinted address is still a leaf (it
+  // may have split or emptied since; phase B revalidates). Its lines
+  // were read a persist ago and are charged as a fresh node read.
+  const Leaf* leaf = static_cast<const Leaf*>(hint->node);
+  arena_.ctx().ChargeNodeRead(leaf);
+  PrefetchLeaf(leaf);
+}
+
+bool Masstree::GetWithHint(uint64_t key, LookupHint* hint,
                            uint64_t* value) const {
-  if (!hint.valid) return KvIndex::GetWithHint(key, hint, value);
   SharedLockGuard<SharedMutex> g(rw_lock_);
-  const Leaf* leaf = static_cast<const Leaf*>(hint.node);
+  if (!hint->valid) {
+    // A lone probe: the plain Get at full latency, recording its leaf.
+    vt::ScopedOverlap serial(1);
+    const Leaf* leaf = Descend(key, nullptr);
+    hint->node = leaf;
+    hint->valid = true;
+    return LeafGet(leaf, key, value);
+  }
+  const Leaf* leaf = static_cast<const Leaf*>(hint->node);
   // A split between the phases moves the upper half of the hinted leaf to
   // a fresh right sibling; keys never move left (no merges) and leaves are
   // never freed, so walking the sibling chain re-finds them. Each hop is
-  // an un-prefetched line, charged at full serial price.
+  // an un-prefetched line, charged at full serial price. The hint keeps
+  // its leaf: a hop may land right of the key's own leaf (a key in the
+  // gap between two leaves), where an insert must not go.
   while (true) {
     const uint64_t p = leaf->permutation;
     const int count = Permuter::Count(p);
@@ -281,13 +303,7 @@ bool Masstree::GetWithHint(uint64_t key, const LookupHint& hint,
     }
     break;
   }
-  bool found;
-  int pos = LeafPosition(leaf, key, &found);
-  if (!found) return false;
-  int slot = Permuter::At(leaf->permutation, pos);
-  *value = std::atomic_ref<const uint64_t>(leaf->values[slot])
-               .load(std::memory_order_acquire);
-  return true;
+  return LeafGet(leaf, key, value);
 }
 
 bool Masstree::InsertWithHint(uint64_t key, uint64_t value,
@@ -413,11 +429,11 @@ uint64_t Masstree::Scan(uint64_t start_key, uint64_t count,
                         std::vector<KvPair>* out) const {
   SharedLockGuard<SharedMutex> g(rw_lock_);
   uint64_t n = 0;
+  // Descend charges the first leaf; each later leaf is one more read.
   const Leaf* leaf = Descend(start_key, nullptr);
   bool found;
   int pos = LeafPosition(leaf, start_key, &found);
   while (leaf != nullptr && n < count) {
-    arena_.ctx().ChargeSerialNodeRead(leaf);
     const uint64_t p = leaf->permutation;
     for (; pos < Permuter::Count(p) && n < count; pos++) {
       int slot = Permuter::At(p, pos);
@@ -427,6 +443,7 @@ uint64_t Masstree::Scan(uint64_t start_key, uint64_t count,
     }
     leaf = leaf->next;
     pos = 0;
+    if (leaf != nullptr && n < count) arena_.ctx().ChargeSerialNodeRead(leaf);
   }
   return n;
 }

@@ -41,8 +41,9 @@ class Masstree final : public OrderedKvIndex {
               uint64_t* old_value) override;
   bool Get(uint64_t key, uint64_t* value) const override;
   void Prefetch(uint64_t key, LookupHint* hint) const override;
-  bool GetWithHint(uint64_t key, const LookupHint& hint,
+  bool GetWithHint(uint64_t key, LookupHint* hint,
                    uint64_t* value) const override;
+  void Rewarm(LookupHint* hint) const override;
   bool InsertWithHint(uint64_t key, uint64_t value, uint64_t* old_value,
                       const LookupHint& hint) override;
   bool Erase(uint64_t key, uint64_t* old_value) override;
@@ -132,6 +133,12 @@ class Masstree final : public OrderedKvIndex {
 
   // Sorted position of `key` in `leaf`; sets `*found` if the key exists.
   static int LeafPosition(const Leaf* l, uint64_t key, bool* found);
+  // The read of `key` in `leaf`, the last step of every Get.
+  static bool LeafGet(const Leaf* l, uint64_t key, uint64_t* value);
+  // Prefetches the whole 256 B leaf (permuter word + key/value arrays),
+  // charging each issue, so a phase-B binary search and an upsert's
+  // permuter and slot stores touch warm lines only.
+  static void PrefetchLeaf(const Leaf* l);
 
   Leaf* SplitLeaf(Leaf* leaf, uint64_t* up_key);
   void InsertInner(uint64_t up_key, void* right, const Path& path)

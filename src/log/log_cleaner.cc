@@ -17,6 +17,9 @@ namespace {
 // victims instead of draining one victim end-to-end.
 constexpr uint64_t kScanSliceBytes = 256 * 1024;
 constexpr size_t kRelocSubBatch = 32;
+// Liveness probes per overlap window: the serving path's read batch
+// (core::kMaxReadBatch).
+constexpr size_t kProbeGroup = 64;
 // Budget multiplier under allocator pressure level 1 (see RunOnce).
 constexpr uint64_t kPressureBoost = 4;
 }  // namespace
@@ -156,6 +159,44 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
     reader.SeekTo(job.scan_pos);
     const uint64_t min_seq = log->MinSeq();
     const uint64_t start = reader.position();
+    // Liveness is probed in groups through index::ProbeBatch, as the
+    // serving reads are: prefetched, then completed, under one overlap
+    // window. Entries keep their scan order.
+    DecodedEntry group[kProbeGroup];
+    uint64_t group_off[kProbeGroup];
+    size_t grouped = 0;
+    auto probe_group = [&] {
+      index::KvIndex* idx[kProbeGroup];
+      uint64_t keys[kProbeGroup];
+      index::LookupHint hints[kProbeGroup];
+      bool found[kProbeGroup];
+      uint64_t cur[kProbeGroup];
+      for (size_t i = 0; i < grouped; i++) {
+        keys[i] = group[i].key;
+        idx[i] = hooks_.index_of_key(keys[i]);
+      }
+      index::ProbeBatch(idx, keys, grouped, found, cur, hints);
+      for (size_t i = 0; i < grouped; i++) {
+        const DecodedEntry& g = group[i];
+        const uint64_t packed = PackIndexValue(group_off[i], g.version);
+        bool live = found[i] && cur[i] == packed;
+        if (live && g.op == OpType::kDelete && g.ptr < min_seq) {
+          // Tombstone whose covered chunk is gone: no stale Put can
+          // resurrect the key anymore, so both the tombstone and its
+          // index entry may die (paper §3.4's "safely reclaimed"
+          // condition).
+          if (idx[i]->EraseIfEqual(g.key, packed)) live = false;
+        }
+        if (!live) {
+          // relaxed: monotonic stat counter, no ordering required.
+          entries_dropped_.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        job.survivors.push_back(
+            {group_off[i], g.key, g.version, g.entry_len, g.txn});
+      }
+      grouped = 0;
+    };
     DecodedEntry e;
     uint64_t off;
     bool end_of_chunk = false;
@@ -172,23 +213,11 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
         entries_dropped_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      const uint64_t packed = PackIndexValue(off, e.version);
-      index::KvIndex* index = hooks_.index_of_key(e.key);
-      uint64_t cur = 0;
-      bool live = index->Get(e.key, &cur) && cur == packed;
-      if (live && e.op == OpType::kDelete && e.ptr < min_seq) {
-        // Tombstone whose covered chunk is gone: no stale Put can
-        // resurrect the key anymore, so both the tombstone and its index
-        // entry may die (paper §3.4's "safely reclaimed" condition).
-        if (index->EraseIfEqual(e.key, packed)) live = false;
-      }
-      if (!live) {
-        // relaxed: monotonic stat counter, no ordering required.
-        entries_dropped_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      job.survivors.push_back({off, e.key, e.version, e.entry_len, e.txn});
+      group[grouped] = e;
+      group_off[grouped++] = off;
+      if (grouped == kProbeGroup) probe_group();
     }
+    probe_group();
     const uint64_t consumed = reader.position() - start;
     *budget -= std::min(*budget, consumed);
     job.scan_pos = reader.position();

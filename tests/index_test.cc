@@ -391,7 +391,7 @@ void ExpectTreeHolds(const Masstree& t, const std::set<uint64_t>& expect) {
     LookupHint hint;
     t.Prefetch(k, &hint);
     v = 0;
-    ASSERT_EQ(t.GetWithHint(k, hint, &v), present) << "GetWithHint " << k;
+    ASSERT_EQ(t.GetWithHint(k, &hint, &v), present) << "GetWithHint " << k;
     if (present) ASSERT_EQ(v, ValueOf(k)) << "GetWithHint " << k;
   }
   Rng rng(7);
@@ -477,6 +477,29 @@ TEST(MasstreeStructure, SerialGetChargesLogProbesPerInnerLevel) {
   uint64_t total = 0;
   for (uint64_t k : keys) total += charged(k);
   EXPECT_LE(total / keys.size(), bound) << "mean over all keys";
+}
+
+// Scan reads each leaf once: its descent already charged the first leaf,
+// so a one-pair Scan costs a Get plus the probe that emits the pair.
+TEST(MasstreeStructure, ScanChargesItsFirstLeafOnce) {
+  Masstree t;
+  for (uint64_t k = 0; k < 5000; k++) t.Insert(k, ValueOf(k));
+  ASSERT_GE(t.height(), 3u);
+
+  vt::Clock clock;
+  vt::ScopedClock bind(&clock);
+  vt::ScopedOverlap serial(1);
+  for (uint64_t k : {uint64_t{0}, uint64_t{2500}, uint64_t{4999}}) {
+    uint64_t t0 = clock.now();
+    uint64_t v;
+    ASSERT_TRUE(t.Get(k, &v));
+    const uint64_t get = clock.now() - t0;
+    t0 = clock.now();
+    std::vector<KvPair> out;
+    ASSERT_EQ(t.Scan(k, 1, &out), 1u);
+    EXPECT_EQ(out[0].key, k);
+    EXPECT_EQ(clock.now() - t0, get + vt::kCpuSlotProbe) << "key " << k;
+  }
 }
 
 // ---- persistent-mode flush behaviour ------------------------------------

@@ -85,7 +85,7 @@ TEST_P(TwoPhaseLookupTest, AgreesWithGetIncludingAbsentKeys) {
     const bool found = idx->Get(k, &direct);
     index::LookupHint hint;
     idx->Prefetch(k, &hint);
-    ASSERT_EQ(idx->GetWithHint(k, hint, &hinted), found) << "key " << k;
+    ASSERT_EQ(idx->GetWithHint(k, &hint, &hinted), found) << "key " << k;
     if (found) EXPECT_EQ(hinted, direct) << "key " << k;
   }
 }
@@ -93,11 +93,13 @@ TEST_P(TwoPhaseLookupTest, AgreesWithGetIncludingAbsentKeys) {
 TEST_P(TwoPhaseLookupTest, DefaultHintFallsBackToFullLookup) {
   auto idx = Make();
   idx->Insert(7, 77);
-  index::LookupHint hint;  // valid=false: never prefetched
+  // valid=false: never prefetched. A hint holds only for its own key,
+  // and the lookup may fill it, so each key gets its own.
+  index::LookupHint hint7, hint8;
   uint64_t v = 0;
-  ASSERT_TRUE(idx->GetWithHint(7, hint, &v));
+  ASSERT_TRUE(idx->GetWithHint(7, &hint7, &v));
   EXPECT_EQ(v, 77u);
-  EXPECT_FALSE(idx->GetWithHint(8, hint, &v));
+  EXPECT_FALSE(idx->GetWithHint(8, &hint8, &v));
 }
 
 // A hint taken before heavy insertion must still resolve correctly after
@@ -116,7 +118,7 @@ TEST_P(TwoPhaseLookupTest, SurvivesStructuralChangesBetweenPhases) {
 
   for (uint64_t k = 0; k < kPinned; k++) {
     uint64_t v = 0;
-    ASSERT_TRUE(idx->GetWithHint(k, hints[k], &v)) << "key " << k;
+    ASSERT_TRUE(idx->GetWithHint(k, &hints[k], &v)) << "key " << k;
     EXPECT_EQ(v, k + 500) << "key " << k;
   }
 }

@@ -99,7 +99,7 @@ TEST_P(TwoPhaseInsertTest, AgreesWithUpsert) {
       const bool found_p = plain->Get(k, &got_p);
       index::LookupHint hint;
       hinted->Prefetch(k, &hint);
-      ASSERT_EQ(hinted->GetWithHint(k, hint, &got_h), found_p)
+      ASSERT_EQ(hinted->GetWithHint(k, &hint, &got_h), found_p)
           << "key " << k << " round " << round;
       if (found_p) {
         EXPECT_EQ(got_h, got_p) << "key " << k;
@@ -154,10 +154,10 @@ TEST_P(TwoPhaseInsertTest, SurvivesStructuralChangesBetweenPhases) {
   for (uint64_t k = 0; k < kPinned; k++) {
     uint64_t v = 0;
     idx->Prefetch(k, &over_hints[k]);
-    ASSERT_TRUE(idx->GetWithHint(k, over_hints[k], &v)) << "key " << k;
+    ASSERT_TRUE(idx->GetWithHint(k, &over_hints[k], &v)) << "key " << k;
     EXPECT_EQ(v, k + 500) << "key " << k;
     idx->Prefetch(100000 + k, &fresh_hints[k]);
-    EXPECT_FALSE(idx->GetWithHint(100000 + k, fresh_hints[k], &v))
+    EXPECT_FALSE(idx->GetWithHint(100000 + k, &fresh_hints[k], &v))
         << "key " << 100000 + k;
   }
 
@@ -209,7 +209,7 @@ using OpHandle = FlatStore::OpHandle;
 
 struct Store {
   explicit Store(core::IndexKind kind, int cores = 1,
-                 pm::PmDevice* device = nullptr) {
+                 pm::PmDevice* device = nullptr, uint32_t hash_depth = 4) {
     pm::PmPool::Options o;
     o.size = 512ull << 20;
     o.device = device;
@@ -217,7 +217,7 @@ struct Store {
     fo.num_cores = cores;
     fo.group_size = cores;
     fo.index = kind;
-    fo.hash_initial_depth = 4;
+    fo.hash_initial_depth = hash_depth;
     store = FlatStore::Create(pool.get(), fo);
   }
   // Drops the store without Shutdown and reopens it: the index is
@@ -537,6 +537,188 @@ TEST_P(MultiPutTest, CommitRecordsDoNotWidenTheDrainOverlap) {
   EXPECT_GE(drain_ns(/*txn=*/true), drain_ns(/*txn=*/false));
 }
 
+// Keys of the carried-hint test: preloaded keys sit 64 apart, and each
+// region's batch writes the preloaded key at its centre and the fresh key
+// just above it.
+constexpr uint64_t kRegionKeys = 48;  // preloaded keys per region
+constexpr uint64_t kRegions = 12;
+uint64_t Preloaded(uint64_t i) { return i * 64; }
+uint64_t RegionCentre(uint64_t r) { return r * kRegionKeys + kRegionKeys / 2; }
+constexpr uint64_t kFillerBase = uint64_t{1} << 40;
+constexpr uint64_t kFillerKeys = 2300;
+
+// A write batch locates its keys when it is admitted and inserts through
+// those hints at Drain, a persist later. Batches staged ahead of it drain
+// after its hints were taken and before its own drain: their fresh keys
+// split the hinted Masstree leaves, FAST&FAIR nodes and CCEH segments,
+// and their deletes, whose tombstones are then retired from the index as
+// the cleaner does, empty hinted leaves. The store must end as the same
+// writes applied one by one, and an ordered index must scan sorted and
+// complete.
+TEST_P(MultiPutTest, CarriedHintsSurviveReshapingBeforeDrain) {
+  // Two CCEH segments to start with, so the inserts below split segments
+  // that hinted keys hash to.
+  Store batched(GetParam(), /*cores=*/1, nullptr, /*hash_depth=*/1);
+  Store single(GetParam(), /*cores=*/1, nullptr, /*hash_depth=*/1);
+  const std::string value(40, 'p');
+  const std::string later(24, 'q');
+  for (uint64_t i = 0; i < kRegions * kRegionKeys; i++) {
+    batched.store->Put(Preloaded(i), value);
+    single.store->Put(Preloaded(i), value);
+  }
+  // Far-right filler keys load the CCEH segments so that the inserts
+  // below split some (asserted below).
+  for (uint64_t i = 0; i < kFillerKeys; i++) {
+    batched.store->Put(kFillerBase + i, value);
+    single.store->Put(kFillerBase + i, value);
+  }
+
+  // The reshaping ops. Even regions take 30 fresh keys around the
+  // centre, more than a leaf or node holds. Regions 1, 5 and 9 delete the
+  // 47 preloaded keys around the centre, more than a Masstree leaf holds
+  // on either side of the fresh key, so the leaf it falls in ends empty.
+  // Regions 3, 7 and 11 are left alone.
+  std::vector<WriteOp> reshape;
+  std::vector<uint64_t> deleted;
+  for (uint64_t r = 0; r < kRegions; r++) {
+    const uint64_t c = RegionCentre(r);
+    if (r % 4 == 1) {
+      for (uint64_t i = c - 23; i <= c + 23; i++) {
+        reshape.push_back({Preloaded(i), nullptr, 0, true});
+        deleted.push_back(Preloaded(i));
+      }
+    } else if (r % 2 == 0) {
+      for (uint64_t j = 1; j <= 15; j++) {
+        for (uint64_t key : {Preloaded(c) - j, Preloaded(c) + j}) {
+          reshape.push_back({key, value.data(),
+                             static_cast<uint32_t>(value.size()), false});
+        }
+      }
+    }
+  }
+  // The hinted batch: the fresh key above each centre, and the centre
+  // itself where it is not deleted.
+  std::vector<WriteOp> hinted;
+  std::vector<bool> grown;  // hinted op -> its region takes inserts
+  for (uint64_t r = 0; r < kRegions; r++) {
+    const uint64_t c = RegionCentre(r);
+    hinted.push_back({Preloaded(c) + 32, later.data(),
+                      static_cast<uint32_t>(later.size()), false});
+    grown.push_back(r % 2 == 0);
+    if (r % 4 != 1) {
+      hinted.push_back({Preloaded(c), later.data(),
+                        static_cast<uint32_t>(later.size()), false});
+      grown.push_back(r % 2 == 0);
+    }
+  }
+  ASSERT_LE(hinted.size(), core::kMaxWriteBatch);
+  ASSERT_LE(reshape.size() + hinted.size(), batch::HbEngine::kPoolSlots);
+
+  // Where each hinted key's node is before anything is staged.
+  index::KvIndex* idx = batched.store->IndexForCore(0);
+  std::vector<const void*> node_before;
+  for (const WriteOp& op : hinted) {
+    index::LookupHint h;
+    idx->Prefetch(op.key, &h);
+    node_before.push_back(h.node);
+  }
+  const auto* cceh = dynamic_cast<const index::Cceh*>(idx);
+  const uint64_t segments_before = cceh != nullptr ? cceh->segment_count() : 0;
+
+  // Stage the reshaping ops, then the hinted batch (its keys probe the
+  // index as it stands: nothing staged has drained yet).
+  OpHandle handles[core::kMaxWriteBatch];
+  OpStatus statuses[core::kMaxWriteBatch];
+  for (size_t i = 0; i < reshape.size(); i += core::kMaxWriteBatch) {
+    const size_t n = std::min(core::kMaxWriteBatch, reshape.size() - i);
+    ASSERT_EQ(batched.store->BeginWriteBatch(0, &reshape[i], n, handles,
+                                             statuses),
+              n);
+  }
+  ASSERT_EQ(batched.store->BeginWriteBatch(0, hinted.data(), hinted.size(),
+                                           handles, statuses),
+            hinted.size());
+  // Drain exactly the reshaping ops, then retire their tombstones from
+  // the index as the cleaner does once a tombstone's covered chunk is
+  // gone (Delete leaves the tombstone indexed).
+  size_t drained = 0;
+  while (drained < reshape.size()) {
+    batched.store->Pump(0);
+    drained += batched.store->Drain(0, reshape.size() - drained, nullptr);
+  }
+  for (uint64_t key : deleted) {
+    uint64_t tomb = 0;
+    ASSERT_TRUE(idx->Get(key, &tomb)) << "key " << key;
+    ASSERT_TRUE(idx->EraseIfEqual(key, tomb)) << "key " << key;
+  }
+  // The hinted nodes really were reshaped: keys of the grown regions now
+  // sit in other leaves, or CCEH split segments.
+  size_t moved = 0;
+  for (size_t i = 0; i < hinted.size(); i++) {
+    index::LookupHint h;
+    idx->Prefetch(hinted[i].key, &h);
+    moved += h.node != node_before[i];
+  }
+  if (cceh != nullptr) {
+    EXPECT_GT(cceh->segment_count(), segments_before);
+    EXPECT_GT(moved, 0u);
+  } else {
+    EXPECT_GE(2 * moved, static_cast<size_t>(
+                             std::count(grown.begin(), grown.end(), true)));
+  }
+  // Now the hinted batch drains through its admission hints.
+  while (batched.store->Inflight(0) > 0) {
+    batched.store->Pump(0);
+    batched.store->Drain(0, SIZE_MAX, nullptr);
+  }
+
+  // The same writes one by one, and the same tombstone retirement.
+  for (const WriteOp& op : reshape) {
+    if (op.tombstone) {
+      ASSERT_TRUE(single.store->Delete(op.key));
+    } else {
+      single.store->Put(op.key, std::string_view(
+                                    static_cast<const char*>(op.value),
+                                    op.len));
+    }
+  }
+  index::KvIndex* plain = single.store->IndexForCore(0);
+  for (uint64_t key : deleted) {
+    uint64_t tomb = 0;
+    ASSERT_TRUE(plain->Get(key, &tomb));
+    ASSERT_TRUE(plain->EraseIfEqual(key, tomb));
+  }
+  for (const WriteOp& op : hinted) {
+    single.store->Put(op.key, std::string_view(
+                                  static_cast<const char*>(op.value), op.len));
+  }
+
+  ASSERT_EQ(idx->Size(), plain->Size());
+  std::vector<uint64_t> keys_b, keys_s;
+  idx->ForEach([&](uint64_t k, uint64_t) { keys_b.push_back(k); });
+  plain->ForEach([&](uint64_t k, uint64_t) { keys_s.push_back(k); });
+  std::sort(keys_b.begin(), keys_b.end());
+  std::sort(keys_s.begin(), keys_s.end());
+  ASSERT_EQ(keys_b, keys_s);
+  for (uint64_t k : keys_s) {
+    std::string vb, vs;
+    ASSERT_TRUE(batched.store->Get(k, &vb)) << "key " << k;
+    ASSERT_TRUE(single.store->Get(k, &vs)) << "key " << k;
+    EXPECT_EQ(vb, vs) << "key " << k;
+  }
+  for (uint64_t key : deleted) {
+    std::string v;
+    EXPECT_FALSE(batched.store->Get(key, &v)) << "key " << key;
+  }
+  if (const auto* tree = dynamic_cast<const index::OrderedKvIndex*>(idx)) {
+    std::vector<index::KvPair> scanned;
+    tree->Scan(0, keys_s.size() + 1, &scanned);
+    std::vector<uint64_t> order;
+    for (const index::KvPair& p : scanned) order.push_back(p.key);
+    EXPECT_EQ(order, keys_s) << "full scan sorted and complete";
+  }
+}
+
 // Capacity guard: absorbed ops take pending-ring entries but no HB slot,
 // so batches of one hot key must backpressure once the ring is full
 // rather than overflow it.
@@ -620,6 +802,46 @@ TEST(MultiPutCost, InFlightKeySkipsTheIndexProbe) {
     return clock.now() - start;
   };
   EXPECT_EQ(put_ns(1), put_ns(100000));
+}
+
+// Drain inserts a write through the leaf its admission probe located: it
+// re-reads that leaf and does not descend again. On a one-leaf tree the
+// drain of a write of an existing key is that leaf re-read plus the
+// insert; on a tree of three or more levels it must cost less than one
+// more inner level (a serial cache miss), where descending again costs
+// one per inner level.
+TEST(MultiPutCost, DrainReusesTheAdmissionLeaf) {
+  auto drain_ns = [](uint64_t keys, uint32_t min_height) {
+    pm::PmDevice device;
+    Store s(core::IndexKind::kMasstree, /*cores=*/1, &device);
+    const std::string value(48, 'd');
+    WriteOp ops[core::kMaxWriteBatch];
+    OpStatus statuses[core::kMaxWriteBatch];
+    for (uint64_t k = 0; k < keys; k += core::kMaxWriteBatch) {
+      const size_t n = static_cast<size_t>(
+          std::min<uint64_t>(core::kMaxWriteBatch, keys - k));
+      for (size_t i = 0; i < n; i++) {
+        ops[i] = {k + i, value.data(), static_cast<uint32_t>(value.size())};
+      }
+      EXPECT_EQ(s.store->MultiPutOnCore(0, ops, n, statuses), n);
+    }
+    const auto* tree =
+        dynamic_cast<const index::Masstree*>(s.store->IndexForCore(0));
+    EXPECT_GE(tree->height(), min_height);
+    vt::Clock clock;
+    vt::ScopedClock bind(&clock);
+    EXPECT_EQ(one_op::StagePut(s.store.get(), 0, keys / 2, value),
+              OpStatus::kOk);
+    s.store->Pump(0);
+    clock.AdvanceTo(clock.now() + 1000000);
+    const uint64_t start = clock.now();
+    EXPECT_EQ(s.store->Drain(0, SIZE_MAX, nullptr), 1u);
+    return clock.now() - start;
+  };
+  const uint64_t one_leaf = drain_ns(8, 1);
+  const uint64_t deep = drain_ns(20000, 3);
+  EXPECT_LT(deep, one_leaf + vt::kCpuCacheMiss)
+      << "one-leaf tree " << one_leaf << " ns, deep tree " << deep << " ns";
 }
 
 // ---- server-level: write batch 1 vs 16 -------------------------------------
