@@ -121,10 +121,10 @@ FS_HOT uint64_t HbEngine::EarliestStaged(int core) const {
   return pool.slots[collected % kPoolSlots].stage_time;
 }
 
-size_t HbEngine::Commit(log::OpLog* log, const log::OpLog::EntryRef* refs,
+size_t HbEngine::Commit(int core, const log::OpLog::EntryRef* refs,
                         Slot* const* claims, size_t n, uint64_t* offsets) {
   if (n == 0) return 0;
-  bool ok = log->AppendBatch(refs, n, offsets);
+  bool ok = logs_[core]->AppendBatch(refs, n, offsets);
   FLATSTORE_CHECK(ok) << "PM exhausted while appending a batch";
   const uint64_t done = vt::Now();
   for (size_t i = 0; i < n; i++) {
@@ -135,6 +135,8 @@ size_t HbEngine::Commit(log::OpLog* log, const log::OpLog::EntryRef* refs,
   // relaxed: stat counters, ordering irrelevant.
   batches_.fetch_add(1, std::memory_order_relaxed);
   batched_entries_.fetch_add(n, std::memory_order_relaxed);
+  // relaxed: stat counter; only this core's serving thread writes it.
+  pools_[core].led.fetch_add(1, std::memory_order_relaxed);
   return n;
 }
 
@@ -158,7 +160,7 @@ FS_HOT size_t HbEngine::TryPersist(int core) {
       nref = 0;
       Collect(core, t, refs, claims, &nref);
       for (size_t i = 0; i < nref; i++) {
-        n += Commit(logs_[core], &refs[i], &claims[i], 1, &mine.offsets[i]);
+        n += Commit(core, &refs[i], &claims[i], 1, &mine.offsets[i]);
       }
     }
     return n;
@@ -170,7 +172,7 @@ FS_HOT size_t HbEngine::TryPersist(int core) {
     if (t == UINT64_MAX) return 0;
     if (clock != nullptr) clock->AdvanceTo(t);
     Collect(core, vt::Now(), refs, claims, &nref);
-    return Commit(logs_[core], refs, claims, nref, mine.offsets);
+    return Commit(core, refs, claims, nref, mine.offsets);
   }
 
   Group& group = *groups_[core / group_size_];
@@ -178,26 +180,32 @@ FS_HOT size_t HbEngine::TryPersist(int core) {
   const int last =
       std::min(first_core + group_size_, static_cast<int>(logs_.size()));
   {
-    // Idle turns are free: a spinning host thread must not advance
-    // simulated time or the group's collection resource.
-    // Leadership is handed round-robin to the next core *with staged
-    // work* after the previous leader — fully deterministic, so neither
-    // host-thread scheduling nor dispatch order biases which core's
-    // virtual clock absorbs the batch persists.
+    // Leadership goes round-robin from the baton (`next_leader`) to the
+    // first idle core of the group, and only when no core is idle to the
+    // first core with staged work. An idle core has time to spare, so it
+    // persists the busy cores' entries in their place: "those non-busy
+    // cores have higher opportunity to become the leader, and help the
+    // busy cores flush the log entries" (paper §3.3). The rule is
+    // deterministic, so neither host-thread scheduling nor dispatch order
+    // picks which core's virtual clock absorbs the persists. Idleness is
+    // read from every core's clock at this instant (vt::CoreIdle; no core
+    // is idle unless a co-simulation bound the clocks), so the election
+    // never acts on a mark the core has since outgrown. Turns with nothing
+    // staged in the group are free: a spinning host thread must not
+    // advance simulated time or take the group lock.
     const int gsize = last - first_core;
     // relaxed: leadership preference is a heuristic; any stale value
     // still yields exactly one leader via the try_lock below.
     const int designated =
         group.next_leader.load(std::memory_order_relaxed);
-    int chosen = -1;
+    int idle_core = -1, stager = -1;
     for (int i = 0; i < gsize; i++) {
-      int cand = first_core + (designated + i) % gsize;
-      if (PendingCount(cand) > 0) {
-        chosen = cand;
-        break;
-      }
+      const int cand = first_core + (designated + i) % gsize;
+      if (idle_core < 0 && vt::CoreIdle(cand)) idle_core = cand;
+      if (stager < 0 && PendingCount(cand) > 0) stager = cand;
     }
-    if (chosen != core) return 0;
+    if (stager < 0) return 0;  // nothing staged in the group
+    if ((idle_core >= 0 ? idle_core : stager) != core) return 0;
   }
   if (!group.lock.try_lock()) {
     // Follower: keep processing new requests (pipelining); completion
@@ -208,14 +216,14 @@ FS_HOT size_t HbEngine::TryPersist(int core) {
 
   // The leader can only steal entries that exist by its clock (stage_time
   // <= now): batch composition must reflect simulated arrival order.
-  // A leader with nothing collectible at its own clock — an idle core —
-  // advances to the earliest staged entry and takes it: "those non-busy
-  // cores have higher opportunity to become the leader, and help the busy
-  // cores flush the log entries" (paper §5.1). Busy leaders never jump to
-  // other cores' later stage times. (Collection mutual exclusion is not
-  // transferred between per-core clocks: clocks drift apart by more than
-  // a collection takes, and chaining through a shared busy timestamp
-  // would ratchet every core to the maximum clock — false serialization.)
+  // A leader with nothing collectible at its own clock — an idle core
+  // behind the stagers — waits until the earliest staged entry and takes
+  // it; the wait is idle time on its clock. A core that leads because it
+  // staged work always collects its own entries, so only idle leaders
+  // wait. (Collection mutual exclusion is not transferred between
+  // per-core clocks: clocks drift apart by more than a collection takes,
+  // and chaining through a shared busy timestamp would ratchet every core
+  // to the maximum clock — false serialization.)
   for (int c = first_core; c < last && nref < kMaxBatch; c++) {
     Collect(c, vt::Now(), refs, claims, &nref);
   }
@@ -225,7 +233,7 @@ FS_HOT size_t HbEngine::TryPersist(int core) {
       earliest = std::min(earliest, EarliestStaged(c));
     }
     if (earliest != UINT64_MAX) {
-      clock->AdvanceTo(earliest);
+      clock->WaitUntil(earliest);
       for (int c = first_core; c < last && nref < kMaxBatch; c++) {
         Collect(c, vt::Now(), refs, claims, &nref);
       }
@@ -249,14 +257,14 @@ FS_HOT size_t HbEngine::TryPersist(int core) {
     // Release the lock *before* persisting: the log-persist cost moves
     // out of the critical section and adjacent batches pipeline.
     group.lock.unlock();
-    size_t n = Commit(logs_[core], refs, claims, nref, mine.offsets);
+    size_t n = Commit(core, refs, claims, nref, mine.offsets);
     // relaxed: diagnostics only — the batch is no longer in flight.
     group.inflight_batch.store(0, std::memory_order_relaxed);
     return n;
   }
 
   // Naive HB: the lock covers the persist (Fig. 4(c)).
-  size_t n = Commit(logs_[core], refs, claims, nref, mine.offsets);
+  size_t n = Commit(core, refs, claims, nref, mine.offsets);
   // relaxed: diagnostics only — the batch is no longer in flight.
   group.inflight_batch.store(0, std::memory_order_relaxed);
   group.lock.unlock();

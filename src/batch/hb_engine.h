@@ -75,8 +75,10 @@ class HbEngine {
                   uint64_t* handles);
 
   // Runs one g-persist attempt for `core`: leader work in HB modes,
-  // self-batching in kVertical/kNone. Returns the number of entries this
-  // call persisted (0 when the core lost the leader election).
+  // self-batching in kVertical/kNone. In HB modes idle cores
+  // (vt::CoreIdle) are elected before cores with staged work (see
+  // Group::next_leader). Returns the number of entries this call
+  // persisted (0 when the core lost the leader election).
   size_t TryPersist(int core);
 
   // Non-blocking completion check for a staged handle. On completion
@@ -118,6 +120,12 @@ class HbEngine {
     // relaxed: stat counter read after the run quiesces.
     return fused_entries_.load(std::memory_order_relaxed);
   }
+  // Batches `core` committed: as HB leader, or of its own entries in
+  // kVertical/kNone.
+  uint64_t batches_led(int core) const {
+    // relaxed: stat counter read after the run quiesces.
+    return pools_[core].led.load(std::memory_order_relaxed);
+  }
 
  private:
   enum : uint32_t { kFree = 0, kStaged = 1, kDone = 2 };
@@ -148,6 +156,7 @@ class HbEngine {
     // (PendingCount), so it must be atomic — relaxed suffices, the value
     // is only an election heuristic there.
     std::atomic<uint64_t> collected{0};
+    std::atomic<uint64_t> led{0};  // batches_led(); owner-written
     // Leader-side batch scratch: fixed arrays keep the g-persist hot loop
     // off the heap (only the owning serving thread runs TryPersist for
     // this core, so no synchronization is needed).
@@ -158,12 +167,14 @@ class HbEngine {
 
   struct alignas(64) Group {
     SpinLock lock;
-    // Round-robin leadership preference (relative core within the group):
-    // host-thread scheduling must not decide who leads, or one core's
-    // virtual clock would absorb every batch's persist cost. A core
-    // defers to the designated leader whenever that leader has staged
-    // work of its own (the paper's rotation emerges from arrival timing
-    // on real hardware; here it is made explicit and deterministic).
+    // Round-robin leadership baton (relative core within the group; the
+    // core after the last leader): host-thread scheduling must not decide
+    // who leads, or one core's virtual clock would absorb every batch's
+    // persist cost. While the group has staged work, the first idle core
+    // (vt::CoreIdle) from the baton on leads; with no core idle, the
+    // first core with staged work does (the paper's rotation emerges from
+    // arrival timing on real hardware; here it is made explicit and
+    // deterministic).
     std::atomic<int> next_leader{0};
     // Live-lock forensics for Wait(): which core last led this group and
     // how many entries its in-flight batch fuses (0 once committed). A
@@ -185,9 +196,10 @@ class HbEngine {
   // when none).
   uint64_t EarliestStaged(int core) const;
 
-  // Appends + publishes a collected batch through `log`. `offsets` is
-  // leader scratch of at least `n` slots.
-  size_t Commit(log::OpLog* log, const log::OpLog::EntryRef* refs,
+  // Appends + publishes a collected batch through `core`'s log and counts
+  // it in batches_led(core). `offsets` is leader scratch of at least `n`
+  // slots.
+  size_t Commit(int core, const log::OpLog::EntryRef* refs,
                 Slot* const* claims, size_t n, uint64_t* offsets);
 
   std::vector<log::OpLog*> logs_;

@@ -130,7 +130,6 @@ struct CoreLoop {
   std::vector<EngineAdapter::WriteReq> write_reqs;     // scratch
   std::vector<EngineAdapter::Submit> write_status;     // scratch
   uint64_t next_tag = 1;
-  uint64_t idle_ns = 0;  // vt the clock jumped waiting for a request
 
   CoreLoop() {
     reads.reserve(kMaxReadBatch);
@@ -190,7 +189,10 @@ void RespondNow(net::FlatRpc& rpc, int core, int conn,
 // requests, run their l-persist, stage their log entries. All cores run
 // phase 1 before any runs phase 2 (persist), mirroring the real system
 // where cores poll concurrently — otherwise a leader would never find
-// sibling entries to steal. Returns true if any work happened.
+// sibling entries to steal. Marks the core's clock idle when the burst
+// ended with no request left to admit at its clock, for the HB leader
+// elections of the persist phase (vt::CoreIdle). Returns true if any
+// work happened.
 //
 // Quanta are dispatched round-robin from a single host thread so the
 // interleaving -- and therefore every virtual-time result -- is
@@ -201,6 +203,7 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
                   bool respect_arrival, uint64_t arrival_horizon) {
   vt::ScopedClock bind(&state.clock);
   bool progress = false;
+  bool idle = false;  // the rings ran dry
   const bool batched = read_batch > 1;
   const bool wbatched = write_batch > 1;
 
@@ -213,7 +216,10 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
     net::Request* req = respect_arrival
                             ? rpc.PollEarliestRequest(core, &conn)
                             : rpc.PollRequest(core, &conn);
-    if (req == nullptr) break;
+    if (req == nullptr) {
+      idle = true;
+      break;
+    }
     if (respect_arrival) {
       // Open loop: requests are stamped with *scheduled* (possibly
       // future) arrivals. A core may only admit a request that has
@@ -223,7 +229,10 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       // would fuse requests hundreds of microseconds apart into one
       // persist batch and report queueing delay that never happened.
       const uint64_t arr = rpc.ArrivalTime(*req);
-      if (arr > state.clock.now() && arr > arrival_horizon) break;
+      if (arr > state.clock.now() && arr > arrival_horizon) {
+        idle = true;
+        break;
+      }
     }
     if (batched && req->type == net::MsgType::kGet &&
         state.reads.size() >= static_cast<size_t>(read_batch)) {
@@ -239,11 +248,7 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
     }
     // A request that arrives after the core's clock is waited for: the
     // jump is idle time.
-    const uint64_t arrival = rpc.ArrivalTime(*req);
-    if (arrival > state.clock.now()) {
-      state.idle_ns += arrival - state.clock.now();
-      state.clock.AdvanceTo(arrival);
-    }
+    state.clock.WaitUntil(rpc.ArrivalTime(*req));
     vt::Charge(vt::kRpcProcessCost);
 
     if (req->type == net::MsgType::kGet) {
@@ -459,6 +464,7 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
     state.reads.resize(kept);
   }
 
+  state.clock.set_idle(idle);
   return progress;
 }
 
@@ -757,7 +763,15 @@ ServerResult RunServer(EngineAdapter* engine, const ServerConfig& config) {
     cores[c].clock.set_socket(engine->SocketForCore(c));
   }
   std::vector<Conn> conns = MakeConns(config);
-  RunLoop(engine, rpc, cores, conns, config);
+  {
+    // Every core's clock, so that each core's steps see which peers are
+    // idle (vt::CoreIdle). The binding ends with the run: no later caller
+    // defers to a core that no longer pumps.
+    std::vector<vt::Clock*> clocks;
+    for (CoreLoop& s : cores) clocks.push_back(&s.clock);
+    vt::ScopedCoreClocks bind(clocks.data(), static_cast<int>(clocks.size()));
+    RunLoop(engine, rpc, cores, conns, config);
+  }
 
   ServerResult result;
   for (const Conn& c : conns) {
@@ -766,7 +780,7 @@ ServerResult RunServer(EngineAdapter* engine, const ServerConfig& config) {
   }
   for (const CoreLoop& s : cores) {
     result.core_ns.push_back(s.clock.now());
-    result.idle_ns += s.idle_ns;
+    result.idle_ns += s.clock.idle_ns();
     result.sim_ns = std::max(result.sim_ns, s.clock.now());
   }
   if (result.sim_ns > 0) {

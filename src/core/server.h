@@ -141,7 +141,9 @@ class EngineAdapter {
   }
 
   // One g-persist attempt (no-op for synchronous engines). Returns the
-  // number of entries persisted by this call.
+  // number of entries persisted by this call. Under RunServer every
+  // core's clock carries its idle mark (vt::CoreIdle), which FlatStore's
+  // HB leader election reads.
   virtual size_t Pump(int core) = 0;
 
   // A completed pending op: its tag and the simulated instant its persist
@@ -314,8 +316,9 @@ struct ServerResult {
   double mops = 0;        // ops / sim time
   Histogram latency;      // client-observed, simulated ns
   std::vector<uint64_t> core_ns;  // per-core simulated time
-  // Simulated time the cores spent waiting for a request to arrive,
-  // summed over cores (a share of the sum of core_ns).
+  // Simulated time the cores spent waiting, summed over cores (a share
+  // of the sum of core_ns): for a request to arrive, and as idle HB
+  // leaders for an entry to be staged (vt::Clock::idle_ns).
   uint64_t idle_ns = 0;
 };
 

@@ -164,7 +164,7 @@ void Cceh::Split(uint64_t hash) {
   // a further split if a probe window overflows (rare, but linear
   // probing placement is order sensitive, so it can happen).
   const uint64_t stride = 1ull << (dir.depth - ld);
-  const uint64_t base = (hash >> (64 - dir.depth)) & ~(stride - 1);
+  const uint64_t base = dir.IndexOf(hash) & ~(stride - 1);
   for (uint64_t i = 0; i < stride; i++) {
     dir.entries[base + i].store(i < stride / 2 ? s0 : s1,
                                 std::memory_order_release);

@@ -100,6 +100,12 @@ class Cceh final : public KvIndex {
   // them, as the arena keeps replaced segments.
   struct Directory {
     explicit Directory(uint32_t d) : depth(d), entries(1ull << d) {}
+    // The entry for `hash`: its top `depth` bits (entry 0 at depth 0,
+    // where the one segment takes every hash; a shift by 64 would be
+    // undefined).
+    uint64_t IndexOf(uint64_t hash) const {
+      return depth == 0 ? 0 : hash >> (64 - depth);
+    }
     uint32_t depth;
     std::vector<std::atomic<Segment*>> entries;
   };
@@ -110,7 +116,7 @@ class Cceh final : public KvIndex {
   Segment* NewSegment(uint32_t local_depth);
   Segment* SegmentFor(uint64_t hash) const {
     const Directory& d = Dir();
-    return d.entries[hash >> (64 - d.depth)].load(std::memory_order_acquire);
+    return d.entries[d.IndexOf(hash)].load(std::memory_order_acquire);
   }
   // Phase A with `hint->hash` already computed: resolves the segment
   // through the directory (charged as a cached slot probe), prefetches

@@ -55,6 +55,23 @@ class Clock {
   // at simulated time `t`; no-op if `t` is in the past).
   void AdvanceTo(uint64_t t) { now_ = std::max(now_, t); }
 
+  // AdvanceTo for a context with nothing else to do until `t`: a serving
+  // core waiting for a request to arrive, or an idle HB leader waiting
+  // for an entry to be staged. The jump is counted in idle_ns().
+  void WaitUntil(uint64_t t) {
+    if (t <= now_) return;
+    idle_ns_ += t - now_;
+    now_ = t;
+  }
+  // Simulated time spent in WaitUntil jumps.
+  uint64_t idle_ns() const { return idle_ns_; }
+
+  // Whether the simulated core this clock belongs to is idle: its
+  // serving loop's last poll ended with no request left to admit at
+  // now(). Set by the serving loop; read through CoreIdle.
+  bool idle() const { return idle_; }
+  void set_idle(bool idle) { idle_ = idle; }
+
   // Outstanding asynchronous-flush completion horizon (see PmPool): the
   // latest device-completion timestamp of clwb-style flushes issued but not
   // yet fenced. Fence() advances now() to this value.
@@ -68,11 +85,15 @@ class Clock {
   void Reset() {
     now_ = 0;
     pending_fence_ = 0;
+    idle_ns_ = 0;
+    idle_ = false;
   }
 
  private:
   uint64_t now_ = 0;
   uint64_t pending_fence_ = 0;
+  uint64_t idle_ns_ = 0;
+  bool idle_ = false;
   int socket_ = 0;
 };
 
@@ -90,6 +111,20 @@ inline Clock* SetCurrentClock(Clock* c) {
   Clock* prev = g_current_clock;
   g_current_clock = c;
   return prev;
+}
+
+// The clocks of every simulated core, indexed by core, when one host
+// thread drives them all (the server runtime's co-simulation binds them
+// with ScopedCoreClocks); none are bound otherwise.
+inline thread_local Clock* const* g_core_clocks = nullptr;
+inline thread_local int g_num_core_clocks = 0;
+
+// Whether simulated core `core` is idle (Clock::idle) — false when no
+// core clocks are bound. Lets per-core code see a peer core's state at
+// the instant it runs, e.g. the HB leader election, which prefers idle
+// cores.
+inline bool CoreIdle(int core) {
+  return core < g_num_core_clocks && g_core_clocks[core]->idle();
 }
 
 // Socket of the bound clock, or 0 when none is bound (plain unit tests
@@ -202,6 +237,26 @@ class ScopedOverlap {
 
  private:
   int prev_;
+};
+
+// RAII binding of the core clocks `clocks[0..n)` to this thread.
+class ScopedCoreClocks {
+ public:
+  ScopedCoreClocks(Clock* const* clocks, int n)
+      : prev_(g_core_clocks), prev_n_(g_num_core_clocks) {
+    g_core_clocks = clocks;
+    g_num_core_clocks = n;
+  }
+  ~ScopedCoreClocks() {
+    g_core_clocks = prev_;
+    g_num_core_clocks = prev_n_;
+  }
+  ScopedCoreClocks(const ScopedCoreClocks&) = delete;
+  ScopedCoreClocks& operator=(const ScopedCoreClocks&) = delete;
+
+ private:
+  Clock* const* prev_;
+  int prev_n_;
 };
 
 // RAII binding of the current thread to a clock.

@@ -10,6 +10,7 @@
 
 #include "batch/hb_engine.h"
 #include "log/log_reader.h"
+#include "vt/clock.h"
 
 namespace flatstore {
 namespace batch {
@@ -247,6 +248,106 @@ TEST_F(HbEngineTest, ConcurrentCoresAllComplete) {
   for (auto& l : logs_) total_logged += l->entries_appended();
   EXPECT_EQ(total_logged, static_cast<uint64_t>(kCores) * kOpsPerCore);
   EXPECT_GT(eng->batches(), 0u);
+}
+
+// Election: while the group has staged work, an idle core (vt::CoreIdle,
+// read from the bound core clocks) leads before any core with staged
+// work. A busy stager's Pump defers to it and charges its own clock
+// nothing.
+TEST_F(HbEngineTest, IdleCoreLeadsForABusyStager) {
+  auto eng = MakeEngine(BatchMode::kPipelinedHB);
+  vt::Clock clocks[kCores];
+  vt::Clock* bound[kCores];
+  for (int c = 0; c < kCores; c++) bound[c] = &clocks[c];
+  vt::ScopedCoreClocks cores(bound, kCores);
+  clocks[0].AdvanceTo(1000);
+  clocks[1].AdvanceTo(5000);
+  clocks[1].set_idle(true);
+  std::vector<uint64_t> handles(3);
+  {
+    vt::ScopedClock bind(&clocks[0]);
+    for (int i = 0; i < 3; i++) {
+      auto e = Entry(200 + static_cast<uint64_t>(i));
+      ASSERT_TRUE(StageOne(*eng, 0, e, &handles[i]));
+    }
+    const uint64_t before = clocks[0].now();
+    EXPECT_EQ(eng->TryPersist(0), 0u);
+    EXPECT_EQ(clocks[0].now(), before);
+  }
+  {
+    vt::ScopedClock bind(&clocks[1]);
+    EXPECT_EQ(eng->TryPersist(1), 3u);
+  }
+  for (uint64_t h : handles) {
+    uint64_t off, t;
+    EXPECT_TRUE(eng->IsDone(0, h, &off, &t));
+  }
+  EXPECT_EQ(logs_[1]->entries_appended(), 3u);
+  EXPECT_EQ(eng->batches_led(0), 0u);
+  EXPECT_EQ(eng->batches_led(1), 1u);
+  // Its clock was ahead of every stage time: nothing to wait for.
+  EXPECT_EQ(clocks[1].idle_ns(), 0u);
+}
+
+// With no core idle, leadership rotates among the cores with staged work
+// from the baton on, the core after the last leader.
+TEST_F(HbEngineTest, WithoutIdleCoresStagersLeadInTurn) {
+  auto eng = MakeEngine(BatchMode::kPipelinedHB);
+  auto stage = [&](std::initializer_list<int> cores) {
+    for (int c : cores) {
+      auto e = Entry(300 + static_cast<uint64_t>(c));
+      uint64_t h;
+      ASSERT_TRUE(StageOne(*eng, c, e, &h));
+    }
+  };
+  auto pump_all = [&] {
+    std::vector<size_t> n;
+    for (int c = 0; c < kCores; c++) n.push_back(eng->TryPersist(c));
+    return n;
+  };
+  stage({1, 2, 3});  // baton at 0, which has nothing: core 1 leads
+  EXPECT_EQ(pump_all(), (std::vector<size_t>{0, 3, 0, 0}));
+  stage({0, 2});  // baton at 2, which staged: core 0 defers to it
+  EXPECT_EQ(pump_all(), (std::vector<size_t>{0, 0, 2, 0}));
+  stage({0, 1});  // baton at 3, which has nothing: wraps to core 0
+  EXPECT_EQ(pump_all(), (std::vector<size_t>{2, 0, 0, 0}));
+  for (int c = 0; c < kCores; c++) {
+    EXPECT_EQ(eng->batches_led(c), c == 3 ? 0u : 1u) << "core " << c;
+  }
+}
+
+// An idle leader whose clock is behind every staged entry waits until the
+// earliest one and takes it; the wait is idle time on its clock.
+TEST_F(HbEngineTest, IdleLeaderBehindTheStagersWaitsForTheEarliestEntry) {
+  auto eng = MakeEngine(BatchMode::kPipelinedHB);
+  vt::Clock clocks[kCores];
+  vt::Clock* bound[kCores];
+  for (int c = 0; c < kCores; c++) bound[c] = &clocks[c];
+  vt::ScopedCoreClocks cores(bound, kCores);
+  clocks[0].AdvanceTo(10000);
+  clocks[2].AdvanceTo(20000);
+  clocks[1].AdvanceTo(2000);
+  clocks[1].set_idle(true);
+  uint64_t h0, h2;
+  for (int c : {0, 2}) {
+    vt::ScopedClock bind(&clocks[c]);
+    auto e = Entry(400 + static_cast<uint64_t>(c));
+    ASSERT_TRUE(StageOne(*eng, c, e, c == 0 ? &h0 : &h2));
+  }
+  {
+    vt::ScopedClock bind(&clocks[1]);
+    EXPECT_EQ(eng->TryPersist(1), 1u);
+  }
+  uint64_t off, t;
+  EXPECT_TRUE(eng->IsDone(0, h0, &off, &t));
+  EXPECT_GE(t, 10000u);
+  // The entry staged at 20,000 is in the leader's future.
+  EXPECT_FALSE(eng->IsDone(2, h2, &off, &t));
+  // It waited from about 2,000 (plus the election's few charges) to
+  // 10,000.
+  EXPECT_GT(clocks[1].idle_ns(), 7000u);
+  EXPECT_LE(clocks[1].idle_ns(), 8000u);
+  EXPECT_EQ(eng->batches_led(1), 1u);
 }
 
 TEST_F(HbEngineTest, ModeNames) {

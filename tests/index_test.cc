@@ -268,6 +268,24 @@ TEST(CcehStructure, DirectoryDoublesUnderLoad) {
   }
 }
 
+// Depth 0 is a one-entry directory: its single segment takes every
+// hash, then splits and doubles the directory like any other.
+TEST(CcehStructure, DepthZeroGrowsThroughSplits) {
+  Cceh idx({}, /*initial_depth=*/0);
+  EXPECT_EQ(idx.global_depth(), 0u);
+  EXPECT_EQ(idx.segment_count(), 1u);
+  constexpr uint64_t kKeys = 20000;
+  for (uint64_t k = 0; k < kKeys; k++) idx.Insert(k, k + 1);
+  EXPECT_GT(idx.global_depth(), 0u);
+  EXPECT_GT(idx.segment_count(), 1u);
+  EXPECT_EQ(idx.Size(), kKeys);
+  for (uint64_t k = 0; k < kKeys; k++) {
+    uint64_t v = 0;
+    ASSERT_TRUE(idx.Get(k, &v)) << k;
+    ASSERT_EQ(v, k + 1);
+  }
+}
+
 // Readers on another thread find every key, with its value, while the
 // writer inserts fresh keys through splits and directory doublings (the
 // store's scans and cleaners probe a core's partition while that core

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/fsck.h"
@@ -231,6 +232,55 @@ TEST(Server, IdleTimeIsDeterministicAndAShareOfCoreTime) {
   for (uint64_t ns : a.core_ns) core_sum += ns;
   EXPECT_GT(a.idle_ns, 0u);
   EXPECT_LT(a.idle_ns, core_sum);
+}
+
+// A FlatStore-H store whose CCEH partitions start at depth 0 (one segment
+// each) preloads and serves; its tables grow through splits.
+TEST(Server, HashStoreWithDepthZeroTablesServes) {
+  pm::PmPool::Options o;
+  o.size = 256ull << 20;
+  pm::PmPool pool(o);
+  FlatStoreOptions fo;
+  fo.num_cores = 4;
+  fo.group_size = 4;
+  fo.hash_initial_depth = 0;
+  auto store = FlatStore::Create(&pool, fo);
+  FlatStoreAdapter adapter(store.get());
+  ServerConfig cfg;
+  cfg.num_conns = 4;
+  cfg.ops_per_conn = 2000;
+  cfg.workload.key_space = 20000;
+  cfg.workload.value_len = 64;
+  cfg.workload.get_ratio = 0.5;
+  Preload(&adapter, cfg.workload, cfg.workload.key_space);
+  EXPECT_EQ(store->Size(), 20000u);
+  EXPECT_EQ(RunServer(&adapter, cfg).ops, 8000u);
+  std::string v;
+  for (uint64_t k = 0; k < 20000; k += 7) {
+    ASSERT_TRUE(store->Get(k, &v)) << k;
+    EXPECT_EQ(v.size(), 64u);
+  }
+}
+
+// Idle cores lead only while a run binds the core clocks: synchronous
+// writes after it lead their own batches (deferring to a core marked idle
+// that no longer pumps would spin forever).
+TEST(Server, SyncWritesAfterARunLeadThemselves) {
+  Harness h;
+  ServerConfig cfg;
+  cfg.num_conns = 4;
+  cfg.ops_per_conn = 1000;
+  cfg.workload.key_space = 4096;
+  cfg.workload.value_len = 64;
+  ASSERT_EQ(RunServer(h.adapter.get(), cfg).ops, 4000u);
+  EXPECT_FALSE(vt::CoreIdle(0));
+  const std::string value(48, 'x');
+  for (uint64_t k = 0; k < 64; k++) h.store->Put(k, value);
+  std::string v;
+  for (uint64_t k = 0; k < 64; k++) {
+    ASSERT_TRUE(h.store->Get(k, &v));
+    EXPECT_EQ(v, value);
+  }
 }
 
 // Forwards every call to a FlatStoreAdapter and logs, in call order, the
