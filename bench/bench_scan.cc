@@ -1,11 +1,12 @@
 // Range scans on the hash store (DESIGN.md §11). Two parts:
 //
-//  * Microbench (host wall-clock): merged scans of a key-ordered store
-//    (FlatStore::Scan — a seek in the sorted key run, merged with the
-//    new-key buffer) vs the only range query a pure hash index has,
-//    ScanFullIteration (enumerate every index entry, sort, read). Swept
-//    over range lengths; CI's bench-smoke asserts speedup >= 2 at range
-//    length >= 100.
+//  * Microbench (host wall-clock): ordered scans of a key-ordered store
+//    (FlatStore::Scan — a walk of the store's key tree, each window of
+//    keys resolved through the hash index) vs the only range query a
+//    pure hash index has, ScanFullIteration (enumerate every index
+//    entry, sort, read). Swept over range lengths; rows report the
+//    ordered scan as `merged_us`. CI's bench-smoke asserts speedup >= 2
+//    at range length >= 100.
 //
 //  * YCSB-E shaped simulation point (virtual time): 95 % short scans
 //    from zipfian start keys + 5 % inserts through the full
@@ -25,7 +26,7 @@ namespace flatstore {
 namespace bench {
 namespace {
 
-Table g_table("Range scans: key-ordered merge vs hash full iteration");
+Table g_table("Range scans: key-ordered scan vs hash full iteration");
 
 constexpr uint64_t kScanKeys = 1 << 17;
 
@@ -38,8 +39,8 @@ core::FlatStoreOptions KeyOrderedOptions() {
   return fo;
 }
 
-// Store preloaded with kScanKeys keys and a suffix of overwrites; the
-// maintenance passes leave every key in the key run.
+// Store preloaded with kScanKeys keys and a suffix of overwrites, then
+// cleaned until a maintenance pass finds nothing to do.
 Rig MakeScanRig() {
   Rig rig = MakeFlatRig(KeyOrderedOptions(), /*pool_mb=*/1024);
   std::string value(64, 's');

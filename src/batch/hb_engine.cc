@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "vt/clock.h"
 #include "vt/costs.h"
@@ -248,25 +247,16 @@ FS_HOT size_t HbEngine::TryPersist(int core) {
   // relaxed: written under the group lock; readers treat it as a hint.
   group.next_leader.store((core - first_core + 1) % (last - first_core),
                           std::memory_order_relaxed);
-  // relaxed: diagnostics only (Wait's live-lock report); no ordering.
-  group.last_leader.store(core, std::memory_order_relaxed);
-  group.inflight_batch.store(static_cast<uint32_t>(nref),
-                             std::memory_order_relaxed);
 
   if (mode_ == BatchMode::kPipelinedHB) {
     // Release the lock *before* persisting: the log-persist cost moves
     // out of the critical section and adjacent batches pipeline.
     group.lock.unlock();
-    size_t n = Commit(core, refs, claims, nref, mine.offsets);
-    // relaxed: diagnostics only — the batch is no longer in flight.
-    group.inflight_batch.store(0, std::memory_order_relaxed);
-    return n;
+    return Commit(core, refs, claims, nref, mine.offsets);
   }
 
   // Naive HB: the lock covers the persist (Fig. 4(c)).
   size_t n = Commit(core, refs, claims, nref, mine.offsets);
-  // relaxed: diagnostics only — the batch is no longer in flight.
-  group.inflight_batch.store(0, std::memory_order_relaxed);
   group.lock.unlock();
   return n;
 }
@@ -286,38 +276,6 @@ FS_HOT void HbEngine::Release(int core, uint64_t handle) {
   // kDone through IsDone's acquire.
   FLATSTORE_DCHECK(slot.state.load(std::memory_order_relaxed) == kDone);
   slot.state.store(kFree, std::memory_order_release);
-}
-
-std::pair<uint64_t, uint64_t> HbEngine::Wait(int core, uint64_t handle) {
-  uint64_t off, done;
-  uint64_t spins = 0;
-  while (!IsDone(core, handle, &off, &done)) {
-    if (TryPersist(core) > 0) {
-      spins = 0;  // progress — someone's entries persisted
-      continue;
-    }
-    if (++spins >= kWaitSpinLimit) {
-      const Slot& slot = pools_[core].slots[handle % kPoolSlots];
-      const Group& group = *groups_[core / group_size_];
-      FLATSTORE_CHECK(false)
-          << "HbEngine::Wait made no progress for " << kWaitSpinLimit
-          << " spins (live-lock?): core=" << core << " handle=" << handle
-          << " mode=" << BatchModeName(mode_)
-          << " pending=" << PendingCount(core)
-          << " slot_state=" << slot.state.load(std::memory_order_acquire)
-          << " slot_len=" << slot.len << " slot_fuse=" << slot.fuse
-          // relaxed: forensic snapshot; values may lag by one batch.
-          << " group_leader="
-          << group.last_leader.load(std::memory_order_relaxed)
-          << " leader_inflight_fused="
-          << group.inflight_batch.load(std::memory_order_relaxed);
-    }
-    // A follower's completion is published by another thread's leader
-    // turn; give that thread the CPU now and then.
-    if ((spins & 0x3FF) == 0) std::this_thread::yield();
-  }
-  if (vt::Clock* clock = vt::CurrentClock()) clock->AdvanceTo(done);
-  return {off, done};
 }
 
 FS_HOT size_t HbEngine::PendingCount(int core) const {

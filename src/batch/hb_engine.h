@@ -90,10 +90,6 @@ class HbEngine {
   // FIFO order per core (the engine processes completions in order).
   void Release(int core, uint64_t handle);
 
-  // Blocking convenience for synchronous callers (tests, quickstart):
-  // persists + spins until `handle` completes. Returns {off, done_time}.
-  std::pair<uint64_t, uint64_t> Wait(int core, uint64_t handle);
-
   // Number of staged-but-unpersisted entries for `core`.
   size_t PendingCount(int core) const;
 
@@ -129,11 +125,6 @@ class HbEngine {
 
  private:
   enum : uint32_t { kFree = 0, kStaged = 1, kDone = 2 };
-
-  // Spins of Wait()'s persist-poll loop without any progress before the
-  // engine declares a live-lock and aborts with diagnostics instead of
-  // hanging the caller forever.
-  static constexpr uint64_t kWaitSpinLimit = uint64_t{1} << 22;
 
   struct Slot {
     uint8_t buf[log::kMaxEntrySize];
@@ -176,12 +167,6 @@ class HbEngine {
     // arrival timing on real hardware; here it is made explicit and
     // deterministic).
     std::atomic<int> next_leader{0};
-    // Live-lock forensics for Wait(): which core last led this group and
-    // how many entries its in-flight batch fuses (0 once committed). A
-    // leader stalled mid-fused-persist is visible here instead of being
-    // opaque to the aborting waiter.
-    std::atomic<int> last_leader{-1};
-    std::atomic<uint32_t> inflight_batch{0};
   };
 
   // Collects the entries of `core` staged at simulated time <= `now`

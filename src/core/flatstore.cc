@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <iterator>
 #include <thread>
 
 #include "common/hash.h"
@@ -22,35 +21,6 @@ namespace {
 // Key-routing hash seed: independent of the hashes used inside the index
 // structures so routing does not correlate with bucket choice.
 constexpr uint64_t kRoutingSeed = 0xC04E;
-
-// Recovery upsert duel: installs `packed` for `key` unless the index
-// already holds a strictly newer version. Entries route to the owning
-// partition of their *key* (stolen entries live in other cores' logs),
-// so the upsert must stay atomic under concurrent replay threads: a CAS
-// loop over Get + CompareExchange/Upsert keeps the newest version.
-void DuelInsert(index::KvIndex* idx, uint64_t key, uint64_t packed) {
-  while (true) {
-    uint64_t cur = 0;
-    if (!idx->Get(key, &cur)) {
-      uint64_t old;
-      if (!idx->Upsert(key, packed, &old)) break;  // inserted
-      // Raced with another replayer: our Upsert overwrote its value —
-      // restore the duel by comparing and possibly swapping back.
-      cur = old;
-      if (log::VersionNewer(log::UnpackVersion(cur),
-                            log::UnpackVersion(packed))) {
-        idx->CompareExchange(key, packed, cur);
-      }
-      break;
-    }
-    if (!log::VersionNewer(log::UnpackVersion(packed),
-                           log::UnpackVersion(cur))) {
-      break;
-    }
-    if (idx->CompareExchange(key, cur, packed)) break;
-    // CAS lost; re-read and retry.
-  }
-}
 
 // Runs fn(i) for every i in [0, n), each on its own host thread (inline
 // when n == 1), and returns once all are done.
@@ -73,24 +43,33 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-// The key run and the new-key buffer (DESIGN.md §11) are DRAM arrays of
-// 8-byte keys homed on socket 0; every line a scan reads is one charged
-// miss.
-constexpr size_t kKeysPerLine = 64 / sizeof(uint64_t);
-constexpr int kKeyOrderSocket = 0;
-
-void TouchKeyLine(size_t i, size_t* line) {
-  vt::TouchLine(i, kKeysPerLine, kKeyOrderSocket, line);
-}
-
-// Index of the first of the sorted `keys[0, n)` that is >= target.
-size_t SeekKey(const uint64_t* keys, size_t n, uint64_t target,
-               size_t* line) {
-  return vt::SeekLines(n, target, kKeysPerLine, kKeyOrderSocket, line,
-                       [keys](size_t i) { return keys[i]; });
-}
-
 }  // namespace
+
+// Entries route to the owning partition of their *key*, so replay
+// threads may duel one key at once: a loop over Get + CompareExchange, or
+// Upsert when the key is absent, keeps the newest version.
+void DuelInsert(index::KvIndex* idx, uint64_t key, uint64_t packed) {
+  while (true) {
+    uint64_t cur = 0;
+    if (!idx->Get(key, &cur)) {
+      if (!idx->Upsert(key, packed, &cur)) return;  // inserted
+      // Raced with another replayer: the Upsert displaced its version
+      // `cur`. If that one is newer, it must win: duel it in our place.
+      if (!log::VersionNewer(log::UnpackVersion(cur),
+                             log::UnpackVersion(packed))) {
+        return;
+      }
+      packed = cur;
+      continue;
+    }
+    if (!log::VersionNewer(log::UnpackVersion(packed),
+                           log::UnpackVersion(cur))) {
+      return;
+    }
+    if (idx->CompareExchange(key, cur, packed)) return;
+    // CAS lost; re-read and retry.
+  }
+}
 
 const char* TxnStatusName(TxnStatus status) {
   switch (status) {
@@ -175,11 +154,7 @@ FlatStore::FlatStore(pm::PmPool* pool, const FlatStoreOptions& options)
   BuildIndexes();
 }
 
-FlatStore::~FlatStore() {
-  StopCleaners();  // runs the deferred frees of retired key runs
-  delete key_run_.load(std::memory_order_acquire);
-  delete spare_run_.load(std::memory_order_acquire);
-}
+FlatStore::~FlatStore() { StopCleaners(); }
 
 void FlatStore::BuildIndexes() {
   indexes_.clear();
@@ -215,6 +190,15 @@ void FlatStore::BuildIndexes() {
       }
       break;
     }
+  }
+  scan_order_ = dynamic_cast<index::OrderedKvIndex*>(indexes_[0].get());
+  if (KeyOrdered()) {
+    // A hash index has no order: a tree of its keys keeps it, built like
+    // the one tree of a tree store.
+    index::PmContext ctx;
+    ctx.home_socket = spread_home;
+    key_tree_ = std::make_unique<index::Masstree>(ctx);
+    scan_order_ = key_tree_.get();
   }
 }
 
@@ -290,7 +274,6 @@ void FlatStore::RetireOld(uint64_t old_packed) {
 size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
   CoreState& cs = *cores_[core];
   index::KvIndex* idx = IndexForCore(core);
-  const bool key_ordered = KeyOrdered();
   size_t n = 0;
   while (n < max && cs.pend_count > 0) {
     // Gather the completed FIFO prefix for one round, up to a leader
@@ -366,7 +349,7 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
               op.key, log::PackIndexValue(offs[r], op.version), &olds[r],
               op.hint);
           // A key the index did not hold joins the key order.
-          if (!retire[r] && key_ordered) fresh[fresh_n++] = op.key;
+          if (!retire[r] && key_tree_ != nullptr) fresh[fresh_n++] = op.key;
         }
       }
       for (size_t r = 0; r < round; r++) {
@@ -383,7 +366,23 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
         }
       }
     }
-    if (fresh_n > 0) NoteNewKeys(fresh, fresh_n);
+    if (fresh_n > 0) {
+      // The round's fresh keys join the key order after their index
+      // inserts, as one prefetched wave like those (a lone key is the
+      // plain insert).
+      vt::ScopedOverlap overlap(static_cast<int>(std::min<size_t>(
+          fresh_n, static_cast<size_t>(vt::kMemParallelism))));
+      index::LookupHint hints[batch::HbEngine::kMaxBatch];
+      if (fresh_n > 1) {
+        for (size_t i = 0; i < fresh_n; i++) {
+          key_tree_->Prefetch(fresh[i], &hints[i]);
+        }
+      }
+      for (size_t i = 0; i < fresh_n; i++) {
+        uint64_t old;
+        key_tree_->InsertWithHint(fresh[i], 0, &old, hints[i]);
+      }
+    }
     for (size_t r = 0; r < round; r++) {
       const PendingOp& op = cs.Front();
       // A txn surfaces exactly one Completion — the commit record's —
@@ -1118,50 +1117,54 @@ bool FlatStore::Delete(uint64_t key) {
 
 uint64_t FlatStore::Scan(uint64_t start_key, uint64_t count,
                          std::vector<std::pair<uint64_t, std::string>>* out) {
-  auto* ordered = dynamic_cast<index::OrderedKvIndex*>(indexes_[0].get());
-  if (ordered == nullptr) {
-    FLATSTORE_CHECK(KeyOrdered())
-        << "Scan on FlatStore-H requires key order "
-           "(FlatStoreOptions::tier_enabled)";
-    return ScanMerged(start_key, count, out);
-  }
+  FLATSTORE_CHECK(scan_order_ != nullptr)
+      << "Scan on FlatStore-H requires key order "
+         "(FlatStoreOptions::tier_enabled)";
   // Scanned entries may live in any group's logs; a single guest pin
   // holds reclamation off store-wide for the scan's duration.
   common::EpochManager::GuestGuard guard(epochs_.get());
   vt::Charge(vt::kEpochPinCost);
   uint64_t produced = 0;
   uint64_t cursor = start_key;
-  bool exhausted = false;
-  while (produced < count && !exhausted) {
-    std::vector<index::KvPair> pairs;
-    const uint64_t want = count - produced + 16;  // slack for tombstones
-    uint64_t got = ordered->Scan(cursor, want, &pairs);
-    exhausted = got < want;
-    // The index scan already resolved every key: windows run only the
-    // fetch phases of the read path.
-    for (size_t p = 0; p < pairs.size() && produced < count;) {
-      const size_t m = std::min<uint64_t>(
-          {kMaxReadBatch, count - produced, pairs.size() - p});
+  std::vector<index::KvPair> pairs;
+  while (produced < count) {
+    // A round asks the order for exactly the rows still wanted, so its
+    // windows never overshoot `count`; keys that turn out dead (a
+    // tombstone, or a key the index dropped) leave a next round to fill.
+    const uint64_t want = count - produced;
+    pairs.clear();
+    const uint64_t got = scan_order_->Scan(cursor, want, &pairs);
+    for (size_t p = 0; p < pairs.size();) {
+      const size_t m = std::min<size_t>(kMaxReadBatch, pairs.size() - p);
       uint64_t keys[kMaxReadBatch], packed[kMaxReadBatch];
+      bool found[kMaxReadBatch];
       for (size_t i = 0; i < m; i++) {
         keys[i] = pairs[p + i].key;
         packed[i] = pairs[p + i].value;
       }
-      produced += FetchWindow(keys, nullptr, packed, m, out);
+      if (key_tree_ != nullptr) {
+        // The key tree only proposes keys: each window is resolved
+        // through the hash index on the batched read path.
+        index::KvIndex* idxs[kMaxReadBatch];
+        index::LookupHint hints[kMaxReadBatch];
+        for (size_t i = 0; i < m; i++) {
+          idxs[i] = IndexForCore(CoreForKey(keys[i]));
+        }
+        index::ProbeBatch(idxs, keys, m, found, packed, hints);
+      }
+      // An ordered index's values are authoritative: its windows run
+      // only the fetch phases of the read path.
+      produced += FetchWindow(keys, key_tree_ != nullptr ? found : nullptr,
+                              packed, m, out);
       p += m;
     }
-    if (!pairs.empty()) {
-      if (pairs.back().key == UINT64_MAX) break;
-      cursor = pairs.back().key + 1;
-    }
+    if (got < want || pairs.back().key == UINT64_MAX) break;
+    cursor = pairs.back().key + 1;
   }
   return produced;
 }
 
-bool FlatStore::CanScan() const {
-  return KeyOrdered() ||
-         dynamic_cast<index::OrderedKvIndex*>(indexes_[0].get()) != nullptr;
-}
+bool FlatStore::CanScan() const { return scan_order_ != nullptr; }
 
 // fs-lint: epoch-held(every scan holds its GuestGuard across its windows)
 uint64_t FlatStore::FetchWindow(
@@ -1211,213 +1214,6 @@ uint64_t FlatStore::ScanFullIteration(
     h += m;
   }
   return produced;
-}
-
-// Hash-index scan (DESIGN.md §11): keys come in order from a merge of
-// the key run with windows gathered from the new-key buffer, stopping the
-// moment `count` pairs are produced. Candidates are resolved
-// authoritatively through the volatile index, in windows of up to
-// kMaxReadBatch keys on the batched read path, so a key the index has
-// dropped costs one wasted probe, never correctness.
-uint64_t FlatStore::ScanMerged(
-    uint64_t start_key, uint64_t count,
-    std::vector<std::pair<uint64_t, std::string>>* out) {
-  // A single guest pin holds reclamation off store-wide for the scan's
-  // duration (entries may live in any group's logs). It also keeps alive
-  // every key run the scan loads: folds retire runs through Defer.
-  common::EpochManager::GuestGuard guard(epochs_.get());
-  vt::Charge(vt::kEpochPinCost);
-  uint64_t produced = 0;
-  uint64_t next = start_key;  // every key below it has been merged
-  bool done = false;          // no key left, or UINT64_MAX merged
-
-  // Run cursor: the run of the last gather, the index of its next key
-  // and the last line charged.
-  const KeyRun* run = nullptr;
-  size_t ri = 0, run_line = SIZE_MAX;
-  // Buffer window: the buffer's keys >= `next` at the last gather, at most
-  // kMaxReadBatch of them; `window_all` if that was all of them.
-  uint64_t window[kMaxReadBatch];
-  size_t wn = 0, wi = 0;
-  bool window_all = false;
-  auto gather = [&] {
-    const KeyRun* loaded;
-    {
-      LockGuard<SpinLock> g(key_buf_lock_);
-      vt::Charge(vt::kCpuCas);  // the lock
-      loaded = key_run_.load(std::memory_order_acquire);
-      size_t line = SIZE_MAX;
-      const size_t b = SeekKey(key_buf_, key_buf_n_, next, &line);
-      wn = std::min(key_buf_n_ - b, kMaxReadBatch);
-      for (size_t i = 0; i < wn; i++) {
-        TouchKeyLine(b + i, &line);
-        window[i] = key_buf_[b + i];
-      }
-      window_all = b + wn == key_buf_n_;
-    }
-    wi = 0;
-    if (loaded != run) {
-      // The first gather, or a fold published a run since the last one.
-      // That run holds every key of the one before and every key the fold
-      // took from the buffer, so the merge goes on in it from `next`.
-      run = loaded;
-      run_line = SIZE_MAX;
-      ri = SeekKey(run->data(), run->size(), next, &run_line);
-    }
-  };
-  gather();
-  while (produced < count && !done) {
-    // Gather the next window of merged candidate keys (distinct, in key
-    // order), then resolve it as one batched read.
-    const size_t w = std::min<uint64_t>(kMaxReadBatch, count - produced);
-    uint64_t keys[kMaxReadBatch];
-    index::KvIndex* idxs[kMaxReadBatch];
-    size_t m = 0;
-    while (m < w && !done) {
-      if (wi == wn && !window_all) gather();
-      const bool in_window = wi < wn;
-      const bool in_run = ri < run->size();
-      if (in_run) TouchKeyLine(ri, &run_line);
-      uint64_t k;
-      if (in_run && (!in_window || (*run)[ri] <= window[wi])) {
-        k = (*run)[ri++];
-        if (in_window && window[wi] == k) wi++;
-      } else if (in_window) {
-        k = window[wi++];
-      } else {
-        done = true;
-        break;
-      }
-      keys[m] = k;
-      idxs[m++] = IndexForCore(CoreForKey(k));
-      done = k == UINT64_MAX;
-      next = k + 1;
-    }
-    if (m == 0) break;
-    bool found[kMaxReadBatch];
-    uint64_t packed[kMaxReadBatch];
-    index::LookupHint hints[kMaxReadBatch];
-    index::ProbeBatch(idxs, keys, m, found, packed, hints);
-    produced += FetchWindow(keys, found, packed, m, out);
-  }
-  return produced;
-}
-
-size_t MergeNewKeys(uint64_t* buf, size_t n, uint64_t* keys, size_t m,
-                    size_t* moved) {
-  // A key returns after the cleaner drops its tombstone from the index,
-  // so one may already sit in the buffer.
-  size_t fresh = 0;
-  for (size_t i = 0; i < m; i++) {
-    if (!std::binary_search(buf, buf + n, keys[i])) keys[fresh++] = keys[i];
-  }
-  // Fill from the top, largest new key first: the buffered keys above
-  // it move up past every new key still to place, as one block, so a
-  // buffered key moves at most once and the ones below the smallest new
-  // key stay put.
-  size_t b = n;  // buf[0, b) is not placed yet
-  for (size_t k = fresh; k > 0; k--) {
-    const size_t at = static_cast<size_t>(
-        std::upper_bound(buf, buf + b, keys[k - 1]) - buf);
-    std::copy_backward(buf + at, buf + b, buf + b + k);
-    buf[at + k - 1] = keys[k - 1];
-    b = at;
-  }
-  *moved = n - b;
-  return n + fresh;
-}
-
-void FlatStore::NoteNewKeys(uint64_t* keys, size_t n) {
-  std::sort(keys, keys + n);
-  size_t i = 0;
-  while (true) {
-    {
-      LockGuard<SpinLock> g(key_buf_lock_);
-      vt::Charge(vt::kCpuCas);  // the lock
-      while (i < n && key_buf_n_ < kKeyBufferCap) {
-        const size_t take = std::min(n - i, kKeyBufferCap - key_buf_n_);
-        size_t moved = 0;
-        key_buf_n_ = MergeNewKeys(key_buf_, key_buf_n_, keys + i, take,
-                                  &moved);
-        vt::Charge(vt::CostMemcpy(moved * sizeof(uint64_t)));
-        i += take;
-      }
-      if (key_buf_n_ < kKeyBufferCap) return;
-    }
-    // The buffer is full: fold it, or wait for the fold under way.
-    FoldKeys(kKeyBufferCap);
-  }
-}
-
-size_t FlatStore::FoldKeys(size_t min_keys) {
-  LockGuard<SpinLock> fold(fold_lock_);
-  size_t n;
-  const KeyRun* old;
-  {
-    LockGuard<SpinLock> g(key_buf_lock_);
-    vt::Charge(vt::kCpuCas);  // the lock
-    n = key_buf_n_;
-    if (n == 0 || n < min_keys) return 0;
-    std::copy(key_buf_, key_buf_ + n, fold_keys_);
-    vt::Charge(vt::CostMemcpy(n * sizeof(uint64_t)));
-    // relaxed: only folds replace the run, and they hold fold_lock_.
-    old = key_run_.load(std::memory_order_relaxed);
-  }
-  // The merge runs outside key_buf_lock_: scans and new keys go on
-  // meanwhile, and the buffer keeps the folded keys until the swap. It
-  // fills the memory of the run an earlier fold retired, once no scan
-  // holds that run, grown geometrically.
-  std::unique_ptr<KeyRun> fresh(
-      spare_run_.exchange(nullptr, std::memory_order_acquire));
-  if (fresh == nullptr) fresh = std::make_unique<KeyRun>();
-  fresh->clear();
-  if (fresh->capacity() < old->size() + n) {
-    fresh->reserve(std::max(old->size() + n, 2 * fresh->capacity()));
-  }
-  // A key in both (one the index dropped and regained) is kept once.
-  std::set_union(old->begin(), old->end(), fold_keys_, fold_keys_ + n,
-                 std::back_inserter(*fresh));
-  vt::Charge(vt::CostMemcpy(fresh->size() * sizeof(uint64_t)));
-  {
-    LockGuard<SpinLock> g(key_buf_lock_);
-    vt::Charge(vt::kCpuCas);  // the lock
-    key_run_.store(fresh.release(), std::memory_order_release);
-    // Keys only leave the buffer here, so it still holds every folded
-    // key, among the keys that arrived during the merge.
-    size_t kept = 0;
-    for (size_t b = 0, f = 0; b < key_buf_n_; b++) {
-      if (f < n && key_buf_[b] == fold_keys_[f]) {
-        f++;
-      } else {
-        key_buf_[kept++] = key_buf_[b];
-      }
-    }
-    vt::Charge(vt::CostMemcpy(key_buf_n_ * sizeof(uint64_t)));
-    key_buf_n_ = kept;
-  }
-  // Scans pinned before the swap may still read `old`.
-  epochs_->Defer([this, old] {
-    delete spare_run_.exchange(const_cast<KeyRun*>(old),
-                               std::memory_order_release);
-  });
-  // Frees the retired run at once unless a scan still holds it: a store
-  // that runs no maintenance pass would otherwise keep every run its
-  // preload retires. This also runs every other deferred free that is
-  // ready, on the folding thread.
-  return epochs_->ReclaimDeferred();
-}
-
-void FlatStore::BuildKeyRun() {
-  auto run = std::make_unique<KeyRun>();
-  uint64_t keys = 0;
-  for (const auto& idx : indexes_) keys += idx->Size();
-  run->reserve(keys);
-  for (const auto& idx : indexes_) {
-    idx->ForEach([&](uint64_t key, uint64_t) { run->push_back(key); });
-  }
-  std::sort(run->begin(), run->end());
-  // Recovery runs before any reader exists.
-  delete key_run_.exchange(run.release(), std::memory_order_acq_rel);
 }
 
 uint64_t FlatStore::Size() const {
@@ -1482,7 +1278,6 @@ size_t FlatStore::RunCleanersOnce() {
   EnsureCleaners();
   size_t freed = 0;
   for (auto& c : cleaners_) freed += c->RunOnce();
-  if (KeyOrdered()) freed += FoldKeys(1);
   return freed;
 }
 
@@ -1772,7 +1567,19 @@ void FlatStore::Recover(bool rebuild_index) {
   }
   alloc_->FinishRecovery();
   recovery_stats_.usage_ns = ElapsedNs(usage_t0);
-  if (KeyOrdered()) BuildKeyRun();
+  if (key_tree_ != nullptr) BuildKeyTree();
+}
+
+void FlatStore::BuildKeyTree() {
+  std::vector<uint64_t> keys;
+  uint64_t n = 0;
+  for (const auto& idx : indexes_) n += idx->Size();
+  keys.reserve(n);
+  for (const auto& idx : indexes_) {
+    idx->ForEach([&](uint64_t key, uint64_t) { keys.push_back(key); });
+  }
+  std::sort(keys.begin(), keys.end());
+  for (uint64_t key : keys) key_tree_->Insert(key, 0);
 }
 
 }  // namespace core

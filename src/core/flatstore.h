@@ -35,7 +35,6 @@
 #ifndef FLATSTORE_CORE_FLATSTORE_H_
 #define FLATSTORE_CORE_FLATSTORE_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -47,7 +46,6 @@
 #include "common/epoch.h"
 #include "common/logging.h"
 #include "common/open_table.h"
-#include "common/spin_lock.h"
 #include "index/kv_index.h"
 #include "log/layout.h"
 #include "log/log_cleaner.h"
@@ -96,7 +94,7 @@ struct FlatStoreOptions {
   // alignment is not enforced — the placement-off arm of the scaling A/B.
   bool socket_local_placement = true;
   // Keep key order for Scan (DESIGN.md §11): a FlatStore-H store keeps a
-  // sorted DRAM run of its keys, so Scan needs no full index iteration.
+  // volatile Masstree of its keys, so Scan needs no full index iteration.
   // Ordered indexes keep their own order and ignore it. The name is kept
   // for perfbench, which sets it; rename it to key_ordered with the next
   // benchmark change.
@@ -127,17 +125,12 @@ struct ReadResult {
 // packed values, read completions) lives on the stack.
 inline constexpr size_t kMaxReadBatch = 64;
 
-// Capacity of a hash store's new-key buffer (DESIGN.md §11): the keys
-// its index gained since the last fold into the sorted key run. A full
-// buffer folds at once; every RunCleanersOnce folds what is left.
-inline constexpr size_t kKeyBufferCap = 4096;
-
-// Merges the `m` sorted, distinct `keys` into the sorted, distinct
-// `buf[0, n)`, which has room for n + m, in one backward pass; keys `buf`
-// already holds are skipped (`keys` is compacted in place to the rest).
-// Returns the new count and sets `*moved` to the `buf` keys it shifted.
-size_t MergeNewKeys(uint64_t* buf, size_t n, uint64_t* keys, size_t m,
-                    size_t* moved);
+// Recovery's version duel (DESIGN.md §3.5): installs `packed` for `key`
+// in `idx` unless it already holds a newer version. Replay threads may
+// duel one key at once (HB leaders log stolen entries, so a key's
+// versions can sit in several cores' logs); the newest version wins
+// whatever the interleaving.
+void DuelInsert(index::KvIndex* idx, uint64_t key, uint64_t packed);
 
 // Upper bound on one MultiPut batch. Must fit in one fused HB group
 // (batch::HbEngine::kMaxBatch) so the whole client batch persists through
@@ -240,10 +233,10 @@ class FlatStore {
   bool Get(uint64_t key, std::string* value);
   // Removes (a one-op MultiPutOnCore); false if absent.
   bool Delete(uint64_t key);
-  // Ordered scan: up to `count` pairs with key >= start_key. Served by
-  // the ordered index (kMasstree / kFastFairVolatile), or — for kHash
-  // stores that keep key order — by a merge of the store's sorted key
-  // run with its new-key buffer (DESIGN.md §11).
+  // Ordered scan: up to `count` pairs with key >= start_key, in key
+  // order from the ordered index (kMasstree / kFastFairVolatile), or —
+  // for kHash stores that keep key order — from the key tree, each
+  // window resolved through the hash index (DESIGN.md §11).
   uint64_t Scan(uint64_t start_key, uint64_t count,
                 std::vector<std::pair<uint64_t, std::string>>* out);
   // True when Scan has an ordered access path (ordered index or key
@@ -252,7 +245,7 @@ class FlatStore {
   // Baseline range scan for hash stores WITHOUT key order: enumerates
   // every index entry on every core, sorts the survivors, reads values.
   // This is the only range query a pure hash index supports; bench_scan
-  // quotes it as the key-ordered merge's comparison arm.
+  // quotes it as the key-ordered scan's comparison arm.
   uint64_t ScanFullIteration(
       uint64_t start_key, uint64_t count,
       std::vector<std::pair<uint64_t, std::string>>* out);
@@ -360,8 +353,7 @@ class FlatStore {
   void StopCleaners();
   // Runs one synchronous maintenance pass on every group (deterministic
   // benchmarks drive GC this way instead of via background threads):
-  // victims are relocated, and a key-ordered store's new-key buffer is
-  // folded into its key run. Returns the amount of work finished
+  // victims are relocated. Returns the amount of work finished
   // (victims unlinked plus epoch-deferred frees executed). With
   // unbounded passes 0 means nothing is left to do; with
   // gc_quantum_bytes set, a pass that only advanced parked jobs also
@@ -436,22 +428,9 @@ class FlatStore {
   bool KeyOrdered() const {
     return options_.index == IndexKind::kHash && options_.tier_enabled;
   }
-  // Scan served by a merge of the key run with the new-key buffer — the
-  // ordered path of FlatStore-H.
-  uint64_t ScanMerged(uint64_t start_key, uint64_t count,
-                      std::vector<std::pair<uint64_t, std::string>>* out);
-  // Adds `n` keys that a Drain round inserted into the index afresh to
-  // the new-key buffer: sorts them (in place) and merges them in with
-  // MergeNewKeys, folding the buffer whenever it fills.
-  void NoteNewKeys(uint64_t* keys, size_t n);
-  // If the buffer holds max(`min_keys`, 1) keys or more, merges them
-  // into a fresh run (charged CostMemcpy of the run) outside
-  // key_buf_lock_, then publishes the run, retires the old one and drops
-  // the folded keys from the buffer under it. Returns the epoch-deferred
-  // frees it ran afterwards.
-  size_t FoldKeys(size_t min_keys);
-  // Replaces the run with every key the index holds (end of Recover).
-  void BuildKeyRun();
+  // Fills the empty key tree with every key the index holds, inserted
+  // in ascending order (end of Recover).
+  void BuildKeyTree();
   // Crash-recovery replay / usage rebuild (also used after clean open to
   // rebuild allocator bitmaps + chunk usage): one per-core pass walks the
   // log, one walk of the recovered index gives chunk liveness (DESIGN.md
@@ -573,21 +552,13 @@ class FlatStore {
   bool cleaners_running_ = false;
 
   // Key order of a KeyOrdered() store (DESIGN.md §11), DRAM soft state:
-  // an immutable sorted run of every key the index held at the last fold
-  // (retired through EpochManager::Defer), and a sorted buffer of the
-  // keys it gained since. fold_lock_ lets one fold at a time merge; it
-  // swaps the run and drops the folded keys from the buffer under
-  // key_buf_lock_, under which scans load the run and read the buffer.
-  using KeyRun = std::vector<uint64_t>;
-  std::atomic<const KeyRun*> key_run_{new KeyRun()};
-  // The last run a fold retired that no scan holds any more; the next
-  // fold reuses its memory.
-  std::atomic<KeyRun*> spare_run_{nullptr};
-  SpinLock fold_lock_;  // taken before key_buf_lock_
-  uint64_t fold_keys_[kKeyBufferCap] GUARDED_BY(fold_lock_);
-  SpinLock key_buf_lock_;
-  size_t key_buf_n_ GUARDED_BY(key_buf_lock_) = 0;
-  uint64_t key_buf_[kKeyBufferCap] GUARDED_BY(key_buf_lock_);
+  // a volatile Masstree holding every key the index gained since Open
+  // (values unused). Drain inserts a key after its index insert; Recover
+  // rebuilds it from the index. Null on every other store.
+  std::unique_ptr<index::OrderedKvIndex> key_tree_;
+  // What Scan walks: the ordered index, or the key tree; null when the
+  // store cannot scan.
+  index::OrderedKvIndex* scan_order_ = nullptr;
   RecoveryStats recovery_stats_;
 };
 

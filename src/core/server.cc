@@ -276,7 +276,7 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       // Scans are served inline and never batched: each is its own
       // ordered traversal. Writes still in flight on scanned keys are
       // simply not visible yet — same read-your-persisted semantics as
-      // the index the scan merges over.
+      // the index the scan reads.
       RespondNow(rpc, core, conn, *req, engine);
       rpc.PopRequest(core, conn);
       progress = true;

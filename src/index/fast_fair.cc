@@ -341,10 +341,10 @@ uint64_t FastFair::Scan(uint64_t start_key, uint64_t count,
                         std::vector<KvPair>* out) const {
   SharedLockGuard<SharedMutex> g(rw_lock_);
   uint64_t n = 0;
+  // FindLeaf charges the first leaf; each later leaf is one more read.
   Node* leaf = FindLeaf(start_key);
   int i = LowerBound(leaf, start_key);
   while (leaf != nullptr && n < count) {
-    vt::Charge(vt::kCpuCacheMiss);
     for (; i < static_cast<int>(leaf->count) && n < count; i++) {
       out->push_back({leaf->entries[i].key, leaf->entries[i].value});
       n++;
@@ -352,6 +352,7 @@ uint64_t FastFair::Scan(uint64_t start_key, uint64_t count,
     }
     leaf = leaf->sibling;  // FAIR sibling walk
     i = 0;
+    if (leaf != nullptr && n < count) arena_.ctx().ChargeSerialNodeRead(leaf);
   }
   return n;
 }

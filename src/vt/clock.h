@@ -189,42 +189,6 @@ inline void ChargeMissAt(int home_socket, uint64_t miss) {
   ChargeMiss(miss + RemoteLoadSurcharge(home_socket));
 }
 
-// A reader's walk over a DRAM array homed on `home_socket`, `per_line`
-// elements to a 64-byte line: reading element `i` is one kCpuCacheMiss
-// unless `*line` (the last line charged) already holds it.
-inline void TouchLine(size_t i, size_t per_line, int home_socket,
-                      size_t* line) {
-  if (i / per_line != *line) {
-    *line = i / per_line;
-    ChargeMissAt(home_socket, kCpuCacheMiss);
-  }
-}
-
-// Index of the first of `n` key-sorted elements of such an array whose
-// key (`key_at(i)`) is >= target: a binary search while more than a
-// line's worth remains, then a scan of the rest, every line read charged
-// once through TouchLine.
-template <typename KeyAt>
-size_t SeekLines(size_t n, uint64_t target, size_t per_line,
-                 int home_socket, size_t* line, KeyAt key_at) {
-  size_t lo = 0, len = n;
-  while (len > per_line) {
-    const size_t half = len / 2;
-    TouchLine(lo + half, per_line, home_socket, line);
-    if (key_at(lo + half) < target) {
-      lo += half + 1;
-      len -= half + 1;
-    } else {
-      len = half;
-    }
-  }
-  for (; len > 0; lo++, len--) {
-    TouchLine(lo, per_line, home_socket, line);
-    if (key_at(lo) >= target) break;
-  }
-  return lo;
-}
-
 // RAII overlap window. MultiGet opens one for its prefetch + probe
 // phases; un-hinted fallback probes open a ScopedOverlap(1) inside it so
 // they cannot free-ride on a batch they did not prefetch for.

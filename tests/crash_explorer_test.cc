@@ -292,8 +292,8 @@ void TxnWorkload(WorkloadCtx& ctx) {
 // passes. Every flush of the interleaved pipeline — survivor copies and
 // their used_final commits, the victims' unlinks and deferred releases —
 // becomes a crash point. Live traffic follows: a key new to the index
-// (it enters the new-key buffer, which the next passes fold), a delete
-// and an overwrite, then more passes over the chunk they sealed.
+// (it joins the key tree), a delete and an overwrite, then more passes
+// over the chunk they sealed.
 void CleanParkedWorkload(WorkloadCtx& ctx) {
   for (uint64_t k = 1; k <= 12; k++) {
     ctx.Put(k, Val('t', 40 + 5 * k));
@@ -321,7 +321,7 @@ void CleanParkedWorkload(WorkloadCtx& ctx) {
   // the budget, in every replay.
   EXPECT_EQ(ctx.store->ChunksCleaned(), 2u);
   EXPECT_GT(passes, 2);
-  ctx.Put(50, Val('v', 40));  // a new key: it enters the new-key buffer
+  ctx.Put(50, Val('v', 40));  // a new key: it joins the key tree
   ctx.Delete(8);
   ctx.Put(9, Val('w', 72));
   for (uint64_t k = 7; k <= 12; k++) ctx.Put(k, Val('x', 40));

@@ -97,11 +97,10 @@ TEST(HotPathAlloc, PutGetDrainCycleIsAllocationFree) {
       << " times across 100 warm put/pump/drain/get cycles";
 }
 
-// The same cycle on a store keeping key order, over keys a maintenance
-// pass has folded into its key run: overwriting a key adds nothing to the
-// key order (only keys new to the index do), so the cycle stays off the
-// heap. The pass itself, and the frees it defers, run before the
-// measured window.
+// The same cycle on a store keeping key order, over keys already in its
+// key tree: overwriting a key adds nothing to the key order (only keys
+// new to the index do), so the cycle stays off the heap. A maintenance
+// pass, and the frees it defers, run before the measured window.
 TEST(HotPathAlloc, KeyOrderedPutGetDrainCycleIsAllocationFree) {
   pm::PmPool::Options o;
   o.size = 128ull << 20;
@@ -117,7 +116,6 @@ TEST(HotPathAlloc, KeyOrderedPutGetDrainCycleIsAllocationFree) {
   constexpr uint32_t kValueLen = 64;  // inline (<= 256 B): no block alloc
   const std::string initial(kValueLen, 'i');
   for (uint64_t k = 0; k < kKeys; k++) store->Put(k, initial);
-  // The pass folds every key into the run.
   store->RunCleanersOnce();
   store->epochs()->DrainDeferred();
 
@@ -151,7 +149,7 @@ TEST(HotPathAlloc, KeyOrderedPutGetDrainCycleIsAllocationFree) {
 
   EXPECT_EQ(after - before, 0u)
       << "key-ordered serving loop heap-allocated " << (after - before)
-      << " times across 100 put/pump/drain/get cycles after a fold";
+      << " times across 100 put/pump/drain/get cycles";
 }
 
 // The batched read pipeline: once the ReadResult strings reached their

@@ -499,25 +499,36 @@ TEST(MasstreeStructure, SerialGetChargesLogProbesPerInnerLevel) {
 
 // Scan reads each leaf once: its descent already charged the first leaf,
 // so a one-pair Scan costs a Get plus the probe that emits the pair.
-TEST(MasstreeStructure, ScanChargesItsFirstLeafOnce) {
-  Masstree t;
-  for (uint64_t k = 0; k < 5000; k++) t.Insert(k, ValueOf(k));
-  ASSERT_GE(t.height(), 3u);
-
+// Fills `t` with keys [0, 5000) first.
+void ExpectScanChargesItsFirstLeafOnce(OrderedKvIndex* t) {
+  for (uint64_t k = 0; k < 5000; k++) t->Insert(k, ValueOf(k));
   vt::Clock clock;
   vt::ScopedClock bind(&clock);
   vt::ScopedOverlap serial(1);
   for (uint64_t k : {uint64_t{0}, uint64_t{2500}, uint64_t{4999}}) {
     uint64_t t0 = clock.now();
     uint64_t v;
-    ASSERT_TRUE(t.Get(k, &v));
+    ASSERT_TRUE(t->Get(k, &v));
     const uint64_t get = clock.now() - t0;
     t0 = clock.now();
     std::vector<KvPair> out;
-    ASSERT_EQ(t.Scan(k, 1, &out), 1u);
+    ASSERT_EQ(t->Scan(k, 1, &out), 1u);
     EXPECT_EQ(out[0].key, k);
-    EXPECT_EQ(clock.now() - t0, get + vt::kCpuSlotProbe) << "key " << k;
+    EXPECT_EQ(clock.now() - t0, get + vt::kCpuSlotProbe)
+        << t->Name() << " key " << k;
   }
+}
+
+TEST(MasstreeStructure, ScanChargesItsFirstLeafOnce) {
+  Masstree t;
+  ExpectScanChargesItsFirstLeafOnce(&t);
+  EXPECT_GE(t.height(), 3u);
+}
+
+TEST(FastFairStructure, ScanChargesItsFirstLeafOnce) {
+  FastFair t({});
+  ExpectScanChargesItsFirstLeafOnce(&t);
+  EXPECT_GE(t.Height(), 3);
 }
 
 // ---- persistent-mode flush behaviour ------------------------------------
@@ -576,6 +587,17 @@ TEST_F(PersistentIndexTest, FpTreeCommitsViaBitmapWord) {
   auto d = pm::Delta(before, pool_->stats().Get());
   EXPECT_EQ(d.lines_flushed, 2u);
   EXPECT_EQ(d.fences, 1u);
+}
+
+// In persistent mode every leaf a scan reads is a PM media read, the
+// first one charged by the descent alone.
+TEST_F(PersistentIndexTest, TreeScanChargesItsFirstLeafOnce) {
+  FastFair ff(ctx_);
+  ExpectScanChargesItsFirstLeafOnce(&ff);
+  EXPECT_GE(ff.Height(), 3);
+  Masstree mt(ctx_);
+  ExpectScanChargesItsFirstLeafOnce(&mt);
+  EXPECT_GE(mt.height(), 3u);
 }
 
 TEST_F(PersistentIndexTest, PersistentTreesRemainCorrect) {

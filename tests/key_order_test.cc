@@ -1,8 +1,8 @@
-// Key order of a FlatStore-H store (DESIGN.md §11): merged hash-store
-// scans over the sorted key run and the new-key buffer, scan equivalence
-// against the full-iteration baseline under puts/deletes/GC churn,
-// concurrent scans across cleaning passes and key folds, the epoch-
-// deferred free of a retired run, and the new-key buffer's merge.
+// Key order of a FlatStore-H store (DESIGN.md §11): scans that walk the
+// store's key tree and resolve each window through the hash index, scan
+// equivalence against the full-iteration baseline under puts/deletes/GC
+// churn and after recovery rebuilt the tree, scans racing cleaning passes
+// and fresh keys, and the epoch-deferred free of cleaned victims.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstring>
 #include <random>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,22 +45,21 @@ std::unique_ptr<pm::PmPool> MakePool(uint64_t mb = 128) {
   return std::make_unique<pm::PmPool>(o);
 }
 
-// Keys and values of the merged scan must equal the full-iteration
+// Keys and values of the ordered scan must equal the full-iteration
 // baseline's.
 void ExpectScanMatchesFullIteration(FlatStore* store, uint64_t start,
                                     uint64_t count) {
-  ScanRows merged, full;
-  const uint64_t a = store->Scan(start, count, &merged);
+  ScanRows ordered, full;
+  const uint64_t a = store->Scan(start, count, &ordered);
   const uint64_t b = store->ScanFullIteration(start, count, &full);
   ASSERT_EQ(a, b) << "start=" << start << " count=" << count;
-  ASSERT_EQ(merged, full) << "start=" << start << " count=" << count;
+  ASSERT_EQ(ordered, full) << "start=" << start << " count=" << count;
 }
 
 // Puts keys [0, keys), seals, writes a few keys far above the range so
 // every core's durable tail moves into a fresh chunk, then runs
-// maintenance passes until none has work left: every key is then in the
-// key run and the new-key buffer is empty.
-void FillAndFoldAll(FlatStore* store, uint64_t keys) {
+// maintenance passes until none has work left.
+void FillAndCleanAll(FlatStore* store, uint64_t keys) {
   for (uint64_t k = 0; k < keys; k++) store->Put(k, ValueFor(k, 1, 40));
   store->SealActiveLogChunks();
   for (uint64_t k = 0; k < 8; k++) {
@@ -71,7 +69,7 @@ void FillAndFoldAll(FlatStore* store, uint64_t keys) {
   }
 }
 
-// The acceptance check: the merged scan must be byte-identical to the
+// The acceptance check: the ordered scan must be byte-identical to the
 // full volatile-index iteration at every quiesced point of a
 // put/delete/GC churn schedule.
 TEST(KeyOrder, ScanEquivalentToFullIterationUnderChurn) {
@@ -102,13 +100,13 @@ TEST(KeyOrder, ScanEquivalentToFullIterationUnderChurn) {
   }
   EXPECT_GT(store->ChunksCleaned(), 0u);
 
-  // Dense runs of tombstones with a live key every 50th: one on keys the
-  // key run holds, one on fresh keys that sit in the new-key buffer. A
-  // 100-key scan from a run's start resolves several windows of
-  // tombstones before it can emit enough pairs, and a buffer window holds
-  // at most kMaxReadBatch keys, so over the fresh keys it also gathers
-  // the buffer again and again. Sweeping the start key moves the window
-  // bounds across tombstones and live keys alike.
+  // Dense runs of tombstones with a live key every 50th: one on keys
+  // written before the churn, one on fresh keys. A 100-key scan from a
+  // run's start resolves several windows of tombstones before it can
+  // emit enough pairs, and each round asks the key tree for only the rows
+  // still wanted, so it walks the tree again and again. Sweeping the
+  // start key moves the window bounds across tombstones and live keys
+  // alike.
   constexpr uint64_t kRunBegin = 300, kRunEnd = 1200;
   constexpr uint64_t kFreshBegin = 5000, kFreshEnd = 5900;
   for (uint64_t k = kRunBegin; k < kRunEnd; k++) store->Delete(k);
@@ -134,29 +132,40 @@ TEST(KeyOrder, ScanEquivalentToFullIterationUnderChurn) {
     compare(kFreshEnd - 1, 10);   // the last key only
     compare(kFreshEnd, 10);       // just past the last key
     compare(UINT64_MAX, 10);  // the very end of the key space
-    // Second pass: the fresh keys folded into the run, and the
-    // tombstones' chunks cleaned.
+    // Second pass: the tombstones' chunks cleaned, so the index has
+    // dropped keys the key tree still holds.
     store->SealActiveLogChunks();
     while (store->RunCleanersOnce() > 0) {
     }
   }
 }
 
-// Stores whose keys sit on one side of the merge only: every key in the
-// key run (folded by maintenance passes), or every key still in the
-// new-key buffer (no pass ever ran).
-TEST(KeyOrder, ScanEquivalentOnSingleSourceStores) {
+// Stores whose key tree was built each way: by Drain's inserts of fresh
+// keys (no pass ever ran), by Drain with maintenance passes relocating
+// the entries, by recovery's replay after a crash, and by recovery after
+// a clean shutdown (the index from the checkpoint).
+TEST(KeyOrder, ScanEquivalentOnDrainedAndRecoveredStores) {
   constexpr uint64_t kKeys = 1024;
-  static_assert(kKeys < kKeyBufferCap, "the buffer must not fold");
-  auto run_pool = MakePool();
-  auto run_only = FlatStore::Create(run_pool.get(), KeyOrderOptions());
-  FillAndFoldAll(run_only.get(), kKeys);
-  auto buffer_pool = MakePool();
-  auto buffer_only = FlatStore::Create(buffer_pool.get(), KeyOrderOptions());
-  for (uint64_t k = 0; k < kKeys; k++) {
-    buffer_only->Put(k, ValueFor(k, 1, 40));
+  auto drained_pool = MakePool();
+  auto drained = FlatStore::Create(drained_pool.get(), KeyOrderOptions());
+  for (uint64_t k = 0; k < kKeys; k++) drained->Put(k, ValueFor(k, 1, 40));
+  auto cleaned_pool = MakePool();
+  auto cleaned = FlatStore::Create(cleaned_pool.get(), KeyOrderOptions());
+  FillAndCleanAll(cleaned.get(), kKeys);
+  auto crashed_pool = MakePool();
+  FillAndCleanAll(
+      FlatStore::Create(crashed_pool.get(), KeyOrderOptions()).get(), kKeys);
+  auto crashed = FlatStore::Open(crashed_pool.get(), KeyOrderOptions());
+  auto shut_pool = MakePool();
+  FillAndCleanAll(FlatStore::Create(shut_pool.get(), KeyOrderOptions()).get(),
+                  kKeys);
+  {
+    auto store = FlatStore::Open(shut_pool.get(), KeyOrderOptions());
+    store->Shutdown();
   }
-  for (FlatStore* store : {run_only.get(), buffer_only.get()}) {
+  auto shut = FlatStore::Open(shut_pool.get(), KeyOrderOptions());
+  for (FlatStore* store :
+       {drained.get(), cleaned.get(), crashed.get(), shut.get()}) {
     ExpectScanMatchesFullIteration(store, 0, kKeys);
     ExpectScanMatchesFullIteration(store, 0, 3 * kKeys);
     ExpectScanMatchesFullIteration(store, 511, 100);
@@ -190,16 +199,14 @@ bool ScanWellFormed(FlatStore* store, uint64_t keys, uint64_t start,
 }
 
 // Scans racing a live writer — and a maintenance pass that relocates
-// half-dead chunks (swinging index entries under them) and folds the
-// new-key buffer into a fresh run — must stay well-formed: strictly
-// ascending keys, no crashes, every returned value a version some Put
-// wrote. No key is ever deleted, so every scan returns exactly
-// min(120, kKeys - start) rows.
+// half-dead chunks, swinging index entries under them — must stay
+// well-formed: strictly ascending keys, no crashes, every returned value
+// a version some Put wrote. No key is ever deleted, so every scan returns
+// exactly min(120, kKeys - start) rows.
 TEST(KeyOrder, ConcurrentScanSmoke) {
   auto pool = MakePool(256);
   auto store = FlatStore::Create(pool.get(), KeyOrderOptions());
   constexpr uint64_t kKeys = 1024;
-  static_assert(kKeys < kKeyBufferCap, "the pass must do the fold");
   for (uint64_t k = 0; k < kKeys; k++) store->Put(k, ValueFor(k, 0, 48));
   store->SealActiveLogChunks();
   // The odd keys move on, leaving the first chunks half dead for the
@@ -237,38 +244,31 @@ TEST(KeyOrder, ConcurrentScanSmoke) {
   ExpectScanMatchesFullIteration(store.get(), 0, kKeys);
 }
 
-// Scans racing a writer that inserts fresh keys, so that the new-key
-// buffer fills and folds into a fresh run again and again, stay exact.
-// In each round the writer writes a batch of keys above the earlier
-// batches, where they sit in the buffer, then a buffer's worth of fresh
-// keys far above every batch, which folds it at least once; the scans
-// of the batch meanwhile see it move from the buffer into a new run
-// between two of their gathers. Each scan returns exactly the
-// min(120, batch keys >= start) keys of the batch from its start.
-// Maintenance passes meanwhile fold the buffer while the writer adds
-// keys to it, and in the end a scan of the whole store still finds
-// every key.
-TEST(KeyOrder, ConcurrentScanAcrossFolds) {
+// Scans racing a writer that inserts fresh keys into the key tree stay
+// exact. The writer writes batches of keys, each right above the one
+// before; the scans of a batch run while the writer inserts the next,
+// so the tree's leaves at the batch's end split under them. Each scan
+// returns exactly the min(120, batch keys >= start) keys of the batch
+// from its start, because no key is ever deleted and a key joins the
+// tree only after its index insert. Maintenance passes run meanwhile,
+// and in the end a scan of the whole store still finds every key.
+TEST(KeyOrder, ConcurrentScanWhileKeysArrive) {
   auto pool = MakePool(256);
   auto store = FlatStore::Create(pool.get(), KeyOrderOptions());
   constexpr uint64_t kKeys = 1024, kRounds = 8;
-  static_assert(kKeys < kKeyBufferCap, "a batch must fit in the buffer");
-  // Rounds whose batch is written, whose fresh keys are written, and
-  // whose scans are done.
-  std::atomic<uint64_t> batched{0}, folded{0}, scanned{0};
+  // Batches written, and batches whose scans are done.
+  std::atomic<uint64_t> batched{0}, scanned{0};
   std::atomic<bool> stop{false};
   std::thread writer([&] {
-    uint64_t fresh = 1ull << 40;
-    for (uint64_t r = 0; r < kRounds && !stop.load(); r++) {
+    for (uint64_t r = 0; r <= kRounds && !stop.load(); r++) {
+      // Batch r is written while the scans of batch r - 1 run.
+      while (scanned.load() + 1 < r && !stop.load()) {
+        std::this_thread::yield();
+      }
       for (uint64_t k = r * kKeys; k < (r + 1) * kKeys; k++) {
         store->Put(k, ValueFor(k, 0, 48));
       }
       batched.store(r + 1);
-      for (uint64_t i = 0; i < kKeyBufferCap && !stop.load(); i++, fresh++) {
-        store->Put(fresh, ValueFor(fresh, 0, 48));
-      }
-      folded.store(r + 1);
-      while (scanned.load() <= r && !stop.load()) std::this_thread::yield();
     }
   });
   std::thread passes([&] {
@@ -281,8 +281,9 @@ TEST(KeyOrder, ConcurrentScanAcrossFolds) {
   for (uint64_t r = 0; ok && r < kRounds; r++) {
     while (batched.load() <= r) std::this_thread::yield();
     const uint64_t base = r * kKeys;
-    for (int i = 0; ok && (i < 20 || folded.load() <= r); i++) {
-      // Fresh keys lie above the batch, so a scan asks for no more rows
+    // Scans go on until the writer has written the next batch.
+    for (int i = 0; ok && (i < 20 || batched.load() <= r + 1); i++) {
+      // Later batches lie above this one, so a scan asks for no more rows
       // than the batch holds from its start.
       const uint64_t start = base + (static_cast<uint64_t>(i) * 37) % kKeys;
       ok = ScanWellFormed(store.get(), base + kKeys, start,
@@ -293,20 +294,18 @@ TEST(KeyOrder, ConcurrentScanAcrossFolds) {
   stop.store(true);
   writer.join();
   passes.join();
-  ExpectScanMatchesFullIteration(store.get(), 0,
-                                 kRounds * (kKeys + kKeyBufferCap));
+  ExpectScanMatchesFullIteration(store.get(), 0, (kRounds + 1) * kKeys);
 }
 
-// A reader pinned before a maintenance pass keeps the key run it loaded
-// and the victims' entries it may still decode: the pass frees neither
-// at once, but defers the free of each victim it retires and of the run
-// its fold retires, and nothing else.
-TEST(KeyOrder, PinnedReaderDefersRunAndVictimFrees) {
+// A reader pinned before a maintenance pass keeps the victims' entries it
+// may still decode: the pass frees no victim at once, but defers the free
+// of each victim it retires, and nothing else.
+TEST(KeyOrder, PinnedReaderDefersVictimFrees) {
   auto pool = MakePool();
   auto store = FlatStore::Create(pool.get(), KeyOrderOptions());
-  FillAndFoldAll(store.get(), 128);
+  FillAndCleanAll(store.get(), 128);
   // Every key of the filled chunks moves on, so they die, and fresh keys
-  // wait in the buffer for the pass below to fold them.
+  // join the key tree.
   for (uint64_t k = 0; k < 256; k++) store->Put(k, ValueFor(k, 2, 40));
   store->SealActiveLogChunks();
   for (uint64_t k = 0; k < 8; k++) {
@@ -321,7 +320,7 @@ TEST(KeyOrder, PinnedReaderDefersRunAndVictimFrees) {
     store->RunCleanersOnce();
     const uint64_t cleaned = store->ChunksCleaned() - cleaned_before;
     ASSERT_GT(cleaned, 0u);
-    EXPECT_EQ(epochs->deferred_pending(), cleaned + 1);
+    EXPECT_EQ(epochs->deferred_pending(), cleaned);
     ExpectScanMatchesFullIteration(store.get(), 0, 300);
   }
   epochs->ReclaimDeferred();
@@ -330,13 +329,12 @@ TEST(KeyOrder, PinnedReaderDefersRunAndVictimFrees) {
 }
 
 // Cleaning passes racing readers: a writer overwrites (and deletes and
-// re-puts) keys so chunks keep dying, and adds fresh keys to the new-key
-// buffer; a maintenance thread's passes relocate survivors, swing index
-// entries, free victims through the epoch manager and fold the buffer
-// into fresh runs. Meanwhile merged scans (a one-row scan is the point
-// read that may run beside the writer) run under their own pins. Every
-// value read is one some Put wrote for its key; every scan is strictly
-// ascending.
+// re-puts) keys so chunks keep dying, and adds fresh keys to the key
+// tree; a maintenance thread's passes relocate survivors, swing index
+// entries and free victims through the epoch manager. Meanwhile ordered
+// scans (a one-row scan is the point read that may run beside the
+// writer) run under their own pins. Every value read is one some Put
+// wrote for its key; every scan is strictly ascending.
 TEST(KeyOrder, ConcurrentCleanSmoke) {
   auto pool = MakePool(256);
   auto store = FlatStore::Create(pool.get(), KeyOrderOptions());
@@ -412,43 +410,14 @@ TEST(KeyOrder, ConcurrentCleanSmoke) {
   EXPECT_TRUE(rep.ok) << rep.Summary();
 }
 
-// NoteNewKeys takes a Drain round's fresh keys in any order, sorts them
-// and merges them into the new-key buffer in one backward pass
-// (MergeNewKeys). Rounds of random keys, some already buffered, keep the
-// buffer sorted and duplicate-free, and a buffered key moves only when a
-// new key lands below it. End to end, random-order MultiPut batches into
-// a store whose buffer never folds scan exactly like a full iteration.
-TEST(KeyBuffer, RandomArrivalsStaySortedAndDuplicateFree) {
+// Drain inserts a round's fresh keys into the key tree in the order they
+// arrive: random-order MultiPut batches scan exactly like a full
+// iteration.
+TEST(KeyOrder, RandomOrderBatchesScanLikeFullIteration) {
   std::mt19937_64 rng(5);
-  std::vector<uint64_t> buf(kKeyBufferCap);
-  std::set<uint64_t> want;
-  size_t n = 0;
-  while (n + 32 <= kKeyBufferCap) {
-    std::set<uint64_t> fresh;
-    const size_t m = 1 + rng() % 32;
-    while (fresh.size() < m) fresh.insert(rng() % 16384);
-    std::vector<uint64_t> round(fresh.begin(), fresh.end());
-    uint64_t lowest_new = UINT64_MAX;
-    for (uint64_t k : round) {
-      if (want.count(k) == 0) lowest_new = std::min(lowest_new, k);
-    }
-    const size_t shifted =
-        lowest_new == UINT64_MAX
-            ? 0
-            : static_cast<size_t>(
-                  std::distance(want.upper_bound(lowest_new), want.end()));
-    size_t moved = 0;
-    n = MergeNewKeys(buf.data(), n, round.data(), round.size(), &moved);
-    want.insert(fresh.begin(), fresh.end());
-    ASSERT_EQ(n, want.size());
-    ASSERT_TRUE(std::equal(want.begin(), want.end(), buf.begin()));
-    ASSERT_EQ(moved, shifted);
-  }
-
   auto pool = MakePool();
   auto store = FlatStore::Create(pool.get(), KeyOrderOptions(1));
   constexpr uint64_t kKeys = 3000;
-  static_assert(kKeys < kKeyBufferCap, "the buffer must not fold");
   std::vector<uint64_t> keys(kKeys);
   for (uint64_t i = 0; i < kKeys; i++) keys[i] = i * 3;
   std::shuffle(keys.begin(), keys.end(), rng);

@@ -13,10 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "alloc/lazy_allocator.h"
 #include "common/cacheline.h"
@@ -469,14 +474,14 @@ void Suffix(FlatStore* store, uint64_t nonce) {
   for (uint64_t k = 200000; k < 200600; k += 4) store->Delete(k);
 }
 
-// The recovered key run serves scans exactly like a full iteration.
+// The rebuilt key tree serves scans exactly like a full iteration.
 void ExpectScansMatchFullIteration(FlatStore* store) {
   for (uint64_t start : {0ull, 750ull, 100000ull, 200300ull}) {
-    std::vector<std::pair<uint64_t, std::string>> merged, full;
-    EXPECT_EQ(store->Scan(start, 500, &merged),
+    std::vector<std::pair<uint64_t, std::string>> ordered, full;
+    EXPECT_EQ(store->Scan(start, 500, &ordered),
               store->ScanFullIteration(start, 500, &full))
         << start;
-    EXPECT_EQ(merged, full) << start;
+    EXPECT_EQ(ordered, full) << start;
   }
 }
 
@@ -589,6 +594,137 @@ TEST(Recovery, RecoveredUsageMatchesRescanTornTxn) {
   EXPECT_FALSE(store->Get(7, &got)) << "an orphaned member was replayed";
   ASSERT_TRUE(store->Get(1000, &got));
   EXPECT_EQ(got, std::string(400, 'b'));
+}
+
+// A KvIndex over a std::map whose calls take turns by a script: call i
+// made through it must come from the thread the script names at i (see
+// BindThread), and it waits until every call before it has returned.
+// Once the script is used up, calls run in any order. A call that waits
+// ten seconds for its turn gives the script up, so a schedule the code
+// under test does not follow fails instead of hanging.
+class ScriptedIndex final : public index::KvIndex {
+ public:
+  explicit ScriptedIndex(std::vector<int> script)
+      : script_(std::move(script)) {}
+
+  // Names the calling thread for the script.
+  static void BindThread(int id) { thread_id_ = id; }
+  // False if some call gave the script up.
+  bool ScriptHeld() const {
+    std::lock_guard<std::mutex> g(mu_);
+    return !abandoned_;
+  }
+
+  bool Upsert(uint64_t key, uint64_t value, uint64_t* old_value) override {
+    Turn turn(this);
+    auto [it, inserted] = map_.try_emplace(key, value);
+    if (inserted) return false;
+    *old_value = it->second;
+    it->second = value;
+    return true;
+  }
+  bool Get(uint64_t key, uint64_t* value) const override {
+    Turn turn(this);
+    auto it = map_.find(key);
+    if (it == map_.end()) return false;
+    *value = it->second;
+    return true;
+  }
+  bool Erase(uint64_t key, uint64_t* old_value) override {
+    Turn turn(this);
+    auto it = map_.find(key);
+    if (it == map_.end()) return false;
+    *old_value = it->second;
+    map_.erase(it);
+    return true;
+  }
+  bool CompareExchange(uint64_t key, uint64_t expected,
+                       uint64_t desired) override {
+    Turn turn(this);
+    auto it = map_.find(key);
+    if (it == map_.end() || it->second != expected) return false;
+    it->second = desired;
+    return true;
+  }
+  bool EraseIfEqual(uint64_t key, uint64_t expected) override {
+    Turn turn(this);
+    auto it = map_.find(key);
+    if (it == map_.end() || it->second != expected) return false;
+    map_.erase(it);
+    return true;
+  }
+  void ForEach(
+      const std::function<void(uint64_t, uint64_t)>& fn) const override {
+    Turn turn(this);
+    for (const auto& [k, v] : map_) fn(k, v);
+  }
+  uint64_t Size() const override {
+    Turn turn(this);
+    return map_.size();
+  }
+  const char* Name() const override { return "scripted"; }
+
+ private:
+  // Holds the index's mutex from the caller's turn to the end of its
+  // call, then passes the turn on.
+  class Turn {
+   public:
+    explicit Turn(const ScriptedIndex* idx) : idx_(idx), lock_(idx->mu_) {
+      auto mine = [idx] {
+        return idx->step_ >= idx->script_.size() ||
+               idx->script_[idx->step_] == thread_id_;
+      };
+      if (!idx->turn_.wait_for(lock_, std::chrono::seconds(10), mine)) {
+        idx->abandoned_ = true;
+        idx->step_ = idx->script_.size();
+      }
+    }
+    ~Turn() {
+      idx_->step_++;
+      idx_->turn_.notify_all();
+    }
+
+   private:
+    const ScriptedIndex* idx_;
+    std::unique_lock<std::mutex> lock_;
+  };
+
+  static inline thread_local int thread_id_ = -1;
+  const std::vector<int> script_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable turn_;
+  mutable size_t step_ = 0;
+  mutable bool abandoned_ = false;
+  std::map<uint64_t, uint64_t> map_;
+};
+
+// Three replay threads duel a key the index does not hold yet, holding
+// versions 1 < 2 < 3 of it (HB leaders log stolen entries, so one key's
+// versions can sit in three cores' logs). The schedule: all three find
+// the key absent; the v3 thread inserts it; the v2 thread's Upsert
+// displaces v3, then the v1 thread's displaces v2; then the v2 thread
+// calls, then the v1 thread. A duel that restored a displaced newer
+// version with one unchecked compare-exchange recovered v2 here: the v2
+// thread's restore of v3 failed on v1, and the v1 thread's restore of v2
+// succeeded. The newest version must win.
+TEST(Recovery, DuelKeepsTheNewestVersionWhenUpsertsDisplaceEachOther) {
+  constexpr int kV1 = 0, kV3 = 1, kV2 = 2;  // threads by version held
+  ScriptedIndex idx({kV1, kV3, kV2, kV3, kV2, kV1, kV2, kV1});
+  constexpr uint64_t kKey = 7;
+  std::vector<std::thread> replayers;
+  for (const auto& [thread, version] :
+       {std::pair<int, uint32_t>{kV1, 1}, {kV3, 3}, {kV2, 2}}) {
+    replayers.emplace_back([&idx, thread, version] {
+      ScriptedIndex::BindThread(thread);
+      DuelInsert(&idx, kKey, log::PackIndexValue(4096 * version, version));
+    });
+  }
+  for (auto& t : replayers) t.join();
+  EXPECT_TRUE(idx.ScriptHeld());
+  uint64_t packed = 0;
+  ASSERT_TRUE(idx.Get(kKey, &packed));
+  EXPECT_EQ(log::UnpackVersion(packed), 3u);
+  EXPECT_EQ(log::UnpackOffset(packed), 3u * 4096);
 }
 
 }  // namespace
