@@ -43,32 +43,30 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
+// Cond::Newer's order on packed index values: their log versions'.
+bool PackedVersionNewer(uint64_t a, uint64_t b) {
+  return log::VersionNewer(log::UnpackVersion(a), log::UnpackVersion(b));
+}
+
 }  // namespace
 
 // Entries route to the owning partition of their *key*, so replay
-// threads may duel one key at once: a loop over Get + CompareExchange, or
-// Upsert when the key is absent, keeps the newest version.
+// threads may duel one key at once: one conditional write under the
+// index's own lock keeps the newest version. Replay threads share each
+// index, so the key is first probed outside the write lock: the write
+// then runs on warm lines through the probe's hint, and a version at
+// least as new ends the duel without the lock (under kNewer writes a
+// key's installed version only grows).
 void DuelInsert(index::KvIndex* idx, uint64_t key, uint64_t packed) {
-  while (true) {
-    uint64_t cur = 0;
-    if (!idx->Get(key, &cur)) {
-      if (!idx->Upsert(key, packed, &cur)) return;  // inserted
-      // Raced with another replayer: the Upsert displaced its version
-      // `cur`. If that one is newer, it must win: duel it in our place.
-      if (!log::VersionNewer(log::UnpackVersion(cur),
-                             log::UnpackVersion(packed))) {
-        return;
-      }
-      packed = cur;
-      continue;
-    }
-    if (!log::VersionNewer(log::UnpackVersion(packed),
-                           log::UnpackVersion(cur))) {
-      return;
-    }
-    if (idx->CompareExchange(key, cur, packed)) return;
-    // CAS lost; re-read and retry.
+  index::LookupHint hint;
+  uint64_t cur;
+  if (idx->GetWithHint(key, &hint, &cur) &&
+      !PackedVersionNewer(packed, cur)) {
+    return;
   }
+  uint64_t old;
+  idx->Apply(key, packed, index::Cond::Newer(&PackedVersionNewer), hint,
+             &old);
 }
 
 const char* TxnStatusName(TxnStatus status) {
@@ -324,8 +322,8 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
         // probe (a write of it was in flight at admission). Other batches
         // may have split or emptied a hinted node since, and FIFO order
         // below applies a duplicate key oldest-first, so an earlier insert
-        // may reshape a later op's node; InsertWithHint revalidates every
-        // hint and falls back (same discipline as GetWithHint).
+        // may reshape a later op's node; Apply revalidates every hint and
+        // falls back (same discipline as GetWithHint).
         for (size_t r = 0; r < round; r++) {
           PendingOp& op =
               cs.pending[(cs.pend_head + r) % batch::HbEngine::kPoolSlots];
@@ -345,9 +343,9 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
             retire[r] = false;
             continue;
           }
-          retire[r] = idx->InsertWithHint(
-              op.key, log::PackIndexValue(offs[r], op.version), &olds[r],
-              op.hint);
+          idx->Apply(op.key, log::PackIndexValue(offs[r], op.version),
+                     index::Cond{}, op.hint, &olds[r]);
+          retire[r] = olds[r] != index::kNoValue;
           // A key the index did not hold joins the key order.
           if (!retire[r] && key_tree_ != nullptr) fresh[fresh_n++] = op.key;
         }
@@ -380,7 +378,7 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
       }
       for (size_t i = 0; i < fresh_n; i++) {
         uint64_t old;
-        key_tree_->InsertWithHint(fresh[i], 0, &old, hints[i]);
+        key_tree_->Apply(fresh[i], 0, index::Cond{}, hints[i], &old);
       }
     }
     for (size_t r = 0; r < round; r++) {

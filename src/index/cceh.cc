@@ -66,47 +66,56 @@ Cceh::SlotRef Cceh::FindSlot(uint64_t key, uint64_t hash) const {
   return {};
 }
 
-bool Cceh::Upsert(uint64_t key, uint64_t value, uint64_t* old_value) {
+bool Cceh::Apply(uint64_t key, uint64_t desired, const Cond& cond,
+                 const LookupHint& hint, uint64_t* old) {
   FLATSTORE_DCHECK(key != kReservedKey);
-  vt::Charge(vt::kCpuHash);
-  const uint64_t hash = HashKey(key);
+  // A conditional write is charged as a CAS on top of the plain one.
+  if (cond.kind != Cond::kAlways) vt::Charge(vt::kCpuCas);
   LockGuard<SpinLock> g(mutate_lock_);
-  return UpsertLocked(key, value, old_value, hash);
+  // A split between the phases moves the directory entry off the hinted
+  // segment; revalidate under the lock (an earlier write of the same
+  // batch may have split) and fall back to the serial full write.
+  if (hint.valid && SegmentFor(hint.hash) == hint.node) {
+    return ApplyLocked(key, desired, cond, hint.hash, old);
+  }
+  vt::ScopedOverlap serial(1);
+  vt::Charge(vt::kCpuHash);
+  return ApplyLocked(key, desired, cond, HashKey(key), old);
 }
 
-bool Cceh::UpsertLocked(uint64_t key, uint64_t value, uint64_t* old_value,
-                        uint64_t hash) {
+bool Cceh::ApplyLocked(uint64_t key, uint64_t desired, const Cond& cond,
+                       uint64_t hash, uint64_t* old) {
   while (true) {
-    // In-place update of an existing key.
     SlotRef ref = FindSlot(key, hash);
+    *old = ref.bucket != nullptr ? ref.bucket->values[ref.slot] : kNoValue;
+    if (!cond.Holds(*old, desired)) return false;
+    if (ref.bucket != nullptr && desired == kNoValue) {
+      std::atomic_ref<uint64_t>(ref.bucket->keys[ref.slot])
+          .store(kReservedKey, std::memory_order_release);
+      // A reader that matched the key before the erase may load the value
+      // of a key inserted into the slot next; moving the sequence after
+      // the erase makes that reader retry.
+      seq_.fetch_add(2, std::memory_order_release);
+      arena_.ctx().PersistFence(&ref.bucket->keys[ref.slot], 8);
+      // relaxed: size_ is an approximate stat counter, no ordering.
+      size_.fetch_sub(1, std::memory_order_relaxed);
+      return true;
+    }
     if (ref.bucket != nullptr) {
-      *old_value = ref.bucket->values[ref.slot];
       std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
-          .store(value, std::memory_order_release);
+          .store(desired, std::memory_order_release);
       // In-place overwrite: one line flushed, repeatedly for hot keys.
       arena_.ctx().PersistFence(&ref.bucket->values[ref.slot], 8);
       return true;
     }
+    if (desired == kNoValue) return true;  // nothing to erase
 
     // Fresh insert into the probe window.
-    Segment* seg = SegmentFor(hash);
-    for (int b = 0; b < kProbeBuckets; b++) {
-      Bucket& bucket =
-          seg->buckets[BucketIndex(hash, static_cast<uint32_t>(b))];
-      for (int i = 0; i < kSlots; i++) {
-        if (bucket.keys[i] == kReservedKey) {
-          // release: a reader whose value load sees it also sees the
-          // sequence move of the slot's erase (StableGet).
-          std::atomic_ref<uint64_t>(bucket.values[i])
-              .store(value, std::memory_order_release);
-          std::atomic_ref<uint64_t>(bucket.keys[i])
-              .store(key, std::memory_order_release);
-          arena_.ctx().PersistFence(&bucket, sizeof(Bucket));
-          // relaxed: size_ is an approximate stat counter, no ordering.
-          size_.fetch_add(1, std::memory_order_relaxed);
-          return false;  // no previous value
-        }
-      }
+    if (Bucket* bucket = TryPlace(SegmentFor(hash), hash, key, desired)) {
+      arena_.ctx().PersistFence(bucket, sizeof(Bucket));
+      // relaxed: size_ is an approximate stat counter, no ordering.
+      size_.fetch_add(1, std::memory_order_relaxed);
+      return true;
     }
 
     // Probe window exhausted: split and retry. Readers that overlap the
@@ -117,22 +126,24 @@ bool Cceh::UpsertLocked(uint64_t key, uint64_t value, uint64_t* old_value,
   }
 }
 
-bool Cceh::TryPlace(Segment* seg, uint64_t hash, uint64_t key,
-                    uint64_t value) {
+Cceh::Bucket* Cceh::TryPlace(Segment* seg, uint64_t hash, uint64_t key,
+                             uint64_t value) {
   for (int b = 0; b < kProbeBuckets; b++) {
     Bucket& nb = seg->buckets[BucketIndex(hash, static_cast<uint32_t>(b))];
     for (int j = 0; j < kSlots; j++) {
       if (nb.keys[j] == kReservedKey) {
-        // relaxed: the key's release store below publishes the value.
+        // release: a reader whose value load sees it also sees the
+        // sequence move of the slot's erase (StableGet); the key's
+        // release store publishes the value.
         std::atomic_ref<uint64_t>(nb.values[j])
-            .store(value, std::memory_order_relaxed);
+            .store(value, std::memory_order_release);
         std::atomic_ref<uint64_t>(nb.keys[j])
             .store(key, std::memory_order_release);
-        return true;
+        return &nb;
       }
     }
   }
-  return false;
+  return nullptr;
 }
 
 void Cceh::Split(uint64_t hash) {
@@ -176,7 +187,7 @@ void Cceh::Split(uint64_t hash) {
       const uint64_t k = bucket.keys[i];
       const uint64_t h = HashKey(k);
       vt::Charge(vt::kCpuHash + vt::kCpuSlotProbe);
-      while (!TryPlace(SegmentFor(h), h, k, bucket.values[i])) {
+      while (TryPlace(SegmentFor(h), h, k, bucket.values[i]) == nullptr) {
         Split(h);  // cascaded split (bounded by the hash width)
       }
     }
@@ -270,72 +281,6 @@ bool Cceh::GetWithHint(uint64_t key, LookupHint* hint,
     return KvIndex::GetWithHint(key, hint, value);
   }
   return StableGet(key, hint->hash, value);  // hash charged in phase A
-}
-
-bool Cceh::InsertWithHint(uint64_t key, uint64_t value, uint64_t* old_value,
-                          const LookupHint& hint) {
-  FLATSTORE_DCHECK(key != kReservedKey);
-  LockGuard<SpinLock> g(mutate_lock_);
-  // A split between the phases moves the directory entry off the hinted
-  // segment; revalidate under the lock (an earlier InsertWithHint of the
-  // same batch may have split) and fall back to the serial full upsert.
-  if (!hint.valid || SegmentFor(hint.hash) != hint.node) {
-    vt::ScopedOverlap serial(1);
-    vt::Charge(vt::kCpuHash);
-    return UpsertLocked(key, value, old_value, HashKey(key));
-  }
-  return UpsertLocked(key, value, old_value, hint.hash);
-}
-
-bool Cceh::Erase(uint64_t key, uint64_t* old_value) {
-  vt::Charge(vt::kCpuHash);
-  LockGuard<SpinLock> g(mutate_lock_);
-  SlotRef ref = FindSlot(key, HashKey(key));
-  if (ref.bucket == nullptr) return false;
-  *old_value = ref.bucket->values[ref.slot];
-  std::atomic_ref<uint64_t>(ref.bucket->keys[ref.slot])
-      .store(kReservedKey, std::memory_order_release);
-  // A reader that matched the key before the erase may load the value of
-  // a key inserted into the slot next; moving the sequence after the
-  // erase makes that reader retry.
-  seq_.fetch_add(2, std::memory_order_release);
-  arena_.ctx().PersistFence(&ref.bucket->keys[ref.slot], 8);
-  // relaxed: size_ is an approximate stat counter, no ordering.
-  size_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool Cceh::CompareExchange(uint64_t key, uint64_t expected,
-                           uint64_t desired) {
-  vt::Charge(vt::kCpuHash + vt::kCpuCas);
-  LockGuard<SpinLock> g(mutate_lock_);
-  SlotRef ref = FindSlot(key, HashKey(key));
-  if (ref.bucket == nullptr) return false;
-  bool ok = std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
-                .compare_exchange_strong(expected, desired,
-                                         std::memory_order_acq_rel);
-  if (ok) arena_.ctx().PersistFence(&ref.bucket->values[ref.slot], 8);
-  return ok;
-}
-
-
-bool Cceh::EraseIfEqual(uint64_t key, uint64_t expected) {
-  vt::Charge(vt::kCpuHash + vt::kCpuCas);
-  LockGuard<SpinLock> g(mutate_lock_);
-  SlotRef ref = FindSlot(key, HashKey(key));
-  if (ref.bucket == nullptr || ref.bucket->values[ref.slot] != expected) {
-    return false;
-  }
-  std::atomic_ref<uint64_t>(ref.bucket->keys[ref.slot])
-      .store(kReservedKey, std::memory_order_release);
-  // A reader that matched the key before the erase may load the value of
-  // a key inserted into the slot next; moving the sequence after the
-  // erase makes that reader retry.
-  seq_.fetch_add(2, std::memory_order_release);
-  arena_.ctx().PersistFence(&ref.bucket->keys[ref.slot], 8);
-  // relaxed: size_ is an approximate stat counter, no ordering.
-  size_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
 }
 
 }  // namespace index

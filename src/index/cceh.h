@@ -32,13 +32,13 @@
 namespace flatstore {
 namespace index {
 
-// Extendible hash index. Single-writer per instance (mutating calls
-// serialize on mutate_lock_). Get(), GetWithHint() and CompareExchange()
-// may run on other threads concurrently with the writer — its value
-// updates (the log cleaner's relocation path) and its inserts, splits
-// and directory doublings (FlatStore's scans and cleaners probe every
-// core's partition while its core inserts fresh keys). A split moves
-// keys between segments, so it runs inside a sequence window that
+// Extendible hash index. Writes (Apply) serialize on mutate_lock_, so the
+// owner's writes, the log cleaner's relocations and recovery's duels may
+// come from several threads. Get() and GetWithHint() may run on other
+// threads concurrently with a writer — its value updates and its inserts,
+// splits and directory doublings (FlatStore's scans and cleaners probe
+// every core's partition while its core inserts fresh keys). A split
+// moves keys between segments, so it runs inside a sequence window that
 // readers validate and retry; an erase moves the same sequence, so a
 // reader that matched a slot an insert then refilled with another key
 // retries too. ForEach() needs a quiescent writer.
@@ -49,19 +49,13 @@ class Cceh final : public KvIndex {
   // avoid splits during measurement, as the paper's setup does.
   explicit Cceh(const PmContext& ctx, uint32_t initial_depth = 4);
 
-  bool Upsert(uint64_t key, uint64_t value,
-              uint64_t* old_value) override;
+  bool Apply(uint64_t key, uint64_t desired, const Cond& cond,
+             const LookupHint& hint, uint64_t* old) override;
   bool Get(uint64_t key, uint64_t* value) const override;
   void Prefetch(uint64_t key, LookupHint* hint) const override;
   bool GetWithHint(uint64_t key, LookupHint* hint,
                    uint64_t* value) const override;
   void Rewarm(LookupHint* hint) const override;
-  bool InsertWithHint(uint64_t key, uint64_t value, uint64_t* old_value,
-                      const LookupHint& hint) override;
-  bool Erase(uint64_t key, uint64_t* old_value) override;
-  bool CompareExchange(uint64_t key, uint64_t expected,
-                       uint64_t desired) override;
-  bool EraseIfEqual(uint64_t key, uint64_t expected) override;
   void ForEach(
       const std::function<void(uint64_t, uint64_t)>& fn) const override;
   uint64_t Size() const override {
@@ -130,8 +124,10 @@ class Cceh final : public KvIndex {
   // an erase ran.
   bool StableGet(uint64_t key, uint64_t hash, uint64_t* value) const;
 
-  // Places (key, value) in `seg`'s probe window; false when full.
-  bool TryPlace(Segment* seg, uint64_t hash, uint64_t key, uint64_t value);
+  // Places (key, value) in `seg`'s probe window and returns its bucket;
+  // null when the window is full.
+  Bucket* TryPlace(Segment* seg, uint64_t hash, uint64_t key,
+                   uint64_t value);
 
   // Finds the slot holding `key`; returns {bucket, slot} or {null, 0}.
   struct SlotRef {
@@ -140,10 +136,9 @@ class Cceh final : public KvIndex {
   };
   SlotRef FindSlot(uint64_t key, uint64_t hash) const;
 
-  // The Upsert loop body with the hash already computed; caller holds
-  // mutate_lock_. Shared by Upsert and InsertWithHint.
-  bool UpsertLocked(uint64_t key, uint64_t value, uint64_t* old_value,
-                    uint64_t hash);
+  // Apply with the hash already computed; caller holds mutate_lock_.
+  bool ApplyLocked(uint64_t key, uint64_t desired, const Cond& cond,
+                   uint64_t hash, uint64_t* old);
 
   NodeArena arena_;
   std::vector<std::unique_ptr<Directory>> dirs_;  // the current one last
@@ -151,7 +146,7 @@ class Cceh final : public KvIndex {
   // Odd while a split moves keys between segments; each erase adds 2.
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> size_{0};
-  SpinLock mutate_lock_;  // Insert/Delete/CAS vs. cleaner CAS
+  SpinLock mutate_lock_;  // serializes every Apply
 };
 
 }  // namespace index

@@ -104,39 +104,62 @@ FastFair::Node* FastFair::SplitNode(Node* n, uint64_t* up_key) {
   return right;
 }
 
-FastFair::SplitResult FastFair::InsertRecursive(Node* n, uint64_t key,
-                                                uint64_t value,
-                                                uint64_t* old_value,
-                                                bool* updated) {
+bool FastFair::ApplyInLeaf(Node* leaf, uint64_t key, uint64_t desired,
+                           const Cond& cond, uint64_t* old, bool* held) {
+  const int count = static_cast<int>(leaf->count);
+  const int pos = LowerBound(leaf, key);
+  const bool found = pos < count && leaf->entries[pos].key == key;
+  *old = found ? leaf->entries[pos].value : kNoValue;
+  *held = cond.Holds(*old, desired);
+  if (!*held) return true;
+  if (desired == kNoValue) {
+    if (!found) return true;
+    // FAST shift-left removal (no merging; see header).
+    for (int i = pos; i + 1 < count; i++) {
+      leaf->entries[i] = leaf->entries[i + 1];
+      vt::Charge(2 * vt::kCpuSlotProbe);
+    }
+    leaf->count--;
+    const char* from = reinterpret_cast<const char*>(&leaf->entries[pos]);
+    const char* to =
+        reinterpret_cast<const char*>(&leaf->entries[leaf->count]);
+    if (to > from) {
+      arena_.ctx().Persist(from, static_cast<uint64_t>(to - from));
+    }
+    arena_.ctx().Persist(leaf, 8);  // header line (count)
+    arena_.ctx().Fence();
+    size_--;
+    return true;
+  }
+  if (found) {
+    // In-place value overwrite: one flushed line, re-flushed for hot
+    // keys under skew (paper §2.3).
+    leaf->entries[pos].value = desired;
+    arena_.ctx().PersistFence(&leaf->entries[pos].value, 8);
+    return true;
+  }
+  if (count == kCard) return false;
+  InsertInNode(leaf, key, desired);
+  size_++;
+  return true;
+}
+
+FastFair::SplitResult FastFair::ApplyRecursive(Node* n, uint64_t key,
+                                               uint64_t desired,
+                                               const Cond& cond,
+                                               uint64_t* old, bool* held) {
+  arena_.ctx().ChargeNodeRead(n);
   if (n->is_leaf != 0) {
-    arena_.ctx().ChargeNodeRead(n);
-    int i = LowerBound(n, key);
-    if (i < static_cast<int>(n->count) && n->entries[i].key == key) {
-      // In-place value overwrite: one flushed line, re-flushed for hot
-      // keys under skew (paper §2.3).
-      *old_value = n->entries[i].value;
-      *updated = true;
-      n->entries[i].value = value;
-      arena_.ctx().PersistFence(&n->entries[i].value, 8);
-      return {};
-    }
+    if (ApplyInLeaf(n, key, desired, cond, old, held)) return {};
+    // A full leaf: split it and insert into the half that covers `key`.
     size_++;
-    if (static_cast<int>(n->count) < kCard) {
-      InsertInNode(n, key, value);
-      return {};
-    }
     uint64_t up;
     Node* right = SplitNode(n, &up);
-    if (key < up) {
-      InsertInNode(n, key, value);
-    } else {
-      InsertInNode(right, key, value);
-    }
+    InsertInNode(key < up ? n : right, key, desired);
     return {right, up};
   }
 
   // Inner node: descend.
-  arena_.ctx().ChargeNodeRead(n);
   int i = LowerBound(n, key);
   Node* child;
   if (i < static_cast<int>(n->count) && n->entries[i].key == key) {
@@ -146,7 +169,7 @@ FastFair::SplitResult FastFair::InsertRecursive(Node* n, uint64_t key,
   } else {
     child = reinterpret_cast<Node*>(n->entries[i - 1].value);
   }
-  SplitResult r = InsertRecursive(child, key, value, old_value, updated);
+  SplitResult r = ApplyRecursive(child, key, desired, cond, old, held);
   if (r.right == nullptr) return {};
 
   // Child split: push the separator into this node.
@@ -161,17 +184,45 @@ FastFair::SplitResult FastFair::InsertRecursive(Node* n, uint64_t key,
   return {right, up};
 }
 
-bool FastFair::Upsert(uint64_t key, uint64_t value, uint64_t* old_value) {
+FastFair::Node* FastFair::HintedLeaf(uint64_t key,
+                                     const LookupHint& hint) const {
+  // Write-side FAIR repair, stricter than GetWithHint's: a write must
+  // land in exactly the leaf a fresh descend would pick. Hop right only
+  // when key >= min(sibling) proves the key is at or past the sibling's
+  // separator; settle only when key <= max(leaf) (or the leaf is
+  // rightmost) proves this leaf still covers it. Ambiguous gaps and
+  // drained leaves are stale.
+  Node* leaf = static_cast<Node*>(const_cast<void*>(hint.node));
+  while (true) {
+    const int count = static_cast<int>(leaf->count);
+    if (count == 0) return nullptr;
+    if (key <= leaf->entries[count - 1].key || leaf->sibling == nullptr) {
+      return leaf;
+    }
+    Node* next = leaf->sibling;
+    arena_.ctx().ChargeSerialNodeRead(next);  // un-prefetched sibling
+    if (next->count == 0 || key < next->entries[0].key) return nullptr;
+    leaf = next;
+  }
+}
+
+bool FastFair::Apply(uint64_t key, uint64_t desired, const Cond& cond,
+                     const LookupHint& hint, uint64_t* old) {
   FLATSTORE_DCHECK(key != kReservedKey);
   LockGuard<SharedMutex> g(rw_lock_);
   vt::Charge(vt::kCpuCas);  // writer latch
-  return UpsertLocked(key, value, old_value);
-}
-
-bool FastFair::UpsertLocked(uint64_t key, uint64_t value,
-                            uint64_t* old_value) {
-  bool updated = false;
-  SplitResult r = InsertRecursive(root_, key, value, old_value, &updated);
+  bool held;
+  if (hint.valid) {
+    Node* leaf = HintedLeaf(key, hint);
+    // A full leaf must split, which needs the root path the hint lacks.
+    if (leaf != nullptr &&
+        ApplyInLeaf(leaf, key, desired, cond, old, &held)) {
+      return held;
+    }
+  }
+  // Invalid / stale / ambiguous / needs-split: the full serial descend.
+  vt::ScopedOverlap serial(1);
+  SplitResult r = ApplyRecursive(root_, key, desired, cond, old, &held);
   if (r.right != nullptr) {
     // Root split: grow the tree by one level.
     Node* new_root = NewNode(/*leaf=*/false);
@@ -185,7 +236,7 @@ bool FastFair::UpsertLocked(uint64_t key, uint64_t value,
     // persists it; one 8-byte flush per tree-height increase is noise).
     root_ = new_root;
   }
-  return updated;
+  return held;
 }
 
 bool FastFair::LeafGet(const Node* leaf, uint64_t key, uint64_t* value) {
@@ -247,94 +298,9 @@ bool FastFair::GetWithHint(uint64_t key, LookupHint* hint,
   while (leaf->count > 0 && leaf->sibling != nullptr &&
          key > leaf->entries[leaf->count - 1].key) {
     leaf = leaf->sibling;
-    arena_.ctx().ChargeNodeRead(leaf);
+    arena_.ctx().ChargeSerialNodeRead(leaf);
   }
   return LeafGet(leaf, key, value);
-}
-
-bool FastFair::InsertWithHint(uint64_t key, uint64_t value,
-                              uint64_t* old_value, const LookupHint& hint) {
-  if (!hint.valid) return KvIndex::InsertWithHint(key, value, old_value, hint);
-  FLATSTORE_DCHECK(key != kReservedKey);
-  LockGuard<SharedMutex> g(rw_lock_);
-  vt::Charge(vt::kCpuCas);  // writer latch
-  // Write-side FAIR repair, stricter than GetWithHint's: an insert must
-  // land in exactly the leaf a fresh descend would pick. Hop right only
-  // when key >= min(sibling) proves the key is at or past the sibling's
-  // separator; settle only when key <= max(leaf) (or the leaf is
-  // rightmost) proves this leaf still covers it. Ambiguous gaps, drained
-  // leaves and splits take the full serial descend.
-  Node* leaf = static_cast<Node*>(const_cast<void*>(hint.node));
-  while (true) {
-    const int count = static_cast<int>(leaf->count);
-    if (count == 0) break;  // no fence keys to reason with: stale
-    if (key <= leaf->entries[count - 1].key || leaf->sibling == nullptr) {
-      int i = LowerBound(leaf, key);
-      if (i < count && leaf->entries[i].key == key) {
-        // In-place value overwrite on the warm line.
-        *old_value = leaf->entries[i].value;
-        leaf->entries[i].value = value;
-        arena_.ctx().PersistFence(&leaf->entries[i].value, 8);
-        return true;
-      }
-      if (count < kCard) {
-        InsertInNode(leaf, key, value);
-        size_++;
-        return false;  // no previous value
-      }
-      break;  // full: splitting needs the root path the hint lacks
-    }
-    Node* next = leaf->sibling;
-    arena_.ctx().ChargeNodeRead(next);  // un-prefetched sibling node
-    if (next->count == 0 || key < next->entries[0].key) {
-      break;  // gap between max(leaf) and min(sibling): ambiguous
-    }
-    leaf = next;
-  }
-  // Stale / ambiguous / needs-split: the full serial upsert.
-  vt::ScopedOverlap serial(1);
-  return UpsertLocked(key, value, old_value);
-}
-
-bool FastFair::Erase(uint64_t key, uint64_t* old_value) {
-  LockGuard<SharedMutex> g(rw_lock_);
-  vt::Charge(vt::kCpuCas);
-  Node* leaf = FindLeaf(key);
-  int pos = LowerBound(leaf, key);
-  if (pos >= static_cast<int>(leaf->count) || leaf->entries[pos].key != key) {
-    return false;
-  }
-  *old_value = leaf->entries[pos].value;
-  // FAST shift-left removal (no merging; see header).
-  for (int i = pos; i + 1 < static_cast<int>(leaf->count); i++) {
-    leaf->entries[i] = leaf->entries[i + 1];
-    vt::Charge(2 * vt::kCpuSlotProbe);
-  }
-  leaf->count--;
-  const char* from = reinterpret_cast<const char*>(&leaf->entries[pos]);
-  const char* to = reinterpret_cast<const char*>(&leaf->entries[leaf->count]);
-  if (to > from) {
-    arena_.ctx().Persist(from, static_cast<uint64_t>(to - from));
-  }
-  arena_.ctx().Persist(leaf, 8);
-  arena_.ctx().Fence();
-  size_--;
-  return true;
-}
-
-bool FastFair::CompareExchange(uint64_t key, uint64_t expected,
-                               uint64_t desired) {
-  LockGuard<SharedMutex> g(rw_lock_);
-  vt::Charge(vt::kCpuCas);
-  Node* leaf = FindLeaf(key);
-  int i = LowerBound(leaf, key);
-  if (i >= static_cast<int>(leaf->count) || leaf->entries[i].key != key ||
-      leaf->entries[i].value != expected) {
-    return false;
-  }
-  leaf->entries[i].value = desired;
-  arena_.ctx().PersistFence(&leaf->entries[i].value, 8);
-  return true;
 }
 
 uint64_t FastFair::Scan(uint64_t start_key, uint64_t count,
@@ -379,26 +345,6 @@ int FastFair::Height() const {
   return h;
 }
 
-
-bool FastFair::EraseIfEqual(uint64_t key, uint64_t expected) {
-  LockGuard<SharedMutex> g(rw_lock_);
-  vt::Charge(vt::kCpuCas);
-  Node* leaf = FindLeaf(key);
-  int pos = LowerBound(leaf, key);
-  if (pos >= static_cast<int>(leaf->count) ||
-      leaf->entries[pos].key != key ||
-      leaf->entries[pos].value != expected) {
-    return false;
-  }
-  for (int i = pos; i + 1 < static_cast<int>(leaf->count); i++) {
-    leaf->entries[i] = leaf->entries[i + 1];
-    vt::Charge(2 * vt::kCpuSlotProbe);
-  }
-  leaf->count--;
-  arena_.ctx().PersistFence(leaf, 8);
-  size_--;
-  return true;
-}
 
 }  // namespace index
 }  // namespace flatstore

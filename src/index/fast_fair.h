@@ -35,19 +35,13 @@ class FastFair final : public OrderedKvIndex {
  public:
   explicit FastFair(const PmContext& ctx);
 
-  bool Upsert(uint64_t key, uint64_t value,
-              uint64_t* old_value) override;
+  bool Apply(uint64_t key, uint64_t desired, const Cond& cond,
+             const LookupHint& hint, uint64_t* old) override;
   bool Get(uint64_t key, uint64_t* value) const override;
   void Prefetch(uint64_t key, LookupHint* hint) const override;
   bool GetWithHint(uint64_t key, LookupHint* hint,
                    uint64_t* value) const override;
   void Rewarm(LookupHint* hint) const override;
-  bool InsertWithHint(uint64_t key, uint64_t value, uint64_t* old_value,
-                      const LookupHint& hint) override;
-  bool Erase(uint64_t key, uint64_t* old_value) override;
-  bool CompareExchange(uint64_t key, uint64_t expected,
-                       uint64_t desired) override;
-  bool EraseIfEqual(uint64_t key, uint64_t expected) override;
   uint64_t Scan(uint64_t start_key, uint64_t count,
                 std::vector<KvPair>* out) const override;
   void ForEach(
@@ -96,20 +90,27 @@ class FastFair final : public OrderedKvIndex {
   // separator to push into the parent.
   Node* SplitNode(Node* n, uint64_t* up_key);
 
-  // Recursive insert; returns the new sibling + separator when the child
-  // split propagates.
+  // The leaf a hinted write of `key` may settle in: the hinted leaf or a
+  // right sibling that provably covers `key` (each hop charged as a
+  // serial node read), or null when the hint is stale or ambiguous.
+  Node* HintedLeaf(uint64_t key, const LookupHint& hint) const
+      REQUIRES(rw_lock_);
+  // Apply's write in the leaf that covers `key`: `*old` and `*held` as
+  // Apply returns them. Returns false, having changed nothing, when the
+  // insert needs a slot and the leaf is full: it must split first.
+  bool ApplyInLeaf(Node* leaf, uint64_t key, uint64_t desired,
+                   const Cond& cond, uint64_t* old, bool* held)
+      REQUIRES(rw_lock_);
+
+  // Apply's full descend from `n`, splitting a full leaf on the way
+  // back up; returns the new sibling + separator when a split
+  // propagates to `n`'s parent.
   struct SplitResult {
     Node* right = nullptr;
     uint64_t up_key = 0;
   };
-  SplitResult InsertRecursive(Node* n, uint64_t key, uint64_t value,
-                              uint64_t* old_value, bool* updated)
-      REQUIRES(rw_lock_);
-
-  // Upsert body (recursive insert + root growth) with the write lock
-  // already held. Shared by Upsert and InsertWithHint's fallback (a
-  // hinted leaf that must split needs the root path the hint lacks).
-  bool UpsertLocked(uint64_t key, uint64_t value, uint64_t* old_value)
+  SplitResult ApplyRecursive(Node* n, uint64_t key, uint64_t desired,
+                             const Cond& cond, uint64_t* old, bool* held)
       REQUIRES(rw_lock_);
 
   NodeArena arena_;

@@ -164,8 +164,11 @@ void FpTree::InsertInner(uint64_t up_key, void* right,
   height_++;
 }
 
-bool FpTree::Upsert(uint64_t key, uint64_t value, uint64_t* old_value) {
+bool FpTree::Apply(uint64_t key, uint64_t desired, const Cond& cond,
+                   const LookupHint& hint, uint64_t* old) {
   FLATSTORE_DCHECK(key != kReservedKey);
+  (void)hint;  // never valid: FPTree has no two-phase path
+  vt::ScopedOverlap serial(1);
   LockGuard<SharedMutex> g(rw_lock_);
   vt::Charge(vt::kCpuHash + vt::kCpuCas);
   const uint8_t fp = Fingerprint8(key);
@@ -184,21 +187,29 @@ bool FpTree::Upsert(uint64_t key, uint64_t value, uint64_t* old_value) {
     arena_.ctx().ChargeNodeRead(leaf);
 
     const int existing = FindInLeaf(leaf, key, fp);
+    *old = existing >= 0 ? leaf->entries[existing].value : kNoValue;
+    if (!cond.Holds(*old, desired)) return false;
+    if (desired == kNoValue) {
+      if (existing >= 0) {
+        leaf->bitmap &= ~(1ull << existing);
+        arena_.ctx().PersistFence(&leaf->bitmap, 8);
+        size_--;
+      }
+      return true;
+    }
     int free = FreeSlot(leaf);
     if (free < 0) {
       uint64_t up;
       Leaf* right = SplitLeaf(leaf, &up);
       InsertInner(up, right, path);
-      (void)right;
       continue;  // re-descend (path/root may have changed)
     }
 
     // Write the new entry out-of-place, persist it, then commit via one
     // bitmap-word store (clearing the old slot for updates).
-    leaf->entries[free] = {key, value};
+    leaf->entries[free] = {key, desired};
     leaf->fps[free] = fp;
     arena_.ctx().Persist(&leaf->entries[free], 16);
-    if (existing >= 0) *old_value = leaf->entries[existing].value;
     uint64_t bm = leaf->bitmap | (1ull << free);
     if (existing >= 0) bm &= ~(1ull << existing);
     leaf->bitmap = bm;
@@ -206,7 +217,7 @@ bool FpTree::Upsert(uint64_t key, uint64_t value, uint64_t* old_value) {
     arena_.ctx().Persist(leaf, 64);
     arena_.ctx().Fence();
     if (existing < 0) size_++;
-    return existing >= 0;
+    return true;
   }
 }
 
@@ -217,31 +228,6 @@ bool FpTree::Get(uint64_t key, uint64_t* value) const {
   int i = FindInLeaf(leaf, key, Fingerprint8(key));
   if (i < 0) return false;
   *value = leaf->entries[i].value;
-  return true;
-}
-
-bool FpTree::Erase(uint64_t key, uint64_t* old_value) {
-  LockGuard<SharedMutex> g(rw_lock_);
-  vt::Charge(vt::kCpuHash + vt::kCpuCas);
-  Leaf* leaf = FindLeaf(key);
-  int i = FindInLeaf(leaf, key, Fingerprint8(key));
-  if (i < 0) return false;
-  *old_value = leaf->entries[i].value;
-  leaf->bitmap &= ~(1ull << i);
-  arena_.ctx().PersistFence(&leaf->bitmap, 8);
-  size_--;
-  return true;
-}
-
-bool FpTree::CompareExchange(uint64_t key, uint64_t expected,
-                             uint64_t desired) {
-  LockGuard<SharedMutex> g(rw_lock_);
-  vt::Charge(vt::kCpuCas);
-  Leaf* leaf = FindLeaf(key);
-  int i = FindInLeaf(leaf, key, Fingerprint8(key));
-  if (i < 0 || leaf->entries[i].value != expected) return false;
-  leaf->entries[i].value = desired;
-  arena_.ctx().PersistFence(&leaf->entries[i].value, 8);
   return true;
 }
 
@@ -284,18 +270,6 @@ uint64_t FpTree::Scan(uint64_t start_key, uint64_t count,
   return n;
 }
 
-
-bool FpTree::EraseIfEqual(uint64_t key, uint64_t expected) {
-  LockGuard<SharedMutex> g(rw_lock_);
-  vt::Charge(vt::kCpuHash + vt::kCpuCas);
-  Leaf* leaf = FindLeaf(key);
-  int i = FindInLeaf(leaf, key, Fingerprint8(key));
-  if (i < 0 || leaf->entries[i].value != expected) return false;
-  leaf->bitmap &= ~(1ull << i);
-  arena_.ctx().PersistFence(&leaf->bitmap, 8);
-  size_--;
-  return true;
-}
 
 }  // namespace index
 }  // namespace flatstore

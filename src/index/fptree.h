@@ -30,13 +30,9 @@ class FpTree final : public OrderedKvIndex {
  public:
   explicit FpTree(const PmContext& ctx);
 
-  bool Upsert(uint64_t key, uint64_t value,
-              uint64_t* old_value) override;
+  bool Apply(uint64_t key, uint64_t desired, const Cond& cond,
+             const LookupHint& hint, uint64_t* old) override;
   bool Get(uint64_t key, uint64_t* value) const override;
-  bool Erase(uint64_t key, uint64_t* old_value) override;
-  bool CompareExchange(uint64_t key, uint64_t expected,
-                       uint64_t desired) override;
-  bool EraseIfEqual(uint64_t key, uint64_t expected) override;
   uint64_t Scan(uint64_t start_key, uint64_t count,
                 std::vector<KvPair>* out) const override;
   void ForEach(

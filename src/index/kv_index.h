@@ -98,16 +98,15 @@ struct KvPair {
 };
 
 // Opaque two-phase state handed from Prefetch (or a lone probe's
-// GetWithHint) to GetWithHint or InsertWithHint. One hint serves both: a
-// write batch locates its keys once, at admission, and the same hint
-// later carries the insert. Plain POD so batches keep arrays of hints
-// without allocating; field meaning is private to each index. Only the
-// indexes FlatStore builds (CCEH, Masstree, FAST&FAIR) fill one;
-// Level-Hashing and FPTree leave it invalid and take the base-class
-// fallback. The contract:
+// GetWithHint) to GetWithHint or Apply. One hint serves both: a write
+// batch locates its keys once, at admission, and the same hint later
+// carries the write. Plain POD so batches keep arrays of hints without
+// allocating; field meaning is private to each index. Only the indexes
+// FlatStore builds (CCEH, Masstree, FAST&FAIR) fill one; Level-Hashing
+// and FPTree leave it invalid. The contract:
 //  * A hint is only valid for the key it was produced for, and only
 //    until the next structural mutation by any writer; every phase-B call
-//    revalidates cheaply and falls back to the plain probe or upsert when
+//    revalidates cheaply and falls back to the plain probe or write when
 //    it is stale, so a stale hint costs time, never correctness.
 //  * A hint may be held across a log persist (admission to Drain). In
 //    that time other writers may split, resize or empty its node, so its
@@ -123,17 +122,64 @@ struct LookupHint {
   bool valid = false;        // phase A located something prefetchable
 };
 
+// The condition an Apply tests, under the index's write lock, against
+// the key's current value `cur` (kNoValue when the key is absent) before
+// it writes `desired`:
+//  * kAlways — the owner's write (Put, Delete, checkpoint load);
+//  * kEquals — only if `cur == expected`: the log cleaner's relocation
+//    and its tombstone retirement (paper §3.4), which must lose to any
+//    write of the key since their probe;
+//  * kNewer — if the key is absent or `newer(desired, cur)`: recovery's
+//    version duel (§3.5). The caller supplies `newer`, so an index never
+//    interprets a value.
+struct Cond {
+  enum Kind : uint8_t { kAlways, kEquals, kNewer };
+  Kind kind = kAlways;
+  uint64_t expected = kNoValue;
+  bool (*newer)(uint64_t a, uint64_t b) = nullptr;
+
+  static Cond Equals(uint64_t expected) {
+    return {kEquals, expected, nullptr};
+  }
+  static Cond Newer(bool (*newer)(uint64_t, uint64_t)) {
+    return {kNewer, kNoValue, newer};
+  }
+  bool Holds(uint64_t cur, uint64_t desired) const {
+    switch (kind) {
+      case kAlways:
+        return true;
+      case kEquals:
+        return cur == expected;
+      case kNewer:
+        return cur == kNoValue || newer(desired, cur);
+    }
+    return false;
+  }
+};
+
 // Abstract point-query index.
 class KvIndex {
  public:
   virtual ~KvIndex() = default;
 
-  // Inserts or updates `key`; when updating, the previous value is
-  // returned through `*old_value`. Returns true iff the key existed.
-  // Atomic with respect to CompareExchange (the log cleaner's relocation),
-  // which is what lets the engine safely retire the superseded log entry.
-  // `key` must not be kReservedKey.
-  virtual bool Upsert(uint64_t key, uint64_t value, uint64_t* old_value) = 0;
+  // The one write: under the index's write lock, locates `key`, tests
+  // `cond` against its current value and, when it holds, sets `desired`
+  // (inserting the key if absent) or, for `desired == kNoValue`, erases
+  // the key (a no-op when absent). `*old` receives the value found, or
+  // kNoValue when the key was absent, whether or not the write happened.
+  // Returns true iff `cond` held. `key` must not be kReservedKey.
+  //
+  // `hint` comes from Prefetch or GetWithHint of the same key (phase B of
+  // a write batch), or is invalid. A valid hint that is still fresh lets
+  // the write skip the descent and run on warm lines, charged under the
+  // caller's vt overlap window; the index revalidates it under the lock
+  // (splits and resizes between the phases, or an earlier write of the
+  // same batch) as GetWithHint does. An invalid or stale hint takes the
+  // full locate inside a serial overlap scope, so an un-prefetched write
+  // pays full miss latency and cannot free-ride on the batch. A hinted
+  // write is never less correct than an unhinted one, only cheaper.
+  virtual bool Apply(uint64_t key, uint64_t desired, const Cond& cond,
+                     const LookupHint& hint, uint64_t* old) = 0;
 
   // Looks up `key`; fills `*value` and returns true if present.
   virtual bool Get(uint64_t key, uint64_t* value) const = 0;
@@ -141,11 +187,11 @@ class KvIndex {
   // ---- two-phase access (the batched read and write pipelines) ----
   //
   // Phase A: hash/route `key`, issue software prefetches for the memory
-  // a probe or an upsert of it will touch, and record what was located
-  // in `*hint`. Must not block and must not depend on the prefetched
-  // lines having arrived. Base-class default: no-op (the hint stays
-  // invalid), so indexes without a two-phase implementation remain
-  // correct through the phase-B fallbacks.
+  // a probe or a write of it will touch, and record what was located in
+  // `*hint`. Must not block and must not depend on the prefetched lines
+  // having arrived. Base-class default: no-op (the hint stays invalid),
+  // so indexes without a two-phase implementation remain correct through
+  // the phase-B fallbacks.
   virtual void Prefetch(uint64_t key, LookupHint* hint) const {
     (void)key;
     hint->valid = false;
@@ -181,48 +227,25 @@ class KvIndex {
   // valid hint).
   virtual void Rewarm(LookupHint* hint) const { (void)hint; }
 
-  // Phase B of a write: the upsert of `key` with a hint from
-  // Prefetch(key, hint). Semantics are identical to Upsert (returns true
-  // iff the key existed; previous value through `*old_value`). With a
-  // valid, still-fresh hint the probe runs on warm lines; implementations
-  // revalidate the hint under their write lock (splits/resizes between
-  // the phases) exactly like GetWithHint and fall back to the full upsert
-  // when stale — so a hinted insert is never less correct than Upsert,
-  // only cheaper. Base-class default (also the stale-hint fallback): a
-  // plain Upsert() inside a serial overlap scope, so an un-prefetched
-  // mutation pays full miss latency and cannot free-ride on the batch.
-  virtual bool InsertWithHint(uint64_t key, uint64_t value,
-                              uint64_t* old_value, const LookupHint& hint) {
-    (void)hint;
-    vt::ScopedOverlap serial(1);
-    return Upsert(key, value, old_value);
+  // Unconditional, unhinted writes. Upsert returns whether the key
+  // existed, Insert whether it was new, Erase and Delete whether it was
+  // present.
+  bool Upsert(uint64_t key, uint64_t value, uint64_t* old_value) {
+    Apply(key, value, Cond{}, LookupHint{}, old_value);
+    return *old_value != kNoValue;
   }
-
-  // Removes `key`; the removed value is returned through `*old_value`.
-  // Returns true iff the key was present.
-  virtual bool Erase(uint64_t key, uint64_t* old_value) = 0;
-
-  // Convenience wrappers.
-  // Returns true if the key was newly inserted, false if updated.
+  bool Erase(uint64_t key, uint64_t* old_value) {
+    Apply(key, kNoValue, Cond{}, LookupHint{}, old_value);
+    return *old_value != kNoValue;
+  }
   bool Insert(uint64_t key, uint64_t value) {
     uint64_t old;
     return !Upsert(key, value, &old);
   }
-  // Returns true if the key was present.
   bool Delete(uint64_t key) {
     uint64_t old;
     return Erase(key, &old);
   }
-
-  // Atomically replaces the value of `key` if it currently equals
-  // `expected`. Returns true on success. Used by the log cleaner to
-  // relocate entries concurrently with the owning core (paper §3.4).
-  virtual bool CompareExchange(uint64_t key, uint64_t expected,
-                               uint64_t desired) = 0;
-
-  // Atomically removes `key` if its value equals `expected`. Returns true
-  // on success. Used by the log cleaner to retire tombstone index entries.
-  virtual bool EraseIfEqual(uint64_t key, uint64_t expected) = 0;
 
   // Invokes `fn(key, value)` for every live entry, in unspecified order.
   // Not safe against concurrent mutation; used for the normal-shutdown

@@ -98,44 +98,59 @@ bool LevelHashing::TryMove(Bucket& bucket, bool top) {
   return false;
 }
 
-bool LevelHashing::InsertNoResize(uint64_t key, uint64_t value,
-                                  uint64_t* old_value, bool* updated) {
+bool LevelHashing::ApplyNoResize(uint64_t key, uint64_t desired,
+                                 const Cond& cond, uint64_t* old,
+                                 bool* held) {
   vt::Charge(2 * vt::kCpuHash);
   const uint64_t h1 = HashKey(key);
   const uint64_t h2 = HashKey2(key);
-  // In-place update.
   SlotRef ref = FindSlotHashed(key, h1, h2);
+  *old = ref.bucket != nullptr ? ref.bucket->values[ref.slot] : kNoValue;
+  *held = cond.Holds(*old, desired);
+  if (!*held) return true;
+  if (ref.bucket != nullptr && desired == kNoValue) {
+    std::atomic_ref<uint64_t>(ref.bucket->keys[ref.slot])
+        .store(kReservedKey, std::memory_order_release);
+    arena_.ctx().PersistFence(&ref.bucket->keys[ref.slot], 8);
+    // relaxed: size_ is an approximate stat counter, no ordering.
+    size_.fetch_sub(1, std::memory_order_relaxed);
+    return true;
+  }
   if (ref.bucket != nullptr) {
-    *old_value = ref.bucket->values[ref.slot];
-    *updated = true;
+    // In-place update.
     std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
-        .store(value, std::memory_order_release);
+        .store(desired, std::memory_order_release);
     arena_.ctx().PersistFence(&ref.bucket->values[ref.slot], 8);
     return true;
   }
+  if (desired == kNoValue) return true;  // nothing to erase
   // Top candidates first (reads prefer the top level), then bottom.
   for (bool top : {true, false}) {
     for (uint64_t h : {h1, h2}) {
-      if (TryInsert(BucketAt(top, h), key, value)) return true;
+      if (TryInsert(BucketAt(top, h), key, desired)) return true;
     }
   }
   // Conflict: movement within each candidate bucket's level.
   for (bool top : {true, false}) {
     for (uint64_t h : {h1, h2}) {
       Bucket& b = BucketAt(top, h);
-      if (TryMove(b, top) && TryInsert(b, key, value)) return true;
+      if (TryMove(b, top) && TryInsert(b, key, desired)) return true;
     }
   }
   return false;
 }
 
-bool LevelHashing::Upsert(uint64_t key, uint64_t value,
-                          uint64_t* old_value) {
+bool LevelHashing::Apply(uint64_t key, uint64_t desired, const Cond& cond,
+                         const LookupHint& hint, uint64_t* old) {
   FLATSTORE_DCHECK(key != kReservedKey);
+  (void)hint;  // never valid: Level-Hashing has no two-phase path
+  vt::ScopedOverlap serial(1);
+  // A conditional write is charged as a CAS on top of the plain one.
+  if (cond.kind != Cond::kAlways) vt::Charge(vt::kCpuCas);
   LockGuard<SpinLock> g(mutate_lock_);
-  bool updated = false;
-  while (!InsertNoResize(key, value, old_value, &updated)) Resize();
-  return updated;
+  bool held;
+  while (!ApplyNoResize(key, desired, cond, old, &held)) Resize();
+  return held;
 }
 
 void LevelHashing::Resize() {
@@ -156,9 +171,9 @@ void LevelHashing::Resize() {
       size_.fetch_sub(1, std::memory_order_relaxed);  // re-counted below
       vt::Charge(vt::kCpuCacheMiss);
       uint64_t unused_old;
-      bool unused_updated;
-      bool ok = InsertNoResize(k, old_bottom[b].values[i], &unused_old,
-                               &unused_updated);
+      bool unused_held;
+      bool ok = ApplyNoResize(k, old_bottom[b].values[i], Cond{},
+                              &unused_old, &unused_held);
       // The new table has 3x the old capacity; rehash cannot fail.
       FLATSTORE_CHECK(ok);
     }
@@ -182,48 +197,6 @@ bool LevelHashing::Get(uint64_t key, uint64_t* value) const {
   if (ref.bucket == nullptr) return false;
   *value = std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
                .load(std::memory_order_acquire);
-  return true;
-}
-
-bool LevelHashing::Erase(uint64_t key, uint64_t* old_value) {
-  LockGuard<SpinLock> g(mutate_lock_);
-  SlotRef ref = FindSlot(key);
-  if (ref.bucket == nullptr) return false;
-  *old_value = ref.bucket->values[ref.slot];
-  std::atomic_ref<uint64_t>(ref.bucket->keys[ref.slot])
-      .store(kReservedKey, std::memory_order_release);
-  arena_.ctx().PersistFence(&ref.bucket->keys[ref.slot], 8);
-  // relaxed: size_ is an approximate stat counter, no ordering.
-  size_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool LevelHashing::CompareExchange(uint64_t key, uint64_t expected,
-                                   uint64_t desired) {
-  vt::Charge(vt::kCpuCas);
-  LockGuard<SpinLock> g(mutate_lock_);
-  SlotRef ref = FindSlot(key);
-  if (ref.bucket == nullptr) return false;
-  bool ok = std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
-                .compare_exchange_strong(expected, desired,
-                                         std::memory_order_acq_rel);
-  if (ok) arena_.ctx().PersistFence(&ref.bucket->values[ref.slot], 8);
-  return ok;
-}
-
-
-bool LevelHashing::EraseIfEqual(uint64_t key, uint64_t expected) {
-  vt::Charge(vt::kCpuCas);
-  LockGuard<SpinLock> g(mutate_lock_);
-  SlotRef ref = FindSlot(key);
-  if (ref.bucket == nullptr || ref.bucket->values[ref.slot] != expected) {
-    return false;
-  }
-  std::atomic_ref<uint64_t>(ref.bucket->keys[ref.slot])
-      .store(kReservedKey, std::memory_order_release);
-  arena_.ctx().PersistFence(&ref.bucket->keys[ref.slot], 8);
-  // relaxed: size_ is an approximate stat counter, no ordering.
-  size_.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -25,20 +25,16 @@
 namespace flatstore {
 namespace index {
 
-// Two-level hash index. Same concurrency contract as Cceh: single writer,
-// concurrent Get/CompareExchange.
+// Two-level hash index. Same concurrency contract as Cceh: writes
+// serialize on mutate_lock_, Get may run beside them.
 class LevelHashing final : public KvIndex {
  public:
   // `initial_level_bits`: log2 of the initial top-level bucket count.
   explicit LevelHashing(const PmContext& ctx, uint32_t initial_level_bits = 8);
 
-  bool Upsert(uint64_t key, uint64_t value,
-              uint64_t* old_value) override;
+  bool Apply(uint64_t key, uint64_t desired, const Cond& cond,
+             const LookupHint& hint, uint64_t* old) override;
   bool Get(uint64_t key, uint64_t* value) const override;
-  bool Erase(uint64_t key, uint64_t* old_value) override;
-  bool CompareExchange(uint64_t key, uint64_t expected,
-                       uint64_t desired) override;
-  bool EraseIfEqual(uint64_t key, uint64_t expected) override;
   void ForEach(
       const std::function<void(uint64_t, uint64_t)>& fn) const override;
   uint64_t Size() const override {
@@ -88,10 +84,11 @@ class LevelHashing final : public KvIndex {
   // Grows the table (new top = 2x buckets, old top demoted to bottom).
   void Resize();
 
-  // Inserts without ever resizing; used during Resize's rehash. Reports
-  // an in-place update (and the previous value) through the out-params.
-  bool InsertNoResize(uint64_t key, uint64_t value, uint64_t* old_value,
-                      bool* updated);
+  // Apply's write without ever resizing (also Resize's rehash): `*old`
+  // and `*held` as Apply returns them. Returns false, having changed
+  // nothing, when an insert finds no free slot even after a movement.
+  bool ApplyNoResize(uint64_t key, uint64_t desired, const Cond& cond,
+                     uint64_t* old, bool* held);
 
   NodeArena arena_;
   uint32_t level_bits_;

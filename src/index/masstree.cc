@@ -213,39 +213,90 @@ void Masstree::InsertInner(uint64_t up_key, void* right, const Path& path) {
   FLATSTORE_CHECK_LE(height_ - 1, kMaxInnerLevels);
 }
 
-bool Masstree::Upsert(uint64_t key, uint64_t value, uint64_t* old_value) {
+bool Masstree::ApplyInLeaf(Leaf* leaf, uint64_t key, uint64_t desired,
+                           const Cond& cond, uint64_t* old, bool* held) {
+  bool found;
+  const int pos = LeafPosition(leaf, key, &found);
+  const uint64_t p = leaf->permutation;
+  *old = found ? leaf->values[Permuter::At(p, pos)] : kNoValue;
+  *held = cond.Holds(*old, desired);
+  if (!*held) return true;
+  if (desired == kNoValue) {
+    if (found) {
+      std::atomic_ref<uint64_t>(leaf->permutation)
+          .store(Permuter::RemoveAt(p, pos), std::memory_order_release);
+      size_--;
+    }
+    return true;
+  }
+  if (found) {
+    std::atomic_ref<uint64_t>(leaf->values[Permuter::At(p, pos)])
+        .store(desired, std::memory_order_release);
+    return true;
+  }
+  if (Permuter::Count(p) == kLeafSlots) return false;
+  int slot;
+  const uint64_t np = Permuter::InsertAt(p, pos, &slot);
+  leaf->keys[slot] = key;
+  leaf->values[slot] = desired;
+  // Single-word publication — the "no shifting" property.
+  std::atomic_ref<uint64_t>(leaf->permutation)
+      .store(np, std::memory_order_release);
+  vt::Charge(2 * vt::kCpuSlotProbe);
+  size_++;
+  return true;
+}
+
+Masstree::Leaf* Masstree::HintedLeaf(uint64_t key,
+                                     const LookupHint& hint) const {
+  // Freshness discipline, stricter than GetWithHint's: a split between
+  // the phases (an earlier write of the same batch) moved keys to a
+  // right sibling. For a *write* the leaf must be exactly the one a fresh
+  // descend would pick — placing the key one leaf off would hide it from
+  // future lookups — so the walk only hops when key >= min(next) (which
+  // proves the key is at or right of the sibling's separator) and only
+  // settles when key <= max(leaf) (keys never move left, so the hinted
+  // leaf's low bound still covers `key`, and key <= max rules out
+  // siblings) or the leaf is rightmost. The ambiguous gap between a
+  // leaf's max and its sibling's min, and drained leaves with no keys to
+  // compare, are stale.
+  Leaf* leaf = static_cast<Leaf*>(const_cast<void*>(hint.node));
+  while (true) {
+    const uint64_t p = leaf->permutation;
+    const int count = Permuter::Count(p);
+    if (count == 0) return nullptr;
+    if (key <= leaf->keys[Permuter::At(p, count - 1)]) return leaf;
+    Leaf* next = leaf->next;
+    if (next == nullptr) return leaf;
+    const uint64_t np = next->permutation;
+    arena_.ctx().ChargeSerialNodeRead(next);  // un-prefetched sibling
+    if (Permuter::Count(np) == 0 || key < next->keys[Permuter::At(np, 0)]) {
+      return nullptr;
+    }
+    leaf = next;
+  }
+}
+
+bool Masstree::Apply(uint64_t key, uint64_t desired, const Cond& cond,
+                     const LookupHint& hint, uint64_t* old) {
   FLATSTORE_DCHECK(key != kReservedKey);
   LockGuard<SharedMutex> g(rw_lock_);
   vt::Charge(vt::kCpuCas);  // leaf latch (fine grained in the original)
-  return UpsertLocked(key, value, old_value);
-}
-
-bool Masstree::UpsertLocked(uint64_t key, uint64_t value,
-                            uint64_t* old_value) {
+  bool held;
+  if (hint.valid) {
+    Leaf* leaf = HintedLeaf(key, hint);
+    // A full leaf must split, which needs the inner path the hint lacks.
+    if (leaf != nullptr &&
+        ApplyInLeaf(leaf, key, desired, cond, old, &held)) {
+      return held;
+    }
+  }
+  // Invalid / stale / ambiguous / needs-split: the full serial descend.
+  vt::ScopedOverlap serial(1);
   while (true) {
     Path path;
     Leaf* leaf = Descend(key, &path);
-    bool found;
-    int pos = LeafPosition(leaf, key, &found);
-    if (found) {
-      int slot = Permuter::At(leaf->permutation, pos);
-      *old_value = leaf->values[slot];
-      std::atomic_ref<uint64_t>(leaf->values[slot])
-          .store(value, std::memory_order_release);
-      return true;
-    }
-    if (Permuter::Count(leaf->permutation) < kLeafSlots) {
-      int slot;
-      uint64_t np = Permuter::InsertAt(leaf->permutation, pos, &slot);
-      leaf->keys[slot] = key;
-      leaf->values[slot] = value;
-      // Single-word publication — the "no shifting" property.
-      std::atomic_ref<uint64_t>(leaf->permutation)
-          .store(np, std::memory_order_release);
-      vt::Charge(2 * vt::kCpuSlotProbe);
-      size_++;
-      return false;  // no previous value
-    }
+    if (ApplyInLeaf(leaf, key, desired, cond, old, &held)) return held;
     uint64_t up;
     Leaf* right = SplitLeaf(leaf, &up);
     InsertInner(up, right, path);
@@ -306,112 +357,6 @@ bool Masstree::GetWithHint(uint64_t key, LookupHint* hint,
   return LeafGet(leaf, key, value);
 }
 
-bool Masstree::InsertWithHint(uint64_t key, uint64_t value,
-                              uint64_t* old_value, const LookupHint& hint) {
-  if (!hint.valid) return KvIndex::InsertWithHint(key, value, old_value, hint);
-  FLATSTORE_DCHECK(key != kReservedKey);
-  LockGuard<SharedMutex> g(rw_lock_);
-  vt::Charge(vt::kCpuCas);  // leaf latch
-  // Freshness discipline, stricter than GetWithHint's: a split between
-  // the phases (an earlier insert of the same batch) moved keys to a
-  // right sibling. For a *write* the leaf must be exactly the one a fresh
-  // descend would pick — placing the key one leaf off would hide it from
-  // future lookups — so the walk only hops when key >= min(next) (which
-  // proves the key is at or right of the sibling's separator) and only
-  // settles when key <= max(leaf) (which proves this leaf still covers
-  // it). The ambiguous gap between a leaf's max and its sibling's min,
-  // and drained leaves with no keys to compare, take the full descend.
-  Leaf* leaf = static_cast<Leaf*>(const_cast<void*>(hint.node));
-  while (true) {
-    const uint64_t p = leaf->permutation;
-    const int count = Permuter::Count(p);
-    if (count == 0) break;  // no fence keys to reason with: stale
-    if (key <= leaf->keys[Permuter::At(p, count - 1)]) {
-      // Provably this leaf: keys never move left, so the hinted leaf's
-      // low bound still covers `key`, and key <= max rules out siblings.
-      bool found;
-      int pos = LeafPosition(leaf, key, &found);
-      if (found) {
-        int slot = Permuter::At(leaf->permutation, pos);
-        *old_value = leaf->values[slot];
-        std::atomic_ref<uint64_t>(leaf->values[slot])
-            .store(value, std::memory_order_release);
-        return true;
-      }
-      if (count < kLeafSlots) {
-        int slot;
-        uint64_t np = Permuter::InsertAt(leaf->permutation, pos, &slot);
-        leaf->keys[slot] = key;
-        leaf->values[slot] = value;
-        // Single-word publication — the "no shifting" property.
-        std::atomic_ref<uint64_t>(leaf->permutation)
-            .store(np, std::memory_order_release);
-        vt::Charge(2 * vt::kCpuSlotProbe);
-        size_++;
-        return false;  // no previous value
-      }
-      break;  // full: splitting needs the inner path the hint lacks
-    }
-    Leaf* next = leaf->next;
-    if (next == nullptr) {
-      // Rightmost leaf covers everything above its max.
-      bool found;
-      int pos = LeafPosition(leaf, key, &found);
-      FLATSTORE_DCHECK(!found);
-      if (count < kLeafSlots) {
-        int slot;
-        uint64_t np = Permuter::InsertAt(leaf->permutation, pos, &slot);
-        leaf->keys[slot] = key;
-        leaf->values[slot] = value;
-        std::atomic_ref<uint64_t>(leaf->permutation)
-            .store(np, std::memory_order_release);
-        vt::Charge(2 * vt::kCpuSlotProbe);
-        size_++;
-        return false;
-      }
-      break;
-    }
-    const uint64_t np = next->permutation;
-    arena_.ctx().ChargeSerialNodeRead(next);  // un-prefetched sibling
-    if (Permuter::Count(np) == 0 ||
-        key < next->keys[Permuter::At(np, 0)]) {
-      break;  // gap between max(leaf) and min(next): placement ambiguous
-    }
-    leaf = next;
-  }
-  // Stale / ambiguous / needs-split: the full serial upsert.
-  vt::ScopedOverlap serial(1);
-  return UpsertLocked(key, value, old_value);
-}
-
-bool Masstree::Erase(uint64_t key, uint64_t* old_value) {
-  LockGuard<SharedMutex> g(rw_lock_);
-  vt::Charge(vt::kCpuCas);
-  Leaf* leaf = Descend(key, nullptr);
-  bool found;
-  int pos = LeafPosition(leaf, key, &found);
-  if (!found) return false;
-  *old_value = leaf->values[Permuter::At(leaf->permutation, pos)];
-  std::atomic_ref<uint64_t>(leaf->permutation)
-      .store(Permuter::RemoveAt(leaf->permutation, pos),
-             std::memory_order_release);
-  size_--;
-  return true;
-}
-
-bool Masstree::CompareExchange(uint64_t key, uint64_t expected,
-                               uint64_t desired) {
-  LockGuard<SharedMutex> g(rw_lock_);
-  vt::Charge(vt::kCpuCas);
-  Leaf* leaf = Descend(key, nullptr);
-  bool found;
-  int pos = LeafPosition(leaf, key, &found);
-  if (!found) return false;
-  int slot = Permuter::At(leaf->permutation, pos);
-  return std::atomic_ref<uint64_t>(leaf->values[slot])
-      .compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
-}
-
 void Masstree::ForEach(
     const std::function<void(uint64_t, uint64_t)>& fn) const {
   SharedLockGuard<SharedMutex> g(rw_lock_);
@@ -448,22 +393,6 @@ uint64_t Masstree::Scan(uint64_t start_key, uint64_t count,
   return n;
 }
 
-
-bool Masstree::EraseIfEqual(uint64_t key, uint64_t expected) {
-  LockGuard<SharedMutex> g(rw_lock_);
-  vt::Charge(vt::kCpuCas);
-  Leaf* leaf = Descend(key, nullptr);
-  bool found;
-  int pos = LeafPosition(leaf, key, &found);
-  if (!found) return false;
-  int slot = Permuter::At(leaf->permutation, pos);
-  if (leaf->values[slot] != expected) return false;
-  std::atomic_ref<uint64_t>(leaf->permutation)
-      .store(Permuter::RemoveAt(leaf->permutation, pos),
-             std::memory_order_release);
-  size_--;
-  return true;
-}
 
 }  // namespace index
 }  // namespace flatstore

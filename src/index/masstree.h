@@ -37,19 +37,13 @@ class Masstree final : public OrderedKvIndex {
  public:
   explicit Masstree(const PmContext& ctx = {});
 
-  bool Upsert(uint64_t key, uint64_t value,
-              uint64_t* old_value) override;
+  bool Apply(uint64_t key, uint64_t desired, const Cond& cond,
+             const LookupHint& hint, uint64_t* old) override;
   bool Get(uint64_t key, uint64_t* value) const override;
   void Prefetch(uint64_t key, LookupHint* hint) const override;
   bool GetWithHint(uint64_t key, LookupHint* hint,
                    uint64_t* value) const override;
   void Rewarm(LookupHint* hint) const override;
-  bool InsertWithHint(uint64_t key, uint64_t value, uint64_t* old_value,
-                      const LookupHint& hint) override;
-  bool Erase(uint64_t key, uint64_t* old_value) override;
-  bool CompareExchange(uint64_t key, uint64_t expected,
-                       uint64_t desired) override;
-  bool EraseIfEqual(uint64_t key, uint64_t expected) override;
   uint64_t Scan(uint64_t start_key, uint64_t count,
                 std::vector<KvPair>* out) const override;
   void ForEach(
@@ -112,7 +106,7 @@ class Masstree final : public OrderedKvIndex {
   Inner* NewInner();
 
   // The inner nodes of one root-to-leaf descent, root first, held in a
-  // fixed array so an Upsert allocates nothing. An inner node splits half
+  // fixed array so a write allocates nothing. An inner node splits half
   // full, so every non-root one keeps more than kInnerCard / 2 children
   // and kMaxInnerLevels levels would index over 10^17 keys.
   static constexpr uint32_t kMaxInnerLevels = 16;
@@ -144,11 +138,16 @@ class Masstree final : public OrderedKvIndex {
   void InsertInner(uint64_t up_key, void* right, const Path& path)
       REQUIRES(rw_lock_);
 
-  // The Upsert loop (descend, in-place / leaf insert / split) with the
-  // write lock already held. Shared by Upsert and InsertWithHint's
-  // full-descend fallback (a hinted leaf with no room must split, which
-  // needs the inner path the hint does not carry).
-  bool UpsertLocked(uint64_t key, uint64_t value, uint64_t* old_value)
+  // The leaf a hinted write of `key` may settle in: the hinted leaf or a
+  // right sibling that provably covers `key` (each hop charged as a
+  // serial node read), or null when the hint is stale or ambiguous.
+  Leaf* HintedLeaf(uint64_t key, const LookupHint& hint) const
+      REQUIRES(rw_lock_);
+  // Apply's write in the leaf that covers `key`: `*old` and `*held` as
+  // Apply returns them. Returns false, having changed nothing, when the
+  // insert needs a slot and the leaf is full: it must split first.
+  bool ApplyInLeaf(Leaf* leaf, uint64_t key, uint64_t desired,
+                   const Cond& cond, uint64_t* old, bool* held)
       REQUIRES(rw_lock_);
 
   NodeArena arena_;

@@ -185,7 +185,12 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
           // resurrect the key anymore, so both the tombstone and its
           // index entry may die (paper §3.4's "safely reclaimed"
           // condition).
-          if (idx[i]->EraseIfEqual(g.key, packed)) live = false;
+          uint64_t old;
+          if (idx[i]->Apply(g.key, index::kNoValue,
+                            index::Cond::Equals(packed), index::LookupHint{},
+                            &old)) {
+            live = false;
+          }
         }
         if (!live) {
           // relaxed: monotonic stat counter, no ordering required.
@@ -291,8 +296,10 @@ bool LogCleaner::AdvanceJob(CleaningJob& job, uint64_t* budget) {
       const Survivor& s = job.survivors[job.reloc_pos + order[i]];
       const uint64_t expected = PackIndexValue(s.old_off, s.version);
       const uint64_t desired = PackIndexValue(new_offs[i], s.version);
-      if (hooks_.index_of_key(s.key)->CompareExchange(s.key, expected,
-                                                      desired)) {
+      uint64_t old;
+      if (hooks_.index_of_key(s.key)->Apply(s.key, desired,
+                                            index::Cond::Equals(expected),
+                                            index::LookupHint{}, &old)) {
         // relaxed: monotonic stat counter, no ordering required.
         entries_copied_.fetch_add(1, std::memory_order_relaxed);
       } else {

@@ -98,17 +98,24 @@ TEST_P(IndexContractTest, DeleteRemoves) {
   EXPECT_EQ(idx->Size(), 0u);
 }
 
-TEST_P(IndexContractTest, CompareExchangeSemantics) {
+TEST_P(IndexContractTest, ConditionalSetSemantics) {
   auto idx = Make();
   idx->Insert(9, 100);
-  EXPECT_FALSE(idx->CompareExchange(9, 999, 200));  // wrong expected
+  uint64_t old = 0;
+  // Wrong expected: no write, but the current value is reported.
+  EXPECT_FALSE(idx->Apply(9, 200, Cond::Equals(999), {}, &old));
+  EXPECT_EQ(old, 100u);
   uint64_t v;
   idx->Get(9, &v);
   EXPECT_EQ(v, 100u);
-  EXPECT_TRUE(idx->CompareExchange(9, 100, 200));
+  EXPECT_TRUE(idx->Apply(9, 200, Cond::Equals(100), {}, &old));
+  EXPECT_EQ(old, 100u);
   idx->Get(9, &v);
   EXPECT_EQ(v, 200u);
-  EXPECT_FALSE(idx->CompareExchange(12345, 0, 1));  // absent key
+  // Absent key: never inserted.
+  EXPECT_FALSE(idx->Apply(12345, 1, Cond::Equals(0), {}, &old));
+  EXPECT_EQ(old, kNoValue);
+  EXPECT_FALSE(idx->Get(12345, &v));
 }
 
 TEST_P(IndexContractTest, ZeroKeyAndZeroValueAreLegal) {
@@ -332,9 +339,10 @@ TEST(CcehStructure, ReadersNeverSeeAnotherKeysValueInARefilledSlot) {
   std::atomic<bool> done{false};
   std::thread writer([&] {
     for (int i = 0; i < 200000; i++) {
-      ASSERT_TRUE(idx.EraseIfEqual(a, a + 1));
+      uint64_t old;
+      ASSERT_TRUE(idx.Apply(a, kNoValue, Cond::Equals(a + 1), {}, &old));
       idx.Insert(b, b + 1);
-      ASSERT_TRUE(idx.EraseIfEqual(b, b + 1));
+      ASSERT_TRUE(idx.Apply(b, kNoValue, Cond::Equals(b + 1), {}, &old));
       idx.Insert(a, a + 1);
     }
     done.store(true);
@@ -529,6 +537,44 @@ TEST(FastFairStructure, ScanChargesItsFirstLeafOnce) {
   FastFair t({});
   ExpectScanChargesItsFirstLeafOnce(&t);
   EXPECT_GE(t.Height(), 3);
+}
+
+// A hint made stale by a split reaches its key's leaf through one sibling
+// hop. No prefetch covered the sibling, so under an 8-way overlap window
+// the hop costs one full serial miss, for a read and for a write alike.
+TEST(FastFairStructure, HintedSiblingHopIsChargedSerially) {
+  FastFair t({});
+  // One full leaf of keys 0..29; key 30 splits it, moving 15..30 right.
+  for (uint64_t k = 0; k < 30; k++) t.Insert(k, ValueOf(k));
+  constexpr uint64_t kKey = 25;
+  LookupHint stale;
+  t.Prefetch(kKey, &stale);
+  ASSERT_EQ(t.Height(), 1);
+  t.Insert(30, ValueOf(30));
+  ASSERT_EQ(t.Height(), 2);
+  LookupHint fresh;
+  t.Prefetch(kKey, &fresh);
+  ASSERT_NE(fresh.node, stale.node);
+
+  vt::Clock clock;
+  vt::ScopedClock bind(&clock);
+  vt::ScopedOverlap window(8);
+  auto read = [&](LookupHint hint) {
+    const uint64_t t0 = clock.now();
+    uint64_t v = 0;
+    EXPECT_TRUE(t.GetWithHint(kKey, &hint, &v));
+    EXPECT_EQ(v, ValueOf(kKey));
+    return clock.now() - t0;
+  };
+  auto write = [&](const LookupHint& hint) {
+    const uint64_t t0 = clock.now();
+    uint64_t old = 0;
+    EXPECT_TRUE(t.Apply(kKey, ValueOf(kKey), Cond{}, hint, &old));
+    EXPECT_EQ(old, ValueOf(kKey));
+    return clock.now() - t0;
+  };
+  EXPECT_EQ(read(stale), read(fresh) + vt::kCpuCacheMiss);
+  EXPECT_EQ(write(stale), write(fresh) + vt::kCpuCacheMiss);
 }
 
 // ---- persistent-mode flush behaviour ------------------------------------

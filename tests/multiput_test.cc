@@ -1,7 +1,7 @@
 // Batched write pipeline tests.
 //
-//  * Index contract: one Prefetch hint serves a GetWithHint and then an
-//    InsertWithHint of the same key, and the pair must agree with Get +
+//  * Index contract: one Prefetch hint serves a GetWithHint and then a
+//    hinted Apply of the same key, and the pair must agree with Get +
 //    Upsert on every index — found/existed returns, values, final
 //    contents — including a default (invalid) hint, which takes the
 //    base-class fallback, and hints made stale by splits/resizes between
@@ -83,8 +83,8 @@ class TwoPhaseInsertTest : public ::testing::TestWithParam<IndexCase> {
 };
 
 // Mirror the same op stream through Get + Upsert on one index and
-// through one Prefetch per key, serving GetWithHint and then
-// InsertWithHint, on another (the admission probe and the drain of a
+// through one Prefetch per key, serving GetWithHint and then a hinted
+// Apply, on another (the admission probe and the drain of a
 // write batch): found and existed returns, values and the final
 // contents must be identical.
 TEST_P(TwoPhaseInsertTest, AgreesWithUpsert) {
@@ -106,7 +106,8 @@ TEST_P(TwoPhaseInsertTest, AgreesWithUpsert) {
       }
       uint64_t old_p = 0, old_h = 0;
       const bool existed_p = plain->Upsert(k, v, &old_p);
-      const bool existed_h = hinted->InsertWithHint(k, v, &old_h, hint);
+      ASSERT_TRUE(hinted->Apply(k, v, index::Cond{}, hint, &old_h));
+      const bool existed_h = old_h != index::kNoValue;
       ASSERT_EQ(existed_h, existed_p) << "key " << k << " round " << round;
       if (existed_p) EXPECT_EQ(old_h, old_p) << "key " << k;
     }
@@ -123,9 +124,10 @@ TEST_P(TwoPhaseInsertTest, DefaultHintFallsBackToUpsert) {
   idx->Insert(7, 77);
   index::LookupHint hint;  // valid=false: never prefetched
   uint64_t old_v = 0;
-  ASSERT_TRUE(idx->InsertWithHint(7, 700, &old_v, hint));
+  ASSERT_TRUE(idx->Apply(7, 700, index::Cond{}, hint, &old_v));
   EXPECT_EQ(old_v, 77u);
-  EXPECT_FALSE(idx->InsertWithHint(8, 80, &old_v, hint));
+  ASSERT_TRUE(idx->Apply(8, 80, index::Cond{}, hint, &old_v));
+  EXPECT_EQ(old_v, index::kNoValue);
   uint64_t v = 0;
   ASSERT_TRUE(idx->Get(7, &v));
   EXPECT_EQ(v, 700u);
@@ -176,14 +178,14 @@ TEST_P(TwoPhaseInsertTest, SurvivesStructuralChangesBetweenPhases) {
 
   for (uint64_t k = 0; k < kPinned; k++) {
     uint64_t old_v = 0, old_p = 0;
-    ASSERT_TRUE(idx->InsertWithHint(k, k + 900, &old_v, over_hints[k]))
+    ASSERT_TRUE(idx->Apply(k, k + 900, index::Cond{}, over_hints[k], &old_v))
         << "key " << k;
     ASSERT_TRUE(plain->Upsert(k, k + 900, &old_p));
     EXPECT_EQ(old_v, old_p) << "key " << k;
     EXPECT_EQ(old_v, k + 500) << "key " << k;
-    ASSERT_FALSE(
-        idx->InsertWithHint(100000 + k, k + 7, &old_v, fresh_hints[k]))
-        << "key " << 100000 + k;
+    ASSERT_TRUE(
+        idx->Apply(100000 + k, k + 7, index::Cond{}, fresh_hints[k], &old_v));
+    EXPECT_EQ(old_v, index::kNoValue) << "key " << 100000 + k;
     ASSERT_FALSE(plain->Upsert(100000 + k, k + 7, &old_p));
   }
   ASSERT_EQ(idx->Size(), plain->Size());
@@ -649,7 +651,10 @@ TEST_P(MultiPutTest, CarriedHintsSurviveReshapingBeforeDrain) {
   for (uint64_t key : deleted) {
     uint64_t tomb = 0;
     ASSERT_TRUE(idx->Get(key, &tomb)) << "key " << key;
-    ASSERT_TRUE(idx->EraseIfEqual(key, tomb)) << "key " << key;
+    uint64_t old = 0;
+    ASSERT_TRUE(idx->Apply(key, index::kNoValue, index::Cond::Equals(tomb),
+                           {}, &old))
+        << "key " << key;
   }
   // The hinted nodes really were reshaped: keys of the grown regions now
   // sit in other leaves, or CCEH split segments.
@@ -686,7 +691,9 @@ TEST_P(MultiPutTest, CarriedHintsSurviveReshapingBeforeDrain) {
   for (uint64_t key : deleted) {
     uint64_t tomb = 0;
     ASSERT_TRUE(plain->Get(key, &tomb));
-    ASSERT_TRUE(plain->EraseIfEqual(key, tomb));
+    uint64_t old = 0;
+    ASSERT_TRUE(plain->Apply(key, index::kNoValue, index::Cond::Equals(tomb),
+                             {}, &old));
   }
   for (const WriteOp& op : hinted) {
     single.store->Put(op.key, std::string_view(

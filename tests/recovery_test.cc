@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -615,12 +617,18 @@ class ScriptedIndex final : public index::KvIndex {
     return !abandoned_;
   }
 
-  bool Upsert(uint64_t key, uint64_t value, uint64_t* old_value) override {
+  bool Apply(uint64_t key, uint64_t desired, const index::Cond& cond,
+             const index::LookupHint& hint, uint64_t* old) override {
+    (void)hint;
     Turn turn(this);
-    auto [it, inserted] = map_.try_emplace(key, value);
-    if (inserted) return false;
-    *old_value = it->second;
-    it->second = value;
+    auto it = map_.find(key);
+    *old = it == map_.end() ? index::kNoValue : it->second;
+    if (!cond.Holds(*old, desired)) return false;
+    if (desired == index::kNoValue) {
+      if (it != map_.end()) map_.erase(it);
+    } else {
+      map_[key] = desired;
+    }
     return true;
   }
   bool Get(uint64_t key, uint64_t* value) const override {
@@ -628,29 +636,6 @@ class ScriptedIndex final : public index::KvIndex {
     auto it = map_.find(key);
     if (it == map_.end()) return false;
     *value = it->second;
-    return true;
-  }
-  bool Erase(uint64_t key, uint64_t* old_value) override {
-    Turn turn(this);
-    auto it = map_.find(key);
-    if (it == map_.end()) return false;
-    *old_value = it->second;
-    map_.erase(it);
-    return true;
-  }
-  bool CompareExchange(uint64_t key, uint64_t expected,
-                       uint64_t desired) override {
-    Turn turn(this);
-    auto it = map_.find(key);
-    if (it == map_.end() || it->second != expected) return false;
-    it->second = desired;
-    return true;
-  }
-  bool EraseIfEqual(uint64_t key, uint64_t expected) override {
-    Turn turn(this);
-    auto it = map_.find(key);
-    if (it == map_.end() || it->second != expected) return false;
-    map_.erase(it);
     return true;
   }
   void ForEach(
@@ -698,22 +683,22 @@ class ScriptedIndex final : public index::KvIndex {
   std::map<uint64_t, uint64_t> map_;
 };
 
-// Three replay threads duel a key the index does not hold yet, holding
-// versions 1 < 2 < 3 of it (HB leaders log stolen entries, so one key's
-// versions can sit in three cores' logs). The schedule: all three find
-// the key absent; the v3 thread inserts it; the v2 thread's Upsert
-// displaces v3, then the v1 thread's displaces v2; then the v2 thread
-// calls, then the v1 thread. A duel that restored a displaced newer
-// version with one unchecked compare-exchange recovered v2 here: the v2
-// thread's restore of v3 failed on v1, and the v1 thread's restore of v2
-// succeeded. The newest version must win.
-TEST(Recovery, DuelKeepsTheNewestVersionWhenUpsertsDisplaceEachOther) {
-  constexpr int kV1 = 0, kV3 = 1, kV2 = 2;  // threads by version held
-  ScriptedIndex idx({kV1, kV3, kV2, kV3, kV2, kV1, kV2, kV1});
+// Three replay threads duel a key the index does not hold yet, each
+// holding one version of it (HB leaders log stolen entries, so one key's
+// versions can sit in three cores' logs). Each duel probes the key,
+// then writes once. The script runs the three probes first, so each
+// finds the key absent and goes on to write, and then the three writes
+// in `order`: the newest version must win in every write order.
+void ExpectNewestWinsInOrder(const std::array<uint32_t, 3>& versions,
+                             const std::array<int, 3>& order,
+                             uint32_t newest) {
+  std::vector<int> script = {0, 1, 2};
+  script.insert(script.end(), order.begin(), order.end());
+  ScriptedIndex idx(script);
   constexpr uint64_t kKey = 7;
   std::vector<std::thread> replayers;
-  for (const auto& [thread, version] :
-       {std::pair<int, uint32_t>{kV1, 1}, {kV3, 3}, {kV2, 2}}) {
+  for (int thread = 0; thread < 3; thread++) {
+    const uint32_t version = versions[thread];
     replayers.emplace_back([&idx, thread, version] {
       ScriptedIndex::BindThread(thread);
       DuelInsert(&idx, kKey, log::PackIndexValue(4096 * version, version));
@@ -723,8 +708,29 @@ TEST(Recovery, DuelKeepsTheNewestVersionWhenUpsertsDisplaceEachOther) {
   EXPECT_TRUE(idx.ScriptHeld());
   uint64_t packed = 0;
   ASSERT_TRUE(idx.Get(kKey, &packed));
-  EXPECT_EQ(log::UnpackVersion(packed), 3u);
-  EXPECT_EQ(log::UnpackOffset(packed), 3u * 4096);
+  EXPECT_EQ(log::UnpackVersion(packed), newest);
+  EXPECT_EQ(log::UnpackOffset(packed), uint64_t{4096} * newest);
+}
+
+TEST(Recovery, DuelKeepsTheNewestVersionInEveryWriteOrder) {
+  std::array<int, 3> order = {0, 1, 2};
+  do {
+    SCOPED_TRACE(::testing::Message() << "write order " << order[0] << ","
+                                      << order[1] << "," << order[2]);
+    ExpectNewestWinsInOrder({1, 3, 2}, order, 3);
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+// The same duel across the 20-bit version counter's wrap: 0 follows
+// kVersionMask, so the thread holding version 0 holds the newest.
+TEST(Recovery, DuelKeepsTheNewestVersionAcrossTheVersionWrap) {
+  std::array<int, 3> order = {0, 1, 2};
+  do {
+    SCOPED_TRACE(::testing::Message() << "write order " << order[0] << ","
+                                      << order[1] << "," << order[2]);
+    ExpectNewestWinsInOrder({log::kVersionMask - 1, 0, log::kVersionMask},
+                            order, 0);
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 }  // namespace
